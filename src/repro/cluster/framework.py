@@ -33,6 +33,15 @@ class FilterPlugin(abc.ABC):
     def filter(self, job: Job, node: Node) -> Tuple[bool, str]:
         """Return ``(feasible, reason)`` for scheduling ``job`` on ``node``."""
 
+    def rejection_is_transient(self, job: Job, node: Node) -> bool:
+        """Whether this plugin's rejection of ``node`` can clear by itself.
+
+        ``True`` when the rejection reflects momentary occupancy that goes
+        away as bound jobs release their resources, not a property of the
+        node or the job.  The default is ``False``.
+        """
+        return False
+
 
 class ScorePlugin(abc.ABC):
     """Assigns a score to a feasible node (lower is better, as in the paper)."""
@@ -62,11 +71,18 @@ class FilterReport:
 
     feasible: List[str] = field(default_factory=list)
     rejected: Dict[str, str] = field(default_factory=dict)
+    #: Rejected nodes whose rejection :meth:`FilterPlugin.rejection_is_transient`.
+    transient: List[str] = field(default_factory=list)
 
     @property
     def num_feasible(self) -> int:
         """Number of nodes that passed every filter plugin."""
         return len(self.feasible)
+
+    @property
+    def saturated(self) -> bool:
+        """``True`` when every candidate node was rejected, each only for being full."""
+        return not self.feasible and bool(self.rejected) and len(self.transient) == len(self.rejected)
 
 
 @dataclass
@@ -116,6 +132,8 @@ class SchedulingFramework:
                 feasible, reason = plugin.filter(job, node)
                 if not feasible:
                     rejected_reason = f"{plugin.name}: {reason}"
+                    if plugin.rejection_is_transient(job, node):
+                        report.transient.append(node.name)
                     break
             if rejected_reason is None:
                 report.feasible.append(node.name)

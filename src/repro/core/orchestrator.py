@@ -47,6 +47,9 @@ class JobOutcome:
     result: Optional[SimulationResult]
     scores: Dict[str, float] = field(default_factory=dict)
     num_filtered: int = 0
+    #: Unplaced only because every candidate node was full (see
+    #: :attr:`~repro.cluster.framework.FilterReport.saturated`).
+    saturated: bool = False
 
     @property
     def succeeded(self) -> bool:
@@ -196,6 +199,7 @@ class QRIO:
             result=None,
             scores=decision.scores,
             num_filtered=decision.filter_report.num_feasible,
+            saturated=decision.filter_report.saturated,
         )
 
     def run_job(self, job_name: str) -> JobOutcome:

@@ -44,6 +44,11 @@ class ClassicalResourceFilter(FilterPlugin):
             )
         return True, "fits classical capacity"
 
+    def rejection_is_transient(self, job: Job, node: Node) -> bool:
+        """A full node clears as its jobs finish, unless the job can never fit."""
+        resources = job.spec.resources
+        return node.capacity.fits(resources.cpu_millicores, resources.memory_mb)
+
 
 class DeviceCharacteristicsFilter(FilterPlugin):
     """Apply the user's optional bounds on device characteristics.

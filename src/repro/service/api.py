@@ -281,7 +281,9 @@ class Placement:
 
     ``device is None`` means no device satisfied the requirements — the
     service fails the job without entering RUNNING, mirroring the paper's
-    "job not fit for scheduling" outcome.
+    "job not fit for scheduling" outcome.  ``saturated`` marks the transient
+    variant: every candidate was rejected only because it is full, so the
+    concurrent runtime matches again once a running job frees capacity.
     """
 
     job_name: str
@@ -290,6 +292,7 @@ class Placement:
     score: Optional[float] = None
     num_feasible: int = 0
     detail: Dict[str, object] = field(default_factory=dict)
+    saturated: bool = False
 
 
 @dataclass

@@ -303,6 +303,7 @@ def _schedule_with_policy(
             device=None,
             num_feasible=0,
             detail={"decision": decision},
+            saturated=report.saturated,
         )
     cluster.bind(job.name, nodes[decision.device].name, score=decision.score)
     cluster.events.record(
@@ -442,6 +443,7 @@ class OrchestratorEngine(ExecutionEngine):
             score=outcome.score,
             num_feasible=outcome.num_filtered,
             detail={"scores": dict(outcome.scores)},
+            saturated=outcome.saturated,
         )
 
     def run(self, placement: Placement) -> EngineResult:
@@ -658,6 +660,7 @@ class ClusterEngine(ExecutionEngine):
             score=decision.score,
             num_feasible=decision.filter_report.num_feasible,
             detail={"scores": dict(decision.scores)},
+            saturated=decision.filter_report.saturated,
         )
 
     def run(self, placement: Placement) -> EngineResult:

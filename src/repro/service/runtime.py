@@ -31,7 +31,10 @@ The runtime owns three pieces:
   server, session clock), and the fleet-wide caches of PR 1 make a warm
   match cheap, so the scalability win lives in overlapping *execution*, not
   matching.  Serial matching also preserves the arrival-order contract of
-  the cloud engine's discrete-event session.
+  the cloud engine's discrete-event session.  When a match fails only
+  because every candidate node is full (matched groups hold their node's
+  resources until their lane finishes them), the dispatcher waits for a
+  lane to finish a group and matches again instead of failing the job.
 
 * **Per-device shard lanes** — a matched group is appended to the lane of
   its placed device and executed by the bounded ``ThreadPoolExecutor``
@@ -61,7 +64,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.tenancy.wfq import WeightedFairQueue
 from repro.utils.exceptions import ServiceError, ServiceOverloadedError
@@ -104,6 +107,10 @@ class ServiceRuntime:
         #: by the fault injector as a barrier before run-visible state
         #: changes (calibration jumps, straggler windows).
         self._quiet = threading.Condition(self._lock)
+        #: Capacity wake-up: a lane finished a group (released its node
+        #: resources).  The dispatcher waits on it when every node is full.
+        self._ran = threading.Condition(self._lock)
+        self._finished_runs = 0
         self._lanes: Dict[str, Deque[Tuple[object, object]]] = {}
         self._active_lanes: Set[str] = set()
         self._closed = False
@@ -285,7 +292,7 @@ class ServiceRuntime:
                     self._queued_jobs_by_tenant.pop(tenant_id, None)
                 self._not_full.notify_all()
             try:
-                placement = self._service._match_group(group)
+                placement = self._service._match_group(group, self._capacity_waiter())
             except Exception:  # noqa: BLE001 - recorded on the handles already
                 placement = None
             if placement is None:
@@ -301,6 +308,31 @@ class ServiceRuntime:
                 if placement.device not in self._active_lanes:
                     self._active_lanes.add(placement.device)
                     self._executor.submit(self._lane_worker, placement.device)
+
+    def _capacity_waiter(self) -> Callable[[], bool]:
+        """The ``wait_for_capacity`` hook for one group's MATCHING stage.
+
+        A node that is only full is a transient state: every matched group
+        holds its node's resources until its lane finishes it.  The hook
+        blocks until a lane finishes a group since the previous match, then
+        returns ``True`` to match again; with no group executing (and none
+        finished) nothing will free capacity, so it returns ``False`` and the
+        group fails as infeasible.
+        """
+        with self._lock:
+            seen = self._finished_runs
+
+        def wait() -> bool:
+            nonlocal seen
+            with self._lock:
+                self._ran.wait_for(
+                    lambda: self._finished_runs > seen or self._executing_groups == 0
+                )
+                progressed = self._finished_runs > seen
+                seen = self._finished_runs
+            return progressed
+
+        return wait
 
     def _lane_worker(self, device: str) -> None:
         """Serve one device's lane: same-device jobs serialize, lanes overlap.
@@ -357,6 +389,8 @@ class ServiceRuntime:
             self._inflight_groups -= 1
             if ran:
                 self._executing_groups -= 1
+                self._finished_runs += 1
+                self._ran.notify_all()
                 if self._executing_groups == 0:
                     self._quiet.notify_all()
             if self._inflight_groups == 0 and not self._queue:

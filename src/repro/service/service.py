@@ -43,7 +43,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
@@ -756,7 +756,11 @@ class QRIOService:
             # handles are terminal by then.
             group.drain_callbacks()
 
-    def _match_group(self, group: _JobGroup) -> Optional[Placement]:
+    def _match_group(
+        self,
+        group: _JobGroup,
+        wait_for_capacity: Optional[Callable[[], bool]] = None,
+    ) -> Optional[Placement]:
         """Run the engine's MATCHING stage for one group.
 
         Returns the placement on success, ``None`` when the group failed
@@ -764,6 +768,11 @@ class QRIOService:
         terminal).  Non-library engine exceptions propagate *after* the
         group's lifecycle is terminated, so no handle is ever stuck in a
         non-terminal state; the runtime's dispatcher catches them.
+
+        ``wait_for_capacity`` (the concurrent runtime's hook) is called when
+        a placement comes back :attr:`~repro.service.Placement.saturated`; it
+        blocks until capacity may have been released and returns ``True`` to
+        match again, ``False`` to fail the group as infeasible.
         """
         group.processed = True
         size = len(group.handles)
@@ -788,6 +797,13 @@ class QRIOService:
             self._fault_injector.advance_to(spec.requirements.arrival_time_s)
         try:
             placement = self._engine.match(spec, leader.name)
+            while (
+                placement.device is None
+                and placement.saturated
+                and wait_for_capacity is not None
+                and wait_for_capacity()
+            ):
+                placement = self._engine.match(spec, leader.name)
         except ReproError as error:
             self._fail_group(group, f"matching failed: {error}", error)
             return None

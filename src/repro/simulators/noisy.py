@@ -11,6 +11,7 @@ active qubits.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import gate_matrix
 from repro.simulators.noise import NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
@@ -35,7 +35,6 @@ from repro.utils.exceptions import SimulationError, StabilizerError
 from repro.utils.rng import SeedLike, ensure_generator
 
 _PAULI_LABELS = ("x", "y", "z")
-_PAULI_MATRICES = {label: gate_matrix(label) for label in _PAULI_LABELS}
 #: The 15 non-identity two-qubit Pauli labels (first acts on operand 0).
 _TWO_QUBIT_PAULIS: Tuple[Tuple[Optional[str], Optional[str]], ...] = tuple(
     (a, b)
@@ -43,6 +42,77 @@ _TWO_QUBIT_PAULIS: Tuple[Tuple[Optional[str], Optional[str]], ...] = tuple(
     for b in (None, "x", "y", "z")
     if not (a is None and b is None)
 )
+#: (x bit, z bit) of each single-qubit Pauli factor, with Y = i X Z.
+_PAULI_XZ = {None: (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
+
+
+def _label_tables(
+    labels: Sequence[Tuple[Optional[str], ...]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label-indexed ``(x bits, z bits, Y count)`` tables for the error gather.
+
+    ``x bits``/``z bits`` have one row per operand and one column per label;
+    the Y count is the power of ``i`` in the label's phase.
+    """
+    x_bits = np.array([[_PAULI_XZ[factor][0] for factor in label] for label in labels]).T
+    z_bits = np.array([[_PAULI_XZ[factor][1] for factor in label] for label in labels]).T
+    y_counts = np.array([sum(factor == "y" for factor in label) for label in labels])
+    return x_bits, z_bits, y_counts
+
+
+#: Error tables by operand count, in the label order of the RNG draw.
+_PAULI_TABLES = {
+    1: _label_tables([(label,) for label in _PAULI_LABELS]),
+    2: _label_tables(_TWO_QUBIT_PAULIS),
+}
+#: ``i^k`` for ``k`` = 0..3.
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_table(num_qubits: int) -> np.ndarray:
+    """Parity of the popcount of every basis index of ``num_qubits`` qubits.
+
+    One byte per basis state, cached per register width (widths are capped
+    by ``MAX_STATEVECTOR_QUBITS``).
+    """
+    indices = np.arange(2**num_qubits)
+    parity = np.zeros_like(indices)
+    for bit in range(num_qubits):
+        parity ^= (indices >> bit) & 1
+    parity = parity.astype(np.uint8)
+    parity.flags.writeable = False
+    return parity
+
+
+def _apply_paulis(
+    states: np.ndarray,
+    rows: np.ndarray,
+    operands: Tuple[int, ...],
+    choices: np.ndarray,
+    num_qubits: int,
+) -> None:
+    """Apply Pauli label ``choices[k]`` on ``operands`` to ``states[rows[k]]``.
+
+    One gather for all rows: the Pauli ``i^y X^x Z^z`` maps amplitude
+    ``psi[i ^ x]`` to index ``i`` with phase ``i^y (-1)^popcount((i ^ x) & z)``.
+    Sources and phases are tabulated once per label, then indexed by row.
+    Pauli entries are 0, +-1 and +-i, so the result equals the explicit
+    matrix product exactly (up to the sign of zeros).
+    """
+    dim = states.shape[1]
+    x_bits, z_bits, y_counts = _PAULI_TABLES[len(operands)]
+    weights = np.left_shift(1, np.asarray(operands, dtype=np.intp))
+    x_masks = (weights @ x_bits)[:, None]
+    z_masks = (weights @ z_bits)[:, None]
+    sources = np.arange(dim) ^ x_masks
+    phases = _PHASES[(y_counts[:, None] + 2 * _parity_table(num_qubits)[sources & z_masks]) & 3]
+    # Flat source positions of every selected row, gathered in one take.
+    flat_sources = sources[choices]
+    flat_sources += (rows * dim)[:, None]
+    gathered = np.take(states.reshape(-1), flat_sources)
+    gathered *= phases[choices]
+    states[rows] = gathered
 
 
 class NoisyStatevectorSimulator:
@@ -110,28 +180,12 @@ class NoisyStatevectorSimulator:
         error_indices = np.nonzero(error_mask)[0]
         if error_indices.size == 0:
             return states
-        if len(qubits) == 1:
-            choices = self._rng.integers(0, len(_PAULI_LABELS), size=error_indices.size)
-            for label_index, label in enumerate(_PAULI_LABELS):
-                subset = error_indices[choices == label_index]
-                if subset.size:
-                    states[subset] = apply_matrix(
-                        states[subset], _PAULI_MATRICES[label], qubits, num_qubits
-                    )
-            return states
-        choices = self._rng.integers(0, len(_TWO_QUBIT_PAULIS), size=error_indices.size)
-        for pauli_index, (pauli_a, pauli_b) in enumerate(_TWO_QUBIT_PAULIS):
-            subset = error_indices[choices == pauli_index]
-            if subset.size == 0:
-                continue
-            if pauli_a is not None:
-                states[subset] = apply_matrix(
-                    states[subset], _PAULI_MATRICES[pauli_a], (qubits[0],), num_qubits
-                )
-            if pauli_b is not None:
-                states[subset] = apply_matrix(
-                    states[subset], _PAULI_MATRICES[pauli_b], (qubits[1],), num_qubits
-                )
+        # Gates wider than two qubits take a two-qubit error on their first
+        # two operands.
+        operands = tuple(qubits[:2])
+        num_labels = len(_PAULI_LABELS) if len(operands) == 1 else len(_TWO_QUBIT_PAULIS)
+        choices = self._rng.integers(0, num_labels, size=error_indices.size)
+        _apply_paulis(states, error_indices, operands, choices, num_qubits)
         return states
 
     def _sample_counts(
@@ -155,22 +209,31 @@ class NoisyStatevectorSimulator:
         if not measurement_map:
             measurement_map = {q: q for q in range(circuit.num_qubits)}
         width = max(circuit.num_clbits, 1)
-        measured_qubits = sorted(measurement_map)
-        # Extract the measured bits from every sampled basis index, apply the
-        # per-qubit readout flip probability, and assemble count keys.
-        bits = np.zeros((shots, width), dtype=np.uint8)
-        for qubit in measured_qubits:
-            clbit = measurement_map[qubit]
+        # One integer key per shot with one bit per distinct classical bit
+        # (dense, so registers wider than 64 bits fit).  Readout flips are
+        # drawn per measured qubit in ascending order; a later qubit sent to
+        # the same classical bit overwrites an earlier one.
+        clbits = sorted(set(measurement_map.values()))
+        slot = {clbit: position for position, clbit in enumerate(clbits)}
+        keys = np.zeros(shots, dtype=np.int64)
+        for qubit in sorted(measurement_map):
+            bit = slot[measurement_map[qubit]]
             values = (outcome_indices >> qubit) & 1
             flip_probability = noise_model.measurement_error(qubit)
             if flip_probability > 0.0:
-                flips = self._rng.random(shots) < flip_probability
-                values = values ^ flips.astype(np.uint8)
-            bits[:, width - 1 - clbit] = values
-        counts: Counter = Counter(
-            "".join("1" if bit else "0" for bit in row) for row in bits
-        )
-        return dict(counts)
+                values = values ^ (self._rng.random(shots) < flip_probability)
+            keys = (keys & ~(1 << bit)) | (values << bit)
+        # Tally, then format each distinct key once.  First-seen order is the
+        # insertion order a per-shot tally gives, so callers iterating the
+        # counts (and summing floats over them) see the same sequence.
+        unique_keys, first_seen, tallies = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first_seen)
+        unique_keys = unique_keys[order]
+        chars = np.full((unique_keys.size, width), ord("0"), dtype=np.uint8)
+        for bit, clbit in enumerate(clbits):
+            chars[:, width - 1 - clbit] = ord("0") + ((unique_keys >> bit) & 1)
+        labels = chars.view(f"S{width}").ravel()
+        return {label.decode("ascii"): count for label, count in zip(labels, tallies[order].tolist())}
 
 
 class NoisyStabilizerSimulator:

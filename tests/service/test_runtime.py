@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.backends import three_device_testbed
+from repro.backends import generate_fleet, three_device_testbed
 from repro.circuits import ghz
 from repro.service import (
     CloudEngine,
@@ -497,3 +497,66 @@ class TestRealEngines:
         handle = qrio.submit(ghz(3), 0.8, shots=32)
         assert handle.wait().state == JobState.DONE
         service.close()
+
+
+class TestCapacitySaturation:
+    """A node that is only full is transient: the dispatcher waits, not fails."""
+
+    class _SaturationGatedEngine(DeviceLatencyEngine):
+        """Holds every run until the dispatcher has seen the whole fleet full."""
+
+        def __init__(self, inner, latency_s):
+            super().__init__(inner, latency_s=latency_s)
+            self.saturated = threading.Event()
+
+        def match(self, spec, job_name):
+            placement = super().match(spec, job_name)
+            if placement.saturated:
+                self.saturated.set()
+            return placement
+
+        def run(self, placement):
+            assert self.saturated.wait(10), "the fleet never saturated"
+            return super().run(placement)
+
+    @staticmethod
+    def _service(engine):
+        return QRIOService(generate_fleet(limit=2, seed=17), engine, workers=2)
+
+    def test_burst_beyond_node_capacity_completes(self):
+        # Each job takes a whole node's CPU, so two devices hold two jobs and
+        # the third match finds the fleet full while both lanes are held.
+        engine = self._SaturationGatedEngine(
+            OrchestratorEngine(seed=17, canary_shots=64), latency_s=0.01
+        )
+        with self._service(engine) as service:
+            handles = [
+                service.submit(
+                    ghz(2 + index % 2),
+                    JobRequirements(cpu_millicores=4000),
+                    shots=32 + index,
+                    name=f"burst-{index}",
+                )
+                for index in range(6)
+            ]
+            service.process()
+            assert engine.saturated.is_set()
+            assert [handle.status().state for handle in handles] == [JobState.DONE] * 6
+            for handle in handles:
+                states = [event.state for event in handle.events()]
+                assert states.count(JobState.MATCHING) == 1
+            rows = service.tenants_report()["tenants"]
+            assert all(row["queued"] == 0 and row["inflight"] == 0 for row in rows.values())
+
+    def test_job_that_can_never_fit_still_fails(self):
+        engine = DeviceLatencyEngine(OrchestratorEngine(seed=17, canary_shots=64), latency_s=0.05)
+        with self._service(engine) as service:
+            running = service.submit(ghz(2), JobRequirements(), shots=32, name="fits")
+            oversized = service.submit(
+                ghz(2), JobRequirements(cpu_millicores=5000), shots=33, name="too-big"
+            )
+            service.process()
+            assert running.status().state == JobState.DONE
+            status = oversized.status()
+            assert status.state == JobState.FAILED
+            assert "no feasible device" in status.error
