@@ -104,7 +104,7 @@ from repro.circuits.random_circuits import random_clifford_circuit  # noqa: E402
 from repro.scenarios.arrivals import JobRequest  # noqa: E402
 from repro.cloud.policies import LeastLoadedPolicy  # noqa: E402
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator  # noqa: E402
-from repro.core.cache import all_cache_stats, clear_all_caches  # noqa: E402
+from repro.core.cache import CacheStats, all_cache_stats, clear_all_caches  # noqa: E402
 from repro.matching import interaction_graph, rank_devices_scalable  # noqa: E402
 from repro.simulators import (  # noqa: E402
     NoiseModel,
@@ -966,6 +966,9 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
 
     jobs = _SCALES[scale]["plan_jobs"]
     fleet = three_device_testbed()
+    # Cache statistics are process-cumulative (clear_all_caches keeps them),
+    # so the report is the delta over this bench alone.
+    stats_start = all_cache_stats()["plan"]
 
     def cold_run():
         service = QRIOService(fleet, ClusterEngine(seed=9, canary_shots=128))
@@ -1030,7 +1033,9 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
         "speedup": speedup,
         "plan_replays": replays,
         "plan_recompiles": recompiles,
-        "plan_cache": dict(stats),
+        "plan_cache": CacheStats(
+            **{key: stats[key] - stats_start[key] for key in ("hits", "misses", "evictions")}
+        ).as_dict(),
         "fusion": {
             "gates_before": len(unfused),
             "gates_after": len(fused),

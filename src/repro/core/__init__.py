@@ -3,10 +3,7 @@
 from repro.core.baselines import OracleScheduler, OracleScorePlugin, RandomScheduler, RandomScorePlugin
 from repro.core.cache import (
     CacheStats,
-    EmbeddingCache,
-    IdealDistributionCache,
     LRUCache,
-    PlanCache,
     all_cache_stats,
     calibration_fingerprint,
     clear_all_caches,
@@ -49,10 +46,7 @@ __all__ = [
     "INFEASIBLE_SCORE",
     "CacheStats",
     "ClassicalResourceFilter",
-    "EmbeddingCache",
-    "IdealDistributionCache",
     "LRUCache",
-    "PlanCache",
     "all_cache_stats",
     "calibration_fingerprint",
     "clear_all_caches",

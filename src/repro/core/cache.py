@@ -24,11 +24,12 @@ This module provides the shared memoization layer those paths use:
   cycle *implicitly* invalidates all embedding scores and fidelity estimates
   computed against the stale calibration: the new fingerprint simply misses.
 * :class:`LRUCache` — a thread-safe bounded mapping with hit/miss/eviction
-  statistics, the storage behind every domain cache.
-* :class:`EmbeddingCache` and :class:`IdealDistributionCache` — the two
-  domain caches, with module-level shared instances wired into
-  ``repro.matching.scoring``, ``repro.matching.scalable``,
-  ``repro.fidelity.canary`` and ``repro.cloud.simulation``.
+  statistics, the one cache type.  Four process-wide instances are reached
+  through :func:`embedding_cache` (``repro.matching``),
+  :func:`ideal_distribution_cache` (``repro.fidelity.canary``),
+  :func:`plan_cache` (``repro.service.engines``) and
+  :func:`merged_program_cache` (``repro.simulators.noisy``); each call site
+  builds its own key tuple, documented on the accessor.
 
 Call :func:`clear_all_caches` between unrelated experiments (or rely on LRU
 eviction); :func:`all_cache_stats` reports fleet-wide hit rates, which the
@@ -41,15 +42,11 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable
 
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "EmbeddingCache",
-    "IdealDistributionCache",
-    "PlanCache",
-    "MergedProgramCache",
     "structural_circuit_hash",
     "pattern_hash",
     "calibration_fingerprint",
@@ -61,10 +58,6 @@ __all__ = [
     "clear_all_caches",
     "all_cache_stats",
 ]
-
-#: Sentinel distinguishing "key absent" from a cached ``None`` value.
-_MISSING = object()
-
 
 @dataclass
 class CacheStats:
@@ -104,7 +97,7 @@ class LRUCache:
     def __init__(self, maxsize: int = 4096) -> None:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
+        self._maxsize = maxsize
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -125,9 +118,17 @@ class LRUCache:
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = value
-            while len(self._data) > self.maxsize:
+            while len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
+
+    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
+        """Remove every entry whose key satisfies ``predicate``; returns the count."""
+        with self._lock:
+            stale = [key for key in self._data if predicate(key)]
+            for key in stale:
+                del self._data[key]
+            return len(stale)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -141,26 +142,6 @@ class LRUCache:
         """Drop every entry (statistics are kept)."""
         with self._lock:
             self._data.clear()
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Snapshot of the cached keys, least recently used first."""
-        with self._lock:
-            return tuple(self._data)
-
-    def discard(self, key: Hashable) -> bool:
-        """Remove ``key`` if present; ``True`` when an entry was dropped."""
-        with self._lock:
-            return self._data.pop(key, _MISSING) is not _MISSING
-
-    def resize(self, maxsize: int) -> None:
-        """Change the bound; shrinking below the population evicts LRU-first."""
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        with self._lock:
-            self.maxsize = maxsize
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
 
 
 # --------------------------------------------------------------------------- #
@@ -261,260 +242,52 @@ def fleet_calibration_epoch(fleet: Iterable) -> str:
     into one key, so the epoch is independent of registration order and —
     unlike the builtin ``hash`` — survives process restarts (``hash`` of a
     string is salted per process via ``PYTHONHASHSEED``).  Any device drifting
-    changes the epoch, which is what policy fidelity caches and the plan
-    cache key on.
+    changes the epoch, which is what policy fidelity caches key on.
     """
     return _digest(sorted(calibration_fingerprint(backend.properties) for backend in fleet))
 
 
 # --------------------------------------------------------------------------- #
-# Domain caches
-# --------------------------------------------------------------------------- #
-class EmbeddingCache:
-    """Memoized embedding searches / scores, invalidated by calibration drift.
-
-    Keys combine the canonical pattern hash, the device name, the device's
-    calibration fingerprint and the search parameters (embedding caps, budget
-    knobs, seeds).  Values are whatever the matcher produced — a list of
-    :class:`~repro.matching.scoring.ScoredEmbedding` for the exact scorer, a
-    :class:`~repro.matching.mapomatic.DeviceMatch` for the scalable matcher.
-    """
-
-    def __init__(self, maxsize: int = 2048) -> None:
-        self._store = LRUCache(maxsize)
-
-    @staticmethod
-    def key(
-        pattern_digest: str,
-        device_name: str,
-        fingerprint: str,
-        *extra: Hashable,
-    ) -> Tuple[Hashable, ...]:
-        """Build a cache key; ``extra`` carries matcher-specific parameters."""
-        return (pattern_digest, device_name, fingerprint) + tuple(extra)
-
-    def get(self, key: Tuple[Hashable, ...]) -> Any:
-        """Cached value or ``None`` (a miss)."""
-        return self._store.get(key, None)
-
-    def put(self, key: Tuple[Hashable, ...], value: Any) -> None:
-        """Store a matcher result."""
-        self._store.put(key, value)
-
-    def clear(self) -> None:
-        """Drop every cached embedding result."""
-        self._store.clear()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss statistics of the underlying store."""
-        return self._store.stats
-
-
-class IdealDistributionCache:
-    """Memoized canary ideal distributions keyed by circuit structure.
-
-    Keys are ``(structural_circuit_hash(canary), shots)``; values are counts
-    dictionaries.  Shared across every
-    :class:`~repro.fidelity.canary.CliffordCanaryEstimator` instance so that
-    the meta server, the cloud policies and the experiment drivers all reuse
-    each other's stabilizer runs.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        self._store = LRUCache(maxsize)
-
-    @staticmethod
-    def key(circuit_digest: str, shots: int) -> Tuple[str, int]:
-        """Build the (structure digest, shots) cache key."""
-        return (circuit_digest, shots)
-
-    def get(self, key: Tuple[str, int]) -> Optional[Dict[str, int]]:
-        """Cached counts or ``None`` (a miss)."""
-        return self._store.get(key, None)
-
-    def put(self, key: Tuple[str, int], counts: Dict[str, int]) -> None:
-        """Store a simulated ideal distribution."""
-        self._store.put(key, counts)
-
-    def clear(self) -> None:
-        """Drop every cached distribution."""
-        self._store.clear()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss statistics of the underlying store."""
-        return self._store.stats
-
-
-class PlanCache:
-    """Memoized :class:`~repro.plans.ExecutionPlan` bundles.
-
-    Keys combine the *logical* circuit's structural hash, the placed device's
-    name, that device's calibration fingerprint, and engine-specific context
-    (engine name, base seed, frozen requirements, shot count) so a plan is
-    only ever replayed for a submission that would have recompiled to exactly
-    the same artifact.  Calibration drift invalidates implicitly — the new
-    fingerprint misses — and :meth:`invalidate_device` additionally drops the
-    stale entries eagerly when an epoch change is observed.
-    """
-
-    def __init__(self, maxsize: int = 512) -> None:
-        self._store = LRUCache(maxsize)
-
-    @staticmethod
-    def key(
-        circuit_digest: str,
-        device_name: str,
-        fingerprint: str,
-        *extra: Hashable,
-    ) -> Tuple[Hashable, ...]:
-        """Build a cache key; ``extra`` carries engine-specific context."""
-        return (circuit_digest, device_name, fingerprint) + tuple(extra)
-
-    def get(self, key: Tuple[Hashable, ...]) -> Any:
-        """Cached plan or ``None`` (a miss)."""
-        return self._store.get(key, None)
-
-    def put(self, key: Tuple[Hashable, ...], plan: Any) -> None:
-        """Store a compiled plan."""
-        self._store.put(key, plan)
-
-    def record_miss(self) -> None:
-        """Count a miss decided before any key could be built.
-
-        A submission whose workload has never been placed cannot know which
-        device to probe, so no key exists yet; the cold compile is still a
-        plan-cache miss and must show up in the hit-rate statistics.
-        """
-        self._store.stats.misses += 1
-
-    def invalidate_device(self, device_name: str, *, keep_fingerprint: Optional[str] = None) -> int:
-        """Eagerly drop every plan bound to ``device_name``.
-
-        ``keep_fingerprint`` preserves entries compiled against the current
-        calibration (pass the fresh fingerprint on an epoch change to purge
-        only the stale ones).  Returns the number of entries dropped.
-        """
-        dropped = 0
-        for key in self._store.keys():
-            if len(key) >= 3 and key[1] == device_name and key[2] != keep_fingerprint:
-                if self._store.discard(key):
-                    dropped += 1
-        return dropped
-
-    def clear(self) -> None:
-        """Drop every cached plan."""
-        self._store.clear()
-
-    def resize(self, maxsize: int) -> None:
-        """Re-bound the underlying store (the ``plan_cache_size`` knob)."""
-        self._store.resize(maxsize)
-
-    @property
-    def maxsize(self) -> int:
-        """Current bound of the underlying store."""
-        return self._store.maxsize
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss statistics of the underlying store."""
-        return self._store.stats
-
-
-class MergedProgramCache:
-    """Memoized :class:`~repro.plans.schedule.MergedExecutionProgram` bundles.
-
-    Keys combine the *multiset* of member tableau-program digests (sorted, so
-    batch arrival order never matters), the sorted device names the batch is
-    bound for, and those devices' calibration fingerprints.  The merged
-    artifact itself is noise-model-independent — noise is drawn at execution
-    time — but the fingerprints keep a calibration-drift cycle from replaying
-    a batch composition decided against stale device data, mirroring every
-    other fleet cache.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self._store = LRUCache(maxsize)
-
-    @staticmethod
-    def key(
-        member_digests: Iterable[str],
-        device_names: Iterable[str],
-        fingerprints: Iterable[str],
-    ) -> Tuple[Hashable, ...]:
-        """Build the (sorted digests, sorted devices, sorted fingerprints) key."""
-        return (
-            tuple(sorted(member_digests)),
-            tuple(sorted(device_names)),
-            tuple(sorted(fingerprints)),
-        )
-
-    def get(self, key: Tuple[Hashable, ...]) -> Any:
-        """Cached merged program or ``None`` (a miss)."""
-        return self._store.get(key, None)
-
-    def put(self, key: Tuple[Hashable, ...], program: Any) -> None:
-        """Store a merged program."""
-        self._store.put(key, program)
-
-    def clear(self) -> None:
-        """Drop every cached merged program."""
-        self._store.clear()
-
-    def resize(self, maxsize: int) -> None:
-        """Re-bound the underlying store."""
-        self._store.resize(maxsize)
-
-    @property
-    def maxsize(self) -> int:
-        """Current bound of the underlying store."""
-        return self._store.maxsize
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss statistics of the underlying store."""
-        return self._store.stats
-
-
-# --------------------------------------------------------------------------- #
 # Shared instances
 # --------------------------------------------------------------------------- #
-_EMBEDDING_CACHE = EmbeddingCache()
-_IDEAL_DISTRIBUTION_CACHE = IdealDistributionCache()
-_PLAN_CACHE = PlanCache()
-_MERGED_PROGRAM_CACHE = MergedProgramCache()
+_EMBEDDING_CACHE = LRUCache(2048)
+_IDEAL_DISTRIBUTION_CACHE = LRUCache(1024)
+_PLAN_CACHE = LRUCache(512)
+_MERGED_PROGRAM_CACHE = LRUCache(256)
 
 
-def embedding_cache() -> EmbeddingCache:
-    """The process-wide embedding/score cache."""
+def embedding_cache() -> LRUCache:
+    """The process-wide embedding/score cache.
+
+    Keyed by ``(pattern_hash, device name, calibration fingerprint, *search
+    parameters, seed)``; values are the matcher's result.
+    """
     return _EMBEDDING_CACHE
 
 
-def ideal_distribution_cache() -> IdealDistributionCache:
-    """The process-wide canary ideal-distribution cache."""
+def ideal_distribution_cache() -> LRUCache:
+    """The process-wide canary ideal-distribution cache.
+
+    Keyed by ``(structural_circuit_hash(canary), shots)``; values are counts.
+    """
     return _IDEAL_DISTRIBUTION_CACHE
 
 
-def plan_cache() -> PlanCache:
-    """The process-wide (fleet-wide) execution-plan cache."""
+def plan_cache() -> LRUCache:
+    """The process-wide execution-plan cache.
+
+    Keyed by ``(structural hash, device name, calibration fingerprint,
+    *engine context)``; values are :class:`~repro.plans.ExecutionPlan`.
+    """
     return _PLAN_CACHE
 
 
-def merged_program_cache() -> MergedProgramCache:
-    """The process-wide (fleet-wide) cross-job merged-program cache."""
+def merged_program_cache() -> LRUCache:
+    """The process-wide cross-job merged-program cache.
+
+    Keyed by ``(sorted member digests, sorted device names, sorted
+    fingerprints)``, so batch arrival order never matters.
+    """
     return _MERGED_PROGRAM_CACHE
 
 

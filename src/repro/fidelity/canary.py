@@ -90,10 +90,10 @@ class CliffordCanaryEstimator:
         order-of-magnitude fewer stabilizer runs per fleet ranking.
         """
         # Imported lazily: repro.core's package init imports this module.
-        from repro.core.cache import IdealDistributionCache, ideal_distribution_cache, structural_circuit_hash
+        from repro.core.cache import ideal_distribution_cache, structural_circuit_hash
 
         cache = ideal_distribution_cache()
-        cache_key = IdealDistributionCache.key(structural_circuit_hash(canary), self._shots)
+        cache_key = (structural_circuit_hash(canary), self._shots)
         cached = cache.get(cache_key)
         if cached is not None:
             return dict(cached)

@@ -51,9 +51,9 @@ def _cache_key_for(
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         return None
-    from repro.core.cache import EmbeddingCache, calibration_fingerprint, pattern_hash
+    from repro.core.cache import calibration_fingerprint, pattern_hash
 
-    return EmbeddingCache.key(
+    return (
         pattern_hash(pattern),
         properties.name,
         calibration_fingerprint(properties),

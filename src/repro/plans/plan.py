@@ -19,7 +19,7 @@ A plan is the frozen, picklable outcome of one cold submit's compile stages:
 * the cold placement verdict (device, score, per-device scores, feasible
   count) so MATCHING can be skipped wholesale on the native path.
 
-Plans live in :class:`repro.core.cache.PlanCache`, keyed by
+Plans live in :func:`repro.core.cache.plan_cache`, keyed by
 ``(structural_hash, device, calibration_fingerprint, *engine context)``; a
 calibration-drift cycle changes the fingerprint and the stale plan simply
 stops matching.
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import PlanCache
 from repro.simulators.noisy import PrecompiledExecution
 from repro.transpiler.preset import TranspileResult
 
@@ -79,15 +78,13 @@ class ExecutionPlan:
     scores: Dict[str, float] = field(default_factory=dict)
 
     def cache_key(self, *extra: Hashable) -> Tuple[Hashable, ...]:
-        """The plan's :class:`~repro.core.cache.PlanCache` key.
+        """The plan's :func:`~repro.core.cache.plan_cache` key.
 
         ``extra`` must carry the same engine context (engine name, base seed,
         requirements, shots) the storing engine used, or the key will not
         match — which is the point: plans never leak across configurations.
         """
-        return PlanCache.key(
-            self.structural_hash, self.device, self.calibration_fingerprint, *extra
-        )
+        return (self.structural_hash, self.device, self.calibration_fingerprint) + extra
 
     def __post_init__(self) -> None:
         if self.shots <= 0:

@@ -27,7 +27,7 @@ The merged artifact
 :func:`merge_programs` produces a :class:`MergedExecutionProgram` — a frozen,
 picklable plain-data bundle (QRIO-S001 contract) whose lanes are sorted by a
 content digest so the same multiset of member programs always builds the
-same artifact.  The fleet-wide :class:`~repro.core.cache.MergedProgramCache`
+same artifact.  The fleet-wide :func:`~repro.core.cache.merged_program_cache`
 memoizes it across scheduling ticks; the derived per-position index arrays
 (the *kernel*) are memoized process-locally here, keyed by the program's
 content digest.

@@ -9,14 +9,14 @@ attaches to the :class:`~repro.service.QRIOService` it drives:
 
 * :class:`DeviceOutage` — a device leaves the fleet for a window and comes
   back.  Outages flip availability through each engine's placement filter
-  path (orchestrator/cluster cordon the node, the cloud engine drops the
-  device from its feasibility shortlist), so in-window jobs reroute — or
+  path (orchestrator/cluster cordon the node, the cloud engine's
+  per-arrival feasibility filter skips the device), so in-window jobs reroute — or
   fail when nothing is left.
 * :class:`CalibrationJump` — a mid-trace calibration epoch: the device's
   :class:`~repro.backends.BackendProperties` are re-drawn through
   :class:`~repro.cloud.CalibrationDriftModel` and the stale entries of the
-  fleet-wide :func:`~repro.core.cache.plan_cache` are eagerly dropped via
-  ``invalidate_device`` (exactly what a vendor calibration push does).
+  fleet-wide :func:`~repro.core.cache.plan_cache` are eagerly dropped
+  (exactly what a vendor calibration push does).
 * :class:`QueueStorm` — a burst of synthetic backlog lands on device queues
   (cloud engine), stretching predicted waits the way a tenant dumping work
   outside this trace would.

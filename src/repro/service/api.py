@@ -422,7 +422,8 @@ class ExecutionEngine(abc.ABC):
                 break
         else:
             raise ServiceError(f"Cannot apply calibration: unknown device '{device}'")
-        plan_cache().invalidate_device(device, keep_fingerprint=calibration_fingerprint(properties))
+        fingerprint = calibration_fingerprint(properties)
+        plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
 
     def inject_queue_backlog(self, devices: Sequence[str], *, at_time_s: float, backlog_s: float) -> int:
         """Drop synthetic backlog on device queues (queue storm).

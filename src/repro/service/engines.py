@@ -46,7 +46,6 @@ from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, Reso
 from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.cache import (
-    PlanCache,
     calibration_fingerprint,
     fleet_calibration_epoch,
     plan_cache,
@@ -139,14 +138,13 @@ class _PlanStore:
         context = self._context(spec)
         with self._lock:
             device = self._device_memo.get((digest, context))
-        backend = backends.get(device) if device is not None else None
-        if backend is None:
-            plan_cache().record_miss()
-            return None
-        fingerprint = calibration_fingerprint(backend.properties)
-        plan = plan_cache().get(PlanCache.key(digest, device, fingerprint, *context))
-        if plan is None:
-            plan_cache().invalidate_device(device, keep_fingerprint=fingerprint)
+        backend = backends.get(device)
+        # With no placed backend the probe carries no fingerprint, a key no
+        # plan is ever stored under: the cold compile still counts as a miss.
+        fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
+        plan = plan_cache().get((digest, device, fingerprint) + context)
+        if plan is None and backend is not None:
+            plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
         return plan
 
     def store(self, spec: JobSpec, plan: ExecutionPlan) -> None:
@@ -155,9 +153,7 @@ class _PlanStore:
         context = self._context(spec)
         with self._lock:
             self._device_memo[(digest, context)] = plan.device
-        plan_cache().put(
-            PlanCache.key(digest, plan.device, plan.calibration_fingerprint, *context), plan
-        )
+        plan_cache().put((digest, plan.device, plan.calibration_fingerprint) + context, plan)
 
 
 def _prepare_plan_batch(candidates):
@@ -829,33 +825,10 @@ class CloudEngine(ExecutionEngine):
         )
         self._clock = 0.0
         self._index = 0
-        self._epoch_memo: Optional[tuple] = None
 
     @property
     def name(self) -> str:
         return "cloud"
-
-    def _fleet_epoch(self) -> str:
-        """Memoized :func:`fleet_calibration_epoch` of the attached fleet.
-
-        The full epoch digest costs ~100x a feasibility bounds check, so
-        recomputing it per arrival would make the shortlist cache slower
-        than no cache at all.  Instead the digest is memoized behind a
-        cheap probe — the properties objects' identities plus their error
-        tables' sums — which changes under both recalibration styles (a
-        drift model swapping in new properties, or tables edited in place).
-        """
-        probe = tuple(
-            (
-                id(backend.properties),  # qrio: allow[QRIO-D003] process-local drift probe, never persisted or pickled
-                sum(backend.properties.two_qubit_error.values()),
-                sum(backend.properties.readout_error.values()),
-            )
-            for backend in self._fleet
-        )
-        if self._epoch_memo is None or self._epoch_memo[0] != probe:
-            self._epoch_memo = (probe, fleet_calibration_epoch(self._fleet))
-        return self._epoch_memo[1]
 
     @property
     def session(self) -> CloudSession:
@@ -866,7 +839,6 @@ class CloudEngine(ExecutionEngine):
 
     def attach(self, fleet: Sequence[Backend]) -> None:
         self._fleet = list(fleet)
-        self._epoch_memo = None
         policy = self._policy
         if policy is None:
             policy = LeastLoadedPolicy()
@@ -944,46 +916,20 @@ class CloudEngine(ExecutionEngine):
         )
 
     def _feasible_devices(self, spec: JobSpec) -> List[Backend]:
-        """The devices this spec may route onto, via the plan cache.
+        """The devices this spec may route onto, filtered afresh per arrival.
 
-        The cloud engine's discrete-event contract requires routing *per
-        arrival* (queue state changes with every job), so there is no
-        placement to replay — its slice of the plan cache is the feasibility
-        shortlist, which depends only on the circuit structure, the device
-        bounds and the fleet calibration epoch.  Calibration drift changes
-        the epoch and the stale shortlist silently stops matching.
+        Calibration pushes and outage windows take effect on the very next
+        arrival because nothing about the fleet is memoized here.
         """
         requirements = spec.requirements
         required_qubits = requirements.qubits_for(spec.circuit)
-        key = PlanCache.key(
-            structural_circuit_hash(spec.circuit),
-            "*fleet*",
-            self._fleet_epoch(),
-            self.name,
-            required_qubits,
-            requirements.max_avg_two_qubit_error,
-            requirements.max_avg_readout_error,
-            requirements.min_avg_t1,
-            requirements.min_avg_t2,
-        )
-        cached = plan_cache().get(key)
-        if cached is not None:
-            names = set(cached)
-            return [
-                backend
-                for backend in self._fleet
-                if backend.name in names and self.device_is_available(backend.name)
-            ]
-        feasible = [
+        return [
             backend
             for backend in self._fleet
-            if backend.num_qubits >= required_qubits and _within_device_bounds(backend, requirements)
+            if backend.num_qubits >= required_qubits
+            and _within_device_bounds(backend, requirements)
+            and self.device_is_available(backend.name)
         ]
-        # The cached shortlist is availability-independent (structure, bounds
-        # and calibration epoch only); outage windows filter at lookup time,
-        # so a recovery needs no cache invalidation.
-        plan_cache().put(key, tuple(backend.name for backend in feasible))
-        return [backend for backend in feasible if self.device_is_available(backend.name)]
 
     def run(self, placement: Placement) -> EngineResult:
         record = placement.detail["record"]
@@ -1008,12 +954,11 @@ class CloudEngine(ExecutionEngine):
         """Calibration jumps additionally advance the session's policy epoch.
 
         The shared-backend property swap (base implementation) already
-        invalidates the plan-cache shortlist via the fleet-epoch probe; the
-        session bump forces fidelity-aware routing policies to re-estimate
-        against the drifted properties.
+        reaches the per-arrival feasibility filter; the session bump forces
+        fidelity-aware routing policies to re-estimate against the drifted
+        properties.
         """
         super().apply_calibration(device, properties)
-        self._epoch_memo = None
         if self._session is not None:
             self._session.notice_calibration_change()
 

@@ -56,7 +56,7 @@ from repro.service.api import (
     Placement,
     ServiceResult,
 )
-from repro.core.cache import all_cache_stats, plan_cache
+from repro.core.cache import all_cache_stats
 from repro.service.engines import OrchestratorEngine
 from repro.service.handle import JobHandle, wall_wait_from_events
 from repro.service.runtime import ServiceRuntime
@@ -128,7 +128,6 @@ class QRIOService:
         seed: SeedLike = None,
         workers: int = 0,
         max_pending: Optional[int] = None,
-        plan_cache_size: Optional[int] = None,
         merge_batch_size: int = 8,
         admission: Optional[AdmissionController] = None,
     ) -> None:
@@ -146,10 +145,6 @@ class QRIOService:
                 dispatch and per-device shard lanes.
             max_pending: Backpressure bound on queued-but-undispatched jobs;
                 only meaningful with ``workers >= 1``.
-            plan_cache_size: Re-bound the fleet-wide execution-plan cache
-                (:func:`repro.core.cache.plan_cache`) instead of keeping its
-                default size.  The cache is process-wide — the knob resizes
-                the shared instance, it does not create a private one.
             merge_batch_size: Upper bound on how many same-device job groups
                 one scheduling tick of the concurrent runtime coalesces into
                 a single cross-job batched execution (default 8).  ``1``
@@ -163,8 +158,7 @@ class QRIOService:
 
         Raises:
             ServiceError: ``seed`` combined with an explicit engine,
-                ``workers < 0``, ``max_pending`` without workers, or a
-                non-positive ``plan_cache_size``.
+                ``workers < 0`` or ``max_pending`` without workers.
         """
         if engine is not None and seed is not None:
             raise ServiceError(
@@ -177,10 +171,6 @@ class QRIOService:
             raise ServiceError(
                 "max_pending only bounds the concurrent runtime's queue; pass workers >= 1"
             )
-        if plan_cache_size is not None:
-            if plan_cache_size <= 0:
-                raise ServiceError("plan_cache_size must be positive")
-            plan_cache().resize(plan_cache_size)
         if merge_batch_size <= 0:
             raise ServiceError("merge_batch_size must be positive (1 disables cross-job batching)")
         self._merge_batch_size = merge_batch_size

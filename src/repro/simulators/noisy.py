@@ -529,7 +529,7 @@ def execute_many_with_noise(requests: Sequence[ExecutionRequest]) -> List[Simula
     fast path.
     """
     # Imported lazily: plans.schedule imports this module's Pauli tables.
-    from repro.core.cache import MergedProgramCache, merged_program_cache
+    from repro.core.cache import merged_program_cache
     from repro.plans.schedule import execute_merged_program, merge_programs, program_digest
 
     resolved: List[PrecompiledExecution] = []
@@ -565,10 +565,10 @@ def execute_many_with_noise(requests: Sequence[ExecutionRequest]) -> List[Simula
             )
             for index in indices
         }
-        cache_key = MergedProgramCache.key(
-            digests.values(),
-            (requests[index].device for index in indices),
-            (requests[index].calibration for index in indices),
+        cache_key = (
+            tuple(sorted(digests.values())),
+            tuple(sorted(requests[index].device for index in indices)),
+            tuple(sorted(requests[index].calibration for index in indices)),
         )
         merged = cache.get(cache_key)
         if merged is None:

@@ -83,7 +83,7 @@ class TestExecutionPlanRoundTrip:
         assert len(returned.transpiled.circuit) == len(plan.transpiled.circuit)
 
     def test_cache_key_is_stable_across_the_hop(self, plan):
-        # The key the fleet-wide PlanCache would use must not depend on
+        # The key the fleet-wide plan cache would use must not depend on
         # anything the child process salts differently.
         returned = round_trip_through_subprocess(plan)
         assert returned.cache_key("cluster", 9) == plan.cache_key("cluster", 9)

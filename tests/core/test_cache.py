@@ -1,5 +1,7 @@
 """Tests for the fleet-wide memoization layer (repro.core.cache)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.backends import three_device_testbed
@@ -10,8 +12,8 @@ from repro.cloud.policies import AllocationContext, FidelityPolicy, LeastLoadedP
 from repro.cloud.queueing import ExecutionTimeModel, build_queues
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.core.cache import (
+    CacheStats,
     LRUCache,
-    PlanCache,
     calibration_fingerprint,
     clear_all_caches,
     embedding_cache,
@@ -23,6 +25,8 @@ from repro.core.cache import (
 )
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
+from repro.service import ClusterEngine, JobSpec
+from repro.service.engines import _PlanStore
 
 
 @pytest.fixture(autouse=True)
@@ -57,43 +61,33 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(maxsize=0)
 
-    def test_keys_snapshot_is_lru_first(self):
-        cache = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # "b" is now the least recently used
-        assert cache.keys() == ("b", "a")
-
-    def test_discard_reports_whether_an_entry_was_dropped(self):
-        cache = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        assert cache.discard("a") is True
-        assert cache.discard("a") is False
-        assert "a" not in cache
-
-    def test_resize_shrink_evicts_lru_first(self):
-        cache = LRUCache(maxsize=4)
-        for key in "abcd":
+    def test_drop_where_keeps_survivors_in_lru_order(self):
+        cache = LRUCache(maxsize=3)
+        for key in "abc":
             cache.put(key, key)
-        cache.get("a")  # refresh: "b" is now the eviction candidate
-        cache.resize(2)
-        assert cache.maxsize == 2
-        assert cache.keys() == ("d", "a")
-        assert cache.stats.evictions == 2
+        cache.get("a")  # recency: b, c, a
+        cache.drop_where(lambda key: key == "c")
+        cache.put("d", "d")
+        cache.put("e", "e")  # over the bound: "b" is still the LRU survivor
+        assert "b" not in cache
+        assert "a" in cache and "d" in cache and "e" in cache
+        assert cache.stats.evictions == 1
 
-    def test_resize_grow_raises_the_bound(self):
-        cache = LRUCache(maxsize=1)
+    def test_drop_where_reports_how_many_entries_were_dropped(self):
+        cache = LRUCache(maxsize=4)
+        for key in "abc":
+            cache.put(key, key)
+        assert cache.drop_where(lambda key: key in "ab") == 2
+        assert cache.drop_where(lambda key: key in "ab") == 0
+        assert "c" in cache
+        assert len(cache) == 1
+
+    def test_drop_where_leaves_the_statistics_alone(self):
+        """Purging stale entries is neither a lookup nor an LRU eviction."""
+        cache = LRUCache(maxsize=4)
         cache.put("a", 1)
-        cache.resize(3)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert len(cache) == 3
-        assert cache.stats.evictions == 0
-
-    def test_resize_rejects_non_positive_bounds(self):
-        cache = LRUCache(maxsize=2)
-        with pytest.raises(ValueError):
-            cache.resize(0)
+        cache.drop_where(lambda key: True)
+        assert cache.stats.as_dict() == CacheStats().as_dict()
 
 
 class TestStructuralCircuitHash:
@@ -259,58 +253,84 @@ class TestFleetCalibrationEpoch:
         assert fleet_calibration_epoch(fleet) != before
 
 
+def _plan_key(spec, device, fingerprint, engine="cluster", seed=5):
+    """The key layout ``_PlanStore`` files a plan under."""
+    return (structural_circuit_hash(spec.circuit), device, fingerprint, engine, seed, spec.requirements, spec.shots)
+
+
 class TestPlanCache:
     def test_key_bundles_identity_and_context(self):
-        key = PlanCache.key("digest", "device_a", "fp0", "cluster", 5)
-        assert key == ("digest", "device_a", "fp0", "cluster", 5)
-        assert PlanCache.key("digest", "device_a", "fp1", "cluster", 5) != key
+        spec = JobSpec(ghz(3), shots=64)
+        store = _PlanStore("cluster", 5)
+        store.store(spec, SimpleNamespace(device="device_a", calibration_fingerprint="fp0"))
+        assert _plan_key(spec, "device_a", "fp0") in plan_cache()
+        assert _plan_key(spec, "device_a", "fp1") not in plan_cache()
+        assert _plan_key(spec, "device_a", "fp0", seed=6) not in plan_cache()
 
     def test_get_put_and_stats(self):
-        cache = PlanCache(maxsize=8)
-        key = PlanCache.key("d", "dev", "fp")
+        cache = plan_cache()
+        before = cache.stats.as_dict()
+        key = ("d", "dev", "fp")
         assert cache.get(key) is None
         cache.put(key, "plan")
         assert cache.get(key) == "plan"
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        assert cache.stats.hits - before["hits"] == 1
+        assert cache.stats.misses - before["misses"] == 1
         assert len(cache) == 1
 
     def test_record_miss_counts_keyless_cold_submits(self):
-        cache = PlanCache(maxsize=8)
-        cache.record_miss()
-        assert cache.stats.misses == 1
-        assert len(cache) == 0
+        """A never-placed workload has no key to probe; its miss still counts."""
+        misses = plan_cache().stats.misses
+        assert _PlanStore("cluster", 5).lookup(JobSpec(ghz(3), shots=64), {}) is None
+        assert plan_cache().stats.misses == misses + 1
+        assert len(plan_cache()) == 0
 
     def test_invalidate_device_drops_only_stale_fingerprints(self):
-        cache = PlanCache(maxsize=8)
-        cache.put(PlanCache.key("d1", "dev_a", "old"), "stale-1")
-        cache.put(PlanCache.key("d2", "dev_a", "old"), "stale-2")
-        cache.put(PlanCache.key("d1", "dev_a", "new"), "fresh")
-        cache.put(PlanCache.key("d1", "dev_b", "old"), "other-device")
-        dropped = cache.invalidate_device("dev_a", keep_fingerprint="new")
-        assert dropped == 2
-        assert cache.get(PlanCache.key("d1", "dev_a", "new")) == "fresh"
-        assert cache.get(PlanCache.key("d1", "dev_b", "old")) == "other-device"
-        assert cache.get(PlanCache.key("d1", "dev_a", "old")) is None
+        fleet = three_device_testbed()
+        engine = ClusterEngine(seed=5)
+        engine.attach(fleet)
+        dev_a, dev_b = fleet[0].name, fleet[1].name
+        drifted = CalibrationDriftModel().drift_properties(fleet[0].properties, seed=1)
+        fresh = calibration_fingerprint(drifted)
+        cache = plan_cache()
+        cache.put(("d1", dev_a, "old"), "stale-1")
+        cache.put(("d2", dev_a, "old"), "stale-2")
+        cache.put(("d1", dev_a, fresh), "fresh")
+        cache.put(("d1", dev_b, "old"), "other-device")
+        engine.apply_calibration(dev_a, drifted)
+        assert len(cache) == 2
+        assert cache.get(("d1", dev_a, fresh)) == "fresh"
+        assert cache.get(("d1", dev_b, "old")) == "other-device"
+        assert cache.get(("d1", dev_a, "old")) is None
+
+    def test_lookup_on_a_device_gone_from_the_fleet_is_a_miss(self):
+        """A memoized placement whose device left the fleet probes no fingerprint."""
+        backend = three_device_testbed()[0]
+        spec = JobSpec(ghz(3), shots=64)
+        store = _PlanStore("cluster", 5)
+        fingerprint = calibration_fingerprint(backend.properties)
+        store.store(spec, SimpleNamespace(device=backend.name, calibration_fingerprint=fingerprint))
+        misses = plan_cache().stats.misses
+        assert store.lookup(spec, {}) is None
+        assert plan_cache().stats.misses == misses + 1
+        # Nothing is purged: the device may come back with the same calibration.
+        assert store.lookup(spec, {backend.name: backend}) is not None
 
     def test_invalidate_device_without_keep_drops_everything_for_it(self):
-        cache = PlanCache(maxsize=8)
-        cache.put(PlanCache.key("d1", "dev_a", "fp0"), "p0")
-        cache.put(PlanCache.key("d1", "dev_a", "fp1"), "p1")
-        assert cache.invalidate_device("dev_a") == 2
-        assert len(cache) == 0
-
-    def test_resize_and_maxsize_mirror_the_store(self):
-        cache = PlanCache(maxsize=4)
-        assert cache.maxsize == 4
-        cache.resize(2)
-        assert cache.maxsize == 2
-        with pytest.raises(ValueError):
-            cache.resize(-1)
+        """A warm lookup that misses on a moved fingerprint purges the device."""
+        backend = three_device_testbed()[0]
+        spec = JobSpec(ghz(3), shots=64)
+        store = _PlanStore("cluster", 5)
+        old = calibration_fingerprint(backend.properties)
+        store.store(spec, SimpleNamespace(device=backend.name, calibration_fingerprint=old))
+        plan_cache().put(("other-digest", backend.name, "older"), "p1")
+        backend.properties = CalibrationDriftModel().drift_properties(backend.properties, seed=1)
+        assert store.lookup(spec, {backend.name: backend}) is None
+        assert len(plan_cache()) == 0
 
     def test_shared_instance_is_cleared_with_the_other_caches(self):
         shared = plan_cache()
-        shared.put(PlanCache.key("d", "dev", "fp"), "plan")
+        shared.put(("d", "dev", "fp"), "plan")
         clear_all_caches()
         assert len(shared) == 0
 

@@ -157,6 +157,28 @@ class TestMergedSoloBitIdentity:
         assert after["hits"] - before["hits"] == 1
         assert after["misses"] == before["misses"]
 
+    def test_arrival_order_never_splits_the_merged_program_cache(self):
+        circuits, precompiled = _stabilizer_batch(17)
+        requests = [
+            ExecutionRequest(
+                circuit=circuit,
+                noise_model=None,
+                shots=64,
+                seed=index,
+                precompiled=bundle,
+                device=f"dev_{index % 2}",
+                calibration=f"fp_{index % 2}",
+            )
+            for index, (circuit, bundle) in enumerate(zip(circuits, precompiled))
+        ]
+        forward = execute_many_with_noise(requests)
+        before = all_cache_stats()["batch"]
+        backward = execute_many_with_noise(list(reversed(requests)))
+        after = all_cache_stats()["batch"]
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert [result.counts for result in reversed(backward)] == [result.counts for result in forward]
+
 
 class TestMergedArtifact:
     def _merged(self, seed_base=21):

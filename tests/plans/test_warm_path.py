@@ -8,6 +8,8 @@ cache statistics — while calibration drift forces a recompile and fused
 plans stay bit-identical to the unfused path.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.core.master_server as master_server_module
@@ -23,7 +25,6 @@ from repro.service import (
     QRIOService,
 )
 from repro.transpiler.fusion import fuse_clifford_runs
-from repro.utils.exceptions import ServiceError
 
 
 @pytest.fixture(autouse=True)
@@ -178,17 +179,44 @@ class TestOrchestratorWarmPath:
         assert engine.qrio.cluster.events.of_kind("PlanScheduled")
 
 
-class TestCloudFeasibilityShortlist:
-    def test_second_arrival_hits_the_cached_shortlist(self):
+class TestCloudFeasibility:
+    def test_feasibility_is_fresh_on_every_arrival(self):
+        fleet = three_device_testbed()
+        engine = CloudEngine()
+        service = QRIOService(fleet, engine)
+        requirements = JobRequirements(max_avg_two_qubit_error=0.1)
+        drifted_name, outage_name, survivor_name = (backend.name for backend in fleet)
+
+        def arrive():
+            return service.submit(ghz(4), requirements, shots=64).result()
+
+        assert arrive().num_feasible == 3
+        # A calibration push beyond the error bound drops the device at once.
+        properties = fleet[0].properties
+        drifted = dataclasses.replace(
+            properties,
+            two_qubit_error={edge: 4 * error for edge, error in properties.two_qubit_error.items()},
+        )
+        engine.apply_calibration(drifted_name, drifted)
+        after_drift = arrive()
+        assert after_drift.num_feasible == 2
+        assert after_drift.device != drifted_name
+        # An outage drops a second device; only the survivor is left.
+        engine.set_device_available(outage_name, False)
+        during_outage = arrive()
+        assert during_outage.num_feasible == 1
+        assert during_outage.device == survivor_name
+        # Recovery brings the device back on the next arrival.
+        engine.set_device_available(outage_name, True)
+        assert arrive().num_feasible == 2
+
+    def test_arrivals_never_touch_the_plan_cache(self):
         service = QRIOService(three_device_testbed(), CloudEngine())
-        first = service.submit(ghz(4), shots=64).result()
         before = _plan_stats()
-        second = service.submit(ghz(4), shots=64).result()
-        after = _plan_stats()
-        assert after["hits"] - before["hits"] == 1
-        # Routing still ran per arrival: both records carry queueing detail.
-        assert first.fidelity is not None
-        assert second.fidelity is not None
+        for _ in range(3):
+            service.submit(ghz(4), shots=64).result()
+        assert _plan_stats() == before
+        assert len(plan_cache()) == 0
 
 
 class TestFusionEquivalenceAcrossEngines:
@@ -234,24 +262,6 @@ class TestFusionEquivalenceAcrossEngines:
 
 
 class TestServiceKnobs:
-    def test_plan_cache_size_resizes_the_shared_cache(self):
-        original = plan_cache().maxsize
-        try:
-            QRIOService(
-                three_device_testbed(), ClusterEngine(seed=5, canary_shots=64),
-                plan_cache_size=7,
-            )
-            assert plan_cache().maxsize == 7
-        finally:
-            plan_cache().resize(original)
-
-    def test_plan_cache_size_must_be_positive(self):
-        with pytest.raises(ServiceError):
-            QRIOService(
-                three_device_testbed(), ClusterEngine(seed=5, canary_shots=64),
-                plan_cache_size=0,
-            )
-
     def test_cache_stats_surfaces_the_plan_cache(self):
         service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
         service.submit(ghz(3), 0.9, shots=64).result()
