@@ -10,6 +10,12 @@ repeats three expensive computations whose inputs barely change between jobs:
 * **Achieved/estimated fidelities** in the cloud simulator: depend on the
   circuit structure, the device and its calibration.
 
+Only the scoring step of the embedding search reads the calibration: the
+VF2 enumeration it scores depends on nothing but the pattern and the device's
+coupling graph, so it is memoized on its own, once per (pattern, coupling
+graph, cap), and shared by every job, every calibration epoch, the matchers
+and the transpiler's perfect-layout pass (Mapomatic's two-step split).
+
 This module provides the shared memoization layer those paths use:
 
 * :func:`structural_circuit_hash` — a collision-resistant digest of a
@@ -19,13 +25,17 @@ This module provides the shared memoization layer those paths use:
   ``name:len:num_qubits`` key the canary estimator used previously.
 * :func:`pattern_hash` — the analogous digest for interaction-graph /
   topology patterns (nodes plus weighted edges).
+* :func:`enumeration_key` — the order-sensitive digest of what VF2 reads
+  (node and adjacency order of both graphs, plus the cap), which keys the
+  enumeration cache.
 * :func:`calibration_fingerprint` — a digest of a device's calibration data.
   Because the fingerprint is part of every cache key, a calibration-drift
   cycle *implicitly* invalidates all embedding scores and fidelity estimates
   computed against the stale calibration: the new fingerprint simply misses.
 * :class:`LRUCache` — a thread-safe bounded mapping with hit/miss/eviction
-  statistics, the one cache type.  Four process-wide instances are reached
-  through :func:`embedding_cache` (``repro.matching``),
+  statistics, the one cache type.  Five process-wide instances are reached
+  through :func:`enumeration_cache` (``repro.matching.subgraph``),
+  :func:`embedding_cache` (``repro.matching``),
   :func:`ideal_distribution_cache` (``repro.fidelity.canary``),
   :func:`plan_cache` (``repro.service.engines``) and
   :func:`merged_program_cache` (``repro.simulators.noisy``); each call site
@@ -49,8 +59,10 @@ __all__ = [
     "LRUCache",
     "structural_circuit_hash",
     "pattern_hash",
+    "enumeration_key",
     "calibration_fingerprint",
     "fleet_calibration_epoch",
+    "enumeration_cache",
     "embedding_cache",
     "ideal_distribution_cache",
     "plan_cache",
@@ -205,6 +217,28 @@ def pattern_hash(graph) -> str:
     return _digest(parts())
 
 
+def enumeration_key(pattern, device_graph, max_embeddings: int) -> str:
+    """Digest of one VF2 enumeration's inputs, in the order VF2 reads them.
+
+    networkx's VF2 matcher walks both graphs in node order and grows its
+    candidate frontier in adjacency order, so those orders, and not only the
+    edge sets, decide which embeddings come out first.  Unlike
+    :func:`pattern_hash`, which sorts, this digest covers the node sequence
+    and each node's neighbour sequence of the pattern and of the device
+    graph, plus the cap: equal keys therefore yield the same embeddings in
+    the same order.  Edge weights are not read by VF2 and are not covered.
+    """
+
+    def parts():
+        yield f"cap:{max_embeddings}"
+        for graph in (pattern, device_graph):
+            yield type(graph).__name__
+            for node, neighbours in graph.adjacency():
+                yield repr(node) + ":" + ",".join(map(repr, neighbours))
+
+    return _digest(parts())
+
+
 def calibration_fingerprint(properties) -> str:
     """Digest of one device's calibration epoch.
 
@@ -250,17 +284,32 @@ def fleet_calibration_epoch(fleet: Iterable) -> str:
 # --------------------------------------------------------------------------- #
 # Shared instances
 # --------------------------------------------------------------------------- #
+_ENUMERATION_CACHE = LRUCache(2048)
 _EMBEDDING_CACHE = LRUCache(2048)
 _IDEAL_DISTRIBUTION_CACHE = LRUCache(1024)
 _PLAN_CACHE = LRUCache(512)
 _MERGED_PROGRAM_CACHE = LRUCache(256)
 
 
+def enumeration_cache() -> LRUCache:
+    """The process-wide VF2 enumeration cache.
+
+    Keyed by :func:`enumeration_key` (pattern and device graph in VF2's read
+    order, plus the cap); values are the enumerated mappings, each a flat
+    ``(pattern node, device node, ...)`` tuple.  No calibration is in the key:
+    enumeration never reads it, so entries survive calibration drift.
+    """
+    return _ENUMERATION_CACHE
+
+
 def embedding_cache() -> LRUCache:
     """The process-wide embedding/score cache.
 
     Keyed by ``(pattern_hash, device name, calibration fingerprint, *search
-    parameters, seed)``; values are the matcher's result.
+    parameters)``; values are the matcher's result.  The exact matcher
+    (``"scored"``) stores only results whose embeddings are all exact, which
+    no seed can change; the budgeted matcher (``"scalable"``) appends its
+    integer seed, since its annealing restarts read it.
     """
     return _EMBEDDING_CACHE
 
@@ -293,6 +342,7 @@ def merged_program_cache() -> LRUCache:
 
 def clear_all_caches() -> None:
     """Empty every shared cache (benchmarks call this between cold runs)."""
+    _ENUMERATION_CACHE.clear()
     _EMBEDDING_CACHE.clear()
     _IDEAL_DISTRIBUTION_CACHE.clear()
     _PLAN_CACHE.clear()
@@ -302,6 +352,7 @@ def clear_all_caches() -> None:
 def all_cache_stats() -> Dict[str, Dict[str, float]]:
     """Statistics of every shared cache, keyed by cache name."""
     return {
+        "enumeration": _ENUMERATION_CACHE.stats.as_dict(),
         "embedding": _EMBEDDING_CACHE.stats.as_dict(),
         "ideal_distribution": _IDEAL_DISTRIBUTION_CACHE.stats.as_dict(),
         "plan": _PLAN_CACHE.stats.as_dict(),

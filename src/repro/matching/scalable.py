@@ -29,6 +29,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Dict, Iterable, List, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro.backends.properties import BackendProperties
 from repro.matching.mapomatic import DeviceMatch, PatternLike, TargetLike, _as_pattern, _as_properties
@@ -118,8 +119,15 @@ def anneal_embedding(
     if not pattern_nodes:
         return initial
 
+    # One graph and one all-pairs distance table for every proposal's cost.
+    distances = dict(nx.all_pairs_shortest_path_length(device_graph))
+
+    def cost(mapping: Dict[int, int]) -> float:
+        embedding = Embedding(mapping, _is_exact(pattern, mapping, device_graph))
+        return embedding_cost(pattern, embedding, properties, include_readout, device_graph, distances)
+
     current = dict(initial.mapping)
-    current_cost = embedding_cost(pattern, Embedding(current, _is_exact(pattern, current, device_graph)), properties, include_readout)
+    current_cost = cost(current)
     best = dict(current)
     best_cost = current_cost
     temperature = max(initial_temperature, 1e-9)
@@ -142,12 +150,7 @@ def anneal_embedding(
             else:
                 node = pattern_nodes[int(rng.integers(0, len(pattern_nodes)))]
                 proposal[node] = int(free[int(rng.integers(0, len(free)))])
-        proposal_cost = embedding_cost(
-            pattern,
-            Embedding(proposal, _is_exact(pattern, proposal, device_graph)),
-            properties,
-            include_readout,
-        )
+        proposal_cost = cost(proposal)
         delta = proposal_cost - current_cost
         if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
             current = proposal
@@ -158,6 +161,19 @@ def anneal_embedding(
         temperature *= cooling
 
     return Embedding(mapping=best, exact=_is_exact(pattern, best, device_graph))
+
+
+def _memoizable_seed(seed: SeedLike) -> Optional[int]:
+    """``seed`` as a cache-key component, or ``None`` when it must not be memoized.
+
+    Only integer seeds are memoized.  ``None`` means fresh entropy per call
+    and a generator seed has hidden mutable state — caching either would
+    silently replace independent random searches (e.g. best-of-K restarts)
+    with the first draw.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        return None
+    return int(seed)
 
 
 def scalable_match_device(
@@ -176,8 +192,10 @@ def scalable_match_device(
     Matches are memoized in the fleet-wide embedding cache keyed by pattern
     hash, device, calibration fingerprint, budget knobs and seed — repeated
     scheduling requests skip both the VF2 stage and the annealing restarts
-    until the device's calibration drifts.  ``use_cache=False`` forces a
-    fresh search.
+    until the device's calibration drifts.  Only integer seeds are memoized.
+    ``use_cache=False`` skips the embedding cache; the VF2 stage still goes
+    through the content-keyed enumeration cache, which returns exactly what a
+    fresh search would.
     """
     budget = budget or MatchBudget()
     graph = _as_pattern(pattern)
@@ -187,9 +205,10 @@ def scalable_match_device(
     if graph.number_of_nodes() == 0:
         return DeviceMatch(device=properties.name, score=0.0, exact=True, layout={})
 
+    seed_key = _memoizable_seed(seed) if use_cache else None
     key = (
-        _cache_key_for(graph, properties, seed, "scalable", astuple(budget), include_readout)
-        if use_cache
+        _cache_key_for(graph, properties, "scalable", astuple(budget), include_readout, seed_key)
+        if seed_key is not None
         else None
     )
     if key is not None:
@@ -229,7 +248,7 @@ def scalable_match_device(
             candidates.append(refined)
 
     scored = [
-        (embedding_cost(graph, candidate, properties, include_readout=include_readout), candidate)
+        (embedding_cost(graph, candidate, properties, include_readout, device_graph), candidate)
         for candidate in candidates
     ]
     best_cost, best_embedding = min(scored, key=lambda item: item[0])

@@ -26,10 +26,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
-import numpy as np
 
 from repro.backends.properties import BackendProperties
-from repro.matching.subgraph import DEFAULT_MAX_EMBEDDINGS, Embedding, find_embeddings
+from repro.matching.subgraph import (
+    DEFAULT_MAX_EMBEDDINGS,
+    Embedding,
+    find_exact_embeddings,
+    greedy_embedding,
+)
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike
 
@@ -37,29 +41,21 @@ from repro.utils.rng import SeedLike
 def _cache_key_for(
     pattern: nx.Graph,
     properties: BackendProperties,
-    seed: SeedLike,
     *extra: Hashable,
-) -> Optional[Tuple[Hashable, ...]]:
+) -> Tuple[Hashable, ...]:
     """Embedding-cache key for one (pattern, device, calibration) query.
 
-    Returns ``None`` when the query is not cacheable: only integer seeds are
-    memoized.  ``None`` means fresh entropy per call and a generator seed has
-    hidden mutable state — caching either would silently replace independent
-    random searches (e.g. best-of-K restarts) with the first draw.  The cache
-    module is imported lazily because ``repro.core``'s package init pulls in
-    the strategies, which import this module.
+    ``(pattern_hash, device name, calibration fingerprint, *extra)``, where
+    ``extra`` holds the matcher's search parameters.  No seed is included:
+    :func:`evaluate_embeddings` stores only all-exact results, which no seed
+    can change, and the budgeted matcher appends its own integer seed.  The
+    cache module is imported lazily because ``repro.core``'s package init
+    pulls in the strategies, which import this module.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        return None
     from repro.core.cache import calibration_fingerprint, pattern_hash
 
-    return (
-        pattern_hash(pattern),
-        properties.name,
-        calibration_fingerprint(properties),
-        *extra,
-        int(seed),
-    )
+    return (pattern_hash(pattern), properties.name, calibration_fingerprint(properties), *extra)
+
 
 #: Number of CX gates needed to bridge one missing hop between uncoupled qubits.
 SWAPS_CX_OVERHEAD = 3.0
@@ -84,10 +80,17 @@ def embedding_cost(
     embedding: Embedding,
     properties: BackendProperties,
     include_readout: bool = True,
+    device_graph: Optional[nx.Graph] = None,
+    distances: Optional[Dict[int, Dict[int, int]]] = None,
 ) -> float:
-    """Error cost of running ``pattern`` under ``embedding`` on the device."""
-    device_graph = properties.graph()
-    distances: Optional[Dict[int, Dict[int, int]]] = None
+    """Error cost of running ``pattern`` under ``embedding`` on the device.
+
+    Callers scoring many embeddings on one device pass the device graph (and,
+    when they have them, its all-pairs hop distances) so neither is rebuilt
+    per embedding; the distances are otherwise computed on first need.
+    """
+    if device_graph is None:
+        device_graph = properties.graph()
     cost = 0.0
     for a, b, data in pattern.edges(data=True):
         multiplicity = float(data.get("weight", 1))
@@ -125,36 +128,47 @@ def evaluate_embeddings(
 ) -> List[ScoredEmbedding]:
     """Score every candidate embedding of ``pattern`` on one device, best first.
 
-    Results are memoized in the fleet-wide embedding cache, keyed by the
-    canonical pattern hash, the device and its calibration fingerprint (plus
-    the search parameters), so repeated scheduling requests for the same
-    pattern skip VF2 enumeration entirely until the device recalibrates.
-    Pass ``use_cache=False`` to force a fresh search.
+    Candidates are the exact embeddings when any exist, otherwise one greedy
+    fallback drawn with ``seed``.  All-exact results are memoized in the
+    fleet-wide embedding cache, keyed by the canonical pattern hash, the
+    device and its calibration fingerprint (plus the search parameters), so
+    repeated scheduling requests for the same pattern skip scoring entirely
+    until the device recalibrates, whatever their seed.  A greedy result
+    depends on the seed and is recomputed per call; the enumeration that
+    proved no exact embedding exists is memoized by
+    :func:`~repro.matching.subgraph.find_exact_embeddings`.  Pass
+    ``use_cache=False`` to skip the embedding cache.
     """
-    key = (
-        _cache_key_for(pattern, properties, seed, "scored", max_embeddings, include_readout)
-        if use_cache
-        else None
-    )
-    if key is not None:
-        from repro.core.cache import embedding_cache
+    from repro.core.cache import embedding_cache
 
+    key = _cache_key_for(pattern, properties, "scored", max_embeddings, include_readout) if use_cache else None
+    if key is not None:
         hit = embedding_cache().get(key)
         if hit is not None:
             return _copy_scored(hit)
-    embeddings = find_embeddings(pattern, properties, max_embeddings=max_embeddings, seed=seed)
+    device_graph = properties.graph()
+    distances: Optional[Dict[int, Dict[int, int]]] = None
+    embeddings = find_exact_embeddings(pattern, device_graph, max_embeddings=max_embeddings)
+    if not embeddings and pattern.number_of_nodes() <= properties.num_qubits:
+        distances = dict(nx.all_pairs_shortest_path_length(device_graph))
+        embeddings = [greedy_embedding(pattern, properties, seed, device_graph=device_graph, distances=distances)]
     scored = [
         ScoredEmbedding(
             embedding=embedding,
-            score=embedding_cost(pattern, embedding, properties, include_readout=include_readout),
+            score=embedding_cost(
+                pattern,
+                embedding,
+                properties,
+                include_readout=include_readout,
+                device_graph=device_graph,
+                distances=distances,
+            ),
             device=properties.name,
         )
         for embedding in embeddings
     ]
     scored = sorted(scored, key=lambda item: item.score)
-    if key is not None:
-        from repro.core.cache import embedding_cache
-
+    if key is not None and all(item.exact for item in scored):
         # Store (and later serve) copies: Embedding.mapping is a mutable
         # dict, and neither the cold caller nor a warm caller may be able to
         # poison the shared cache by mutating their result.

@@ -13,7 +13,8 @@ sparse and dense devices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -51,24 +52,46 @@ def find_exact_embeddings(
     A monomorphism (rather than induced-subgraph isomorphism) is the right
     notion here: the device may have extra couplings between the chosen
     qubits, which never hurts execution.
+
+    This is the one VF2 enumeration of the package; the matchers and the
+    transpiler's perfect-layout pass all call it.  Results are memoized in
+    the process-wide enumeration cache under
+    :func:`~repro.core.cache.enumeration_key`, which covers exactly what VF2
+    reads in the order it reads it, so a hit returns the list a fresh search
+    would produce, in the same order.  Infeasible searches are memoized too.
     """
     if pattern.number_of_nodes() == 0:
         return [Embedding(mapping={}, exact=True)]
     if pattern.number_of_nodes() > device_graph.number_of_nodes():
         return []
+    # Lazy import: repro.core's package init pulls in the strategies, which
+    # import this module.
+    from repro.core.cache import enumeration_cache, enumeration_key
+
+    key = enumeration_key(pattern, device_graph, max_embeddings)
+    mappings = enumeration_cache().get(key)
+    if mappings is None:
+        mappings = _enumerate(pattern, device_graph, max_embeddings)
+        enumeration_cache().put(key, mappings)
+    return [Embedding(mapping=dict(zip(flat[::2], flat[1::2])), exact=True) for flat in mappings]
+
+
+def _enumerate(pattern: nx.Graph, device_graph: nx.Graph, max_embeddings: int) -> Tuple[Tuple[int, ...], ...]:
+    """Run VF2 and return up to ``max_embeddings`` mappings.
+
+    Each mapping is one flat ``(pattern node, device node, ...)`` tuple in
+    VF2's assignment order: immutable, so the cache can share it, and about
+    a third of the memory of a tuple of pairs.
+    """
     if not _degree_compatible(pattern, device_graph):
         # A pattern node needs more neighbours than any device qubit offers;
         # VF2 would exhaustively prove infeasibility, so short-circuit.
-        return []
+        return ()
     matcher = nx.algorithms.isomorphism.GraphMatcher(device_graph, pattern)
-    embeddings: List[Embedding] = []
-    for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
-        if count >= max_embeddings:
-            break
-        embeddings.append(
-            Embedding(mapping={pattern_node: device_node for device_node, pattern_node in mapping.items()}, exact=True)
-        )
-    return embeddings
+    return tuple(
+        tuple(node for device_node, pattern_node in mapping.items() for node in (pattern_node, device_node))
+        for mapping in islice(matcher.subgraph_monomorphisms_iter(), max_embeddings)
+    )
 
 
 def _degree_compatible(pattern: nx.Graph, device_graph: nx.Graph) -> bool:
@@ -94,13 +117,16 @@ def greedy_embedding(
     pattern: nx.Graph,
     properties: BackendProperties,
     seed: SeedLike = None,
+    device_graph: Optional[nx.Graph] = None,
+    distances: Optional[Dict[int, Dict[int, int]]] = None,
 ) -> Embedding:
     """Best-effort placement when no exact embedding exists.
 
     Pattern nodes are placed in descending degree order; each node goes to
     the free device qubit that is adjacent to the largest number of its
     already-placed neighbours, breaking ties by summed distance to those
-    neighbours and then by local two-qubit error.
+    neighbours and then by local two-qubit error.  Callers that already hold
+    the device graph and its all-pairs hop distances pass them in.
     """
     if pattern.number_of_nodes() > properties.num_qubits:
         raise MatchingError(
@@ -108,8 +134,10 @@ def greedy_embedding(
             f"'{properties.name}' has only {properties.num_qubits}"
         )
     rng = ensure_generator(seed)
-    device_graph = properties.graph()
-    distances = dict(nx.all_pairs_shortest_path_length(device_graph))
+    if device_graph is None:
+        device_graph = properties.graph()
+    if distances is None:
+        distances = dict(nx.all_pairs_shortest_path_length(device_graph))
     order = sorted(pattern.nodes, key=lambda node: -pattern.degree(node))
     mapping: Dict[int, int] = {}
     used: set = set()
@@ -162,10 +190,4 @@ def find_embeddings(
 
 def has_exact_embedding(pattern: nx.Graph, properties: BackendProperties) -> bool:
     """``True`` when the device can host ``pattern`` without any routing."""
-    if pattern.number_of_nodes() > properties.num_qubits:
-        return False
-    device_graph = properties.graph()
-    if not _degree_compatible(pattern, device_graph):
-        return False
-    matcher = nx.algorithms.isomorphism.GraphMatcher(device_graph, pattern)
-    return matcher.subgraph_is_monomorphic()
+    return bool(find_exact_embeddings(pattern, properties.graph(), max_embeddings=1))

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.matching.subgraph import find_exact_embeddings
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.base import TranspilerPass
@@ -72,10 +73,13 @@ def _interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
 class VF2PerfectLayoutPass(TranspilerPass):
     """Search for a placement where every interaction sits on a coupled pair.
 
-    Uses VF2 subgraph-monomorphism via networkx.  Among all embeddings found
-    (capped for tractability) the one with the lowest summed two-qubit error
-    over the mapped interactions is chosen.  When no embedding exists the
-    pass leaves the context untouched so a fallback layout pass can run.
+    Enumerates VF2 subgraph monomorphisms through
+    :func:`repro.matching.subgraph.find_exact_embeddings`, the matchers' own
+    memoized enumeration, so repeated transpiles of one interaction pattern
+    onto one coupling graph search once.  Among the embeddings found (capped
+    for tractability) the first with the lowest summed two-qubit error over
+    the mapped interactions is chosen.  When no embedding exists the pass
+    leaves the context untouched so a fallback layout pass can run.
     """
 
     def __init__(self, max_embeddings: int = 16) -> None:
@@ -96,26 +100,13 @@ class VF2PerfectLayoutPass(TranspilerPass):
             context.initial_layout = Layout.trivial(circuit.num_qubits)
             return circuit
         pattern = interaction.subgraph(active)
-        device_graph = target.graph()
-        pattern_degrees = sorted((d for _, d in pattern.degree()), reverse=True)
-        device_degrees = sorted((d for _, d in device_graph.degree()), reverse=True)
-        degree_feasible = len(device_degrees) >= len(pattern_degrees) and all(
-            pd <= device_degrees[i] for i, pd in enumerate(pattern_degrees)
-        )
-        if not degree_feasible:
-            # No perfect placement can exist; let the dense-layout fallback run.
-            return circuit
-        matcher = nx.algorithms.isomorphism.GraphMatcher(device_graph, pattern)
         best_layout: Optional[Dict[int, int]] = None
         best_cost = float("inf")
-        for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
-            if count >= self._max_embeddings:
-                break
-            placement = {virtual: physical for physical, virtual in mapping.items()}
-            cost = _placement_error_cost(circuit, placement, target)
+        for embedding in find_exact_embeddings(pattern, target.graph(), self._max_embeddings):
+            cost = _placement_error_cost(circuit, embedding.mapping, target)
             if cost < best_cost:
                 best_cost = cost
-                best_layout = placement
+                best_layout = embedding.mapping
         if best_layout is None:
             return circuit
         layout = _complete_layout(best_layout, circuit.num_qubits, target.num_qubits)
