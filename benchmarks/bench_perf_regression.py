@@ -22,7 +22,6 @@ import pytest
 import run_benchmarks
 from run_benchmarks import (
     bench_concurrency,
-    bench_cross_job,
     bench_matching,
     bench_plans,
     bench_policy_dispatch,
@@ -40,8 +39,7 @@ def _perf_scale() -> str:
     return "smoke" if scale == "quick" else "default"
 
 
-#: Cross-test payload sharing: the cross-job test merges its row into the
-#: stabilizer artefact, and the sharded-dispatch test (deliberately last —
+#: Cross-test payload sharing: the sharded-dispatch test (deliberately last —
 #: spawned processes perturb the micro-timed benches on small boxes) merges
 #: its row into the concurrency artefact written earlier.
 _PAYLOADS = {}
@@ -59,26 +57,7 @@ def test_batched_stabilizer_speedup(perf_scale):
     assert payload["batched"]["method"] in ("batched", "deterministic")
     assert payload["speedup"] >= 10.0
     assert payload["equivalence_hellinger_fidelity"] >= 0.95
-    _PAYLOADS["stabilizer"] = payload
     write_bench_json("BENCH_stabilizer.json", {"scale": perf_scale, **payload})
-
-
-def test_cross_job_fleet_ranking_speedup(perf_scale):
-    """Batched fleet ranking must beat per-job dispatch by >= 5x.
-
-    Guards the cross-job batching subsystem: one ``estimate_many`` tick per
-    candidate circuit (one merged sign-matrix evolution for the whole
-    16-device fleet) against the shipped per-device canary loop, with the
-    batched reports proven bit-identical to the solo path before timing.
-    Merges its row into the stabilizer artefact written by the test above.
-    """
-    cross_job = bench_cross_job(perf_scale, cross_job_floor=5.0)
-    assert cross_job["speedup"] >= 5.0
-    assert cross_job["bit_identical"] is True
-    assert cross_job["workload"]["devices"] == 16
-    assert cross_job["batch_cache"]["hits"] + cross_job["batch_cache"]["misses"] > 0
-    merged = {"scale": perf_scale, **_PAYLOADS.get("stabilizer", {}), "cross_job": cross_job}
-    write_bench_json("BENCH_stabilizer.json", merged)
 
 
 def test_matching_and_scheduler_caches(perf_scale):
@@ -186,7 +165,7 @@ def test_run_benchmarks_smoke_entry_point(tmp_path, monkeypatch):
     import json
 
     stabilizer = json.loads((tmp_path / "BENCH_stabilizer.json").read_text())
-    assert stabilizer["cross_job"]["speedup"] >= 5.0
+    assert stabilizer["speedup"] >= 10.0
     assert (tmp_path / "BENCH_matching.json").exists()
     assert (tmp_path / "BENCH_service.json").exists()
     assert (tmp_path / "BENCH_concurrency.json").exists()

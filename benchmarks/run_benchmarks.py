@@ -7,11 +7,7 @@ against:
 
 * ``BENCH_stabilizer.json`` — shots/sec of the batched stabilizer engine vs
   the per-shot scalar reference on a 20-qubit, 1024-shot Clifford canary
-  (ideal and noisy), plus the achieved speedup, and a ``cross_job`` row:
-  fleet-ranking throughput of the cross-job batched canary path
-  (``estimate_many`` — one merged sign-matrix evolution per device fleet per
-  scheduling tick) vs the shipped per-device dispatch loop on a 16-device
-  mixed-circuit trace;
+  (ideal and noisy), plus the achieved speedup;
 * ``BENCH_matching.json`` — cold vs warm matching throughput of the budgeted
   matcher over a device testbed (the embedding cache at work), and cold vs
   warm end-to-end scheduler latency of a repeated-job cloud trace (the
@@ -41,10 +37,6 @@ The script **fails loudly** (non-zero exit) when:
 * the batched engine unexpectedly reports the scalar execution path;
 * the batched engine is less than ``--stabilizer-floor`` (default 10x)
   faster than the scalar reference;
-* cross-job batched fleet ranking is less than ``--cross-job-floor``
-  (default 5x) faster than the per-job dispatch loop, any merged canary
-  report differs from its solo twin, or the run never touched the
-  merged-program cache;
 * the cached scheduler path is less than ``--scheduler-floor`` (default 2x)
   faster than the uncached one;
 * a registry-resolved placement policy (``repro.policies``) is more than
@@ -118,12 +110,10 @@ from repro.simulators import (  # noqa: E402
 _SCALES: Dict[str, Dict[str, int]] = {
     "smoke": {"scalar_shots": 32, "batched_shots": 1024, "repeats": 1, "match_rounds": 4, "jobs": 18,
               "service_jobs": 32, "concurrent_jobs": 16, "dispatch_jobs": 240, "dispatch_repeats": 3,
-              "replay_jobs": 120, "neutrality_jobs": 6, "plan_jobs": 10, "shard_jobs": 24,
-              "cross_job_ticks": 2, "cross_job_circuits": 3},
+              "replay_jobs": 120, "neutrality_jobs": 6, "plan_jobs": 10, "shard_jobs": 24},
     "default": {"scalar_shots": 128, "batched_shots": 1024, "repeats": 3, "match_rounds": 8, "jobs": 30,
                 "service_jobs": 32, "concurrent_jobs": 24, "dispatch_jobs": 480, "dispatch_repeats": 5,
-                "replay_jobs": 240, "neutrality_jobs": 6, "plan_jobs": 24, "shard_jobs": 40,
-                "cross_job_ticks": 4, "cross_job_circuits": 5},
+                "replay_jobs": 240, "neutrality_jobs": 6, "plan_jobs": 24, "shard_jobs": 40},
 }
 
 #: Concurrency workload: 4 devices, 4 workers, fixed per-job device occupancy.
@@ -140,12 +130,6 @@ _SHARD_LATENCY_S = 0.04
 #: The acceptance workload: a 20-qubit, 1024-shot Clifford canary.
 _CANARY_QUBITS = 20
 _CANARY_DEPTH = 12
-
-#: Cross-job batching workload: a mixed-circuit fleet-ranking trace over 16
-#: wide (>=20-qubit) devices, 512 canary shots per device evaluation.
-_CROSS_JOB_DEVICES = 16
-_CROSS_JOB_SHOTS = 512
-_CROSS_JOB_SHAPES = [(14, 8), (15, 8), (16, 10), (14, 12), (15, 10)]
 
 
 class BenchFailure(RuntimeError):
@@ -233,100 +217,6 @@ def bench_stabilizer(scale: str, stabilizer_floor: float) -> Dict[str, object]:
             "speedup": (batched_shots / noisy_batched_seconds) / (scalar_shots / noisy_scalar_seconds),
             "method": noisy_batched_result.metadata.get("method"),
         },
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Cross-job batching: fleet-ranking throughput per scheduling tick
-# --------------------------------------------------------------------------- #
-def bench_cross_job(scale: str, cross_job_floor: float) -> Dict[str, object]:
-    """Batched ``estimate_many`` ticks vs the shipped per-device canary loop.
-
-    One scheduling tick ranks every device in the fleet for one candidate
-    circuit.  The shipped per-job path re-transpiles and re-executes the
-    canary once per device per tick; the cross-job path compiles once,
-    memoizes the per-device transpiles and runs the whole fleet as a single
-    merged sign-matrix evolution.  Reports are checked *bit-identical*
-    between the two paths before anything is timed.
-    """
-    import dataclasses
-
-    from repro.backends import generate_fleet
-    from repro.fidelity import CliffordCanaryEstimator
-
-    sizes = _SCALES[scale]
-    ticks = sizes["cross_job_ticks"]
-    shapes = _CROSS_JOB_SHAPES[: sizes["cross_job_circuits"]]
-    fleet = [b for b in generate_fleet(limit=24, seed=7) if b.num_qubits >= 20]
-    fleet = fleet[:_CROSS_JOB_DEVICES]
-    circuits = [
-        random_clifford_circuit(n, depth, seed=40 + index, measure=True, name=f"trace-{index}")
-        for index, (n, depth) in enumerate(shapes)
-    ]
-
-    clear_all_caches()
-    batched_estimator = CliffordCanaryEstimator(shots=_CROSS_JOB_SHOTS, seed=3)
-    solo_estimator = CliffordCanaryEstimator(shots=_CROSS_JOB_SHOTS, seed=3)
-
-    # Warmup tick per circuit doubles as the bit-identity gate: every merged
-    # report must match the per-device estimate it replaces, field for field.
-    for circuit in circuits:
-        merged_reports = batched_estimator.estimate_many(circuit, fleet)
-        for backend, report in zip(fleet, merged_reports):
-            solo = solo_estimator.estimate(circuit, backend)
-            if dataclasses.asdict(report) != dataclasses.asdict(solo):
-                raise BenchFailure(
-                    f"Cross-job batched canary report diverges from the solo path "
-                    f"({circuit.name} on {backend.name})"
-                )
-
-    def per_job_ticks() -> None:
-        for index in range(ticks):
-            circuit = circuits[index % len(circuits)]
-            for backend in fleet:
-                solo_estimator.estimate(circuit, backend)
-
-    def batched_ticks() -> None:
-        for index in range(ticks):
-            batched_estimator.estimate_many(circuits[index % len(circuits)], fleet)
-
-    # The per-job loop is seconds long, so one pass is statistically stable;
-    # the batched ticks are sub-second and need best-of filtering even at
-    # smoke scale or scheduler noise leaks into the ratio.
-    per_job_seconds, _ = time_callable(per_job_ticks, repeats=1)
-    batched_seconds, _ = time_callable(batched_ticks, repeats=max(2, sizes["repeats"]))
-
-    evals = ticks * len(fleet)
-    speedup = per_job_seconds / batched_seconds
-    if speedup < cross_job_floor:
-        raise BenchFailure(
-            f"Cross-job fleet-ranking speedup {speedup:.1f}x is below the "
-            f"{cross_job_floor:.0f}x floor"
-        )
-    batch_stats = all_cache_stats()["batch"]
-    if batch_stats["hits"] + batch_stats["misses"] == 0:
-        raise BenchFailure("Cross-job ranking never touched the merged-program cache")
-    return {
-        "workload": {
-            "devices": len(fleet),
-            "ticks": ticks,
-            "distinct_circuits": len(circuits),
-            "shapes": [list(shape) for shape in shapes],
-            "shots": _CROSS_JOB_SHOTS,
-            "kind": "mixed-circuit fleet-ranking trace, one candidate circuit per tick",
-        },
-        "per_job": {
-            "seconds": per_job_seconds,
-            "device_evals_per_second": evals / per_job_seconds,
-        },
-        "batched": {
-            "seconds": batched_seconds,
-            "device_evals_per_second": evals / batched_seconds,
-            "merged_batch_size": len(fleet),
-        },
-        "speedup": speedup,
-        "bit_identical": True,
-        "batch_cache": dict(batch_stats),
     }
 
 
@@ -1082,12 +972,10 @@ def run_all(
     plans_floor: float = 5.0,
     fault_replay_ceiling: float = 1.3,
     shard_floor: float = 2.5,
-    cross_job_floor: float = 5.0,
 ) -> Dict[str, Path]:
     """Run every measurement and write the BENCH artefacts; returns their paths."""
     preflight_analyze()
     stabilizer = bench_stabilizer(scale, stabilizer_floor)
-    cross_job = bench_cross_job(scale, cross_job_floor)
     matching = bench_matching(scale)
     scheduler = bench_scheduler(scale, scheduler_floor)
     policy_dispatch = bench_policy_dispatch(scale, dispatch_ceiling)
@@ -1101,7 +989,7 @@ def run_all(
     sharded = bench_shards(scale, shard_floor)
     paths = {
         "stabilizer": write_bench_json(
-            "BENCH_stabilizer.json", {"scale": scale, **stabilizer, "cross_job": cross_job}
+            "BENCH_stabilizer.json", {"scale": scale, **stabilizer}
         ),
         "matching": write_bench_json(
             "BENCH_matching.json",
@@ -1142,8 +1030,6 @@ def main(argv=None) -> int:
                         help="maximum fault-augmented replay slowdown vs the fault-free replay")
     parser.add_argument("--shard-floor", type=float, default=2.5,
                         help="minimum 4-shard-vs-1-shard dispatch speedup on the 16-device fleet")
-    parser.add_argument("--cross-job-floor", type=float, default=5.0,
-                        help="minimum cross-job fleet-ranking speedup over per-job dispatch")
     args = parser.parse_args(argv)
     try:
         paths = run_all(
@@ -1158,7 +1044,6 @@ def main(argv=None) -> int:
             args.plans_floor,
             args.fault_replay_ceiling,
             args.shard_floor,
-            args.cross_job_floor,
         )
     except BenchFailure as failure:
         print(f"PERF REGRESSION: {failure}", file=sys.stderr)
@@ -1168,13 +1053,9 @@ def main(argv=None) -> int:
     for name, path in paths.items():
         payload = json.loads(path.read_text())
         if name == "stabilizer":
-            cross = payload["cross_job"]
             print(
                 f"stabilizer: {payload['batched']['shots_per_second']:.0f} shots/s batched "
-                f"({payload['speedup']:.1f}x over scalar, method={payload['batched']['method']}); "
-                f"cross-job: {cross['batched']['device_evals_per_second']:.0f} device-evals/s "
-                f"({cross['speedup']:.1f}x over per-job dispatch, "
-                f"{cross['workload']['devices']} devices, bit-identical) -> {path}"
+                f"({payload['speedup']:.1f}x over scalar, method={payload['batched']['method']}) -> {path}"
             )
         elif name == "matching":
             print(

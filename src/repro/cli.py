@@ -24,8 +24,7 @@ The CLI exposes the pieces a new user typically wants without writing Python:
 * ``repro-qrio cache-stats [--json]`` — run a small warm/cold workload
   through the concurrent service and print every shared cache's hit/miss
   counters (the :meth:`~repro.service.QRIOService.cache_stats` view),
-  including the ``plan`` execution-plan cache and the ``batch`` merged
-  cross-job program cache;
+  including the ``plan`` execution-plan cache;
 * ``repro-qrio tenants [--json]`` — run a small multi-tenant demo through
   the admission-controlled service and print every tenant's declared
   quotas, live queue depth and admission state (the
@@ -440,9 +439,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         random_clifford_circuit(14, 8, seed=args.seed + i, measure=True, name=f"cache-demo-{i}")
         for i in range(6)
     ]
-    with QRIOService(fleet, seed=args.seed, workers=2, merge_batch_size=8) as service:
-        # Cold pass compiles plans; warm pass replays them and lets the
-        # runtime coalesce same-device submissions into merged batches.
+    with QRIOService(fleet, seed=args.seed, workers=2) as service:
+        # Cold pass compiles plans; warm pass replays them.
         for round_index in range(2):
             for index, circuit in enumerate(circuits):
                 service.submit(circuit, shots=256, name=f"demo-{round_index}-{index}")

@@ -55,15 +55,6 @@ class ScorePlugin(abc.ABC):
     def score(self, job: Job, node: Node) -> float:
         """Score ``node`` for ``job``; the node with the lowest score wins."""
 
-    def prime(self, job: Job, nodes: Sequence[Node]) -> None:
-        """Announce the full scoring shortlist before per-node scoring.
-
-        Called once per scheduling cycle with every node that passed
-        filtering, so a plugin can batch cross-node work (e.g. merge canary
-        executions into one batched simulation).  Must not change the scores
-        the subsequent :meth:`score` calls return; the default is a no-op.
-        """
-
 
 @dataclass
 class FilterReport:
@@ -149,9 +140,6 @@ class SchedulingFramework:
     def run_scoring(self, job: Job, node_names: Sequence[str]) -> Dict[str, float]:
         """Run every score plugin on the shortlisted nodes and sum their scores."""
         scores: Dict[str, float] = {}
-        shortlist = [self._cluster.node(node_name) for node_name in node_names]
-        for plugin in self._score_plugins:
-            plugin.prime(job, shortlist)
         for node_name in node_names:
             node = self._cluster.node(node_name)
             total = 0.0

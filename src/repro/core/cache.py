@@ -33,12 +33,11 @@ This module provides the shared memoization layer those paths use:
   cycle *implicitly* invalidates all embedding scores and fidelity estimates
   computed against the stale calibration: the new fingerprint simply misses.
 * :class:`LRUCache` — a thread-safe bounded mapping with hit/miss/eviction
-  statistics, the one cache type.  Five process-wide instances are reached
+  statistics, the one cache type.  Four process-wide instances are reached
   through :func:`enumeration_cache` (``repro.matching.subgraph``),
   :func:`embedding_cache` (``repro.matching``),
   :func:`ideal_distribution_cache` (``repro.fidelity.canary``),
-  :func:`plan_cache` (``repro.service.engines``) and
-  :func:`merged_program_cache` (``repro.simulators.noisy``); each call site
+  :func:`plan_cache` (``repro.service.engines``); each call site
   builds its own key tuple, documented on the accessor.
 
 Call :func:`clear_all_caches` between unrelated experiments (or rely on LRU
@@ -66,7 +65,6 @@ __all__ = [
     "embedding_cache",
     "ideal_distribution_cache",
     "plan_cache",
-    "merged_program_cache",
     "clear_all_caches",
     "all_cache_stats",
 ]
@@ -288,7 +286,6 @@ _ENUMERATION_CACHE = LRUCache(2048)
 _EMBEDDING_CACHE = LRUCache(2048)
 _IDEAL_DISTRIBUTION_CACHE = LRUCache(1024)
 _PLAN_CACHE = LRUCache(512)
-_MERGED_PROGRAM_CACHE = LRUCache(256)
 
 
 def enumeration_cache() -> LRUCache:
@@ -331,22 +328,12 @@ def plan_cache() -> LRUCache:
     return _PLAN_CACHE
 
 
-def merged_program_cache() -> LRUCache:
-    """The process-wide cross-job merged-program cache.
-
-    Keyed by ``(sorted member digests, sorted device names, sorted
-    fingerprints)``, so batch arrival order never matters.
-    """
-    return _MERGED_PROGRAM_CACHE
-
-
 def clear_all_caches() -> None:
     """Empty every shared cache (benchmarks call this between cold runs)."""
     _ENUMERATION_CACHE.clear()
     _EMBEDDING_CACHE.clear()
     _IDEAL_DISTRIBUTION_CACHE.clear()
     _PLAN_CACHE.clear()
-    _MERGED_PROGRAM_CACHE.clear()
 
 
 def all_cache_stats() -> Dict[str, Dict[str, float]]:
@@ -356,5 +343,6 @@ def all_cache_stats() -> Dict[str, Dict[str, float]]:
         "embedding": _EMBEDDING_CACHE.stats.as_dict(),
         "ideal_distribution": _IDEAL_DISTRIBUTION_CACHE.stats.as_dict(),
         "plan": _PLAN_CACHE.stats.as_dict(),
-        "batch": _MERGED_PROGRAM_CACHE.stats.as_dict(),
+        # Stub row for perfbench/worker.py's ``cache.batch.*`` metrics; no cache behind it.
+        "batch": CacheStats().as_dict(),
     }

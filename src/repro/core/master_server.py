@@ -81,16 +81,6 @@ class MasterServer:
         return SubmittedJob(job=job, image=image, manifest=spec.to_manifest())
 
     # ------------------------------------------------------------------ #
-    def execution_seed(self, job_name: str, device_name: str):
-        """The deterministic execution seed of one (job, device) pairing.
-
-        Public because the cross-job batch path must pre-execute a job with
-        exactly the seed :meth:`execute_bound_job` will later look up — the
-        bit-identity contract between merged and solo execution hangs on the
-        two call sites deriving the same stream.
-        """
-        return derive_seed(self._seed, "master-execute", job_name, device_name)
-
     def execute_bound_job(
         self, job_name: str, transpile_seed: SeedLike = None, plan=None
     ) -> SimulationResult:
@@ -116,6 +106,7 @@ class MasterServer:
                 f"Image '{job.spec.image}' for job '{job_name}' is missing from the registry"
             )
         image = self._registry.pull(job.spec.image)
+        execution_seed = derive_seed(self._seed, "master-execute", job_name, node.backend.name)
         job.mark_running()
         self._cluster.events.record("Pulled", job_name, f"image {image.reference} pulled on {node.name}")
         if plan is None:
@@ -132,7 +123,7 @@ class MasterServer:
                 result = node.execute(
                     compiled.circuit,
                     shots=job.spec.shots,
-                    seed=self.execution_seed(job_name, node.backend.name),
+                    seed=execution_seed,
                     precompiled=plan.execution,
                 )
             else:
@@ -151,7 +142,7 @@ class MasterServer:
                 result = node.execute(
                     compiled.circuit,
                     shots=job.spec.shots,
-                    seed=self.execution_seed(job_name, node.backend.name),
+                    seed=execution_seed,
                 )
         except Exception as error:  # noqa: BLE001 - report any execution failure on the job
             job.mark_failed(str(error))

@@ -161,22 +161,6 @@ class MetaServer:
         self._strategies[job_name] = strategy
         return strategy
 
-    def prime(self, job_name: str, device_names) -> None:
-        """Announce the scoring shortlist so canary work can be batched.
-
-        The scheduler calls this once per cycle with every filtered device
-        before issuing the per-device :meth:`score` requests.  Devices whose
-        scores are already cached are skipped; with two or more left, the
-        job's strategy gets the chance to precompute them in one batched
-        pass (:meth:`~repro.core.strategies.RankingStrategy.prime`).  Scores
-        are unchanged either way.
-        """
-        cache = self._score_cache.setdefault(job_name, {})
-        pending = [name for name in device_names if name not in cache]
-        if len(pending) < 2:
-            return
-        self._strategy_for(job_name).prime([self.backend(name) for name in pending])
-
     def score(self, job_name: str, device_name: str) -> float:
         """Score ``device_name`` for ``job_name`` (lower is better).
 

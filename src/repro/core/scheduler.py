@@ -89,10 +89,6 @@ class MetaServerScorePlugin(ScorePlugin):
     def score(self, job: Job, node: Node) -> float:
         return self._meta_server.score(job.name, node.backend.name)
 
-    def prime(self, job: Job, nodes) -> None:
-        """Batch the shortlist's canary executions via the meta server."""
-        self._meta_server.prime(job.name, [node.backend.name for node in nodes])
-
 
 def default_filter_plugins() -> List[FilterPlugin]:
     """The QRIO filter chain, in evaluation order."""

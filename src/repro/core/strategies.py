@@ -45,16 +45,6 @@ class RankingStrategy(abc.ABC):
     def score(self, backend: Backend) -> float:
         """Score ``backend`` for the job this strategy instance was built for."""
 
-    def prime(self, backends) -> None:
-        """Precompute whatever upcoming :meth:`score` calls can share.
-
-        The scheduler announces the full scoring shortlist here before
-        scoring devices one at a time, so a strategy can batch cross-device
-        work (the fidelity strategy merges its canary executions into one
-        batched simulation).  Priming never changes scores — it only changes
-        how they are computed — and the default is a no-op.
-        """
-
 
 @dataclass
 class FidelityScoreBreakdown:
@@ -88,8 +78,6 @@ class FidelityRankingStrategy(RankingStrategy):
         self._threshold = fidelity_threshold
         self._estimator = CliffordCanaryEstimator(shots=shots, seed=seed)
         self._breakdowns: Dict[str, FidelityScoreBreakdown] = {}
-        #: Reports precomputed by :meth:`prime`, consumed once by :meth:`score`.
-        self._primed: Dict[str, "CanaryReport"] = {}
 
     @property
     def circuit(self) -> QuantumCircuit:
@@ -101,38 +89,11 @@ class FidelityRankingStrategy(RankingStrategy):
         """The user's requested fidelity."""
         return self._threshold
 
-    def prime(self, backends) -> None:
-        """Batch the canary executions of the upcoming :meth:`score` calls.
-
-        All feasible not-yet-primed devices are estimated through
-        :meth:`~repro.fidelity.CliffordCanaryEstimator.estimate_many` — one
-        canary build, memoized transpiles and a single merged cross-job
-        execution — and the reports parked for :meth:`score` to consume.
-        Each report is bit-identical to what the solo
-        :meth:`~repro.fidelity.CliffordCanaryEstimator.estimate` call it
-        replaces would have produced, so scores are unchanged.
-        """
-        pending = [
-            backend
-            for backend in backends
-            if backend.num_qubits >= self._circuit.num_qubits
-            and backend.name not in self._primed
-        ]
-        if len(pending) < 2:
-            return
-        for backend, report in zip(pending, self._estimator.estimate_many(self._circuit, pending)):
-            self._primed[backend.name] = report
-
     def score(self, backend: Backend) -> float:
         """Score ``backend`` (lower is better); infeasible devices score infinity."""
         if backend.num_qubits < self._circuit.num_qubits:
             return INFEASIBLE_SCORE
-        # Consumed-once so a device re-scored after a calibration refresh is
-        # estimated fresh rather than served a stale primed report.
-        report = self._primed.pop(backend.name, None)
-        if report is None:
-            report = self._estimator.estimate(self._circuit, backend)
-        fidelity = report.canary_fidelity
+        fidelity = self._estimator.estimate(self._circuit, backend).canary_fidelity
         deficit = max(0.0, self._threshold - fidelity)
         surplus = max(0.0, fidelity - self._threshold)
         value = deficit + SURPLUS_WEIGHT * surplus

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.fidelity.clifford import cliffordize, is_clifford_circuit
-from repro.simulators.noisy import ExecutionRequest, execute_many_with_noise, execute_with_noise
+from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import SimulationResult, hellinger_fidelity
 from repro.simulators.stabilizer import StabilizerSimulator
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
@@ -64,10 +64,9 @@ class CliffordCanaryEstimator:
         self._shots = shots
         self._optimization_level = optimization_level
         self._seed = seed
-        # Per-(canary structure, device, calibration) compiled canaries for
-        # the batched tick path — estimator-local so the solo estimate()
-        # protocol (which recompiles per call) is left untouched.
-        self._device_plans: Optional[object] = None
+        #: ``(key, canary, ideal counts)`` of the last circuit estimated, so a
+        #: fleet ranking builds its canary once; replaced as one tuple.
+        self._last_canary: Optional[Tuple[Tuple[str, str], QuantumCircuit, Dict[str, int]]] = None
 
     # ------------------------------------------------------------------ #
     def build_canary(self, circuit: QuantumCircuit) -> QuantumCircuit:
@@ -109,8 +108,7 @@ class CliffordCanaryEstimator:
                 f"Device '{backend.name}' has {backend.num_qubits} qubits; circuit "
                 f"'{circuit.name}' needs {circuit.num_qubits}"
             )
-        canary = self.build_canary(circuit)
-        ideal_counts = self.ideal_distribution(canary)
+        canary, ideal_counts = self._canary_for(circuit)
         compiled = transpile(
             canary,
             backend,
@@ -137,51 +135,36 @@ class CliffordCanaryEstimator:
             },
         )
 
-    def _compiled_canary(self, canary: QuantumCircuit, circuit: QuantumCircuit, backend: Backend):
-        """Transpiled + precompiled canary for one device, memoized.
+    def _canary_for(self, circuit: QuantumCircuit) -> Tuple[QuantumCircuit, Dict[str, int]]:
+        """The canary of ``circuit`` and its ideal counts, memoized for the last circuit.
 
-        The key covers the canary's structure, the source circuit's name
-        (part of the deterministic transpile seed), the device and its
-        calibration fingerprint — so a memoized entry is exactly what
-        :meth:`estimate` would recompile, and calibration drift invalidates
-        implicitly.  Memoization is estimator-local and only feeds the
-        batched tick path; the solo :meth:`estimate` protocol recompiles
-        per call, unchanged.
+        Keyed by the circuit's structural hash and name (the name seeds the
+        canary's transpile and execution), so a mutated or different circuit
+        rebuilds.  The memo is read once per call: a racing caller can only
+        rebuild, never pair one circuit's canary with another's counts.
         """
         # Imported lazily: repro.core's package init imports this module.
-        from repro.core.cache import LRUCache, calibration_fingerprint, structural_circuit_hash
-        from repro.simulators.noisy import precompile_execution
+        from repro.core.cache import structural_circuit_hash
 
-        if self._device_plans is None:
-            self._device_plans = LRUCache(maxsize=512)
-        fingerprint = calibration_fingerprint(backend.properties)
-        key = (structural_circuit_hash(canary), circuit.name, backend.name, fingerprint)
-        entry = self._device_plans.get(key)
-        if entry is None:
-            compiled = transpile(
-                canary,
-                backend,
-                optimization_level=self._optimization_level,
-                seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit.name),
-            )
-            entry = (compiled, precompile_execution(compiled.circuit), fingerprint)
-            self._device_plans.put(key, entry)
-        return entry
+        key = (structural_circuit_hash(circuit), circuit.name)
+        last = self._last_canary
+        if last is not None and last[0] == key:
+            return last[1], last[2]
+        canary = self.build_canary(circuit)
+        ideal_counts = self.ideal_distribution(canary)
+        self._last_canary = (key, canary, ideal_counts)
+        return canary, ideal_counts
 
     def estimate_many(
         self,
         circuit: QuantumCircuit,
         backends: Sequence[Backend],
     ) -> List[CanaryReport]:
-        """Estimate ``circuit``'s fidelity on every candidate device at once.
+        """Estimate ``circuit``'s fidelity on every candidate device.
 
-        The scheduling-tick form of :meth:`estimate`: the canary is built
-        and its ideal distribution computed once, the per-device transpiles
-        are memoized against each device's calibration fingerprint, and the
-        noisy canary executions are merged into one cross-job sign-matrix
-        evolution (:func:`~repro.simulators.noisy.execute_many_with_noise`).
-        Reports are returned in ``backends`` order and are identical —
-        fidelities bit-for-bit — to calling :meth:`estimate` per device.
+        Every device is checked for width before any canary runs, then
+        estimated with :meth:`estimate`; reports come back in ``backends``
+        order.
         """
         backends = list(backends)
         for backend in backends:
@@ -190,43 +173,7 @@ class CliffordCanaryEstimator:
                     f"Device '{backend.name}' has {backend.num_qubits} qubits; circuit "
                     f"'{circuit.name}' needs {circuit.num_qubits}"
                 )
-        if not backends:
-            return []
-        canary = self.build_canary(circuit)
-        ideal_counts = self.ideal_distribution(canary)
-        compiled_entries = [self._compiled_canary(canary, circuit, backend) for backend in backends]
-        requests = [
-            ExecutionRequest(
-                circuit=compiled.circuit,
-                noise_model=backend.noise_model(),
-                shots=self._shots,
-                seed=derive_seed(self._seed, "canary-execute", backend.name, circuit.name),
-                precompiled=precompiled,
-                device=backend.name,
-                calibration=fingerprint,
-            )
-            for backend, (compiled, precompiled, fingerprint) in zip(backends, compiled_entries)
-        ]
-        executions = execute_many_with_noise(requests)
-        reports = []
-        for backend, (compiled, _precompiled, _fingerprint), noisy in zip(
-            backends, compiled_entries, executions
-        ):
-            reports.append(
-                CanaryReport(
-                    device=backend.name,
-                    circuit_name=circuit.name,
-                    canary_fidelity=hellinger_fidelity(noisy.counts, ideal_counts),
-                    swaps_inserted=compiled.swaps_inserted,
-                    two_qubit_gates=compiled.two_qubit_gate_count(),
-                    shots=self._shots,
-                    details={
-                        "canary_gates": canary.size(),
-                        "non_clifford_replaced": canary.metadata.get("non_clifford_replaced", 0),
-                    },
-                )
-            )
-        return reports
+        return [self.estimate(circuit, backend) for backend in backends]
 
     def rank_backends(
         self,
@@ -237,10 +184,7 @@ class CliffordCanaryEstimator:
 
         Backends with fewer qubits than the circuit needs are skipped — in
         the full QRIO flow the scheduler's filtering stage removes them
-        before any scoring request reaches the meta server.  Feasible
-        devices are evaluated through the batched tick path
-        (:meth:`estimate_many`): one canary build, memoized per-device
-        transpiles and a single merged canary execution per ranking.
+        before any scoring request reaches the meta server.
         """
         feasible = [backend for backend in backends if backend.num_qubits >= circuit.num_qubits]
         reports = self.estimate_many(circuit, feasible)

@@ -9,32 +9,12 @@ the fleet-wide :func:`repro.core.cache.plan_cache`, keyed by
 ``(structural_circuit_hash, device, calibration_fingerprint)`` plus engine
 context, and are wired through every :mod:`repro.service` engine — a warm
 submit skips transpile, match and lower entirely.  See ``docs/plans.md``.
-
-:mod:`repro.plans.schedule` extends the idea across *jobs*: the tableau
-programs of N structurally different plans are aligned into one merged gate
-schedule (:class:`MergedExecutionProgram`) whose batched execution evolves a
-single ``(jobs × shots)`` sign matrix per device per scheduling tick —
-bit-identical, per job, to N solo runs under the same seeds.
 """
 
 from repro.plans.compiler import PlanCompiler
 from repro.plans.plan import ExecutionPlan
-from repro.plans.schedule import (
-    MergedExecutionProgram,
-    MergedJobLane,
-    compile_lane,
-    execute_merged_program,
-    merge_programs,
-    program_digest,
-)
 
 __all__ = [
     "ExecutionPlan",
     "PlanCompiler",
-    "MergedExecutionProgram",
-    "MergedJobLane",
-    "compile_lane",
-    "execute_merged_program",
-    "merge_programs",
-    "program_digest",
 ]

@@ -351,24 +351,6 @@ class ExecutionEngine(abc.ABC):
     def run(self, placement: Placement) -> EngineResult:
         """Execute a matched job and return its outcome."""
 
-    def prepare_run_batch(self, placements: Sequence[Placement]):
-        """Pre-execute a same-device placement batch as one merged run.
-
-        Called by the concurrent runtime with the placements it drained from
-        one device lane in a scheduling tick, *before* replaying each job's
-        :meth:`run`.  Engines that support cross-job batching execute the
-        mergeable jobs as one ``(jobs x shots)`` stabilizer evolution and
-        return a :class:`~repro.simulators.noisy.BatchExecutionContext`
-        holding the per-job results; the runtime activates it on the worker
-        thread so each subsequent :meth:`run` claims its pre-computed result
-        instead of re-simulating.  Results are bit-identical to unbatched
-        runs — the context only short-circuits the simulation, never the
-        engine's bookkeeping.  The default returns ``None`` (no batching);
-        batching is strictly an optimization, so implementations must never
-        raise for unmergeable placements — they return ``None`` instead.
-        """
-        return None
-
     # ------------------------------------------------------------------ #
     # Fault-injection hooks (scenario event layer)
     #

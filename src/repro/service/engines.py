@@ -156,44 +156,6 @@ class _PlanStore:
         plan_cache().put((digest, plan.device, plan.calibration_fingerprint) + context, plan)
 
 
-def _prepare_plan_batch(candidates):
-    """Merge warm-plan placements into one cross-job execution context.
-
-    ``candidates`` are ``(plan, backend, seed, shots)`` tuples — jobs whose
-    warm :class:`~repro.plans.ExecutionPlan` carries a stabilizer-engine
-    precompiled dispatch.  With two or more of them the batch executes as one
-    merged sign-matrix evolution (per-job seeds, bit-identical to solo runs)
-    and the results ride back in a
-    :class:`~repro.simulators.noisy.BatchExecutionContext`; with fewer there
-    is nothing to merge and the caller's solo path proceeds untouched.
-    """
-    from repro.simulators.noisy import (
-        BatchExecutionContext,
-        ExecutionRequest,
-        execute_many_with_noise,
-    )
-
-    if len(candidates) < 2:
-        return None
-    requests = [
-        ExecutionRequest(
-            circuit=plan.transpiled.circuit,
-            noise_model=backend.noise_model(),
-            shots=shots,
-            seed=seed,
-            precompiled=plan.execution,
-            device=backend.name,
-            calibration=calibration_fingerprint(backend.properties),
-        )
-        for plan, backend, seed, shots in candidates
-    ]
-    results = execute_many_with_noise(requests)
-    context = BatchExecutionContext()
-    for (plan, _backend, seed, shots), result in zip(candidates, results):
-        context.add(plan.execution, seed, shots, result)
-    return context
-
-
 def _set_node_availability(cluster, device: str, available: bool) -> None:
     """Cordon/uncordon the node hosting ``device`` (scenario outage events)."""
     for node in cluster.nodes():
@@ -478,27 +440,6 @@ class OrchestratorEngine(ExecutionEngine):
             detail={"outcome": outcome, "plan_replay": plan is not None},
         )
 
-    def prepare_run_batch(self, placements: Sequence[Placement]):
-        """Merge this tick's warm-plan stabilizer placements into one run."""
-        candidates = []
-        for placement in placements:
-            plan: Optional[ExecutionPlan] = placement.detail.get("plan")
-            if plan is None or plan.execution.engine != "stabilizer":
-                continue
-            job = self.qrio.cluster.job(placement.job_name)
-            if job.node_name is None:
-                continue
-            node = self.qrio.cluster.node(job.node_name)
-            candidates.append(
-                (
-                    plan,
-                    node.backend,
-                    self.qrio.master_server.execution_seed(placement.job_name, node.backend.name),
-                    placement.spec.shots,
-                )
-            )
-        return _prepare_plan_batch(candidates)
-
     def _store_plan(self, placement: Placement, outcome) -> None:
         """Publish a cold native-path submit as a reusable execution plan."""
         if "decision" in placement.detail or placement.device is None:
@@ -717,27 +658,6 @@ class ClusterEngine(ExecutionEngine):
             score=job.score,
             detail={"swaps_inserted": compiled.swaps_inserted, "plan_replay": plan is not None},
         )
-
-    def prepare_run_batch(self, placements: Sequence[Placement]):
-        """Merge this tick's warm-plan stabilizer placements into one run."""
-        candidates = []
-        for placement in placements:
-            plan: Optional[ExecutionPlan] = placement.detail.get("plan")
-            if plan is None or plan.execution.engine != "stabilizer":
-                continue
-            job = self.cluster.job(placement.job_name)
-            if job.node_name is None:
-                continue
-            node = self.cluster.node(job.node_name)
-            candidates.append(
-                (
-                    plan,
-                    node.backend,
-                    derive_seed(self._seed, "service-execute", placement.job_name, node.backend.name),
-                    placement.spec.shots,
-                )
-            )
-        return _prepare_plan_batch(candidates)
 
 
 def _within_device_bounds(backend: Backend, requirements) -> bool:
@@ -1071,7 +991,3 @@ class DeviceLatencyEngine(ExecutionEngine):
             factor = 1.0 if injector is None else injector.straggler_factor(placement.device)
             time.sleep(self._latency_s * factor)
         return outcome
-
-    def prepare_run_batch(self, placements: Sequence[Placement]):
-        """Cross-job batching is the inner engine's business; latency is per-run."""
-        return self._inner.prepare_run_batch(placements)

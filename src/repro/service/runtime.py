@@ -337,17 +337,8 @@ class ServiceRuntime:
     def _lane_worker(self, device: str) -> None:
         """Serve one device's lane: same-device jobs serialize, lanes overlap.
 
-        Each iteration drains up to ``QRIOService.merge_batch_size`` queued
-        groups from the lane in one gulp.  When two or more come out
-        together, the engine's :meth:`~repro.service.ExecutionEngine.
-        prepare_run_batch` pre-executes the mergeable ones as a single
-        cross-job batched simulation *outside* the run lock (it is pure
-        simulation against thread-safe caches); the per-group ``run`` calls
-        that follow then consume the pre-computed results through the
-        returned :class:`~repro.simulators.noisy.BatchExecutionContext`.
-        Per-group accounting and callback draining are unchanged — every
-        group still finishes (and fires its callbacks) individually, in
-        lane order.
+        Groups come off the lane one at a time, in lane order; each finishes
+        (and fires its callbacks) before the next one runs.
         """
         while True:
             with self._lock:
@@ -355,34 +346,20 @@ class ServiceRuntime:
                 if not lane:
                     self._active_lanes.discard(device)
                     return
-                batch = [lane.popleft()]
-                limit = self._service.merge_batch_size
-                while lane and len(batch) < limit:
-                    batch.append(lane.popleft())
-            context = None
-            if len(batch) > 1:
-                context = self._service._prepare_run_batch([placement for _, placement in batch])
-            if context is not None:
-                context.activate()
+                group, placement = lane.popleft()
             try:
-                for group, placement in batch:
-                    try:
-                        if self._service.engine.supports_concurrent_run:
-                            self._service._run_group(group, placement, reraise=False)
-                        else:
-                            with self._run_lock:
-                                self._service._run_group(group, placement, reraise=False)
-                    except Exception:  # noqa: BLE001 - recorded on the handles already
-                        pass
-                    finally:
-                        # Accounting first, callbacks second (a callback may
-                        # call close()/process(), which must see this group
-                        # as finished).
-                        self._finish_group(ran=True)
-                    group.drain_callbacks()
+                if self._service.engine.supports_concurrent_run:
+                    self._service._run_group(group, placement, reraise=False)
+                else:
+                    with self._run_lock:
+                        self._service._run_group(group, placement, reraise=False)
+            except Exception:  # noqa: BLE001 - recorded on the handles already
+                pass
             finally:
-                if context is not None:
-                    context.deactivate()
+                # Accounting first, callbacks second (a callback may call
+                # close()/process(), which must see this group as finished).
+                self._finish_group(ran=True)
+            group.drain_callbacks()
 
     def _finish_group(self, *, ran: bool = False) -> None:
         with self._lock:

@@ -128,7 +128,6 @@ class QRIOService:
         seed: SeedLike = None,
         workers: int = 0,
         max_pending: Optional[int] = None,
-        merge_batch_size: int = 8,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         """Bind a fleet to an engine, optionally with a concurrent runtime.
@@ -145,11 +144,6 @@ class QRIOService:
                 dispatch and per-device shard lanes.
             max_pending: Backpressure bound on queued-but-undispatched jobs;
                 only meaningful with ``workers >= 1``.
-            merge_batch_size: Upper bound on how many same-device job groups
-                one scheduling tick of the concurrent runtime coalesces into
-                a single cross-job batched execution (default 8).  ``1``
-                disables cross-job batching; results are bit-identical either
-                way.  Only meaningful with ``workers >= 1``.
             admission: An :class:`~repro.tenancy.AdmissionController` gating
                 submissions per tenant — quota checks plus SLO-pressure
                 accept/defer/shed — before any queue capacity is consumed.
@@ -171,9 +165,6 @@ class QRIOService:
             raise ServiceError(
                 "max_pending only bounds the concurrent runtime's queue; pass workers >= 1"
             )
-        if merge_batch_size <= 0:
-            raise ServiceError("merge_batch_size must be positive (1 disables cross-job batching)")
-        self._merge_batch_size = merge_batch_size
         self._engine = engine if engine is not None else OrchestratorEngine(seed=seed)
         self._engine.attach(list(fleet))
         self._handles: Dict[str, JobHandle] = {}
@@ -240,11 +231,6 @@ class QRIOService:
     def runtime(self) -> Optional[ServiceRuntime]:
         """The concurrent runtime, or ``None`` for a synchronous service."""
         return self._runtime
-
-    @property
-    def merge_batch_size(self) -> int:
-        """Max same-device job groups merged into one cross-job batched run."""
-        return self._merge_batch_size
 
     @property
     def admission(self) -> Optional[AdmissionController]:
@@ -568,11 +554,9 @@ class QRIOService:
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/eviction statistics of every shared cache.
 
-        Includes the fleet-wide execution-plan cache (key ``"plan"``) and
-        the merged cross-job program cache (key ``"batch"``) next to the
-        embedding and canary ideal-distribution caches, so callers can see
-        how many submits replayed a warm plan versus compiling cold, and how
-        many scheduling ticks reused a previously merged gate schedule.
+        Includes the fleet-wide execution-plan cache (key ``"plan"``) next
+        to the embedding and canary ideal-distribution caches, so callers
+        can see how many submits replayed a warm plan versus compiling cold.
         """
         return all_cache_stats()
 
@@ -814,20 +798,6 @@ class QRIOService:
         for handle in group.handles:
             handle._set_placement(placement.device, placement.score, dict(placement_detail))
         return placement
-
-    def _prepare_run_batch(self, placements: Sequence[Placement]):
-        """Pre-execute one lane gulp's mergeable placements (runtime hook).
-
-        Delegates to the engine's
-        :meth:`~repro.service.ExecutionEngine.prepare_run_batch`.  Batching
-        is a pure optimisation, so any engine failure here degrades to the
-        per-job path instead of failing the groups — the subsequent ``run``
-        calls simply simulate solo.
-        """
-        try:
-            return self._engine.prepare_run_batch(placements)
-        except Exception:  # noqa: BLE001 - batching must never break execution
-            return None
 
     def _run_group(self, group: _JobGroup, placement: Placement, *, reraise: bool) -> None:
         """Run the engine's RUNNING stage for one matched group.

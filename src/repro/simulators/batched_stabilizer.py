@@ -170,7 +170,7 @@ class BatchedStabilizerState:
 
         ``shot_indices`` selects which shots receive the error: ``None`` (all
         shots), an integer index array, or a boolean mask of shape
-        ``(shots,)`` — the form the cross-job demux layer produces natively.
+        ``(shots,)``.
         """
         mask = self.pauli_flip_mask(pauli, qubit)
         if shot_indices is None:

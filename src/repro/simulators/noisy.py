@@ -12,7 +12,6 @@ active qubits.
 from __future__ import annotations
 
 import functools
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -458,11 +457,6 @@ def execute_with_noise(
                 f"Precompiled execution was built for a {precompiled.source_num_qubits}-qubit "
                 f"circuit, got {circuit.num_qubits} qubits"
             )
-        context = BatchExecutionContext.current()
-        if context is not None:
-            served = context.take(precompiled, seed, shots)
-            if served is not None:
-                return served
         target_circuit = precompiled.circuit
         target_noise = (
             noise_model.restricted_to(list(precompiled.qubit_mapping))
@@ -494,197 +488,6 @@ def execute_with_noise(
     )
 
 
-# --------------------------------------------------------------------------- #
-# Cross-job batch execution
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ExecutionRequest:
-    """One job's execution parameters inside a cross-job batch.
-
-    ``device`` and ``calibration`` (the device's calibration fingerprint)
-    scope the merged-program cache key; they carry no execution semantics —
-    the noise model and seed alone determine the outcome.
-    """
-
-    circuit: QuantumCircuit
-    noise_model: Optional[NoiseModel]
-    shots: int
-    seed: SeedLike
-    precompiled: Optional[PrecompiledExecution] = None
-    device: str = ""
-    calibration: str = ""
-
-
-def execute_many_with_noise(requests: Sequence[ExecutionRequest]) -> List[SimulationResult]:
-    """Execute a batch of jobs, merging same-shot stabilizer jobs into one run.
-
-    Stabilizer-engine requests that share a shot count are aligned into one
-    :class:`~repro.plans.schedule.MergedExecutionProgram` (memoized in the
-    fleet-wide merged-program cache) and evolved as a single ``(jobs x
-    shots)`` sign-matrix batch; each job keeps its own noise model and seeded
-    RNG, so its counts are bit-identical to a solo
-    :func:`execute_with_noise` call with the same arguments.  Statevector
-    requests and merge groups of one fall back to the solo path — the
-    batched-fallback lane that keeps mixed batches from evicting the merged
-    fast path.
-    """
-    # Imported lazily: plans.schedule imports this module's Pauli tables.
-    from repro.core.cache import merged_program_cache
-    from repro.plans.schedule import execute_merged_program, merge_programs, program_digest
-
-    resolved: List[PrecompiledExecution] = []
-    for request in requests:
-        if request.shots <= 0:
-            raise SimulationError("shots must be positive")
-        precompiled = request.precompiled
-        if precompiled is None:
-            precompiled = precompile_execution(request.circuit)
-        elif precompiled.source_num_qubits != request.circuit.num_qubits:
-            raise SimulationError(
-                f"Precompiled execution was built for a {precompiled.source_num_qubits}-qubit "
-                f"circuit, got {request.circuit.num_qubits} qubits"
-            )
-        resolved.append(precompiled)
-
-    # Group mergeable requests by shot count; everything else runs solo.
-    groups: Dict[int, List[int]] = {}
-    for index, (request, precompiled) in enumerate(zip(requests, resolved)):
-        if precompiled.engine == "stabilizer" and precompiled.program is not None:
-            groups.setdefault(request.shots, []).append(index)
-
-    results: List[Optional[SimulationResult]] = [None] * len(requests)
-    cache = merged_program_cache()
-    for shots, indices in sorted(groups.items()):
-        if len(indices) < 2:
-            continue
-        digests = {
-            index: program_digest(
-                resolved[index].program,
-                resolved[index].circuit.num_qubits,
-                resolved[index].circuit.num_clbits,
-            )
-            for index in indices
-        }
-        cache_key = (
-            tuple(sorted(digests.values())),
-            tuple(sorted(requests[index].device for index in indices)),
-            tuple(sorted(requests[index].calibration for index in indices)),
-        )
-        merged = cache.get(cache_key)
-        if merged is None:
-            merged = merge_programs(
-                [
-                    (
-                        resolved[index].program,
-                        resolved[index].circuit.num_qubits,
-                        resolved[index].circuit.num_clbits,
-                    )
-                    for index in indices
-                ]
-            )
-            cache.put(cache_key, merged)
-        # Lanes are sorted by digest; stable-sorting the request indices by
-        # the same digests aligns request k with lane position k (duplicate
-        # digests mean identical lanes, so ties are interchangeable).
-        ordered = sorted(indices, key=lambda index: digests[index])
-        noise_models = []
-        for index in ordered:
-            noise_model = requests[index].noise_model or NoiseModel.ideal()
-            mapping = resolved[index].qubit_mapping
-            noise_models.append(noise_model.restricted_to(list(mapping)) if mapping else noise_model)
-        counts = execute_merged_program(
-            merged,
-            noise_models,
-            [requests[index].seed for index in ordered],
-            shots,
-        )
-        for lane_position, index in enumerate(ordered):
-            results[index] = SimulationResult(
-                counts=counts[lane_position],
-                shots=shots,
-                metadata={
-                    "simulator": "noisy_stabilizer",
-                    "ideal": False,
-                    "method": "batched",
-                    "merged_jobs": len(ordered),
-                },
-            )
-
-    for index, request in enumerate(requests):
-        if results[index] is None:
-            results[index] = execute_with_noise(
-                request.circuit,
-                request.noise_model,
-                shots=request.shots,
-                seed=request.seed,
-                precompiled=resolved[index],
-            )
-    return results  # type: ignore[return-value]
-
-
-@dataclass
-class _BatchEntry:
-    precompiled: PrecompiledExecution
-    seed: SeedLike
-    shots: int
-    result: SimulationResult
-
-
-class BatchExecutionContext:
-    """Thread-local hand-off of pre-executed batch results to the solo path.
-
-    The service runtime executes a drained device lane as one
-    :func:`execute_many_with_noise` batch *before* replaying each job's
-    normal submit path; the per-job :func:`execute_with_noise` calls then
-    find their result here (matched by precompiled-bundle identity, seed and
-    shot count — never ``hash()``/``id()``) instead of re-simulating.
-    Entries are consumed exactly once, and the context is strictly
-    per-thread: worker threads never observe each other's batches.
-    """
-
-    _local = threading.local()
-
-    def __init__(self) -> None:
-        self._entries: List[_BatchEntry] = []
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def current(cls) -> Optional["BatchExecutionContext"]:
-        """The context active on this thread, or ``None``."""
-        return getattr(cls._local, "context", None)
-
-    def activate(self) -> None:
-        """Install this context for the calling thread."""
-        type(self)._local.context = self
-
-    def deactivate(self) -> None:
-        """Remove this thread's active context (if it is this one)."""
-        if type(self).current() is self:
-            type(self)._local.context = None
-
-    # ------------------------------------------------------------------ #
-    def add(
-        self,
-        precompiled: PrecompiledExecution,
-        seed: SeedLike,
-        shots: int,
-        result: SimulationResult,
-    ) -> None:
-        """Stash one job's batch-executed result for the solo path to claim."""
-        self._entries.append(_BatchEntry(precompiled, seed, shots, result))
-
-    def take(
-        self,
-        precompiled: PrecompiledExecution,
-        seed: SeedLike,
-        shots: int,
-    ) -> Optional[SimulationResult]:
-        """Claim (and remove) the stashed result matching this execution."""
-        for position, entry in enumerate(self._entries):
-            if entry.precompiled is precompiled and entry.seed == seed and entry.shots == shots:
-                del self._entries[position]
-                return entry.result
-        return None
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def execute_many_with_noise(requests):
+    """Stub for ``perfbench/tracer.py`` ``LAYER_CALLS`` (``simulators.execute_many``); no caller."""
+    raise NotImplementedError("cross-job merging was removed")

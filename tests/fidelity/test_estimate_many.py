@@ -1,10 +1,10 @@
-"""The batched fleet-ranking canary path: ``estimate_many`` vs solo ``estimate``.
+"""Fleet ranking through the canary estimator: one canary build per ranking.
 
-``estimate_many`` is the scheduling-tick form of the canary protocol — one
-canary build, one ideal distribution, memoized per-device transpiles and a
-single merged noisy execution.  The whole point is that none of that changes
-the answer: every report must be *identical* to the per-device ``estimate``
-call it replaces.
+``estimate_many`` validates every device's width up front and then calls
+``estimate`` per device.  ``estimate`` memoizes the last circuit's canary and
+ideal counts, so a ranking over a fleet builds the canary once whichever
+caller drives it (the meta server's fidelity strategy, a fidelity placement
+policy or ``rank_backends``) — and none of that changes a report.
 """
 
 import dataclasses
@@ -12,9 +12,12 @@ import dataclasses
 import pytest
 
 from repro.backends import generate_fleet
+from repro.circuits.algorithms import hardware_efficient_ansatz
 from repro.circuits.random_circuits import random_clifford_circuit
 from repro.core.cache import clear_all_caches
+from repro.core.strategies import FidelityRankingStrategy
 from repro.fidelity import CliffordCanaryEstimator
+from repro.policies import FidelityPlacementPolicy, PlacementContext
 from repro.utils.exceptions import FidelityEstimationError
 
 
@@ -30,8 +33,31 @@ def wide_fleet():
     return [b for b in generate_fleet(limit=12, seed=7) if b.num_qubits >= 20][:4]
 
 
+@pytest.fixture(scope="module")
+def fleet16():
+    return generate_fleet(seed=2024, limit=16)
+
+
+@pytest.fixture
+def canary_builds(monkeypatch):
+    """Count ``build_canary`` calls across every estimator instance."""
+    calls = []
+    original = CliffordCanaryEstimator.build_canary
+
+    def counting(self, circuit):
+        calls.append(circuit.name)
+        return original(self, circuit)
+
+    monkeypatch.setattr(CliffordCanaryEstimator, "build_canary", counting)
+    return calls
+
+
 def _circuit(seed=3):
     return random_clifford_circuit(14, 8, seed=seed, measure=True, name=f"many-{seed}")
+
+
+def _hea(name="hea_4", angle=0.3):
+    return hardware_efficient_ansatz(4, layers=2, parameters=[angle] * 12, measure=True).copy(name=name)
 
 
 class TestEstimateMany:
@@ -57,20 +83,49 @@ class TestEstimateMany:
         with pytest.raises(FidelityEstimationError):
             CliffordCanaryEstimator(shots=64, seed=2).estimate_many(wide, wide_fleet)
 
-    def test_second_tick_reuses_compiled_canaries(self, wide_fleet):
-        circuit = _circuit(8)
-        estimator = CliffordCanaryEstimator(shots=64, seed=4)
-        first = estimator.estimate_many(circuit, wide_fleet)
-        second = estimator.estimate_many(circuit, wide_fleet)
-        assert [dataclasses.asdict(r) for r in first] == [dataclasses.asdict(r) for r in second]
-        # The transpile memo was populated on the first tick.
-        assert len(estimator._device_plans) == len(wide_fleet)
 
-    def test_rank_backends_routes_through_the_batched_path(self, wide_fleet):
-        circuit = _circuit(6)
+class TestCanaryMemo:
+    def test_strategy_ranking_builds_the_canary_once(self, fleet16, canary_builds):
+        strategy = FidelityRankingStrategy(_hea(), fidelity_threshold=1.0, shots=64, seed=4)
+        scores = [strategy.score(backend) for backend in fleet16]
+        assert all(score < float("inf") for score in scores)
+        assert canary_builds == ["hea_4"]
+
+    def test_fidelity_policy_ranking_builds_the_canary_once(self, fleet16, canary_builds):
+        policy = FidelityPlacementPolicy(estimator="canary", canary_shots=64, seed=4)
+        decision = policy.decide(PlacementContext(fleet=fleet16, circuit=_hea(), job_name="hea_4"))
+        assert decision.device is not None
+        assert len(decision.scores) == len(fleet16)
+        assert canary_builds == ["hea_4"]
+
+    def test_rank_backends_builds_the_canary_once(self, fleet16, canary_builds):
+        ranked = CliffordCanaryEstimator(shots=64, seed=4).rank_backends(_hea(), fleet16)
+        assert len(ranked) == len(fleet16)
+        assert canary_builds == ["hea_4"]
+
+    def test_other_structure_or_name_rebuilds(self, fleet16, canary_builds):
         estimator = CliffordCanaryEstimator(shots=64, seed=4)
-        ranked = estimator.rank_backends(circuit, wide_fleet)
-        fidelities = [r.canary_fidelity for r in ranked]
-        assert fidelities == sorted(fidelities, reverse=True)
-        # rank_backends shares estimate_many's transpile memo.
-        assert len(estimator._device_plans) == len(wide_fleet)
+        device = fleet16[0]
+        estimator.estimate(_hea(), device)
+        estimator.estimate(_hea(angle=1.1), device)
+        estimator.estimate(_hea(name="hea_4_renamed"), device)
+        estimator.estimate(_hea(name="hea_4_renamed"), device)
+        assert canary_builds == ["hea_4", "hea_4", "hea_4_renamed"]
+
+    def test_mutated_circuit_rebuilds(self, fleet16, canary_builds):
+        estimator = CliffordCanaryEstimator(shots=64, seed=4)
+        circuit = hardware_efficient_ansatz(4, layers=1, parameters=[0.2] * 8)
+        estimator.estimate(circuit, fleet16[0])
+        circuit.cx(0, 3)
+        estimator.estimate(circuit, fleet16[0])
+        assert len(canary_builds) == 2
+
+    def test_memoized_reports_equal_a_fresh_estimator(self, fleet16):
+        estimator = CliffordCanaryEstimator(shots=64, seed=4)
+        circuits = [_hea(), _hea(angle=1.1), _hea(name="hea_4_renamed")]
+        for circuit in circuits:
+            for backend in fleet16:
+                report = estimator.estimate(circuit, backend)
+                clear_all_caches()
+                fresh = CliffordCanaryEstimator(shots=64, seed=4).estimate(circuit, backend)
+                assert dataclasses.asdict(report) == dataclasses.asdict(fresh)

@@ -269,3 +269,8 @@ class TestServiceKnobs:
         stats = service.cache_stats()
         assert {"embedding", "ideal_distribution", "plan"} <= set(stats)
         assert stats["plan"]["hits"] >= 1
+
+    def test_cache_stats_exposes_the_batch_row(self):
+        # No cache backs the row; it stays for perfbench's cache.batch.* metrics.
+        stats = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64)).cache_stats()
+        assert stats["batch"] == {"hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}
