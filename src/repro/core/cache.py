@@ -112,6 +112,11 @@ class LRUCache:
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
+    @property
+    def maxsize(self) -> int:
+        """The entry bound."""
+        return self._maxsize
+
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value for ``key`` (recording a hit or miss)."""
         with self._lock:

@@ -4,8 +4,7 @@ The compiler is deliberately dumb about *placement*: it does not rank
 devices.  The engines hand it the device their cold MATCHING stage chose
 (plus the :class:`~repro.transpiler.TranspileResult` their cold RUNNING stage
 already produced, so nothing is compiled twice), and it derives the rest —
-fusion, structural hashes, calibration fingerprint, the precompiled execution
-dispatch and the sibling-cache references.
+the calibration fingerprint and the precompiled execution dispatch.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ from typing import Dict, Optional
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import calibration_fingerprint, pattern_hash, structural_circuit_hash
+from repro.core.cache import calibration_fingerprint
 from repro.plans.plan import ExecutionPlan
 from repro.simulators.noisy import precompile_execution
-from repro.transpiler.fusion import fuse_clifford_runs
 from repro.transpiler.preset import TranspileResult, transpile
 from repro.utils.rng import SeedLike
 
@@ -40,8 +38,6 @@ class PlanCompiler:
         circuit: QuantumCircuit,
         backend: Backend,
         *,
-        engine: str = "",
-        shots: int = 1024,
         transpiled: Optional[TranspileResult] = None,
         transpile_seed: SeedLike = None,
         score: Optional[float] = None,
@@ -50,45 +46,25 @@ class PlanCompiler:
     ) -> ExecutionPlan:
         """Compile ``circuit`` for ``backend`` into a frozen plan.
 
-        ``circuit`` is the logical circuit as submitted (measurements are
-        appended if missing, exactly as the engines do).  ``transpiled``
+        ``circuit`` is the logical circuit as submitted.  ``transpiled``
         should be the cold path's own :class:`~repro.transpiler.TranspileResult`
         when available — passing it avoids transpiling twice and guarantees
         the plan replays the *identical* artifact; when omitted the compiler
-        transpiles itself under ``transpile_seed``.
+        transpiles itself under ``transpile_seed`` (appending measurements if
+        missing, exactly as the engines do).
         """
-        measured = circuit
-        if not measured.has_measurements():
-            measured = measured.copy()
-            measured.measure_all()
-        structural = structural_circuit_hash(measured)
-        fused = fuse_clifford_runs(measured)
-        fused_digest = structural_circuit_hash(fused)
         if transpiled is None:
+            measured = circuit
+            if not measured.has_measurements():
+                measured = measured.copy()
+                measured.measure_all()
             transpiled = transpile(measured, backend, seed=transpile_seed)
-        execution = precompile_execution(transpiled.circuit)
-        embedding_reference = None
-        try:
-            from repro.matching.interaction import interaction_graph
-
-            graph = interaction_graph(measured)
-            if graph.number_of_edges():
-                embedding_reference = pattern_hash(graph)
-        except Exception:  # noqa: BLE001 - references are best-effort metadata
-            embedding_reference = None
         self._compiled += 1
         return ExecutionPlan(
-            structural_hash=structural,
             device=backend.name,
             calibration_fingerprint=calibration_fingerprint(backend.properties),
-            engine=engine,
-            shots=shots,
-            fused_circuit=fused,
-            fused_hash=fused_digest,
             transpiled=transpiled,
-            execution=execution,
-            embedding_reference=embedding_reference,
-            canary_reference=(fused_digest, shots),
+            execution=precompile_execution(transpiled.circuit),
             score=score,
             num_feasible=num_feasible,
             scores=dict(scores or {}),

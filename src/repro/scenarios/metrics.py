@@ -12,7 +12,7 @@ deprecation shim over this module.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,55 @@ def summarise_waits(waits: Sequence[float]) -> Dict[str, float]:
     for percentile in WAIT_PERCENTILES:
         summary[f"p{percentile}"] = float(np.percentile(array, percentile))
     return summary
+
+
+def wall_wait_report(
+    jobs: Iterable[Tuple[str, Sequence]],
+    wait_of: Callable[[Sequence], Optional[float]],
+) -> Dict[str, object]:
+    """Wall-clock wait/makespan report over ``(tenant id, event history)`` pairs.
+
+    The one builder behind ``QRIOService.wait_report`` and
+    ``ShardedService.wait_report``.  Events carry a ``timestamp`` and a
+    ``state`` with a ``terminal`` flag; ``wait_of`` maps a history to its
+    QUEUED→RUNNING wait, or ``None`` for a job that never ran (it then adds
+    no wait sample).  The service passes its own definition in, so this
+    module needs no service import.  The makespan spans the first QUEUED
+    event to the last terminal one; waits are summarised per tenant and
+    overall with :func:`summarise_waits`.
+    """
+    jobs = list(jobs)
+    waits: List[float] = []
+    tenant_waits: Dict[str, List[float]] = {}
+    first_queued: Optional[float] = None
+    last_terminal: Optional[float] = None
+    finished = 0
+    for tenant, events in jobs:
+        if not events:
+            continue
+        queued_at = events[0].timestamp
+        first_queued = queued_at if first_queued is None else min(first_queued, queued_at)
+        wait = wait_of(events)
+        if wait is not None:
+            waits.append(wait)
+            tenant_waits.setdefault(tenant, []).append(wait)
+        if events[-1].state.terminal:
+            finished += 1
+            ended_at = events[-1].timestamp
+            last_terminal = ended_at if last_terminal is None else max(last_terminal, ended_at)
+    makespan_s = 0.0
+    if first_queued is not None and last_terminal is not None:
+        makespan_s = max(0.0, last_terminal - first_queued)
+    return {
+        "jobs": len(jobs),
+        "finished": finished,
+        "waits": summarise_waits(waits),
+        "makespan_s": makespan_s,
+        "clock": "wall",
+        "tenants": {
+            tenant: summarise_waits(samples) for tenant, samples in sorted(tenant_waits.items())
+        },
+    }
 
 
 def makespan(finish_times: Sequence[float], start_times: Sequence[float] = ()) -> float:

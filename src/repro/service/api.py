@@ -392,20 +392,14 @@ class ExecutionEngine(abc.ABC):
 
         Backends are shared objects across every registry an engine keeps
         (cluster nodes, meta server, session context), so swapping
-        ``backend.properties`` propagates everywhere; the fleet-wide plan
-        cache then eagerly drops the stale device entries, exactly as a
-        vendor calibration push does.
+        ``backend.properties`` propagates everywhere.  Engines that store
+        execution plans extend this to drop the device's stale plans.
         """
-        from repro.core.cache import calibration_fingerprint, plan_cache
-
         for backend in self.fleet():
             if backend.name == device:
                 backend.properties = properties
-                break
-        else:
-            raise ServiceError(f"Cannot apply calibration: unknown device '{device}'")
-        fingerprint = calibration_fingerprint(properties)
-        plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
+                return
+        raise ServiceError(f"Cannot apply calibration: unknown device '{device}'")
 
     def inject_queue_backlog(self, devices: Sequence[str], *, at_time_s: float, backlog_s: float) -> int:
         """Drop synthetic backlog on device queues (queue storm).

@@ -17,6 +17,11 @@ the existing subsystems:
   multi-device overlap is observable in real time (the
   ``BENCH_concurrency.json`` workload).
 
+The orchestrator and cluster engines share one private base that owns the
+rest of the Fig. 2 funnel: policy routing, the warm-plan lookup and
+publication over the fleet-wide plan cache, stale-plan dropping and the
+outage cordon.
+
 All adapters consume the same :class:`~repro.service.JobSpec` and produce the
 same :class:`~repro.service.Placement` / :class:`~repro.service.EngineResult`
 pair, which is what lets :class:`~repro.service.QRIOService` treat them
@@ -34,6 +39,7 @@ re-serialized when it needs to be, only the latency overlaps).
 
 from __future__ import annotations
 
+import abc
 import threading
 import time
 from typing import List, Optional, Sequence
@@ -43,9 +49,9 @@ from repro.scenarios.arrivals import JobRequest
 from repro.cloud.policies import AllocationPolicy, LeastLoadedPolicy
 from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSimulationResult, CloudSimulator
 from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, ResourceRequest
-from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.cache import (
+    LRUCache,
     calibration_fingerprint,
     fleet_calibration_epoch,
     plan_cache,
@@ -81,11 +87,6 @@ class _PolicyResolver:
         self._seed = seed
         self._resolved: dict = {}
 
-    @property
-    def default(self) -> Optional[PolicyLike]:
-        """The engine-level default policy spec (``None`` = native path)."""
-        return self._default
-
     def for_requirements(self, requirements) -> Optional[PlacementPolicy]:
         """The effective policy for one job, or ``None`` for the native path."""
         spec = requirements.policy if requirements.policy is not None else self._default
@@ -109,7 +110,8 @@ class _PlanStore:
     the device is an output of MATCHING, not an input) and the engine
     context folded into every key (engine name, base seed, the frozen
     requirements and the shot budget), so plans never replay across engines,
-    seeds or requirement sets that would have compiled differently.
+    seeds or requirement sets that would have compiled differently.  This is
+    the only code that builds a plan-cache key.
 
     Plans only serve the engines' *native* scheduling paths.  Registry
     policies are load- and state-dependent by design (round-robin cursors,
@@ -120,8 +122,9 @@ class _PlanStore:
     def __init__(self, engine_name: str, seed: SeedLike) -> None:
         self._engine = engine_name
         self._seed = seed
-        self._device_memo: dict = {}
-        self._lock = threading.Lock()
+        # Bounded like the plan cache, so the memo never outgrows the plans
+        # it points at.
+        self._device_memo = LRUCache(plan_cache().maxsize)
         self.compiler = PlanCompiler()
 
     def _context(self, spec: JobSpec) -> tuple:
@@ -136,150 +139,216 @@ class _PlanStore:
         """
         digest = structural_circuit_hash(spec.circuit)
         context = self._context(spec)
-        with self._lock:
-            device = self._device_memo.get((digest, context))
+        device = self._device_memo.get((digest, context))
         backend = backends.get(device)
         # With no placed backend the probe carries no fingerprint, a key no
         # plan is ever stored under: the cold compile still counts as a miss.
         fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
         plan = plan_cache().get((digest, device, fingerprint) + context)
         if plan is None and backend is not None:
-            plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
+            self.drop_stale(device, fingerprint)
         return plan
 
     def store(self, spec: JobSpec, plan: ExecutionPlan) -> None:
         """Publish a cold submit's plan and remember its placement."""
         digest = structural_circuit_hash(spec.circuit)
         context = self._context(spec)
-        with self._lock:
-            self._device_memo[(digest, context)] = plan.device
+        self._device_memo.put((digest, context), plan.device)
         plan_cache().put((digest, plan.device, plan.calibration_fingerprint) + context, plan)
 
-
-def _set_node_availability(cluster, device: str, available: bool) -> None:
-    """Cordon/uncordon the node hosting ``device`` (scenario outage events)."""
-    for node in cluster.nodes():
-        if node.backend.name == device:
-            if available:
-                node.uncordon()
-                cluster.events.record("NodeUncordoned", node.name, "scenario outage ended")
-            else:
-                node.cordon()
-                cluster.events.record("NodeCordoned", node.name, "scenario outage")
-            return
-    raise ServiceError(f"Cannot change availability: unknown device '{device}'")
+    @staticmethod
+    def drop_stale(device: str, fingerprint: str) -> None:
+        """Drop every cached plan for ``device`` compiled under another calibration."""
+        plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
 
 
-def _node_admits(node: Node, requirements) -> bool:
-    """Cheap warm-path revalidation: the memoized node can take the job now."""
-    return node.is_schedulable() and node.can_host(
-        requirements.cpu_millicores, requirements.memory_mb
-    )
+class _ClusterEngineBase(ExecutionEngine):
+    """The Fig. 2 funnel shared by the two cluster-backed engines.
 
-
-def _placement_from_plan(
-    cluster: ClusterState, spec: JobSpec, job_name: str, plan: ExecutionPlan
-) -> Optional[Placement]:
-    """Bind ``job_name`` straight from a warm plan, skipping the scheduler.
-
-    Returns ``None`` when the plan's device is gone, cordoned or full — the
-    caller then falls back to the cold MATCHING path (the plan stays cached;
-    only this submission pays the full cycle).
+    :class:`OrchestratorEngine` and :class:`ClusterEngine` differ in three
+    things only: how a submission enters their cluster (their ``match``),
+    their native scheduling call (:meth:`_schedule_native`) and their
+    execution (``run``).  Everything around those lives here: policy
+    resolution, the MATCHING order policy → warm plan → native schedule
+    (:meth:`_route`), cold-run plan publication, stale-plan dropping on
+    calibration pushes and the outage cordon.  Subclasses expose their
+    ``cluster`` registry and ``scheduler`` once attached.
     """
-    node = next((n for n in cluster.nodes() if n.backend.name == plan.device), None)
-    if node is None or not _node_admits(node, spec.requirements):
-        return None
-    cluster.bind(job_name, node.name, score=plan.score)
-    cluster.events.record(
-        "PlanScheduled", job_name, f"replayed cached execution plan on {plan.device}"
-    )
-    return Placement(
-        job_name=job_name,
-        spec=spec,
-        device=plan.device,
-        score=plan.score,
-        num_feasible=plan.num_feasible,
-        detail={"scores": dict(plan.scores), "plan": plan},
-    )
 
+    def __init__(self, policy: Optional[PolicyLike], seed: SeedLike) -> None:
+        self._seed = seed
+        self._policies = _PolicyResolver(policy, seed=seed)
+        self._policy_fidelity_cache: dict = {}
+        self._plans = _PlanStore(self.name, seed)
 
-def _schedule_with_policy(
-    cluster: ClusterState,
-    scheduler: QRIOScheduler,
-    policy: PlacementPolicy,
-    spec: JobSpec,
-    job_name: str,
-    fidelity_cache: dict,
-) -> Placement:
-    """One unified scheduling cycle over a cluster: filters, then the policy.
+    def fleet(self) -> List[Backend]:
+        return self.cluster.backends()
 
-    The scheduler's requirement filters (qubit count, classical resources,
-    device characteristics) still shortlist the nodes — user requirements
-    bind under every engine — and the policy's filter → score → select
-    pipeline then decides among the survivors.  The winning node is bound in
-    the cluster exactly as the native path would, so the RUNNING stage is
-    oblivious to how the decision was made.
-    """
-    job = cluster.job(job_name)
-    report = scheduler.run_filters(job)
-    nodes = {cluster.node(name).backend.name: cluster.node(name) for name in report.feasible}
-    rejected = {
-        cluster.node(name).backend.name: reason for name, reason in report.rejected.items()
-    }
-    requirements = spec.requirements
-    fleet = [node.backend for node in nodes.values()]
-    # Fidelity estimates are reused across jobs through the engine-lifetime
-    # cache, keyed by circuit *structure* plus a fleet-calibration epoch, so
-    # repeat submissions pay one estimate per device while recalibration
-    # silently invalidates every stale entry.  The epoch is the stable digest
-    # from core.cache — the builtin hash() is salted per process, which would
-    # break any key that outlives a restart.
-    epoch = fleet_calibration_epoch(fleet)
-    ctx = PlacementContext(
-        fleet=fleet,
-        circuit=spec.circuit,
-        job_name=job_name,
-        workload_key=structural_circuit_hash(spec.circuit),
-        strategy=requirements.strategy,
-        fidelity_threshold=requirements.effective_fidelity_threshold,
-        topology_edges=requirements.topology_edges,
-        shots=spec.shots,
-        required_qubits=requirements.qubits_for(spec.circuit),
-        calibration_epoch=epoch,
-        fidelity_cache=fidelity_cache,
-        native={"job": job, "nodes": nodes},
-    )
-    decision = policy.decide(ctx, rejected=rejected)
-    if decision.device is None:
-        job.mark_unschedulable(f"no feasible device under policy '{decision.policy}'")
+    def set_device_available(self, device: str, available: bool) -> None:
+        """Outage events cordon/uncordon the device's cluster node.
+
+        Cordoned nodes drop out of ``schedulable_nodes()``, so the native
+        scheduler, the policy filter path and warm-plan replay all stop
+        placing onto the device until recovery.
+        """
+        super().set_device_available(device, available)
+        cluster = self.cluster
+        node = next((n for n in cluster.nodes() if n.backend.name == device), None)
+        if node is None:
+            raise ServiceError(f"Cannot change availability: unknown device '{device}'")
+        if available:
+            node.uncordon()
+            cluster.events.record("NodeUncordoned", node.name, "scenario outage ended")
+        else:
+            node.cordon()
+            cluster.events.record("NodeCordoned", node.name, "scenario outage")
+
+    def apply_calibration(self, device: str, properties) -> None:
+        """Swap the properties, then drop the device's now-stale plans.
+
+        Plans compiled against any other calibration of ``device`` can never
+        match again, so they are evicted eagerly, exactly as a vendor
+        calibration push does.
+        """
+        super().apply_calibration(device, properties)
+        self._plans.drop_stale(device, calibration_fingerprint(properties))
+
+    @abc.abstractmethod
+    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
+        """The engine's own scheduling cycle for a job already in the cluster."""
+
+    def _route(self, spec: JobSpec, job_name: str) -> Placement:
+        """MATCHING for a job that entered the cluster: policy → warm plan → native."""
+        policy = self._policies.for_requirements(spec.requirements)
+        if policy is not None:
+            return self._schedule_with_policy(policy, spec, job_name)
+        # Warm path: a cached plan for (structure, device, calibration) binds
+        # the job directly — no filter chain, no canary ranking.
+        plan = self._plans.lookup(spec, {b.name: b for b in self.fleet()})
+        if plan is not None:
+            placement = self._replay_placement(spec, job_name, plan)
+            if placement is not None:
+                return placement
+        return self._schedule_native(spec, job_name)
+
+    def _replay_placement(self, spec: JobSpec, job_name: str, plan: ExecutionPlan) -> Optional[Placement]:
+        """Bind ``job_name`` straight from a warm plan, skipping the scheduler.
+
+        Returns ``None`` when the plan's device is gone, cordoned or full — the
+        caller then falls back to the native path (the plan stays cached;
+        only this submission pays the full cycle).
+        """
+        cluster = self.cluster
+        node = next((n for n in cluster.nodes() if n.backend.name == plan.device), None)
+        requirements = spec.requirements
+        if (
+            node is None
+            or not node.is_schedulable()
+            or not node.can_host(requirements.cpu_millicores, requirements.memory_mb)
+        ):
+            return None
+        cluster.bind(job_name, node.name, score=plan.score)
         cluster.events.record(
-            "Unschedulable", job.name, f"0 feasible nodes under policy '{decision.policy}'"
+            "PlanScheduled", job_name, f"replayed cached execution plan on {plan.device}"
         )
         return Placement(
             job_name=job_name,
             spec=spec,
-            device=None,
-            num_feasible=0,
-            detail={"decision": decision},
-            saturated=report.saturated,
+            device=plan.device,
+            score=plan.score,
+            num_feasible=plan.num_feasible,
+            detail={"scores": dict(plan.scores), "plan": plan},
         )
-    cluster.bind(job.name, nodes[decision.device].name, score=decision.score)
-    cluster.events.record(
-        "PolicyScheduled",
-        job.name,
-        f"policy '{decision.policy}' selected {decision.device} (score {decision.score:.4f})",
-    )
-    return Placement(
-        job_name=job_name,
-        spec=spec,
-        device=decision.device,
-        score=decision.score,
-        num_feasible=decision.num_feasible,
-        detail={"scores": decision.scores, "decision": decision},
-    )
+
+    def _schedule_with_policy(self, policy: PlacementPolicy, spec: JobSpec, job_name: str) -> Placement:
+        """One unified scheduling cycle over the cluster: filters, then the policy.
+
+        The scheduler's requirement filters (qubit count, classical resources,
+        device characteristics) still shortlist the nodes — user requirements
+        bind under every engine — and the policy's filter → score → select
+        pipeline then decides among the survivors.  The winning node is bound in
+        the cluster exactly as the native path would, so the RUNNING stage is
+        oblivious to how the decision was made.
+        """
+        cluster = self.cluster
+        job = cluster.job(job_name)
+        report = self.scheduler.run_filters(job)
+        nodes = {cluster.node(name).backend.name: cluster.node(name) for name in report.feasible}
+        rejected = {
+            cluster.node(name).backend.name: reason for name, reason in report.rejected.items()
+        }
+        requirements = spec.requirements
+        fleet = [node.backend for node in nodes.values()]
+        # Fidelity estimates are reused across jobs through the engine-lifetime
+        # cache, keyed by circuit *structure* plus a fleet-calibration epoch, so
+        # repeat submissions pay one estimate per device while recalibration
+        # silently invalidates every stale entry.  The epoch is the stable digest
+        # from core.cache — the builtin hash() is salted per process, which would
+        # break any key that outlives a restart.
+        ctx = PlacementContext(
+            fleet=fleet,
+            circuit=spec.circuit,
+            job_name=job_name,
+            workload_key=structural_circuit_hash(spec.circuit),
+            strategy=requirements.strategy,
+            fidelity_threshold=requirements.effective_fidelity_threshold,
+            topology_edges=requirements.topology_edges,
+            shots=spec.shots,
+            required_qubits=requirements.qubits_for(spec.circuit),
+            calibration_epoch=fleet_calibration_epoch(fleet),
+            fidelity_cache=self._policy_fidelity_cache,
+            native={"job": job, "nodes": nodes},
+        )
+        decision = policy.decide(ctx, rejected=rejected)
+        if decision.device is None:
+            job.mark_unschedulable(f"no feasible device under policy '{decision.policy}'")
+            cluster.events.record(
+                "Unschedulable", job.name, f"0 feasible nodes under policy '{decision.policy}'"
+            )
+            return Placement(
+                job_name=job_name,
+                spec=spec,
+                device=None,
+                num_feasible=0,
+                detail={"decision": decision},
+                saturated=report.saturated,
+            )
+        cluster.bind(job.name, nodes[decision.device].name, score=decision.score)
+        cluster.events.record(
+            "PolicyScheduled",
+            job.name,
+            f"policy '{decision.policy}' selected {decision.device} (score {decision.score:.4f})",
+        )
+        return Placement(
+            job_name=job_name,
+            spec=spec,
+            device=decision.device,
+            score=decision.score,
+            num_feasible=decision.num_feasible,
+            detail={"scores": decision.scores, "decision": decision},
+        )
+
+    def _publish_plan(self, placement: Placement, transpiled, score: Optional[float]) -> None:
+        """Publish a cold native-path run as a reusable execution plan."""
+        if "decision" in placement.detail or transpiled is None:
+            return  # policy-routed or nothing compiled: nothing to replay
+        backend = next((b for b in self.fleet() if b.name == placement.device), None)
+        if backend is None:
+            return
+        self._plans.store(
+            placement.spec,
+            self._plans.compiler.compile(
+                placement.spec.circuit,
+                backend,
+                transpiled=transpiled,
+                score=score,
+                num_feasible=placement.num_feasible,
+                scores=dict(placement.detail.get("scores", {})),
+            ),
+        )
 
 
-class OrchestratorEngine(ExecutionEngine):
+class OrchestratorEngine(_ClusterEngineBase):
     """Run jobs through the full QRIO facade (the paper's one-at-a-time path)."""
 
     def __init__(
@@ -303,13 +372,10 @@ class OrchestratorEngine(ExecutionEngine):
                 the native meta-server ranking path.
             seed: Base seed for the facade and policy resolution.
         """
+        super().__init__(policy, seed)
         self._qrio = qrio
         self._cluster_name = cluster_name
         self._canary_shots = canary_shots
-        self._seed = seed
-        self._policies = _PolicyResolver(policy, seed=seed)
-        self._policy_fidelity_cache: dict = {}
-        self._plans = _PlanStore("orchestrator", seed)
 
     @property
     def name(self) -> str:
@@ -321,6 +387,16 @@ class OrchestratorEngine(ExecutionEngine):
         if self._qrio is None:
             raise ServiceError("OrchestratorEngine is not attached to a fleet yet")
         return self._qrio
+
+    @property
+    def cluster(self) -> ClusterState:
+        """The facade's cluster registry (available after :meth:`attach`)."""
+        return self.qrio.cluster
+
+    @property
+    def scheduler(self) -> QRIOScheduler:
+        """The facade's scheduler (available after :meth:`attach`)."""
+        return self.qrio.scheduler
 
     def attach(self, fleet: Sequence[Backend]) -> None:
         if self._qrio is None:
@@ -335,19 +411,6 @@ class OrchestratorEngine(ExecutionEngine):
         for backend in fleet:
             if backend.name not in registered:
                 self._qrio.register_device(backend)
-
-    def fleet(self):
-        return self.qrio.devices()
-
-    def set_device_available(self, device: str, available: bool) -> None:
-        """Outage events cordon/uncordon the device's cluster node.
-
-        Cordoned nodes drop out of ``schedulable_nodes()``, so the native
-        scheduler, the policy filter path and warm-plan replay all stop
-        placing onto the device until recovery.
-        """
-        super().set_device_available(device, available)
-        _set_node_availability(self.qrio.cluster, device, available)
 
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         requirements = spec.requirements
@@ -376,23 +439,9 @@ class OrchestratorEngine(ExecutionEngine):
         else:
             form.request_fidelity(requirements.effective_fidelity_threshold)
         self.qrio.submit_form(form)
-        policy = self._policies.for_requirements(requirements)
-        if policy is not None:
-            return _schedule_with_policy(
-                self.qrio.cluster,
-                self.qrio.scheduler,
-                policy,
-                spec,
-                job_name,
-                self._policy_fidelity_cache,
-            )
-        # Warm path: a cached plan for (structure, device, calibration) binds
-        # the job directly — no canary ranking, no meta-server cycle.
-        plan = self._plans.lookup(spec, {b.name: b for b in self.qrio.devices()})
-        if plan is not None:
-            placement = _placement_from_plan(self.qrio.cluster, spec, job_name, plan)
-            if placement is not None:
-                return placement
+        return self._route(spec, job_name)
+
+    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
         outcome = self.qrio.schedule_job(job_name)
         return Placement(
             job_name=job_name,
@@ -431,7 +480,7 @@ class OrchestratorEngine(ExecutionEngine):
             # back on to keep the legacy JobOutcome shape intact.
             outcome.scores = dict(placement.detail.get("scores", {}))
             outcome.num_filtered = placement.num_feasible
-            self._store_plan(placement, outcome)
+            self._publish_plan(placement, getattr(outcome.job, "transpile_result", None), outcome.score)
         return EngineResult(
             device=outcome.device,
             counts=dict(outcome.result.counts),
@@ -440,30 +489,8 @@ class OrchestratorEngine(ExecutionEngine):
             detail={"outcome": outcome, "plan_replay": plan is not None},
         )
 
-    def _store_plan(self, placement: Placement, outcome) -> None:
-        """Publish a cold native-path submit as a reusable execution plan."""
-        if "decision" in placement.detail or placement.device is None:
-            return  # policy-routed or unplaced: nothing to replay
-        compiled = getattr(outcome.job, "transpile_result", None)
-        if compiled is None:
-            return
-        backend = next((b for b in self.qrio.devices() if b.name == placement.device), None)
-        if backend is None:
-            return
-        plan = self._plans.compiler.compile(
-            placement.spec.circuit,
-            backend,
-            engine=self.name,
-            shots=placement.spec.shots,
-            transpiled=compiled,
-            score=outcome.score,
-            num_feasible=placement.num_feasible,
-            scores=dict(placement.detail.get("scores", {})),
-        )
-        self._plans.store(placement.spec, plan)
 
-
-class ClusterEngine(ExecutionEngine):
+class ClusterEngine(_ClusterEngineBase):
     """Run jobs straight through the k8s-style scheduling framework.
 
     Compared with :class:`OrchestratorEngine` this skips the visualizer form
@@ -496,16 +523,13 @@ class ClusterEngine(ExecutionEngine):
             seed: Base seed for the meta server, transpilation and policy
                 resolution.
         """
+        super().__init__(policy, seed)
         self._cluster_name = cluster_name
         self._canary_shots = canary_shots
         self._extra_filters = list(extra_filters) if extra_filters else None
-        self._seed = seed
         self._cluster: Optional[ClusterState] = None
         self._meta: Optional[MetaServer] = None
         self._scheduler: Optional[QRIOScheduler] = None
-        self._policies = _PolicyResolver(policy, seed=seed)
-        self._policy_fidelity_cache: dict = {}
-        self._plans = _PlanStore("cluster", seed)
 
     @property
     def name(self) -> str:
@@ -518,6 +542,13 @@ class ClusterEngine(ExecutionEngine):
             raise ServiceError("ClusterEngine is not attached to a fleet yet")
         return self._cluster
 
+    @property
+    def scheduler(self) -> QRIOScheduler:
+        """The scheduling framework (available after :meth:`attach`)."""
+        if self._scheduler is None:
+            raise ServiceError("ClusterEngine is not attached to a fleet yet")
+        return self._scheduler
+
     def attach(self, fleet: Sequence[Backend]) -> None:
         self._cluster = ClusterState(name=self._cluster_name)
         self._meta = MetaServer(canary_shots=self._canary_shots, seed=derive_seed(self._seed, "service-meta"))
@@ -525,14 +556,6 @@ class ClusterEngine(ExecutionEngine):
             self._cluster.register_backend(backend)
             self._meta.register_backend(backend)
         self._scheduler = QRIOScheduler(self._cluster, self._meta, extra_filters=self._extra_filters)
-
-    def fleet(self) -> List[Backend]:
-        return self.cluster.backends()
-
-    def set_device_available(self, device: str, available: bool) -> None:
-        """Outage events cordon/uncordon the device's cluster node."""
-        super().set_device_available(device, available)
-        _set_node_availability(self.cluster, device, available)
 
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         requirements = spec.requirements
@@ -571,25 +594,11 @@ class ClusterEngine(ExecutionEngine):
                 circuit_qasm=circuit_qasm,
             )
         self._meta.upload_job_metadata(payload)
-        job = self.cluster.submit_job(cluster_spec)
-        policy = self._policies.for_requirements(requirements)
-        if policy is not None:
-            return _schedule_with_policy(
-                self.cluster,
-                self._scheduler,
-                policy,
-                spec,
-                job_name,
-                self._policy_fidelity_cache,
-            )
-        # Warm path: a cached plan binds the job directly, skipping the
-        # filter chain and the meta-server canary ranking.
-        plan = self._plans.lookup(spec, {b.name: b for b in self.cluster.backends()})
-        if plan is not None:
-            placement = _placement_from_plan(self.cluster, spec, job_name, plan)
-            if placement is not None:
-                return placement
-        decision = self._scheduler.schedule(job)
+        self.cluster.submit_job(cluster_spec)
+        return self._route(spec, job_name)
+
+    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
+        decision = self.scheduler.schedule(self.cluster.job(job_name))
         return Placement(
             job_name=job_name,
             spec=spec,
@@ -637,20 +646,8 @@ class ClusterEngine(ExecutionEngine):
             raise
         job.mark_succeeded(result)
         self.cluster.release(placement.job_name)
-        if plan is None and "decision" not in placement.detail:
-            self._plans.store(
-                placement.spec,
-                self._plans.compiler.compile(
-                    placement.spec.circuit,
-                    node.backend,
-                    engine=self.name,
-                    shots=placement.spec.shots,
-                    transpiled=compiled,
-                    score=job.score,
-                    num_feasible=placement.num_feasible,
-                    scores=dict(placement.detail.get("scores", {})),
-                ),
-            )
+        if plan is None:
+            self._publish_plan(placement, compiled, job.score)
         return EngineResult(
             device=node.backend.name,
             counts=dict(result.counts),

@@ -100,7 +100,6 @@ class ServiceRuntime:
         self._idle = threading.Condition(self._lock)
         self._queue: WeightedFairQueue = WeightedFairQueue()
         self._queued_jobs = 0  # handles admitted but not yet dispatched
-        self._queued_jobs_by_tenant: Dict[str, int] = {}
         self._inflight_groups = 0  # groups admitted but not yet terminal
         self._executing_groups = 0  # groups handed to lanes, not yet finished
         #: Quiesce wake-up: no matched group is executing in any lane.  Used
@@ -142,19 +141,6 @@ class ServiceRuntime:
                 "queued_groups": len(self._queue),
                 "inflight_groups": self._inflight_groups,
                 "active_lanes": len(self._active_lanes),
-            }
-
-    def tenant_depths(self) -> Dict[str, int]:
-        """Queued-but-undispatched *job* count per tenant id.
-
-        The per-tenant live-queue-depth signal ``QRIOService.tenants_report``
-        and the CLI ``tenants`` listing surface.
-        """
-        with self._lock:
-            return {
-                tenant: count
-                for tenant, count in sorted(self._queued_jobs_by_tenant.items())
-                if count > 0
             }
 
     # ------------------------------------------------------------------ #
@@ -212,9 +198,6 @@ class ServiceRuntime:
                 )
                 self._queue.push(tenant.id, tenant.weight, key, group)
                 self._queued_jobs += len(group.handles)
-                self._queued_jobs_by_tenant[tenant.id] = (
-                    self._queued_jobs_by_tenant.get(tenant.id, 0) + len(group.handles)
-                )
                 self._inflight_groups += 1
             self._work.notify_all()
 
@@ -283,13 +266,7 @@ class ServiceRuntime:
                 if not self._queue:
                     return  # closed and fully dispatched
                 group = self._queue.pop()
-                tenant_id = group.spec.requirements.tenant_id
                 self._queued_jobs -= len(group.handles)
-                remaining = self._queued_jobs_by_tenant.get(tenant_id, 0) - len(group.handles)
-                if remaining > 0:
-                    self._queued_jobs_by_tenant[tenant_id] = remaining
-                else:
-                    self._queued_jobs_by_tenant.pop(tenant_id, None)
                 self._not_full.notify_all()
             try:
                 placement = self._service._match_group(group, self._capacity_waiter())

@@ -574,45 +574,12 @@ class QRIOService:
         rows — the cloud simulator on its logical clock, this report on the
         wall clock.
         """
-        from repro.scenarios.metrics import summarise_waits
+        from repro.scenarios.metrics import wall_wait_report
 
-        handles = self.jobs()
-        waits: List[float] = []
-        tenant_waits: Dict[str, List[float]] = {}
-        first_queued: Optional[float] = None
-        last_terminal: Optional[float] = None
-        finished = 0
-        for handle in handles:
-            events = handle.events()
-            if not events:
-                continue
-            queued_at = events[0].timestamp
-            first_queued = queued_at if first_queued is None else min(first_queued, queued_at)
-            wait = wall_wait_from_events(events)
-            if wait is not None:
-                waits.append(wait)
-                tenant_waits.setdefault(handle.spec.requirements.tenant_id, []).append(wait)
-            if events[-1].state.terminal:
-                finished += 1
-                last_terminal = (
-                    events[-1].timestamp
-                    if last_terminal is None
-                    else max(last_terminal, events[-1].timestamp)
-                )
-        makespan = 0.0
-        if first_queued is not None and last_terminal is not None:
-            makespan = max(0.0, last_terminal - first_queued)
-        return {
-            "jobs": len(handles),
-            "finished": finished,
-            "waits": summarise_waits(waits),
-            "makespan_s": makespan,
-            "clock": "wall",
-            "tenants": {
-                tenant: summarise_waits(samples)
-                for tenant, samples in sorted(tenant_waits.items())
-            },
-        }
+        return wall_wait_report(
+            ((handle.spec.requirements.tenant_id, handle.events()) for handle in self.jobs()),
+            wall_wait_from_events,
+        )
 
     def tenants_report(self) -> Dict[str, object]:
         """Live per-tenant occupancy, quotas and admission posture.

@@ -814,45 +814,14 @@ class ShardedService:
         ``time.monotonic`` stamps are system-wide on Linux, so merging the
         timelines of different processes is sound.
         """
-        from repro.scenarios.metrics import summarise_waits
+        from repro.scenarios.metrics import wall_wait_report
 
         with self._state_lock:
             handles = list(self._by_job_id.values())
-        waits: List[float] = []
-        tenant_waits: Dict[str, List[float]] = {}
-        first_queued: Optional[float] = None
-        last_terminal: Optional[float] = None
-        finished = 0
-        for handle in handles:
-            events = list(handle.events())
-            if not events:
-                continue
-            finished += 1
-            queued_at = events[0].timestamp
-            first_queued = queued_at if first_queued is None else min(first_queued, queued_at)
-            last_terminal = (
-                events[-1].timestamp
-                if last_terminal is None
-                else max(last_terminal, events[-1].timestamp)
-            )
-            wait = wall_wait_from_events(events)
-            if wait is not None:
-                waits.append(wait)
-                tenant_waits.setdefault(handle.tenant_id, []).append(wait)
-        makespan = 0.0
-        if first_queued is not None and last_terminal is not None:
-            makespan = max(0.0, last_terminal - first_queued)
-        return {
-            "jobs": len(handles),
-            "finished": finished,
-            "waits": summarise_waits(waits),
-            "makespan_s": makespan,
-            "clock": "wall",
-            "tenants": {
-                tenant: summarise_waits(samples)
-                for tenant, samples in sorted(tenant_waits.items())
-            },
-        }
+        return wall_wait_report(
+            ((handle.tenant_id, handle.events()) for handle in handles),
+            wall_wait_from_events,
+        )
 
     def tenants_report(self) -> Dict[str, object]:
         """Per-tenant occupancy, quotas, routing and admission posture."""

@@ -1,12 +1,10 @@
 """Single-qubit Clifford fusion: collapse adjacent Clifford runs into one gate.
 
-The plan compiler's *compile once* side (see :mod:`repro.plans`) wants the
-logical circuit in a canonical, minimal form before it is bundled into an
-:class:`~repro.plans.ExecutionPlan`: every run of adjacent single-qubit
-Clifford gates on the same wire is a single element of the 24-element
-single-qubit Clifford group, so the run can be replaced by that element's
-shortest primitive-gate sequence (1–3 native gates) from
-:func:`repro.circuits.clifford_utils.single_qubit_clifford_library`.
+Every run of adjacent single-qubit Clifford gates on the same wire is a
+single element of the 24-element single-qubit Clifford group, so the run can
+be replaced by that element's shortest primitive-gate sequence (1–3 native
+gates) from :func:`repro.circuits.clifford_utils.single_qubit_clifford_library`,
+giving a canonical, shorter form of the logical circuit.
 
 Unlike :class:`~repro.transpiler.passes.optimize.Optimize1QubitGates` — which
 resynthesises runs into parameterised ``u``-gates for a device basis — this

@@ -15,7 +15,7 @@ from repro.cloud import (
     build_queues,
     builtin_policies,
 )
-from repro.cloud.arrivals import ArrivalSpec, generate_trace
+from repro.scenarios.arrivals import ArrivalSpec, generate_trace
 from repro.utils.exceptions import SchedulingError
 from repro.workloads import clifford_suite
 

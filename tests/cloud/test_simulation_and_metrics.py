@@ -19,7 +19,7 @@ from repro.cloud import (
     summarise_waits,
     wait_fairness,
 )
-from repro.cloud.arrivals import ArrivalSpec, generate_trace
+from repro.scenarios.arrivals import ArrivalSpec, generate_trace
 from repro.utils.exceptions import ClusterError
 from repro.workloads import clifford_suite
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.cloud.arrivals import JobRequest
+from repro.scenarios.arrivals import JobRequest
 from repro.cloud.calibration import CalibrationDriftModel
 from repro.cloud.policies import AllocationContext, FidelityPolicy, LeastLoadedPolicy
 from repro.cloud.queueing import ExecutionTimeModel, build_queues

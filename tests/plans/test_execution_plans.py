@@ -7,11 +7,7 @@ import pytest
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.core.cache import (
-    calibration_fingerprint,
-    clear_all_caches,
-    structural_circuit_hash,
-)
+from repro.core.cache import calibration_fingerprint, clear_all_caches
 from repro.plans import ExecutionPlan, PlanCompiler
 from repro.simulators import execute_with_noise, precompile_execution
 from repro.transpiler import transpile
@@ -32,7 +28,7 @@ def backend():
 
 @pytest.fixture()
 def plan(backend):
-    return PlanCompiler().compile(ghz(4), backend, engine="cluster", shots=128)
+    return PlanCompiler().compile(ghz(4), backend)
 
 
 class TestExecutionPlanArtifact:
@@ -42,8 +38,6 @@ class TestExecutionPlanArtifact:
 
     def test_plan_pickles_round_trip(self, plan):
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.structural_hash == plan.structural_hash
-        assert clone.fused_hash == plan.fused_hash
         assert clone.device == plan.device
         assert clone.calibration_fingerprint == plan.calibration_fingerprint
         assert len(clone.transpiled.circuit) == len(plan.transpiled.circuit)
@@ -61,66 +55,26 @@ class TestExecutionPlanArtifact:
         )
         assert replayed.counts == original.counts
 
-    def test_shots_must_be_positive(self, plan):
-        with pytest.raises(ValueError):
-            dataclasses.replace(plan, shots=0)
-
-    def test_cache_key_carries_identity_and_context(self, plan):
-        key = plan.cache_key("cluster", 5)
-        assert key == (
-            plan.structural_hash,
-            plan.device,
-            plan.calibration_fingerprint,
-            "cluster",
-            5,
-        )
 
 
 class TestPlanCompiler:
     def test_compile_produces_coherent_identity(self, backend):
         compiler = PlanCompiler()
         circuit = ghz(4)
-        plan = compiler.compile(circuit, backend, engine="cluster", shots=128)
-        measured = circuit.copy()
-        assert circuit.has_measurements()  # ghz() measures already
-        assert plan.structural_hash == structural_circuit_hash(measured)
+        plan = compiler.compile(circuit, backend)
         assert plan.device == backend.name
         assert plan.calibration_fingerprint == calibration_fingerprint(backend.properties)
-        assert plan.engine == "cluster"
-        assert plan.shots == 128
-        assert plan.canary_reference == (plan.fused_hash, 128)
         assert compiler.plans_compiled == 1
 
     def test_measurements_are_appended_when_missing(self, backend):
-        plan = PlanCompiler().compile(ghz(4, measure=False), backend, shots=64)
-        assert plan.fused_circuit.has_measurements()
-        # Identity matches what the engines hash: the *measured* circuit.
-        assert plan.structural_hash == structural_circuit_hash(ghz(4))
-
-    def test_fusion_shrinks_redundant_runs(self, backend):
-        circuit = QuantumCircuit(3, 3)
-        circuit.h(0).s(0).sdg(0).h(0)  # fuses away entirely
-        circuit.h(1)
-        circuit.cx(1, 2)
-        circuit.measure_all()
-        plan = PlanCompiler().compile(circuit, backend, shots=64)
-        assert len(plan.fused_circuit) < len(circuit)
-        assert plan.fused_hash != plan.structural_hash
+        plan = PlanCompiler().compile(ghz(4, measure=False), backend)
+        assert plan.transpiled.circuit.has_measurements()
 
     def test_supplied_transpile_result_is_reused_verbatim(self, backend):
         circuit = ghz(4)
         compiled = transpile(circuit, backend, seed=9)
-        plan = PlanCompiler().compile(circuit, backend, shots=64, transpiled=compiled)
+        plan = PlanCompiler().compile(circuit, backend, transpiled=compiled)
         assert plan.transpiled is compiled
-
-    def test_embedding_reference_follows_two_qubit_structure(self, backend):
-        entangling = PlanCompiler().compile(ghz(4), backend, shots=64)
-        assert entangling.embedding_reference is not None
-        single = QuantumCircuit(2, 2)
-        single.h(0).h(1)
-        single.measure_all()
-        local_only = PlanCompiler().compile(single, backend, shots=64)
-        assert local_only.embedding_reference is None
 
 
 class TestPrecompiledExecution:

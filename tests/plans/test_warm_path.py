@@ -15,7 +15,7 @@ import pytest
 import repro.core.master_server as master_server_module
 import repro.service.engines as engines_module
 from repro.backends import three_device_testbed
-from repro.circuits import ghz
+from repro.circuits import QuantumCircuit, ghz
 from repro.core.cache import all_cache_stats, clear_all_caches, plan_cache
 from repro.service import (
     CloudEngine,
@@ -150,6 +150,21 @@ class TestClusterWarmPath:
         # The load-dependent policy path neither stores nor looks up plans.
         assert len(plan_cache()) == len_before
         assert _plan_stats() == stats_before
+
+    def test_placement_memo_never_outgrows_the_plan_cache(self):
+        engine = ClusterEngine(seed=5, canary_shots=64)
+        service = QRIOService(three_device_testbed()[:1], engine)
+        cache = plan_cache()
+        evictions = cache.stats.evictions
+        for index in range(700):
+            circuit = QuantumCircuit(2)
+            circuit.rx(0.001 * (index + 1), 0).cx(0, 1)
+            circuit.measure_all()
+            service.submit(circuit, shots=8).result()
+        # 700 distinct workloads: the plan cache evicts the oldest 188, and
+        # the placement memo is bounded alongside it instead of keeping 700.
+        assert cache.stats.evictions - evictions == 700 - cache.maxsize
+        assert len(engine._plans._device_memo) == len(cache) == cache.maxsize
 
 
 class TestOrchestratorWarmPath:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.backends import generate_fleet, three_device_testbed
 from repro.circuits import bernstein_vazirani, ghz
-from repro.cloud.arrivals import JobRequest
+from repro.scenarios.arrivals import JobRequest
 from repro.cloud.policies import (
     FidelityPolicy,
     LeastLoadedPolicy,

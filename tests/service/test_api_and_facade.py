@@ -5,7 +5,7 @@ import pytest
 from repro import QRIO, JobRequirements, JobSpec, QRIOService
 from repro.backends import three_device_testbed
 from repro.circuits import ghz
-from repro.cloud.arrivals import JobRequest
+from repro.scenarios.arrivals import JobRequest
 from repro.cloud.policies import LeastLoadedPolicy
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.service import JobState
