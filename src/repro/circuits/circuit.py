@@ -242,6 +242,20 @@ class QuantumCircuit:
             self.measure(qubit, qubit)
         return self
 
+    def measured(self) -> "QuantumCircuit":
+        """This circuit if it measures anything, else a copy measuring every qubit.
+
+        The copy's classical register is widened to one bit per qubit when it
+        is narrower, so a circuit declared with fewer (or no) classical bits
+        can still be sampled; a measured circuit keeps its declared width.
+        """
+        if self.has_measurements():
+            return self
+        clone = QuantumCircuit(self._num_qubits, max(self._num_clbits, self._num_qubits), self.name)
+        clone._data = list(self._data)
+        clone.metadata = dict(self.metadata)
+        return clone.measure_all()
+
     # ------------------------------------------------------------------ #
     # Structural queries
     # ------------------------------------------------------------------ #

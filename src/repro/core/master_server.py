@@ -110,10 +110,7 @@ class MasterServer:
         job.mark_running()
         self._cluster.events.record("Pulled", job_name, f"image {image.reference} pulled on {node.name}")
         if plan is None:
-            circuit = parse_qasm(job.spec.circuit_qasm, name=job.name)
-            if not circuit.has_measurements():
-                circuit = circuit.copy()
-                circuit.measure_all()
+            circuit = parse_qasm(job.spec.circuit_qasm, name=job.name).measured()
         try:
             if plan is not None:
                 compiled = plan.transpiled

@@ -7,7 +7,8 @@ For a user circuit and a candidate device the protocol is:
    Gottesman-Knill theorem makes this polynomial even for 100-qubit devices
    (we use the stabilizer simulator);
 3. transpile the canary to the candidate device and execute it under the
-   device's noise model;
+   device's noise model (a ranking runs the transpiler's device-independent
+   virtual stage once per basis set, and only the physical stage per device);
 4. report the Hellinger fidelity between the noisy and ideal distributions.
 
 Because the canary shares the original circuit's structure (especially its
@@ -29,7 +30,7 @@ from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import SimulationResult, hellinger_fidelity
 from repro.simulators.stabilizer import StabilizerSimulator
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
-from repro.transpiler.preset import transpile
+from repro.transpiler.preset import VirtualCircuit, transpile, virtual_stage
 from repro.utils.exceptions import FidelityEstimationError
 from repro.utils.rng import SeedLike, derive_seed, ensure_generator
 
@@ -64,15 +65,18 @@ class CliffordCanaryEstimator:
         self._shots = shots
         self._optimization_level = optimization_level
         self._seed = seed
-        #: ``(key, canary, ideal counts)`` of the last circuit estimated, so a
-        #: fleet ranking builds its canary once; replaced as one tuple.
-        self._last_canary: Optional[Tuple[Tuple[str, str], QuantumCircuit, Dict[str, int]]] = None
+        #: ``(key, canary, ideal counts, virtual canary per basis set)`` of the
+        #: last circuit estimated, so a fleet ranking builds its canary once and
+        #: runs the transpiler's virtual stage once per basis set; replaced as
+        #: one tuple.
+        self._last_canary: Optional[
+            Tuple[Tuple[str, str], QuantumCircuit, Dict[str, int], Dict[Tuple[str, ...], VirtualCircuit]]
+        ] = None
 
     # ------------------------------------------------------------------ #
     def build_canary(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Return the measured Clifford canary of ``circuit``."""
-        prepared = circuit if circuit.has_measurements() else _with_full_measurement(circuit)
-        return cliffordize(prepared)
+        return cliffordize(circuit.measured())
 
     def ideal_distribution(self, canary: QuantumCircuit) -> Dict[str, int]:
         """Classically simulate the canary's noise-free outcome counts.
@@ -108,9 +112,9 @@ class CliffordCanaryEstimator:
                 f"Device '{backend.name}' has {backend.num_qubits} qubits; circuit "
                 f"'{circuit.name}' needs {circuit.num_qubits}"
             )
-        canary, ideal_counts = self._canary_for(circuit)
+        canary, ideal_counts, virtual = self._canary_for(circuit, backend)
         compiled = transpile(
-            canary,
+            virtual,
             backend,
             optimization_level=self._optimization_level,
             seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit.name),
@@ -135,25 +139,38 @@ class CliffordCanaryEstimator:
             },
         )
 
-    def _canary_for(self, circuit: QuantumCircuit) -> Tuple[QuantumCircuit, Dict[str, int]]:
-        """The canary of ``circuit`` and its ideal counts, memoized for the last circuit.
+    def _canary_for(
+        self, circuit: QuantumCircuit, backend: Backend
+    ) -> Tuple[QuantumCircuit, Dict[str, int], VirtualCircuit]:
+        """The canary of ``circuit``, its ideal counts and its virtual-stage output for ``backend``.
 
-        Keyed by the circuit's structural hash and name (the name seeds the
-        canary's transpile and execution), so a mutated or different circuit
-        rebuilds.  The memo is read once per call: a racing caller can only
-        rebuild, never pair one circuit's canary with another's counts.
+        Memoized for the last circuit, keyed by its structural hash and name
+        (the name seeds the canary's transpile and execution), so a mutated
+        or different circuit rebuilds.  Within that entry the output of
+        :func:`~repro.transpiler.preset.virtual_stage` is kept per ordered
+        basis set, the only part of the device that stage reads, so a fleet
+        ranking pays it once per basis set and each device's
+        :func:`~repro.transpiler.preset.transpile` runs only the physical
+        stage.  The memo is read once per call: a racing caller can only
+        rebuild, never pair one circuit's canary with another's counts or
+        virtual circuit.
         """
         # Imported lazily: repro.core's package init imports this module.
         from repro.core.cache import structural_circuit_hash
 
         key = (structural_circuit_hash(circuit), circuit.name)
-        last = self._last_canary
-        if last is not None and last[0] == key:
-            return last[1], last[2]
-        canary = self.build_canary(circuit)
-        ideal_counts = self.ideal_distribution(canary)
-        self._last_canary = (key, canary, ideal_counts)
-        return canary, ideal_counts
+        entry = self._last_canary
+        if entry is None or entry[0] != key:
+            canary = self.build_canary(circuit)
+            entry = (key, canary, self.ideal_distribution(canary), {})
+            self._last_canary = entry
+        _, canary, ideal_counts, virtual_by_basis = entry
+        basis = backend.properties.basis_gates
+        virtual = virtual_by_basis.get(basis)
+        if virtual is None:
+            virtual = virtual_stage(canary, backend, self._optimization_level)
+            virtual_by_basis[basis] = virtual
+        return canary, ideal_counts, virtual
 
     def estimate_many(
         self,
@@ -191,13 +208,6 @@ class CliffordCanaryEstimator:
         return sorted(reports, key=lambda report: (-report.canary_fidelity, report.device))
 
 
-def _with_full_measurement(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Copy ``circuit`` and measure every qubit (canaries must be sampled)."""
-    prepared = circuit.copy()
-    prepared.measure_all()
-    return prepared
-
-
 def achieved_fidelity(
     circuit: QuantumCircuit,
     backend: Backend,
@@ -212,7 +222,7 @@ def achieved_fidelity(
     simulator, which is only possible because the evaluation workloads are
     small) compared against the device's noisy execution of that circuit.
     """
-    prepared = circuit if circuit.has_measurements() else _with_full_measurement(circuit)
+    prepared = circuit.measured()
     compiled = transpile(
         prepared,
         backend,

@@ -54,11 +54,7 @@ class PlanCompiler:
         missing, exactly as the engines do).
         """
         if transpiled is None:
-            measured = circuit
-            if not measured.has_measurements():
-                measured = measured.copy()
-                measured.measure_all()
-            transpiled = transpile(measured, backend, seed=transpile_seed)
+            transpiled = transpile(circuit.measured(), backend, seed=transpile_seed)
         self._compiled += 1
         return ExecutionPlan(
             device=backend.name,

@@ -69,7 +69,7 @@ class QASMParser:
         num_clbits = sum(reg.size for reg in self._cregs.values())
         if num_qubits == 0:
             raise QASMError("QASM program declares no qubits")
-        circuit = QuantumCircuit(num_qubits, max(num_clbits, num_qubits), name=self._name)
+        circuit = QuantumCircuit(num_qubits, num_clbits, name=self._name)
         for instruction in self._pending:
             circuit.append(instruction)
         return circuit

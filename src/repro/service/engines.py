@@ -626,12 +626,8 @@ class ClusterEngine(_ClusterEngineBase):
                     precompiled=plan.execution,
                 )
             else:
-                circuit = placement.spec.circuit
-                if not circuit.has_measurements():
-                    circuit = circuit.copy()
-                    circuit.measure_all()
                 compiled = transpile(
-                    circuit,
+                    placement.spec.circuit.measured(),
                     node.backend,
                     seed=derive_seed(self._seed, "service-transpile", placement.job_name, node.backend.name),
                 )

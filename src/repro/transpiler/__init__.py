@@ -5,7 +5,13 @@ from repro.transpiler.decompositions import decompose_instruction, resynthesise_
 from repro.transpiler.fusion import FuseCliffordRuns, fuse_clifford_runs
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.base import PassManager, TranspilerPass
-from repro.transpiler.preset import TranspileResult, build_preset_pass_manager, transpile
+from repro.transpiler.preset import (
+    TranspileResult,
+    VirtualCircuit,
+    build_preset_pass_manager,
+    transpile,
+    virtual_stage,
+)
 
 __all__ = [
     "FuseCliffordRuns",
@@ -14,10 +20,12 @@ __all__ = [
     "TranspileContext",
     "TranspileResult",
     "TranspilerPass",
+    "VirtualCircuit",
     "build_preset_pass_manager",
     "decompose_instruction",
     "fuse_clifford_runs",
     "resynthesise_single_qubit",
     "transpile",
+    "virtual_stage",
     "zyz_angles",
 ]

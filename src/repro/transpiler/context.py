@@ -27,7 +27,8 @@ class TranspileContext:
         Layout after routing; records where each virtual qubit ended up once
         all inserted SWAPs are accounted for.
     rng:
-        Random generator shared by stochastic passes (SABRE tie-breaking).
+        Random generator for stochastic passes.  No preset pass reads it, so
+        the preset pipeline's output does not depend on the seed.
     properties:
         Free-form scratch space for passes to communicate (e.g. the routing
         pass records how many SWAPs it inserted).

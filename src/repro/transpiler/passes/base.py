@@ -67,6 +67,6 @@ class PassManager:
         for transpiler_pass in self._passes:
             current = transpiler_pass.run(current, context)
             context.properties.setdefault("pass_trace", []).append(  # type: ignore[union-attr]
-                {"pass": transpiler_pass.name, "size": current.size(), "depth": current.depth()}
+                {"pass": transpiler_pass.name, "size": current.size()}
             )
         return current

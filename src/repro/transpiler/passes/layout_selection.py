@@ -61,11 +61,11 @@ class TrivialLayoutPass(TranspilerPass):
         return circuit
 
 
-def _interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
-    """Weighted interaction graph of the circuit's two-qubit gates."""
+def _interaction_graph(num_qubits: int, pairs: Dict[Tuple[int, int], int]) -> nx.Graph:
+    """Weighted interaction graph over ``num_qubits`` from a circuit's ``interaction_pairs()``."""
     graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
-    for (a, b), weight in circuit.interaction_pairs().items():
+    graph.add_nodes_from(range(num_qubits))
+    for (a, b), weight in pairs.items():
         graph.add_edge(a, b, weight=weight)
     return graph
 
@@ -94,7 +94,8 @@ class VF2PerfectLayoutPass(TranspilerPass):
             )
         if context.initial_layout is not None:
             return circuit
-        interaction = _interaction_graph(circuit)
+        pairs = circuit.interaction_pairs()
+        interaction = _interaction_graph(circuit.num_qubits, pairs)
         active = [node for node in interaction.nodes if interaction.degree(node) > 0]
         if not active:
             context.initial_layout = Layout.trivial(circuit.num_qubits)
@@ -103,7 +104,7 @@ class VF2PerfectLayoutPass(TranspilerPass):
         best_layout: Optional[Dict[int, int]] = None
         best_cost = float("inf")
         for embedding in find_exact_embeddings(pattern, target.graph(), self._max_embeddings):
-            cost = _placement_error_cost(circuit, embedding.mapping, target)
+            cost = _placement_error_cost(pairs, embedding.mapping, target)
             if cost < best_cost:
                 best_cost = cost
                 best_layout = embedding.mapping
@@ -136,7 +137,7 @@ class DenseLayoutPass(TranspilerPass):
                 f"'{target.name}' has only {target.num_qubits}"
             )
         region = self._best_region(target, circuit.num_qubits)
-        interaction = _interaction_graph(circuit)
+        interaction = _interaction_graph(circuit.num_qubits, circuit.interaction_pairs())
         virtual_order = sorted(
             range(circuit.num_qubits), key=lambda q: -interaction.degree(q, weight="weight")
         )
@@ -202,10 +203,10 @@ class DenseLayoutPass(TranspilerPass):
         )
 
 
-def _placement_error_cost(circuit: QuantumCircuit, placement: Dict[int, int], target) -> float:
-    """Summed two-qubit error over the circuit's interactions under ``placement``."""
+def _placement_error_cost(pairs: Dict[Tuple[int, int], int], placement: Dict[int, int], target) -> float:
+    """Summed two-qubit error over a circuit's ``interaction_pairs()`` under ``placement``."""
     cost = 0.0
-    for (a, b), multiplicity in circuit.interaction_pairs().items():
+    for (a, b), multiplicity in pairs.items():
         if a not in placement or b not in placement:
             continue
         cost += multiplicity * target.edge_error(placement[a], placement[b])

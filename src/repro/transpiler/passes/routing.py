@@ -30,16 +30,9 @@ from repro.transpiler.passes.base import TranspilerPass
 from repro.utils.exceptions import TranspilerError
 
 
-def _distance_matrix(target: BackendProperties, context: TranspileContext) -> Dict[int, Dict[int, int]]:
-    """All-pairs shortest-path distances over the coupling graph (cached)."""
-    cache_key = f"distance_matrix::{target.name}"
-    cached = context.properties.get(cache_key)
-    if cached is not None:
-        return cached
-    graph = target.graph()
-    distances = {source: dict(lengths) for source, lengths in nx.all_pairs_shortest_path_length(graph)}
-    context.properties[cache_key] = distances
-    return distances
+def _distance_matrix(target: BackendProperties) -> Dict[int, Dict[int, int]]:
+    """All-pairs shortest-path distances over the coupling graph."""
+    return {source: dict(lengths) for source, lengths in nx.all_pairs_shortest_path_length(target.graph())}
 
 
 def _cheapest_path(target: BackendProperties, start: int, goal: int) -> List[int]:
@@ -161,6 +154,11 @@ class SabreRoutingPass(TranspilerPass):
     layer is executable, the router scores every SWAP adjacent to a front
     gate by the change in summed physical distance of the front layer (with a
     small look-ahead bonus for the following layer) and applies the best one.
+
+    The all-pairs distance table is built the first time a swap must be
+    chosen, at most once per run, and is not stored in the context: a
+    circuit whose layout already satisfies the coupling map never pays for
+    it.  The router reads no randomness.
     """
 
     #: Weight of the look-ahead (extended set) term in the swap score.
@@ -172,7 +170,7 @@ class SabreRoutingPass(TranspilerPass):
         target = context.require_target()
         layout = context.initial_layout or Layout.trivial(circuit.num_qubits)
         state = _RoutingState(circuit, target, layout)
-        distances = _distance_matrix(target, context)
+        distances: Optional[Dict[int, Dict[int, int]]] = None
 
         instructions, deferred_measurements = _split_final_measurements(circuit)
         successors: Dict[int, List[int]] = {i: [] for i in range(len(instructions))}
@@ -223,6 +221,8 @@ class SabreRoutingPass(TranspilerPass):
                 stall_counter = 0
                 continue
             extended = self._extended_set(instructions, successors, in_degree, front)
+            if distances is None:
+                distances = _distance_matrix(target)
             best_swap = self._choose_swap(state, blocked, extended, distances)
             state.emit_swap(*best_swap)
 

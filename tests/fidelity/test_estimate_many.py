@@ -1,22 +1,26 @@
 """Fleet ranking through the canary estimator: one canary build per ranking.
 
 ``estimate_many`` validates every device's width up front and then calls
-``estimate`` per device.  ``estimate`` memoizes the last circuit's canary and
-ideal counts, so a ranking over a fleet builds the canary once whichever
-caller drives it (the meta server's fidelity strategy, a fidelity placement
-policy or ``rank_backends``) — and none of that changes a report.
+``estimate`` per device.  ``estimate`` memoizes the last circuit's canary,
+ideal counts and transpiler virtual stage (per basis set), so a ranking over
+a fleet builds the canary once and runs the virtual stage once per basis set
+whichever caller drives it (the meta server's fidelity strategy, a fidelity
+placement policy or ``rank_backends``) — and none of that changes a report.
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
-from repro.backends import generate_fleet
+from repro.backends import Backend, generate_fleet
 from repro.circuits.algorithms import hardware_efficient_ansatz
 from repro.circuits.random_circuits import random_clifford_circuit
 from repro.core.cache import clear_all_caches
 from repro.core.strategies import FidelityRankingStrategy
 from repro.fidelity import CliffordCanaryEstimator
+from repro.fidelity import canary as canary_module
 from repro.policies import FidelityPlacementPolicy, PlacementContext
 from repro.utils.exceptions import FidelityEstimationError
 
@@ -129,3 +133,81 @@ class TestCanaryMemo:
                 clear_all_caches()
                 fresh = CliffordCanaryEstimator(shots=64, seed=4).estimate(circuit, backend)
                 assert dataclasses.asdict(report) == dataclasses.asdict(fresh)
+
+
+@pytest.fixture
+def virtual_runs(monkeypatch):
+    """Record the (canary, basis set) of every transpiler virtual-stage run."""
+    calls = []
+    original = canary_module.virtual_stage
+
+    def counting(circuit, target, optimization_level=2):
+        calls.append((circuit.name, target.properties.basis_gates))
+        return original(circuit, target, optimization_level)
+
+    monkeypatch.setattr(canary_module, "virtual_stage", counting)
+    return calls
+
+
+def _two_basis_fleet(fleet):
+    """``fleet`` with its last quarter moved to a u3-only single-qubit basis."""
+    cut = 3 * len(fleet) // 4
+    return fleet[:cut] + [
+        Backend(dataclasses.replace(b.properties, name=f"{b.name}_u3", basis_gates=("u3", "cx")))
+        for b in fleet[cut:]
+    ]
+
+
+def _assert_fresh_reports(circuit, fleet, reports):
+    for backend, report in zip(fleet, reports):
+        clear_all_caches()
+        fresh = CliffordCanaryEstimator(shots=64, seed=4).estimate(circuit, backend)
+        assert dataclasses.asdict(report) == dataclasses.asdict(fresh)
+
+
+class TestVirtualStageMemo:
+    def test_ranking_runs_the_virtual_stage_once_per_basis_set(self, fleet16, virtual_runs):
+        fleet = _two_basis_fleet(fleet16)
+        circuit = _hea()
+        reports = CliffordCanaryEstimator(shots=64, seed=4).estimate_many(circuit, fleet)
+        assert len(virtual_runs) == 2
+        assert {basis for _, basis in virtual_runs} == {("u1", "u2", "u3", "cx"), ("u3", "cx")}
+        assert len({name for name, _ in virtual_runs}) == 1
+        _assert_fresh_reports(circuit, fleet, reports)
+
+    def test_new_circuit_reruns_the_virtual_stage(self, fleet16, virtual_runs):
+        estimator = CliffordCanaryEstimator(shots=64, seed=4)
+        estimator.estimate_many(_hea(), fleet16[:4])
+        estimator.estimate_many(_hea(angle=1.1), fleet16[:4])
+        assert len(virtual_runs) == 2
+
+    def test_racing_rankings_never_mix_canaries(self, fleet16):
+        estimator = CliffordCanaryEstimator(shots=64, seed=4)
+        fleet = _two_basis_fleet(fleet16[:6])
+        # Distinct structures: canaries that coincide would share one
+        # ideal-distribution cache entry sampled under whichever name came first.
+        circuits = [
+            hardware_efficient_ansatz(4, layers=layers, parameters=[0.3] * (4 * layers + 4), measure=True)
+            .copy(name=f"hea_4x{layers}")
+            for layers in (1, 2, 3, 4)
+        ]
+        reports = {}
+        start = threading.Barrier(len(circuits))
+
+        def rank(circuit):
+            start.wait()
+            reports[circuit.name] = [estimator.estimate(circuit, backend) for backend in fleet]
+
+        threads = [threading.Thread(target=rank, args=(circuit,)) for circuit in circuits]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for circuit in circuits:
+            _assert_fresh_reports(circuit, fleet, reports[circuit.name])

@@ -148,7 +148,8 @@ class TestEnumerationOracle:
 
 def _old_inline_layout(circuit, target, max_embeddings=16):
     """The VF2 loop the layout pass used to run itself, kept as a reference."""
-    interaction = _interaction_graph(circuit)
+    pairs = circuit.interaction_pairs()
+    interaction = _interaction_graph(circuit.num_qubits, pairs)
     active = [node for node in interaction.nodes if interaction.degree(node) > 0]
     pattern = interaction.subgraph(active)
     device_graph = target.graph()
@@ -164,7 +165,7 @@ def _old_inline_layout(circuit, target, max_embeddings=16):
         if count >= max_embeddings:
             break
         placement = {virtual: physical for physical, virtual in mapping.items()}
-        cost = _placement_error_cost(circuit, placement, target)
+        cost = _placement_error_cost(pairs, placement, target)
         if cost < best_cost:
             best_cost, best_layout = cost, placement
     if best_layout is None:

@@ -15,9 +15,10 @@ _TWO_QUBIT = ("cx", "cz", "swap", "cu1")
 
 @st.composite
 def small_circuits(draw):
-    """Random circuits of up to 4 qubits and 12 operations."""
+    """Random circuits of up to 4 qubits, 4 clbits and 12 operations, then measurements."""
     num_qubits = draw(st.integers(min_value=1, max_value=4))
-    circuit = QuantumCircuit(num_qubits, num_qubits)
+    num_clbits = draw(st.integers(min_value=0, max_value=4))
+    circuit = QuantumCircuit(num_qubits, num_clbits)
     num_ops = draw(st.integers(min_value=0, max_value=12))
     for _ in range(num_ops):
         kind = draw(st.sampled_from(("single", "param", "two")))
@@ -37,8 +38,10 @@ def small_circuits(draw):
                 circuit.cu1(angle, qubit, other)
             else:
                 getattr(circuit, gate)(qubit, other)
-    if draw(st.booleans()):
-        circuit.measure_all()
+    if num_clbits:
+        for _ in range(draw(st.integers(min_value=0, max_value=num_qubits))):
+            qubit = draw(st.integers(min_value=0, max_value=num_qubits - 1))
+            circuit.measure(qubit, draw(st.integers(min_value=0, max_value=num_clbits - 1)))
     return circuit
 
 
@@ -48,6 +51,8 @@ def test_qasm_roundtrip_preserves_structure(circuit):
     """dump -> parse preserves gate names, operands and parameters."""
     recovered = parse_qasm(dump_qasm(circuit))
     assert recovered.num_qubits == circuit.num_qubits
+    assert recovered.num_clbits == circuit.num_clbits
+    assert recovered.measurement_map() == circuit.measurement_map()
     assert len(recovered) == len(circuit)
     for original, parsed in zip(circuit, recovered):
         assert parsed.name == original.name

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backends import three_device_testbed
-from repro.circuits import bernstein_vazirani, ghz
+from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.cloud.policies import FidelityPolicy, RoundRobinPolicy
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.service import (
@@ -91,6 +91,34 @@ class TestClusterEngine:
         )
         handle.wait()
         assert handle.failed
+
+
+def _sampling_engines():
+    return [OrchestratorEngine(seed=13, canary_shots=64), ClusterEngine(seed=13, canary_shots=64)]
+
+
+class TestOutcomeWidth:
+    """Outcomes are as wide as the declared classical register."""
+
+    @pytest.mark.parametrize("engine", _sampling_engines(), ids=lambda e: e.name)
+    def test_narrow_register_gives_narrow_outcomes(self, engine):
+        circuit = QuantumCircuit(6, 3, name="six_on_three")
+        circuit.h(0).cx(0, 1).cx(1, 2).x(3).cx(3, 4).cx(4, 5)
+        for qubit in range(3):
+            circuit.measure(qubit, qubit)
+        service = QRIOService(three_device_testbed(num_qubits=8), engine)
+        result = service.submit(circuit, 0.5, shots=64).result()
+        assert {len(bits) for bits in result.counts} == {3}
+
+    @pytest.mark.parametrize("engine", _sampling_engines(), ids=lambda e: e.name)
+    def test_unmeasured_circuit_without_clbits_is_measured_in_full(self, engine):
+        circuit = QuantumCircuit(3, 0, name="no_clbits")
+        circuit.h(0).cx(0, 1).cx(1, 2)
+        service = QRIOService(three_device_testbed(), engine)
+        handle = service.submit(circuit, 0.5, shots=64)
+        handle.wait()
+        assert handle.state == JobState.DONE, handle.status().error
+        assert {len(bits) for bits in handle.result().counts} == {3}
 
 
 class TestCloudEngine:

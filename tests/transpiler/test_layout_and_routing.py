@@ -4,7 +4,7 @@ import pytest
 
 from repro.backends import named_topology_device
 from repro.circuits import QuantumCircuit, ghz, qft
-from repro.transpiler import Layout
+from repro.transpiler import Layout, transpile
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.passes import (
     BasicRoutingPass,
@@ -16,6 +16,7 @@ from repro.transpiler.passes import (
     TrivialLayoutPass,
     VF2PerfectLayoutPass,
 )
+from repro.transpiler.passes import routing
 from repro.utils.exceptions import LayoutError, TranspilerError
 
 
@@ -117,6 +118,44 @@ class TestRouting:
         context = TranspileContext(target=line5)
         with pytest.raises(TranspilerError):
             SabreRoutingPass().run(ghz(9), context)
+
+
+@pytest.fixture
+def distance_tables(monkeypatch):
+    """Record every all-pairs distance table the Sabre router builds."""
+    built = []
+    original = routing._distance_matrix
+
+    def counting(target):
+        built.append(target.name)
+        return original(target)
+
+    monkeypatch.setattr(routing, "_distance_matrix", counting)
+    return built
+
+
+class TestSabreDistanceTable:
+    def test_swap_free_transpile_builds_no_table(self, line5, distance_tables):
+        result = transpile(ghz(4), line5)
+        assert result.swaps_inserted == 0
+        assert distance_tables == []
+
+    def test_swapping_run_builds_one_table_and_keeps_its_swaps(self, line5, distance_tables):
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 3).cx(1, 3).cx(0, 2).h(2).cx(2, 3)
+        context = TranspileContext(target=line5, initial_layout=Layout.trivial(4))
+        routed = SabreRoutingPass().run(circuit, context)
+        # The swaps the router chose when it built the table up front.
+        assert [i.qubits for i in routed if i.name == "swap"] == [(0, 1), (2, 3), (1, 2), (1, 2)]
+        assert context.final_layout.as_list() == [1, 0, 3, 2]
+        assert distance_tables == ["line5"]
+
+    def test_table_is_not_kept_in_the_result(self, line5):
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 3).cx(1, 3)
+        result = transpile(circuit, line5, initial_layout=Layout.trivial(4))
+        assert result.swaps_inserted > 0
+        assert not any(key.startswith("distance_matrix") for key in result.properties)
 
 
 class TestVerificationPasses:

@@ -94,3 +94,16 @@ class TestPassManagerConstruction:
         manager.run(ghz(3), context)
         trace = context.properties["pass_trace"]
         assert len(trace) == len(manager.passes)
+
+    def test_pass_manager_never_asks_for_depth(self, line_device, monkeypatch):
+        from repro.circuits import QuantumCircuit
+        from repro.transpiler.context import TranspileContext
+
+        def no_depth(self):
+            raise AssertionError("PassManager.run called depth()")
+
+        monkeypatch.setattr(QuantumCircuit, "depth", no_depth)
+        manager = build_preset_pass_manager(line_device.properties)
+        context = TranspileContext.for_target(line_device.properties)
+        manager.run(qft(4, measure=True), context)
+        assert {key for entry in context.properties["pass_trace"] for key in entry} == {"pass", "size"}
