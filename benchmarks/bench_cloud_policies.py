@@ -1,7 +1,7 @@
 """Extension — multi-job cloud scheduling policies (future-work item 4 at scale).
 
-Runs the same Poisson arrival trace through the allocation-policy roster
-(random, round-robin, least-loaded, fidelity-only, queue-aware fidelity) on a
+Runs the same Poisson arrival trace through the registry placement-policy
+roster (random, round-robin, least-loaded, fidelity-only, queue-aware fidelity) on a
 regional fleet and reports mean/p95 waits, mean estimated fidelity, fairness
 and makespan per policy.  The expected shape: fidelity-only maximises
 fidelity but concentrates load, least-loaded minimises waits but ignores
@@ -15,7 +15,7 @@ from repro.experiments import render_cloud_policy_comparison, run_cloud_policy_c
 
 
 def test_cloud_policy_comparison(benchmark, bench_config):
-    """Compare allocation policies on one shared arrival trace."""
+    """Compare placement policies on one shared arrival trace."""
     result = benchmark.pedantic(
         run_cloud_policy_comparison,
         kwargs={"config": bench_config, "num_jobs": 40, "num_devices": 6},
@@ -27,10 +27,10 @@ def test_cloud_policy_comparison(benchmark, bench_config):
 
     rows = result.by_policy()
     assert len(rows) == 5
-    fidelity = result.row("FidelityPolicy")
-    least_loaded = result.row("LeastLoadedPolicy")
-    queue_aware = result.row("QueueAwareFidelityPolicy")
-    random_row = result.row("RandomPolicy")
+    fidelity = result.row("fidelity[esp]")
+    least_loaded = result.row("least-loaded")
+    queue_aware = result.row("fidelity[esp, queue_weight=0.3]")
+    random_row = result.row("random")
 
     # Fidelity-aware policies report at least the random baseline's fidelity.
     assert fidelity.mean_fidelity >= random_row.mean_fidelity - 1e-9

@@ -24,7 +24,6 @@ from run_benchmarks import (
     bench_concurrency,
     bench_matching,
     bench_plans,
-    bench_policy_dispatch,
     bench_scenarios,
     bench_scheduler,
     bench_service,
@@ -61,28 +60,18 @@ def test_batched_stabilizer_speedup(perf_scale):
 
 
 def test_matching_and_scheduler_caches(perf_scale):
-    """Warm matching and the cached scheduler path must show real reuse.
-
-    The registry-resolved placement policies ride along: they must add no
-    measurable dispatch overhead over the legacy policy objects (ceiling
-    1.5x on a pure-routing trace) and route identically, so the unified
-    policy API cannot silently regress the hot path the two cache floors
-    guard.
-    """
+    """Warm matching and the cached scheduler path must show real reuse."""
     matching = bench_matching(perf_scale)
     scheduler = bench_scheduler(perf_scale, scheduler_floor=2.0)
-    policy_dispatch = bench_policy_dispatch(perf_scale, dispatch_ceiling=1.5)
     assert matching["speedup"] > 1.0
     assert matching["cache"]["hits"] > 0
     assert scheduler["speedup"] >= 2.0
-    assert policy_dispatch["overhead"] <= 1.5
     write_bench_json(
         "BENCH_matching.json",
         {
             "scale": perf_scale,
             "matching": matching,
             "scheduler": scheduler,
-            "policy_dispatch": policy_dispatch,
         },
     )
 

@@ -39,9 +39,6 @@ The script **fails loudly** (non-zero exit) when:
   faster than the scalar reference;
 * the cached scheduler path is less than ``--scheduler-floor`` (default 2x)
   faster than the uncached one;
-* a registry-resolved placement policy (``repro.policies``) is more than
-  ``--dispatch-ceiling`` (default 1.5x) slower than the legacy policy object
-  on a pure-dispatch routing trace, or routes any job differently;
 * batch submission through the service is less than ``--service-floor``
   (default 5x) faster than one-at-a-time submission;
 * the concurrent runtime is less than ``--concurrency-floor`` (default 2x)
@@ -94,10 +91,10 @@ from repro.backends import three_device_testbed  # noqa: E402
 from repro.circuits import bernstein_vazirani, ghz  # noqa: E402
 from repro.circuits.random_circuits import random_clifford_circuit  # noqa: E402
 from repro.scenarios.arrivals import JobRequest  # noqa: E402
-from repro.cloud.policies import LeastLoadedPolicy  # noqa: E402
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator  # noqa: E402
 from repro.core.cache import CacheStats, all_cache_stats, clear_all_caches  # noqa: E402
 from repro.matching import interaction_graph, rank_devices_scalable  # noqa: E402
+from repro.policies import resolve_policy  # noqa: E402
 from repro.simulators import (  # noqa: E402
     NoiseModel,
     NoisyStabilizerSimulator,
@@ -109,10 +106,10 @@ from repro.simulators import (  # noqa: E402
 #: run; shots/sec extrapolates fairly because scalar cost is linear in shots.
 _SCALES: Dict[str, Dict[str, int]] = {
     "smoke": {"scalar_shots": 32, "batched_shots": 1024, "repeats": 1, "match_rounds": 4, "jobs": 18,
-              "service_jobs": 32, "concurrent_jobs": 16, "dispatch_jobs": 240, "dispatch_repeats": 3,
+              "service_jobs": 32, "concurrent_jobs": 16,
               "replay_jobs": 120, "neutrality_jobs": 6, "plan_jobs": 10, "shard_jobs": 24},
     "default": {"scalar_shots": 128, "batched_shots": 1024, "repeats": 3, "match_rounds": 8, "jobs": 30,
-                "service_jobs": 32, "concurrent_jobs": 24, "dispatch_jobs": 480, "dispatch_repeats": 5,
+                "service_jobs": 32, "concurrent_jobs": 24,
                 "replay_jobs": 240, "neutrality_jobs": 6, "plan_jobs": 24, "shard_jobs": 40},
 }
 
@@ -290,7 +287,7 @@ def bench_scheduler(scale: str, scheduler_floor: float) -> Dict[str, object]:
             reuse_fidelity_cache=reuse,
             seed=5,
         )
-        simulator = CloudSimulator(fleet, LeastLoadedPolicy(), config=config)
+        simulator = CloudSimulator(fleet, resolve_policy("least-loaded"), config=config)
         return simulator.run(trace)
 
     clear_all_caches()
@@ -313,67 +310,6 @@ def bench_scheduler(scale: str, scheduler_floor: float) -> Dict[str, object]:
         "speedup": speedup,
         "mean_fidelity_cached": cached_result.mean_fidelity(),
         "mean_fidelity_uncached": uncached_result.mean_fidelity(),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Placement-policy dispatch overhead (unified registry vs legacy objects)
-# --------------------------------------------------------------------------- #
-def bench_policy_dispatch(scale: str, dispatch_ceiling: float) -> Dict[str, object]:
-    """Registry-resolved pipeline vs the legacy policy object on one trace.
-
-    The unified-policy redesign routes every cloud decision through the
-    generic filter → score → select pipeline (``repro.policies``) instead of
-    the legacy ``AllocationPolicy.select`` fast path.  This measurement pins
-    the cost of that indirection on the cheapest realistic workload —
-    ``least-loaded`` routing with fidelity reporting off, so nothing but
-    dispatch is timed — and fails when the registry-resolved policy is more
-    than ``dispatch_ceiling`` times slower than the legacy object (or routes
-    a single job differently).  The matching/scheduler cache floors measured
-    above are unaffected by construction (those paths are not rerouted), so
-    together the three checks guarantee the redesign cannot silently regress
-    the hot path.
-    """
-    from repro.policies import as_allocation_policy, resolve_policy
-
-    sizes = _SCALES[scale]
-    fleet = three_device_testbed()
-    jobs = sizes["dispatch_jobs"]
-    trace = _repeated_trace(jobs)
-    config = CloudSimulationConfig(fidelity_report="none", seed=5)
-    repeats = sizes["dispatch_repeats"]
-
-    def run(policy_factory):
-        simulator = CloudSimulator(fleet, policy_factory(), config=config)
-        return simulator.run(trace)
-
-    legacy_seconds, legacy_result = time_callable(lambda: run(LeastLoadedPolicy), repeats=repeats)
-    registry_seconds, registry_result = time_callable(
-        lambda: run(lambda: as_allocation_policy(resolve_policy("least-loaded"))),
-        repeats=repeats,
-    )
-    if [r.device for r in legacy_result.records] != [r.device for r in registry_result.records]:
-        raise BenchFailure(
-            "Registry-resolved 'least-loaded' routed the trace differently from the "
-            "legacy LeastLoadedPolicy — the unified pipeline must be routing-neutral"
-        )
-    overhead = registry_seconds / legacy_seconds
-    if overhead > dispatch_ceiling:
-        raise BenchFailure(
-            f"Unified-policy dispatch overhead {overhead:.2f}x exceeds the "
-            f"{dispatch_ceiling:.2f}x ceiling (legacy {jobs / legacy_seconds:.0f} jobs/s, "
-            f"registry {jobs / registry_seconds:.0f} jobs/s)"
-        )
-    return {
-        "jobs": jobs,
-        "devices": len(fleet),
-        "workload": "least-loaded routing, fidelity_report=none (pure dispatch)",
-        "legacy_seconds": legacy_seconds,
-        "registry_seconds": registry_seconds,
-        "legacy_jobs_per_second": jobs / legacy_seconds,
-        "registry_jobs_per_second": jobs / registry_seconds,
-        "overhead": overhead,
-        "ceiling": dispatch_ceiling,
     }
 
 
@@ -453,7 +389,6 @@ def bench_concurrency(scale: str, concurrency_floor: float) -> Dict[str, object]
     jobs run, never *where*.
     """
     from repro.backends import generate_fleet
-    from repro.cloud.policies import RoundRobinPolicy
     from repro.service import CloudEngine, DeviceLatencyEngine, QRIOService
 
     jobs = _SCALES[scale]["concurrent_jobs"]
@@ -463,7 +398,7 @@ def bench_concurrency(scale: str, concurrency_floor: float) -> Dict[str, object]
         clear_all_caches()
         engine = DeviceLatencyEngine(
             CloudEngine(
-                policy=RoundRobinPolicy(),
+                policy=resolve_policy("round-robin"),
                 config=CloudSimulationConfig(fidelity_report="none", seed=11),
             ),
             latency_s=_CONCURRENCY_LATENCY_S,
@@ -677,7 +612,7 @@ def bench_scenarios(
     config = CloudSimulationConfig(fidelity_report="none", seed=5)
 
     def direct_run():
-        return CloudSimulator(fleet, LeastLoadedPolicy(), config=config).run(list(trace.jobs))
+        return CloudSimulator(fleet, resolve_policy("least-loaded"), config=config).run(list(trace.jobs))
 
     def scenario_run():
         runner = ScenarioRunner(fleet, engine="cloud", seed=5, fidelity_report="none")
@@ -966,7 +901,6 @@ def run_all(
     scheduler_floor: float = 2.0,
     service_floor: float = 5.0,
     concurrency_floor: float = 2.0,
-    dispatch_ceiling: float = 1.5,
     replay_floor: float = 500.0,
     replay_ceiling: float = 10.0,
     plans_floor: float = 5.0,
@@ -978,7 +912,6 @@ def run_all(
     stabilizer = bench_stabilizer(scale, stabilizer_floor)
     matching = bench_matching(scale)
     scheduler = bench_scheduler(scale, scheduler_floor)
-    policy_dispatch = bench_policy_dispatch(scale, dispatch_ceiling)
     service = bench_service(scale, service_floor)
     concurrency = bench_concurrency(scale, concurrency_floor)
     scenarios = bench_scenarios(scale, replay_floor, replay_ceiling, fault_replay_ceiling)
@@ -997,7 +930,6 @@ def run_all(
                 "scale": scale,
                 "matching": matching,
                 "scheduler": scheduler,
-                "policy_dispatch": policy_dispatch,
             },
         ),
         "service": write_bench_json("BENCH_service.json", {"scale": scale, **service}),
@@ -1018,8 +950,6 @@ def main(argv=None) -> int:
     parser.add_argument("--service-floor", type=float, default=5.0, help="minimum service batch-vs-sequential speedup")
     parser.add_argument("--concurrency-floor", type=float, default=2.0,
                         help="minimum concurrent-vs-serial runtime speedup on the 4-device fleet")
-    parser.add_argument("--dispatch-ceiling", type=float, default=1.5,
-                        help="maximum slowdown of registry-resolved policies vs legacy policy objects")
     parser.add_argument("--replay-floor", type=float, default=500.0,
                         help="minimum scenario-replay throughput in jobs/sec (cloud engine)")
     parser.add_argument("--replay-ceiling", type=float, default=10.0,
@@ -1038,7 +968,6 @@ def main(argv=None) -> int:
             args.scheduler_floor,
             args.service_floor,
             args.concurrency_floor,
-            args.dispatch_ceiling,
             args.replay_floor,
             args.replay_ceiling,
             args.plans_floor,
@@ -1060,8 +989,7 @@ def main(argv=None) -> int:
         elif name == "matching":
             print(
                 f"matching: warm {payload['matching']['speedup']:.1f}x over cold; "
-                f"scheduler: cached {payload['scheduler']['speedup']:.1f}x over uncached; "
-                f"policy dispatch: {payload['policy_dispatch']['overhead']:.2f}x of legacy -> {path}"
+                f"scheduler: cached {payload['scheduler']['speedup']:.1f}x over uncached -> {path}"
             )
         elif name == "service":
             print(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Multi-job cloud simulation: allocation policies under a Poisson job stream.
+"""Multi-job cloud simulation: placement policies under a Poisson job stream.
 
 The paper motivates QRIO with today's quantum-cloud reality — thousands of
 queued jobs and multi-day waits — but its prototype handles one job at a
@@ -7,8 +7,8 @@ time.  This example exercises the ``repro.cloud`` substrate built for the
 multi-job future-work direction:
 
 1. generate a Poisson arrival trace from the heterogeneous NISQ workload mix;
-2. run the same trace through five allocation policies, from the paper's
-   random baseline to a queue-aware fidelity policy;
+2. run the same trace through five registry placement policies, from the
+   paper's random baseline to a queue-aware fidelity policy;
 3. compare mean/p95 wait, mean estimated fidelity, fairness across users and
    makespan.
 
@@ -19,14 +19,14 @@ from repro.cloud import (
     ArrivalSpec,
     CloudSimulationConfig,
     CloudSimulator,
-    QueueAwareFidelityPolicy,
-    builtin_policies,
     compare_policies,
     generate_trace,
     render_policy_comparison,
     trace_summary,
 )
 from repro.experiments import cloud_testbed_fleet
+from repro.experiments.cloud_policies import CLOUD_POLICY_SPECS
+from repro.policies import resolve_policy
 from repro.workloads import nisq_mix_suite
 
 
@@ -51,18 +51,19 @@ def main() -> None:
     print(f"Workload mix: {summary['workload_mix']}")
     print()
 
-    # --- run every built-in policy on the same trace ------------------------
+    # --- run every roster policy on the same trace --------------------------
     config = CloudSimulationConfig(fidelity_report="esp", seed=42)
-    results = compare_policies(fleet, trace, builtin_policies(seed=42), config)
+    policies = [resolve_policy(spec, seed=42) for spec in CLOUD_POLICY_SPECS]
+    results = compare_policies(fleet, trace, policies, config)
     print(render_policy_comparison(results))
     print()
 
     # --- zoom in on the fidelity/wait trade-off ------------------------------
     for weight in (0.0, 0.3, 1.0, 3.0):
-        policy = QueueAwareFidelityPolicy(wait_weight=weight, wait_scale_s=600.0, estimator="esp", seed=42)
+        policy = resolve_policy(f"fidelity:queue_weight={weight},wait_scale_s=600.0", seed=42)
         result = CloudSimulator(fleet, policy, config).run(trace)
         print(
-            f"wait_weight={weight:<4}  mean wait = {result.mean_wait() / 60.0:6.1f} min, "
+            f"queue_weight={weight:<4}  mean wait = {result.mean_wait() / 60.0:6.1f} min, "
             f"mean estimated fidelity = {result.mean_fidelity():.3f}, "
             f"busiest device got {max(result.jobs_per_device().values())} of {len(trace)} jobs"
         )

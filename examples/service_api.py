@@ -80,10 +80,8 @@ def concurrent_runtime(fleet) -> None:
     # regime a real cloud lives in); four workers overlap the occupancy of
     # different devices through per-device lanes.  Round-robin routing
     # spreads the stream across the fleet so the lanes have work to overlap.
-    from repro.cloud.policies import RoundRobinPolicy
-
     engine = DeviceLatencyEngine(
-        CloudEngine(policy=RoundRobinPolicy(), inter_arrival_s=5.0), latency_s=0.03
+        CloudEngine(policy="round-robin", inter_arrival_s=5.0), latency_s=0.03
     )
     service = QRIOService(fleet, engine, workers=4, max_pending=64)
     finished = []

@@ -1,4 +1,4 @@
-"""Quantum-cloud load simulation: arrivals, queues, policies and drift.
+"""Quantum-cloud load simulation: queues, calibration drift and the simulator.
 
 The paper motivates QRIO with the state of today's quantum cloud — thousands
 of queued jobs, multi-day wait times and calibration data that drifts by 2-3x
@@ -7,31 +7,20 @@ characterisation study) — but its prototype schedules a single job at a time.
 This subpackage supplies the missing substrate so the multi-job future-work
 direction can be evaluated end to end:
 
-* :mod:`repro.scenarios.arrivals` — job-arrival traces drawn from the
-  workload suites (``repro.cloud.arrivals`` remains a deprecation shim);
 * :mod:`repro.cloud.queueing` — per-device queues and a service-time model;
-* :mod:`repro.cloud.policies` — allocation policies from random through
-  queue-aware fidelity scheduling;
 * :mod:`repro.cloud.calibration` — calibration-cycle drift models;
 * :mod:`repro.cloud.simulation` — the discrete-event simulator tying the
-  pieces together;
-* :mod:`repro.scenarios.metrics` — wait/fairness/utilisation metrics
-  (``repro.cloud.metrics`` remains a deprecation shim).
+  pieces together.
+
+Arrival traces come from :mod:`repro.scenarios.arrivals`, wait/fairness
+metrics from :mod:`repro.scenarios.metrics`, and every routing decision from
+a :class:`~repro.policies.PlacementPolicy` (random through queue-aware
+fidelity scheduling, by registry name via :func:`~repro.policies.resolve_policy`).
 """
 
 from repro.cloud.calibration import CalibrationDriftModel, drift_fleet, drift_history
 from repro.scenarios.arrivals import ArrivalSpec, JobRequest, generate_trace, trace_summary
 from repro.scenarios.metrics import jain_fairness_index, summarise_waits, wait_fairness
-from repro.cloud.policies import (
-    AllocationContext,
-    AllocationPolicy,
-    FidelityPolicy,
-    LeastLoadedPolicy,
-    QueueAwareFidelityPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    builtin_policies,
-)
 from repro.cloud.queueing import DeviceQueue, ExecutionTimeModel, QueueSlot, build_queues
 from repro.cloud.simulation import (
     CloudSession,
@@ -44,8 +33,6 @@ from repro.cloud.simulation import (
 )
 
 __all__ = [
-    "AllocationContext",
-    "AllocationPolicy",
     "ArrivalSpec",
     "CalibrationDriftModel",
     "CloudSession",
@@ -54,16 +41,10 @@ __all__ = [
     "CloudSimulator",
     "DeviceQueue",
     "ExecutionTimeModel",
-    "FidelityPolicy",
     "JobRecord",
     "JobRequest",
-    "LeastLoadedPolicy",
-    "QueueAwareFidelityPolicy",
     "QueueSlot",
-    "RandomPolicy",
-    "RoundRobinPolicy",
     "build_queues",
-    "builtin_policies",
     "compare_policies",
     "drift_fleet",
     "drift_history",

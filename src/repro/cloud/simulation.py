@@ -18,11 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.scenarios.arrivals import JobRequest
 from repro.scenarios.metrics import render_metric_table, summarise_waits, wait_fairness
-from repro.cloud.policies import AllocationContext, AllocationPolicy, FidelityPolicy
 from repro.cloud.queueing import DeviceQueue, ExecutionTimeModel, QueueSlot, build_queues
 from repro.core.cache import calibration_fingerprint, structural_circuit_hash
 from repro.fidelity.canary import achieved_fidelity
 from repro.fidelity.estimator import ESPEstimator
+from repro.policies.api import PlacementContext, PlacementDecision, PlacementPolicy
 from repro.utils.exceptions import CloudError, SchedulingError
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -168,7 +168,7 @@ class CloudSimulator:
     def __init__(
         self,
         fleet: Sequence[Backend],
-        policy: AllocationPolicy,
+        policy: PlacementPolicy,
         config: Optional[CloudSimulationConfig] = None,
     ) -> None:
         if not fleet:
@@ -189,8 +189,8 @@ class CloudSimulator:
         return list(self._fleet)
 
     @property
-    def policy(self) -> AllocationPolicy:
-        """The allocation policy routing arrivals to devices."""
+    def policy(self) -> PlacementPolicy:
+        """The placement policy routing arrivals to devices."""
         return self._policy
 
     @property
@@ -201,9 +201,8 @@ class CloudSimulator:
     def set_time_model(self, time_model) -> None:
         """Swap the execution-time model (scenario straggler injection).
 
-        Open sessions swap their own context through
-        :meth:`CloudSession.set_time_model`; calling this mid-session only
-        affects service times computed after the swap.
+        Calling this mid-session only affects service times computed after
+        the swap.
         """
         self._config = replace(self._config, time_model=time_model)
 
@@ -230,7 +229,8 @@ class CloudSimulator:
         self,
         request: JobRequest,
         backend: Backend,
-        context: AllocationContext,
+        fidelity_cache: Dict[Tuple[str, str, int], float],
+        calibration_epoch: int,
     ) -> Optional[float]:
         mode = self._config.fidelity_report
         if mode == "none":
@@ -247,14 +247,12 @@ class CloudSimulator:
             if key not in self._execute_fidelity_cache:
                 self._execute_fidelity_cache[key] = self._execute_fidelity(request, backend)
             return self._execute_fidelity_cache[key]
-        # "esp": reuse the policy's cache when the policy is fidelity-aware so
-        # the report does not re-transpile what the policy already scored.
-        if isinstance(self._policy, FidelityPolicy):
-            return self._policy.estimated_fidelity(request, backend, context)
-        key = (request.workload_key, backend.name, context.calibration_epoch)
-        if key not in context.fidelity_cache:
-            context.fidelity_cache[key] = self._esp.estimate(request.circuit, backend).esp
-        return context.fidelity_cache[key]
+        # "esp": a fidelity-aware policy already filled the shared cache entry
+        # while scoring, so the report does not re-transpile what it scored.
+        key = (request.workload_key, backend.name, calibration_epoch)
+        if key not in fidelity_cache:
+            fidelity_cache[key] = self._esp.estimate(request.circuit, backend).esp
+        return fidelity_cache[key]
 
     def _execute_fidelity(self, request: JobRequest, backend: Backend) -> float:
         return achieved_fidelity(
@@ -290,12 +288,14 @@ class CloudSession:
 
     def __init__(self, simulator: CloudSimulator) -> None:
         self._simulator = simulator
-        self._queues = build_queues(simulator.fleet)
-        self._context = AllocationContext(
-            fleet=simulator.fleet,
-            queues=self._queues,
-            time_model=simulator.config.time_model,
-        )
+        self._fleet = simulator.fleet
+        self._queues = build_queues(self._fleet)
+        #: Bumped whenever calibration changes; part of the fidelity-estimate
+        #: cache key, so a bump forces re-estimation.
+        self._calibration_epoch = 0
+        #: Fidelity estimates keyed by (workload, device, epoch), shared by
+        #: every policy routing into this session and by ESP reporting.
+        self._fidelity_cache: Dict[Tuple[str, str, int], float] = {}
         self._records: List[JobRecord] = []
         self._last_arrival = 0.0
         self._mutex = threading.Lock()
@@ -319,22 +319,21 @@ class CloudSession:
         """Swap the execution-time model for this session and its simulator.
 
         Installed by the scenario fault injector so straggler windows
-        stretch both the service times charged at :meth:`execute` and the
-        predicted waits load-aware policies consult at :meth:`route`.
+        stretch the service times charged at :meth:`execute` (and hence the
+        predicted waits load-aware policies see at :meth:`route`).
         """
         with self._mutex:
             self._simulator.set_time_model(time_model)
-            self._context.time_model = time_model
 
     def notice_calibration_change(self) -> None:
-        """Advance the policy context's calibration epoch (epoch jump).
+        """Advance the session's calibration epoch (epoch jump).
 
         Fidelity estimates cached by routing policies are keyed by this
         epoch, so bumping it forces re-estimation against the freshly
         drifted device properties.
         """
         with self._mutex:
-            self._context.invalidate_fidelity_cache()
+            self._calibration_epoch += 1
 
     def inject_backlog(self, device_name: str, *, at_time: float, backlog_s: float, label: str = "queue-storm") -> QueueSlot:
         """Enqueue ``backlog_s`` seconds of synthetic occupancy on one queue.
@@ -357,19 +356,23 @@ class CloudSession:
         self,
         request: JobRequest,
         candidates: Optional[Sequence[str]] = None,
-        policy: Optional[AllocationPolicy] = None,
-    ) -> str:
-        """Pick the device for ``request`` (the policy's arrival-time decision).
+        policy: Optional[PlacementPolicy] = None,
+    ) -> PlacementDecision:
+        """Decide the device for ``request`` (the policy's arrival-time decision).
 
         ``candidates`` optionally restricts the policy's choice to a subset
         of the fleet (the service layer uses this to enforce user
         requirements the policies themselves do not know about); queues and
-        the fidelity cache stay shared with the unrestricted context.
+        the fidelity cache stay shared with the unrestricted fleet.
 
         ``policy`` optionally overrides the simulator's policy for this one
         arrival — how the unified service layer honours a per-job
         ``JobRequirements.policy`` while the session's queues, clock and
         caches stay shared across every arrival.
+
+        Raises:
+            CloudError: ``request`` arrives before the previous arrival.
+            SchedulingError: No candidate device can host the job.
         """
         with self._mutex:
             if request.arrival_time < self._last_arrival:
@@ -377,33 +380,40 @@ class CloudSession:
                     f"Arrival '{request.name}' at t={request.arrival_time:.3f}s is earlier than the "
                     f"previous arrival (t={self._last_arrival:.3f}s); sessions need arrival order"
                 )
-        simulator = self._simulator
-        context = self._context
+        fleet = self._fleet
         if candidates is not None:
             allowed = set(candidates)
-            restricted = [backend for backend in context.fleet if backend.name in allowed]
-            if not restricted:
-                raise SchedulingError(f"No candidate device left for job '{request.name}'")
-            context = AllocationContext(
-                fleet=restricted,
-                queues=self._queues,
-                time_model=context.time_model,
-                calibration_epoch=context.calibration_epoch,
-                fidelity_cache=context.fidelity_cache,
-            )
-        active_policy = policy if policy is not None else simulator.policy
-        device_name = active_policy.select(request, context)
-        backend = self._context.device(device_name)
-        if backend.num_qubits < request.circuit.num_qubits:
+            fleet = [backend for backend in fleet if backend.name in allowed]
+        active_policy = policy if policy is not None else self._simulator.policy
+        ctx = PlacementContext(
+            fleet=fleet,
+            circuit=request.circuit,
+            job_name=request.name,
+            workload_key=request.workload_key,
+            strategy=request.strategy,
+            fidelity_threshold=request.fidelity_threshold,
+            shots=request.shots,
+            arrival_time=request.arrival_time,
+            calibration_epoch=self._calibration_epoch,
+            predicted_wait=lambda name: self._queues[name].predicted_wait(request.arrival_time),
+            fidelity_cache=self._fidelity_cache,
+        )
+        decision = active_policy.decide(ctx)
+        if decision.device is None:
             raise SchedulingError(
-                f"Policy '{active_policy.name}' routed job '{request.name}' to "
-                f"'{device_name}', which is too small for it"
+                f"No device in the fleet can host job '{request.name}' "
+                f"({request.circuit.num_qubits} qubits)"
+            )
+        if ctx.device(decision.device).num_qubits < request.circuit.num_qubits:
+            raise SchedulingError(
+                f"Policy '{decision.policy}' routed job '{request.name}' to "
+                f"'{decision.device}', which is too small for it"
             )
         # Only a *successful* routing advances the arrival clock — a failed
         # route leaves the session exactly as it was.
         with self._mutex:
             self._last_arrival = max(self._last_arrival, request.arrival_time)
-        return device_name
+        return decision
 
     def execute(self, request: JobRequest, device_name: str) -> JobRecord:
         """Queue ``request`` on ``device_name`` and report its fidelity.
@@ -413,12 +423,16 @@ class CloudSession:
         the session lock, so concurrent snapshot readers never observe a
         half-recorded job.
         """
+        backend = next((backend for backend in self._fleet if backend.name == device_name), None)
+        if backend is None:
+            raise SchedulingError(f"Unknown device '{device_name}'")
         simulator = self._simulator
-        backend = self._context.device(device_name)
         service = simulator.config.time_model.service_time_s(request.circuit, backend, request.shots)
         with self._mutex:
             slot = self._queues[device_name].enqueue(request.name, request.arrival_time, service)
-            fidelity = simulator._job_fidelity(request, backend, self._context)
+            fidelity = simulator._job_fidelity(
+                request, backend, self._fidelity_cache, self._calibration_epoch
+            )
             record = JobRecord(request=request, device=device_name, slot=slot, fidelity=fidelity)
             self._records.append(record)
             self._last_arrival = max(self._last_arrival, request.arrival_time)
@@ -426,7 +440,7 @@ class CloudSession:
 
     def submit(self, request: JobRequest) -> JobRecord:
         """Route and execute one arrival (the one-call form)."""
-        return self.execute(request, self.route(request))
+        return self.execute(request, self.route(request).device)
 
     def result(self) -> CloudSimulationResult:
         """Snapshot of everything submitted so far as a simulation result.
@@ -446,7 +460,7 @@ class CloudSession:
 def compare_policies(
     fleet: Sequence[Backend],
     trace: Sequence[JobRequest],
-    policies: Iterable[AllocationPolicy],
+    policies: Iterable[PlacementPolicy],
     config: Optional[CloudSimulationConfig] = None,
 ) -> Dict[str, CloudSimulationResult]:
     """Run every policy on the same fleet and trace; results keyed by policy name."""

@@ -2,8 +2,8 @@
 
 The paper's evaluation schedules one job at a time; its future-work section
 asks for multi-job scheduling.  This experiment runs the same Poisson arrival
-trace through the policy roster of :mod:`repro.cloud.policies` on a regional
-fleet of simulated devices and reports, per policy, the mean/p95 wait, the
+trace through five registry placement policies (:data:`CLOUD_POLICY_SPECS`)
+on a regional fleet of simulated devices and reports, per policy, the mean/p95 wait, the
 mean estimated fidelity of the chosen devices, fairness across users and the
 makespan — the quantities a cloud operator would use to pick a policy.
 
@@ -23,12 +23,22 @@ from repro.backends.backend import Backend
 from repro.backends.fleet import generate_device
 from repro.scenarios.arrivals import ArrivalSpec, JobRequest, generate_trace
 from repro.scenarios.metrics import render_metric_table
-from repro.cloud.policies import builtin_policies
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulationResult, compare_policies
 from repro.experiments.config import ExperimentConfig, default_config
+from repro.policies.registry import resolve_policy
 from repro.utils.rng import derive_seed
 from repro.workloads.suites import nisq_mix_suite
 
+#: The compared roster, as registry specs: the paper's random baseline, two
+#: load spreaders, pure fidelity routing and the queue-aware trade-off of
+#: Ravi et al. (QCE'21).
+CLOUD_POLICY_SPECS = (
+    "random",
+    "round-robin",
+    "least-loaded",
+    "fidelity",
+    "fidelity:queue_weight=0.3",
+)
 
 @dataclass
 class CloudPolicyRow:
@@ -133,7 +143,8 @@ def run_cloud_policy_comparison(
         )
         trace = generate_trace(spec, seed=derive_seed(config.seed, "cloud-trace"))
     simulation_config = CloudSimulationConfig(fidelity_report="esp", seed=config.seed)
-    results = compare_policies(fleet, trace, builtin_policies(seed=config.seed), simulation_config)
+    policies = [resolve_policy(spec, seed=config.seed) for spec in CLOUD_POLICY_SPECS]
+    results = compare_policies(fleet, trace, policies, simulation_config)
     rows = []
     for name, result in results.items():
         summary = result.summary()

@@ -5,11 +5,8 @@ engines (orchestrator, cluster, cloud).  A policy written once — a ≤50-line
 :class:`PlacementPolicy` subclass — runs under any engine through
 :class:`~repro.service.QRIOService`, composes via :class:`Pipeline`, and is
 addressable by registry name (``resolve_policy("fidelity:queue_weight=0.3")``)
-from Python or the CLI.  The legacy abstractions
-(:class:`~repro.cloud.policies.AllocationPolicy`,
-:class:`~repro.core.strategies.RankingStrategy`, cluster filter/score
-plugins) keep working through the thin adapters in
-:mod:`repro.policies.adapters`.
+from Python or the CLI.  The discrete-event cloud simulator
+(:class:`~repro.cloud.CloudSimulator`) drives these policies directly.
 """
 
 from repro.policies.api import (
@@ -37,18 +34,9 @@ from repro.policies.builtin import (
     TopologyPlacementPolicy,
 )
 from repro.policies.pipeline import Pipeline
-from repro.policies.adapters import (
-    AllocationPolicyAdapter,
-    PluginPolicyAdapter,
-    PolicyFilterPlugin,
-    PolicyScorePlugin,
-    RankingStrategyAdapter,
-    as_allocation_policy,
-)
 from repro.utils.exceptions import PolicyNotFoundError
 
 __all__ = [
-    "AllocationPolicyAdapter",
     "DeviceScore",
     "FidelityPlacementPolicy",
     "LeastLoadedPlacementPolicy",
@@ -57,19 +45,14 @@ __all__ = [
     "PlacementDecision",
     "PinnedDevicePolicy",
     "PlacementPolicy",
-    "PluginPolicyAdapter",
-    "PolicyFilterPlugin",
     "PolicyLike",
     "PolicyNotFoundError",
     "PolicyRegistry",
-    "PolicyScorePlugin",
     "RandomPlacementPolicy",
-    "RankingStrategyAdapter",
     "RegisteredPolicy",
     "RoundRobinPlacementPolicy",
     "ThresholdFidelityPolicy",
     "TopologyPlacementPolicy",
-    "as_allocation_policy",
     "default_registry",
     "parse_policy_spec",
     "register_policy",

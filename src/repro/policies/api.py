@@ -1,11 +1,9 @@
 """The unified placement-policy protocol: one filter → score → select pipeline.
 
-Historically the repo grew three disjoint, mutually-incompatible placement
-abstractions — :class:`~repro.cloud.policies.AllocationPolicy` (cloud),
-:class:`~repro.core.strategies.RankingStrategy` (meta server) and the
-:class:`~repro.cluster.framework.FilterPlugin` /
-:class:`~repro.cluster.framework.ScorePlugin` pair (cluster framework).  This
-module defines the one surface that subsumes them:
+This module defines the one placement surface every engine routes through
+(the meta server's :class:`~repro.core.strategies.RankingStrategy` and the
+cluster framework's filter/score plugins remain only as those engines'
+native paths):
 
 * :class:`PlacementContext` — everything a policy may consult when placing
   one job (the job's circuit and requirements, the candidate fleet, an
@@ -21,9 +19,8 @@ module defines the one surface that subsumes them:
 
 Every engine (:class:`~repro.service.OrchestratorEngine`,
 :class:`~repro.service.ClusterEngine`, :class:`~repro.service.CloudEngine`)
-builds a :class:`PlacementContext` from its native state and calls
-:meth:`PlacementPolicy.decide`; the legacy abstractions keep working through
-the thin adapters in :mod:`repro.policies.adapters`.
+builds a :class:`PlacementContext` from its own state and calls
+:meth:`PlacementPolicy.decide`.
 """
 
 from __future__ import annotations
@@ -82,9 +79,6 @@ class PlacementContext:
     predicted_wait: Optional[Callable[[str], float]] = None
     #: Shared fidelity-estimate cache keyed ``(job key, device, epoch)``.
     fidelity_cache: Dict[Tuple[str, str, Hashable], float] = field(default_factory=dict)
-    #: Engine-native objects for thin adapters (e.g. the cluster ``Job`` and
-    #: its ``nodes`` map); generic policies must not depend on these.
-    native: Dict[str, object] = field(default_factory=dict)
     #: Lazily-built topology circuit (see :meth:`topology_circuit`).
     _topology_circuit: Optional[QuantumCircuit] = field(default=None, repr=False)
 

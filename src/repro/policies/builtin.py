@@ -1,19 +1,16 @@
-"""The built-in unified placement policies (ports of every legacy policy).
+"""The built-in placement policies.
 
-Each class below is the :class:`~repro.policies.PlacementPolicy` port of one
-historical abstraction, registered under a short name so any engine can run
-it by string:
+Each class below is one :class:`~repro.policies.PlacementPolicy`, registered
+under a short name so any engine can run it by string:
 
 ========================  ====================================================
 ``random``                uniformly random feasible device (the paper's
-                          baseline scheduler; cloud ``RandomPolicy``)
+                          baseline scheduler)
 ``round-robin``           cycle through feasible devices in name order
-                          (cloud ``RoundRobinPolicy``)
-``least-loaded``          smallest predicted queueing delay (cloud
-                          ``LeastLoadedPolicy``)
+``least-loaded``          smallest predicted queueing delay (the cloud
+                          engine's default)
 ``fidelity``              best estimated fidelity, optionally traded against
-                          queueing delay via ``queue_weight`` (cloud
-                          ``FidelityPolicy`` / ``QueueAwareFidelityPolicy``)
+                          queueing delay via ``queue_weight``
 ``queue-aware``           alias for ``fidelity`` with ``queue_weight=0.3``
                           (the Ravi et al. scheduler of the related work)
 ``threshold-fidelity``    Clifford-canary distance to the job's requested
@@ -24,9 +21,9 @@ it by string:
                           the affinity override sharded dispatch routes by
 ========================  ====================================================
 
-Routing is pinned bit-for-bit against the legacy implementations by
-``tests/policies/test_adapter_equivalence.py``: identical feasibility sets,
-identical RNG consumption, identical tie-breaking.
+The cloud-facing policies' routing is pinned by golden device and wait
+lists in ``tests/policies/test_adapter_equivalence.py``: feasibility sets,
+RNG consumption and tie-breaking cannot drift unnoticed.
 """
 
 from __future__ import annotations
@@ -52,9 +49,8 @@ SURPLUS_WEIGHT = 0.25
 class RandomPlacementPolicy(PlacementPolicy):
     """Uniformly random choice among feasible devices.
 
-    Port of :class:`~repro.cloud.policies.RandomPolicy`: candidates are
-    considered in stable name order and one RNG draw is consumed per
-    decision, so a seeded instance reproduces the legacy routing exactly.
+    Candidates are considered in stable name order and one RNG draw is
+    consumed per decision, so a seeded instance routes reproducibly.
     """
 
     def __init__(self, seed: SeedLike = None) -> None:
@@ -71,7 +67,7 @@ class RandomPlacementPolicy(PlacementPolicy):
 
 @register_policy("round-robin", description="cycle through feasible devices in name order")
 class RoundRobinPlacementPolicy(PlacementPolicy):
-    """Naive load spreading: port of :class:`~repro.cloud.policies.RoundRobinPolicy`."""
+    """Naive load spreading: cycle through feasible devices in name order."""
 
     def __init__(self) -> None:
         self._cursor = 0
@@ -89,7 +85,7 @@ class RoundRobinPlacementPolicy(PlacementPolicy):
 
 @register_policy("least-loaded", description="smallest predicted queueing delay (fidelity-blind)")
 class LeastLoadedPlacementPolicy(PlacementPolicy):
-    """Queue-aware, fidelity-blind: port of :class:`~repro.cloud.policies.LeastLoadedPolicy`.
+    """Queue-aware, fidelity-blind: route to the smallest predicted wait.
 
     The score is the context's predicted wait in seconds; engines without a
     queueing model report 0.0 everywhere, degrading to name-order selection.
@@ -119,9 +115,9 @@ class _FidelityEstimateMixin:
     def estimated_fidelity(self, ctx: PlacementContext, device: Backend) -> float:
         """Cached fidelity estimate of the job's circuit on ``device``.
 
-        Keyed exactly like the cloud layer's allocation cache —
-        ``(workload key, device, calibration epoch)`` — so a unified policy
-        running inside the cloud simulator shares its warm entries, and
+        Keyed ``(workload key, device, calibration epoch)`` exactly like the
+        cloud session's cache, so the simulator's ESP fidelity report reads
+        the entries a policy already scored, and
         repeated submissions of the same structural circuit under the
         orchestrator/cluster engines pay one estimate per device.
         """
@@ -148,14 +144,12 @@ class FidelityPlacementPolicy(_FidelityEstimateMixin, PlacementPolicy):
     """Fidelity-aware placement, optionally queue-aware.
 
     The score of device *d* is ``(1 - fidelity(d)) + queue_weight *
-    predicted_wait(d) / wait_scale_s`` — the exact complement of the cloud
-    layer's fidelity/queue utility, so lower is better like everywhere else
-    in the unified pipeline.  ``queue_weight=0`` (default) reproduces
-    :class:`~repro.cloud.policies.FidelityPolicy`; positive weights reproduce
-    :class:`~repro.cloud.policies.QueueAwareFidelityPolicy` (register name
-    ``queue-aware`` defaults to the legacy 0.3).  Ties break toward the
-    lexicographically *largest* device name, matching the legacy
-    ``max((utility, name))`` selection bit-for-bit.
+    predicted_wait(d) / wait_scale_s`` — the complement of a fidelity/queue
+    utility, so lower is better like everywhere else in the pipeline.
+    ``queue_weight=0`` (default) is pure fidelity routing; positive weights
+    trade fidelity against queueing delay (register name ``queue-aware``
+    defaults to 0.3, the Ravi et al. style scheduler).  Ties break toward
+    the lexicographically *largest* device name.
     """
 
     def __init__(
@@ -189,8 +183,8 @@ class FidelityPlacementPolicy(_FidelityEstimateMixin, PlacementPolicy):
 
     def select(self, ctx: PlacementContext, scored: Sequence[DeviceScore]) -> DeviceScore:
         best = min(entry.score for entry in scored)
-        # Legacy cloud policies pick ``max((utility, name))``: among tied
-        # utilities the largest device name wins.
+        # Among tied scores the largest device name wins (the cloud
+        # simulator's historical ``max((utility, name))`` routing).
         return max(
             (entry for entry in scored if entry.score == best),
             key=lambda entry: entry.device,
@@ -214,7 +208,7 @@ def queue_aware_policy(
     canary_shots: int = 256,
     seed: SeedLike = None,
 ) -> FidelityPlacementPolicy:
-    """The adaptive fidelity/queue trade-off with the legacy default weight."""
+    """The adaptive fidelity/queue trade-off with the default weight 0.3."""
     return FidelityPlacementPolicy(
         estimator=estimator,
         queue_weight=queue_weight,

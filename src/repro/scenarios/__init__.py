@@ -23,11 +23,10 @@ simulator.  ``repro.scenarios`` is the missing layer:
 * :mod:`repro.scenarios.catalog` — named, reproducible scenario specs,
   including fault-augmented hostile-world entries;
 * :mod:`repro.scenarios.sweep` — the policy × engine sweep harness;
-* :mod:`repro.scenarios.metrics` — the shared metric vocabulary (hoisted
-  from ``repro.cloud.metrics``, which remains a deprecation shim).
+* :mod:`repro.scenarios.metrics` — the shared metric vocabulary (wait
+  percentiles, makespan, Jain fairness).
 
-``repro.cloud.arrivals`` is likewise a deprecation shim over
-:mod:`repro.scenarios.arrivals`; the cloud simulator consumes this layer.
+The cloud simulator consumes this layer's arrivals and metrics.
 """
 
 from repro.scenarios.arrivals import (

@@ -114,7 +114,7 @@ def _require_positive_rate(rate_per_hour: float) -> float:
 class PoissonProcess(ArrivalProcess):
     """Memoryless arrivals, optionally modulated by a day/night load factor.
 
-    This is the legacy ``repro.cloud.arrivals`` generator verbatim: gaps are
+    This is the cloud simulator's original generator, draw-for-draw: gaps are
     exponential with the instantaneous rate evaluated at the previous
     arrival, and with ``diurnal_amplitude > 0`` the rate oscillates between
     ``rate * (1 - amplitude)`` and ``rate * (1 + amplitude)`` over a 24-hour
@@ -381,8 +381,7 @@ def generate_requests(
 class ArrivalSpec:
     """Parameters of a synthetic Poisson/diurnal arrival trace.
 
-    This is the legacy ``repro.cloud.arrivals`` surface, kept because the
-    cloud simulator's callers configure traces through it; it is now a thin
+    The cloud simulator's callers configure traces through it; it is a thin
     shorthand for ``generate_requests(PoissonProcess(...), ...)``.
     """
 
@@ -425,7 +424,7 @@ def generate_trace(spec: ArrivalSpec, seed: SeedLike = None) -> List[JobRequest]
     Inter-arrival gaps are exponential with the (possibly time-varying) rate
     evaluated at the previous arrival, jobs are drawn from the suite's
     weighted mix, and users are assigned uniformly at random.  Identical
-    draw-for-draw to the historical ``repro.cloud.arrivals.generate_trace``.
+    draw-for-draw to the cloud simulator's original trace generator.
     """
     return generate_requests(
         spec.process(),

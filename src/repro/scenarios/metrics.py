@@ -1,13 +1,12 @@
 """Engine-neutral wait-time, fairness and utilisation metrics.
 
-Historically these lived in :mod:`repro.cloud.metrics` and could only
-describe the discrete-event cloud simulator.  The scenario subsystem hoists
-them out so the same summary vocabulary — wait percentiles, makespan, Jain
+These once lived inside the cloud package and could only describe the
+discrete-event cloud simulator.  The scenario subsystem holds them so the
+same summary vocabulary — wait percentiles, makespan, Jain
 fairness, per-device load shares — describes a run of *any* engine: the
 cloud simulator's logical-clock records, the concurrent service runtime's
 wall-clock drains, and the :class:`~repro.scenarios.ScenarioReport` rows a
-policy×engine sweep emits.  ``repro.cloud.metrics`` remains importable as a
-deprecation shim over this module.
+policy×engine sweep emits.
 """
 
 from __future__ import annotations

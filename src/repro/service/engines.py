@@ -11,7 +11,7 @@ the existing subsystems:
   plugins, skipping the visualizer and container machinery;
 * :class:`CloudEngine` — the discrete-event cloud simulator via its
   incremental :class:`~repro.cloud.CloudSession`: each submission becomes an
-  arrival routed by an allocation policy onto per-device FCFS queues;
+  arrival routed by a placement policy onto per-device FCFS queues;
 * :class:`DeviceLatencyEngine` — a decorator adding wall-clock device
   occupancy around any inner engine's execution, so the concurrent runtime's
   multi-device overlap is observable in real time (the
@@ -46,7 +46,6 @@ from typing import List, Optional, Sequence
 
 from repro.backends.backend import Backend
 from repro.scenarios.arrivals import JobRequest
-from repro.cloud.policies import AllocationPolicy, LeastLoadedPolicy
 from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSimulationResult, CloudSimulator
 from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, ResourceRequest
 from repro.cluster.registry import ClusterState
@@ -61,7 +60,6 @@ from repro.core.meta_server import MetaServer
 from repro.core.scheduler import QRIOScheduler
 from repro.core.visualizer import MetaServerPayload, TopologyCanvas
 from repro.plans import ExecutionPlan, PlanCompiler
-from repro.policies.adapters import as_allocation_policy
 from repro.policies.api import PlacementContext, PlacementPolicy
 from repro.policies.registry import PolicyLike, resolve_policy
 from repro.qasm.exporter import dump_qasm
@@ -297,7 +295,6 @@ class _ClusterEngineBase(ExecutionEngine):
             required_qubits=requirements.qubits_for(spec.circuit),
             calibration_epoch=fleet_calibration_epoch(fleet),
             fidelity_cache=self._policy_fidelity_cache,
-            native={"job": job, "nodes": nodes},
         )
         decision = policy.decide(ctx, rejected=rejected)
         if decision.device is None:
@@ -682,7 +679,7 @@ class CloudEngine(ExecutionEngine):
     """Run jobs as arrivals of the discrete-event cloud simulation.
 
     Each submission becomes one :class:`~repro.cloud.JobRequest` arriving
-    ``inter_arrival_s`` after the previous one; an allocation policy routes
+    ``inter_arrival_s`` after the previous one; a placement policy routes
     it at arrival time onto a per-device FCFS queue, restricted to the
     devices that satisfy the spec's qubit request and device-characteristic
     bounds.  The engine reports the simulated fidelity (per the config's
@@ -705,7 +702,7 @@ class CloudEngine(ExecutionEngine):
 
     def __init__(
         self,
-        policy: Optional[object] = None,
+        policy: Optional[PolicyLike] = None,
         config: Optional[CloudSimulationConfig] = None,
         *,
         inter_arrival_s: float = 1.0,
@@ -714,12 +711,11 @@ class CloudEngine(ExecutionEngine):
         """Build a cloud-simulation engine.
 
         Args:
-            policy: How arrivals are routed: a legacy
-                :class:`~repro.cloud.policies.AllocationPolicy`, a unified
+            policy: How arrivals are routed: a
                 :class:`~repro.policies.PlacementPolicy`, a registry name
                 (e.g. ``"fidelity:queue_weight=0.3"``) or ``None`` for the
-                least-loaded default.  Jobs may override it per submission
-                via ``JobRequirements.policy``.
+                registry's ``"least-loaded"``.  Jobs may override it per
+                submission via ``JobRequirements.policy``.
             config: Simulation knobs (fidelity reporting, time model, seed).
             inter_arrival_s: Logical gap between consecutive submissions.
             user: Submitting user recorded on every arrival.
@@ -732,7 +728,6 @@ class CloudEngine(ExecutionEngine):
         self._user = user
         self._fleet: List[Backend] = []
         self._session: Optional[CloudSession] = None
-        self._alloc_policy: Optional[AllocationPolicy] = None
         self._overrides = _PolicyResolver(
             None, seed=derive_seed(config.seed if config is not None else None, "cloud-policy")
         )
@@ -752,24 +747,10 @@ class CloudEngine(ExecutionEngine):
 
     def attach(self, fleet: Sequence[Backend]) -> None:
         self._fleet = list(fleet)
-        policy = self._policy
-        if policy is None:
-            policy = LeastLoadedPolicy()
-        elif isinstance(policy, (str, PlacementPolicy)):
-            policy = as_allocation_policy(
-                resolve_policy(
-                    policy,
-                    seed=derive_seed(
-                        self._config.seed if self._config is not None else None, "cloud-policy"
-                    ),
-                )
-            )
-        elif not isinstance(policy, AllocationPolicy):
-            raise ServiceError(
-                "CloudEngine policy must be an AllocationPolicy, a PlacementPolicy, "
-                "a registry name or None"
-            )
-        self._alloc_policy = policy
+        policy = resolve_policy(
+            self._policy if self._policy is not None else "least-loaded",
+            seed=derive_seed(self._config.seed if self._config is not None else None, "cloud-policy"),
+        )
         simulator = CloudSimulator(self._fleet, policy, config=self._config)
         self._session = simulator.open_session()
 
@@ -803,29 +784,28 @@ class CloudEngine(ExecutionEngine):
         feasible = self._feasible_devices(spec)
         if not feasible:
             return Placement(job_name=job_name, spec=spec, device=None, num_feasible=0)
-        override: Optional[AllocationPolicy] = None
-        if requirements.policy is not None:
-            override = as_allocation_policy(self._overrides.for_requirements(requirements))
-        device = self.session.route(
-            request, candidates=[backend.name for backend in feasible], policy=override
+        decision = self.session.route(
+            request,
+            candidates=[backend.name for backend in feasible],
+            policy=self._overrides.for_requirements(requirements),
         )
         # Simulated-time queueing + fidelity reporting happens here, in
         # arrival order, so every later arrival's routing sees this job
         # already enqueued (the discrete-event contract) no matter how the
         # service interleaves the RUNNING stages.
-        record = self.session.execute(request, device)
-        detail = {"request": request, "record": record}
-        decision = getattr(override if override is not None else self._alloc_policy, "last_decision", None)
-        if decision is not None:
-            detail["decision"] = decision
-            detail["scores"] = decision.scores
+        record = self.session.execute(request, decision.device)
         return Placement(
             job_name=job_name,
             spec=spec,
-            device=device,
-            score=None if decision is None else decision.score,
+            device=decision.device,
+            score=decision.score,
             num_feasible=len(feasible),
-            detail=detail,
+            detail={
+                "request": request,
+                "record": record,
+                "decision": decision,
+                "scores": decision.scores,
+            },
         )
 
     def _feasible_devices(self, spec: JobSpec) -> List[Backend]:

@@ -14,9 +14,9 @@ import pytest
 
 from repro.backends import three_device_testbed
 from repro.circuits import bernstein_vazirani, ghz
-from repro.cloud.policies import LeastLoadedPolicy
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.core.cache import calibration_fingerprint, clear_all_caches, structural_circuit_hash
+from repro.policies import resolve_policy
 from repro.scenarios.arrivals import JobRequest
 
 SHOTS = 128
@@ -49,7 +49,7 @@ def _run(reuse: bool):
     config = CloudSimulationConfig(
         fidelity_report="execute", execution_shots=SHOTS, reuse_fidelity_cache=reuse, seed=5
     )
-    return CloudSimulator(fleet, LeastLoadedPolicy(), config=config).run(_smoke_trace()), fleet
+    return CloudSimulator(fleet, resolve_policy("least-loaded"), config=config).run(_smoke_trace()), fleet
 
 
 @pytest.fixture(scope="module")

@@ -9,16 +9,13 @@ import pytest
 from repro.cloud import (
     CloudSimulationConfig,
     CloudSimulator,
-    FidelityPolicy,
-    LeastLoadedPolicy,
-    QueueAwareFidelityPolicy,
-    RandomPolicy,
     compare_policies,
     jain_fairness_index,
     render_policy_comparison,
     summarise_waits,
     wait_fairness,
 )
+from repro.policies import resolve_policy
 from repro.scenarios.arrivals import ArrivalSpec, generate_trace
 from repro.utils.exceptions import ClusterError
 from repro.workloads import clifford_suite
@@ -54,7 +51,7 @@ class TestMetrics:
 
 class TestCloudSimulator:
     def test_every_job_gets_a_record(self, small_cloud_fleet, short_trace):
-        simulator = CloudSimulator(small_cloud_fleet, RandomPolicy(seed=1), CloudSimulationConfig(seed=1))
+        simulator = CloudSimulator(small_cloud_fleet, resolve_policy("random:seed=1"), CloudSimulationConfig(seed=1))
         result = simulator.run(short_trace)
         assert len(result.records) == len(short_trace)
         assert all(record.wait_time >= 0.0 for record in result.records)
@@ -64,38 +61,38 @@ class TestCloudSimulator:
     def test_fidelity_report_modes(self, small_cloud_fleet, short_trace):
         tiny = short_trace[:3]
         none_result = CloudSimulator(
-            small_cloud_fleet, RandomPolicy(seed=2), CloudSimulationConfig(fidelity_report="none", seed=2)
+            small_cloud_fleet, resolve_policy("random:seed=2"), CloudSimulationConfig(fidelity_report="none", seed=2)
         ).run(tiny)
         assert none_result.mean_fidelity() is None
         esp_result = CloudSimulator(
-            small_cloud_fleet, RandomPolicy(seed=2), CloudSimulationConfig(fidelity_report="esp", seed=2)
+            small_cloud_fleet, resolve_policy("random:seed=2"), CloudSimulationConfig(fidelity_report="esp", seed=2)
         ).run(tiny)
         assert 0.0 <= esp_result.mean_fidelity() <= 1.0
         executed = CloudSimulator(
             small_cloud_fleet,
-            RandomPolicy(seed=2),
+            resolve_policy("random:seed=2"),
             CloudSimulationConfig(fidelity_report="execute", execution_shots=128, seed=2),
         ).run(tiny)
         assert all(0.0 <= record.fidelity <= 1.0 for record in executed.records)
 
     def test_fidelity_policy_reports_higher_fidelity_than_random(self, small_cloud_fleet, short_trace):
         config = CloudSimulationConfig(fidelity_report="esp", seed=3)
-        fidelity_result = CloudSimulator(small_cloud_fleet, FidelityPolicy(estimator="esp", seed=3), config).run(short_trace)
-        random_result = CloudSimulator(small_cloud_fleet, RandomPolicy(seed=3), config).run(short_trace)
+        fidelity_result = CloudSimulator(small_cloud_fleet, resolve_policy("fidelity:seed=3"), config).run(short_trace)
+        random_result = CloudSimulator(small_cloud_fleet, resolve_policy("random:seed=3"), config).run(short_trace)
         assert fidelity_result.mean_fidelity() >= random_result.mean_fidelity()
 
     def test_least_loaded_waits_no_worse_than_single_device_pileup(self, small_cloud_fleet, short_trace):
         config = CloudSimulationConfig(fidelity_report="none", seed=4)
-        least = CloudSimulator(small_cloud_fleet, LeastLoadedPolicy(), config).run(short_trace)
-        pileup = CloudSimulator(small_cloud_fleet, FidelityPolicy(estimator="esp", seed=4), config).run(short_trace)
+        least = CloudSimulator(small_cloud_fleet, resolve_policy("least-loaded"), config).run(short_trace)
+        pileup = CloudSimulator(small_cloud_fleet, resolve_policy("fidelity:seed=4"), config).run(short_trace)
         assert least.mean_wait() <= pileup.mean_wait() + 1e-9
 
     def test_queue_aware_policy_spreads_load_relative_to_pure_fidelity(self, small_cloud_fleet, short_trace):
         config = CloudSimulationConfig(fidelity_report="esp", seed=5)
-        pure = CloudSimulator(small_cloud_fleet, FidelityPolicy(estimator="esp", seed=5), config).run(short_trace)
+        pure = CloudSimulator(small_cloud_fleet, resolve_policy("fidelity:seed=5"), config).run(short_trace)
         aware = CloudSimulator(
             small_cloud_fleet,
-            QueueAwareFidelityPolicy(wait_weight=0.5, wait_scale_s=300.0, estimator="esp", seed=5),
+            resolve_policy("fidelity:queue_weight=0.5,wait_scale_s=300.0,seed=5"),
             config,
         ).run(short_trace)
         assert len(aware.jobs_per_device()) >= len(pure.jobs_per_device())
@@ -103,7 +100,7 @@ class TestCloudSimulator:
 
     def test_utilisation_is_bounded(self, small_cloud_fleet, short_trace):
         result = CloudSimulator(
-            small_cloud_fleet, LeastLoadedPolicy(), CloudSimulationConfig(fidelity_report="none", seed=6)
+            small_cloud_fleet, resolve_policy("least-loaded"), CloudSimulationConfig(fidelity_report="none", seed=6)
         ).run(short_trace)
         for value in result.device_utilisation().values():
             assert 0.0 <= value <= 1.0
@@ -111,7 +108,7 @@ class TestCloudSimulator:
 
     def test_summary_row_has_all_columns(self, small_cloud_fleet, short_trace):
         result = CloudSimulator(
-            small_cloud_fleet, RandomPolicy(seed=7), CloudSimulationConfig(fidelity_report="none", seed=7)
+            small_cloud_fleet, resolve_policy("random:seed=7"), CloudSimulationConfig(fidelity_report="none", seed=7)
         ).run(short_trace[:5])
         summary = result.summary()
         assert summary["jobs"] == 5
@@ -120,7 +117,7 @@ class TestCloudSimulator:
 
     def test_rejects_empty_fleet_and_bad_config(self):
         with pytest.raises(ClusterError):
-            CloudSimulator([], RandomPolicy(seed=1))
+            CloudSimulator([], resolve_policy("random:seed=1"))
         with pytest.raises(ClusterError):
             CloudSimulationConfig(fidelity_report="maybe")
         with pytest.raises(ClusterError):
@@ -130,7 +127,7 @@ class TestCloudSimulator:
 class TestComparePolicies:
     def test_compare_policies_runs_each_policy_once(self, small_cloud_fleet):
         trace = generate_trace(ArrivalSpec(num_jobs=12, suite=clifford_suite()), seed=21)
-        policies = [RandomPolicy(seed=1), LeastLoadedPolicy(), FidelityPolicy(estimator="esp", seed=1)]
+        policies = [resolve_policy("random:seed=1"), resolve_policy("least-loaded"), resolve_policy("fidelity:seed=1")]
         results = compare_policies(small_cloud_fleet, trace, policies, CloudSimulationConfig(seed=1))
         assert set(results) == {policy.name for policy in policies}
         for result in results.values():
@@ -138,7 +135,7 @@ class TestComparePolicies:
 
     def test_render_policy_comparison_mentions_every_policy(self, small_cloud_fleet):
         trace = generate_trace(ArrivalSpec(num_jobs=6, suite=clifford_suite()), seed=22)
-        policies = [RandomPolicy(seed=2), LeastLoadedPolicy()]
+        policies = [resolve_policy("random:seed=2"), resolve_policy("least-loaded")]
         results = compare_policies(small_cloud_fleet, trace, policies, CloudSimulationConfig(fidelity_report="none", seed=2))
         table = render_policy_comparison(results)
         assert "Cloud policy comparison" in table

@@ -8,8 +8,6 @@ from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.scenarios.arrivals import JobRequest
 from repro.cloud.calibration import CalibrationDriftModel
-from repro.cloud.policies import AllocationContext, FidelityPolicy, LeastLoadedPolicy
-from repro.cloud.queueing import ExecutionTimeModel, build_queues
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.core.cache import (
     CacheStats,
@@ -25,6 +23,7 @@ from repro.core.cache import (
 )
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
+from repro.policies import resolve_policy
 from repro.service import ClusterEngine, JobSpec
 from repro.service.engines import _PlanStore
 
@@ -344,11 +343,12 @@ class TestPlanCache:
 
 class TestAllocationContextEpoch:
     def test_epoch_bump_forces_fidelity_recompute(self):
+        """A cloud session's calibration epoch keys its policy fidelity cache."""
         fleet = three_device_testbed()
-        context = AllocationContext(
-            fleet=fleet, queues=build_queues(fleet), time_model=ExecutionTimeModel()
+        simulator = CloudSimulator(
+            fleet, resolve_policy("fidelity:seed=1"), CloudSimulationConfig(fidelity_report="none")
         )
-        policy = FidelityPolicy(estimator="esp", seed=1)
+        session = simulator.open_session()
         request = JobRequest(
             index=0,
             arrival_time=0.0,
@@ -359,13 +359,13 @@ class TestAllocationContextEpoch:
             shots=128,
             user="u0",
         )
-        policy.estimated_fidelity(request, fleet[0], context)
-        assert len(context.fidelity_cache) == 1
-        context.invalidate_fidelity_cache()
-        policy.estimated_fidelity(request, fleet[0], context)
+        session.route(request, candidates=[fleet[0].name])
+        assert len(session._fidelity_cache) == 1
+        session.notice_calibration_change()
+        session.route(request, candidates=[fleet[0].name])
         # The stale epoch-0 entry is dead; a fresh epoch-1 entry was computed.
-        assert len(context.fidelity_cache) == 2
-        assert {key[2] for key in context.fidelity_cache} == {0, 1}
+        assert len(session._fidelity_cache) == 2
+        assert {key[2] for key in session._fidelity_cache} == {0, 1}
 
 
 class TestCloudExecuteFidelityCache:
@@ -390,7 +390,7 @@ class TestCloudExecuteFidelityCache:
         config = CloudSimulationConfig(
             fidelity_report="execute", execution_shots=64, reuse_fidelity_cache=True, seed=3
         )
-        simulator = CloudSimulator(fleet, LeastLoadedPolicy(), config=config)
+        simulator = CloudSimulator(fleet, resolve_policy("least-loaded"), config=config)
         result = simulator.run(self._trace(6))
         fidelities = {record.device: record.fidelity for record in result.records}
         for record in result.records:
@@ -403,6 +403,6 @@ class TestCloudExecuteFidelityCache:
         config = CloudSimulationConfig(
             fidelity_report="execute", execution_shots=64, reuse_fidelity_cache=False, seed=3
         )
-        simulator = CloudSimulator(fleet, LeastLoadedPolicy(), config=config)
+        simulator = CloudSimulator(fleet, resolve_policy("least-loaded"), config=config)
         simulator.run(self._trace(4))
         assert len(simulator._execute_fidelity_cache) == 0

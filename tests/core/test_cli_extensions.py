@@ -28,7 +28,7 @@ class TestExtensionCommands:
         output = capsys.readouterr().out
         assert code == 0
         assert "Cloud policy comparison" in output
-        assert "QueueAwareFidelityPolicy" in output
+        assert "fidelity[esp, queue_weight=0.3]" in output
 
     def test_calibration_drift_quick(self, capsys):
         code = main(["--seed", "9", "extension", "calibration-drift", "--scale", "quick", "--cycles", "3"])

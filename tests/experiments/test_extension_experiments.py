@@ -58,20 +58,17 @@ class TestCloudPolicyComparison:
         assert result.num_devices == 4
 
     def test_fidelity_policy_maximises_reported_fidelity(self, result):
-        by_policy = {row.policy: row for row in result.rows}
-        fidelity_rows = [row for name, row in by_policy.items() if name.startswith("FidelityPolicy")]
-        assert fidelity_rows
         best_fidelity = max(row.mean_fidelity for row in result.rows)
-        assert fidelity_rows[0].mean_fidelity == pytest.approx(best_fidelity, abs=1e-9)
+        assert result.row("fidelity[esp]").mean_fidelity == pytest.approx(best_fidelity, abs=1e-9)
 
     def test_least_loaded_minimises_mean_wait(self, result):
-        least = result.row("LeastLoadedPolicy")
-        pure_fidelity = result.row("FidelityPolicy")
+        least = result.row("least-loaded")
+        pure_fidelity = result.row("fidelity[esp]")
         assert least.mean_wait_s <= pure_fidelity.mean_wait_s + 1e-9
 
     def test_queue_aware_spreads_load_better_than_pure_fidelity(self, result):
-        aware = result.row("QueueAwareFidelityPolicy")
-        pure = result.row("FidelityPolicy")
+        aware = result.row("fidelity[esp, queue_weight=0.3]")
+        pure = result.row("fidelity[esp]")
         assert aware.busiest_device_share <= pure.busiest_device_share + 1e-9
         assert aware.mean_wait_s <= pure.mean_wait_s + 1e-9
 

@@ -11,10 +11,10 @@ from repro.cloud import (
     CalibrationDriftModel,
     CloudSimulationConfig,
     CloudSimulator,
-    QueueAwareFidelityPolicy,
     generate_trace,
 )
 from repro.core import QRIO, DeviceSpec
+from repro.policies import resolve_policy
 from repro.workloads import clifford_suite
 
 
@@ -83,8 +83,8 @@ class TestCloudSimulationOnDriftedFleet:
             seed=21,
         )
         config = CloudSimulationConfig(fidelity_report="esp", seed=21)
-        before = CloudSimulator(fleet, QueueAwareFidelityPolicy(estimator="esp", seed=21), config).run(trace)
-        after = CloudSimulator(drifted, QueueAwareFidelityPolicy(estimator="esp", seed=21), config).run(trace)
+        before = CloudSimulator(fleet, resolve_policy("fidelity:queue_weight=0.3,seed=21"), config).run(trace)
+        after = CloudSimulator(drifted, resolve_policy("fidelity:queue_weight=0.3,seed=21"), config).run(trace)
         assert len(before.records) == len(after.records) == 12
         assert 0.0 <= before.mean_fidelity() <= 1.0
         assert 0.0 <= after.mean_fidelity() <= 1.0

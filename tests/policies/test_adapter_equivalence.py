@@ -1,44 +1,30 @@
-"""Adapter equivalence: every legacy policy vs its unified port, pinned.
+"""Golden routing of the cloud-facing registry policies, plus score parity.
 
-The regression contract of the policy redesign: porting the five cloud
-allocation policies, both meta-server ranking strategies and the cluster
-filter/score plugins onto :class:`~repro.policies.PlacementPolicy` changed
-*nothing* about routing — identical feasibility sets, identical RNG
-consumption, identical tie-breaking, identical scores.
+The cloud simulator runs :class:`~repro.policies.PlacementPolicy` objects
+directly.  These pins hold the routing it produced before that change: the
+device and wait of every job of a 20-job trace under each of the five
+cloud policy specs, and every number of the ``cloud-policies`` experiment
+(60 jobs, 8 devices, default seed).  A changed feasibility set, RNG draw or
+tie-break moves at least one of them.  The meta-server ranking strategies
+are still checked score-for-score against their registry ports.
 """
 
 import pytest
 
 from repro.backends import generate_fleet, three_device_testbed
+from repro.backends.fleet import generate_device
 from repro.circuits import bernstein_vazirani, ghz
-from repro.scenarios.arrivals import JobRequest
-from repro.cloud.policies import (
-    FidelityPolicy,
-    LeastLoadedPolicy,
-    QueueAwareFidelityPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-)
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.cluster.registry import ClusterState
-from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, ResourceRequest
-from repro.core.meta_server import MetaServer
-from repro.core.scheduler import MetaServerScorePlugin, QRIOScheduler, default_filter_plugins
 from repro.core.strategies import FidelityRankingStrategy, TopologyRankingStrategy
-from repro.core.visualizer import MetaServerPayload, TopologyCanvas
-from repro.policies import (
-    PlacementContext,
-    PluginPolicyAdapter,
-    RankingStrategyAdapter,
-    as_allocation_policy,
-    resolve_policy,
-)
+from repro.core.visualizer import TopologyCanvas
+from repro.experiments.cloud_policies import run_cloud_policy_comparison
+from repro.policies import PlacementContext, resolve_policy
 from repro.policies.builtin import ThresholdFidelityPolicy, TopologyPlacementPolicy
-from repro.qasm import dump_qasm
+from repro.scenarios.arrivals import JobRequest
 
 
 def twenty_job_trace():
-    """The pinned 20-job trace every cloud-policy pair must route identically."""
+    """The pinned 20-job trace every cloud policy spec must route as recorded."""
     circuits = [ghz(4), bernstein_vazirani("101"), ghz(5), ghz(3)]
     return [
         JobRequest(
@@ -55,36 +41,159 @@ def twenty_job_trace():
     ]
 
 
-#: (legacy policy factory, registry spec of the ported version)
-CLOUD_POLICY_PAIRS = [
-    (lambda: RandomPolicy(seed=11), "random:seed=11"),
-    (lambda: RoundRobinPolicy(), "round-robin"),
-    (lambda: LeastLoadedPolicy(), "least-loaded"),
-    (lambda: FidelityPolicy(seed=5), "fidelity:seed=5"),
-    (lambda: QueueAwareFidelityPolicy(seed=5), "fidelity:queue_weight=0.3,seed=5"),
-]
+#: Registry spec -> (device per job, wait per job) on ``twenty_job_trace()``
+#: over ``generate_fleet(limit=6, seed=3)``.
+GOLDEN_ROUTING = {
+    "random:seed=11": (
+        [
+            "sim_q20_c10", "sim_q20_c10", "sim_q5_c10", "sim_q35_c10", "sim_q50_c10",
+            "sim_q50_c10", "sim_q5_c10", "sim_q20_c10", "sim_q35_c10", "sim_q20_c10",
+            "sim_q35_c10", "sim_q60_c10", "sim_q50_c10", "sim_q20_c10", "sim_q50_c10",
+            "sim_q20_c10", "sim_q5_c10", "sim_q60_c10", "sim_q60_c10", "sim_q50_c10",
+        ],
+        [
+            0.0, 38.000541456, 0.0, 0.0, 0.0, 53.00050368, 24.500623392, 66.001051264,
+            37.50046528, 102.00155144, 81.00096896, 0.0, 94.00097792, 134.002061248,
+            145.0014816, 170.002571056, 37.001246784, 48.00046528, 106.00093952, 190.00202368,
+        ],
+    ),
+    "round-robin": (
+        [
+            "sim_q20_c10", "sim_q27_c10", "sim_q35_c10", "sim_q50_c10", "sim_q5_c10",
+            "sim_q60_c10", "sim_q20_c10", "sim_q27_c10", "sim_q35_c10", "sim_q50_c10",
+            "sim_q5_c10", "sim_q60_c10", "sim_q20_c10", "sim_q27_c10", "sim_q35_c10",
+            "sim_q50_c10", "sim_q5_c10", "sim_q60_c10", "sim_q20_c10", "sim_q27_c10",
+        ],
+        [
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 28.000541456, 31.500474240000003, 35.50054208,
+            43.00046528, 20.500579232, 48.00047424, 56.00112419199999, 63.00093952,
+            71.00104576000001, 86.00093952, 41.001202624, 96.00093952, 84.001665648,
+            94.50141375999999,
+        ],
+    ),
+    "least-loaded": (
+        [
+            "sim_q20_c10", "sim_q27_c10", "sim_q35_c10", "sim_q50_c10", "sim_q5_c10",
+            "sim_q60_c10", "sim_q20_c10", "sim_q5_c10", "sim_q27_c10", "sim_q35_c10",
+            "sim_q50_c10", "sim_q60_c10", "sim_q5_c10", "sim_q20_c10", "sim_q27_c10",
+            "sim_q35_c10", "sim_q5_c10", "sim_q50_c10", "sim_q20_c10", "sim_q60_c10",
+        ],
+        [
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 28.000541456, 26.500579232, 29.500474240000003,
+            33.50054208, 41.00046528, 48.00047424, 49.001114304, 54.00112419199999,
+            61.00097792, 69.00101632, 73.501693536, 82.00100736, 84.001634, 92.00093952,
+        ],
+    ),
+    "fidelity:seed=5": (
+        [
+            "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10",
+            "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10",
+            "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10",
+            "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10",
+        ],
+        [
+            0.0, 41.50050368, 83.00097792, 124.50152, 166.00198527999999, 207.50248896,
+            249.0029632, 290.50350528, 332.00397056, 373.50447424000004, 415.00494848000005,
+            456.50549056000006, 498.00595584000007, 539.50645952, 581.00693376,
+            622.5074758400001, 664.00794112, 705.5084448, 747.00891904, 788.50946112,
+        ],
+    ),
+    "fidelity:queue_weight=0.3,seed=5": (
+        [
+            "sim_q27_c10", "sim_q27_c10", "sim_q60_c10", "sim_q27_c10", "sim_q27_c10",
+            "sim_q27_c10", "sim_q60_c10", "sim_q27_c10", "sim_q27_c10", "sim_q27_c10",
+            "sim_q60_c10", "sim_q60_c10", "sim_q27_c10", "sim_q27_c10", "sim_q60_c10",
+            "sim_q60_c10", "sim_q27_c10", "sim_q27_c10", "sim_q35_c10", "sim_q60_c10",
+        ],
+        [
+            0.0, 41.50050368, 0.0, 81.00097792, 122.50144319999998, 164.00194688, 52.00054208,
+            203.50242112, 245.00288640000002, 286.50339008000003, 104.00108416, 162.00162624,
+            324.00386432000005, 365.50436800000006, 216.00209152000002, 274.0026336,
+            403.0048422400001, 444.5053459200001, 0.0, 326.00309888000004,
+        ],
+    ),
+}
+
+
+#: Every numeric field of every ``run_cloud_policy_comparison()`` row.
+GOLDEN_ROWS = {
+    "random": {
+        "mean_wait_s": 21.21369031302991,
+        "p95_wait_s": 109.97832965123484,
+        "mean_fidelity": 0.03359357617826968,
+        "fairness": 0.7093712829882605,
+        "makespan_s": 639.1180176080017,
+        "busiest_device_share": 0.2,
+    },
+    "round-robin": {
+        "mean_wait_s": 0.003632402099465063,
+        "p95_wait_s": 0.0,
+        "mean_fidelity": 0.02739658147154542,
+        "fairness": 0.9999650428632056,
+        "makespan_s": 616.2038326746322,
+        "busiest_device_share": 0.13333333333333333,
+    },
+    "least-loaded": {
+        "mean_wait_s": 0.003632402099465063,
+        "p95_wait_s": 0.0,
+        "mean_fidelity": 0.027295035175550302,
+        "fairness": 0.9999650428632056,
+        "makespan_s": 613.7038326746322,
+        "busiest_device_share": 0.21666666666666667,
+    },
+    "fidelity[esp]": {
+        "mean_wait_s": 371.646199977025,
+        "p95_wait_s": 979.7979801090257,
+        "mean_fidelity": 0.06550530012162528,
+        "fairness": 0.8688825109521185,
+        "makespan_s": 1639.6413391962244,
+        "busiest_device_share": 0.7166666666666667,
+    },
+    "fidelity[esp, queue_weight=0.3]": {
+        "mean_wait_s": 25.349462498065524,
+        "p95_wait_s": 124.64064998793117,
+        "mean_fidelity": 0.062289753672551317,
+        "fairness": 0.8865071649452592,
+        "makespan_s": 735.0439852637404,
+        "busiest_device_share": 0.3,
+    },
+}
+
+
+#: The five cloud policy specs, in roster order.
+PINNED_SPECS = list(GOLDEN_ROUTING)
 
 
 class TestCloudPolicyEquivalence:
-    @pytest.mark.parametrize(
-        "legacy_factory, spec", CLOUD_POLICY_PAIRS, ids=[s for _, s in CLOUD_POLICY_PAIRS]
-    )
-    def test_ported_policy_routes_identically(self, legacy_factory, spec):
+    @pytest.mark.parametrize("spec", PINNED_SPECS)
+    def test_ported_policy_routes_identically(self, spec):
         fleet = generate_fleet(limit=6, seed=3)
-        trace = twenty_job_trace()
         config = CloudSimulationConfig(fidelity_report="none", seed=7)
-        legacy = CloudSimulator(fleet, legacy_factory(), config=config).run(trace)
-        ported = CloudSimulator(
-            fleet, as_allocation_policy(resolve_policy(spec)), config=config
-        ).run(trace)
-        assert [r.device for r in legacy.records] == [r.device for r in ported.records]
-        assert [r.wait_time for r in legacy.records] == [r.wait_time for r in ported.records]
+        result = CloudSimulator(fleet, resolve_policy(spec), config=config).run(twenty_job_trace())
+        devices, waits = GOLDEN_ROUTING[spec]
+        assert [record.device for record in result.records] == devices
+        assert [record.wait_time for record in result.records] == pytest.approx(waits, rel=1e-12, abs=1e-12)
 
-    def test_adapter_unwraps_instead_of_stacking(self):
-        from repro.policies import AllocationPolicyAdapter
+    def test_cloud_policy_rows_match_the_pinned_numbers(self):
+        rows = {row.policy: row.as_dict() for row in run_cloud_policy_comparison().rows}
+        assert list(rows) == list(GOLDEN_ROWS)
+        for policy, expected in GOLDEN_ROWS.items():
+            actual = {key: value for key, value in rows[policy].items() if key != "policy"}
+            assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12), policy
 
-        legacy = LeastLoadedPolicy()
-        assert as_allocation_policy(AllocationPolicyAdapter(legacy)) is legacy
+    @pytest.mark.parametrize(
+        "spec, devices",
+        [
+            ("fidelity:seed=5", ["twin_b"] * 20),
+            ("fidelity:queue_weight=0.3,seed=5", ["twin_b", "twin_a"] * 10),
+        ],
+    )
+    def test_fidelity_ties_break_toward_the_largest_name(self, spec, devices):
+        # Two devices with identical calibration tie on every fidelity score.
+        twins = [generate_device(6, 0.5, seed=1, name=name) for name in ("twin_a", "twin_b")]
+        config = CloudSimulationConfig(fidelity_report="none", seed=7)
+        result = CloudSimulator(twins, resolve_policy(spec), config=config).run(twenty_job_trace())
+        assert [record.device for record in result.records] == devices
 
 
 class TestRankingStrategyEquivalence:
@@ -98,14 +207,13 @@ class TestRankingStrategyEquivalence:
             assert strategy.score(backend) == pytest.approx(ported.score(ctx, backend))
 
     def test_fidelity_strategy_adapter_picks_the_ranking_winner(self):
+        """The strategy's registry port decides the strategy's own argmin."""
         fleet = three_device_testbed()
         circuit = ghz(3)
         strategy = FidelityRankingStrategy(circuit, fidelity_threshold=0.9, shots=128, seed=13)
         expected = min(fleet, key=lambda backend: (strategy.score(backend), backend.name))
-        adapted = RankingStrategyAdapter(
-            FidelityRankingStrategy(circuit, fidelity_threshold=0.9, shots=128, seed=13)
-        )
-        decision = adapted.decide(PlacementContext(fleet=fleet, circuit=circuit))
+        policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
+        decision = policy.decide(PlacementContext(fleet=fleet, circuit=circuit, fidelity_threshold=0.9))
         assert decision.device == expected.name
 
     def test_topology_strategy_scores_match(self):
@@ -128,69 +236,3 @@ class TestRankingStrategyEquivalence:
             else:
                 assert feasible
                 assert ported.score(ctx, backend) == pytest.approx(legacy_score)
-
-
-class TestClusterPluginEquivalence:
-    def _cluster_fixture(self):
-        fleet = three_device_testbed()
-        cluster = ClusterState(name="adapter-test")
-        meta = MetaServer(canary_shots=128, seed=17)
-        for backend in fleet:
-            cluster.register_backend(backend)
-            meta.register_backend(backend)
-        circuit = ghz(3)
-        spec = ClusterJobSpec(
-            name="plugin-job",
-            image="test/plugin-job",
-            circuit_qasm=dump_qasm(circuit),
-            resources=ResourceRequest(qubits=3, cpu_millicores=500, memory_mb=512),
-            constraints=DeviceConstraints(),
-            strategy="fidelity",
-            shots=64,
-        )
-        meta.upload_job_metadata(
-            MetaServerPayload(
-                job_name="plugin-job",
-                strategy="fidelity",
-                fidelity_threshold=0.9,
-                circuit_qasm=dump_qasm(circuit),
-            )
-        )
-        job = cluster.submit_job(spec)
-        return fleet, cluster, meta, job, circuit
-
-    def test_plugin_adapter_matches_framework_decision(self):
-        fleet, cluster, meta, job, circuit = self._cluster_fixture()
-        framework = QRIOScheduler(cluster, meta)
-        framework_decision = framework.schedule(job, bind=False)
-
-        adapter = PluginPolicyAdapter(
-            filter_plugins=default_filter_plugins(),
-            score_plugins=[MetaServerScorePlugin(meta)],
-        )
-        nodes = {node.backend.name: node for node in cluster.nodes()}
-        ctx = PlacementContext(
-            fleet=[node.backend for node in nodes.values()],
-            circuit=circuit,
-            job_name=job.name,
-            native={"job": job, "nodes": nodes},
-        )
-        decision = adapter.decide(ctx)
-
-        chosen_backend = cluster.node(framework_decision.node_name).backend.name
-        assert decision.device == chosen_backend
-        assert decision.score == pytest.approx(framework_decision.score)
-        framework_scores = {
-            cluster.node(name).backend.name: score
-            for name, score in framework_decision.scores.items()
-        }
-        assert decision.scores == pytest.approx(framework_scores)
-
-    def test_plugin_adapter_requires_native_objects(self):
-        from repro.utils.exceptions import SchedulingError
-
-        fleet = three_device_testbed()
-        adapter = PluginPolicyAdapter(score_plugins=[])
-        ctx = PlacementContext(fleet=fleet, circuit=ghz(3))
-        with pytest.raises(SchedulingError, match="native"):
-            adapter.score(ctx, fleet[0])

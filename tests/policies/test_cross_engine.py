@@ -4,8 +4,8 @@ The unified-API contract of the redesign: a policy addressed by registry
 name (or passed as an instance) routes a job through
 :meth:`~repro.service.QRIOService.submit` under the orchestrator, cluster
 and cloud engines with consistent, explainable
-:class:`~repro.policies.PlacementDecision`\\ s — and the legacy entry points
-keep working untouched.
+:class:`~repro.policies.PlacementDecision`\\ s — and each engine's native
+path keeps working when no policy is named.
 """
 
 import pytest
@@ -13,7 +13,13 @@ import pytest
 from repro.backends import generate_fleet
 from repro.circuits import ghz
 from repro.cloud.simulation import CloudSimulationConfig
-from repro.policies import PlacementDecision, PlacementPolicy, Pipeline, resolve_policy
+from repro.policies import (
+    PlacementDecision,
+    PlacementPolicy,
+    Pipeline,
+    RoundRobinPlacementPolicy,
+    resolve_policy,
+)
 from repro.service import (
     CloudEngine,
     ClusterEngine,
@@ -168,11 +174,10 @@ class TestLegacyPathsUntouched:
             assert result.device is not None
 
     def test_cloud_engine_still_accepts_legacy_allocation_policies(self):
-        from repro.cloud.policies import RoundRobinPolicy
-
+        """The cloud layer's former allocation policies now come as registry instances."""
         fleet = generate_fleet(limit=4, seed=3)
         engine = CloudEngine(
-            policy=RoundRobinPolicy(),
+            policy=RoundRobinPlacementPolicy(),
             config=CloudSimulationConfig(fidelity_report="none", seed=7),
         )
         service = QRIOService(fleet, engine)

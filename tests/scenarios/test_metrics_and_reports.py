@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import ghz
-from repro.cloud.policies import LeastLoadedPolicy
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
+from repro.policies import resolve_policy
 from repro.scenarios import (
     PoissonProcess,
     generate_requests,
@@ -43,7 +43,7 @@ class TestCloudSummaryPercentiles:
             PoissonProcess(rate_per_hour=240.0), num_jobs=8, suite=clifford_suite(), seed=9, shots=64
         )
         result = CloudSimulator(
-            testbed_devices, LeastLoadedPolicy(), config=CloudSimulationConfig(fidelity_report="none")
+            testbed_devices, resolve_policy("least-loaded"), config=CloudSimulationConfig(fidelity_report="none")
         ).run(requests)
         summary = result.summary()
         assert {"p50_wait_s", "p95_wait_s", "p99_wait_s", "makespan_s"} <= set(summary)

@@ -75,11 +75,11 @@ class TestCloudReplaySemantics:
 
     def test_matches_direct_simulator_routing(self, testbed_devices, replay_trace):
         """Scenario replay is routing-neutral vs the bare discrete-event run."""
-        from repro.cloud.policies import LeastLoadedPolicy
+        from repro.policies import resolve_policy
         from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 
         direct = CloudSimulator(
-            testbed_devices, LeastLoadedPolicy(), config=CloudSimulationConfig(fidelity_report="none")
+            testbed_devices, resolve_policy("least-loaded"), config=CloudSimulationConfig(fidelity_report="none")
         ).run(list(replay_trace.jobs))
         report = _runner(testbed_devices, "cloud").replay(replay_trace)
         assert [record.device for record in direct.records] == [

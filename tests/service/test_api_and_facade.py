@@ -6,8 +6,8 @@ from repro import QRIO, JobRequirements, JobSpec, QRIOService
 from repro.backends import three_device_testbed
 from repro.circuits import ghz
 from repro.scenarios.arrivals import JobRequest
-from repro.cloud.policies import LeastLoadedPolicy
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
+from repro.policies import resolve_policy
 from repro.service import JobState
 from repro.utils.exceptions import CloudError, ClusterError, ServiceError
 
@@ -201,8 +201,8 @@ class TestCloudSessionAndErrors:
         fleet = three_device_testbed()
         trace = [self._request(index, float(index)) for index in range(6)]
         config = CloudSimulationConfig(fidelity_report="esp", seed=3)
-        run_result = CloudSimulator(fleet, LeastLoadedPolicy(), config=config).run(trace)
-        session = CloudSimulator(fleet, LeastLoadedPolicy(), config=config).open_session()
+        run_result = CloudSimulator(fleet, resolve_policy("least-loaded"), config=config).run(trace)
+        session = CloudSimulator(fleet, resolve_policy("least-loaded"), config=config).open_session()
         for request in trace:
             session.submit(request)
         incremental = session.result()
@@ -210,7 +210,7 @@ class TestCloudSessionAndErrors:
         assert incremental.mean_wait() == run_result.mean_wait()
 
     def test_session_rejects_out_of_order_arrivals(self):
-        session = CloudSimulator(three_device_testbed(), LeastLoadedPolicy()).open_session()
+        session = CloudSimulator(three_device_testbed(), resolve_policy("least-loaded")).open_session()
         session.submit(self._request(0, 10.0))
         with pytest.raises(CloudError):
             session.submit(self._request(1, 5.0))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
-from repro.cloud.policies import FidelityPolicy, RoundRobinPolicy
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.service import (
     CloudEngine,
@@ -21,7 +20,7 @@ def _engines():
     return [
         OrchestratorEngine(seed=13, canary_shots=64),
         ClusterEngine(seed=13, canary_shots=64),
-        CloudEngine(policy=FidelityPolicy(seed=13)),
+        CloudEngine(policy="fidelity:seed=13"),
     ]
 
 
@@ -123,7 +122,7 @@ class TestOutcomeWidth:
 
 class TestCloudEngine:
     def test_reports_fidelity_and_queueing_detail_instead_of_counts(self):
-        service = QRIOService(three_device_testbed(), CloudEngine(policy=FidelityPolicy(seed=13)))
+        service = QRIOService(three_device_testbed(), CloudEngine(policy="fidelity:seed=13"))
         result = service.submit(ghz(3), 0.8, shots=64).result()
         assert result.counts == {}
         assert result.fidelity is not None and 0.0 <= result.fidelity <= 1.0
@@ -131,7 +130,7 @@ class TestCloudEngine:
         assert "turnaround_time_s" in result.detail
 
     def test_arrivals_accumulate_in_the_simulation_session(self):
-        engine = CloudEngine(policy=RoundRobinPolicy(), inter_arrival_s=10.0)
+        engine = CloudEngine(policy="round-robin", inter_arrival_s=10.0)
         service = QRIOService(three_device_testbed(), engine)
         for index in range(4):
             service.submit(ghz(3), 0.8, shots=32).result()
@@ -166,7 +165,7 @@ class TestCloudEngine:
         threshold = sorted(errors.values())[len(errors) // 2]
         feasible = {name for name, error in errors.items() if error <= threshold}
         assert feasible and feasible != set(errors)  # the bound really splits the fleet
-        service = QRIOService(fleet, CloudEngine(policy=RoundRobinPolicy()))
+        service = QRIOService(fleet, CloudEngine(policy="round-robin"))
         requirements = JobRequirements(fidelity_threshold=0.5, max_avg_two_qubit_error=threshold)
         for _ in range(4):
             result = service.submit(ghz(3), requirements, shots=32).result()

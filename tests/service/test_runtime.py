@@ -26,7 +26,6 @@ from repro.service import (
     QRIOService,
     ServiceOverloadedError,
 )
-from repro.cloud.policies import RoundRobinPolicy
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.utils.exceptions import JobNotCompletedError, ServiceError
 
@@ -449,7 +448,7 @@ class TestRealEngines:
     def test_cloud_engine_with_latency_overlaps_devices(self):
         engine = DeviceLatencyEngine(
             CloudEngine(
-                policy=RoundRobinPolicy(),
+                policy="round-robin",
                 config=CloudSimulationConfig(fidelity_report="none", seed=7),
             ),
             latency_s=0.02,
@@ -468,11 +467,9 @@ class TestRealEngines:
         # arrival order inside the serialized MATCHING stage, so a
         # load-aware policy must route a concurrent run exactly like the
         # synchronous one (concurrency changes when jobs run, never where).
-        from repro.cloud.policies import LeastLoadedPolicy
-
         def routed(workers):
             engine = CloudEngine(
-                policy=LeastLoadedPolicy(),
+                policy="least-loaded",
                 config=CloudSimulationConfig(fidelity_report="none", seed=5),
                 inter_arrival_s=0.5,
             )
