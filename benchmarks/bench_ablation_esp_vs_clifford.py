@@ -11,22 +11,15 @@ error structure matters more than raw gate counts).
 
 from __future__ import annotations
 
-from repro.core.strategies import FidelityRankingStrategy, INFEASIBLE_SCORE
 from repro.fidelity import ESPEstimator, achieved_fidelity
+from repro.policies import PlacementContext, ThresholdFidelityPolicy
 from repro.utils.rng import derive_seed
 from repro.workloads import evaluation_workloads
 
 
 def _canary_pick(circuit, fleet, shots, seed):
-    strategy = FidelityRankingStrategy(circuit, fidelity_threshold=1.0, shots=shots, seed=seed)
-    scores = {}
-    for backend in fleet:
-        if backend.num_qubits < circuit.num_qubits:
-            continue
-        value = strategy.score(backend)
-        if value != INFEASIBLE_SCORE:
-            scores[backend.name] = value
-    return min(scores, key=lambda name: (scores[name], name))
+    policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=shots, seed=seed)
+    return policy.decide(PlacementContext(fleet=fleet, circuit=circuit, fidelity_threshold=1.0)).device
 
 
 def _esp_pick(circuit, fleet, seed):

@@ -15,8 +15,8 @@ import pytest
 from repro.circuits import ghz
 from repro.cluster import ClusterState, DeviceConstraints, JobSpec, ResourceRequest
 from repro.core import MetaServer, QRIOScheduler
-from repro.core.strategies import TopologyRankingStrategy
 from repro.core.visualizer import MetaServerPayload
+from repro.policies import PlacementContext, TopologyPlacementPolicy
 from repro.qasm import dump_qasm
 from repro.workloads import default_topology
 
@@ -55,9 +55,15 @@ def test_overhead_filtering_stage(benchmark, scheduling_setup):
 def test_overhead_topology_scoring_single_device(benchmark, bench_fleet, bench_config):
     """Time one Mapomatic-style scoring call (one device, one topology request)."""
     topology = default_topology("heavy_square")
-    strategy = TopologyRankingStrategy(topology.topology_circuit(), seed=bench_config.seed)
+    ctx = PlacementContext(
+        fleet=bench_fleet,
+        strategy="topology",
+        topology_edges=topology.edges,
+        required_qubits=topology.num_qubits,
+    )
     device = max(bench_fleet, key=lambda backend: backend.num_qubits)
-    score = benchmark(strategy.score, device)
+    # A fresh policy per call: one policy memoizes its matches per device.
+    score = benchmark(lambda: TopologyPlacementPolicy(seed=bench_config.seed).score(ctx, device))
     print(f"\nScore of '{device.name}' for the heavy-square request: {score:.3f}")
     assert score >= 0.0
 

@@ -1,4 +1,8 @@
-"""QRIO core: the orchestrator, its servers, scheduler, strategies and baselines."""
+"""QRIO core: the orchestrator, its servers, scheduler and baselines.
+
+The meta server ranks devices through the registry placement policies of
+:mod:`repro.policies`; this package holds no ranking code of its own.
+"""
 
 from repro.core.baselines import OracleScheduler, OracleScorePlugin, RandomScheduler, RandomScorePlugin
 from repro.core.cache import (
@@ -26,12 +30,6 @@ from repro.core.scheduler import (
     QubitCountFilter,
     default_filter_plugins,
 )
-from repro.core.strategies import (
-    INFEASIBLE_SCORE,
-    FidelityRankingStrategy,
-    RankingStrategy,
-    TopologyRankingStrategy,
-)
 from repro.core.vendor import DeviceSpec, VendorConsole
 from repro.core.visualizer import (
     JobSubmission,
@@ -43,7 +41,6 @@ from repro.core.visualizer import (
 )
 
 __all__ = [
-    "INFEASIBLE_SCORE",
     "CacheStats",
     "ClassicalResourceFilter",
     "LRUCache",
@@ -58,7 +55,6 @@ __all__ = [
     "structural_circuit_hash",
     "DeviceCharacteristicsFilter",
     "DeviceSpec",
-    "FidelityRankingStrategy",
     "JobMetadata",
     "JobOutcome",
     "JobSubmission",
@@ -76,10 +72,8 @@ __all__ = [
     "QubitCountFilter",
     "RandomScheduler",
     "RandomScorePlugin",
-    "RankingStrategy",
     "SubmittedJob",
     "TopologyCanvas",
-    "TopologyRankingStrategy",
     "UserRequirements",
     "VendorConsole",
     "default_filter_plugins",

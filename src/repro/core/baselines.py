@@ -22,8 +22,8 @@ from repro.cluster.job import Job
 from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.scheduler import default_filter_plugins
-from repro.core.strategies import INFEASIBLE_SCORE, SURPLUS_WEIGHT
 from repro.fidelity.canary import achieved_fidelity
+from repro.policies import INFEASIBLE_SCORE, SURPLUS_WEIGHT
 from repro.qasm.parser import parse_qasm
 from repro.utils.rng import SeedLike, derive_seed, ensure_generator
 

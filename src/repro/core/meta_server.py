@@ -4,26 +4,33 @@ Section 3.4: the meta server "is primarily responsible for storing metadata
 for a job and responding to score requests for the job".  It keeps a copy of
 every vendor backend file, receives the per-job metadata of Table 1 from the
 visualizer (fidelity threshold + original circuit, or the topology circuit),
-and answers ``score(job, device)`` requests by dispatching to the fidelity or
-topology ranking strategy.
+and answers ``score(job, device)`` requests through the job's registry
+placement policy: :class:`~repro.policies.ThresholdFidelityPolicy` (Clifford
+canaries, Section 3.4.1) for a fidelity job, or
+:class:`~repro.policies.TopologyPlacementPolicy` (Mapomatic-style embedding
+cost, Section 3.4.2) for a topology job.  Lower scores are better; a device
+the policy filters out scores :data:`~repro.policies.INFEASIBLE_SCORE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.strategies import (
-    FidelityRankingStrategy,
-    RankingStrategy,
-    TopologyRankingStrategy,
-)
 from repro.core.visualizer import MetaServerPayload
+from repro.policies import (
+    INFEASIBLE_SCORE,
+    PlacementContext,
+    PlacementPolicy,
+    ThresholdFidelityPolicy,
+    TopologyPlacementPolicy,
+)
 from repro.qasm.parser import parse_qasm
 from repro.utils.exceptions import MetaServerError
 from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.validation import require_probability
 
 
 @dataclass
@@ -53,7 +60,9 @@ class MetaServer:
     def __init__(self, canary_shots: int = 512, seed: SeedLike = None) -> None:
         self._backends: Dict[str, Backend] = {}
         self._jobs: Dict[str, JobMetadata] = {}
-        self._strategies: Dict[str, RankingStrategy] = {}
+        #: Per-job ranking: the registry policy plus the placement context
+        #: built from the job's metadata.
+        self._rankings: Dict[str, Tuple[PlacementPolicy, PlacementContext]] = {}
         self._canary_shots = canary_shots
         self._seed = seed
         #: Cache of (job, device) scores; scores are deterministic per seed so
@@ -85,14 +94,24 @@ class MetaServer:
         are dropped so subsequent scheduler queries re-score the device.
         """
         self._backends[backend.name] = backend
-        for cache in self._score_cache.values():
-            cache.pop(backend.name, None)
+        self._forget_scores(backend.name)
 
     def remove_backend(self, name: str) -> None:
         """Forget a vendor backend (device decommissioned) and its cached scores."""
         self._backends.pop(name, None)
+        self._forget_scores(name)
+
+    def _forget_scores(self, device_name: str) -> None:
+        """Drop a device's cached scores and advance every job's calibration epoch.
+
+        The epoch is part of the policies' own fidelity/embedding cache keys,
+        so the next score of ``device_name`` is estimated afresh; other
+        devices keep their cached scores.
+        """
         for cache in self._score_cache.values():
-            cache.pop(name, None)
+            cache.pop(device_name, None)
+        for _, ctx in self._rankings.values():
+            ctx.calibration_epoch += 1
 
     def backend_names(self) -> List[str]:
         """Names of all stored backends."""
@@ -108,6 +127,7 @@ class MetaServer:
                 raise MetaServerError(
                     "A fidelity submission must include the fidelity number and the circuit QASM"
                 )
+            require_probability(payload.fidelity_threshold, "fidelity_threshold")
             metadata = JobMetadata(
                 job_name=payload.job_name,
                 strategy="fidelity",
@@ -122,10 +142,12 @@ class MetaServer:
                 strategy="topology",
                 topology_circuit=parse_qasm(payload.topology_qasm, name=f"{payload.job_name}_topology"),
             )
+            if metadata.topology_circuit.num_two_qubit_gates() == 0:
+                raise MetaServerError("A topology circuit must contain at least one interaction")
         else:
             raise MetaServerError(f"Unknown strategy '{payload.strategy}'")
         self._jobs[payload.job_name] = metadata
-        self._strategies.pop(payload.job_name, None)
+        self._rankings.pop(payload.job_name, None)
         self._score_cache.pop(payload.job_name, None)
         return metadata
 
@@ -142,24 +164,35 @@ class MetaServer:
     # ------------------------------------------------------------------ #
     # Scoring endpoint
     # ------------------------------------------------------------------ #
-    def _strategy_for(self, job_name: str) -> RankingStrategy:
-        if job_name in self._strategies:
-            return self._strategies[job_name]
+    def _ranking_for(self, job_name: str) -> Tuple[PlacementPolicy, PlacementContext]:
+        """The job's registry policy and the placement context of its metadata."""
+        if job_name in self._rankings:
+            return self._rankings[job_name]
         metadata = self.job_metadata(job_name)
         if metadata.strategy == "fidelity":
-            strategy: RankingStrategy = FidelityRankingStrategy(
-                circuit=metadata.circuit,
-                fidelity_threshold=metadata.fidelity_threshold,
-                shots=self._canary_shots,
+            policy: PlacementPolicy = ThresholdFidelityPolicy(
+                estimator="canary",
+                canary_shots=self._canary_shots,
                 seed=derive_seed(self._seed, "meta-fidelity", job_name),
             )
-        else:
-            strategy = TopologyRankingStrategy(
-                topology_circuit=metadata.topology_circuit,
-                seed=derive_seed(self._seed, "meta-topology", job_name),
+            ctx = PlacementContext(
+                fleet=(),
+                circuit=metadata.circuit,
+                job_name=job_name,
+                fidelity_threshold=metadata.fidelity_threshold,
             )
-        self._strategies[job_name] = strategy
-        return strategy
+        else:
+            topology = metadata.topology_circuit
+            policy = TopologyPlacementPolicy(seed=derive_seed(self._seed, "meta-topology", job_name))
+            ctx = PlacementContext(
+                fleet=(),
+                job_name=job_name,
+                strategy="topology",
+                topology_edges=tuple(tuple(inst.qubits) for inst in topology if inst.is_two_qubit_gate),
+                required_qubits=topology.num_qubits,
+            )
+        self._rankings[job_name] = (policy, ctx)
+        return policy, ctx
 
     def score(self, job_name: str, device_name: str) -> float:
         """Score ``device_name`` for ``job_name`` (lower is better).
@@ -171,21 +204,18 @@ class MetaServer:
         if device_name in cache:
             return cache[device_name]
         backend = self.backend(device_name)
-        strategy = self._strategy_for(job_name)
-        value = strategy.score(backend)
+        policy, ctx = self._ranking_for(job_name)
+        feasible, _ = policy.filter(ctx, backend)
+        value = policy.score(ctx, backend) if feasible else INFEASIBLE_SCORE
         cache[device_name] = value
         return value
 
     def scoring_strategy_name(self, job_name: str) -> str:
-        """Which strategy the meta server will use for ``job_name``."""
+        """Which ranking the meta server uses for ``job_name``."""
         return "fidelity" if self.has_fidelity_threshold(job_name) else "topology"
 
-    def strategy(self, job_name: str) -> RankingStrategy:
-        """Expose the concrete strategy object (used by reports and tests)."""
-        return self._strategy_for(job_name)
-
     def clear_job(self, job_name: str) -> None:
-        """Forget a job's metadata, strategy state and cached scores."""
+        """Forget a job's metadata, ranking state and cached scores."""
         self._jobs.pop(job_name, None)
-        self._strategies.pop(job_name, None)
+        self._rankings.pop(job_name, None)
         self._score_cache.pop(job_name, None)

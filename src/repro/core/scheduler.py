@@ -5,19 +5,24 @@ but the two primary stages are — Filtering and Ranking.  In the Filtering
 stage, the scheduler checks which nodes are fit for scheduling ... Following
 the filtering phase, we enter the Ranking phase where each node is given a
 score ... The ranking plugin contacts the QRIO Meta Server for the score of a
-certain job against a particular node."
+certain job against a particular node."  The meta server answers through the
+job's registry placement policy (:mod:`repro.policies`).
+
+:func:`device_bounds_violation` is the one device-characteristics check: the
+filter plugin here and the cloud engine both call it on live calibration
+data, so a calibration swap moves every engine's feasibility set alike.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.backends.properties import BackendProperties
 from repro.cluster.framework import FilterPlugin, SchedulingFramework, ScorePlugin
 from repro.cluster.job import Job
 from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.meta_server import MetaServer
-from repro.core.strategies import INFEASIBLE_SCORE
 
 
 class QubitCountFilter(FilterPlugin):
@@ -59,25 +64,40 @@ class DeviceCharacteristicsFilter(FilterPlugin):
     """
 
     def filter(self, job: Job, node: Node) -> Tuple[bool, str]:
-        constraints = job.spec.constraints
-        labels = node.labels
-        if constraints.max_avg_two_qubit_error is not None:
-            if labels.avg_two_qubit_error > constraints.max_avg_two_qubit_error:
-                return False, (
-                    f"avg two-qubit error {labels.avg_two_qubit_error:.4f} exceeds bound "
-                    f"{constraints.max_avg_two_qubit_error:.4f}"
-                )
-        if constraints.max_avg_readout_error is not None:
-            if labels.avg_readout_error > constraints.max_avg_readout_error:
-                return False, (
-                    f"avg readout error {labels.avg_readout_error:.4f} exceeds bound "
-                    f"{constraints.max_avg_readout_error:.4f}"
-                )
-        if constraints.min_avg_t1 is not None and labels.avg_t1 < constraints.min_avg_t1:
-            return False, f"avg T1 {labels.avg_t1:.0f} below bound {constraints.min_avg_t1:.0f}"
-        if constraints.min_avg_t2 is not None and labels.avg_t2 < constraints.min_avg_t2:
-            return False, f"avg T2 {labels.avg_t2:.0f} below bound {constraints.min_avg_t2:.0f}"
+        violation = device_bounds_violation(node.backend.properties, job.spec.constraints)
+        if violation is not None:
+            return False, violation
         return True, "within requested device characteristics"
+
+
+def device_bounds_violation(properties: BackendProperties, bounds) -> Optional[str]:
+    """Why a device's calibration breaks the requested characteristic bounds.
+
+    ``bounds`` carries the four optional bounds
+    (``max_avg_two_qubit_error``, ``max_avg_readout_error``, ``min_avg_t1``,
+    ``min_avg_t2``), as the cluster's
+    :class:`~repro.cluster.job.DeviceConstraints` and the service's job
+    requirements both do.  ``properties`` is read live, never through node
+    labels, so a calibration jump takes effect on the next check.  Returns
+    ``None`` when every bound holds.
+    """
+    if bounds.max_avg_two_qubit_error is not None:
+        error = properties.average_two_qubit_error()
+        if error > bounds.max_avg_two_qubit_error:
+            return f"avg two-qubit error {error:.4f} exceeds bound {bounds.max_avg_two_qubit_error:.4f}"
+    if bounds.max_avg_readout_error is not None:
+        error = properties.average_readout_error()
+        if error > bounds.max_avg_readout_error:
+            return f"avg readout error {error:.4f} exceeds bound {bounds.max_avg_readout_error:.4f}"
+    if bounds.min_avg_t1 is not None:
+        t1 = properties.average_t1()
+        if t1 < bounds.min_avg_t1:
+            return f"avg T1 {t1:.0f} below bound {bounds.min_avg_t1:.0f}"
+    if bounds.min_avg_t2 is not None:
+        t2 = properties.average_t2()
+        if t2 < bounds.min_avg_t2:
+            return f"avg T2 {t2:.0f} below bound {bounds.min_avg_t2:.0f}"
+    return None
 
 
 class MetaServerScorePlugin(ScorePlugin):

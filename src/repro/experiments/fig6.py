@@ -12,15 +12,15 @@ ring request (almost every device can host a ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.backends.backend import Backend
-from repro.core.strategies import INFEASIBLE_SCORE, TopologyRankingStrategy
 from repro.experiments.config import ExperimentConfig, default_config
+from repro.policies import PlacementContext, RandomPlacementPolicy, TopologyPlacementPolicy
 from repro.utils.exceptions import ReproError
-from repro.utils.rng import derive_seed, ensure_generator
-from repro.workloads.default_topologies import DefaultTopology, default_topologies
+from repro.utils.rng import derive_seed
+from repro.workloads.default_topologies import default_topologies
 
 
 @dataclass
@@ -60,25 +60,6 @@ class Fig6Result:
         return {row.label: row.average_decrease for row in self.rows}
 
 
-def _score_topology_on_fleet(
-    topology: DefaultTopology,
-    fleet: List[Backend],
-    seed,
-) -> Dict[str, float]:
-    """Score one topology request on every feasible device (lower is better)."""
-    strategy = TopologyRankingStrategy(topology.topology_circuit(), seed=seed)
-    scores: Dict[str, float] = {}
-    for backend in fleet:
-        if backend.num_qubits < topology.num_qubits:
-            continue
-        value = strategy.score(backend)
-        if value != INFEASIBLE_SCORE:
-            scores[backend.name] = value
-    if not scores:
-        raise ReproError(f"No device in the fleet can host the '{topology.key}' request")
-    return scores
-
-
 def run_fig6(
     config: Optional[ExperimentConfig] = None,
     fleet: Optional[List[Backend]] = None,
@@ -93,26 +74,30 @@ def run_fig6(
     fleet = fleet if fleet is not None else config.build_fleet()
     rows: List[Fig6Row] = []
     for topology in default_topologies():
-        scores = _score_topology_on_fleet(
-            topology, fleet, seed=derive_seed(config.seed, "fig6", topology.key)
+        ctx = PlacementContext(
+            fleet=fleet,
+            job_name=topology.key,
+            strategy="topology",
+            topology_edges=topology.edges,
+            required_qubits=topology.num_qubits,
         )
-        qrio_device = min(scores, key=lambda name: (scores[name], name))
-        qrio_score = scores[qrio_device]
-        rng = ensure_generator(derive_seed(config.seed, "fig6-random", topology.key))
-        candidate_names = sorted(scores)
-        random_scores = []
-        for _ in range(config.fig6_repetitions):
-            pick = candidate_names[int(rng.integers(0, len(candidate_names)))]
-            random_scores.append(scores[pick])
+        decision = TopologyPlacementPolicy(seed=derive_seed(config.seed, "fig6", topology.key)).decide(ctx)
+        if decision.device is None:
+            raise ReproError(f"No device in the fleet can host the '{topology.key}' request")
+        # The random baseline draws among the same feasible devices.
+        random_policy = RandomPlacementPolicy(seed=derive_seed(config.seed, "fig6-random", topology.key))
+        random_scores = [
+            random_policy.select(ctx, decision.ranked).score for _ in range(config.fig6_repetitions)
+        ]
         average_random = sum(random_scores) / len(random_scores)
         rows.append(
             Fig6Row(
                 topology=topology.key,
                 label=topology.label,
-                qrio_device=qrio_device,
-                qrio_score=qrio_score,
+                qrio_device=decision.device,
+                qrio_score=decision.score,
                 average_random_score=average_random,
-                average_decrease=average_random - qrio_score,
+                average_decrease=average_random - decision.score,
                 repetitions=config.fig6_repetitions,
             )
         )

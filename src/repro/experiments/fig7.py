@@ -18,11 +18,11 @@ from statistics import median
 from typing import Dict, List, Optional
 
 from repro.backends.backend import Backend
-from repro.core.strategies import FidelityRankingStrategy, INFEASIBLE_SCORE
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.fidelity.canary import achieved_fidelity
+from repro.policies import PlacementContext, RandomPlacementPolicy, ThresholdFidelityPolicy
 from repro.utils.exceptions import ReproError
-from repro.utils.rng import derive_seed, ensure_generator
+from repro.utils.rng import derive_seed
 from repro.workloads.evaluation_circuits import EvaluationWorkload, evaluation_workloads
 
 #: The fidelity every Fig. 7 submission demands.
@@ -108,32 +108,6 @@ def _achieved_on_all_devices(
     return fidelities
 
 
-def _clifford_pick(
-    workload: EvaluationWorkload,
-    fleet: List[Backend],
-    shots: int,
-    seed,
-) -> str:
-    """Device chosen by QRIO's Clifford-canary fidelity ranking."""
-    circuit = workload.circuit()
-    strategy = FidelityRankingStrategy(
-        circuit,
-        fidelity_threshold=REQUESTED_FIDELITY,
-        shots=shots,
-        seed=derive_seed(seed, "fig7-clifford", workload.key),
-    )
-    scores: Dict[str, float] = {}
-    for backend in fleet:
-        if backend.num_qubits < circuit.num_qubits:
-            continue
-        value = strategy.score(backend)
-        if value != INFEASIBLE_SCORE:
-            scores[backend.name] = value
-    if not scores:
-        raise ReproError(f"No device can host workload '{workload.key}'")
-    return min(scores, key=lambda name: (scores[name], name))
-
-
 def run_fig7(
     config: Optional[ExperimentConfig] = None,
     fleet: Optional[List[Backend]] = None,
@@ -148,12 +122,22 @@ def run_fig7(
         achieved = _achieved_on_all_devices(workload, fleet, config.shots, config.seed)
         # Oracle: the device with the best true fidelity.
         oracle_device = max(achieved, key=lambda name: (achieved[name], name))
+        ctx = PlacementContext(
+            fleet=fleet,
+            circuit=workload.circuit(),
+            job_name=workload.key,
+            fidelity_threshold=REQUESTED_FIDELITY,
+        )
         # Clifford: QRIO's canary-based choice.
-        clifford_device = _clifford_pick(workload, fleet, config.shots, config.seed)
-        # Random: uniform choice over the feasible devices.
-        rng = ensure_generator(derive_seed(config.seed, "fig7-random", workload.key))
-        feasible = sorted(achieved)
-        random_device = feasible[int(rng.integers(0, len(feasible)))]
+        clifford_device = ThresholdFidelityPolicy(
+            estimator="canary",
+            canary_shots=config.shots,
+            seed=derive_seed(config.seed, "fig7-clifford", workload.key),
+        ).decide(ctx).device
+        # Random: uniform choice over the same feasible devices.
+        random_device = RandomPlacementPolicy(
+            seed=derive_seed(config.seed, "fig7-random", workload.key)
+        ).decide(ctx).device
         values = list(achieved.values())
         rows.append(
             Fig7Row(

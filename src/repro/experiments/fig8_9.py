@@ -9,14 +9,14 @@ choice in every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.backends.backend import Backend
 from repro.backends.fleet import three_device_testbed
-from repro.core.strategies import INFEASIBLE_SCORE, TopologyRankingStrategy
 from repro.core.visualizer import TopologyCanvas
 from repro.experiments.config import ExperimentConfig, default_config
+from repro.policies import PlacementContext, TopologyPlacementPolicy
 from repro.utils.rng import derive_seed
 
 #: The tree-like topology the user draws (Fig. 8): a binary tree on 10 qubits,
@@ -75,23 +75,21 @@ def run_fig8_9(
     """
     config = config or default_config()
     devices = devices if devices is not None else three_device_testbed()
-    topology_circuit = user_topology_canvas().to_topology_circuit(name="fig8_user_topology")
+    canvas = user_topology_canvas()
+    ctx = PlacementContext(
+        fleet=devices,
+        job_name="fig8_user",
+        strategy="topology",
+        topology_edges=tuple(canvas.edges()),
+        required_qubits=canvas.num_qubits,
+    )
 
     selections: Dict[str, int] = {backend.name: 0 for backend in devices}
     last_scores: Dict[str, float] = {}
     for repetition in range(config.fig8_repetitions):
-        strategy = TopologyRankingStrategy(
-            topology_circuit,
-            seed=derive_seed(config.seed, "fig8", repetition),
-        )
-        scores = {}
-        for backend in devices:
-            value = strategy.score(backend)
-            if value != INFEASIBLE_SCORE:
-                scores[backend.name] = value
-        chosen = min(scores, key=lambda name: (scores[name], name))
-        selections[chosen] += 1
-        last_scores = scores
+        decision = TopologyPlacementPolicy(seed=derive_seed(config.seed, "fig8", repetition)).decide(ctx)
+        selections[decision.device] += 1
+        last_scores = decision.scores
     chosen_device = max(selections, key=selections.get)
     return Fig89Result(
         selections=selections,

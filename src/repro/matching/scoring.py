@@ -50,7 +50,7 @@ def _cache_key_for(
     :func:`evaluate_embeddings` stores only all-exact results, which no seed
     can change, and the budgeted matcher appends its own integer seed.  The
     cache module is imported lazily because ``repro.core``'s package init
-    pulls in the strategies, which import this module.
+    pulls in the meta server, whose registry policies import this module.
     """
     from repro.core.cache import calibration_fingerprint, pattern_hash
 

@@ -64,8 +64,8 @@ def find_exact_embeddings(
         return [Embedding(mapping={}, exact=True)]
     if pattern.number_of_nodes() > device_graph.number_of_nodes():
         return []
-    # Lazy import: repro.core's package init pulls in the strategies, which
-    # import this module.
+    # Lazy import: repro.core's package init pulls in the meta server, whose
+    # registry policies import this module.
     from repro.core.cache import enumeration_cache, enumeration_key
 
     key = enumeration_key(pattern, device_graph, max_embeddings)

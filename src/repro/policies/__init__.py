@@ -10,6 +10,7 @@ from Python or the CLI.  The discrete-event cloud simulator
 """
 
 from repro.policies.api import (
+    INFEASIBLE_SCORE,
     DeviceScore,
     PlacementContext,
     PlacementDecision,
@@ -25,6 +26,7 @@ from repro.policies.registry import (
     resolve_policy,
 )
 from repro.policies.builtin import (
+    SURPLUS_WEIGHT,
     FidelityPlacementPolicy,
     LeastLoadedPlacementPolicy,
     PinnedDevicePolicy,
@@ -37,6 +39,8 @@ from repro.policies.pipeline import Pipeline
 from repro.utils.exceptions import PolicyNotFoundError
 
 __all__ = [
+    "INFEASIBLE_SCORE",
+    "SURPLUS_WEIGHT",
     "DeviceScore",
     "FidelityPlacementPolicy",
     "LeastLoadedPlacementPolicy",

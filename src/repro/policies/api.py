@@ -1,9 +1,9 @@
 """The unified placement-policy protocol: one filter → score → select pipeline.
 
-This module defines the one placement surface every engine routes through
-(the meta server's :class:`~repro.core.strategies.RankingStrategy` and the
-cluster framework's filter/score plugins remain only as those engines'
-native paths):
+This module defines the one placement surface every engine routes through,
+and the only ranking code: the meta server scores through the registry
+policies too (the cluster framework's filter/score plugins remain only as
+the orchestrator/cluster engines' native path):
 
 * :class:`PlacementContext` — everything a policy may consult when placing
   one job (the job's circuit and requirements, the candidate fleet, an
@@ -32,6 +32,10 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.utils.exceptions import SchedulingError
+
+#: Score of a device that cannot host the request at all (the meta server's
+#: answer for a device the job's policy filters out).
+INFEASIBLE_SCORE = float("inf")
 
 
 @dataclass

@@ -14,16 +14,19 @@ under a short name so any engine can run it by string:
 ``queue-aware``           alias for ``fidelity`` with ``queue_weight=0.3``
                           (the Ravi et al. scheduler of the related work)
 ``threshold-fidelity``    Clifford-canary distance to the job's requested
-                          fidelity (meta server ``FidelityRankingStrategy``)
+                          fidelity (the meta server's fidelity ranking)
 ``topology``              Mapomatic-style embedding cost of the job's
-                          topology request (``TopologyRankingStrategy``)
+                          topology request (the meta server's topology
+                          ranking)
 ``pinned``                force one named device (``pinned:device=NAME``) —
                           the affinity override sharded dispatch routes by
 ========================  ====================================================
 
 The cloud-facing policies' routing is pinned by golden device and wait
 lists in ``tests/policies/test_adapter_equivalence.py``: feasibility sets,
-RNG consumption and tie-breaking cannot drift unnoticed.
+RNG consumption and tie-breaking cannot drift unnoticed.  The two meta
+server rankings are pinned the same way, by golden scores there and in
+``tests/core/test_meta_server_and_strategies.py``.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from repro.policies.registry import register_policy
 from repro.utils.exceptions import SchedulingError
 from repro.utils.rng import SeedLike, ensure_generator
 
-#: Weight a fidelity *surplus* above the requested threshold counts at (the
-#: meta server's value: a deficit is penalised at full weight so the
-#: scheduler never prefers a device that misses the requirement).
+#: Weight a fidelity *surplus* above the requested threshold counts at.  A
+#: deficit is penalised at full weight so the scheduler never prefers a
+#: device that misses the requirement; the small surplus weight nudges it to
+#: hand out the device that most closely matches the request instead of
+#: always consuming the best device in the cluster.
 SURPLUS_WEIGHT = 0.25
 
 
@@ -225,12 +230,11 @@ def queue_aware_policy(
 class ThresholdFidelityPolicy(_FidelityEstimateMixin, PlacementPolicy):
     """Score devices by distance to the job's fidelity requirement.
 
-    Port of the meta server's
-    :class:`~repro.core.strategies.FidelityRankingStrategy`: a fidelity
-    deficit counts at full weight, a surplus at ``surplus_weight``, so the
-    scheduler hands out the device that most closely satisfies the request
-    instead of always consuming the best device in the cluster.  With the
-    paper's evaluation setting (requested fidelity 1.0) the score reduces to
+    The meta server's fidelity ranking (Section 3.4.1): a fidelity deficit
+    counts at full weight, a surplus at ``surplus_weight``, so the scheduler
+    hands out the device that most closely satisfies the request instead of
+    always consuming the best device in the cluster.  With the paper's
+    evaluation setting (requested fidelity 1.0) the score reduces to
     ``1 - fidelity``.
     """
 
@@ -312,10 +316,11 @@ class PinnedDevicePolicy(PlacementPolicy):
 class TopologyPlacementPolicy(PlacementPolicy):
     """Score devices by how well they host the requested interaction topology.
 
-    Port of :class:`~repro.core.strategies.TopologyRankingStrategy`: the
-    topology circuit is matched against each device's coupling map and the
-    score is the error cost of the best embedding.  Devices with no
-    embedding at all are filtered out (the legacy infinite score).
+    The meta server's topology ranking (Section 3.4.2): the topology circuit
+    is matched against each device's coupling map and the score is the
+    error cost of the best embedding.  Devices with no embedding at all are
+    filtered out (the meta server reports them as
+    :data:`~repro.policies.INFEASIBLE_SCORE`).
     """
 
     def __init__(self, max_embeddings: int = 100, seed: SeedLike = None) -> None:

@@ -57,7 +57,7 @@ from repro.core.cache import (
     structural_circuit_hash,
 )
 from repro.core.meta_server import MetaServer
-from repro.core.scheduler import QRIOScheduler
+from repro.core.scheduler import QRIOScheduler, device_bounds_violation
 from repro.core.visualizer import MetaServerPayload, TopologyCanvas
 from repro.plans import ExecutionPlan, PlanCompiler
 from repro.policies.api import PlacementContext, PlacementPolicy
@@ -650,31 +650,6 @@ class ClusterEngine(_ClusterEngineBase):
         )
 
 
-def _within_device_bounds(backend: Backend, requirements) -> bool:
-    """Whether a device satisfies the spec's device-characteristic bounds.
-
-    Mirrors :class:`~repro.core.scheduler.DeviceCharacteristicsFilter` so a
-    spec that is infeasible on the orchestrator/cluster engines is equally
-    infeasible here — the unified-API contract.
-    """
-    properties = backend.properties
-    if (
-        requirements.max_avg_two_qubit_error is not None
-        and properties.average_two_qubit_error() > requirements.max_avg_two_qubit_error
-    ):
-        return False
-    if (
-        requirements.max_avg_readout_error is not None
-        and properties.average_readout_error() > requirements.max_avg_readout_error
-    ):
-        return False
-    if requirements.min_avg_t1 is not None and properties.average_t1() < requirements.min_avg_t1:
-        return False
-    if requirements.min_avg_t2 is not None and properties.average_t2() < requirements.min_avg_t2:
-        return False
-    return True
-
-
 class CloudEngine(ExecutionEngine):
     """Run jobs as arrivals of the discrete-event cloud simulation.
 
@@ -820,7 +795,7 @@ class CloudEngine(ExecutionEngine):
             backend
             for backend in self._fleet
             if backend.num_qubits >= required_qubits
-            and _within_device_bounds(backend, requirements)
+            and device_bounds_violation(backend.properties, requirements) is None
             and self.device_is_available(backend.name)
         ]
 

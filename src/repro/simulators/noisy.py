@@ -451,40 +451,22 @@ def execute_with_noise(
     apply per call, so repeat executions sample fresh shots.
     """
     noise_model = noise_model or NoiseModel.ideal()
-    if precompiled is not None:
-        if precompiled.source_num_qubits != circuit.num_qubits:
-            raise SimulationError(
-                f"Precompiled execution was built for a {precompiled.source_num_qubits}-qubit "
-                f"circuit, got {circuit.num_qubits} qubits"
-            )
-        target_circuit = precompiled.circuit
-        target_noise = (
-            noise_model.restricted_to(list(precompiled.qubit_mapping))
-            if precompiled.qubit_mapping
-            else noise_model
+    if precompiled is None:
+        precompiled = precompile_execution(circuit, compact)
+    elif precompiled.source_num_qubits != circuit.num_qubits:
+        raise SimulationError(
+            f"Precompiled execution was built for a {precompiled.source_num_qubits}-qubit "
+            f"circuit, got {circuit.num_qubits} qubits"
         )
-        if precompiled.engine == "statevector":
-            return NoisyStatevectorSimulator(seed=seed).run(target_circuit, target_noise, shots=shots)
-        return NoisyStabilizerSimulator(seed=seed).run(
-            target_circuit, target_noise, shots=shots, program=precompiled.program
-        )
-    target_circuit = circuit
-    target_noise = noise_model
-    if compact:
-        compacted, mapping = compact_circuit(circuit)
-        if mapping:
-            ordered_physical = [physical for physical, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
-            target_circuit = compacted
-            target_noise = noise_model.restricted_to(ordered_physical)
-    if target_circuit.num_qubits <= BATCHED_STATEVECTOR_LIMIT:
-        statevector_simulator = NoisyStatevectorSimulator(seed=seed)
-        return statevector_simulator.run(target_circuit, target_noise, shots=shots)
-    if is_clifford_circuit(target_circuit):
-        simulator = NoisyStabilizerSimulator(seed=seed)
-        return simulator.run(target_circuit, target_noise, shots=shots)
-    raise SimulationError(
-        f"Circuit '{circuit.name}' is too wide ({target_circuit.num_qubits} active "
-        "qubits) for statevector simulation and contains non-Clifford gates"
+    target_noise = (
+        noise_model.restricted_to(list(precompiled.qubit_mapping))
+        if precompiled.qubit_mapping
+        else noise_model
+    )
+    if precompiled.engine == "statevector":
+        return NoisyStatevectorSimulator(seed=seed).run(precompiled.circuit, target_noise, shots=shots)
+    return NoisyStabilizerSimulator(seed=seed).run(
+        precompiled.circuit, target_noise, shots=shots, program=precompiled.program
     )
 
 

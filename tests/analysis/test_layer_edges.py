@@ -4,7 +4,10 @@
 the orchestration core nor the service, and it must keep no thread-local
 state to hand results past its own call signatures.  ``repro.transpiler``
 compiles circuits for devices and must not reach up into the layers that
-decide placement, estimate fidelity or serve jobs.  The scan is an AST walk
+decide placement, estimate fidelity or serve jobs.  ``repro.policies`` is
+the one ranking implementation the meta server, the engines and the figure
+drivers share; it must reach none of its callers' layers, so the meta
+server's edge into it can never close a cycle.  The scan is an AST walk
 over every module, so imports inside functions count too.
 """
 
@@ -27,6 +30,18 @@ TRANSPILER_ALLOWED = {
     ("layout_selection.py", "repro.matching.subgraph"),
     ("layout_selection.py", "repro.matching.subgraph.find_exact_embeddings"),
 }
+
+
+POLICIES = Path(repro.__file__).parent / "policies"
+POLICIES_FORBIDDEN = (
+    "repro.core",
+    "repro.plans",
+    "repro.service",
+    "repro.cloud",
+    "repro.scenarios",
+    "repro.tenancy",
+    "repro.experiments",
+)
 
 
 def _modules(root=SIMULATORS):
@@ -104,6 +119,21 @@ def test_transpiler_allowance_names_a_live_edge():
     path = TRANSPILER / "passes" / "layout_selection.py"
     names = {name for _, name in _imported_names(path.read_text(), _package_of(path, TRANSPILER))}
     assert {name for _, name in TRANSPILER_ALLOWED} <= names
+
+
+def test_scan_sees_the_policy_modules():
+    names = {path.name for path in _modules(POLICIES)}
+    assert {"api.py", "builtin.py", "registry.py"} <= names
+
+
+@pytest.mark.parametrize("path", _modules(POLICIES), ids=lambda path: path.name)
+def test_policies_import_none_of_their_callers(path):
+    offending = [
+        f"{path.name}:{line} imports {name}"
+        for line, name in _imported_names(path.read_text(), _package_of(path, POLICIES))
+        if _in_layers(name, POLICIES_FORBIDDEN)
+    ]
+    assert offending == []
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda path: path.name)

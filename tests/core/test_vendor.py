@@ -165,6 +165,20 @@ class TestCalibrationUpdates:
         assert second != pytest.approx(first)
         assert second > first  # lower scores are better; the degraded device scores worse
 
+    def test_update_invalidates_cached_topology_scores(self):
+        qrio = QRIO(seed=4)
+        console = qrio.vendor_console()
+        console.register_spec(_spec("mapped_q5"))
+        submitted = qrio.submit_topology_job(ghz(3), [(0, 1), (1, 2)], job_name="topology-probe")
+        first = qrio.meta_server.score("topology-probe", "mapped_q5")
+        # The embedding cost must be re-derived from the degraded calibration.
+        degraded = self._recalibrated(console._node_for_device("mapped_q5").backend.properties, factor=10.0)
+        console.update_calibration("mapped_q5", degraded)
+        second = qrio.meta_server.score("topology-probe", "mapped_q5")
+        assert submitted.job.name == "topology-probe"
+        assert second != pytest.approx(first)
+        assert second > first
+
 
 class TestFleetReport:
     def test_report_lists_devices_and_status(self):

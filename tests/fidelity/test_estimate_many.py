@@ -4,7 +4,7 @@
 ``estimate`` per device.  ``estimate`` memoizes the last circuit's canary,
 ideal counts and transpiler virtual stage (per basis set), so a ranking over
 a fleet builds the canary once and runs the virtual stage once per basis set
-whichever caller drives it (the meta server's fidelity strategy, a fidelity
+whichever caller drives it (the meta server's fidelity ranking, a fidelity
 placement policy or ``rank_backends``) — and none of that changes a report.
 """
 
@@ -17,11 +17,13 @@ import pytest
 from repro.backends import Backend, generate_fleet
 from repro.circuits.algorithms import hardware_efficient_ansatz
 from repro.circuits.random_circuits import random_clifford_circuit
+from repro.core import MetaServer
 from repro.core.cache import clear_all_caches
-from repro.core.strategies import FidelityRankingStrategy
+from repro.core.visualizer import MetaServerPayload
 from repro.fidelity import CliffordCanaryEstimator
 from repro.fidelity import canary as canary_module
 from repro.policies import FidelityPlacementPolicy, PlacementContext
+from repro.qasm import dump_qasm
 from repro.utils.exceptions import FidelityEstimationError
 
 
@@ -90,10 +92,16 @@ class TestEstimateMany:
 
 class TestCanaryMemo:
     def test_strategy_ranking_builds_the_canary_once(self, fleet16, canary_builds):
-        strategy = FidelityRankingStrategy(_hea(), fidelity_threshold=1.0, shots=64, seed=4)
-        scores = [strategy.score(backend) for backend in fleet16]
+        server = MetaServer(canary_shots=64, seed=4)
+        server.register_backends(fleet16)
+        server.upload_job_metadata(
+            MetaServerPayload(
+                job_name="hea_4", strategy="fidelity", fidelity_threshold=1.0, circuit_qasm=dump_qasm(_hea())
+            )
+        )
+        scores = [server.score("hea_4", backend.name) for backend in fleet16]
         assert all(score < float("inf") for score in scores)
-        assert canary_builds == ["hea_4"]
+        assert canary_builds == ["hea_4_circuit"]
 
     def test_fidelity_policy_ranking_builds_the_canary_once(self, fleet16, canary_builds):
         policy = FidelityPlacementPolicy(estimator="canary", canary_shots=64, seed=4)

@@ -5,8 +5,9 @@ directly.  These pins hold the routing it produced before that change: the
 device and wait of every job of a 20-job trace under each of the five
 cloud policy specs, and every number of the ``cloud-policies`` experiment
 (60 jobs, 8 devices, default seed).  A changed feasibility set, RNG draw or
-tie-break moves at least one of them.  The meta-server ranking strategies
-are still checked score-for-score against their registry ports.
+tie-break moves at least one of them.  The meta server's two rankings,
+``threshold-fidelity`` and ``topology``, are pinned by golden scores
+recorded when the meta server still carried its own copy of each.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.backends import generate_fleet, three_device_testbed
 from repro.backends.fleet import generate_device
 from repro.circuits import bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.core.strategies import FidelityRankingStrategy, TopologyRankingStrategy
+from repro.core.cache import clear_all_caches
 from repro.core.visualizer import TopologyCanvas
 from repro.experiments.cloud_policies import run_cloud_policy_comparison
 from repro.policies import PlacementContext, resolve_policy
@@ -196,43 +197,44 @@ class TestCloudPolicyEquivalence:
         assert [record.device for record in result.records] == devices
 
 
-class TestRankingStrategyEquivalence:
-    def test_fidelity_strategy_scores_match(self):
-        fleet = three_device_testbed()
-        circuit = ghz(3)
-        strategy = FidelityRankingStrategy(circuit, fidelity_threshold=0.9, shots=128, seed=13)
-        ported = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
-        ctx = PlacementContext(fleet=fleet, circuit=circuit, fidelity_threshold=0.9)
-        for backend in fleet:
-            assert strategy.score(backend) == pytest.approx(ported.score(ctx, backend))
+class TestMetaServerRankingGoldens:
+    """Scores on ``three_device_testbed()``, recorded on cold caches."""
 
-    def test_fidelity_strategy_adapter_picks_the_ranking_winner(self):
-        """The strategy's registry port decides the strategy's own argmin."""
+    FIDELITY_SCORES = {
+        "device_tree": 0.02524523084405339,
+        "device_ring": 0.05900615200434933,
+        "device_line": 0.01758005841182253,
+    }
+    TOPOLOGY_SCORES = {
+        "device_tree": 0.22999999999999998,
+        "device_ring": 0.22999999999999998,
+        "device_line": 0.22999999999999998,
+    }
+
+    def test_threshold_fidelity_scores_match_the_goldens(self):
+        clear_all_caches()
         fleet = three_device_testbed()
-        circuit = ghz(3)
-        strategy = FidelityRankingStrategy(circuit, fidelity_threshold=0.9, shots=128, seed=13)
-        expected = min(fleet, key=lambda backend: (strategy.score(backend), backend.name))
         policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
-        decision = policy.decide(PlacementContext(fleet=fleet, circuit=circuit, fidelity_threshold=0.9))
-        assert decision.device == expected.name
+        ctx = PlacementContext(fleet=fleet, circuit=ghz(3), fidelity_threshold=0.9)
+        assert {backend.name: policy.score(ctx, backend) for backend in fleet} == self.FIDELITY_SCORES
 
-    def test_topology_strategy_scores_match(self):
+    def test_threshold_fidelity_picks_the_closest_match(self):
+        clear_all_caches()
+        policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
+        decision = policy.decide(
+            PlacementContext(fleet=three_device_testbed(), circuit=ghz(3), fidelity_threshold=0.9)
+        )
+        assert decision.scores == self.FIDELITY_SCORES
+        assert decision.device == "device_line"
+
+    def test_topology_scores_match_the_goldens(self):
         fleet = three_device_testbed()
-        canvas = TopologyCanvas(4)
-        canvas.load_edges([(0, 1), (1, 2), (2, 3)])
-        strategy = TopologyRankingStrategy(canvas.to_topology_circuit(), seed=5)
-        ported = TopologyPlacementPolicy(seed=5)
+        policy = TopologyPlacementPolicy(seed=5)
         ctx = PlacementContext(
             fleet=fleet,
             strategy="topology",
             topology_edges=((0, 1), (1, 2), (2, 3)),
             required_qubits=4,
         )
-        for backend in fleet:
-            legacy_score = strategy.score(backend)
-            feasible, _ = ported.filter(ctx, backend)
-            if legacy_score == float("inf"):
-                assert not feasible
-            else:
-                assert feasible
-                assert ported.score(ctx, backend) == pytest.approx(legacy_score)
+        assert all(policy.filter(ctx, backend)[0] for backend in fleet)
+        assert {backend.name: policy.score(ctx, backend) for backend in fleet} == self.TOPOLOGY_SCORES

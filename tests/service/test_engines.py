@@ -1,8 +1,10 @@
 """The three ExecutionEngine adapters behave uniformly behind one protocol."""
 
+import dataclasses
+
 import pytest
 
-from repro.backends import three_device_testbed
+from repro.backends import line_topology, three_device_testbed, uniform_error_device
 from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.service import (
@@ -90,6 +92,27 @@ class TestClusterEngine:
         )
         handle.wait()
         assert handle.failed
+
+
+class TestDriftedDeviceBounds:
+    """A calibration jump past a job's bound removes the device on every engine."""
+
+    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: e.name)
+    def test_jump_past_the_two_qubit_bound_leaves_no_feasible_device(self, engine):
+        device = uniform_error_device("drifting_q5", line_topology(5), 5, two_qubit_error=0.01)
+        service = QRIOService([device], engine)
+        properties = device.properties
+        drifted = dataclasses.replace(
+            properties, two_qubit_error={edge: 0.06 for edge in properties.two_qubit_error}
+        )
+        engine.apply_calibration(device.name, drifted)
+        handle = service.submit(
+            ghz(3), JobRequirements(fidelity_threshold=0.5, max_avg_two_qubit_error=0.05), shots=32
+        )
+        status = handle.wait()
+        assert handle.failed
+        assert status.device is None
+        assert status.detail["num_feasible"] == 0
 
 
 def _sampling_engines():
