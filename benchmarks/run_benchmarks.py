@@ -20,7 +20,7 @@ against:
   service runtime: the same job stream over a 4-device fleet (each job
   occupying its device for a fixed wall-clock latency, via
   ``DeviceLatencyEngine``) executed by ``workers=4`` per-device lanes vs the
-  synchronous ``workers=0`` path, plus a ``sharded`` row comparing the
+  same runtime dispatching inline at ``workers=0``, plus a ``sharded`` row comparing the
   multi-process dispatcher (``repro.tenancy.ShardedService``) at 4 spawned
   shards vs 1 shard on a 16-device fleet with device-pinned jobs;
 * ``BENCH_plans.json`` — compile-once/execute-many throughput of the plan

@@ -505,7 +505,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True, default=repr))
         return 0
-    mode = f"{args.workers} workers" if args.workers else "synchronous"
+    mode = f"{args.workers} workers" if args.workers else "inline dispatch"
     print(
         f"Multi-tenant demo: {len(tenants)} tenants x {args.jobs} jobs on "
         f"{len(fleet)} devices (cloud engine, {mode}, SLO {args.slo_wait_s:.0f}s)\n"
@@ -631,10 +631,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     requirements = _submit_requirements(args, policy)
     handle = service.submit(circuit, requirements, shots=args.shots, name="cli-submitted-job")
-    mode = f"{service.workers} workers" if service.is_concurrent else "synchronous"
+    mode = f"{service.workers} workers" if service.is_concurrent else "inline dispatch"
     print(f"Job lifecycle ({service.engine.name} engine, {mode}):")
-    # follow=True streams transitions as the runtime records them; on a
-    # synchronous service it drives the job to completion first.
+    # follow=True streams transitions as the runtime records them; at
+    # workers=0 it dispatches the job inline first.
     for event in handle.events(follow=True):
         print(f"  {event.state.value:<9s} {event.message}")
     service.close()
@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wait-time SLO (seconds) of the resilience metrics "
                               "computed for fault-augmented traces")
         sub.add_argument("--workers", type=int, default=workers_default,
-                         help="service worker-pool size (0 = synchronous)")
+                         help="service worker-pool size (0 = inline dispatch on this thread)")
         sub.add_argument("--fidelity-report", choices=["none", "esp", "execute"],
                          default="esp", dest="fidelity_report",
                          help="cloud engine's per-job fidelity mode")
@@ -808,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--devices", type=int, default=6, help="fleet size to schedule onto")
     tenants.add_argument("--jobs", type=int, default=4, help="jobs submitted per tenant")
     tenants.add_argument("--workers", type=int, default=0,
-                         help="service worker-pool size (0 = synchronous)")
+                         help="service worker-pool size (0 = inline dispatch on this thread)")
     tenants.add_argument("--slo-wait", type=float, default=30.0, dest="slo_wait_s",
                          help="per-tenant p99 wait SLO driving the admission state machine")
     tenants.add_argument("--json", action="store_true",
@@ -866,9 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker-pool size for the service runtime: 0 (default) executes synchronously "
-             "on this thread, N >= 1 dispatches through the concurrent runtime (priority "
-             "queue + per-device lanes) and streams lifecycle events as they happen",
+        help="worker-pool size for the service runtime: 0 (default) dispatches inline "
+             "on this thread, N >= 1 adds a dispatcher thread and N lane workers and "
+             "streams lifecycle events as they happen",
     )
     submit.add_argument(
         "--tenant",

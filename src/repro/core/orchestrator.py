@@ -255,8 +255,8 @@ class QRIO:
 
         Args:
             workers: Worker-pool size for the service created on the *first*
-                call: ``0`` (default) keeps the synchronous service, ``N >= 1``
-                attaches a concurrent :class:`~repro.service.ServiceRuntime`.
+                call: ``0`` (default) dispatches inline on the caller's
+                thread, ``N >= 1`` gives the service runtime N lane workers.
                 Note the orchestrator engine's execution path mutates this
                 facade's shared cluster, so its RUNNING stage is serialized
                 even with many workers — concurrency shows up in submission,

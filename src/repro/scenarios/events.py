@@ -390,8 +390,8 @@ class FaultInjector:
     outage is a down action plus an up action) and applies every action due
     at or before each job's arrival, from inside the service's serialized
     MATCHING stage (:meth:`advance_to`).  Actions visible to the RUNNING
-    stage first quiesce the runtime's in-flight lanes, so concurrent replays
-    apply them at the same logical point as synchronous ones.
+    stage first quiesce the runtime's in-flight lanes, so ``workers=N``
+    replays apply them at the same logical point as ``workers=0`` ones.
 
     Not thread-safe by itself — the MATCHING funnel it is called from already
     serializes access (see :class:`~repro.service.ServiceRuntime`).

@@ -199,7 +199,7 @@ class ScenarioRunner:
             (optionally parameterized) or a
             :class:`~repro.policies.PlacementPolicy` factory input; ``None``
             keeps each engine's native path.
-        workers: Worker-pool size of the service (``0`` = synchronous).
+        workers: Worker-pool size of the service (``0`` = inline dispatch).
         seed: Base seed; every replay derives the same engine seed from it,
             which is what makes replays bit-identical.
         fidelity_report: Cloud engine's fidelity mode (ignored elsewhere).

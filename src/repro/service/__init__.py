@@ -8,18 +8,20 @@ behind one service:
 
 * :class:`QRIOService` — owns a fleet plus a pluggable execution engine,
   exposes ``submit``/``submit_batch`` with an explicit job lifecycle and
-  structural batch deduplication.  ``QRIOService(workers=0)`` (the default)
-  executes synchronously on the caller's thread; ``workers=N`` attaches a
-  :class:`ServiceRuntime` so submission and execution decouple;
-* :class:`ServiceRuntime` — the concurrent runtime: a bounded
-  ``ThreadPoolExecutor``, a priority queue ordered by
-  ``JobRequirements.priority``/``deadline_s``, per-device shard lanes
-  (different devices run concurrently, same-device jobs serialize) and
+  structural batch deduplication, and runs every job through its
+  :class:`ServiceRuntime`;
+* :class:`ServiceRuntime` — the one execution path: a weighted-fair tenant
+  queue ordered within a tenant by ``JobRequirements.priority``/
+  ``deadline_s``, a serialized MATCHING step and per-device shard lanes
+  (different devices may run concurrently, same-device jobs serialize).
+  ``workers=0`` (the default) starts no thread — the caller's thread runs
+  the dispatch step inline; ``workers=N`` adds a dispatcher thread and a
+  bounded ``ThreadPoolExecutor`` so submission and execution decouple, with
   ``max_pending`` backpressure surfacing as
   :class:`~repro.utils.exceptions.ServiceOverloadedError`;
 * :class:`JobHandle` — ``status()`` / ``result()`` / ``events()`` over the
   ``QUEUED → MATCHING → RUNNING → DONE/FAILED`` state machine, plus the
-  futures-style surface a concurrent service needs: ``wait(timeout=...)``,
+  futures-style surface: ``wait(timeout=...)``,
   ``done()``, ``add_done_callback`` and streaming ``events(follow=True)``;
 * :class:`ExecutionEngine` + :class:`OrchestratorEngine` /
   :class:`ClusterEngine` / :class:`CloudEngine` / :class:`DeviceLatencyEngine`

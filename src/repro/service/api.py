@@ -72,9 +72,8 @@ class JobRequirements:
     of 1.0 (the paper's evaluation setting: "give me the best device").
     Device-characteristic bounds and classical resources mirror the
     visualizer's step-2 form.  ``priority`` and ``deadline_s`` order the
-    concurrent runtime's dispatch queue (higher priority first, then earliest
-    deadline, then submission order); the synchronous ``workers=0`` service
-    ignores both and stays strictly FIFO.
+    service runtime's dispatch queue within a tenant (higher priority first,
+    then earliest deadline, then submission order) at every worker count.
     """
 
     fidelity_threshold: Optional[float] = None
@@ -87,13 +86,14 @@ class JobRequirements:
     memory_mb: int = 512
     #: Override of the qubit resource request; ``None`` uses the circuit width.
     num_qubits: Optional[int] = None
-    #: Scheduling priority of a concurrent service runtime: higher runs
-    #: earlier.  Ignored by the synchronous (``workers=0``) FIFO path.
+    #: Scheduling priority in the service runtime's queue: higher runs
+    #: earlier, at every worker count (``workers=0`` included).
     priority: int = 0
     #: Soft deadline in seconds since submission.  Among equal priorities the
     #: runtime dispatches by earliest *absolute* due time (submission time +
     #: ``deadline_s``); ``None`` sorts after every explicit deadline.  The
-    #: deadline orders the queue — it does not cancel late jobs.
+    #: deadline orders the queue at every worker count — it does not cancel
+    #: late jobs.
     deadline_s: Optional[float] = None
     #: Simulated arrival time of this job in seconds, honoured by
     #: latency-model engines (:class:`~repro.service.CloudEngine` stamps the

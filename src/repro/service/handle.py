@@ -2,9 +2,9 @@
 
 A :class:`JobHandle` is returned immediately by
 :meth:`~repro.service.QRIOService.submit`; the job itself executes when the
-service processes its queue — synchronously on the caller's thread for a
-``workers=0`` service, or on the worker pool of a concurrent service
-(``workers > 0``, see :class:`~repro.service.ServiceRuntime`).
+service's :class:`~repro.service.ServiceRuntime` dispatches it — inline on
+the thread that waits for it on a ``workers=0`` service, or on the runtime's
+threads when ``workers > 0``.
 
 The handle exposes the explicit lifecycle
 (``QUEUED → MATCHING → RUNNING → DONE/FAILED``) through :meth:`status` and
@@ -21,7 +21,7 @@ surface the runtime needs:
   records them, ending once the job reaches a terminal state.
 
 Every mutation happens under one condition variable, so handles are safe to
-poll, wait on and stream from any thread while runtime workers drive the job.
+poll, wait on and stream from any thread while another thread drives the job.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class JobHandle:
                 return a streaming iterator that yields transitions as the
                 runtime records them and ends once the job is terminal — the
                 in-process analogue of tailing a job's event log.  On a
-                synchronous (``workers=0``) service a pending job is driven
-                to completion first, so the stream never blocks forever.
+                ``workers=0`` service a pending job is dispatched inline
+                first, so the stream never blocks forever.
             timeout: Only meaningful with ``follow=True``: the maximum number
                 of seconds the stream waits *between* events before giving
                 up.
@@ -192,8 +192,8 @@ class JobHandle:
             with self._cv:
                 return list(self._events)
         if not self._state.terminal and not self._service.is_concurrent:
-            # Synchronous service: there is no background worker to feed the
-            # stream, so drive the job to completion before yielding.
+            # workers=0: no runtime thread feeds the stream, so dispatch the
+            # job inline before yielding.
             self._service.process(self)
         return self._follow_events(timeout)
 
@@ -231,12 +231,13 @@ class JobHandle:
 
         Args:
             wait: With ``True`` (default) a still-pending job is driven to
-                completion first — processed synchronously on a ``workers=0``
-                service, awaited on a concurrent one.  With ``False`` an
-                unfinished job raises immediately.
-            timeout: Maximum seconds to wait on a concurrent service
-                (``None`` waits indefinitely; ignored by the synchronous
-                path, which always processes to completion).
+                completion first — dispatched inline on a ``workers=0``
+                service, awaited otherwise.  With ``False`` an unfinished
+                job raises immediately.
+            timeout: Maximum seconds to wait (``None`` waits indefinitely).
+                On a ``workers=0`` service it bounds only the wait for
+                another thread that is dispatching; the calling thread's own
+                inline dispatch always runs to completion.
 
         Returns:
             The :class:`~repro.service.ServiceResult` of the completed job.
@@ -245,7 +246,8 @@ class JobHandle:
             JobNotCompletedError: The job has not finished and ``wait=False``,
                 or ``timeout`` expired before it finished.
             JobFailedError: The job reached FAILED (including "no feasible
-                device" rejections).
+                device" rejections), chained from :attr:`exception` when an
+                engine raised.
         """
         if not self.finished:
             if not wait:
@@ -253,14 +255,14 @@ class JobHandle:
                     f"Job '{self._name}' is still {self._state.value}; "
                     "pass wait=True (or call QRIOService.process) to drive it to completion"
                 )
-            self._service._drive(self, timeout)
+            self._service.runtime.wait_handle(self, timeout)
             if not self.finished:
                 raise JobNotCompletedError(
                     f"Job '{self._name}' did not finish within {timeout}s "
                     f"(still {self._state.value})"
                 )
         if self.failed:
-            raise JobFailedError(f"Job '{self._name}' failed: {self._error}")
+            raise JobFailedError(f"Job '{self._name}' failed: {self._error}") from self._exception
         if self._result is None:
             raise ServiceError(f"Job '{self._name}' is {self._state.value} but has no result recorded")
         return self._result
@@ -269,17 +271,17 @@ class JobHandle:
         """Wait for the job to finish, without raising on failure or expiry.
 
         Args:
-            timeout: Maximum seconds to wait on a concurrent service.  When it
-                expires the job is simply *not* finished yet — the returned
-                status reflects the current (non-terminal) state and no
-                exception is raised.  The synchronous path processes the
-                queue to completion and ignores ``timeout``.
+            timeout: Maximum seconds to wait (see :meth:`result` for its
+                meaning on a ``workers=0`` service).  When it expires the
+                job is simply *not* finished yet — the returned status
+                reflects the current (non-terminal) state and no exception
+                is raised.
 
         Returns:
             The job's :class:`~repro.service.JobStatus` after waiting.
         """
         if not self.finished:
-            self._service._drive(self, timeout)
+            self._service.runtime.wait_handle(self, timeout)
         return self.status()
 
     def add_done_callback(self, fn: Callable[["JobHandle"], None]) -> None:
@@ -288,14 +290,15 @@ class JobHandle:
         Mirrors :meth:`concurrent.futures.Future.add_done_callback`: when the
         job is already DONE or FAILED the callback runs immediately on the
         calling thread (exceptions propagate to the caller); otherwise it runs
-        on the runtime thread that finishes the job, in registration order,
+        on the thread that finishes the job, in registration order,
         and exceptions are swallowed so one bad callback cannot wedge a
         worker.  Deferred callbacks fire *after* the runtime has accounted
         the job's group as finished, so calling ``service.close()`` or
-        ``service.process()`` from a callback does not self-deadlock — but,
-        as with :mod:`concurrent.futures`, a callback must not block on
-        *other* jobs queued behind this one in the same device lane (the
-        callback occupies that lane's worker).
+        ``service.process()`` from a callback does not self-deadlock.  With
+        ``workers=0`` a callback may drive any other job (it is dispatched
+        nested); with ``workers >= 1``, as with :mod:`concurrent.futures`, a
+        callback must not block on *other* jobs queued behind this one in
+        the same device lane (the callback occupies that lane's worker).
 
         Args:
             fn: A one-argument callable; receives this handle.

@@ -1,10 +1,10 @@
-"""The concurrent service runtime: worker pool, priority dispatch, device lanes.
+"""The service runtime: tenant queue, serialized MATCHING, device lanes.
 
-:class:`ServiceRuntime` turns :class:`~repro.service.QRIOService` from a
-synchronous, caller-thread state machine into a real job runtime, which is
-the architectural step the ROADMAP's "heavy traffic" north star needs —
-submission must not block on execution, and a fleet of independent devices
-must be allowed to run independent jobs at the same time.
+:class:`ServiceRuntime` is the one execution path of
+:class:`~repro.service.QRIOService`, for every ``workers`` value.  Every job
+goes through the same scheduling loop: a queue, one MATCHING funnel, then
+execution in the lane of its placed device.  ``workers`` only decides which
+threads turn that loop.
 
 Architecture
 ------------
@@ -16,31 +16,31 @@ The runtime owns three pieces:
   the virtual-time WFQ scheduler of :mod:`repro.tenancy.wfq`: while several
   tenants are backlogged, dispatch slots are split in proportion to tenant
   weights, so one tenant's burst can no longer starve everyone else.
-  *Within* a tenant the original ``(-priority, deadline, submission order)``
-  order is preserved — higher priority dispatches first, ties break
-  earliest-deadline-first, then FIFO — and with a single tenant (the
-  pre-tenancy situation) the WFQ degenerates to exactly the old global
-  heap, so existing workloads are bit-identical.  A bounded queue
-  (``max_pending``) applies backpressure: ``submit(..., block=False)`` raises
+  *Within* a tenant the ``(-priority, deadline, submission order)`` order
+  holds — higher priority dispatches first, ties break
+  earliest-deadline-first, then FIFO — so single-tenant, default-priority
+  traffic dispatches in submission order.  A bounded queue
+  (``max_pending``, ``workers >= 1`` only) applies backpressure:
+  ``submit(..., block=False)`` raises
   :class:`~repro.utils.exceptions.ServiceOverloadedError` when full, while
   ``block=True`` parks the submitter until the dispatcher frees capacity.
 
-* **Dispatcher** — one daemon thread pops groups in priority order and runs
-  the engine's MATCHING stage.  Matching is deliberately serialized: every
-  engine funnels scoring through shared state (cluster registry, meta
-  server, session clock), and the fleet-wide caches of PR 1 make a warm
-  match cheap, so the scalability win lives in overlapping *execution*, not
-  matching.  Serial matching also preserves the arrival-order contract of
-  the cloud engine's discrete-event session.  When a match fails only
-  because every candidate node is full (matched groups hold their node's
-  resources until their lane finishes them), the dispatcher waits for a
-  lane to finish a group and matches again instead of failing the job.
+* **Dispatch step** — :meth:`ServiceRuntime._dispatch_one` pops the next
+  group, runs the engine's MATCHING stage and hands the matched group to
+  its device lane.  Matching is deliberately serialized: every engine
+  funnels scoring through shared state (cluster registry, meta server,
+  session clock), and the fleet-wide caches make a warm match cheap, so the
+  scalability win lives in overlapping *execution*, not matching.  Serial
+  matching also preserves the arrival-order contract of the cloud engine's
+  discrete-event session.  When a match fails only because every candidate
+  node is full (matched groups hold their node's resources until their lane
+  finishes them), the step waits for a lane to finish a group and matches
+  again instead of failing the job.
 
 * **Per-device shard lanes** — a matched group is appended to the lane of
-  its placed device and executed by the bounded ``ThreadPoolExecutor``
-  (``workers`` threads).  Each lane is a FIFO served by at most one worker
-  at a time, so jobs placed on the *same* device serialize (a physical QPU
-  runs one circuit at a time) while jobs on *different* devices run
+  its placed device.  Each lane is a FIFO served by at most one worker at a
+  time, so jobs placed on the *same* device serialize (a physical QPU runs
+  one circuit at a time) while jobs on *different* devices may run
   concurrently — the multi-device throughput measured by
   ``BENCH_concurrency.json``.  Engines advertise whether their RUNNING stage
   tolerates concurrent callers via
@@ -48,14 +48,23 @@ The runtime owns three pieces:
   do not, lanes still overlap queueing/latency but the engine's ``run`` is
   wrapped in one global lock.
 
-Handles stay the observable surface: worker threads feed each
-:class:`~repro.service.JobHandle`'s condition variable, which powers
+Who turns the loop
+------------------
+With ``workers=N`` (N >= 1) one daemon dispatcher thread loops on the
+dispatch step and a bounded ``ThreadPoolExecutor`` of N threads serves the
+lanes, so submission never blocks on execution.
+
+With ``workers=0`` the runtime starts no thread at all.  :meth:`drain` and
+:meth:`wait_handle` run the dispatch step on the caller's thread, under one
+(re-entrant) drive lock, until the queue is empty or the awaited handle is
+terminal; the lane worker runs inline.  Any number of caller threads may
+drive the same service: the drive lock keeps MATCHING serialized exactly as
+the dispatcher thread does.
+
+Handles stay the observable surface: whichever thread finishes a job feeds
+its :class:`~repro.service.JobHandle`'s condition variable, which powers
 ``wait(timeout=...)``, ``done()``, ``add_done_callback`` and the streaming
 ``events(follow=True)`` iterator.
-
-The runtime is an implementation detail of ``QRIOService(workers=N)``;
-``workers=0`` (the default) never constructs one and keeps the fully
-synchronous, deterministic PR-2 behavior.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ from repro.utils.exceptions import ServiceError, ServiceOverloadedError
 
 
 class ServiceRuntime:
-    """Worker pool + priority scheduler behind a concurrent :class:`QRIOService`.
+    """Tenant queue + dispatch step + device lanes behind every :class:`QRIOService`.
 
     Built by ``QRIOService(workers=N)`` — not meant to be constructed
     directly.  All public methods are thread-safe.
@@ -84,8 +93,8 @@ class ServiceRuntime:
         workers: int,
         max_pending: Optional[int] = None,
     ) -> None:
-        if workers <= 0:
-            raise ServiceError("ServiceRuntime needs workers >= 1")
+        if workers < 0:
+            raise ServiceError("ServiceRuntime needs workers >= 0")
         if max_pending is not None and max_pending <= 0:
             raise ServiceError("max_pending must be a positive job count (or None for unbounded)")
         self._service = service
@@ -115,16 +124,23 @@ class ServiceRuntime:
         self._closed = False
         #: Serializes engine.run for engines without supports_concurrent_run.
         self._run_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qrio-runtime")
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="qrio-runtime-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        #: workers=0: serializes the caller threads that run the dispatch
+        #: step inline.  Re-entrant, because a done-callback fired inside
+        #: the step may itself drive the service (``process()``/``result()``).
+        self._drive_lock = threading.RLock()
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._dispatcher: Optional[threading.Thread] = None
+        if workers:
+            self._executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qrio-runtime")
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop, name="qrio-runtime-dispatcher", daemon=True
+            )
+            self._dispatcher.start()
 
     # ------------------------------------------------------------------ #
     @property
     def workers(self) -> int:
-        """Size of the bounded worker pool."""
+        """Size of the bounded worker pool (``0``: the caller's thread dispatches)."""
         return self._workers
 
     @property
@@ -205,7 +221,15 @@ class ServiceRuntime:
     # Draining / shutdown
     # ------------------------------------------------------------------ #
     def drain(self) -> None:
-        """Block until every admitted group has reached a terminal state."""
+        """Block until every admitted group has reached a terminal state.
+
+        With ``workers=0`` the caller's thread dispatches the queue itself.
+        """
+        if self._dispatcher is None:
+            with self._drive_lock:
+                while self._dispatch_one():
+                    pass
+            return
         with self._lock:
             self._idle.wait_for(lambda: self._inflight_groups == 0 and not self._queue)
 
@@ -221,17 +245,32 @@ class ServiceRuntime:
         return self._service.wait_report()
 
     def wait_handle(self, handle, timeout: Optional[float]) -> bool:
-        """Block until ``handle`` is terminal (or ``timeout``); returns success."""
-        return handle._await_terminal(timeout)
+        """Block until ``handle`` is terminal (or ``timeout``); returns success.
+
+        With ``workers=0`` the caller's thread dispatches queued groups, in
+        queue order, until ``handle`` is terminal; ``timeout`` then bounds
+        only the wait for another thread that is dispatching.
+        """
+        if self._dispatcher is not None:
+            return handle._await_terminal(timeout)
+        if not self._drive_lock.acquire(timeout=-1 if timeout is None else timeout):
+            return False
+        try:
+            while not handle.finished and self._dispatch_one():
+                pass
+        finally:
+            self._drive_lock.release()
+        return bool(handle.finished)
 
     def quiesce_runs(self) -> None:
         """Block until no matched group is executing in a lane.
 
-        Called from the dispatcher thread (via the fault injector, inside
-        the serialized MATCHING stage) before a run-visible fault effect is
+        Called from the dispatch step (via the fault injector, inside the
+        serialized MATCHING stage) before a run-visible fault effect is
         applied — a calibration epoch is a barrier, so no job ever executes
         against half-swapped device state.  Lane workers never wait on the
-        dispatcher, so this cannot deadlock.
+        dispatch step, so this cannot deadlock; with ``workers=0`` every
+        lane runs inline and nothing is executing, so it returns at once.
         """
         with self._lock:
             self._quiet.wait_for(lambda: self._executing_groups == 0)
@@ -251,40 +290,55 @@ class ServiceRuntime:
                 self._work.notify_all()
                 self._not_full.notify_all()
         self.drain()
-        if not already:
+        if not already and self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
             self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
-    # Dispatcher: priority pop -> serialized MATCHING -> lane hand-off
+    # Dispatch step: priority pop -> serialized MATCHING -> lane hand-off
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
+        """The dispatcher thread of ``workers >= 1``: loop on the dispatch step."""
         while True:
             with self._lock:
-                while not self._queue and not self._closed:
-                    self._work.wait()
+                self._work.wait_for(lambda: self._queue or self._closed)
                 if not self._queue:
                     return  # closed and fully dispatched
-                group = self._queue.pop()
-                self._queued_jobs -= len(group.handles)
-                self._not_full.notify_all()
-            try:
-                placement = self._service._match_group(group, self._capacity_waiter())
-            except Exception:  # noqa: BLE001 - recorded on the handles already
-                placement = None
-            if placement is None:
-                # Accounting first, callbacks second: a callback may call
-                # close()/process(), which must see this group as finished.
-                self._finish_group()
-                group.drain_callbacks()
-                continue
-            with self._lock:
-                self._executing_groups += 1
-                lane = self._lanes.setdefault(placement.device, deque())
-                lane.append((group, placement))
-                if placement.device not in self._active_lanes:
-                    self._active_lanes.add(placement.device)
-                    self._executor.submit(self._lane_worker, placement.device)
+            self._dispatch_one()
+
+    def _dispatch_one(self) -> bool:
+        """Dispatch the next queued group; ``False`` when the queue is empty.
+
+        Only one thread runs this at a time: the dispatcher thread, or a
+        caller holding the drive lock when ``workers=0``.
+        """
+        with self._lock:
+            if not self._queue:
+                return False
+            group = self._queue.pop()
+            self._queued_jobs -= len(group.handles)
+            self._not_full.notify_all()
+        placement = self._service._match_group(group, self._capacity_waiter())
+        if placement is None:
+            # Accounting first, callbacks second: a callback may call
+            # close()/process(), which must see this group as finished.
+            self._finish_group()
+            group.drain_callbacks()
+            return True
+        with self._lock:
+            self._executing_groups += 1
+            self._lanes.setdefault(placement.device, deque()).append((group, placement))
+            start = placement.device not in self._active_lanes
+            self._active_lanes.add(placement.device)
+        if self._dispatcher is None:
+            # workers=0: serve the lane on this thread.  Not gated on
+            # ``start``: a done-callback that drives the service dispatches
+            # nested, while the outer lane worker of the same device has
+            # finished its group but not yet left the lane.
+            self._lane_worker(placement.device)
+        elif start:
+            self._executor.submit(self._lane_worker, placement.device)
+        return True
 
     def _capacity_waiter(self) -> Callable[[], bool]:
         """The ``wait_for_capacity`` hook for one group's MATCHING stage.
@@ -326,10 +380,10 @@ class ServiceRuntime:
                 group, placement = lane.popleft()
             try:
                 if self._service.engine.supports_concurrent_run:
-                    self._service._run_group(group, placement, reraise=False)
+                    self._service._run_group(group, placement)
                 else:
                     with self._run_lock:
-                        self._service._run_group(group, placement, reraise=False)
+                        self._service._run_group(group, placement)
             except Exception:  # noqa: BLE001 - recorded on the handles already
                 pass
             finally:

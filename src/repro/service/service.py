@@ -15,35 +15,26 @@ simulator's trace runner and the cluster scheduling framework) lacked:
 * ``process()`` drains the queue through the engine; ``JobHandle.result()``
   drives it lazily.
 
-Execution model — synchronous or concurrent
--------------------------------------------
-With the default ``workers=0`` the service is deliberately synchronous and
-in-process: the lifecycle is a real state machine driven on the caller's
-thread, which keeps every engine deterministic under a seed while still
-exercising the exact API shape a networked deployment would expose.
-
-With ``workers=N`` (N ≥ 1) the service owns a
-:class:`~repro.service.ServiceRuntime`: submissions are admitted into a
-priority queue (ordered by ``JobRequirements.priority`` then ``deadline_s``
-then FIFO), a dispatcher thread runs the MATCHING stage serially, and the
-RUNNING stage executes on a bounded worker pool with **per-device shard
-lanes** — jobs placed on different devices run concurrently, jobs placed on
-the same device serialize.  ``max_pending`` bounds the queue and
-``submit(..., block=False)`` surfaces backpressure as a typed
-:class:`~repro.utils.exceptions.ServiceOverloadedError`.  Handles become
-futures: ``wait(timeout=...)``, ``done()``, ``add_done_callback`` and the
-streaming ``events(follow=True)`` iterator all work from any thread.  A
-concurrent service should be :meth:`close`\\ d (or used as a context manager)
-so the pool is released deterministically.
+Execution model
+---------------
+Every service runs its jobs through one
+:class:`~repro.service.ServiceRuntime` (tenant queue, serialized MATCHING,
+per-device lanes); ``workers`` only picks the threads.  With the default
+``workers=0`` no thread starts: ``process()``, ``result()`` and ``wait()``
+dispatch inline on the caller's thread.  With ``workers=N`` a dispatcher
+thread and N lane workers run the jobs in the background, and
+``max_pending`` may bound the queue.  Engine crashes are recorded on the
+handles (``result()`` raises :class:`~repro.utils.exceptions.JobFailedError`
+chained from them), never raised out of ``process()``.  :meth:`close`
+drains the queue and rejects later submissions.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
@@ -83,6 +74,11 @@ def _coerce_requirements(requirements: RequirementsLike) -> JobRequirements:
     )
 
 
+def _failure_verb(error: Exception) -> str:
+    """"failed" for a library error, "crashed" for an engine bug."""
+    return "failed" if isinstance(error, ReproError) else "crashed"
+
+
 def _apply_policy(requirements: JobRequirements, policy) -> JobRequirements:
     """Graft a ``policy`` argument onto coerced requirements.
 
@@ -105,7 +101,6 @@ class _JobGroup:
 
     spec: JobSpec
     handles: List[JobHandle] = field(default_factory=list)
-    processed: bool = False
 
     @property
     def leader(self) -> JobHandle:
@@ -130,7 +125,7 @@ class QRIOService:
         max_pending: Optional[int] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
-        """Bind a fleet to an engine, optionally with a concurrent runtime.
+        """Bind a fleet to an engine behind the service runtime.
 
         Args:
             fleet: Devices this service schedules onto.
@@ -138,10 +133,10 @@ class QRIOService:
                 :class:`~repro.service.OrchestratorEngine`.
             seed: Seed for the *default* engine only (mutually exclusive with
                 passing ``engine``).
-            workers: Size of the worker pool.  ``0`` (default) keeps the
-                fully synchronous caller-thread execution model; ``N >= 1``
-                builds a :class:`~repro.service.ServiceRuntime` with priority
-                dispatch and per-device shard lanes.
+            workers: Size of the runtime's worker pool.  ``0`` (default)
+                starts no thread: the caller's thread runs the dispatch step
+                inline.  ``N >= 1`` adds a dispatcher thread and N lane
+                workers.
             max_pending: Backpressure bound on queued-but-undispatched jobs;
                 only meaningful with ``workers >= 1``.
             admission: An :class:`~repro.tenancy.AdmissionController` gating
@@ -160,20 +155,18 @@ class QRIOService:
                 "ExecutionEngine instead (e.g. OrchestratorEngine(seed=...))"
             )
         if workers < 0:
-            raise ServiceError("workers must be >= 0 (0 = synchronous, N = worker-pool size)")
+            raise ServiceError("workers must be >= 0 (0 = inline dispatch, N = worker-pool size)")
         if max_pending is not None and workers == 0:
             raise ServiceError(
-                "max_pending only bounds the concurrent runtime's queue; pass workers >= 1"
+                "max_pending only bounds a worker pool's queue; pass workers >= 1"
             )
         self._engine = engine if engine is not None else OrchestratorEngine(seed=seed)
         self._engine.attach(list(fleet))
         self._handles: Dict[str, JobHandle] = {}
-        self._group_of: Dict[str, _JobGroup] = {}
         #: Names claimed by submissions not yet admitted by the runtime
         #: (reserved so concurrent submitters cannot reuse them, but not yet
         #: published — observers never see a job the runtime may still reject).
         self._reserved_names: set = set()
-        self._pending: Deque[_JobGroup] = deque()
         self._names = itertools.count(1)
         self._counters = {
             "submitted": 0,
@@ -202,9 +195,7 @@ class QRIOService:
         #: Scenario fault injector advanced inside the MATCHING funnel
         #: (``None`` = fault-free).  Set via :meth:`set_fault_injector`.
         self._fault_injector = None
-        self._runtime: Optional[ServiceRuntime] = None
-        if workers:
-            self._runtime = ServiceRuntime(self, workers=workers, max_pending=max_pending)
+        self._runtime = ServiceRuntime(self, workers=workers, max_pending=max_pending)
 
     # ------------------------------------------------------------------ #
     @property
@@ -219,17 +210,17 @@ class QRIOService:
 
     @property
     def is_concurrent(self) -> bool:
-        """``True`` when a worker-pool runtime executes jobs (``workers >= 1``)."""
-        return self._runtime is not None
+        """``True`` when runtime threads execute jobs (``workers >= 1``)."""
+        return self._runtime.workers > 0
 
     @property
     def workers(self) -> int:
-        """Worker-pool size (``0`` for the synchronous service)."""
-        return self._runtime.workers if self._runtime is not None else 0
+        """Worker-pool size (``0``: the caller's thread dispatches inline)."""
+        return self._runtime.workers
 
     @property
-    def runtime(self) -> Optional[ServiceRuntime]:
-        """The concurrent runtime, or ``None`` for a synchronous service."""
+    def runtime(self) -> ServiceRuntime:
+        """The service runtime (queue, dispatch step, device lanes)."""
         return self._runtime
 
     @property
@@ -246,17 +237,16 @@ class QRIOService:
         """Attach a :class:`~repro.scenarios.FaultInjector` to this service.
 
         The injector binds to the engine (resolving fleet-relative device
-        references) and, on a concurrent service, to the runtime's quiesce
-        barrier, so run-visible fault effects (calibration jumps, straggler
-        windows) apply at a deterministic point regardless of worker count.
+        references) and to the runtime's quiesce barrier, so run-visible
+        fault effects (calibration jumps, straggler windows) apply at a
+        deterministic point regardless of worker count.
         Every job matched afterwards first advances the injector to the
         job's arrival time.  Pass ``None`` to detach.
         """
         self._fault_injector = injector
         self._engine.set_fault_injector(injector)
         if injector is not None:
-            quiesce = self._runtime.quiesce_runs if self._runtime is not None else None
-            injector.bind(self._engine, quiesce=quiesce)
+            injector.bind(self._engine, quiesce=self._runtime.quiesce_runs)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -285,19 +275,17 @@ class QRIOService:
                 :class:`~repro.policies.PlacementPolicy`; shorthand for
                 setting ``requirements.policy``.  ``None`` keeps the
                 engine's native (or default) placement path.
-            block: Backpressure mode of a concurrent service whose queue is
+            block: Backpressure mode of a ``max_pending`` queue that is
                 full: ``True`` (default) waits for capacity, ``False`` raises
-                immediately.  Ignored by a synchronous service (its queue is
-                unbounded).
+                immediately.  Irrelevant to an unbounded queue.
 
         Returns:
-            The job's :class:`~repro.service.JobHandle` (state QUEUED; on a
-            concurrent service the lifecycle advances in the background).
+            The job's :class:`~repro.service.JobHandle` (state QUEUED; with
+            ``workers >= 1`` the lifecycle advances in the background).
 
         Raises:
             ServiceError: Duplicate job name, or the service was closed.
-            ServiceOverloadedError: Concurrent service, queue full and
-                ``block=False``.
+            ServiceOverloadedError: Bounded queue full and ``block=False``.
         """
         spec = JobSpec(
             circuit=circuit,
@@ -320,9 +308,9 @@ class QRIOService:
 
         Handles come back in input order; submissions whose circuit
         structure, requirements and shot budget coincide are grouped so the
-        engine matches and executes each distinct group exactly once — on a
-        concurrent service the whole group is one unit of work for one
-        worker, and every handle of the group resolves together.
+        engine matches and executes each distinct group exactly once — the
+        whole group is one unit of lane work, and every handle of the group
+        resolves together.
 
         Args:
             circuits: Circuits to submit (one job each).
@@ -336,8 +324,8 @@ class QRIOService:
             One handle per input circuit, in input order.
 
         Raises:
-            ServiceOverloadedError: Concurrent service and the batch exceeds
-                queue capacity (always, when larger than ``max_pending``;
+            ServiceOverloadedError: The batch exceeds a bounded queue's
+                capacity (always, when larger than ``max_pending``;
                 otherwise only with ``block=False``).
         """
         coerced = _apply_policy(_coerce_requirements(requirements), policy)
@@ -347,9 +335,8 @@ class QRIOService:
     def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> List[JobHandle]:
         """Queue pre-built specs (the core submission path).
 
-        Atomic: every name is validated (and, on a concurrent service, queue
-        capacity secured) before any spec is queued, so a rejected batch
-        leaves the service untouched.
+        Atomic: every name is validated and queue capacity secured before
+        any spec is queued, so a rejected batch leaves the service untouched.
 
         Args:
             specs: Fully-built job specs.
@@ -365,10 +352,9 @@ class QRIOService:
         handles: List[JobHandle] = []
         groups: Dict[Tuple, _JobGroup] = {}
         ordered_groups: List[_JobGroup] = []
-        membership: List[Tuple[str, _JobGroup]] = []
-        # Name validation, handle construction and (for the synchronous path)
-        # registration share one critical section, so two concurrent
-        # submitters can never both claim the same job name.
+        # Name validation and handle construction share one critical
+        # section, so two concurrent submitters can never both claim the
+        # same job name.
         with self._state_lock:
             self._admit_specs_locked(specs)
             names: List[str] = []
@@ -393,30 +379,25 @@ class QRIOService:
                     groups[key] = group
                     ordered_groups.append(group)
                 group.handles.append(handle)
-                membership.append((name, group))
                 handles.append(handle)
-            if self._runtime is None:
-                self._register_submission(membership, handles)
-                self._pending.extend(ordered_groups)
-            else:
-                # Concurrent path: only *reserve* the names for now.  Handles
-                # are published after the runtime admits the batch, so
-                # observers never see a job that backpressure may still reject
-                # (and a parked block=True submission is invisible until it is
-                # really queued).
-                self._reserved_names.update(names)
-        if self._runtime is not None:
-            try:
-                self._runtime.enqueue(ordered_groups, block=block)
-            except ReproError:
-                # Atomicity: a rejected batch leaves the service untouched.
-                with self._state_lock:
-                    self._reserved_names.difference_update(names)
-                    self._release_queued_locked(specs)
-                raise
+            # Only *reserve* the names for now.  Handles are published after
+            # the runtime admits the batch, so observers never see a job that
+            # backpressure may still reject (and a parked block=True
+            # submission is invisible until it is really queued).
+            self._reserved_names.update(names)
+        try:
+            self._runtime.enqueue(ordered_groups, block=block)
+        except ReproError:
+            # Atomicity: a rejected batch leaves the service untouched.
             with self._state_lock:
-                self._register_submission(membership, handles)
                 self._reserved_names.difference_update(names)
+                self._release_queued_locked(specs)
+            raise
+        with self._state_lock:
+            for handle in handles:
+                self._handles[handle.name] = handle
+            self._counters["submitted"] += len(handles)
+            self._reserved_names.difference_update(names)
         self._notify_submission(handles)
         return handles
 
@@ -446,15 +427,6 @@ class QRIOService:
         with self._state_lock:
             if listener in self._submission_listeners:
                 self._submission_listeners.remove(listener)
-
-    def _register_submission(
-        self, membership: List[Tuple[str, _JobGroup]], handles: List[JobHandle]
-    ) -> None:
-        """Publish admitted handles to the registry (caller holds the lock)."""
-        for (name, group), handle in zip(membership, handles):
-            self._handles[name] = handle
-            self._group_of[name] = group
-        self._counters["submitted"] += len(handles)
 
     @staticmethod
     def _batch_by_tenant(specs: Sequence[JobSpec]) -> Tuple[Dict[str, List[int]], Dict[str, Tenant]]:
@@ -535,21 +507,19 @@ class QRIOService:
     def stats(self) -> Dict[str, object]:
         """Service-level counters (used by tests and the benchmark report).
 
-        A concurrent service adds the runtime's occupancy counters
-        (``workers``, ``queued_jobs``, ``inflight_groups``, ``active_lanes``).
+        Includes the runtime's occupancy counters (``workers``,
+        ``queued_jobs``, ``inflight_groups``, ``active_lanes``);
+        ``pending_groups`` counts groups not yet dispatched.
         """
         with self._state_lock:
             counters = dict(self._counters)
-        if self._runtime is not None:
-            runtime = self._runtime.stats()
-            # Same semantics as the synchronous path: groups not yet dispatched.
-            return {
-                "engine": self._engine.name,
-                "pending_groups": runtime["queued_groups"],
-                **counters,
-                **runtime,
-            }
-        return {"engine": self._engine.name, "pending_groups": len(self._pending), **counters}
+        runtime = self._runtime.stats()
+        return {
+            "engine": self._engine.name,
+            "pending_groups": runtime["queued_groups"],
+            **counters,
+            **runtime,
+        }
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/eviction statistics of every shared cache.
@@ -619,38 +589,24 @@ class QRIOService:
     # Processing
     # ------------------------------------------------------------------ #
     def process(self, handle: Optional[JobHandle] = None) -> None:
-        """Drain the queue through the engine.
+        """Drain the queue through the engine: the drain barrier.
 
-        Synchronous service: groups run FIFO on the calling thread.  With
-        ``handle`` given, processing stops as soon as that handle's group has
-        run (earlier groups still run first — submission order is part of the
-        API contract).  Without it, everything pending runs.
-
-        Concurrent service: the workers are already executing; this blocks
-        until ``handle`` (or, without one, every admitted job) reaches a
-        terminal state — i.e. ``process()`` is the drain barrier.
+        Blocks until ``handle`` (or, without one, every admitted job) reaches
+        a terminal state.  With ``workers=0`` the calling thread dispatches
+        the queue itself, in queue order, stopping once ``handle`` is
+        terminal; with ``workers >= 1`` the runtime threads are already
+        executing and this only waits.
 
         Raises:
             ServiceError: ``handle`` belongs to a different service.
         """
-        if handle is not None:
-            with self._state_lock:
-                target = self._group_of.get(handle.name)
-            if target is None:
+        if handle is None:
+            self._runtime.drain()
+            return
+        with self._state_lock:
+            if self._handles.get(handle.name) is not handle:
                 raise ServiceError(f"Job '{handle.name}' does not belong to this service")
-        if self._runtime is not None:
-            if handle is not None:
-                self._runtime.wait_handle(handle, timeout=None)
-            else:
-                self._runtime.drain()
-            return
-        if handle is not None and self._group_of[handle.name].processed:
-            return
-        while self._pending:
-            group = self._pending.popleft()
-            self._execute_group(group)
-            if handle is not None and group is self._group_of[handle.name]:
-                return
+        self._runtime.wait_handle(handle, timeout=None)
 
     def process_all(self) -> List[JobHandle]:
         """Process everything pending; returns all handles for convenience."""
@@ -661,14 +617,12 @@ class QRIOService:
     # Shutdown
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the concurrent runtime (drain, then shut the pool down).
+        """Close the runtime: drain, then release any worker threads.
 
         Queued jobs still execute — closing is a drain, not an abort; only
-        new submissions are rejected afterwards.  A synchronous service has
-        nothing to release, so this is a no-op there.  Idempotent.
+        new submissions are rejected afterwards.  Idempotent.
         """
-        if self._runtime is not None:
-            self._runtime.close()
+        self._runtime.close()
 
     def __enter__(self) -> "QRIOService":
         return self
@@ -677,45 +631,23 @@ class QRIOService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Lifecycle execution (shared by the sync path and the runtime)
+    # Lifecycle stages (run by the runtime's dispatch step and lanes)
     # ------------------------------------------------------------------ #
-    def _drive(self, handle: JobHandle, timeout: Optional[float] = None) -> None:
-        """Advance ``handle`` to completion: process (sync) or await (concurrent)."""
-        if self._runtime is not None:
-            self._runtime.wait_handle(handle, timeout)
-        else:
-            self.process(handle)
-
-    def _execute_group(self, group: _JobGroup) -> None:
-        """Synchronous path: MATCHING then RUNNING on the calling thread."""
-        try:
-            placement = self._match_group(group)
-            if placement is not None:
-                self._run_group(group, placement, reraise=True)
-        finally:
-            # Callbacks fire even when an engine crash is propagating — the
-            # handles are terminal by then.
-            group.drain_callbacks()
-
     def _match_group(
-        self,
-        group: _JobGroup,
-        wait_for_capacity: Optional[Callable[[], bool]] = None,
+        self, group: _JobGroup, wait_for_capacity: Callable[[], bool]
     ) -> Optional[Placement]:
         """Run the engine's MATCHING stage for one group.
 
         Returns the placement on success, ``None`` when the group failed
-        (infeasible requirements or an engine error — the handles are already
-        terminal).  Non-library engine exceptions propagate *after* the
-        group's lifecycle is terminated, so no handle is ever stuck in a
-        non-terminal state; the runtime's dispatcher catches them.
+        (infeasible requirements, an engine error or an engine crash — the
+        handles are already terminal, a crash recorded as
+        ``handle.exception``).
 
-        ``wait_for_capacity`` (the concurrent runtime's hook) is called when
-        a placement comes back :attr:`~repro.service.Placement.saturated`; it
+        ``wait_for_capacity`` (the runtime's hook) is called when a
+        placement comes back :attr:`~repro.service.Placement.saturated`; it
         blocks until capacity may have been released and returns ``True`` to
         match again, ``False`` to fail the group as infeasible.
         """
-        group.processed = True
         size = len(group.handles)
         spec = group.spec
         leader = group.leader
@@ -731,28 +663,18 @@ class QRIOService:
                 JobState.MATCHING,
                 f"matching via '{self._engine.name}' engine{dedup_note}",
             )
-        if self._fault_injector is not None:
-            # Scenario fault events due at this job's arrival apply before it
-            # is matched — the serialized MATCHING funnel makes this the one
-            # deterministic point shared by the sync and concurrent paths.
-            self._fault_injector.advance_to(spec.requirements.arrival_time_s)
         try:
+            if self._fault_injector is not None:
+                # Scenario fault events due at this job's arrival apply before
+                # it is matched — the serialized MATCHING funnel makes this
+                # the one deterministic point at every worker count.
+                self._fault_injector.advance_to(spec.requirements.arrival_time_s)
             placement = self._engine.match(spec, leader.name)
-            while (
-                placement.device is None
-                and placement.saturated
-                and wait_for_capacity is not None
-                and wait_for_capacity()
-            ):
+            while placement.device is None and placement.saturated and wait_for_capacity():
                 placement = self._engine.match(spec, leader.name)
-        except ReproError as error:
-            self._fail_group(group, f"matching failed: {error}", error)
-            return None
         except Exception as error:
-            # Engine bugs still terminate the lifecycle before propagating,
-            # so no handle is ever stuck in a non-terminal state.
-            self._fail_group(group, f"matching crashed: {error}", error)
-            raise
+            self._fail_group(group, f"matching {_failure_verb(error)}: {error}", error)
+            return None
         if placement.device is None:
             for handle in group.handles:
                 handle._set_placement(None, None, {"num_feasible": placement.num_feasible, **placement.detail})
@@ -766,13 +688,11 @@ class QRIOService:
             handle._set_placement(placement.device, placement.score, dict(placement_detail))
         return placement
 
-    def _run_group(self, group: _JobGroup, placement: Placement, *, reraise: bool) -> None:
+    def _run_group(self, group: _JobGroup, placement: Placement) -> None:
         """Run the engine's RUNNING stage for one matched group.
 
-        ``reraise=True`` (synchronous path) propagates non-library engine
-        crashes to the caller after failing the group; the runtime passes
-        ``False`` since there is no caller thread to surface them to — the
-        exception is recorded on every handle instead.
+        An engine error or crash fails the group and is recorded on every
+        handle (``handle.exception``); nothing propagates to the lane.
         """
         for handle in group.handles:
             handle._transition(JobState.RUNNING, f"executing on '{placement.device}'")
@@ -786,13 +706,8 @@ class QRIOService:
                         self._admission.observe_wait(wait)
         try:
             outcome = self._engine.run(placement)
-        except ReproError as error:
-            self._fail_group(group, f"execution failed: {error}", error)
-            return
         except Exception as error:
-            self._fail_group(group, f"execution crashed: {error}", error)
-            if reraise:
-                raise
+            self._fail_group(group, f"execution {_failure_verb(error)}: {error}", error)
             return
         self._complete_group(group, placement, outcome)
 

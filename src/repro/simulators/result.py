@@ -80,8 +80,10 @@ def hellinger_fidelity(counts_a: Mapping[str, int], counts_b: Mapping[str, int])
     p = counts_to_probabilities(counts_a)
     q = counts_to_probabilities(counts_b)
     overlap = 0.0
-    for bitstring in set(p) | set(q):
-        overlap += math.sqrt(p.get(bitstring, 0.0) * q.get(bitstring, 0.0))
+    # Sorted, so the float sum does not follow the per-process string-hash
+    # salt; outcomes missing from either side add exactly 0.0.
+    for bitstring in sorted(p.keys() & q.keys()):
+        overlap += math.sqrt(p[bitstring] * q[bitstring])
     return min(1.0, overlap**2)
 
 
@@ -90,7 +92,7 @@ def total_variation_distance(counts_a: Mapping[str, int], counts_b: Mapping[str,
     p = counts_to_probabilities(counts_a)
     q = counts_to_probabilities(counts_b)
     distance = 0.0
-    for bitstring in set(p) | set(q):
+    for bitstring in sorted(p.keys() | q.keys()):
         distance += abs(p.get(bitstring, 0.0) - q.get(bitstring, 0.0))
     return 0.5 * distance
 

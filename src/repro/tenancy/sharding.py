@@ -45,6 +45,7 @@ import pickle
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as wait_readable
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -234,6 +235,7 @@ def _shard_main(request: ShardRequest, inbox, outbox) -> None:
 
     Module-level (not a closure) so the spawn start method can import it;
     everything it touches arrives pickled through ``request`` and ``inbox``.
+    ``outbox`` is the write end of this shard's own pipe to the parent.
     """
     from repro.service.service import QRIOService
 
@@ -250,9 +252,9 @@ def _shard_main(request: ShardRequest, inbox, outbox) -> None:
             service.process()
             del warm
     except BaseException as error:  # noqa: BLE001 - startup failure must reach the parent
-        outbox.put(("fatal", request.shard_index, f"shard startup failed: {error!r}"))
+        outbox.send(("fatal", request.shard_index, f"shard startup failed: {error!r}"))
         return
-    outbox.put(("ready", request.shard_index))
+    outbox.send(("ready", request.shard_index))
     try:
         with service:
             while True:
@@ -273,11 +275,11 @@ def _shard_main(request: ShardRequest, inbox, outbox) -> None:
                         succeeded=False,
                         error=f"shard execution error: {error!r}",
                     )
-                outbox.put(("outcome", outcome))
+                outbox.send(("outcome", outcome))
     except BaseException as error:  # noqa: BLE001 - loop failure must reach the parent
-        outbox.put(("fatal", request.shard_index, f"shard loop failed: {error!r}"))
+        outbox.send(("fatal", request.shard_index, f"shard loop failed: {error!r}"))
         return
-    outbox.put(("exit", request.shard_index))
+    outbox.send(("exit", request.shard_index))
 
 
 # --------------------------------------------------------------------------- #
@@ -380,8 +382,8 @@ class ShardedService:
         shards: Number of worker processes.
         engine: The :class:`EngineSpec` recipe every shard builds.
         workers: In-shard :class:`~repro.service.QRIOService` worker count
-            (``0`` keeps shards synchronous — parallelism comes from the
-            processes themselves).
+            (``0`` dispatches inline in each shard's loop — parallelism
+            comes from the processes themselves).
         max_pending: In-shard queue bound (requires ``workers >= 1``).
         admission: Parent-side :class:`~repro.tenancy.AdmissionController`
             gating submissions before routing; fed by the waits shipped back
@@ -456,8 +458,12 @@ class ShardedService:
 
         _ensure_child_importable()
         context = multiprocessing.get_context("spawn")
-        self._outbox = context.Queue()
         self._inboxes = [context.Queue() for _ in range(shards)]
+        #: Read end of each shard's own pipe.  A shared queue would share one
+        #: cross-process write lock, and a shard killed while holding it
+        #: would silence every other shard; a pipe has a single writer, and
+        #: its death reads as EOF.
+        self._outboxes = []
         self._processes = []
         for index in range(shards):
             request = ShardRequest(
@@ -472,15 +478,18 @@ class ShardedService:
                     for position, spec in enumerate(warmup)
                 ),
             )
+            reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_shard_main,
-                args=(request, self._inboxes[index], self._outbox),
+                args=(request, self._inboxes[index], writer),
                 name=f"qrio-shard-{index}",
                 daemon=True,
             )
             process.start()
+            writer.close()  # the shard now holds the only write end
+            self._outboxes.append(reader)
             self._processes.append(process)
-        self._await_ready(shards, start_timeout_s)
+        self._await_ready(start_timeout_s)
         self._collector = threading.Thread(
             target=self._collect_loop, name="qrio-shard-collector", daemon=True
         )
@@ -489,21 +498,37 @@ class ShardedService:
     # ------------------------------------------------------------------ #
     # Startup / shutdown
     # ------------------------------------------------------------------ #
-    def _await_ready(self, shards: int, timeout_s: float) -> None:
-        ready = 0
-        while ready < shards:
-            try:
-                message = self._outbox.get(timeout=timeout_s)
-            except Exception:
+    def _await_ready(self, timeout_s: float) -> None:
+        waiting = dict(zip(self._outboxes, range(len(self._outboxes))))
+        while waiting:
+            readable = wait_readable(list(waiting), timeout=timeout_s)
+            if not readable:
                 self._terminate_all()
+                ready = len(self._outboxes) - len(waiting)
                 raise ServiceError(
-                    f"Sharded service startup timed out ({ready}/{shards} shards ready)"
+                    f"Sharded service startup timed out ({ready}/{len(self._outboxes)} shards ready)"
                 )
-            if message[0] == "ready":
-                ready += 1
-            elif message[0] == "fatal":
-                self._terminate_all()
-                raise ServiceError(f"Shard {message[1]} failed to start: {message[2]}")
+            for reader in readable:
+                index = waiting[reader]
+                message = self._receive(reader, index)
+                if message[0] == "ready":
+                    del waiting[reader]
+                else:  # "fatal", or the shard died silently
+                    self._terminate_all()
+                    raise ServiceError(f"Shard {index} failed to start: {message[2]}")
+
+    def _receive(self, reader, index: int) -> Tuple:
+        """One message from shard ``index``; a closed pipe reads as ``fatal``.
+
+        The shard holds the only write end of its pipe, so EOF means its
+        process is gone without a word (killed by a signal, say).
+        """
+        try:
+            return reader.recv()
+        except (EOFError, OSError):
+            process = self._processes[index]
+            process.join(timeout=5.0)
+            return ("fatal", index, f"exit code {process.exitcode}")
 
     def _terminate_all(self) -> None:
         for process in self._processes:
@@ -533,16 +558,7 @@ class ShardedService:
         with self._state_lock:
             for handle in self._by_job_id.values():
                 if not handle.done():
-                    self._resolve_locked(
-                        handle,
-                        ShardOutcome(
-                            job_id=-1,
-                            job_name=handle.name,
-                            shard_index=handle.shard_index,
-                            succeeded=False,
-                            error="sharded service closed before the job completed",
-                        ),
-                    )
+                    self._fail_locked(handle, "sharded service closed before the job completed")
 
     def __enter__(self) -> "ShardedService":
         return self
@@ -554,37 +570,47 @@ class ShardedService:
     # The collector thread
     # ------------------------------------------------------------------ #
     def _collect_loop(self) -> None:
-        exited = 0
-        while exited < len(self._processes):
-            message = self._outbox.get()
-            kind = message[0]
-            if kind == "exit":
-                exited += 1
-                continue
-            if kind == "fatal":
-                shard_index, detail = message[1], message[2]
-                exited += 1
-                with self._state_lock:
-                    self._dead_shards[shard_index] = detail
-                    for handle in list(self._by_job_id.values()):
-                        if handle.shard_index == shard_index and not handle.done():
-                            self._resolve_locked(
-                                handle,
-                                ShardOutcome(
-                                    job_id=-1,
-                                    job_name=handle.name,
-                                    shard_index=shard_index,
-                                    succeeded=False,
-                                    error=f"shard died: {detail}",
-                                ),
-                            )
-                continue
-            outcome: ShardOutcome = message[1]
-            with self._state_lock:
-                handle = self._by_job_id.get(outcome.job_id)
-                if handle is None:
+        # Until each shard sends "exit" or "fatal", or its pipe closes.
+        live = dict(zip(self._outboxes, range(len(self._outboxes))))
+        while live:
+            for reader in wait_readable(list(live)):
+                index = live[reader]
+                message = self._receive(reader, index)
+                kind = message[0]
+                if kind == "exit":
+                    del live[reader]
                     continue
-                self._resolve_locked(handle, outcome)
+                if kind == "fatal":
+                    del live[reader]
+                    self._shard_died(index, message[2])
+                    continue
+                outcome: ShardOutcome = message[1]
+                with self._state_lock:
+                    handle = self._by_job_id.get(outcome.job_id)
+                    if handle is None:
+                        continue
+                    self._resolve_locked(handle, outcome)
+
+    def _shard_died(self, shard_index: int, detail: str) -> None:
+        """Record a dead shard and fail every unresolved handle it owned."""
+        with self._state_lock:
+            self._dead_shards[shard_index] = detail
+            for handle in list(self._by_job_id.values()):
+                if handle.shard_index == shard_index and not handle.done():
+                    self._fail_locked(handle, f"shard died: {detail}")
+
+    def _fail_locked(self, handle: ShardHandle, error: str) -> None:
+        """Resolve ``handle`` as failed with ``error`` (caller holds the lock)."""
+        self._resolve_locked(
+            handle,
+            ShardOutcome(
+                job_id=-1,
+                job_name=handle.name,
+                shard_index=handle.shard_index,
+                succeeded=False,
+                error=error,
+            ),
+        )
 
     def _resolve_locked(self, handle: ShardHandle, outcome: ShardOutcome) -> None:
         handle._resolve(outcome)
@@ -740,8 +766,11 @@ class ShardedService:
                 self._outstanding += 1
                 self._counters["submitted"] += 1
                 self._shard_jobs[shard_index] += 1
-                dispatch.append((shard_index, ShardJob(job_id=job_id, spec=named)))
                 handles.append(handle)
+                if shard_index in self._dead_shards:
+                    self._fail_locked(handle, f"shard died: {self._dead_shards[shard_index]}")
+                else:
+                    dispatch.append((shard_index, ShardJob(job_id=job_id, spec=named)))
         for shard_index, job in dispatch:
             self._inboxes[shard_index].put(job)
         return handles

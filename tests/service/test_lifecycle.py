@@ -130,10 +130,21 @@ class TestFailurePaths:
 
 
 class TestEngineCrashes:
-    """Engine bugs (non-library exceptions) must still terminate lifecycles."""
+    """Engine bugs (non-library exceptions) terminate lifecycles, at every worker count.
+
+    The crash is recorded on the handles, never raised out of ``process()``:
+    the handle is FAILED with a "crashed" reason, ``handle.exception`` is the
+    engine's own exception, and ``result()`` raises ``JobFailedError``
+    chained from it.
+    """
 
     class _CrashingEngine:
         name = "crashing"
+        supports_concurrent_run = True
+
+        def __init__(self, stage):
+            self.stage = stage
+            self.error = KeyError(f"engine bug in {stage}")
 
         def attach(self, fleet):
             self._fleet = list(fleet)
@@ -142,20 +153,32 @@ class TestEngineCrashes:
             return list(self._fleet)
 
         def match(self, spec, job_name):
-            raise KeyError("engine bug")
+            from repro.service import Placement
 
-        def run(self, placement):  # pragma: no cover - match always crashes
-            raise AssertionError
+            if self.stage == "match":
+                raise self.error
+            return Placement(
+                job_name=job_name, spec=spec, device=self._fleet[0].name, num_feasible=1
+            )
 
-    def test_crash_fails_the_group_and_propagates(self):
-        service = QRIOService(three_device_testbed(), self._CrashingEngine())
-        handle = service.submit(ghz(3), 0.8, shots=32)
-        with pytest.raises(KeyError):
-            service.process()
-        assert handle.failed
-        assert "crashed" in handle.status().error
-        with pytest.raises(JobFailedError):
-            handle.result(wait=False)
+        def run(self, placement):
+            raise self.error
+
+    @pytest.mark.parametrize("stage", ["match", "run"])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_crash_fails_the_group_and_is_recorded(self, workers, stage):
+        engine = self._CrashingEngine(stage)
+        with QRIOService(three_device_testbed(), engine, workers=workers) as service:
+            handle = service.submit(ghz(3), 0.8, shots=32)
+            service.process()  # the crash does not propagate out of the drain
+            assert handle.failed
+            assert "crashed" in handle.status().error
+            assert handle.exception is engine.error
+            with pytest.raises(JobFailedError) as caught:
+                handle.result(wait=False)
+            assert caught.value.__cause__ is engine.error
+            # The service survives the crash and keeps dispatching.
+            assert service.submit(ghz(3), 0.8, shots=16).wait().state == JobState.FAILED
 
 
 class TestServiceIntrospection:

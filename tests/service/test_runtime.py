@@ -95,12 +95,24 @@ def _round_robin(fleet_size):
 
 
 class TestConstruction:
-    def test_workers_zero_has_no_runtime(self):
+    def test_workers_zero_starts_no_thread(self):
+        threads = threading.active_count()
         service = QRIOService(three_device_testbed(), StubEngine())
         assert not service.is_concurrent
         assert service.workers == 0
-        assert service.runtime is None
-        service.close()  # no-op, must not raise
+        assert service.runtime.workers == 0
+        assert threading.active_count() == threads
+        handles = [service.submit(ghz(3), 0.9, shots=8 + index) for index in range(3)]
+        assert threading.active_count() == threads
+        service.process()
+        assert all(handle.done() for handle in handles)
+        assert threading.active_count() == threads
+        queued = service.submit(ghz(3), 0.9, shots=64)
+        service.close()
+        assert queued.done()  # close = drain, not abort
+        assert threading.active_count() == threads
+        with pytest.raises(ServiceError, match="closed"):
+            service.submit(ghz(3), 0.9, shots=99)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ServiceError):
@@ -219,6 +231,65 @@ class TestFutureSemantics:
         assert states[-1] == JobState.DONE
 
 
+class TestInlineDispatch:
+    """workers=0: caller threads run the dispatch step, one at a time."""
+
+    def test_threads_driving_their_own_jobs_share_one_matching_funnel(self):
+        class SlowMatchEngine(StubEngine):
+            def __init__(self):
+                super().__init__(route=_round_robin(3))
+                self.matching = 0
+                self.max_matching = 0
+
+            def match(self, spec, job_name):
+                with self._occupancy_lock:
+                    self.matching += 1
+                    self.max_matching = max(self.max_matching, self.matching)
+                try:
+                    time.sleep(0.05)
+                    return super().match(spec, job_name)
+                finally:
+                    with self._occupancy_lock:
+                        self.matching -= 1
+
+        engine = SlowMatchEngine()
+        with QRIOService(three_device_testbed(), engine) as service:
+            handles = [service.submit(ghz(3), 0.9, shots=8 + index) for index in range(8)]
+            errors = []
+            start = threading.Barrier(len(handles))
+
+            def drive(handle):
+                start.wait()
+                try:
+                    handle.result()
+                except Exception as error:  # noqa: BLE001 - collected for the assert
+                    errors.append(error)
+
+            threads = [threading.Thread(target=drive, args=(handle,)) for handle in handles]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(handle.done() for handle in handles)
+        assert engine.match_calls == 8
+        assert engine.max_matching == 1
+
+    def test_callback_may_drive_another_job_on_the_same_device(self):
+        # A done-callback runs inside the inline dispatch step; driving a
+        # job bound for the same lane from it must dispatch that job nested.
+        engine = StubEngine()
+        with QRIOService(three_device_testbed(), engine) as service:
+            first = service.submit(ghz(3), 0.9, shots=8)
+            second = service.submit(ghz(3), 0.9, shots=9)
+            seen = []
+            first.add_done_callback(lambda handle: seen.append(second.result().shots))
+            first.result()
+            assert seen == [9]
+            assert second.done()
+
+
 class TestBackpressure:
     def _blocked_service(self, max_pending):
         """Service whose dispatcher is parked inside MATCHING of one job."""
@@ -335,13 +406,28 @@ class TestPriorityScheduling:
         with pytest.raises(ServiceError):
             JobRequirements(deadline_s=0.0)
 
-    def test_synchronous_service_ignores_priority_and_stays_fifo(self):
+    def test_priority_then_deadline_then_fifo_at_workers_zero(self):
+        # The inline dispatch step pops the same queue as the dispatcher
+        # thread, so priority and deadline order dispatch at workers=0 too.
         engine = StubEngine()
-        service = QRIOService(three_device_testbed(), engine)
-        service.submit(ghz(3), 0.9, shots=8, name="first")
-        service.submit(ghz(3), JobRequirements(fidelity_threshold=0.9, priority=99), shots=9, name="vip")
-        service.process()
-        assert engine.match_order == ["first", "vip"]
+        with QRIOService(three_device_testbed(), engine) as service:
+            service.submit(ghz(3), 0.9, shots=8, name="first")
+            service.submit(
+                ghz(3),
+                JobRequirements(fidelity_threshold=0.9, priority=5, deadline_s=30.0),
+                shots=9,
+                name="prio-late",
+            )
+            service.submit(
+                ghz(3),
+                JobRequirements(fidelity_threshold=0.9, priority=5, deadline_s=1.0),
+                shots=10,
+                name="prio-soon",
+            )
+            service.submit(ghz(3), JobRequirements(fidelity_threshold=0.9, priority=9), shots=11, name="vip")
+            service.submit(ghz(3), 0.9, shots=12, name="last")
+            service.process()
+            assert engine.match_order == ["vip", "prio-soon", "prio-late", "first", "last"]
 
 
 class TestDeviceLanes:

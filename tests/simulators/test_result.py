@@ -1,5 +1,10 @@
 """Tests for simulation results and distribution metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.simulators import (
@@ -76,3 +81,32 @@ class TestMetrics:
         # bits (2, 0): most significant kept char is bit 2.
         marginal2 = marginal_counts(counts, [0, 2])
         assert marginal2 == {"10": 4, "00": 6}
+
+
+_REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+_METRICS_CHILD = """
+from repro.simulators import hellinger_fidelity, total_variation_distance
+a = {'000': 311, '001': 97, '010': 53, '011': 29, '100': 201, '101': 17, '110': 88, '111': 228}
+b = {'000': 250, '001': 120, '010': 40, '011': 60, '100': 180, '101': 30, '110': 100, '111': 244}
+print(repr(hellinger_fidelity(a, b)), repr(total_variation_distance(a, b)))
+"""
+
+
+def test_metrics_are_bit_identical_across_hash_salts():
+    """The sums run in a fixed order, not in the salted order of a string set."""
+    outputs = set()
+    for salt in range(4):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(_REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = str(salt)
+        completed = subprocess.run(
+            [sys.executable, "-c", _METRICS_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        outputs.add(completed.stdout.strip())
+    assert len(outputs) == 1, outputs

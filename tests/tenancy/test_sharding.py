@@ -1,5 +1,9 @@
 """ShardedService: engine recipes, routing, and the spawned end-to-end run."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.backends import generate_fleet
@@ -160,3 +164,46 @@ def test_sharded_dispatch_end_to_end():
     service.close()  # idempotent
     with pytest.raises(ServiceError):
         service.submit(ghz(2), JobRequirements(), shots=16)
+
+
+@pytest.mark.chaos
+def test_killed_shard_fails_its_jobs_and_close_returns():
+    """SIGKILL one of two shards mid-trace: its pipe reads as EOF, so the
+    collector fails the dead shard's handles with its exit code, the other
+    shard's jobs succeed, and close() does not wait out the collector join."""
+    fleet = generate_fleet(limit=4, seed=11)
+    spec = EngineSpec(kind="cloud", seed=11, fidelity_report="none", latency_s=0.3)
+    service = ShardedService(fleet, shards=2, engine=spec)
+    try:
+        tenants = {}
+        for index in range(64):
+            tenants.setdefault(service.shard_of_tenant(f"tenant-{index}"), Tenant(id=f"tenant-{index}"))
+        victim, survivor = tenants[0], tenants[1]
+        doomed = [
+            service.submit(ghz(3), JobRequirements(tenant=victim), shots=32 + index, name=f"doomed-{index}")
+            for index in range(4)
+        ]
+        spared = [
+            service.submit(ghz(3), JobRequirements(tenant=survivor), shots=32 + index, name=f"spared-{index}")
+            for index in range(4)
+        ]
+        # Mid-trace: the victim shard has reported its first job and is
+        # executing the next ones.
+        assert doomed[0].wait(60)
+        assert not doomed[-1].done()
+        os.kill(service._processes[0].pid, signal.SIGKILL)
+
+        deadline = time.monotonic() + 5.0
+        for handle in doomed[1:]:
+            assert handle.wait(max(0.0, deadline - time.monotonic())), "dead shard's job never resolved"
+            assert handle.error().startswith("shard died: exit code")
+        assert service.stats()["dead_shards"] == {0: f"exit code {-signal.SIGKILL}"}
+        for handle in spared:
+            assert handle.result(timeout=60).shots == handle.spec.shots
+        # A job routed to the dead shard afterwards fails at once.
+        late = service.submit(ghz(3), JobRequirements(tenant=victim), shots=16, name="late")
+        assert late.done() and late.error().startswith("shard died")
+    finally:
+        started = time.monotonic()
+        service.close()
+        assert time.monotonic() - started < 15.0
