@@ -777,9 +777,10 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
 
     The compile-once/execute-many split (``repro.plans``): the first
     submission of a workload pays MATCHING + transpile + lowering and
-    publishes an ``ExecutionPlan`` into the fleet-wide plan cache; repeats
-    replay it.  The cold measurement clears every cache before each
-    submission so all of them pay the full cycle; the warm measurement
+    publishes an ``ExecutionPlan`` into the engine's plan store; repeats
+    replay it.  The cold measurement clears the shared caches and the
+    engine's plans before each submission so all of them pay the full
+    cycle; the warm measurement
     primes the plan once and times pure replays, asserting through the
     plan-cache statistics that not one of them recompiled.  A
     fusion-equivalence check rides along: the fused (Clifford-run-collapsed)
@@ -791,14 +792,15 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
 
     jobs = _SCALES[scale]["plan_jobs"]
     fleet = three_device_testbed()
-    # Cache statistics are process-cumulative (clear_all_caches keeps them),
-    # so the report is the delta over this bench alone.
+    # The plan counters are process-cumulative (shared by every engine's
+    # store), so the report is the delta over this bench alone.
     stats_start = all_cache_stats()["plan"]
 
     def cold_run():
         service = QRIOService(fleet, ClusterEngine(seed=9, canary_shots=128))
         for _ in range(jobs):
             clear_all_caches()
+            service.engine._plans.clear()  # the engine owns its plans
             service.submit(ghz(6), 0.9, shots=256).result()
 
     cold_seconds, _ = time_callable(cold_run, repeats=1)

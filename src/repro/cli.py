@@ -22,9 +22,9 @@ The CLI exposes the pieces a new user typically wants without writing Python:
   :mod:`repro.analysis`) over the source tree and exit non-zero on any
   finding not recorded in the committed baseline;
 * ``repro-qrio cache-stats [--json]`` — run a small warm/cold workload
-  through the concurrent service and print every shared cache's hit/miss
+  through the concurrent service and print the process-wide cache hit/miss
   counters (the :meth:`~repro.service.QRIOService.cache_stats` view),
-  including the ``plan`` execution-plan cache;
+  including the ``plan`` counters of every engine's plan store;
 * ``repro-qrio tenants [--json]`` — run a small multi-tenant demo through
   the admission-controlled service and print every tenant's declared
   quotas, live queue depth and admission state (the
@@ -429,7 +429,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    """Run a small warm/cold workload and print every shared cache's counters."""
+    """Run a small warm/cold workload and print the process-wide cache counters."""
     from repro.circuits import random_clifford_circuit
     from repro.core.cache import clear_all_caches
 
@@ -817,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_stats = subparsers.add_parser(
         "cache-stats",
-        help="run a small warm/cold workload and print every shared cache's "
-             "hit/miss counters (plan, batch, embedding, ideal_distribution)",
+        help="run a small warm/cold workload and print the process-wide cache "
+             "hit/miss counters (plan stores, embedding, enumeration)",
     )
     cache_stats.add_argument("--json", action="store_true",
                              help="emit the cache statistics as JSON for scripts")

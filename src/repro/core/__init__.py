@@ -13,9 +13,7 @@ from repro.core.cache import (
     clear_all_caches,
     embedding_cache,
     fleet_calibration_epoch,
-    ideal_distribution_cache,
     pattern_hash,
-    plan_cache,
     structural_circuit_hash,
 )
 from repro.core.master_server import MasterServer, SubmittedJob
@@ -49,9 +47,7 @@ __all__ = [
     "clear_all_caches",
     "embedding_cache",
     "fleet_calibration_epoch",
-    "ideal_distribution_cache",
     "pattern_hash",
-    "plan_cache",
     "structural_circuit_hash",
     "DeviceCharacteristicsFilter",
     "DeviceSpec",

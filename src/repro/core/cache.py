@@ -1,48 +1,50 @@
 """Fleet-wide memoization for the scheduler's hot paths.
 
 The paper's headline loop — rank a 100-device fleet for every arriving job —
-repeats three expensive computations whose inputs barely change between jobs:
+repeats expensive computations whose inputs barely change between jobs.  Only
+the two whose cache key covers every input they read are memoized here, once
+per process:
 
-* **Embedding search + scoring** (Mapomatic's VF2 stage): depends only on the
-  requested pattern, the device topology and the device's calibration data.
-* **Canary ideal distributions** (Gottesman-Knill stabilizer runs): depend
-  only on the canary circuit's structure and the shot budget.
-* **Achieved/estimated fidelities** in the cloud simulator: depend on the
-  circuit structure, the device and its calibration.
+* **VF2 enumeration**: depends only on the requested pattern and the
+  device's coupling graph (Mapomatic's first step), so it is shared by every
+  job, every calibration epoch, the matchers and the transpiler's
+  perfect-layout pass.
+* **Embedding scores** (Mapomatic's second step): the enumeration scored
+  against the device's calibration data, keyed by the pattern, the device,
+  its calibration fingerprint and the search parameters (plus the seed of
+  the budgeted matcher).
 
-Only the scoring step of the embedding search reads the calibration: the
-VF2 enumeration it scores depends on nothing but the pattern and the device's
-coupling graph, so it is memoized on its own, once per (pattern, coupling
-graph, cap), and shared by every job, every calibration epoch, the matchers
-and the transpiler's perfect-layout pass (Mapomatic's two-step split).
+Sharing such a cache cannot change a result: a hit returns exactly what a
+fresh computation would.  Seeded or stateful caches have an owner instead:
+each engine keeps its own execution plans, each canary estimator its
+canary's ideal counts, and each policy its fidelity and embedding scores.
 
-This module provides the shared memoization layer those paths use:
+This module provides the shared memoization layer and the keys everything
+builds on:
 
 * :func:`structural_circuit_hash` — a collision-resistant digest of a
   circuit's *structure* (registers, instruction stream, operands, rounded
   parameters).  Two circuits that merely share a name, length and qubit
-  count hash differently, fixing the collision-prone
-  ``name:len:num_qubits`` key the canary estimator used previously.
+  count hash differently.
 * :func:`pattern_hash` — the analogous digest for interaction-graph /
   topology patterns (nodes plus weighted edges).
 * :func:`enumeration_key` — the order-sensitive digest of what VF2 reads
   (node and adjacency order of both graphs, plus the cap), which keys the
   enumeration cache.
 * :func:`calibration_fingerprint` — a digest of a device's calibration data.
-  Because the fingerprint is part of every cache key, a calibration-drift
-  cycle *implicitly* invalidates all embedding scores and fidelity estimates
-  computed against the stale calibration: the new fingerprint simply misses.
+  Because the fingerprint is part of every embedding key (and of every
+  execution plan), a calibration-drift cycle *implicitly* invalidates all
+  scores computed against the stale calibration: the new fingerprint simply
+  misses.
 * :class:`LRUCache` — a thread-safe bounded mapping with hit/miss/eviction
-  statistics, the one cache type.  Four process-wide instances are reached
-  through :func:`enumeration_cache` (``repro.matching.subgraph``),
-  :func:`embedding_cache` (``repro.matching``),
-  :func:`ideal_distribution_cache` (``repro.fidelity.canary``),
-  :func:`plan_cache` (``repro.service.engines``); each call site
-  builds its own key tuple, documented on the accessor.
+  statistics, the one cache type.  Two process-wide instances are reached
+  through :func:`enumeration_cache` (``repro.matching.subgraph``) and
+  :func:`embedding_cache` (``repro.matching``); every engine's plan store
+  records into the process-wide :data:`PLAN_STATS` counters.
 
-Call :func:`clear_all_caches` between unrelated experiments (or rely on LRU
-eviction); :func:`all_cache_stats` reports fleet-wide hit rates, which the
-perf-regression benchmarks record in ``BENCH_matching.json``.
+:func:`clear_all_caches` empties the shared instances (benchmarks call it
+before a cold run); :func:`all_cache_stats` reports process-wide hit rates,
+which the perf-regression benchmarks record in ``BENCH_matching.json``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ __all__ = [
     "fleet_calibration_epoch",
     "enumeration_cache",
     "embedding_cache",
-    "ideal_distribution_cache",
-    "plan_cache",
+    "PLAN_STATS",
     "clear_all_caches",
     "all_cache_stats",
 ]
@@ -137,10 +138,10 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
 
-    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Remove every entry whose key satisfies ``predicate``; returns the count."""
+    def drop_where(self, predicate: Callable[[Any], bool]) -> int:
+        """Remove every entry whose value satisfies ``predicate``; returns the count."""
         with self._lock:
-            stale = [key for key in self._data if predicate(key)]
+            stale = [key for key, value in self._data.items() if predicate(value)]
             for key in stale:
                 del self._data[key]
             return len(stale)
@@ -289,8 +290,10 @@ def fleet_calibration_epoch(fleet: Iterable) -> str:
 # --------------------------------------------------------------------------- #
 _ENUMERATION_CACHE = LRUCache(2048)
 _EMBEDDING_CACHE = LRUCache(2048)
-_IDEAL_DISTRIBUTION_CACHE = LRUCache(1024)
-_PLAN_CACHE = LRUCache(512)
+
+#: Hit/miss/eviction counters shared by every engine's plan store, so the
+#: ``plan`` row of :func:`all_cache_stats` covers the whole process.
+PLAN_STATS = CacheStats()
 
 
 def enumeration_cache() -> LRUCache:
@@ -316,29 +319,10 @@ def embedding_cache() -> LRUCache:
     return _EMBEDDING_CACHE
 
 
-def ideal_distribution_cache() -> LRUCache:
-    """The process-wide canary ideal-distribution cache.
-
-    Keyed by ``(structural_circuit_hash(canary), shots)``; values are counts.
-    """
-    return _IDEAL_DISTRIBUTION_CACHE
-
-
-def plan_cache() -> LRUCache:
-    """The process-wide execution-plan cache.
-
-    Keyed by ``(structural hash, device name, calibration fingerprint,
-    *engine context)``; values are :class:`~repro.plans.ExecutionPlan`.
-    """
-    return _PLAN_CACHE
-
-
 def clear_all_caches() -> None:
     """Empty every shared cache (benchmarks call this between cold runs)."""
     _ENUMERATION_CACHE.clear()
     _EMBEDDING_CACHE.clear()
-    _IDEAL_DISTRIBUTION_CACHE.clear()
-    _PLAN_CACHE.clear()
 
 
 def all_cache_stats() -> Dict[str, Dict[str, float]]:
@@ -346,8 +330,9 @@ def all_cache_stats() -> Dict[str, Dict[str, float]]:
     return {
         "enumeration": _ENUMERATION_CACHE.stats.as_dict(),
         "embedding": _EMBEDDING_CACHE.stats.as_dict(),
-        "ideal_distribution": _IDEAL_DISTRIBUTION_CACHE.stats.as_dict(),
-        "plan": _PLAN_CACHE.stats.as_dict(),
-        # Stub row for perfbench/worker.py's ``cache.batch.*`` metrics; no cache behind it.
+        "plan": PLAN_STATS.as_dict(),
+        # Stub rows for perfbench/worker.py's ``cache.ideal_distribution.*`` and
+        # ``cache.batch.*`` metrics; no shared cache is behind either.
+        "ideal_distribution": CacheStats().as_dict(),
         "batch": CacheStats().as_dict(),
     }

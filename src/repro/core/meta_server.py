@@ -65,9 +65,6 @@ class MetaServer:
         self._rankings: Dict[str, Tuple[PlacementPolicy, PlacementContext]] = {}
         self._canary_shots = canary_shots
         self._seed = seed
-        #: Cache of (job, device) scores; scores are deterministic per seed so
-        #: repeated scheduler queries (and experiment repetitions) reuse them.
-        self._score_cache: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Backend store (the vendor backend.py copies of Section 3.1)
@@ -90,26 +87,24 @@ class MetaServer:
     def refresh_backend(self, backend: Backend) -> None:
         """Replace a stored backend after a calibration update.
 
-        Cached scores that were computed against the stale calibration data
-        are dropped so subsequent scheduler queries re-score the device.
+        Scores computed against the stale calibration data are forgotten, so
+        subsequent scheduler queries re-score the device.
         """
         self._backends[backend.name] = backend
-        self._forget_scores(backend.name)
+        self._forget_scores()
 
     def remove_backend(self, name: str) -> None:
         """Forget a vendor backend (device decommissioned) and its cached scores."""
         self._backends.pop(name, None)
-        self._forget_scores(name)
+        self._forget_scores()
 
-    def _forget_scores(self, device_name: str) -> None:
-        """Drop a device's cached scores and advance every job's calibration epoch.
+    def _forget_scores(self) -> None:
+        """Advance every job's calibration epoch.
 
-        The epoch is part of the policies' own fidelity/embedding cache keys,
-        so the next score of ``device_name`` is estimated afresh; other
-        devices keep their cached scores.
+        Each score is held once, by the job's policy: the fidelity cache of
+        its placement context or the topology policy's embedding memo.  Both
+        key on the epoch, so every later score is computed afresh.
         """
-        for cache in self._score_cache.values():
-            cache.pop(device_name, None)
         for _, ctx in self._rankings.values():
             ctx.calibration_epoch += 1
 
@@ -148,7 +143,6 @@ class MetaServer:
             raise MetaServerError(f"Unknown strategy '{payload.strategy}'")
         self._jobs[payload.job_name] = metadata
         self._rankings.pop(payload.job_name, None)
-        self._score_cache.pop(payload.job_name, None)
         return metadata
 
     def job_metadata(self, job_name: str) -> JobMetadata:
@@ -198,24 +192,19 @@ class MetaServer:
         """Score ``device_name`` for ``job_name`` (lower is better).
 
         This is the request the QRIO scheduler's ranking plugin issues once
-        per filtered device.
+        per filtered device.  Repeat requests are served by the policy's own
+        memo, keyed by the job's calibration epoch.
         """
-        cache = self._score_cache.setdefault(job_name, {})
-        if device_name in cache:
-            return cache[device_name]
         backend = self.backend(device_name)
         policy, ctx = self._ranking_for(job_name)
         feasible, _ = policy.filter(ctx, backend)
-        value = policy.score(ctx, backend) if feasible else INFEASIBLE_SCORE
-        cache[device_name] = value
-        return value
+        return policy.score(ctx, backend) if feasible else INFEASIBLE_SCORE
 
     def scoring_strategy_name(self, job_name: str) -> str:
         """Which ranking the meta server uses for ``job_name``."""
         return "fidelity" if self.has_fidelity_threshold(job_name) else "topology"
 
     def clear_job(self, job_name: str) -> None:
-        """Forget a job's metadata, ranking state and cached scores."""
+        """Forget a job's metadata and ranking state (its policy holds its scores)."""
         self._jobs.pop(job_name, None)
         self._rankings.pop(job_name, None)
-        self._score_cache.pop(job_name, None)

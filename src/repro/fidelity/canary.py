@@ -81,29 +81,12 @@ class CliffordCanaryEstimator:
     def ideal_distribution(self, canary: QuantumCircuit) -> Dict[str, int]:
         """Classically simulate the canary's noise-free outcome counts.
 
-        Distributions are memoized in the process-wide cache of
-        :mod:`repro.core.cache`, keyed by the canary's *structural* hash plus
-        the shot budget — so every estimator instance (meta server, cloud
-        policies, experiment drivers) reuses each other's stabilizer runs,
-        and two canaries that merely share a name, gate count and width can
-        never collide.  The estimator's seed is deliberately *not* part of
-        the key: the ideal distribution is a reference quantity, so any
-        seed's sample is an equally valid estimate and sharing one across
-        instances trades shot-for-shot seeded reproducibility for an
-        order-of-magnitude fewer stabilizer runs per fleet ranking.
+        Seeded by the estimator's seed and the canary's name.  A fleet
+        ranking runs it once: :meth:`_canary_for` keeps the counts of the
+        last circuit estimated.
         """
-        # Imported lazily: repro.core's package init imports this module.
-        from repro.core.cache import ideal_distribution_cache, structural_circuit_hash
-
-        cache = ideal_distribution_cache()
-        cache_key = (structural_circuit_hash(canary), self._shots)
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return dict(cached)
         simulator = StabilizerSimulator(seed=derive_seed(self._seed, "canary-ideal", canary.name))
-        counts = simulator.run(canary, shots=self._shots).counts
-        cache.put(cache_key, dict(counts))
-        return counts
+        return simulator.run(canary, shots=self._shots).counts
 
     def estimate(self, circuit: QuantumCircuit, backend: Backend) -> CanaryReport:
         """Estimate the fidelity ``circuit`` would achieve on ``backend``."""

@@ -59,7 +59,6 @@ def match_device(
     max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> Optional[DeviceMatch]:
     """Score ``pattern`` against one device; ``None`` if it cannot fit at all.
 
@@ -77,7 +76,6 @@ def match_device(
         max_embeddings=max_embeddings,
         include_readout=include_readout,
         seed=seed,
-        use_cache=use_cache,
     )
     if scored is None:
         return None
@@ -95,7 +93,6 @@ def rank_devices(
     max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> List[DeviceMatch]:
     """Score ``pattern`` on every device and return matches sorted best-first.
 
@@ -111,7 +108,6 @@ def rank_devices(
             max_embeddings=max_embeddings,
             include_readout=include_readout,
             seed=seed,
-            use_cache=use_cache,
         )
         if match is not None:
             matches.append(match)

@@ -182,7 +182,6 @@ def scalable_match_device(
     budget: Optional[MatchBudget] = None,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> Optional[DeviceMatch]:
     """Budgeted counterpart of :func:`repro.matching.mapomatic.match_device`.
 
@@ -193,9 +192,6 @@ def scalable_match_device(
     hash, device, calibration fingerprint, budget knobs and seed — repeated
     scheduling requests skip both the VF2 stage and the annealing restarts
     until the device's calibration drifts.  Only integer seeds are memoized.
-    ``use_cache=False`` skips the embedding cache; the VF2 stage still goes
-    through the content-keyed enumeration cache, which returns exactly what a
-    fresh search would.
     """
     budget = budget or MatchBudget()
     graph = _as_pattern(pattern)
@@ -205,7 +201,7 @@ def scalable_match_device(
     if graph.number_of_nodes() == 0:
         return DeviceMatch(device=properties.name, score=0.0, exact=True, layout={})
 
-    seed_key = _memoizable_seed(seed) if use_cache else None
+    seed_key = _memoizable_seed(seed)
     key = (
         _cache_key_for(graph, properties, "scalable", astuple(budget), include_readout, seed_key)
         if seed_key is not None
@@ -271,7 +267,6 @@ def rank_devices_scalable(
     budget: Optional[MatchBudget] = None,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> List[DeviceMatch]:
     """Rank every feasible device using the budgeted matcher, best first."""
     matches: List[DeviceMatch] = []
@@ -282,7 +277,6 @@ def rank_devices_scalable(
             budget=budget,
             include_readout=include_readout,
             seed=seed,
-            use_cache=use_cache,
         )
         if match is not None:
             matches.append(match)
@@ -294,10 +288,9 @@ def best_device_scalable(
     targets: Iterable[TargetLike],
     budget: Optional[MatchBudget] = None,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> DeviceMatch:
     """The single best device under the budgeted matcher."""
-    ranking = rank_devices_scalable(pattern, targets, budget=budget, seed=seed, use_cache=use_cache)
+    ranking = rank_devices_scalable(pattern, targets, budget=budget, seed=seed)
     if not ranking:
         raise MatchingError("No device in the candidate set can host the requested topology")
     return ranking[0]

@@ -124,7 +124,6 @@ def evaluate_embeddings(
     max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> List[ScoredEmbedding]:
     """Score every candidate embedding of ``pattern`` on one device, best first.
 
@@ -136,16 +135,14 @@ def evaluate_embeddings(
     until the device recalibrates, whatever their seed.  A greedy result
     depends on the seed and is recomputed per call; the enumeration that
     proved no exact embedding exists is memoized by
-    :func:`~repro.matching.subgraph.find_exact_embeddings`.  Pass
-    ``use_cache=False`` to skip the embedding cache.
+    :func:`~repro.matching.subgraph.find_exact_embeddings`.
     """
     from repro.core.cache import embedding_cache
 
-    key = _cache_key_for(pattern, properties, "scored", max_embeddings, include_readout) if use_cache else None
-    if key is not None:
-        hit = embedding_cache().get(key)
-        if hit is not None:
-            return _copy_scored(hit)
+    key = _cache_key_for(pattern, properties, "scored", max_embeddings, include_readout)
+    hit = embedding_cache().get(key)
+    if hit is not None:
+        return _copy_scored(hit)
     device_graph = properties.graph()
     distances: Optional[Dict[int, Dict[int, int]]] = None
     embeddings = find_exact_embeddings(pattern, device_graph, max_embeddings=max_embeddings)
@@ -168,7 +165,7 @@ def evaluate_embeddings(
         for embedding in embeddings
     ]
     scored = sorted(scored, key=lambda item: item.score)
-    if key is not None and all(item.exact for item in scored):
+    if all(item.exact for item in scored):
         # Store (and later serve) copies: Embedding.mapping is a mutable
         # dict, and neither the cold caller nor a warm caller may be able to
         # poison the shared cache by mutating their result.
@@ -194,7 +191,6 @@ def best_embedding(
     max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
     include_readout: bool = True,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> Optional[ScoredEmbedding]:
     """The lowest-cost embedding of ``pattern`` on one device (or ``None``)."""
     scored = evaluate_embeddings(
@@ -203,6 +199,5 @@ def best_embedding(
         max_embeddings=max_embeddings,
         include_readout=include_readout,
         seed=seed,
-        use_cache=use_cache,
     )
     return scored[0] if scored else None

@@ -13,10 +13,11 @@ A plan is the frozen, picklable outcome of one cold submit's compile stages:
 * the cold placement verdict (score, per-device scores, feasible count) so
   MATCHING can be skipped wholesale on the native path.
 
-Plans live in :func:`repro.core.cache.plan_cache`, filed by the service
-engines' plan store under ``(structural hash of the submitted circuit,
-device, calibration_fingerprint, *engine context)``; a calibration-drift
-cycle changes the fingerprint and the stale plan simply stops matching.
+Each orchestrator or cluster engine files its plans in its own plan store
+under ``(structural hash of the submitted circuit, requirements, shots)``;
+a lookup replays a plan only while its device's live calibration
+fingerprint equals the one recorded here, so a calibration-drift cycle
+makes the stale plan miss.
 """
 
 from __future__ import annotations

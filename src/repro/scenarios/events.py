@@ -14,9 +14,9 @@ attaches to the :class:`~repro.service.QRIOService` it drives:
   fail when nothing is left.
 * :class:`CalibrationJump` — a mid-trace calibration epoch: the device's
   :class:`~repro.backends.BackendProperties` are re-drawn through
-  :class:`~repro.cloud.CalibrationDriftModel` and the stale entries of the
-  fleet-wide :func:`~repro.core.cache.plan_cache` are eagerly dropped
-  (exactly what a vendor calibration push does).
+  :class:`~repro.cloud.CalibrationDriftModel` and the engine's stale plans
+  of that device are eagerly dropped from its plan store (exactly what a
+  vendor calibration push does).
 * :class:`QueueStorm` — a burst of synthetic backlog lands on device queues
   (cloud engine), stretching predicted waits the way a tenant dumping work
   outside this trace would.

@@ -19,7 +19,7 @@ the existing subsystems:
 
 The orchestrator and cluster engines share one private base that owns the
 rest of the Fig. 2 funnel: policy routing, the warm-plan lookup and
-publication over the fleet-wide plan cache, stale-plan dropping and the
+publication over the engine's own plan store, stale-plan dropping and the
 outage cordon.
 
 All adapters consume the same :class:`~repro.service.JobSpec` and produce the
@@ -50,10 +50,10 @@ from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSim
 from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, ResourceRequest
 from repro.cluster.registry import ClusterState
 from repro.core.cache import (
+    PLAN_STATS,
     LRUCache,
     calibration_fingerprint,
     fleet_calibration_epoch,
-    plan_cache,
     structural_circuit_hash,
 )
 from repro.core.meta_server import MetaServer
@@ -99,17 +99,15 @@ class _PolicyResolver:
         return self._resolved[spec]
 
 
-class _PlanStore:
-    """One engine's view over the fleet-wide execution-plan cache.
+class _PlanStore(LRUCache):
+    """One engine's execution plans, keyed by :meth:`JobSpec.dedup_key`.
 
-    The shared :func:`~repro.core.cache.plan_cache` holds the plans; this
-    helper adds the two pieces an engine needs around it: the *placement
-    memo* (a warm lookup must know which device the workload compiled for —
-    the device is an output of MATCHING, not an input) and the engine
-    context folded into every key (engine name, base seed, the frozen
-    requirements and the shot budget), so plans never replay across engines,
-    seeds or requirement sets that would have compiled differently.  This is
-    the only code that builds a plan-cache key.
+    The key is ``(structural hash, requirements, shots)``.  The store
+    belongs to one engine, so neither the engine nor its seed is part of
+    it; the device is an output of MATCHING and lives in the plan.  A
+    lookup replays a plan only while its device is in the fleet with the
+    calibration the plan was compiled against.  Every engine's store
+    records into the process-wide :data:`~repro.core.cache.PLAN_STATS`.
 
     Plans only serve the engines' *native* scheduling paths.  Registry
     policies are load- and state-dependent by design (round-robin cursors,
@@ -117,47 +115,43 @@ class _PlanStore:
     filter → score → select pipeline and are never stored or replayed.
     """
 
-    def __init__(self, engine_name: str, seed: SeedLike) -> None:
-        self._engine = engine_name
-        self._seed = seed
-        # Bounded like the plan cache, so the memo never outgrows the plans
-        # it points at.
-        self._device_memo = LRUCache(plan_cache().maxsize)
+    def __init__(self) -> None:
+        super().__init__(512)
+        self.stats = PLAN_STATS
         self.compiler = PlanCompiler()
-
-    def _context(self, spec: JobSpec) -> tuple:
-        return (self._engine, self._seed, spec.requirements, spec.shots)
 
     def lookup(self, spec: JobSpec, backends: dict) -> Optional[ExecutionPlan]:
         """The warm plan for ``spec``, or ``None`` (recorded as a miss).
 
-        A miss with a known placement memo means the device's calibration
-        fingerprint moved since the plan was compiled; the stale entries for
-        that device are eagerly invalidated before the cold path recompiles.
+        A plan whose device left the fleet misses but stays stored: the
+        device may come back with the same calibration.  A plan compiled
+        against another calibration of its device misses, and this engine's
+        stale plans for that device are dropped before the cold path
+        recompiles.
         """
-        digest = structural_circuit_hash(spec.circuit)
-        context = self._context(spec)
-        device = self._device_memo.get((digest, context))
-        backend = backends.get(device)
-        # With no placed backend the probe carries no fingerprint, a key no
-        # plan is ever stored under: the cold compile still counts as a miss.
-        fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
-        plan = plan_cache().get((digest, device, fingerprint) + context)
-        if plan is None and backend is not None:
-            self.drop_stale(device, fingerprint)
-        return plan
+        key = spec.dedup_key()
+        with self._lock:
+            plan = self._data.get(key)
+            backend = None if plan is None else backends.get(plan.device)
+            fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
+            if fingerprint is not None and fingerprint == plan.calibration_fingerprint:
+                self._data.move_to_end(key)
+                self.stats.hits += 1
+                return plan
+            self.stats.misses += 1
+        if fingerprint is not None:
+            self.drop_stale(plan.device, fingerprint)
+        return None
 
     def store(self, spec: JobSpec, plan: ExecutionPlan) -> None:
-        """Publish a cold submit's plan and remember its placement."""
-        digest = structural_circuit_hash(spec.circuit)
-        context = self._context(spec)
-        self._device_memo.put((digest, context), plan.device)
-        plan_cache().put((digest, plan.device, plan.calibration_fingerprint) + context, plan)
+        """Publish a cold submit's plan."""
+        self.put(spec.dedup_key(), plan)
 
-    @staticmethod
-    def drop_stale(device: str, fingerprint: str) -> None:
-        """Drop every cached plan for ``device`` compiled under another calibration."""
-        plan_cache().drop_where(lambda key: key[1] == device and key[2] != fingerprint)
+    def drop_stale(self, device: str, fingerprint: str) -> None:
+        """Drop this engine's plans for ``device`` compiled under another calibration."""
+        self.drop_where(
+            lambda plan: plan.device == device and plan.calibration_fingerprint != fingerprint
+        )
 
 
 class _ClusterEngineBase(ExecutionEngine):
@@ -177,7 +171,7 @@ class _ClusterEngineBase(ExecutionEngine):
         self._seed = seed
         self._policies = _PolicyResolver(policy, seed=seed)
         self._policy_fidelity_cache: dict = {}
-        self._plans = _PlanStore(self.name, seed)
+        self._plans = _PlanStore()
 
     def fleet(self) -> List[Backend]:
         return self.cluster.backends()
@@ -202,10 +196,10 @@ class _ClusterEngineBase(ExecutionEngine):
             cluster.events.record("NodeCordoned", node.name, "scenario outage")
 
     def apply_calibration(self, device: str, properties) -> None:
-        """Swap the properties, then drop the device's now-stale plans.
+        """Swap the properties, then drop this engine's now-stale plans of the device.
 
         Plans compiled against any other calibration of ``device`` can never
-        match again, so they are evicted eagerly, exactly as a vendor
+        replay again, so they are evicted eagerly, exactly as a vendor
         calibration push does.
         """
         super().apply_calibration(device, properties)
@@ -220,8 +214,9 @@ class _ClusterEngineBase(ExecutionEngine):
         policy = self._policies.for_requirements(spec.requirements)
         if policy is not None:
             return self._schedule_with_policy(policy, spec, job_name)
-        # Warm path: a cached plan for (structure, device, calibration) binds
-        # the job directly — no filter chain, no canary ranking.
+        # Warm path: a stored plan whose device still has the calibration it
+        # compiled against binds the job directly — no filter chain, no
+        # canary ranking.
         plan = self._plans.lookup(spec, {b.name: b for b in self.fleet()})
         if plan is not None:
             placement = self._replay_placement(spec, job_name, plan)

@@ -522,11 +522,14 @@ class QRIOService:
         }
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Hit/miss/eviction statistics of every shared cache.
+        """Hit/miss/eviction statistics of the process-wide caches.
 
-        Includes the fleet-wide execution-plan cache (key ``"plan"``) next
-        to the embedding and canary ideal-distribution caches, so callers
-        can see how many submits replayed a warm plan versus compiling cold.
+        The ``"plan"`` row sums every engine's plan store in the process, so
+        callers can see how many submits replayed a warm plan versus
+        compiling cold; ``"embedding"`` and ``"enumeration"`` are the shared
+        matching caches.  ``"ideal_distribution"`` and ``"batch"`` stay as
+        zero rows: canaries keep their ideal counts, and no cache backs
+        batching.
         """
         return all_cache_stats()
 

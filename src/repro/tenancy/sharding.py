@@ -21,7 +21,7 @@ Everything crossing the process boundary is a frozen dataclass the pickle
 contract (:mod:`repro.analysis.serialization`) covers:
 
 * :class:`EngineSpec` — the engine *recipe* (engines themselves hold locks
-  and sessions, so each shard builds its own and warms its own plan cache);
+  and sessions, so each shard builds its own and warms its own plan store);
 * :class:`ShardRequest` — one shard's sub-fleet, engine recipe and warmup;
 * :class:`ShardJob` / :class:`ShardOutcome` — the per-job request/response
   envelope; outcomes carry the job's full :class:`~repro.service.JobEvent`
@@ -156,7 +156,7 @@ class ShardRequest:
     workers: int = 0
     max_pending: Optional[int] = None
     #: Specs submitted and drained before the shard reports ready — the
-    #: per-shard plan-cache warmup (each shard has its own process-wide cache).
+    #: per-shard plan warmup (each shard's engine owns its plan store).
     warmup: Tuple[JobSpec, ...] = ()
 
     def __post_init__(self) -> None:

@@ -12,19 +12,19 @@ from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.core.cache import (
     CacheStats,
     LRUCache,
+    PLAN_STATS,
+    all_cache_stats,
     calibration_fingerprint,
     clear_all_caches,
     embedding_cache,
     fleet_calibration_epoch,
-    ideal_distribution_cache,
     pattern_hash,
-    plan_cache,
     structural_circuit_hash,
 )
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
 from repro.policies import resolve_policy
-from repro.service import ClusterEngine, JobSpec
+from repro.service import ClusterEngine, JobRequirements, JobSpec, QRIOService
 from repro.service.engines import _PlanStore
 
 
@@ -65,7 +65,7 @@ class TestLRUCache:
         for key in "abc":
             cache.put(key, key)
         cache.get("a")  # recency: b, c, a
-        cache.drop_where(lambda key: key == "c")
+        cache.drop_where(lambda value: value == "c")
         cache.put("d", "d")
         cache.put("e", "e")  # over the bound: "b" is still the LRU survivor
         assert "b" not in cache
@@ -76,8 +76,8 @@ class TestLRUCache:
         cache = LRUCache(maxsize=4)
         for key in "abc":
             cache.put(key, key)
-        assert cache.drop_where(lambda key: key in "ab") == 2
-        assert cache.drop_where(lambda key: key in "ab") == 0
+        assert cache.drop_where(lambda value: value in "ab") == 2
+        assert cache.drop_where(lambda value: value in "ab") == 0
         assert "c" in cache
         assert len(cache) == 1
 
@@ -85,7 +85,7 @@ class TestLRUCache:
         """Purging stale entries is neither a lookup nor an LRU eviction."""
         cache = LRUCache(maxsize=4)
         cache.put("a", 1)
-        cache.drop_where(lambda key: True)
+        cache.drop_where(lambda value: True)
         assert cache.stats.as_dict() == CacheStats().as_dict()
 
 
@@ -166,12 +166,6 @@ class TestEmbeddingCacheWiring:
         assert embedding_cache().stats.misses == misses_before + 1
         assert embedding_cache().stats.hits == hits_before
 
-    def test_use_cache_false_bypasses_the_cache(self):
-        device = three_device_testbed()[0]
-        pattern = interaction_graph(ghz(4, measure=False))
-        scalable_match_device(pattern, device, seed=1, use_cache=False)
-        assert len(embedding_cache()) == 0
-
     def test_generator_and_none_seeds_are_not_memoized(self):
         """Fresh-entropy searches must stay independent across calls."""
         import numpy as np
@@ -204,15 +198,28 @@ class TestEmbeddingCacheWiring:
 
 
 class TestIdealDistributionCacheWiring:
-    def test_estimators_share_distributions_across_instances(self):
-        circuit = ghz(3)
+    """Each estimator owns its canary's ideal counts; nothing is shared."""
+
+    def test_a_ranking_runs_one_ideal_distribution(self, monkeypatch):
+        runs = []
+        inner = CliffordCanaryEstimator.ideal_distribution
+
+        def spy(self, canary):
+            runs.append(canary.name)
+            return inner(self, canary)
+
+        monkeypatch.setattr(CliffordCanaryEstimator, "ideal_distribution", spy)
+        fleet = three_device_testbed()
         first = CliffordCanaryEstimator(shots=128, seed=1)
-        canary = first.build_canary(circuit)
-        counts = first.ideal_distribution(canary)
-        misses = ideal_distribution_cache().stats.misses
+        first.estimate_many(ghz(3), fleet)
+        assert len(runs) == 1
+        # A second estimator computes its own counts from its own seed: a
+        # warm process changes neither how often nor what it samples.
         second = CliffordCanaryEstimator(shots=128, seed=999)
-        assert second.ideal_distribution(canary) == counts
-        assert ideal_distribution_cache().stats.misses == misses  # pure hit
+        reports = second.estimate_many(ghz(3), fleet)
+        assert len(runs) == 2
+        alone = CliffordCanaryEstimator(shots=128, seed=999).estimate_many(ghz(3), fleet)
+        assert [r.canary_fidelity for r in reports] == [r.canary_fidelity for r in alone]
 
     def test_shot_budget_is_part_of_the_key(self):
         circuit = ghz(3)
@@ -252,93 +259,112 @@ class TestFleetCalibrationEpoch:
         assert fleet_calibration_epoch(fleet) != before
 
 
-def _plan_key(spec, device, fingerprint, engine="cluster", seed=5):
-    """The key layout ``_PlanStore`` files a plan under."""
-    return (structural_circuit_hash(spec.circuit), device, fingerprint, engine, seed, spec.requirements, spec.shots)
+def _plan(backend, fingerprint=None):
+    """A stand-in plan: the store reads only its device and fingerprint."""
+    if fingerprint is None:
+        fingerprint = calibration_fingerprint(backend.properties)
+    return SimpleNamespace(device=backend.name, calibration_fingerprint=fingerprint)
 
 
 class TestPlanCache:
+    """Each orchestrator/cluster engine owns one ``_PlanStore``."""
+
     def test_key_bundles_identity_and_context(self):
         spec = JobSpec(ghz(3), shots=64)
-        store = _PlanStore("cluster", 5)
-        store.store(spec, SimpleNamespace(device="device_a", calibration_fingerprint="fp0"))
-        assert _plan_key(spec, "device_a", "fp0") in plan_cache()
-        assert _plan_key(spec, "device_a", "fp1") not in plan_cache()
-        assert _plan_key(spec, "device_a", "fp0", seed=6) not in plan_cache()
+        store = _PlanStore()
+        store.store(spec, _plan(three_device_testbed()[0]))
+        digest = structural_circuit_hash(spec.circuit)
+        assert (digest, spec.requirements, 64) in store
+        assert (digest, spec.requirements, 128) not in store
+        other_requirements = JobSpec(ghz(3), JobRequirements(fidelity_threshold=0.9), shots=64)
+        assert other_requirements.dedup_key() not in store
 
     def test_get_put_and_stats(self):
-        cache = plan_cache()
-        before = cache.stats.as_dict()
-        key = ("d", "dev", "fp")
-        assert cache.get(key) is None
-        cache.put(key, "plan")
-        assert cache.get(key) == "plan"
-        assert cache.stats.hits - before["hits"] == 1
-        assert cache.stats.misses - before["misses"] == 1
-        assert len(cache) == 1
+        backend = three_device_testbed()[0]
+        spec = JobSpec(ghz(3), shots=64)
+        store = _PlanStore()
+        before = PLAN_STATS.as_dict()
+        assert store.lookup(spec, {backend.name: backend}) is None
+        plan = _plan(backend)
+        store.store(spec, plan)
+        assert store.lookup(spec, {backend.name: backend}) is plan
+        assert PLAN_STATS.hits - before["hits"] == 1
+        assert PLAN_STATS.misses - before["misses"] == 1
+        assert len(store) == 1
 
     def test_record_miss_counts_keyless_cold_submits(self):
-        """A never-placed workload has no key to probe; its miss still counts."""
-        misses = plan_cache().stats.misses
-        assert _PlanStore("cluster", 5).lookup(JobSpec(ghz(3), shots=64), {}) is None
-        assert plan_cache().stats.misses == misses + 1
-        assert len(plan_cache()) == 0
+        """A never-placed workload has no plan to probe; its miss still counts."""
+        misses = PLAN_STATS.misses
+        store = _PlanStore()
+        assert store.lookup(JobSpec(ghz(3), shots=64), {}) is None
+        assert PLAN_STATS.misses == misses + 1
+        assert len(store) == 0
 
     def test_invalidate_device_drops_only_stale_fingerprints(self):
         fleet = three_device_testbed()
         engine = ClusterEngine(seed=5)
         engine.attach(fleet)
-        dev_a, dev_b = fleet[0].name, fleet[1].name
-        drifted = CalibrationDriftModel().drift_properties(fleet[0].properties, seed=1)
+        other = ClusterEngine(seed=5)
+        other.attach(three_device_testbed())
+        dev_a, dev_b = fleet[0], fleet[1]
+        drifted = CalibrationDriftModel().drift_properties(dev_a.properties, seed=1)
         fresh = calibration_fingerprint(drifted)
-        cache = plan_cache()
-        cache.put(("d1", dev_a, "old"), "stale-1")
-        cache.put(("d2", dev_a, "old"), "stale-2")
-        cache.put(("d1", dev_a, fresh), "fresh")
-        cache.put(("d1", dev_b, "old"), "other-device")
-        engine.apply_calibration(dev_a, drifted)
-        assert len(cache) == 2
-        assert cache.get(("d1", dev_a, fresh)) == "fresh"
-        assert cache.get(("d1", dev_b, "old")) == "other-device"
-        assert cache.get(("d1", dev_a, "old")) is None
+        store = engine._plans
+        store.put("d1-old", _plan(dev_a, "old"))
+        store.put("d2-old", _plan(dev_a, "old"))
+        store.put("d1-fresh", _plan(dev_a, fresh))
+        store.put("d1-other-device", _plan(dev_b, "old"))
+        other._plans.put("d1-old", _plan(dev_a, "old"))
+        engine.apply_calibration(dev_a.name, drifted)
+        assert len(store) == 2
+        assert "d1-fresh" in store and "d1-other-device" in store
+        # Another engine's store is not touched by this engine's push.
+        assert "d1-old" in other._plans
 
     def test_lookup_on_a_device_gone_from_the_fleet_is_a_miss(self):
-        """A memoized placement whose device left the fleet probes no fingerprint."""
+        """A plan whose device left the fleet misses, without a purge."""
         backend = three_device_testbed()[0]
         spec = JobSpec(ghz(3), shots=64)
-        store = _PlanStore("cluster", 5)
-        fingerprint = calibration_fingerprint(backend.properties)
-        store.store(spec, SimpleNamespace(device=backend.name, calibration_fingerprint=fingerprint))
-        misses = plan_cache().stats.misses
+        store = _PlanStore()
+        store.store(spec, _plan(backend))
+        misses = PLAN_STATS.misses
         assert store.lookup(spec, {}) is None
-        assert plan_cache().stats.misses == misses + 1
+        assert PLAN_STATS.misses == misses + 1
         # Nothing is purged: the device may come back with the same calibration.
         assert store.lookup(spec, {backend.name: backend}) is not None
 
     def test_invalidate_device_without_keep_drops_everything_for_it(self):
         """A warm lookup that misses on a moved fingerprint purges the device."""
-        backend = three_device_testbed()[0]
+        backend, bystander = three_device_testbed()[:2]
         spec = JobSpec(ghz(3), shots=64)
-        store = _PlanStore("cluster", 5)
-        old = calibration_fingerprint(backend.properties)
-        store.store(spec, SimpleNamespace(device=backend.name, calibration_fingerprint=old))
-        plan_cache().put(("other-digest", backend.name, "older"), "p1")
+        store = _PlanStore()
+        store.store(spec, _plan(backend))
+        store.put("other-digest", _plan(backend, "older"))
+        store.put("bystander", _plan(bystander))
         backend.properties = CalibrationDriftModel().drift_properties(backend.properties, seed=1)
+        misses = PLAN_STATS.misses
         assert store.lookup(spec, {backend.name: backend}) is None
-        assert len(plan_cache()) == 0
+        assert PLAN_STATS.misses == misses + 1
+        assert len(store) == 1 and "bystander" in store
 
-    def test_shared_instance_is_cleared_with_the_other_caches(self):
-        shared = plan_cache()
-        shared.put(("d", "dev", "fp"), "plan")
+    def test_each_engine_owns_its_plans(self):
+        fleet = three_device_testbed()
+        owner = QRIOService(fleet, ClusterEngine(seed=5, canary_shots=64))
+        owner.submit(ghz(3), 0.9, shots=64).result()
+        bystander = ClusterEngine(seed=5, canary_shots=64)
+        QRIOService(fleet, bystander)
+        assert len(owner.engine._plans) == 1
+        assert len(bystander._plans) == 0
+        # The shared caches' reset leaves an engine's plans alone.
         clear_all_caches()
-        assert len(shared) == 0
+        assert len(owner.engine._plans) == 1
 
     def test_all_cache_stats_exposes_the_plan_entry(self):
-        from repro.core.cache import all_cache_stats
-
         stats = all_cache_stats()
         assert "plan" in stats
         assert {"hits", "misses"} <= set(stats["plan"])
+        # Canaries keep their own ideal counts: the row stays for readers.
+        assert stats["ideal_distribution"] == CacheStats().as_dict()
 
 
 class TestAllocationContextEpoch:

@@ -242,7 +242,8 @@ class TestSeedlessScoredCache:
         exact_host = generate_fleet(limit=3, seed=2024)[1].properties
         greedy_host = named_topology_device("line", 8, two_qubit_error=0.03, name="line8_shared").properties
         for device in (exact_host, greedy_host):
-            for scored in evaluate_embeddings(pattern, device, seed=4, use_cache=False):
+            embedding_cache().clear()
+            for scored in evaluate_embeddings(pattern, device, seed=4):
                 assert scored.score == embedding_cost(pattern, scored.embedding, device)
 
 

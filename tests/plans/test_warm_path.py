@@ -4,7 +4,7 @@ The acceptance property of the plan subsystem: after one cold submit, a
 repeat submission of the same workload performs **zero** transpile calls,
 **zero** scheduler cycles and **zero** embedding/canary lookups — asserted
 through counting monkeypatches on the compile entry points plus the shared
-cache statistics — while calibration drift forces a recompile and fused
+plan statistics — while calibration drift forces a recompile and fused
 plans stay bit-identical to the unfused path.
 """
 
@@ -16,7 +16,8 @@ import repro.core.master_server as master_server_module
 import repro.service.engines as engines_module
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.core.cache import all_cache_stats, clear_all_caches, plan_cache
+from repro.core.cache import all_cache_stats, clear_all_caches
+from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.service import (
     CloudEngine,
     ClusterEngine,
@@ -65,6 +66,20 @@ def _plan_stats():
     return all_cache_stats()["plan"]
 
 
+@pytest.fixture()
+def ideal_runs(monkeypatch):
+    """Names of the canaries whose ideal distribution was simulated."""
+    runs = []
+    inner = CliffordCanaryEstimator.ideal_distribution
+
+    def spy(self, canary):
+        runs.append(canary.name)
+        return inner(self, canary)
+
+    monkeypatch.setattr(CliffordCanaryEstimator, "ideal_distribution", spy)
+    return runs
+
+
 class TestClusterWarmPath:
     def test_warm_submit_skips_transpile_and_the_scheduler(
         self, monkeypatch, count_engine_transpile
@@ -94,25 +109,27 @@ class TestClusterWarmPath:
             assert result.device == cold.device
             assert sum(result.counts.values()) == 128
 
-    def test_warm_submit_touches_no_embedding_or_canary_caches(self, count_engine_transpile):
+    def test_warm_submit_touches_no_embedding_or_canary_caches(self, count_engine_transpile, ideal_runs):
         requirements = JobRequirements(topology_edges=((0, 1), (1, 2)))
         service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
         service.submit(ghz(3), requirements, shots=64).result()
-        before = all_cache_stats()
+        before = all_cache_stats()["embedding"]
+        canaries = len(ideal_runs)
         service.submit(ghz(3), requirements, shots=64).result()
-        after = all_cache_stats()
-        for cache in ("embedding", "ideal_distribution"):
-            assert after[cache]["hits"] == before[cache]["hits"]
-            assert after[cache]["misses"] == before[cache]["misses"]
+        after = all_cache_stats()["embedding"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"]
+        assert len(ideal_runs) == canaries
 
     def test_calibration_drift_forces_a_recompile(self, count_engine_transpile):
         fleet = three_device_testbed()
-        service = QRIOService(fleet, ClusterEngine(seed=5, canary_shots=64))
+        engine = ClusterEngine(seed=5, canary_shots=64)
+        service = QRIOService(fleet, engine)
         cold = service.submit(ghz(4), 0.9, shots=64).result()
         assert count_engine_transpile.calls == 1
-        cached_before = len(plan_cache())
+        cached_before = len(engine._plans)
         # Drift the placed device's calibration in place: every error rate
-        # moves, so its fingerprint — and the plan key — changes.
+        # moves, so its fingerprint no longer equals the plan's.
         placed = next(b for b in fleet if b.name == cold.device)
         for edge in placed.properties.two_qubit_error:
             placed.properties.two_qubit_error[edge] *= 1.5
@@ -125,7 +142,7 @@ class TestClusterWarmPath:
         assert after["hits"] - before["hits"] == 0
         assert count_engine_transpile.calls == 2
         assert recompiled.detail["plan_replay"] is False
-        assert len(plan_cache()) == cached_before
+        assert len(engine._plans) == cached_before
         # And the fresh plan is immediately warm again.
         warm = service.submit(ghz(4), 0.9, shots=64).result()
         assert warm.detail["plan_replay"] is True
@@ -140,51 +157,48 @@ class TestClusterWarmPath:
         assert count_engine_transpile.calls == 2
 
     def test_policy_routed_jobs_never_use_plans(self):
-        service = QRIOService(
-            three_device_testbed(), ClusterEngine(seed=5, canary_shots=64, policy="round-robin")
-        )
-        len_before = len(plan_cache())
+        engine = ClusterEngine(seed=5, canary_shots=64, policy="round-robin")
+        service = QRIOService(three_device_testbed(), engine)
         stats_before = _plan_stats()
         for _ in range(3):
             service.submit(ghz(3), 0.9, shots=64).result()
         # The load-dependent policy path neither stores nor looks up plans.
-        assert len(plan_cache()) == len_before
+        assert len(engine._plans) == 0
         assert _plan_stats() == stats_before
 
-    def test_placement_memo_never_outgrows_the_plan_cache(self):
+    def test_plan_store_is_bounded(self):
         engine = ClusterEngine(seed=5, canary_shots=64)
         service = QRIOService(three_device_testbed()[:1], engine)
-        cache = plan_cache()
-        evictions = cache.stats.evictions
+        store = engine._plans
+        evictions = store.stats.evictions
         for index in range(700):
             circuit = QuantumCircuit(2)
             circuit.rx(0.001 * (index + 1), 0).cx(0, 1)
             circuit.measure_all()
             service.submit(circuit, shots=8).result()
-        # 700 distinct workloads: the plan cache evicts the oldest 188, and
-        # the placement memo is bounded alongside it instead of keeping 700.
-        assert cache.stats.evictions - evictions == 700 - cache.maxsize
-        assert len(engine._plans._device_memo) == len(cache) == cache.maxsize
+        # 700 distinct workloads: the store evicts the oldest 188.
+        assert store.stats.evictions - evictions == 700 - store.maxsize
+        assert len(store) == store.maxsize
 
 
 class TestOrchestratorWarmPath:
-    def test_warm_submit_skips_master_server_transpile(self, count_master_transpile):
+    def test_warm_submit_skips_master_server_transpile(self, count_master_transpile, ideal_runs):
         service = QRIOService(
             three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64)
         )
         cold = service.submit(ghz(4), 0.9, shots=128).result()
         assert count_master_transpile.calls == 1
         assert cold.detail["plan_replay"] is False
-        before = all_cache_stats()
+        assert len(ideal_runs) == 1
+        before = _plan_stats()
         warm = service.submit(ghz(4), 0.9, shots=128).result()
-        after = all_cache_stats()
+        after = _plan_stats()
         assert count_master_transpile.calls == 1
         assert warm.detail["plan_replay"] is True
         assert warm.device == cold.device
-        assert after["plan"]["hits"] - before["plan"]["hits"] == 1
-        # The canary ranking never ran: the ideal-distribution cache is idle.
-        assert after["ideal_distribution"]["hits"] == before["ideal_distribution"]["hits"]
-        assert after["ideal_distribution"]["misses"] == before["ideal_distribution"]["misses"]
+        assert after["hits"] - before["hits"] == 1
+        # The canary ranking never ran: no ideal distribution was simulated.
+        assert len(ideal_runs) == 1
 
     def test_warm_replay_is_recorded_in_the_cluster_events(self):
         engine = OrchestratorEngine(seed=5, canary_shots=64)
@@ -231,7 +245,6 @@ class TestCloudFeasibility:
         for _ in range(3):
             service.submit(ghz(4), shots=64).result()
         assert _plan_stats() == before
-        assert len(plan_cache()) == 0
 
 
 class TestFusionEquivalenceAcrossEngines:

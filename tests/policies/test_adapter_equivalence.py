@@ -16,7 +16,6 @@ from repro.backends import generate_fleet, three_device_testbed
 from repro.backends.fleet import generate_device
 from repro.circuits import bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.core.cache import clear_all_caches
 from repro.core.visualizer import TopologyCanvas
 from repro.experiments.cloud_policies import run_cloud_policy_comparison
 from repro.policies import PlacementContext, resolve_policy
@@ -198,7 +197,7 @@ class TestCloudPolicyEquivalence:
 
 
 class TestMetaServerRankingGoldens:
-    """Scores on ``three_device_testbed()``, recorded on cold caches."""
+    """Scores on ``three_device_testbed()``; no cache state can move them."""
 
     FIDELITY_SCORES = {
         "device_tree": 0.02524523084405339,
@@ -212,14 +211,12 @@ class TestMetaServerRankingGoldens:
     }
 
     def test_threshold_fidelity_scores_match_the_goldens(self):
-        clear_all_caches()
         fleet = three_device_testbed()
         policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
         ctx = PlacementContext(fleet=fleet, circuit=ghz(3), fidelity_threshold=0.9)
         assert {backend.name: policy.score(ctx, backend) for backend in fleet} == self.FIDELITY_SCORES
 
     def test_threshold_fidelity_picks_the_closest_match(self):
-        clear_all_caches()
         policy = ThresholdFidelityPolicy(estimator="canary", canary_shots=128, seed=13)
         decision = policy.decide(
             PlacementContext(fleet=three_device_testbed(), circuit=ghz(3), fidelity_threshold=0.9)
