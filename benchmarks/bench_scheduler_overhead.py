@@ -69,10 +69,11 @@ def test_overhead_topology_scoring_single_device(benchmark, bench_fleet, bench_c
 
 
 def test_overhead_scheduling_with_tight_filter(benchmark, scheduling_setup, bench_config):
-    """Time a full scheduling decision when filtering shrinks the candidate set.
+    """Time a full scheduling cycle when filtering shrinks the candidate set.
 
-    The meta-server score cache is cleared between rounds so every round pays
-    the genuine ranking cost for the filtered devices.
+    The job's metadata is re-uploaded each round, so the meta server builds
+    a fresh ranking policy and every round pays the genuine ranking cost for
+    the filtered devices.
     """
     cluster, meta, scheduler = scheduling_setup
     meta.upload_job_metadata(MetaServerPayload(

@@ -1,14 +1,8 @@
-"""Kubernetes-like cluster substrate: nodes, jobs, scheduling framework, containers."""
+"""Kubernetes-like cluster substrate: nodes, jobs, the filter stage, containers."""
 
 from repro.cluster.container import CONTAINER_REQUIREMENTS, ContainerImage, ImageBuilder, ImageRegistry
 from repro.cluster.events import Event, EventLog
-from repro.cluster.framework import (
-    FilterPlugin,
-    FilterReport,
-    SchedulingDecision,
-    SchedulingFramework,
-    ScorePlugin,
-)
+from repro.cluster.framework import FilterPlugin, FilterReport, run_filters
 from repro.cluster.job import DeviceConstraints, Job, JobPhase, JobSpec, ResourceRequest
 from repro.cluster.labels import NodeLabels
 from repro.cluster.node import Node, NodeCapacity, NodeStatus
@@ -36,7 +30,5 @@ __all__ = [
     "NodeStatus",
     "QueuePolicy",
     "ResourceRequest",
-    "SchedulingDecision",
-    "SchedulingFramework",
-    "ScorePlugin",
+    "run_filters",
 ]

@@ -4,7 +4,7 @@ The meta server ranks devices through the registry placement policies of
 :mod:`repro.policies`; this package holds no ranking code of its own.
 """
 
-from repro.core.baselines import OracleScheduler, OracleScorePlugin, RandomScheduler, RandomScorePlugin
+from repro.core.baselines import OraclePlacementPolicy
 from repro.core.cache import (
     CacheStats,
     LRUCache,
@@ -23,9 +23,9 @@ from repro.core.requirements import UserRequirements
 from repro.core.scheduler import (
     ClassicalResourceFilter,
     DeviceCharacteristicsFilter,
-    MetaServerScorePlugin,
     QRIOScheduler,
     QubitCountFilter,
+    SchedulingDecision,
     default_filter_plugins,
 )
 from repro.core.vendor import DeviceSpec, VendorConsole
@@ -59,15 +59,12 @@ __all__ = [
     "MasterServerPayload",
     "MetaServer",
     "MetaServerPayload",
-    "MetaServerScorePlugin",
-    "OracleScheduler",
-    "OracleScorePlugin",
+    "OraclePlacementPolicy",
     "QRIO",
     "QRIOScheduler",
     "QRIOVisualizer",
     "QubitCountFilter",
-    "RandomScheduler",
-    "RandomScorePlugin",
+    "SchedulingDecision",
     "SubmittedJob",
     "TopologyCanvas",
     "UserRequirements",

@@ -1,65 +1,38 @@
-"""Baseline schedulers used by the paper's evaluation.
+"""Baseline rankings used by the paper's evaluation.
 
-* :class:`RandomScheduler` — "randomly picks up a device in the list of
-  filtered devices" (the Fig. 6 and Fig. 7 baseline).
-* :class:`OracleScheduler` — "scores the backends directly on the user's
-  submitted circuit and does not convert it to a clifford circuit", using the
-  noise-free simulator to know the correct answer (the Fig. 7 upper bound;
-  not implementable in a real scheduler because the right answer is not
-  available at scheduling time).
+* :class:`~repro.policies.RandomPlacementPolicy` — "randomly picks up a
+  device in the list of filtered devices" (the Fig. 6 and Fig. 7 baseline);
+* :class:`OraclePlacementPolicy` — "scores the backends directly on the
+  user's submitted circuit and does not convert it to a clifford circuit",
+  using the noise-free simulator to know the correct answer (the Fig. 7
+  upper bound; not implementable in a real scheduler because the right
+  answer is not available at scheduling time).
 
-Both reuse the generic scheduling framework so they run through exactly the
-same filtering stage as the real QRIO scheduler.
+Both are placement policies, so they run through the same scheduling cycle
+and the same filtering stage as the real QRIO ranking
+(:meth:`repro.core.QRIOScheduler.schedule`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.backends.backend import Backend
-from repro.cluster.framework import FilterPlugin, SchedulingFramework, ScorePlugin
-from repro.cluster.job import Job
-from repro.cluster.node import Node
-from repro.cluster.registry import ClusterState
-from repro.core.scheduler import default_filter_plugins
 from repro.fidelity.canary import achieved_fidelity
-from repro.policies import INFEASIBLE_SCORE, SURPLUS_WEIGHT
-from repro.qasm.parser import parse_qasm
-from repro.utils.rng import SeedLike, derive_seed, ensure_generator
+from repro.policies import SURPLUS_WEIGHT, PlacementContext, PlacementPolicy
+from repro.utils.rng import SeedLike, derive_seed
 
 
-class RandomScorePlugin(ScorePlugin):
-    """Assigns every feasible node an independent uniform random score."""
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        self._rng = ensure_generator(seed)
-
-    def score(self, job: Job, node: Node) -> float:
-        return float(self._rng.random())
-
-
-class RandomScheduler(SchedulingFramework):
-    """Filtering as usual, then a uniformly random choice among survivors."""
-
-    def __init__(
-        self,
-        cluster: ClusterState,
-        seed: SeedLike = None,
-        extra_filters: Optional[Sequence[FilterPlugin]] = None,
-    ) -> None:
-        filters = default_filter_plugins()
-        if extra_filters:
-            filters.extend(extra_filters)
-        super().__init__(cluster, filter_plugins=filters, score_plugins=[RandomScorePlugin(seed)])
-
-
-class OracleScorePlugin(ScorePlugin):
-    """Scores nodes by the *true* fidelity of the user's circuit on the device.
+class OraclePlacementPolicy(PlacementPolicy):
+    """Scores devices by the *true* fidelity of the user's circuit on them.
 
     The true fidelity compares the device's noisy execution of the original
     circuit with the noise-free reference obtained from classical simulation,
-    so this plugin is only usable when the circuit is small enough to
+    so this policy is only usable when the circuit is small enough to
     simulate — exactly the caveat the paper gives for its oracle algorithm.
+    The score is the meta server's threshold distance (deficit at full
+    weight, surplus at :data:`~repro.policies.SURPLUS_WEIGHT`) against
+    ``fidelity_threshold``.
     """
 
     def __init__(
@@ -73,18 +46,18 @@ class OracleScorePlugin(ScorePlugin):
         self._seed = seed
         self._fidelities: Dict[Tuple[str, str], float] = {}
 
-    def score(self, job: Job, node: Node) -> float:
-        circuit = parse_qasm(job.spec.circuit_qasm, name=job.name)
-        backend = node.backend
-        if backend.num_qubits < circuit.num_qubits:
-            return INFEASIBLE_SCORE
-        key = (job.name, backend.name)
+    @property
+    def name(self) -> str:
+        return "oracle"
+
+    def score(self, ctx: PlacementContext, device: Backend) -> float:
+        key = (ctx.job_name, device.name)
         if key not in self._fidelities:
             self._fidelities[key] = achieved_fidelity(
-                circuit,
-                backend,
+                ctx.circuit,
+                device,
                 shots=self._shots,
-                seed=derive_seed(self._seed, "oracle", job.name, backend.name),
+                seed=derive_seed(self._seed, "oracle", ctx.job_name, device.name),
             )
         fidelity = self._fidelities[key]
         deficit = max(0.0, self._threshold - fidelity)
@@ -94,21 +67,3 @@ class OracleScorePlugin(ScorePlugin):
     def known_fidelity(self, job_name: str, device: str) -> Optional[float]:
         """Fidelity already computed for a (job, device) pair, if any."""
         return self._fidelities.get((job_name, device))
-
-
-class OracleScheduler(SchedulingFramework):
-    """Filtering as usual, then ranking by true achieved fidelity."""
-
-    def __init__(
-        self,
-        cluster: ClusterState,
-        fidelity_threshold: float = 1.0,
-        shots: int = 512,
-        seed: SeedLike = None,
-        extra_filters: Optional[Sequence[FilterPlugin]] = None,
-    ) -> None:
-        filters = default_filter_plugins()
-        if extra_filters:
-            filters.extend(extra_filters)
-        self.oracle_plugin = OracleScorePlugin(fidelity_threshold=fidelity_threshold, shots=shots, seed=seed)
-        super().__init__(cluster, filter_plugins=filters, score_plugins=[self.oracle_plugin])

@@ -158,8 +158,13 @@ class MetaServer:
     # ------------------------------------------------------------------ #
     # Scoring endpoint
     # ------------------------------------------------------------------ #
-    def _ranking_for(self, job_name: str) -> Tuple[PlacementPolicy, PlacementContext]:
-        """The job's registry policy and the placement context of its metadata."""
+    def ranking(self, job_name: str) -> Tuple[PlacementPolicy, PlacementContext]:
+        """The job's registry policy and the placement context of its metadata.
+
+        Built on the job's first request and kept until its metadata changes.
+        The context's ``fleet`` is empty here: the scheduler sets it to the
+        nodes that pass its filters before the policy decides.
+        """
         if job_name in self._rankings:
             return self._rankings[job_name]
         metadata = self.job_metadata(job_name)
@@ -191,12 +196,13 @@ class MetaServer:
     def score(self, job_name: str, device_name: str) -> float:
         """Score ``device_name`` for ``job_name`` (lower is better).
 
-        This is the request the QRIO scheduler's ranking plugin issues once
-        per filtered device.  Repeat requests are served by the policy's own
+        The per-device endpoint of Section 3.4.  The scheduler does not call
+        it: it runs the same policy over the whole shortlist at once
+        (:meth:`ranking`).  Repeat requests are served by the policy's own
         memo, keyed by the job's calibration epoch.
         """
         backend = self.backend(device_name)
-        policy, ctx = self._ranking_for(job_name)
+        policy, ctx = self.ranking(job_name)
         feasible, _ = policy.filter(ctx, backend)
         return policy.score(ctx, backend) if feasible else INFEASIBLE_SCORE
 

@@ -26,14 +26,14 @@ from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node, NodeCapacity
 from repro.cluster.queue import JobQueue, QueuePolicy
 from repro.cluster.registry import ClusterState
-from repro.core.baselines import OracleScheduler, RandomScheduler
+from repro.core.baselines import OraclePlacementPolicy
 from repro.core.master_server import MasterServer, SubmittedJob
 from repro.core.meta_server import MetaServer
-from repro.core.requirements import UserRequirements
-from repro.core.scheduler import QRIOScheduler
+from repro.core.scheduler import QRIOScheduler, SchedulingDecision
 from repro.core.visualizer import JobSubmissionForm, QRIOVisualizer, TopologyCanvas
+from repro.policies import RandomPlacementPolicy
 from repro.simulators.result import SimulationResult
-from repro.utils.exceptions import ClusterError, MasterServerError, SchedulingError
+from repro.utils.exceptions import MasterServerError
 from repro.utils.rng import SeedLike, derive_seed
 
 
@@ -189,45 +189,34 @@ class QRIO:
     # Scheduling and execution
     # ------------------------------------------------------------------ #
     def schedule_job(self, job_name: str) -> JobOutcome:
-        """Run the filter + rank cycle for one submitted job (no execution)."""
+        """Run the scheduling cycle for one submitted job (no execution)."""
         job = self.cluster.job(job_name)
-        decision = self.scheduler.schedule(job)
-        return JobOutcome(
-            job=job,
-            device=self._device_of(decision.node_name),
-            score=decision.score,
-            result=None,
-            scores=decision.scores,
-            num_filtered=decision.filter_report.num_feasible,
-            saturated=decision.filter_report.saturated,
-        )
+        return self._outcome(job, self.scheduler.schedule(job))
 
     def run_job(self, job_name: str) -> JobOutcome:
         """Schedule and execute one submitted job end-to-end."""
         job = self.cluster.job(job_name)
         if job.phase == JobPhase.PENDING:
-            decision = self.scheduler.schedule(job)
-            if not decision.scheduled:
-                return JobOutcome(
-                    job=job,
-                    device=None,
-                    score=None,
-                    result=None,
-                    num_filtered=decision.filter_report.num_feasible,
-                )
-            scores = decision.scores
-            num_filtered = decision.filter_report.num_feasible
+            outcome = self._outcome(job, self.scheduler.schedule(job))
+            if outcome.device is None:
+                return outcome
         else:
-            scores = {}
-            num_filtered = 0
-        result = self.master_server.execute_bound_job(job_name)
+            outcome = JobOutcome(job=job, device=None, score=None, result=None)
+        outcome.result = self.master_server.execute_bound_job(job_name)
+        outcome.device = self._device_of(job.node_name)
+        outcome.score = job.score
+        return outcome
+
+    def _outcome(self, job: Job, decision: SchedulingDecision) -> JobOutcome:
+        """A scheduling cycle's verdict as a (not yet executed) job outcome."""
         return JobOutcome(
             job=job,
-            device=self._device_of(job.node_name),
-            score=job.score,
-            result=result,
-            scores=scores,
-            num_filtered=num_filtered,
+            device=decision.device,
+            score=decision.score,
+            result=None,
+            scores=decision.scores,
+            num_filtered=decision.num_feasible,
+            saturated=decision.filter_report.saturated,
         )
 
     def submit_and_run(self, form: JobSubmissionForm) -> JobOutcome:
@@ -370,15 +359,17 @@ class QRIO:
         return outcomes
 
     # ------------------------------------------------------------------ #
-    # Baseline schedulers (for experiments)
+    # Baseline rankings (for experiments)
     # ------------------------------------------------------------------ #
-    def random_scheduler(self, seed: SeedLike = None) -> RandomScheduler:
-        """A random-choice scheduler over this orchestrator's cluster."""
-        return RandomScheduler(self.cluster, seed=seed)
+    def random_scheduler(self, seed: SeedLike = None) -> RandomPlacementPolicy:
+        """The random-choice baseline, run by ``self.scheduler.schedule(job, policy)``."""
+        return RandomPlacementPolicy(seed=seed)
 
-    def oracle_scheduler(self, fidelity_threshold: float = 1.0, shots: int = 512, seed: SeedLike = None) -> OracleScheduler:
-        """An oracle scheduler over this orchestrator's cluster."""
-        return OracleScheduler(self.cluster, fidelity_threshold=fidelity_threshold, shots=shots, seed=seed)
+    def oracle_scheduler(
+        self, fidelity_threshold: float = 1.0, shots: int = 512, seed: SeedLike = None
+    ) -> OraclePlacementPolicy:
+        """The oracle baseline, run by ``self.scheduler.schedule(job, policy)``."""
+        return OraclePlacementPolicy(fidelity_threshold=fidelity_threshold, shots=shots, seed=seed)
 
     # ------------------------------------------------------------------ #
     def job_logs(self, job_name: str) -> List[str]:

@@ -1,12 +1,19 @@
-"""The QRIO scheduler: requirement filtering plus meta-server-backed ranking.
+"""The QRIO scheduler: one cycle of requirement filtering, ranking and binding.
 
 Section 3.5: "The entire workflow of the scheduler is broken into many parts,
 but the two primary stages are — Filtering and Ranking.  In the Filtering
 stage, the scheduler checks which nodes are fit for scheduling ... Following
 the filtering phase, we enter the Ranking phase where each node is given a
 score ... The ranking plugin contacts the QRIO Meta Server for the score of a
-certain job against a particular node."  The meta server answers through the
-job's registry placement policy (:mod:`repro.policies`).
+certain job against a particular node."
+
+:meth:`QRIOScheduler.schedule` is the only way a cluster job is placed: the
+filter plugins here shortlist the schedulable nodes, one
+:class:`~repro.policies.PlacementPolicy` decides among the survivors
+(:meth:`~repro.policies.PlacementPolicy.decide`), and the winner is bound.
+By default the policy is the meta server's per-job ranking
+(:meth:`MetaServer.ranking <repro.core.meta_server.MetaServer.ranking>`); the
+service engines' registry-policy route and the baselines supply their own.
 
 :func:`device_bounds_violation` is the one device-characteristics check: the
 filter plugin here and the cloud engine both call it on live calibration
@@ -15,14 +22,18 @@ data, so a calibration swap moves every engine's feasibility set alike.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.backends.backend import Backend
 from repro.backends.properties import BackendProperties
-from repro.cluster.framework import FilterPlugin, SchedulingFramework, ScorePlugin
-from repro.cluster.job import Job
+from repro.cluster.framework import FilterPlugin, FilterReport, run_filters
+from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.meta_server import MetaServer
+from repro.policies import PlacementContext, PlacementDecision, PlacementPolicy
+from repro.utils.exceptions import SchedulingError
 
 
 class QubitCountFilter(FilterPlugin):
@@ -100,41 +111,119 @@ def device_bounds_violation(properties: BackendProperties, bounds) -> Optional[s
     return None
 
 
-class MetaServerScorePlugin(ScorePlugin):
-    """Ranking plugin that asks the meta server to score each filtered node."""
-
-    def __init__(self, meta_server: MetaServer) -> None:
-        self._meta_server = meta_server
-
-    def score(self, job: Job, node: Node) -> float:
-        return self._meta_server.score(job.name, node.backend.name)
-
-
 def default_filter_plugins() -> List[FilterPlugin]:
     """The QRIO filter chain, in evaluation order."""
     return [QubitCountFilter(), ClassicalResourceFilter(), DeviceCharacteristicsFilter()]
 
 
-class QRIOScheduler(SchedulingFramework):
-    """The production QRIO scheduler: default filters + meta-server ranking."""
+@dataclass
+class SchedulingDecision:
+    """Result of one scheduling cycle: the filter report and the policy's verdict."""
 
-    def __init__(
-        self,
-        cluster: ClusterState,
-        meta_server: MetaServer,
-        extra_filters: Optional[Sequence[FilterPlugin]] = None,
-    ) -> None:
-        filters: List[FilterPlugin] = default_filter_plugins()
-        if extra_filters:
-            filters.extend(extra_filters)
-        super().__init__(
-            cluster,
-            filter_plugins=filters,
-            score_plugins=[MetaServerScorePlugin(meta_server)],
-        )
+    job_name: str
+    #: The bound (or, with ``bind=False``, chosen) node; ``None`` when unschedulable.
+    node_name: Optional[str]
+    filter_report: FilterReport
+    placement: PlacementDecision
+
+    @property
+    def scheduled(self) -> bool:
+        """``True`` when a node was selected."""
+        return self.node_name is not None
+
+    @property
+    def device(self) -> Optional[str]:
+        """The chosen device's name."""
+        return self.placement.device
+
+    @property
+    def score(self) -> Optional[float]:
+        """The chosen device's score (lower is better)."""
+        return self.placement.score
+
+    @property
+    def scores(self) -> Dict[str, float]:
+        """Scores of the devices the policy ranked, keyed by device name."""
+        return self.placement.scores
+
+    @property
+    def num_feasible(self) -> int:
+        """Devices that passed the filter plugins and the policy's own filter."""
+        return self.placement.num_feasible
+
+
+class QRIOScheduler:
+    """The QRIO scheduling cycle: default filters, a ranking policy, binding."""
+
+    def __init__(self, cluster: ClusterState, meta_server: MetaServer) -> None:
+        self._cluster = cluster
         self._meta_server = meta_server
+        self._filters = default_filter_plugins()
+
+    @property
+    def cluster(self) -> ClusterState:
+        """The cluster this scheduler binds jobs in."""
+        return self._cluster
 
     @property
     def meta_server(self) -> MetaServer:
-        """The meta server this scheduler queries for scores."""
+        """The meta server whose per-job policy ranks by default."""
         return self._meta_server
+
+    def run_filters(self, job: Job) -> FilterReport:
+        """Run the QRIO filter chain over the schedulable nodes."""
+        return run_filters(self._cluster, self._filters, job)
+
+    def schedule(
+        self,
+        job: Job,
+        policy: Optional[PlacementPolicy] = None,
+        *,
+        context: Optional[Callable[[List[Backend]], PlacementContext]] = None,
+        bind: bool = True,
+    ) -> SchedulingDecision:
+        """Run one scheduling cycle for ``job``: filters, ``policy.decide``, bind.
+
+        Args:
+            job: A pending (or earlier unschedulable) cluster job.
+            policy: The ranking policy; ``None`` ranks with the meta server's
+                policy for the job (Section 3.4).
+            context: Builds the placement context from the filter survivors,
+                for a caller-supplied ``policy``.  ``None`` uses the meta
+                server's context for the job, its fleet set to the survivors
+                in node order.
+            bind: Bind the job to the chosen node; ``False`` only decides.
+
+        When the filters and the policy leave no device, the job is marked
+        unschedulable — the situation the paper describes for overly tight
+        two-qubit error bounds in the Fig. 10 experiment.
+        """
+        if job.phase not in (JobPhase.PENDING, JobPhase.UNSCHEDULABLE):
+            raise SchedulingError(f"Job '{job.name}' is not pending (phase {job.phase.value})")
+        cluster = self._cluster
+        report = self.run_filters(job)
+        nodes = [cluster.node(name) for name in report.feasible]
+        fleet = [node.backend for node in nodes]
+        if context is None:
+            native, ctx = self._meta_server.ranking(job.name)
+            ctx.fleet = fleet
+            policy = native if policy is None else policy
+        else:
+            ctx = context(fleet)
+        rejected = {cluster.node(name).backend.name: reason for name, reason in report.rejected.items()}
+        placement = policy.decide(ctx, rejected=rejected)
+        node_name = next((node.name for node in nodes if node.backend.name == placement.device), None)
+        if node_name is None:
+            job.mark_unschedulable(f"no feasible device under policy '{placement.policy}'")
+            cluster.events.record(
+                "Unschedulable", job.name, f"0 feasible devices under policy '{placement.policy}'"
+            )
+        else:
+            cluster.events.record(
+                "Ranked",
+                job.name,
+                f"policy '{placement.policy}' selected {placement.device} (score {placement.score:.4f})",
+            )
+            if bind:
+                cluster.bind(job.name, node_name, score=placement.score)
+        return SchedulingDecision(job.name, node_name, report, placement)

@@ -2,8 +2,8 @@
 
 This module defines the one placement surface every engine routes through,
 and the only ranking code: the meta server scores through the registry
-policies too (the cluster framework's filter/score plugins remain only as
-the orchestrator/cluster engines' native path):
+policies too, and the orchestrator/cluster scheduling cycle ranks its
+filter survivors with :meth:`PlacementPolicy.decide` on every route:
 
 * :class:`PlacementContext` — everything a policy may consult when placing
   one job (the job's circuit and requirements, the candidate fleet, an

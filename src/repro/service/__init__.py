@@ -2,9 +2,9 @@
 
 The historical codebase had three disjoint front doors — the synchronous
 :class:`~repro.core.QRIO` facade, the trace-driven
-:class:`~repro.cloud.CloudSimulator` and the k8s-style
-:class:`~repro.cluster.SchedulingFramework`.  This package consolidates them
-behind one service:
+:class:`~repro.cloud.CloudSimulator` and the k8s-style cluster scheduler
+(:class:`~repro.core.QRIOScheduler`).  This package consolidates them behind
+one service:
 
 * :class:`QRIOService` — owns a fleet plus a pluggable execution engine,
   exposes ``submit``/``submit_batch`` with an explicit job lifecycle and

@@ -84,7 +84,8 @@ class JobRequirements:
     min_avg_t2: Optional[float] = None
     cpu_millicores: int = 500
     memory_mb: int = 512
-    #: Override of the qubit resource request; ``None`` uses the circuit width.
+    #: Override of the qubit resource request; ``None`` uses the circuit
+    #: width.  A request below the circuit width is rejected at submit.
     num_qubits: Optional[int] = None
     #: Scheduling priority in the service runtime's queue: higher runs
     #: earlier, at every worker count (``workers=0`` included).
@@ -197,8 +198,13 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         require_positive_int(self.shots, "shots")
+        bound = self.requirements.qubits_for(self.circuit)
+        if bound < self.circuit.num_qubits:
+            raise ServiceError(
+                f"num_qubits={bound} is below the {self.circuit.num_qubits} qubits "
+                f"circuit '{self.circuit.name}' needs"
+            )
         if self.requirements.topology_edges is not None:
-            bound = self.requirements.qubits_for(self.circuit)
             for a, b in self.requirements.topology_edges:
                 if not (0 <= a < bound and 0 <= b < bound):
                     raise ServiceError(

@@ -7,8 +7,8 @@ the existing subsystems:
   :class:`~repro.core.QRIO` facade (visualizer form → meta server → master
   server → scheduler → device);
 * :class:`ClusterEngine` — the bare k8s-style path: jobs go straight into
-  the cluster registry and through the scheduling framework's filter/score
-  plugins, skipping the visualizer and container machinery;
+  the cluster registry and through the QRIO scheduler's filter → rank →
+  bind cycle, skipping the visualizer and container machinery;
 * :class:`CloudEngine` — the discrete-event cloud simulator via its
   incremental :class:`~repro.cloud.CloudSession`: each submission becomes an
   arrival routed by a placement policy onto per-device FCFS queues;
@@ -18,9 +18,9 @@ the existing subsystems:
   ``BENCH_concurrency.json`` workload).
 
 The orchestrator and cluster engines share one private base that owns the
-rest of the Fig. 2 funnel: policy routing, the warm-plan lookup and
-publication over the engine's own plan store, stale-plan dropping and the
-outage cordon.
+rest of the Fig. 2 funnel: the warm-plan lookup and publication over the
+engine's own plan store, the one scheduling cycle (native meta-server
+ranking or a registry policy), stale-plan dropping and the outage cordon.
 
 All adapters consume the same :class:`~repro.service.JobSpec` and produce the
 same :class:`~repro.service.Placement` / :class:`~repro.service.EngineResult`
@@ -39,7 +39,7 @@ re-serialized when it needs to be, only the latency overlaps).
 
 from __future__ import annotations
 
-import abc
+import functools
 import threading
 import time
 from typing import List, Optional, Sequence
@@ -157,14 +157,14 @@ class _PlanStore(LRUCache):
 class _ClusterEngineBase(ExecutionEngine):
     """The Fig. 2 funnel shared by the two cluster-backed engines.
 
-    :class:`OrchestratorEngine` and :class:`ClusterEngine` differ in three
-    things only: how a submission enters their cluster (their ``match``),
-    their native scheduling call (:meth:`_schedule_native`) and their
-    execution (``run``).  Everything around those lives here: policy
-    resolution, the MATCHING order policy → warm plan → native schedule
-    (:meth:`_route`), cold-run plan publication, stale-plan dropping on
-    calibration pushes and the outage cordon.  Subclasses expose their
-    ``cluster`` registry and ``scheduler`` once attached.
+    :class:`OrchestratorEngine` and :class:`ClusterEngine` differ in two
+    things only: how a submission enters their cluster (their ``match``)
+    and their execution (``run``).  Everything around those lives here:
+    policy resolution, the MATCHING order warm plan → scheduling cycle
+    (:meth:`_route`, :meth:`_schedule`), cold-run plan publication,
+    stale-plan dropping on calibration pushes and the outage cordon.
+    Subclasses expose their ``cluster`` registry and ``scheduler`` once
+    attached.
     """
 
     def __init__(self, policy: Optional[PolicyLike], seed: SeedLike) -> None:
@@ -205,24 +205,19 @@ class _ClusterEngineBase(ExecutionEngine):
         super().apply_calibration(device, properties)
         self._plans.drop_stale(device, calibration_fingerprint(properties))
 
-    @abc.abstractmethod
-    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
-        """The engine's own scheduling cycle for a job already in the cluster."""
-
     def _route(self, spec: JobSpec, job_name: str) -> Placement:
-        """MATCHING for a job that entered the cluster: policy → warm plan → native."""
+        """MATCHING for a job that entered the cluster: warm plan, else one scheduling cycle."""
         policy = self._policies.for_requirements(spec.requirements)
-        if policy is not None:
-            return self._schedule_with_policy(policy, spec, job_name)
-        # Warm path: a stored plan whose device still has the calibration it
-        # compiled against binds the job directly — no filter chain, no
-        # canary ranking.
-        plan = self._plans.lookup(spec, {b.name: b for b in self.fleet()})
-        if plan is not None:
-            placement = self._replay_placement(spec, job_name, plan)
-            if placement is not None:
-                return placement
-        return self._schedule_native(spec, job_name)
+        if policy is None:
+            # Warm path: a stored plan whose device still has the calibration
+            # it compiled against binds the job directly — no filter chain,
+            # no canary ranking.
+            plan = self._plans.lookup(spec, {b.name: b for b in self.fleet()})
+            if plan is not None:
+                placement = self._replay_placement(spec, job_name, plan)
+                if placement is not None:
+                    return placement
+        return self._schedule(spec, job_name, policy)
 
     def _replay_placement(self, spec: JobSpec, job_name: str, plan: ExecutionPlan) -> Optional[Placement]:
         """Bind ``job_name`` straight from a warm plan, skipping the scheduler.
@@ -253,32 +248,40 @@ class _ClusterEngineBase(ExecutionEngine):
             detail={"scores": dict(plan.scores), "plan": plan},
         )
 
-    def _schedule_with_policy(self, policy: PlacementPolicy, spec: JobSpec, job_name: str) -> Placement:
-        """One unified scheduling cycle over the cluster: filters, then the policy.
+    def _schedule(self, spec: JobSpec, job_name: str, policy: Optional[PlacementPolicy]) -> Placement:
+        """One scheduling cycle over the cluster: filters, then the ranking policy, then bind.
 
         The scheduler's requirement filters (qubit count, classical resources,
-        device characteristics) still shortlist the nodes — user requirements
-        bind under every engine — and the policy's filter → score → select
-        pipeline then decides among the survivors.  The winning node is bound in
-        the cluster exactly as the native path would, so the RUNNING stage is
-        oblivious to how the decision was made.
+        device characteristics) shortlist the nodes under every route, and
+        one policy decides among the survivors: the meta server's per-job
+        ranking on the native route (``policy is None``), or the job's
+        registry policy over the engine's own context.
         """
-        cluster = self.cluster
-        job = cluster.job(job_name)
-        report = self.scheduler.run_filters(job)
-        nodes = {cluster.node(name).backend.name: cluster.node(name) for name in report.feasible}
-        rejected = {
-            cluster.node(name).backend.name: reason for name, reason in report.rejected.items()
-        }
+        context = None if policy is None else functools.partial(self._policy_context, spec, job_name)
+        decision = self.scheduler.schedule(self.cluster.job(job_name), policy, context=context)
+        detail = {"scores": decision.scores}
+        if policy is not None:
+            detail["decision"] = decision.placement  # marks the job policy-routed: never stored
+        return Placement(
+            job_name=job_name,
+            spec=spec,
+            device=decision.device,
+            score=decision.score,
+            num_feasible=decision.num_feasible,
+            detail=detail,
+            saturated=decision.filter_report.saturated,
+        )
+
+    def _policy_context(self, spec: JobSpec, job_name: str, fleet: List[Backend]) -> PlacementContext:
+        """The placement context of a registry-policy job over the filter survivors."""
         requirements = spec.requirements
-        fleet = [node.backend for node in nodes.values()]
         # Fidelity estimates are reused across jobs through the engine-lifetime
         # cache, keyed by circuit *structure* plus a fleet-calibration epoch, so
         # repeat submissions pay one estimate per device while recalibration
         # silently invalidates every stale entry.  The epoch is the stable digest
         # from core.cache — the builtin hash() is salted per process, which would
         # break any key that outlives a restart.
-        ctx = PlacementContext(
+        return PlacementContext(
             fleet=fleet,
             circuit=spec.circuit,
             job_name=job_name,
@@ -290,34 +293,6 @@ class _ClusterEngineBase(ExecutionEngine):
             required_qubits=requirements.qubits_for(spec.circuit),
             calibration_epoch=fleet_calibration_epoch(fleet),
             fidelity_cache=self._policy_fidelity_cache,
-        )
-        decision = policy.decide(ctx, rejected=rejected)
-        if decision.device is None:
-            job.mark_unschedulable(f"no feasible device under policy '{decision.policy}'")
-            cluster.events.record(
-                "Unschedulable", job.name, f"0 feasible nodes under policy '{decision.policy}'"
-            )
-            return Placement(
-                job_name=job_name,
-                spec=spec,
-                device=None,
-                num_feasible=0,
-                detail={"decision": decision},
-                saturated=report.saturated,
-            )
-        cluster.bind(job.name, nodes[decision.device].name, score=decision.score)
-        cluster.events.record(
-            "PolicyScheduled",
-            job.name,
-            f"policy '{decision.policy}' selected {decision.device} (score {decision.score:.4f})",
-        )
-        return Placement(
-            job_name=job_name,
-            spec=spec,
-            device=decision.device,
-            score=decision.score,
-            num_feasible=decision.num_feasible,
-            detail={"scores": decision.scores, "decision": decision},
         )
 
     def _publish_plan(self, placement: Placement, transpiled, score: Optional[float]) -> None:
@@ -433,18 +408,6 @@ class OrchestratorEngine(_ClusterEngineBase):
         self.qrio.submit_form(form)
         return self._route(spec, job_name)
 
-    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
-        outcome = self.qrio.schedule_job(job_name)
-        return Placement(
-            job_name=job_name,
-            spec=spec,
-            device=outcome.device,
-            score=outcome.score,
-            num_feasible=outcome.num_filtered,
-            detail={"scores": dict(outcome.scores)},
-            saturated=outcome.saturated,
-        )
-
     def run(self, placement: Placement) -> EngineResult:
         from repro.core.orchestrator import JobOutcome
 
@@ -488,8 +451,8 @@ class ClusterEngine(_ClusterEngineBase):
     Compared with :class:`OrchestratorEngine` this skips the visualizer form
     and the container/image machinery: cluster-level job specs are built
     directly, the :class:`~repro.core.QRIOScheduler` (default QRIO filter
-    chain + meta-server ranking, optionally extended with extra filter
-    plugins) binds them, and the node executes the transpiled circuit.
+    chain + meta-server ranking) binds them, and the node executes the
+    transpiled circuit.
     """
 
     def __init__(
@@ -497,7 +460,6 @@ class ClusterEngine(_ClusterEngineBase):
         *,
         cluster_name: str = "service-cluster-engine",
         canary_shots: int = 512,
-        extra_filters: Optional[Sequence] = None,
         policy: Optional[PolicyLike] = None,
         seed: SeedLike = None,
     ) -> None:
@@ -506,19 +468,16 @@ class ClusterEngine(_ClusterEngineBase):
         Args:
             cluster_name: Name of the cluster registry built on attach.
             canary_shots: Clifford-canary shots of the meta server.
-            extra_filters: Additional framework filter plugins appended to
-                the default QRIO filter chain.
             policy: Default placement policy (registry name or
                 :class:`~repro.policies.PlacementPolicy`) applied to jobs
                 that do not set ``JobRequirements.policy``; ``None`` keeps
-                the native filter/score-plugin path.
+                the native meta-server ranking.
             seed: Base seed for the meta server, transpilation and policy
                 resolution.
         """
         super().__init__(policy, seed)
         self._cluster_name = cluster_name
         self._canary_shots = canary_shots
-        self._extra_filters = list(extra_filters) if extra_filters else None
         self._cluster: Optional[ClusterState] = None
         self._meta: Optional[MetaServer] = None
         self._scheduler: Optional[QRIOScheduler] = None
@@ -547,7 +506,7 @@ class ClusterEngine(_ClusterEngineBase):
         for backend in fleet:
             self._cluster.register_backend(backend)
             self._meta.register_backend(backend)
-        self._scheduler = QRIOScheduler(self._cluster, self._meta, extra_filters=self._extra_filters)
+        self._scheduler = QRIOScheduler(self._cluster, self._meta)
 
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         requirements = spec.requirements
@@ -588,18 +547,6 @@ class ClusterEngine(_ClusterEngineBase):
         self._meta.upload_job_metadata(payload)
         self.cluster.submit_job(cluster_spec)
         return self._route(spec, job_name)
-
-    def _schedule_native(self, spec: JobSpec, job_name: str) -> Placement:
-        decision = self.scheduler.schedule(self.cluster.job(job_name))
-        return Placement(
-            job_name=job_name,
-            spec=spec,
-            device=None if decision.node_name is None else self.cluster.node(decision.node_name).backend.name,
-            score=decision.score,
-            num_feasible=decision.filter_report.num_feasible,
-            detail={"scores": dict(decision.scores)},
-            saturated=decision.filter_report.saturated,
-        )
 
     def run(self, placement: Placement) -> EngineResult:
         job = self.cluster.job(placement.job_name)

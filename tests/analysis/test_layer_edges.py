@@ -7,8 +7,11 @@ compiles circuits for devices and must not reach up into the layers that
 decide placement, estimate fidelity or serve jobs.  ``repro.policies`` is
 the one ranking implementation the meta server, the engines and the figure
 drivers share; it must reach none of its callers' layers, so the meta
-server's edge into it can never close a cycle.  The scan is an AST walk
-over every module, so imports inside functions count too.
+server's edge into it can never close a cycle.  ``repro.cluster`` is the
+k8s substrate: nodes, jobs and the filter stage.  The scheduling cycle that
+ranks and binds lives above it, so it imports no placement, core, plan or
+service code.  The scan is an AST walk over every module, so imports inside
+functions count too.
 """
 
 import ast
@@ -42,6 +45,10 @@ POLICIES_FORBIDDEN = (
     "repro.tenancy",
     "repro.experiments",
 )
+
+
+CLUSTER = Path(repro.__file__).parent / "cluster"
+CLUSTER_FORBIDDEN = ("repro.policies", "repro.core", "repro.plans", "repro.service")
 
 
 def _modules(root=SIMULATORS):
@@ -132,6 +139,21 @@ def test_policies_import_none_of_their_callers(path):
         f"{path.name}:{line} imports {name}"
         for line, name in _imported_names(path.read_text(), _package_of(path, POLICIES))
         if _in_layers(name, POLICIES_FORBIDDEN)
+    ]
+    assert offending == []
+
+
+def test_scan_sees_the_cluster_modules():
+    names = {path.name for path in _modules(CLUSTER)}
+    assert {"framework.py", "registry.py", "node.py", "job.py"} <= names
+
+
+@pytest.mark.parametrize("path", _modules(CLUSTER), ids=lambda path: path.name)
+def test_cluster_imports_no_placement_layer(path):
+    offending = [
+        f"{path.name}:{line} imports {name}"
+        for line, name in _imported_names(path.read_text(), _package_of(path, CLUSTER))
+        if _in_layers(name, CLUSTER_FORBIDDEN)
     ]
     assert offending == []
 

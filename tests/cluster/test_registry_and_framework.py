@@ -1,4 +1,4 @@
-"""Tests for the cluster state registry and the scheduling framework."""
+"""Tests for the cluster state registry, the filter stage and the scheduling cycle."""
 
 import pytest
 
@@ -10,9 +10,10 @@ from repro.cluster import (
     JobPhase,
     JobSpec,
     ResourceRequest,
-    SchedulingFramework,
-    ScorePlugin,
+    run_filters,
 )
+from repro.core import MetaServer, QRIOScheduler
+from repro.policies import PlacementContext, PlacementPolicy
 from repro.qasm import dump_qasm
 from repro.utils.exceptions import ClusterError, SchedulingError
 
@@ -25,9 +26,20 @@ class QubitsFilter(FilterPlugin):
         return True, "ok"
 
 
-class SmallestDeviceScore(ScorePlugin):
-    def score(self, job, node):
-        return float(node.backend.num_qubits)
+class SmallestDevicePolicy(PlacementPolicy):
+    def score(self, ctx, device):
+        return float(device.num_qubits)
+
+
+def schedule(cluster, job, bind=True):
+    """One scheduling cycle ranking by device size over the filter survivors."""
+    scheduler = QRIOScheduler(cluster, MetaServer())
+    return scheduler.schedule(
+        job,
+        SmallestDevicePolicy(),
+        context=lambda fleet: PlacementContext(fleet=fleet, job_name=job.name),
+        bind=bind,
+    )
 
 
 @pytest.fixture
@@ -98,50 +110,33 @@ class TestClusterState:
 
 class TestSchedulingFramework:
     def test_filter_and_score_selects_lowest(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
         job = cluster.submit_job(make_spec("pick", qubits=6))
-        decision = framework.schedule(job)
+        decision = schedule(cluster, job)
         assert decision.scheduled
         assert decision.node_name == "node-dev8"  # smallest feasible device
         assert decision.filter_report.num_feasible == 2
         assert job.phase == JobPhase.SCHEDULED
 
     def test_no_feasible_node_marks_unschedulable(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
         job = cluster.submit_job(make_spec("huge", qubits=100))
-        decision = framework.schedule(job)
+        decision = schedule(cluster, job)
         assert not decision.scheduled
         assert job.phase == JobPhase.UNSCHEDULABLE
 
     def test_schedule_without_binding(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
         job = cluster.submit_job(make_spec("dry-run"))
-        decision = framework.schedule(job, bind=False)
+        decision = schedule(cluster, job, bind=False)
         assert decision.scheduled
         assert job.phase == JobPhase.PENDING
 
     def test_scheduling_finished_job_rejected(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
         job = cluster.submit_job(make_spec("once"))
-        framework.schedule(job)
+        schedule(cluster, job)
         with pytest.raises(SchedulingError):
-            framework.schedule(job)
-
-    def test_requires_score_plugin(self, cluster):
-        with pytest.raises(SchedulingError):
-            SchedulingFramework(cluster, [QubitsFilter()], [])
-
-    def test_schedule_pending_processes_all(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
-        cluster.submit_job(make_spec("a"))
-        cluster.submit_job(make_spec("b"))
-        decisions = framework.schedule_pending()
-        assert len(decisions) == 2
-        assert all(decision.scheduled for decision in decisions)
+            schedule(cluster, job)
 
     def test_rejection_reasons_recorded(self, cluster):
-        framework = SchedulingFramework(cluster, [QubitsFilter()], [SmallestDeviceScore()])
         job = cluster.submit_job(make_spec("medium", qubits=6))
-        report = framework.run_filters(job)
+        report = run_filters(cluster, [QubitsFilter()], job)
         assert "node-dev4" in report.rejected
         assert "too small" in report.rejected["node-dev4"]

@@ -127,11 +127,10 @@ class TestQRIOOrchestrator:
 
     def test_baseline_schedulers_constructible(self, orchestrator):
         submitted = orchestrator.submit_fidelity_job(ghz(3), fidelity_threshold=1.0, job_name="base-job", shots=64)
-        random_decision = orchestrator.random_scheduler(seed=3).schedule(
-            orchestrator.cluster.job("base-job"), bind=False
-        )
+        job = orchestrator.cluster.job("base-job")
+        random_decision = orchestrator.scheduler.schedule(job, orchestrator.random_scheduler(seed=3), bind=False)
         assert random_decision.scheduled
-        oracle_decision = orchestrator.oracle_scheduler(shots=64, seed=3).schedule(
-            orchestrator.cluster.job("base-job"), bind=False
+        oracle_decision = orchestrator.scheduler.schedule(
+            job, orchestrator.oracle_scheduler(shots=64, seed=3), bind=False
         )
         assert oracle_decision.node_name == "node-alpha"

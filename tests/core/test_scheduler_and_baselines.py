@@ -1,4 +1,4 @@
-"""Tests for the QRIO scheduler plugins and the baseline schedulers."""
+"""Tests for the QRIO filter plugins, the scheduling cycle and the baseline rankings."""
 
 import pytest
 
@@ -8,15 +8,15 @@ from repro.cluster import ClusterState, DeviceConstraints, JobSpec, ResourceRequ
 from repro.core import (
     DeviceCharacteristicsFilter,
     MetaServer,
-    OracleScheduler,
+    OraclePlacementPolicy,
     QRIOScheduler,
     QubitCountFilter,
-    RandomScheduler,
 )
 from repro.core.scheduler import ClassicalResourceFilter
 from repro.core.visualizer import MetaServerPayload
 from repro.cluster import Node
 from repro.cluster.job import Job
+from repro.policies import RandomPlacementPolicy
 from repro.qasm import dump_qasm
 
 
@@ -93,7 +93,8 @@ class TestQRIOScheduler:
         assert decision.scheduled
         assert decision.node_name == "node-good"
         # The tiny device must have been filtered before scoring.
-        assert "node-tiny" not in decision.scores
+        assert "tiny" not in decision.scores
+        assert set(decision.scores) == {"good", "medium", "bad"}
 
     def test_tight_constraints_leave_no_device(self, cluster_with_meta):
         cluster, meta = cluster_with_meta
@@ -111,32 +112,40 @@ class TestQRIOScheduler:
         assert decision.filter_report.num_feasible == 0
 
 
+def _submit(cluster, meta, name, qubits=4):
+    """Upload a fidelity job's metadata and submit it to the cluster."""
+    meta.upload_job_metadata(MetaServerPayload(
+        job_name=name, strategy="fidelity", fidelity_threshold=1.0, circuit_qasm=dump_qasm(ghz(qubits)),
+    ))
+    return cluster.submit_job(_spec(name=name, qubits=qubits))
+
+
 class TestBaselines:
     def test_random_scheduler_only_picks_feasible_nodes(self, cluster_with_meta):
-        cluster, _ = cluster_with_meta
-        scheduler = RandomScheduler(cluster, seed=4)
+        cluster, meta = cluster_with_meta
+        scheduler, policy = QRIOScheduler(cluster, meta), RandomPlacementPolicy(seed=4)
         picks = set()
         for index in range(6):
-            job = cluster.submit_job(_spec(name=f"rand-{index}", qubits=4))
-            decision = scheduler.schedule(job, bind=False)
+            job = _submit(cluster, meta, f"rand-{index}")
+            decision = scheduler.schedule(job, policy, bind=False)
             picks.add(decision.node_name)
         assert "node-tiny" not in picks
         assert picks <= {"node-good", "node-medium", "node-bad"}
 
     def test_random_scheduler_varies_choice(self, cluster_with_meta):
-        cluster, _ = cluster_with_meta
-        scheduler = RandomScheduler(cluster, seed=4)
+        cluster, meta = cluster_with_meta
+        scheduler, policy = QRIOScheduler(cluster, meta), RandomPlacementPolicy(seed=4)
         picks = []
         for index in range(10):
-            job = cluster.submit_job(_spec(name=f"randx-{index}", qubits=4))
-            picks.append(scheduler.schedule(job, bind=False).node_name)
+            job = _submit(cluster, meta, f"randx-{index}")
+            picks.append(scheduler.schedule(job, policy, bind=False).node_name)
         assert len(set(picks)) > 1
 
     def test_oracle_scheduler_picks_lowest_noise_device(self, cluster_with_meta):
-        cluster, _ = cluster_with_meta
-        scheduler = OracleScheduler(cluster, shots=128, seed=5)
-        job = cluster.submit_job(_spec(name="oracle-job", qubits=4))
-        decision = scheduler.schedule(job, bind=False)
+        cluster, meta = cluster_with_meta
+        policy = OraclePlacementPolicy(shots=128, seed=5)
+        job = _submit(cluster, meta, "oracle-job")
+        decision = QRIOScheduler(cluster, meta).schedule(job, policy, bind=False)
         assert decision.node_name == "node-good"
-        fidelity = scheduler.oracle_plugin.known_fidelity("oracle-job", "good")
+        fidelity = policy.known_fidelity("oracle-job", "good")
         assert fidelity is not None and fidelity > 0.5

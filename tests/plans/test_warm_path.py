@@ -90,7 +90,8 @@ class TestClusterWarmPath:
         monkeypatch.setattr(
             engines_module.QRIOScheduler,
             "schedule",
-            lambda self, job: schedule_calls.append(job.name) or inner_schedule(self, job),
+            lambda self, job, *args, **kwargs: schedule_calls.append(job.name)
+            or inner_schedule(self, job, *args, **kwargs),
         )
         cold = service.submit(ghz(4), 0.9, shots=128).result()
         assert count_engine_transpile.calls == 1
