@@ -25,10 +25,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.fidelity.clifford import cliffordize, is_clifford_circuit
+from repro.fidelity.clifford import cliffordize
 from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import SimulationResult, hellinger_fidelity
-from repro.simulators.stabilizer import StabilizerSimulator
+from repro.simulators.stabilizer import StabilizerSimulator, circuit_is_stabilizer_compatible
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
 from repro.transpiler.preset import VirtualCircuit, transpile, virtual_stage
 from repro.utils.exceptions import FidelityEstimationError
@@ -218,7 +218,7 @@ def achieved_fidelity(
         shots=shots,
         seed=derive_seed(seed, "oracle-execute", backend.name, circuit.name),
     )
-    if is_clifford_circuit(prepared):
+    if circuit_is_stabilizer_compatible(prepared):
         ideal_counts = StabilizerSimulator(seed=derive_seed(seed, "oracle-ideal", circuit.name)).run(
             prepared, shots=shots
         ).counts

@@ -64,7 +64,6 @@ from repro.policies.api import PlacementContext, PlacementPolicy
 from repro.policies.registry import PolicyLike, resolve_policy
 from repro.qasm.exporter import dump_qasm
 from repro.service.api import EngineResult, ExecutionEngine, JobSpec, Placement
-from repro.transpiler.preset import transpile
 from repro.utils.exceptions import ServiceError
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -553,42 +552,40 @@ class ClusterEngine(_ClusterEngineBase):
         node = self.cluster.node(job.node_name)
         job.mark_running()
         plan: Optional[ExecutionPlan] = placement.detail.get("plan")
+        cold = plan is None
         try:
-            if plan is not None:
-                # Warm path: the plan carries the transpiled circuit and the
-                # precompiled execution dispatch; only fresh shots are drawn.
-                compiled = plan.transpiled
-                result = node.execute(
-                    compiled.circuit,
-                    shots=placement.spec.shots,
-                    seed=derive_seed(self._seed, "service-execute", placement.job_name, node.backend.name),
-                    precompiled=plan.execution,
-                )
-            else:
-                compiled = transpile(
-                    placement.spec.circuit.measured(),
+            if cold:
+                # Compile the plan once (transpile + precompiled dispatch), then run it as warm replay does.
+                plan = self._plans.compiler.compile(
+                    placement.spec.circuit,
                     node.backend,
-                    seed=derive_seed(self._seed, "service-transpile", placement.job_name, node.backend.name),
+                    transpile_seed=derive_seed(
+                        self._seed, "service-transpile", placement.job_name, node.backend.name
+                    ),
+                    score=job.score,
+                    num_feasible=placement.num_feasible,
+                    scores=dict(placement.detail.get("scores", {})),
                 )
-                result = node.execute(
-                    compiled.circuit,
-                    shots=placement.spec.shots,
-                    seed=derive_seed(self._seed, "service-execute", placement.job_name, node.backend.name),
-                )
+            result = node.execute(
+                plan.transpiled.circuit,
+                shots=placement.spec.shots,
+                seed=derive_seed(self._seed, "service-execute", placement.job_name, node.backend.name),
+                precompiled=plan.execution,
+            )
         except Exception as error:
             job.mark_failed(str(error))
             self.cluster.release(placement.job_name)
             raise
         job.mark_succeeded(result)
         self.cluster.release(placement.job_name)
-        if plan is None:
-            self._publish_plan(placement, compiled, job.score)
+        if cold and "decision" not in placement.detail:  # policy-routed runs are never stored
+            self._plans.store(placement.spec, plan)
         return EngineResult(
             device=node.backend.name,
             counts=dict(result.counts),
             shots=result.shots,
             score=job.score,
-            detail={"swaps_inserted": compiled.swaps_inserted, "plan_replay": plan is not None},
+            detail={"swaps_inserted": plan.transpiled.swaps_inserted, "plan_replay": not cold},
         )
 
 

@@ -15,6 +15,16 @@ simulator's trace runner and the cluster scheduling framework) lacked:
 * ``process()`` drains the queue through the engine; ``JobHandle.result()``
   drives it lazily.
 
+Front desk
+----------
+:class:`FrontDesk` is the submission half, shared with the process-sharded
+:class:`~repro.tenancy.ShardedService`: ``submit`` / ``submit_batch`` /
+``submit_specs``, job naming, per-tenant admission, the queued/inflight
+tenant ledger, the submitted/succeeded/failed counters, ``job`` / ``jobs`` /
+``wait_report`` / ``tenants_report``.  A batch is named, admitted and
+charged before its back end (this runtime's queue, or the shard inboxes)
+sees it, and a rejection at any step leaves no trace.
+
 Execution model
 ---------------
 Every service runs its jobs through one
@@ -31,7 +41,6 @@ drains the queue and rejects later submissions.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -112,141 +121,52 @@ class _JobGroup:
             handle._drain_callbacks()
 
 
-class QRIOService:
-    """Fleet + engine + job queue: the one front door for QRIO jobs."""
+class FrontDesk:
+    """The submission front desk every QRIO service shares.
 
-    def __init__(
-        self,
-        fleet: Sequence[Backend],
-        engine: Optional[ExecutionEngine] = None,
-        *,
-        seed: SeedLike = None,
-        workers: int = 0,
-        max_pending: Optional[int] = None,
-        admission: Optional[AdmissionController] = None,
-    ) -> None:
-        """Bind a fleet to an engine behind the service runtime.
+    One set of rules names, admits and counts each tenant's jobs, whether
+    the back end is the in-process runtime (:class:`QRIOService`) or a set
+    of shard processes (:class:`~repro.tenancy.ShardedService`).
+    :meth:`submit_specs` runs four steps in order: it validates and claims
+    every name, runs admission, charges the tenants' queued slots, and only
+    then hands the batch to the back end.  A rejection at any step leaves
+    names, tenant slots and counters exactly as they were.
 
-        Args:
-            fleet: Devices this service schedules onto.
-            engine: Execution engine; defaults to a fresh
-                :class:`~repro.service.OrchestratorEngine`.
-            seed: Seed for the *default* engine only (mutually exclusive with
-                passing ``engine``).
-            workers: Size of the runtime's worker pool.  ``0`` (default)
-                starts no thread: the caller's thread runs the dispatch step
-                inline.  ``N >= 1`` adds a dispatcher thread and N lane
-                workers.
-            max_pending: Backpressure bound on queued-but-undispatched jobs;
-                only meaningful with ``workers >= 1``.
-            admission: An :class:`~repro.tenancy.AdmissionController` gating
-                submissions per tenant — quota checks plus SLO-pressure
-                accept/defer/shed — before any queue capacity is consumed.
-                ``None`` (default) admits everything, leaving the runtime's
-                ``max_pending`` backpressure as the only limit.
+    The tenant ledger counts each tenant's jobs as *queued* (admitted, not
+    yet matched) or *inflight* (matched, not yet terminal).  A subclass
+    builds its handles in :meth:`_prepare_locked`, hands them over in
+    :meth:`_dispatch`, and settles finished jobs with :meth:`_settle_locked`.
+    """
 
-        Raises:
-            ServiceError: ``seed`` combined with an explicit engine,
-                ``workers < 0`` or ``max_pending`` without workers.
-        """
-        if engine is not None and seed is not None:
-            raise ServiceError(
-                "seed only configures the default engine; pass the seed to your "
-                "ExecutionEngine instead (e.g. OrchestratorEngine(seed=...))"
-            )
-        if workers < 0:
-            raise ServiceError("workers must be >= 0 (0 = inline dispatch, N = worker-pool size)")
-        if max_pending is not None and workers == 0:
-            raise ServiceError(
-                "max_pending only bounds a worker pool's queue; pass workers >= 1"
-            )
-        self._engine = engine if engine is not None else OrchestratorEngine(seed=seed)
-        self._engine.attach(list(fleet))
-        self._handles: Dict[str, JobHandle] = {}
-        #: Names claimed by submissions not yet admitted by the runtime
-        #: (reserved so concurrent submitters cannot reuse them, but not yet
-        #: published — observers never see a job the runtime may still reject).
-        self._reserved_names: set = set()
-        self._names = itertools.count(1)
-        self._counters = {
-            "submitted": 0,
-            "groups_executed": 0,
-            "jobs_succeeded": 0,
-            "jobs_failed": 0,
-            "jobs_deduplicated": 0,
-        }
-        #: Guards the name counter, handle registry and counters; submissions
-        #: and worker-thread completions may touch them concurrently.
+    #: Prefix of auto-generated job names (``svc-0001``, ...).
+    NAME_PREFIX = "svc-"
+    #: The counters ``stats()`` reports.
+    _COUNTERS: Tuple[str, ...] = ("submitted", "jobs_succeeded", "jobs_failed")
+
+    def __init__(self, admission: Optional[AdmissionController]) -> None:
+        #: Guards names, handles, counters and the ledger; submissions and
+        #: completions on other threads may touch them concurrently.
         self._state_lock = threading.Lock()
-        #: Optional per-tenant admission gate; all calls serialized under the
-        #: state lock, which is also what keeps per-tenant accounting atomic.
+        #: Optional per-tenant admission gate; every call runs under the
+        #: state lock, which keeps the ledger atomic with the decision.
         self._admission = admission
-        #: Per-tenant occupancy (job counts): queued = admitted but not yet
-        #: matched, inflight = matched but not yet terminal.
+        self._handles: Dict[str, object] = {}
+        #: Names claimed by batches not yet handed to the back end (reserved
+        #: so concurrent submitters cannot reuse them, but not yet published:
+        #: observers never see a job the back end may still reject).
+        self._reserved_names: set = set()
+        self._next_name = 1
+        self._counters = dict.fromkeys(self._COUNTERS, 0)
         self._tenant_queued: Dict[str, int] = {}
         self._tenant_inflight: Dict[str, int] = {}
-        #: Latest Tenant definition seen per id (quota/weight source of truth
-        #: for ``tenants_report``; the newest submission wins).
+        #: Latest Tenant definition seen per id (the quota/weight source of
+        #: ``tenants_report``; the newest submission wins).
         self._tenants_seen: Dict[str, Tenant] = {}
-        #: Observers of admitted submissions (``fn(job_name, spec)``), called
-        #: in submission order after a batch is registered — the hook
-        #: :class:`~repro.scenarios.TraceRecorder` captures live runs with.
-        self._submission_listeners: List = []
-        #: Scenario fault injector advanced inside the MATCHING funnel
-        #: (``None`` = fault-free).  Set via :meth:`set_fault_injector`.
-        self._fault_injector = None
-        self._runtime = ServiceRuntime(self, workers=workers, max_pending=max_pending)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The execution engine jobs run on."""
-        return self._engine
-
-    @property
-    def fleet(self) -> List[Backend]:
-        """The devices this service schedules onto (live view via the engine)."""
-        return self._engine.fleet()
-
-    @property
-    def is_concurrent(self) -> bool:
-        """``True`` when runtime threads execute jobs (``workers >= 1``)."""
-        return self._runtime.workers > 0
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool size (``0``: the caller's thread dispatches inline)."""
-        return self._runtime.workers
-
-    @property
-    def runtime(self) -> ServiceRuntime:
-        """The service runtime (queue, dispatch step, device lanes)."""
-        return self._runtime
 
     @property
     def admission(self) -> Optional[AdmissionController]:
         """The admission controller gating submissions, or ``None``."""
         return self._admission
-
-    @property
-    def fault_injector(self):
-        """The attached scenario fault injector, or ``None``."""
-        return self._fault_injector
-
-    def set_fault_injector(self, injector) -> None:
-        """Attach a :class:`~repro.scenarios.FaultInjector` to this service.
-
-        The injector binds to the engine (resolving fleet-relative device
-        references) and to the runtime's quiesce barrier, so run-visible
-        fault effects (calibration jumps, straggler windows) apply at a
-        deterministic point regardless of worker count.
-        Every job matched afterwards first advances the injector to the
-        job's arrival time.  Pass ``None`` to detach.
-        """
-        self._fault_injector = injector
-        self._engine.set_fault_injector(injector)
-        if injector is not None:
-            injector.bind(self._engine, quiesce=self._runtime.quiesce_runs)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -260,7 +180,7 @@ class QRIOService:
         name: Optional[str] = None,
         policy: Optional[object] = None,
         block: bool = True,
-    ) -> JobHandle:
+    ):
         """Queue one job; returns its handle immediately (state QUEUED).
 
         Args:
@@ -269,7 +189,7 @@ class QRIOService:
                 fidelity threshold, or ``None`` (= fidelity 1.0).
             shots: Measurement shots for the execution.
             name: Explicit job name (must be unique per service); ``None``
-                auto-assigns ``svc-NNNN``.
+                auto-assigns ``NAME_PREFIX`` + a four-digit number.
             policy: Placement policy for this job — a registry name
                 (``"fidelity:queue_weight=0.3"``) or a
                 :class:`~repro.policies.PlacementPolicy`; shorthand for
@@ -280,11 +200,12 @@ class QRIOService:
                 immediately.  Irrelevant to an unbounded queue.
 
         Returns:
-            The job's :class:`~repro.service.JobHandle` (state QUEUED; with
-            ``workers >= 1`` the lifecycle advances in the background).
+            The job's handle (state QUEUED; the lifecycle may advance in the
+            background).
 
         Raises:
             ServiceError: Duplicate job name, or the service was closed.
+            AdmissionRejectedError: The admission controller refused it.
             ServiceOverloadedError: Bounded queue full and ``block=False``.
         """
         spec = JobSpec(
@@ -303,14 +224,8 @@ class QRIOService:
         shots: int = 1024,
         policy: Optional[object] = None,
         block: bool = True,
-    ) -> List[JobHandle]:
-        """Queue many jobs at once, deduplicating structurally-identical ones.
-
-        Handles come back in input order; submissions whose circuit
-        structure, requirements and shot budget coincide are grouped so the
-        engine matches and executes each distinct group exactly once — the
-        whole group is one unit of lane work, and every handle of the group
-        resolves together.
+    ) -> list:
+        """Queue many jobs at once; admission sees them as one batch.
 
         Args:
             circuits: Circuits to submit (one job each).
@@ -318,7 +233,7 @@ class QRIOService:
             shots: Shared shot budget.
             policy: Shared placement policy (see :meth:`submit`).
             block: Backpressure mode (see :meth:`submit`); the batch is
-                admitted atomically — all groups or none.
+                admitted atomically — all jobs or none.
 
         Returns:
             One handle per input circuit, in input order.
@@ -332,11 +247,12 @@ class QRIOService:
         specs = [JobSpec(circuit=circuit, requirements=coerced, shots=shots) for circuit in circuits]
         return self.submit_specs(specs, block=block)
 
-    def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> List[JobHandle]:
+    def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> list:
         """Queue pre-built specs (the core submission path).
 
-        Atomic: every name is validated and queue capacity secured before
-        any spec is queued, so a rejected batch leaves the service untouched.
+        Atomic: names are claimed, admission passed and tenant slots charged
+        before the back end sees the batch, and any rejection undoes every
+        earlier step, so a rejected batch leaves the service untouched.
 
         Args:
             specs: Fully-built job specs.
@@ -347,50 +263,25 @@ class QRIOService:
 
         Raises:
             ServiceError: A spec reuses an existing job name.
+            AdmissionRejectedError: A tenant's quota or SLO state rejected
+                its slice of the batch.
             ServiceOverloadedError: See :meth:`submit_batch`.
         """
-        handles: List[JobHandle] = []
-        groups: Dict[Tuple, _JobGroup] = {}
-        ordered_groups: List[_JobGroup] = []
-        # Name validation and handle construction share one critical
-        # section, so two concurrent submitters can never both claim the
-        # same job name.
         with self._state_lock:
-            self._admit_specs_locked(specs)
-            names: List[str] = []
-            taken = lambda name: name in self._handles or name in self._reserved_names  # noqa: E731
-            for spec in specs:
-                if spec.name is None:
-                    # Skip generated names a user already claimed explicitly.
-                    name = f"svc-{next(self._names):04d}"
-                    while taken(name) or name in names:
-                        name = f"svc-{next(self._names):04d}"
-                else:
-                    name = spec.name
-                    if taken(name) or name in names:
-                        raise ServiceError(f"A job named '{name}' was already submitted to this service")
-                names.append(name)
-            for name, spec in zip(names, specs):
-                handle = JobHandle(name=name, spec=spec, service=self)
-                key = spec.dedup_key()
-                group = groups.get(key)
-                if group is None:
-                    group = _JobGroup(spec=spec)
-                    groups[key] = group
-                    ordered_groups.append(group)
-                group.handles.append(handle)
-                handles.append(handle)
-            # Only *reserve* the names for now.  Handles are published after
-            # the runtime admits the batch, so observers never see a job that
-            # backpressure may still reject (and a parked block=True
-            # submission is invisible until it is really queued).
-            self._reserved_names.update(names)
+            mark = self._next_name
+            names = self._claim_names_locked(specs)
+            counter = (mark, self._next_name)  # rewound if this batch is rejected
+            try:
+                handles, work = self._prepare_locked(specs, names)
+                self._admit_locked(specs)
+            except BaseException:
+                self._release_names_locked(names, counter)
+                raise
         try:
-            self._runtime.enqueue(ordered_groups, block=block)
-        except ReproError:
-            # Atomicity: a rejected batch leaves the service untouched.
+            self._dispatch(work, block=block)
+        except BaseException:
             with self._state_lock:
-                self._reserved_names.difference_update(names)
+                self._release_names_locked(names, counter)
                 self._release_queued_locked(specs)
             raise
         with self._state_lock:
@@ -398,35 +289,51 @@ class QRIOService:
                 self._handles[handle.name] = handle
             self._counters["submitted"] += len(handles)
             self._reserved_names.difference_update(names)
-        self._notify_submission(handles)
         return handles
 
-    def _notify_submission(self, handles: Sequence[JobHandle]) -> None:
-        """Tell every submission listener about an admitted batch, in order."""
-        if not self._submission_listeners:
-            return
-        with self._state_lock:
-            listeners = list(self._submission_listeners)
-        for handle in handles:
-            for listener in listeners:
-                listener(handle.name, handle.spec)
+    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
+        """The batch's handles and back-end work item (lock held; must change no state)."""
+        raise NotImplementedError
 
-    def add_submission_listener(self, listener) -> None:
-        """Register ``fn(job_name, spec)`` to observe every admitted job.
+    def _dispatch(self, work: object, *, block: bool) -> None:
+        """Hand an admitted batch to the back end; raising rejects it."""
+        raise NotImplementedError
 
-        Listeners run on the submitting thread, after the batch is admitted
-        and registered (a rejected batch is never observed).  Listener
-        exceptions propagate to the submitter — a broken recorder should be
-        loud, not silently produce a truncated trace.
+    def _claim_names_locked(self, specs: Sequence[JobSpec]) -> List[str]:
+        """Validate and reserve one unique name per spec (lock held).
+
+        Raises before reserving anything when an explicit name is taken.
         """
-        with self._state_lock:
-            self._submission_listeners.append(listener)
+        names: List[str] = []
+        claimed: set = set()
 
-    def remove_submission_listener(self, listener) -> None:
-        """Deregister a submission listener (no-op when absent)."""
-        with self._state_lock:
-            if listener in self._submission_listeners:
-                self._submission_listeners.remove(listener)
+        def taken(name: str) -> bool:
+            return name in claimed or name in self._handles or name in self._reserved_names
+
+        number = self._next_name
+        for spec in specs:
+            name = spec.name
+            if name is None:
+                # Skip generated names a user already claimed explicitly.
+                name = f"{self.NAME_PREFIX}{number:04d}"
+                while taken(name):
+                    number += 1
+                    name = f"{self.NAME_PREFIX}{number:04d}"
+                number += 1
+            elif taken(name):
+                raise ServiceError(f"A job named '{name}' was already submitted to this service")
+            names.append(name)
+            claimed.add(name)
+        self._next_name = number
+        self._reserved_names.update(names)
+        return names
+
+    def _release_names_locked(self, names: List[str], counter: Tuple[int, int]) -> None:
+        """Free a rejected batch's names; rewind the name counter if no one drew since."""
+        self._reserved_names.difference_update(names)
+        mark, drawn = counter
+        if self._next_name == drawn:
+            self._next_name = mark
 
     @staticmethod
     def _batch_by_tenant(specs: Sequence[JobSpec]) -> Tuple[Dict[str, List[int]], Dict[str, Tenant]]:
@@ -441,13 +348,13 @@ class QRIOService:
             entry[1] += spec.shots
         return batches, tenants
 
-    def _admit_specs_locked(self, specs: Sequence[JobSpec]) -> None:
-        """Admission-check one batch and claim its queued slots (lock held).
+    def _admit_locked(self, specs: Sequence[JobSpec]) -> None:
+        """Admission-check one batch and charge its queued slots (lock held).
 
-        Every tenant in the batch is checked against the live occupancy
-        counts *before* any slot is charged, so a rejected batch leaves the
-        accounting untouched.  (The one non-rollback: in a mixed-tenant batch
-        an earlier tenant's token-bucket draw stands even if a later tenant
+        Every tenant in the batch is checked against the live ledger
+        *before* any slot is charged, so a rejected batch leaves the ledger
+        untouched.  (The one non-rollback: in a mixed-tenant batch an
+        earlier tenant's token-bucket draw stands even if a later tenant
         rejects — rate budgets measure offered load, not admitted load.)
 
         Raises:
@@ -482,10 +389,19 @@ class QRIOService:
         else:
             counts.pop(tenant_id, None)
 
+    def _settle_locked(self, ledger: Dict[str, int], tenant_id: str, jobs: int, succeeded: bool) -> None:
+        """Take ``jobs`` finished jobs off ``ledger`` and count them (lock held)."""
+        self._shift_tenant_locked(ledger, tenant_id, -jobs)
+        self._counters["jobs_succeeded" if succeeded else "jobs_failed"] += jobs
+
+    def _tenant_columns(self, tenant_id: str) -> Dict[str, object]:
+        """Back-end columns a ``tenants_report`` row adds (lock held)."""
+        return {}
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def job(self, name: str) -> JobHandle:
+    def job(self, name: str):
         """Look up a handle by job name.
 
         Raises:
@@ -496,42 +412,13 @@ class QRIOService:
                 raise ServiceError(f"Unknown service job '{name}'")
             return self._handles[name]
 
-    def jobs(self, state: Optional[JobState] = None) -> List[JobHandle]:
-        """Every handle, optionally filtered by lifecycle state."""
+    def jobs(self, state: Optional[JobState] = None) -> list:
+        """Every handle in submission order, optionally filtered by lifecycle state."""
         with self._state_lock:
             handles = list(self._handles.values())
         if state is None:
             return handles
         return [handle for handle in handles if handle.state == state]
-
-    def stats(self) -> Dict[str, object]:
-        """Service-level counters (used by tests and the benchmark report).
-
-        Includes the runtime's occupancy counters (``workers``,
-        ``queued_jobs``, ``inflight_groups``, ``active_lanes``);
-        ``pending_groups`` counts groups not yet dispatched.
-        """
-        with self._state_lock:
-            counters = dict(self._counters)
-        runtime = self._runtime.stats()
-        return {
-            "engine": self._engine.name,
-            "pending_groups": runtime["queued_groups"],
-            **counters,
-            **runtime,
-        }
-
-    def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Hit/miss/eviction statistics of the process-wide caches.
-
-        The ``"plan"`` row sums every engine's plan store in the process, so
-        callers can see how many submits replayed a warm plan versus
-        compiling cold; ``"embedding"`` and ``"enumeration"`` are the shared
-        matching caches.  ``"ideal_distribution"`` and ``"batch"`` stay as
-        zero rows: canaries keep their ideal counts, and no cache backs
-        batching.
-        """
-        return all_cache_stats()
 
     def wait_report(self) -> Dict[str, object]:
         """Wall-clock wait/makespan statistics over every job submitted so far.
@@ -582,11 +469,204 @@ class QRIOService:
                         if self._admission is not None
                         else "accept"
                     ),
+                    **self._tenant_columns(tenant_id),
                 }
             report: Dict[str, object] = {"tenants": rows}
             if self._admission is not None:
                 report["admission"] = self._admission.report()
             return report
+
+
+class QRIOService(FrontDesk):
+    """Fleet + engine + job queue: the one front door for QRIO jobs."""
+
+    _COUNTERS = ("submitted", "groups_executed", "jobs_succeeded", "jobs_failed", "jobs_deduplicated")
+
+    def __init__(
+        self,
+        fleet: Sequence[Backend],
+        engine: Optional[ExecutionEngine] = None,
+        *,
+        seed: SeedLike = None,
+        workers: int = 0,
+        max_pending: Optional[int] = None,
+        admission: Optional[AdmissionController] = None,
+    ) -> None:
+        """Bind a fleet to an engine behind the service runtime.
+
+        Args:
+            fleet: Devices this service schedules onto.
+            engine: Execution engine; defaults to a fresh
+                :class:`~repro.service.OrchestratorEngine`.
+            seed: Seed for the *default* engine only (mutually exclusive with
+                passing ``engine``).
+            workers: Size of the runtime's worker pool.  ``0`` (default)
+                starts no thread: the caller's thread runs the dispatch step
+                inline.  ``N >= 1`` adds a dispatcher thread and N lane
+                workers.
+            max_pending: Backpressure bound on queued-but-undispatched jobs;
+                only meaningful with ``workers >= 1``.
+            admission: An :class:`~repro.tenancy.AdmissionController` gating
+                submissions per tenant — quota checks plus SLO-pressure
+                accept/defer/shed — before any queue capacity is consumed.
+                ``None`` (default) admits everything, leaving the runtime's
+                ``max_pending`` backpressure as the only limit.
+
+        Raises:
+            ServiceError: ``seed`` combined with an explicit engine,
+                ``workers < 0`` or ``max_pending`` without workers.
+        """
+        if engine is not None and seed is not None:
+            raise ServiceError(
+                "seed only configures the default engine; pass the seed to your "
+                "ExecutionEngine instead (e.g. OrchestratorEngine(seed=...))"
+            )
+        if workers < 0:
+            raise ServiceError("workers must be >= 0 (0 = inline dispatch, N = worker-pool size)")
+        if max_pending is not None and workers == 0:
+            raise ServiceError(
+                "max_pending only bounds a worker pool's queue; pass workers >= 1"
+            )
+        super().__init__(admission)
+        self._engine = engine if engine is not None else OrchestratorEngine(seed=seed)
+        self._engine.attach(list(fleet))
+        #: Observers of admitted submissions (``fn(job_name, spec)``), called
+        #: in submission order after a batch is registered — the hook
+        #: :class:`~repro.scenarios.TraceRecorder` captures live runs with.
+        self._submission_listeners: List = []
+        #: Scenario fault injector advanced inside the MATCHING funnel
+        #: (``None`` = fault-free).  Set via :meth:`set_fault_injector`.
+        self._fault_injector = None
+        self._runtime = ServiceRuntime(self, workers=workers, max_pending=max_pending)
+
+    # ------------------------------------------------------------------ #
+    @property
+    def engine(self) -> ExecutionEngine:
+        """The execution engine jobs run on."""
+        return self._engine
+
+    @property
+    def fleet(self) -> List[Backend]:
+        """The devices this service schedules onto (live view via the engine)."""
+        return self._engine.fleet()
+
+    @property
+    def is_concurrent(self) -> bool:
+        """``True`` when runtime threads execute jobs (``workers >= 1``)."""
+        return self._runtime.workers > 0
+
+    @property
+    def workers(self) -> int:
+        """Worker-pool size (``0``: the caller's thread dispatches inline)."""
+        return self._runtime.workers
+
+    @property
+    def runtime(self) -> ServiceRuntime:
+        """The service runtime (queue, dispatch step, device lanes)."""
+        return self._runtime
+
+    @property
+    def fault_injector(self):
+        """The attached scenario fault injector, or ``None``."""
+        return self._fault_injector
+
+    def set_fault_injector(self, injector) -> None:
+        """Attach a :class:`~repro.scenarios.FaultInjector` to this service.
+
+        The injector binds to the engine (resolving fleet-relative device
+        references) and to the runtime's quiesce barrier, so run-visible
+        fault effects (calibration jumps, straggler windows) apply at a
+        deterministic point regardless of worker count.
+        Every job matched afterwards first advances the injector to the
+        job's arrival time.  Pass ``None`` to detach.
+        """
+        self._fault_injector = injector
+        self._engine.set_fault_injector(injector)
+        if injector is not None:
+            injector.bind(self._engine, quiesce=self._runtime.quiesce_runs)
+
+    # ------------------------------------------------------------------ #
+    # Submission (the shared desk, backed by the runtime's queue)
+    # ------------------------------------------------------------------ #
+    def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> List[JobHandle]:
+        """:meth:`FrontDesk.submit_specs`, then the submission listeners see the batch.
+
+        Structurally identical specs (same :meth:`JobSpec.dedup_key`) form
+        one group that the engine matches and executes once.
+        """
+        handles = super().submit_specs(specs, block=block)
+        self._notify_submission(handles)
+        return handles
+
+    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
+        handles: List[JobHandle] = []
+        groups: Dict[Tuple, _JobGroup] = {}
+        for name, spec in zip(names, specs):
+            handles.append(JobHandle(name=name, spec=spec, service=self))
+            groups.setdefault(spec.dedup_key(), _JobGroup(spec=spec)).handles.append(handles[-1])
+        return handles, list(groups.values())
+
+    def _dispatch(self, work: object, *, block: bool) -> None:
+        self._runtime.enqueue(work, block=block)
+
+    def _notify_submission(self, handles: Sequence[JobHandle]) -> None:
+        """Tell every submission listener about an admitted batch, in order."""
+        if not self._submission_listeners:
+            return
+        with self._state_lock:
+            listeners = list(self._submission_listeners)
+        for handle in handles:
+            for listener in listeners:
+                listener(handle.name, handle.spec)
+
+    def add_submission_listener(self, listener) -> None:
+        """Register ``fn(job_name, spec)`` to observe every admitted job.
+
+        Listeners run on the submitting thread, after the batch is admitted
+        and registered (a rejected batch is never observed).  Listener
+        exceptions propagate to the submitter — a broken recorder should be
+        loud, not silently produce a truncated trace.
+        """
+        with self._state_lock:
+            self._submission_listeners.append(listener)
+
+    def remove_submission_listener(self, listener) -> None:
+        """Deregister a submission listener (no-op when absent)."""
+        with self._state_lock:
+            if listener in self._submission_listeners:
+                self._submission_listeners.remove(listener)
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    def stats(self) -> Dict[str, object]:
+        """Service-level counters (used by tests and the benchmark report).
+
+        Includes the runtime's occupancy counters (``workers``,
+        ``queued_jobs``, ``inflight_groups``, ``active_lanes``);
+        ``pending_groups`` counts groups not yet dispatched.
+        """
+        with self._state_lock:
+            counters = dict(self._counters)
+        runtime = self._runtime.stats()
+        return {
+            "engine": self._engine.name,
+            "pending_groups": runtime["queued_groups"],
+            **counters,
+            **runtime,
+        }
+
+    def cache_stats(self) -> Dict[str, Dict[str, float]]:
+        """Hit/miss/eviction statistics of the process-wide caches.
+
+        The ``"plan"`` row sums every engine's plan store in the process, so
+        callers can see how many submits replayed a warm plan versus
+        compiling cold; ``"embedding"`` and ``"enumeration"`` are the shared
+        matching caches.  ``"ideal_distribution"`` and ``"batch"`` stay as
+        zero rows: canaries keep their ideal counts, and no cache backs
+        batching.
+        """
+        return all_cache_stats()
 
     # ------------------------------------------------------------------ #
     # Processing
@@ -720,9 +800,8 @@ class QRIOService:
         for handle in group.handles:
             handle._fail(reason, exception)
         with self._state_lock:
-            self._counters["jobs_failed"] += len(group.handles)
-            self._shift_tenant_locked(
-                self._tenant_inflight, group.spec.requirements.tenant_id, -len(group.handles)
+            self._settle_locked(
+                self._tenant_inflight, group.spec.requirements.tenant_id, len(group.handles), False
             )
 
     def _complete_group(self, group: _JobGroup, placement: Placement, outcome: EngineResult) -> None:
@@ -745,8 +824,5 @@ class QRIOService:
             )
         with self._state_lock:
             self._counters["groups_executed"] += 1
-            self._counters["jobs_succeeded"] += size
             self._counters["jobs_deduplicated"] += size - 1
-            self._shift_tenant_locked(
-                self._tenant_inflight, group.spec.requirements.tenant_id, -size
-            )
+            self._settle_locked(self._tenant_inflight, group.spec.requirements.tenant_id, size, True)

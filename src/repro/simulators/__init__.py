@@ -28,7 +28,6 @@ from repro.simulators.noisy import (
     NoisyStatevectorSimulator,
     PrecompiledExecution,
     execute_with_noise,
-    is_clifford_circuit,
     precompile_execution,
 )
 from repro.simulators.result import (
@@ -76,7 +75,6 @@ __all__ = [
     "depolarizing_probabilities",
     "execute_with_noise",
     "hellinger_fidelity",
-    "is_clifford_circuit",
     "is_stabilizer_gate",
     "marginal_counts",
     "precompile_execution",

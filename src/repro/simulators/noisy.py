@@ -350,16 +350,6 @@ class NoisyStabilizerSimulator:
             state.apply_pauli(pauli_b, qubits[1])
 
 
-def is_clifford_circuit(circuit: QuantumCircuit) -> bool:
-    """Return ``True`` when every gate of ``circuit`` runs on the tableau.
-
-    Parameterised gates (``u1``/``u2``/``u3``/``rz``...) count as Clifford
-    when their specific angles implement a Clifford operation, which is what
-    basis-translated Clifford canaries look like after transpilation.
-    """
-    return circuit_is_stabilizer_compatible(circuit)
-
-
 #: Widest circuit the batched Monte-Carlo statevector engine will accept when
 #: dispatching automatically (keeps the shot batch within ~100 MB).
 BATCHED_STATEVECTOR_LIMIT = 13
@@ -414,7 +404,7 @@ def precompile_execution(circuit: QuantumCircuit, compact: bool = True) -> Preco
             qubit_mapping=mapping_order,
             source_num_qubits=circuit.num_qubits,
         )
-    if is_clifford_circuit(target_circuit):
+    if circuit_is_stabilizer_compatible(target_circuit):
         return PrecompiledExecution(
             engine="stabilizer",
             circuit=target_circuit,

@@ -29,11 +29,17 @@ contract (:mod:`repro.analysis.serialization`) covers:
   (``time.monotonic`` is system-wide on Linux, so child timestamps are
   directly comparable).
 
-The parent keeps the :class:`~repro.service.QRIOService`-shaped surface —
-``submit`` / ``submit_batch`` returning handle objects, ``process()`` as the
-drain barrier, ``wait_report()`` / ``tenants_report()`` / ``stats()`` — and
-runs the same per-tenant :class:`~repro.tenancy.AdmissionController` gate in
-front of routing, fed by the waits shipped back in outcomes.
+The parent's submission surface is not its own: ``submit`` /
+``submit_batch`` / ``submit_specs``, naming, the per-tenant
+:class:`~repro.tenancy.AdmissionController` gate, the tenant ledger and
+``job`` / ``jobs`` / ``wait_report`` / ``tenants_report`` come from the
+:class:`~repro.service.service.FrontDesk` that :class:`~repro.service.QRIOService`
+also uses, so both fronts name, admit and count jobs by one set of rules and
+a rejected batch leaves no trace on either.  This module keeps what is
+sharded: the hash ring and pinned-device routing, the shard processes and
+their pipes, the collector thread (which feeds shipped-back waits to the
+admission controller), dead-shard handling, :class:`ShardHandle`, and the
+shard columns of ``stats()``.
 """
 
 from __future__ import annotations
@@ -47,15 +53,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as wait_readable
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend
-from repro.circuits.circuit import QuantumCircuit
+from repro.cloud.simulation import CloudSimulationConfig
+from repro.policies import PinnedDevicePolicy, parse_policy_spec
 from repro.service.api import JobEvent, JobSpec, JobState, ServiceResult
+from repro.service.engines import CloudEngine, ClusterEngine, DeviceLatencyEngine, OrchestratorEngine
 from repro.service.handle import wall_wait_from_events
+from repro.service.service import FrontDesk, QRIOService
 from repro.tenancy.admission import AdmissionController
-from repro.tenancy.api import Tenant
-from repro.utils.exceptions import JobFailedError, ServiceError
+from repro.utils.exceptions import JobFailedError, ServiceError, ShardDiedError
 
 #: Virtual nodes per shard on the consistent-hash ring.  64 points per shard
 #: keeps the tenant->shard assignment within a few percent of uniform while
@@ -117,13 +125,6 @@ class EngineSpec:
 
     def build(self):
         """Construct the engine this recipe describes (called per shard)."""
-        from repro.service.engines import (
-            CloudEngine,
-            ClusterEngine,
-            DeviceLatencyEngine,
-            OrchestratorEngine,
-        )
-
         if self.kind == "orchestrator":
             engine = OrchestratorEngine(
                 policy=self.policy, seed=self.seed, canary_shots=self.canary_shots
@@ -133,8 +134,6 @@ class EngineSpec:
                 policy=self.policy, seed=self.seed, canary_shots=self.canary_shots
             )
         else:
-            from repro.cloud.simulation import CloudSimulationConfig
-
             engine = CloudEngine(
                 self.policy,
                 config=CloudSimulationConfig(fidelity_report=self.fidelity_report, seed=self.seed),
@@ -237,8 +236,6 @@ def _shard_main(request: ShardRequest, inbox, outbox) -> None:
     everything it touches arrives pickled through ``request`` and ``inbox``.
     ``outbox`` is the write end of this shard's own pipe to the parent.
     """
-    from repro.service.service import QRIOService
-
     try:
         engine = request.engine.build()
         service = QRIOService(
@@ -299,6 +296,7 @@ class ShardHandle:
         self._shard_index = shard_index
         self._done = threading.Event()
         self._outcome: Optional[ShardOutcome] = None
+        self._failure: type = JobFailedError
 
     @property
     def name(self) -> str:
@@ -351,6 +349,7 @@ class ShardHandle:
 
         Raises:
             ServiceError: Timed out waiting for the shard.
+            ShardDiedError: The job's shard process died before reporting.
             JobFailedError: The job failed shard-side.
         """
         if not self._done.wait(timeout):
@@ -358,11 +357,12 @@ class ShardHandle:
         outcome = self._outcome
         assert outcome is not None
         if not outcome.succeeded or outcome.result is None:
-            raise JobFailedError(f"Sharded job '{self._name}' failed: {outcome.error}")
+            raise self._failure(f"Sharded job '{self._name}' failed: {outcome.error}")
         return outcome.result
 
-    def _resolve(self, outcome: ShardOutcome) -> None:
+    def _resolve(self, outcome: ShardOutcome, failure: type = JobFailedError) -> None:
         self._outcome = outcome
+        self._failure = failure
         self._done.set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -372,7 +372,7 @@ class ShardHandle:
 # --------------------------------------------------------------------------- #
 # The meta-dispatcher
 # --------------------------------------------------------------------------- #
-class ShardedService:
+class ShardedService(FrontDesk):
     """Partition a fleet across N worker processes behind one submit API.
 
     Args:
@@ -396,7 +396,15 @@ class ShardedService:
     Routing: jobs go to ``ring(tenant_id)`` unless their requirements carry
     a ``pinned:device=...`` policy, in which case they go to the shard that
     owns the pinned device — the device-affinity override.
+
+    Submission, naming, admission and the tenant ledger are the shared
+    :class:`~repro.service.service.FrontDesk`'s.  The parent never sees a
+    shard-side job start, so every outstanding job counts as *queued* and
+    ``inflight`` stays 0.  ``block`` has no effect: shard inboxes are
+    unbounded.
     """
+
+    NAME_PREFIX = "shard-"
 
     def __init__(
         self,
@@ -435,23 +443,12 @@ class ShardedService:
             for index in range(shards)
             for vnode in range(vnodes)
         )
-        self._admission = admission
+        super().__init__(admission)
         self._engine_spec = engine
-        self._state_lock = threading.Lock()
+        #: Drain wake-up: the tenant ledger emptied.
         self._drained = threading.Condition(self._state_lock)
-        self._handles: Dict[str, ShardHandle] = {}
         self._by_job_id: Dict[int, ShardHandle] = {}
-        self._names_taken: set = set()
-        self._next_name = 1
         self._next_job_id = 1
-        self._outstanding = 0
-        self._tenant_outstanding: Dict[str, int] = {}
-        self._tenants_seen: Dict[str, Tenant] = {}
-        self._counters = {
-            "submitted": 0,
-            "jobs_succeeded": 0,
-            "jobs_failed": 0,
-        }
         self._shard_jobs: Dict[int, int] = {index: 0 for index in range(shards)}
         self._dead_shards: Dict[int, str] = {}
         self._closed = False
@@ -597,9 +594,9 @@ class ShardedService:
             self._dead_shards[shard_index] = detail
             for handle in list(self._by_job_id.values()):
                 if handle.shard_index == shard_index and not handle.done():
-                    self._fail_locked(handle, f"shard died: {detail}")
+                    self._fail_locked(handle, f"shard died: {detail}", ShardDiedError)
 
-    def _fail_locked(self, handle: ShardHandle, error: str) -> None:
+    def _fail_locked(self, handle: ShardHandle, error: str, failure: type = JobFailedError) -> None:
         """Resolve ``handle`` as failed with ``error`` (caller holds the lock)."""
         self._resolve_locked(
             handle,
@@ -610,27 +607,24 @@ class ShardedService:
                 succeeded=False,
                 error=error,
             ),
+            failure,
         )
 
-    def _resolve_locked(self, handle: ShardHandle, outcome: ShardOutcome) -> None:
-        handle._resolve(outcome)
-        tenant_id = handle.tenant_id
-        count = self._tenant_outstanding.get(tenant_id, 0) - 1
-        if count > 0:
-            self._tenant_outstanding[tenant_id] = count
-        else:
-            self._tenant_outstanding.pop(tenant_id, None)
-        # qrio: allow[QRIO-C001] every caller holds _state_lock (the _locked suffix contract)
-        self._outstanding -= 1
-        if outcome.succeeded:
-            self._counters["jobs_succeeded"] += 1
-        else:
-            self._counters["jobs_failed"] += 1
+    def _resolve_locked(
+        self, handle: ShardHandle, outcome: ShardOutcome, failure: type = JobFailedError
+    ) -> None:
+        handle._resolve(outcome, failure)
+        self._settle_locked(self._tenant_queued, handle.tenant_id, 1, outcome.succeeded)
         if self._admission is not None:
             wait = wall_wait_from_events(list(outcome.events))
             if wait is not None:
                 self._admission.observe_wait(wait)
-        if self._outstanding == 0:
+        if not self._tenant_queued:
+            self._drained.notify_all()
+
+    def _release_queued_locked(self, specs: Sequence[JobSpec]) -> None:
+        super()._release_queued_locked(specs)
+        if not self._tenant_queued:
             self._drained.notify_all()
 
     # ------------------------------------------------------------------ #
@@ -662,138 +656,39 @@ class ShardedService:
         return self.shard_of_tenant(spec.requirements.tenant_id)
 
     # ------------------------------------------------------------------ #
-    # Submission
+    # The shared desk's back end: routing and the shard inboxes
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        circuit: QuantumCircuit,
-        requirements=None,
-        *,
-        shots: int = 1024,
-        name: Optional[str] = None,
-        policy: Optional[object] = None,
-    ) -> ShardHandle:
-        """Route one job to its shard; returns the parent-side handle."""
-        from repro.service.service import _apply_policy, _coerce_requirements
+    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
+        # Routing validates pinned devices before admission sees the batch.
+        handles = [
+            ShardHandle(name, spec if spec.name == name else replace(spec, name=name), self._route(spec))
+            for spec, name in zip(specs, names)
+        ]
+        return handles, handles
 
-        spec = JobSpec(
-            circuit=circuit,
-            requirements=_apply_policy(_coerce_requirements(requirements), policy),
-            shots=shots,
-            name=name,
-        )
-        return self.submit_specs([spec])[0]
-
-    def submit_batch(
-        self,
-        circuits: Iterable[QuantumCircuit],
-        requirements=None,
-        *,
-        shots: int = 1024,
-        policy: Optional[object] = None,
-    ) -> List[ShardHandle]:
-        """Route many jobs at once (admission sees them as one batch)."""
-        from repro.service.service import _apply_policy, _coerce_requirements
-
-        coerced = _apply_policy(_coerce_requirements(requirements), policy)
-        specs = [JobSpec(circuit=circuit, requirements=coerced, shots=shots) for circuit in circuits]
-        return self.submit_specs(specs)
-
-    def submit_specs(self, specs: Sequence[JobSpec]) -> List[ShardHandle]:
-        """Admit, name, route and dispatch pre-built specs atomically.
-
-        Raises:
-            ServiceError: Service closed, duplicate name, or a pinned device
-                is unknown.
-            AdmissionRejectedError: The admission controller rejected a
-                tenant's slice of the batch.
-        """
+    def _dispatch(self, work: object, *, block: bool) -> None:
         dispatch: List[Tuple[int, ShardJob]] = []
-        handles: List[ShardHandle] = []
         with self._state_lock:
+            # Checked here, under the lock close() takes, so no handle can
+            # register after close() swept the unresolved ones.
             if self._closed:
                 raise ServiceError("ShardedService is closed")
-            # Route (and validate pinned devices) before any state changes.
-            shard_indices = [self._route(spec) for spec in specs]
-            if self._admission is not None:
-                batches: Dict[str, List[int]] = {}
-                tenants: Dict[str, Tenant] = {}
-                for spec in specs:
-                    tenant = spec.requirements.effective_tenant
-                    tenants[tenant.id] = tenant
-                    entry = batches.setdefault(tenant.id, [0, 0])
-                    entry[0] += 1
-                    entry[1] += spec.shots
-                for tenant_id, (jobs, batch_shots) in batches.items():
-                    # Parent-side accounting cannot split queued from running
-                    # inside a shard, so all outstanding work counts as queued
-                    # (the conservative reading for quota purposes).
-                    self._admission.admit(
-                        tenants[tenant_id],
-                        queued=self._tenant_outstanding.get(tenant_id, 0),
-                        inflight=0,
-                        batch_jobs=jobs,
-                        batch_shots=batch_shots,
-                    )
-            names: List[str] = []
-            for spec in specs:
-                if spec.name is None:
-                    candidate = f"shard-{self._next_name:04d}"
-                    while candidate in self._names_taken:
-                        self._next_name += 1
-                        candidate = f"shard-{self._next_name:04d}"
-                    self._next_name += 1
-                else:
-                    candidate = spec.name
-                    if candidate in self._names_taken:
-                        raise ServiceError(
-                            f"A job named '{candidate}' was already submitted to this service"
-                        )
-                names.append(candidate)
-                self._names_taken.add(candidate)
-            for spec, shard_index, job_name in zip(specs, shard_indices, names):
-                named = spec if spec.name == job_name else replace(spec, name=job_name)
+            for handle in work:
+                shard_index = handle.shard_index
+                self._shard_jobs[shard_index] += 1
+                if shard_index in self._dead_shards:
+                    self._fail_locked(handle, f"shard died: {self._dead_shards[shard_index]}", ShardDiedError)
+                    continue
                 job_id = self._next_job_id
                 self._next_job_id += 1
-                handle = ShardHandle(job_name, named, shard_index)
-                self._handles[job_name] = handle
                 self._by_job_id[job_id] = handle
-                tenant = named.requirements.effective_tenant
-                self._tenants_seen[tenant.id] = tenant
-                self._tenant_outstanding[tenant.id] = (
-                    self._tenant_outstanding.get(tenant.id, 0) + 1
-                )
-                self._outstanding += 1
-                self._counters["submitted"] += 1
-                self._shard_jobs[shard_index] += 1
-                handles.append(handle)
-                if shard_index in self._dead_shards:
-                    self._fail_locked(handle, f"shard died: {self._dead_shards[shard_index]}")
-                else:
-                    dispatch.append((shard_index, ShardJob(job_id=job_id, spec=named)))
+                dispatch.append((shard_index, ShardJob(job_id=job_id, spec=handle.spec)))
         for shard_index, job in dispatch:
             self._inboxes[shard_index].put(job)
-        return handles
 
     # ------------------------------------------------------------------ #
     # Introspection / draining
     # ------------------------------------------------------------------ #
-    def job(self, name: str) -> ShardHandle:
-        """Look up a handle by job name.
-
-        Raises:
-            ServiceError: Unknown name.
-        """
-        with self._state_lock:
-            if name not in self._handles:
-                raise ServiceError(f"Unknown sharded job '{name}'")
-            return self._handles[name]
-
-    def jobs(self) -> List[ShardHandle]:
-        """Every handle, in submission order."""
-        with self._state_lock:
-            return list(self._by_job_id.values())
-
     def process(self, handle: Optional[ShardHandle] = None, timeout: Optional[float] = None) -> None:
         """Drain barrier: block until ``handle`` (or everything) completes.
 
@@ -805,20 +700,15 @@ class ShardedService:
                 raise ServiceError(f"Timed out waiting for sharded job '{handle.name}'")
             return
         with self._drained:
-            if not self._drained.wait_for(lambda: self._outstanding == 0, timeout=timeout):
+            if not self._drained.wait_for(lambda: not self._tenant_queued, timeout=timeout):
                 raise ServiceError(
-                    f"Timed out draining sharded service ({self._outstanding} outstanding)"
+                    f"Timed out draining sharded service ({sum(self._tenant_queued.values())} outstanding)"
                 )
 
     @property
     def num_shards(self) -> int:
         """Number of worker processes."""
         return len(self._processes)
-
-    @property
-    def admission(self) -> Optional[AdmissionController]:
-        """The parent-side admission controller, or ``None``."""
-        return self._admission
 
     def shard_fleets(self) -> List[Tuple[str, ...]]:
         """Device names per shard (the partition, for tests and docs)."""
@@ -829,54 +719,14 @@ class ShardedService:
         with self._state_lock:
             return {
                 "shards": len(self._processes),
-                "outstanding": self._outstanding,
+                "outstanding": sum(self._tenant_queued.values()),
                 **dict(self._counters),
                 "jobs_per_shard": dict(self._shard_jobs),
                 "dead_shards": dict(self._dead_shards),
             }
 
-    def wait_report(self) -> Dict[str, object]:
-        """Merged wait/makespan statistics across every shard.
-
-        Same vocabulary as :meth:`QRIOService.wait_report`, computed from
-        the event histories shards ship back with each outcome — child
-        ``time.monotonic`` stamps are system-wide on Linux, so merging the
-        timelines of different processes is sound.
-        """
-        from repro.scenarios.metrics import wall_wait_report
-
-        with self._state_lock:
-            handles = list(self._by_job_id.values())
-        return wall_wait_report(
-            ((handle.tenant_id, handle.events()) for handle in handles),
-            wall_wait_from_events,
-        )
-
-    def tenants_report(self) -> Dict[str, object]:
-        """Per-tenant occupancy, quotas, routing and admission posture."""
-        with self._state_lock:
-            tenant_ids = sorted(set(self._tenants_seen) | set(self._tenant_outstanding))
-            rows: Dict[str, Dict[str, object]] = {}
-            for tenant_id in tenant_ids:
-                tenant = self._tenants_seen.get(tenant_id) or Tenant(id=tenant_id)
-                rows[tenant_id] = {
-                    "weight": tenant.weight,
-                    "max_pending": tenant.max_pending,
-                    "max_inflight": tenant.max_inflight,
-                    "shots_per_second": tenant.shots_per_second,
-                    "queued": self._tenant_outstanding.get(tenant_id, 0),
-                    "inflight": 0,
-                    "shard": self.shard_of_tenant(tenant_id),
-                    "state": (
-                        self._admission.state(tenant_id).value
-                        if self._admission is not None
-                        else "accept"
-                    ),
-                }
-            report: Dict[str, object] = {"tenants": rows}
-            if self._admission is not None:
-                report["admission"] = self._admission.report()
-            return report
+    def _tenant_columns(self, tenant_id: str) -> Dict[str, object]:
+        return {"shard": self.shard_of_tenant(tenant_id)}
 
 
 def pinned_device_of(policy: Optional[object]) -> Optional[str]:
@@ -888,8 +738,6 @@ def pinned_device_of(policy: Optional[object]) -> Optional[str]:
     """
     if policy is None:
         return None
-    from repro.policies import PinnedDevicePolicy, parse_policy_spec
-
     if isinstance(policy, PinnedDevicePolicy):
         return policy.device
     if isinstance(policy, str):

@@ -149,6 +149,10 @@ class JobFailedError(ServiceError):
     """Raised when the result of a failed service job is requested."""
 
 
+class ShardDiedError(JobFailedError):
+    """Raised for a sharded job whose shard process died before reporting it."""
+
+
 class NoFeasibleNodeError(SchedulingError):
     """Raised when filtering leaves zero nodes for a job.
 

@@ -10,8 +10,9 @@ drivers share; it must reach none of its callers' layers, so the meta
 server's edge into it can never close a cycle.  ``repro.cluster`` is the
 k8s substrate: nodes, jobs and the filter stage.  The scheduling cycle that
 ranks and binds lives above it, so it imports no placement, core, plan or
-service code.  The scan is an AST walk over every module, so imports inside
-functions count too.
+service code.  No package reaches into another's private names: an
+``_``-prefixed name is importable only inside its own package.  The scan is
+an AST walk over every module, so imports inside functions count too.
 """
 
 import ast
@@ -167,3 +168,40 @@ def test_function_level_and_relative_imports_are_seen():
     source = "def run():\n    from ..core import cache\n    import repro.plans.schedule\n"
     names = {name for _, name in _imported_names(source, ["repro", "simulators"])}
     assert {"repro.core", "repro.core.cache", "repro.plans.schedule"} <= names
+
+
+
+SOURCE = Path(repro.__file__).parent
+
+
+def _private_imports(source, relative):
+    """Every ``_``-prefixed name ``source`` imports from another ``repro`` package.
+
+    ``relative`` is the module's path below ``repro/``; its first part names
+    its package (a top-level module such as ``cli.py`` is its own package).
+    """
+    own = relative.parts[0].removesuffix(".py")
+    for line, name in _imported_names(source, ["repro"] + list(relative.parent.parts)):
+        parts = name.split(".")
+        private = parts[-1].startswith("_") and not parts[-1].startswith("__")
+        if parts[0] == "repro" and len(parts) > 2 and parts[1] != own and private:
+            yield line, name
+
+
+def test_private_import_scan_sees_function_level_and_relative_imports():
+    source = (
+        "def run():\n"
+        "    from repro.service.service import _helper, Public\n"
+        "    from ..tenancy.api import _own\n"
+        "    from ..service import _relative\n"
+    )
+    found = [name for _, name in _private_imports(source, Path("tenancy/sharding.py"))]
+    assert found == ["repro.service.service._helper", "repro.service._relative"]
+
+
+@pytest.mark.parametrize("path", _modules(SOURCE), ids=lambda path: str(path.relative_to(SOURCE)))
+def test_no_package_imports_another_packages_private_names(path):
+    relative = path.relative_to(SOURCE)
+    found = _private_imports(path.read_text(), relative)
+    offending = [f"{relative}:{line} imports {name}" for line, name in found]
+    assert offending == []

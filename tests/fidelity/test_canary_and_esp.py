@@ -1,10 +1,12 @@
 """Tests for the Clifford-canary estimator and the analytic ESP baseline."""
 
+import math
+
 import pytest
 
 from repro.backends import named_topology_device, uniform_error_device, line_topology
-from repro.circuits import bernstein_vazirani, ghz
-from repro.fidelity import CliffordCanaryEstimator, ESPEstimator, achieved_fidelity
+from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
+from repro.fidelity import CliffordCanaryEstimator, ESPEstimator, achieved_fidelity, is_clifford_circuit
 from repro.utils.exceptions import FidelityEstimationError
 
 
@@ -72,6 +74,20 @@ class TestAchievedFidelity:
         circuit = ghz(4)
         assert achieved_fidelity(circuit, dirty_device, shots=256, seed=3) < \
             achieved_fidelity(circuit, clean_device, shots=256, seed=3)
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi, 2.0 * math.pi])
+    @pytest.mark.parametrize("gate", ["cu1", "cp", "crz", "rzz"])
+    def test_clifford_phase_gates_the_tableau_cannot_run(self, gate, angle):
+        """These gates pass the fidelity package's Clifford test, but the
+        tableau has no sequence for them: the ideal reference must come from
+        the statevector engine instead of raising."""
+        circuit = QuantumCircuit(2, name=f"h-{gate}")
+        circuit.h(0)
+        getattr(circuit, gate)(angle, 0, 1)
+        assert is_clifford_circuit(circuit)
+        ideal = uniform_error_device("ideal", line_topology(2), 2, two_qubit_error=0.0,
+                                     one_qubit_error=0.0, readout_error=0.0)
+        assert achieved_fidelity(circuit, ideal, shots=256, seed=3) > 0.95
 
 
 class TestESPEstimator:

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 import repro.core.master_server as master_server_module
+import repro.plans.compiler as compiler_module
 import repro.service.engines as engines_module
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
@@ -50,8 +51,9 @@ class _CountingTranspile:
 
 @pytest.fixture()
 def count_engine_transpile(monkeypatch):
-    counter = _CountingTranspile(engines_module)
-    monkeypatch.setattr(engines_module, "transpile", counter)
+    # The cluster engine's cold run transpiles inside its plan compile.
+    counter = _CountingTranspile(compiler_module)
+    monkeypatch.setattr(compiler_module, "transpile", counter)
     return counter
 
 

@@ -9,9 +9,9 @@ from repro.simulators import (
     NoisyStatevectorSimulator,
     execute_with_noise,
     hellinger_fidelity,
-    is_clifford_circuit,
     success_probability,
 )
+from repro.simulators.stabilizer import circuit_is_stabilizer_compatible
 from repro.utils.exceptions import SimulationError, StabilizerError
 
 
@@ -107,7 +107,7 @@ class TestExecuteWithNoise:
         assert result.counts == {"11": 200}
 
     def test_is_clifford_circuit_predicate(self):
-        assert is_clifford_circuit(ghz(3))
+        assert circuit_is_stabilizer_compatible(ghz(3))
         non_clifford = QuantumCircuit(1)
         non_clifford.t(0)
-        assert not is_clifford_circuit(non_clifford)
+        assert not circuit_is_stabilizer_compatible(non_clifford)

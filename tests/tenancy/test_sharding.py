@@ -17,7 +17,7 @@ from repro.tenancy import (
     Tenant,
     pinned_device_of,
 )
-from repro.utils.exceptions import AdmissionRejectedError, ServiceError
+from repro.utils.exceptions import AdmissionRejectedError, ServiceError, ShardDiedError
 
 
 class TestEngineSpec:
@@ -197,12 +197,16 @@ def test_killed_shard_fails_its_jobs_and_close_returns():
         for handle in doomed[1:]:
             assert handle.wait(max(0.0, deadline - time.monotonic())), "dead shard's job never resolved"
             assert handle.error().startswith("shard died: exit code")
+            with pytest.raises(ShardDiedError):
+                handle.result(timeout=0)
         assert service.stats()["dead_shards"] == {0: f"exit code {-signal.SIGKILL}"}
         for handle in spared:
             assert handle.result(timeout=60).shots == handle.spec.shots
         # A job routed to the dead shard afterwards fails at once.
         late = service.submit(ghz(3), JobRequirements(tenant=victim), shots=16, name="late")
         assert late.done() and late.error().startswith("shard died")
+        with pytest.raises(ShardDiedError):
+            late.result(timeout=0)
     finally:
         started = time.monotonic()
         service.close()
