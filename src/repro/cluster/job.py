@@ -154,6 +154,8 @@ class Job:
     logs: List[str] = field(default_factory=list)
     uid: int = field(default_factory=lambda: next(_JOB_SEQUENCE))
     transpiled: Optional[QuantumCircuit] = None
+    #: Log line of a plan compiled for this job, emitted once it runs.
+    transpile_summary: Optional[str] = None
     failure_reason: Optional[str] = None
 
     @property

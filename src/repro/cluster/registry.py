@@ -77,10 +77,14 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     # Jobs
     # ------------------------------------------------------------------ #
+    def check_new_job(self, name: str) -> None:
+        """Raise :class:`ClusterError` while a job named ``name`` is still active."""
+        if name in self._jobs and not self._jobs[name].is_finished():
+            raise ClusterError(f"A job named '{name}' is already active")
+
     def submit_job(self, spec: JobSpec) -> Job:
         """Accept a job specification and track it as Pending."""
-        if spec.name in self._jobs and not self._jobs[spec.name].is_finished():
-            raise ClusterError(f"A job named '{spec.name}' is already active")
+        self.check_new_job(spec.name)
         job = Job(spec=spec)
         self._jobs[spec.name] = job
         self.events.record("JobSubmitted", spec.name, f"strategy={spec.strategy}, image={spec.image}")

@@ -30,9 +30,7 @@ from repro.core.scheduler import (
 )
 from repro.core.vendor import DeviceSpec, VendorConsole
 from repro.core.visualizer import (
-    JobSubmission,
     JobSubmissionForm,
-    MasterServerPayload,
     MetaServerPayload,
     QRIOVisualizer,
     TopologyCanvas,
@@ -53,10 +51,8 @@ __all__ = [
     "DeviceSpec",
     "JobMetadata",
     "JobOutcome",
-    "JobSubmission",
     "JobSubmissionForm",
     "MasterServer",
-    "MasterServerPayload",
     "MetaServer",
     "MetaServerPayload",
     "OraclePlacementPolicy",

@@ -1,4 +1,4 @@
-"""The QRIO Master Server: containerization, job YAML, submission, logs.
+"""The QRIO Master Server: containerization, job YAML, plans, execution, logs.
 
 Section 3.3: the master server receives the job details from the visualizer,
 creates the job directory (QASM file, generated run script, requirements
@@ -6,21 +6,29 @@ file, Dockerfile), builds and pushes the docker image, constructs the job
 YAML with the user's resource requirements, and invokes the cluster's master
 node to schedule the job.  It is also the component the visualizer contacts
 to fetch job logs once execution has finished.
+
+Execution has one branch: a bound job runs an
+:class:`~repro.plans.ExecutionPlan`.  A cold job's plan is compiled here once
+(:meth:`MasterServer.compile_plan`, on the submitted circuit object); a warm
+job replays a stored one.  Only a job that arrives without a plan — the
+facade's ``submit_form`` → ``run_job`` path — has its manifest's QASM parsed
+back into a circuit first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.container import ContainerImage, ImageBuilder, ImageRegistry
-from repro.cluster.job import Job, JobSpec
+from repro.cluster.job import Job
+from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
-from repro.core.visualizer import MasterServerPayload
+from repro.core.requirements import UserRequirements
+from repro.plans import ExecutionPlan, PlanCompiler
 from repro.qasm.parser import parse_qasm
 from repro.simulators.result import SimulationResult
-from repro.transpiler.preset import transpile
 from repro.utils.exceptions import MasterServerError
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -41,12 +49,12 @@ class MasterServer:
         self,
         cluster: ClusterState,
         registry: Optional[ImageRegistry] = None,
-        workspace: Optional[Path] = None,
         seed: SeedLike = None,
     ) -> None:
         self._cluster = cluster
         self._registry = registry or ImageRegistry()
-        self._builder = ImageBuilder(workspace=workspace)
+        self._builder = ImageBuilder()
+        self._compiler = PlanCompiler()
         self._seed = seed
 
     # ------------------------------------------------------------------ #
@@ -55,10 +63,8 @@ class MasterServer:
         """The docker-hub stand-in images are pushed to."""
         return self._registry
 
-    def containerize(self, payload: MasterServerPayload) -> ContainerImage:
+    def containerize(self, requirements: UserRequirements, circuit: QuantumCircuit) -> ContainerImage:
         """Build and push the job's container image (Section 3.3 step 4)."""
-        requirements = payload.requirements
-        circuit = parse_qasm(payload.circuit_qasm, name=requirements.job_name)
         image = self._builder.build(
             job_name=requirements.job_name,
             image_name=requirements.image_name,
@@ -68,11 +74,15 @@ class MasterServer:
         self._registry.push(image)
         return image
 
-    def submit(self, payload: MasterServerPayload) -> SubmittedJob:
-        """Containerize the job, build its YAML and submit it to the cluster."""
-        image = self.containerize(payload)
-        spec = payload.requirements.to_job_spec(
-            circuit_qasm=payload.circuit_qasm,
+    def submit(self, requirements: UserRequirements, circuit: QuantumCircuit) -> SubmittedJob:
+        """Containerize the job, build its YAML and submit it to the cluster.
+
+        The circuit is dumped to QASM once, into the image; the manifest
+        carries that same text.
+        """
+        image = self.containerize(requirements, circuit)
+        spec = requirements.to_job_spec(
+            circuit_qasm=image.file(f"{requirements.job_name}.qasm"),
             image_reference=image.reference,
         )
         job = self._cluster.submit_job(spec)
@@ -81,75 +91,97 @@ class MasterServer:
         return SubmittedJob(job=job, image=image, manifest=spec.to_manifest())
 
     # ------------------------------------------------------------------ #
-    def execute_bound_job(
-        self, job_name: str, transpile_seed: SeedLike = None, plan=None
-    ) -> SimulationResult:
+    def compile_plan(
+        self,
+        job_name: str,
+        circuit: QuantumCircuit,
+        *,
+        num_feasible: int = 0,
+        scores: Optional[Dict[str, float]] = None,
+    ) -> ExecutionPlan:
+        """Compile ``circuit`` into the execution plan of a bound job.
+
+        The circuit is transpiled to the job's node under the job's own
+        ``master-transpile`` seed and its execution dispatch is precompiled;
+        the plan records the job's score and the caller's ranking verdict
+        (``num_feasible``, ``scores``) so a warm replay can skip MATCHING.  A
+        failed compile fails the job and frees its node; a successful one
+        records on the job the transpile summary it logs when it runs.
+        """
+        job, node = self._bound(job_name)
+        try:
+            plan = self._compiler.compile(
+                circuit,
+                node.backend,
+                transpile_seed=derive_seed(self._seed, "master-transpile", job_name, node.backend.name),
+                score=job.score,
+                num_feasible=num_feasible,
+                scores=scores,
+            )
+        except Exception as error:  # noqa: BLE001 - report any compile failure on the job
+            raise self._fail(job, error) from error
+        job.transpile_summary = (
+            f"Transpiled to {node.backend.name}: {plan.transpiled.two_qubit_gate_count()} two-qubit gates, "
+            f"{plan.transpiled.swaps_inserted} SWAPs inserted"
+        )
+        return plan
+
+    def execute_bound_job(self, job_name: str, plan: Optional[ExecutionPlan] = None) -> SimulationResult:
         """Run a job that the scheduler has already bound to a node.
 
         The node "reads the backend object from its backend.py file and uses
-        it as the quantum device running their quantum job": the job circuit
-        is transpiled to the node's backend and executed under its noise
-        model, and the result plus logs are recorded on the job object.
+        it as the quantum device running their quantum job": the plan's
+        transpiled circuit executes under the node's noise model through the
+        plan's precompiled dispatch, and the result plus logs are recorded on
+        the job object.  The execution seed is per job, so a replayed plan
+        samples fresh shots.
 
-        ``plan`` replays a cached :class:`~repro.plans.ExecutionPlan` for this
-        workload/device/calibration: the QASM parse and the transpile stages
-        are skipped entirely and the plan's precompiled execution dispatch
-        drives the device, while the execution seed stays per-job so repeat
-        submissions sample fresh shots.
+        A job whose plan :meth:`compile_plan` built logs that plan's
+        transpile summary; a job without one logs a replay.  Without a plan
+        the job's manifest QASM is parsed and compiled here.
         """
-        job = self._cluster.job(job_name)
-        if job.node_name is None:
-            raise MasterServerError(f"Job '{job_name}' has not been scheduled yet")
-        node = self._cluster.node(job.node_name)
+        job, node = self._bound(job_name)
         if not self._registry.exists(job.spec.image):
             raise MasterServerError(
                 f"Image '{job.spec.image}' for job '{job_name}' is missing from the registry"
             )
         image = self._registry.pull(job.spec.image)
-        execution_seed = derive_seed(self._seed, "master-execute", job_name, node.backend.name)
         job.mark_running()
         self._cluster.events.record("Pulled", job_name, f"image {image.reference} pulled on {node.name}")
         if plan is None:
-            circuit = parse_qasm(job.spec.circuit_qasm, name=job.name).measured()
+            plan = self.compile_plan(job_name, parse_qasm(job.spec.circuit_qasm, name=job.name))
+        job.transpiled = plan.transpiled.circuit
+        job.log(
+            job.transpile_summary
+            or f"Replayed cached execution plan for {node.backend.name} (transpile skipped)"
+        )
         try:
-            if plan is not None:
-                compiled = plan.transpiled
-                job.transpiled = compiled.circuit
-                job.transpile_result = compiled
-                job.log(f"Replayed cached execution plan for {node.backend.name} (transpile skipped)")
-                result = node.execute(
-                    compiled.circuit,
-                    shots=job.spec.shots,
-                    seed=execution_seed,
-                    precompiled=plan.execution,
-                )
-            else:
-                compiled = transpile(
-                    circuit,
-                    node.backend,
-                    seed=derive_seed(transpile_seed if transpile_seed is not None else self._seed,
-                                     "master-transpile", job_name, node.backend.name),
-                )
-                job.transpiled = compiled.circuit
-                job.transpile_result = compiled
-                job.log(
-                    f"Transpiled to {node.backend.name}: {compiled.two_qubit_gate_count()} two-qubit gates, "
-                    f"{compiled.swaps_inserted} SWAPs inserted"
-                )
-                result = node.execute(
-                    compiled.circuit,
-                    shots=job.spec.shots,
-                    seed=execution_seed,
-                )
+            result = node.execute(
+                job.transpiled,
+                shots=job.spec.shots,
+                seed=derive_seed(self._seed, "master-execute", job_name, node.backend.name),
+                precompiled=plan.execution,
+            )
         except Exception as error:  # noqa: BLE001 - report any execution failure on the job
-            job.mark_failed(str(error))
-            self._cluster.events.record("Failed", job_name, str(error))
-            self._cluster.release(job_name)
-            raise MasterServerError(f"Execution of job '{job_name}' failed: {error}") from error
+            raise self._fail(job, error) from error
         job.mark_succeeded(result)
         self._cluster.events.record("Executed", job_name, f"{result.shots} shots on {node.name}")
         self._cluster.release(job_name)
         return result
+
+    def _bound(self, job_name: str) -> Tuple[Job, Node]:
+        """The job and the node it is bound to."""
+        job = self._cluster.job(job_name)
+        if job.node_name is None:
+            raise MasterServerError(f"Job '{job_name}' has not been scheduled yet")
+        return job, self._cluster.node(job.node_name)
+
+    def _fail(self, job: Job, error: Exception) -> MasterServerError:
+        """Record ``error`` on the job, free its node and return the error to raise."""
+        job.mark_failed(str(error))
+        self._cluster.events.record("Failed", job.name, str(error))
+        self._cluster.release(job.name)
+        return MasterServerError(f"Execution of job '{job.name}' failed: {error}")
 
     # ------------------------------------------------------------------ #
     def job_logs(self, job_name: str) -> List[str]:

@@ -43,6 +43,22 @@ class JobMetadata:
     circuit: Optional[QuantumCircuit] = None
     topology_circuit: Optional[QuantumCircuit] = None
 
+    def __post_init__(self) -> None:
+        """Validate the row: what each strategy needs, and nothing unknown."""
+        if self.strategy == "fidelity":
+            if self.fidelity_threshold is None or self.circuit is None:
+                raise MetaServerError(
+                    "A fidelity submission must include the fidelity number and the circuit QASM"
+                )
+            require_probability(self.fidelity_threshold, "fidelity_threshold")
+        elif self.strategy == "topology":
+            if self.topology_circuit is None:
+                raise MetaServerError("A topology submission must include the topology circuit")
+            if self.topology_circuit.num_two_qubit_gates() == 0:
+                raise MetaServerError("A topology circuit must contain at least one interaction")
+        else:
+            raise MetaServerError(f"Unknown strategy '{self.strategy}'")
+
     def describe(self) -> Dict[str, object]:
         """Structured summary used by logs and tests."""
         return {
@@ -116,33 +132,25 @@ class MetaServer:
     # Job metadata (Table 1)
     # ------------------------------------------------------------------ #
     def upload_job_metadata(self, payload: MetaServerPayload) -> JobMetadata:
-        """Accept the visualizer's per-job upload."""
-        if payload.strategy == "fidelity":
-            if payload.fidelity_threshold is None or payload.circuit_qasm is None:
-                raise MetaServerError(
-                    "A fidelity submission must include the fidelity number and the circuit QASM"
-                )
-            require_probability(payload.fidelity_threshold, "fidelity_threshold")
-            metadata = JobMetadata(
+        """Accept the visualizer's per-job upload: parse its QASM, validate, store."""
+        fidelity = payload.strategy == "fidelity"
+        qasm = payload.circuit_qasm if fidelity else payload.topology_qasm
+        suffix = "circuit" if fidelity else "topology"
+        circuit = None if qasm is None else parse_qasm(qasm, name=f"{payload.job_name}_{suffix}")
+        return self.store_job_metadata(
+            JobMetadata(
                 job_name=payload.job_name,
-                strategy="fidelity",
-                fidelity_threshold=payload.fidelity_threshold,
-                circuit=parse_qasm(payload.circuit_qasm, name=f"{payload.job_name}_circuit"),
+                strategy=payload.strategy,
+                fidelity_threshold=payload.fidelity_threshold if fidelity else None,
+                circuit=circuit if fidelity else None,
+                topology_circuit=None if fidelity else circuit,
             )
-        elif payload.strategy == "topology":
-            if payload.topology_qasm is None:
-                raise MetaServerError("A topology submission must include the topology circuit")
-            metadata = JobMetadata(
-                job_name=payload.job_name,
-                strategy="topology",
-                topology_circuit=parse_qasm(payload.topology_qasm, name=f"{payload.job_name}_topology"),
-            )
-            if metadata.topology_circuit.num_two_qubit_gates() == 0:
-                raise MetaServerError("A topology circuit must contain at least one interaction")
-        else:
-            raise MetaServerError(f"Unknown strategy '{payload.strategy}'")
-        self._jobs[payload.job_name] = metadata
-        self._rankings.pop(payload.job_name, None)
+        )
+
+    def store_job_metadata(self, metadata: JobMetadata) -> JobMetadata:
+        """Store a validated metadata row, replacing the job's ranking if it had one."""
+        self._jobs[metadata.job_name] = metadata
+        self._rankings.pop(metadata.job_name, None)
         return metadata
 
     def job_metadata(self, job_name: str) -> JobMetadata:

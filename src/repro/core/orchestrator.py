@@ -5,19 +5,19 @@ user submits a job with either a fidelity or a topology requirement, and the
 orchestrator drives the full cycle of Fig. 2: visualizer → meta server →
 master server → scheduler → chosen quantum device → logs.
 
-Since the unified service layer landed (``repro.service``), the facade's
-execution-cycle methods are thin shims over a :class:`~repro.service.QRIOService`
-bound to this orchestrator: :meth:`QRIO.submit`/:meth:`QRIO.submit_batch`
-return :class:`~repro.service.JobHandle` objects with the explicit
-``QUEUED → MATCHING → RUNNING → DONE/FAILED`` lifecycle, and the legacy
-:meth:`QRIO.submit_and_run` routes through the same service while preserving
-its original :class:`JobOutcome` return type.
+The facade is a client of one :class:`~repro.service.OrchestratorEngine`: the
+engine owns the cluster, the meta server, the master server and the
+scheduler, and the facade takes those parts from it.  Form submissions go
+through the engine's one submission step; :meth:`QRIO.submit`,
+:meth:`QRIO.submit_batch` and :meth:`QRIO.submit_and_run` run on a
+:class:`~repro.service.QRIOService` over the same engine, and
+:meth:`QRIO.submit_and_run` translates the service handle back into the
+historical :class:`JobOutcome`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend
@@ -25,16 +25,14 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node, NodeCapacity
 from repro.cluster.queue import JobQueue, QueuePolicy
-from repro.cluster.registry import ClusterState
 from repro.core.baselines import OraclePlacementPolicy
-from repro.core.master_server import MasterServer, SubmittedJob
-from repro.core.meta_server import MetaServer
-from repro.core.scheduler import QRIOScheduler, SchedulingDecision
+from repro.core.master_server import SubmittedJob
+from repro.core.scheduler import SchedulingDecision
 from repro.core.visualizer import JobSubmissionForm, QRIOVisualizer, TopologyCanvas
 from repro.policies import RandomPlacementPolicy
 from repro.simulators.result import SimulationResult
-from repro.utils.exceptions import MasterServerError
-from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.exceptions import MasterServerError, ServiceError
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -65,15 +63,16 @@ class QRIO:
         cluster_name: str = "qrio-cluster",
         canary_shots: int = 512,
         seed: SeedLike = None,
-        workspace: Optional[Path] = None,
     ) -> None:
-        self.cluster = ClusterState(name=cluster_name)
-        self.meta_server = MetaServer(canary_shots=canary_shots, seed=derive_seed(seed, "meta"))
-        self.master_server = MasterServer(self.cluster, workspace=workspace, seed=derive_seed(seed, "master"))
-        self.scheduler = QRIOScheduler(self.cluster, self.meta_server)
+        from repro.service.engines import OrchestratorEngine
+
+        self._engine = OrchestratorEngine(cluster_name=cluster_name, canary_shots=canary_shots, seed=seed)
+        self.cluster = self._engine.cluster
+        self.meta_server = self._engine.meta_server
+        self.master_server = self._engine.master_server
+        self.scheduler = self._engine.scheduler
         self.visualizer = QRIOVisualizer(self.cluster)
         self.queue = JobQueue(policy=QueuePolicy.FIFO)
-        self._seed = seed
         self._service = None
 
     # ------------------------------------------------------------------ #
@@ -111,10 +110,12 @@ class QRIO:
         return self.visualizer.new_canvas(num_qubits)
 
     def submit_form(self, form: JobSubmissionForm) -> SubmittedJob:
-        """Submit a completed form: uploads metadata, containerizes, creates the job."""
-        submission = form.submit()
-        self.meta_server.upload_job_metadata(submission.meta)
-        return self.master_server.submit(submission.master)
+        """Submit a completed form: uploads metadata, containerizes, creates the job.
+
+        Runs the engine's one submission step, so a rejected form (say, a
+        name that is still active) leaves no metadata, image or job behind.
+        """
+        return self._engine.submit_job(form.build_requirements(), form.circuit, form.topology)
 
     def submit_fidelity_job(
         self,
@@ -235,21 +236,21 @@ class QRIO:
     # Unified service layer (repro.service)
     # ------------------------------------------------------------------ #
     def service(self, *, workers: int = 0, max_pending: Optional[int] = None) -> "QRIOService":
-        """The unified job service bound to this orchestrator.
+        """The unified job service over this orchestrator's engine.
 
         Created lazily on first use (so the fleet can be registered first)
-        and cached; its :class:`~repro.service.OrchestratorEngine` shares
-        this facade's cluster, servers and scheduler, so vendor-side changes
-        (new devices, recalibration, cordons) are visible to service jobs.
+        and cached.  Its engine is the one this facade's cluster, servers and
+        scheduler belong to, so vendor-side changes (new devices,
+        recalibration, cordons) are visible to service jobs.
 
         Args:
             workers: Worker-pool size for the service created on the *first*
                 call: ``0`` (default) dispatches inline on the caller's
                 thread, ``N >= 1`` gives the service runtime N lane workers.
-                Note the orchestrator engine's execution path mutates this
-                facade's shared cluster, so its RUNNING stage is serialized
-                even with many workers — concurrency shows up in submission,
-                queueing and lifecycle, not in overlapped execution.
+                Note the engine's execution path mutates this facade's
+                shared cluster, so its RUNNING stage is serialized even with
+                many workers — concurrency shows up in submission, queueing
+                and lifecycle, not in overlapped execution.
             max_pending: Backpressure bound forwarded to the service (first
                 call only; needs ``workers >= 1``).
 
@@ -260,16 +261,10 @@ class QRIO:
             ServiceError: A later call requested a different non-zero
                 ``workers`` than the service was created with.
         """
-        from repro.service import OrchestratorEngine, QRIOService
-        from repro.utils.exceptions import ServiceError
+        from repro.service import QRIOService
 
         if self._service is None:
-            self._service = QRIOService(
-                self.devices(),
-                OrchestratorEngine(qrio=self, seed=self._seed),
-                workers=workers,
-                max_pending=max_pending,
-            )
+            self._service = QRIOService(self.devices(), self._engine, workers=workers, max_pending=max_pending)
         elif workers and self._service.workers != workers:
             raise ServiceError(
                 f"This orchestrator's service already runs with workers={self._service.workers}; "
@@ -286,14 +281,12 @@ class QRIO:
         return self.service().submit_batch(circuits, requirements, shots=shots)
 
     def _spec_from_form(self, form: JobSubmissionForm):
-        """Convert a completed visualizer form into a service job spec."""
-        from repro.qasm.parser import parse_qasm
+        """Convert a completed visualizer form into a service job spec on the form's circuit."""
         from repro.service import JobRequirements, JobSpec as ServiceJobSpec
 
         requirements = form.build_requirements()
-        circuit = parse_qasm(form.submit().master.circuit_qasm, name=requirements.job_name)
         return ServiceJobSpec(
-            circuit=circuit,
+            circuit=form.circuit.copy(name=requirements.job_name),
             requirements=JobRequirements(
                 fidelity_threshold=requirements.fidelity_threshold,
                 topology_edges=(
@@ -313,17 +306,13 @@ class QRIO:
         )
 
     def _outcome_from_handle(self, handle) -> JobOutcome:
-        """Translate a finished service handle into the legacy JobOutcome."""
-        status = handle.status()
-        if handle.done:
-            outcome = handle.result().detail.get("outcome")
-            if isinstance(outcome, JobOutcome):
-                return outcome
+        """Build the legacy JobOutcome from a finished service handle and its cluster job."""
         if handle.exception is not None:
             # The legacy path let engine errors (duplicate job names,
             # execution failures, ...) propagate — keep that contract rather
             # than returning an outcome for a job this submission never ran.
             raise handle.exception
+        status = handle.status()
         job = self.cluster.job(handle.name)
         if job.phase == JobPhase.FAILED:
             raise MasterServerError(
@@ -343,9 +332,7 @@ class QRIO:
     # ------------------------------------------------------------------ #
     def enqueue_form(self, form: JobSubmissionForm) -> str:
         """Queue a submission for later batch scheduling; returns the job name."""
-        submission = form.submit()
-        self.meta_server.upload_job_metadata(submission.meta)
-        submitted = self.master_server.submit(submission.master)
+        submitted = self.submit_form(form)
         self.queue.enqueue(submitted.job.spec)
         return submitted.job.name
 

@@ -3,9 +3,9 @@
 The paper's visualizer is a React web application; its functional role in
 the system is (a) the three-step job submission form, (b) the topology
 drawing canvas whose result is converted into a *topology circuit* (one CNOT
-per drawn interaction), (c) splitting the submission into the meta-server
-payload of Table 1 and the master-server payload, and (d) showing job logs
-and the cluster view.  All four functions are reproduced here; rendering is
+per drawn interaction), (c) producing the meta-server payload of Table 1
+(the master server takes the form's requirements and circuit object
+directly), and (d) showing job logs and the cluster view.  All four functions are reproduced here; rendering is
 plain text instead of HTML.
 """
 
@@ -109,36 +109,6 @@ class MetaServerPayload:
         return payload
 
 
-@dataclass
-class MasterServerPayload:
-    """What the visualizer uploads to the master server (job details)."""
-
-    requirements: UserRequirements
-    circuit_qasm: str
-
-    def as_dict(self) -> Dict[str, object]:
-        """Serialised form (what would go over the wire)."""
-        return {
-            "job_name": self.requirements.job_name,
-            "image_name": self.requirements.image_name,
-            "num_qubits": self.requirements.num_qubits,
-            "cpu_millicores": self.requirements.cpu_millicores,
-            "memory_mb": self.requirements.memory_mb,
-            "constraints": self.requirements.device_constraints().as_dict(),
-            "strategy": self.requirements.strategy,
-            "shots": self.requirements.shots,
-            "circuit_qasm": self.circuit_qasm,
-        }
-
-
-@dataclass
-class JobSubmission:
-    """The two payloads a completed form workflow produces."""
-
-    meta: MetaServerPayload
-    master: MasterServerPayload
-
-
 class JobSubmissionForm:
     """The three-step submission form of the QRIO visualizer."""
 
@@ -215,6 +185,16 @@ class JobSubmissionForm:
         return self
 
     # -------------------------------------------------------------------- #
+    @property
+    def circuit(self) -> Optional[QuantumCircuit]:
+        """The chosen job circuit (``None`` before step 0)."""
+        return self._circuit
+
+    @property
+    def topology(self) -> Optional[TopologyCanvas]:
+        """The requested topology canvas (``None`` for a fidelity request)."""
+        return self._topology
+
     def build_requirements(self) -> UserRequirements:
         """Validate the form and produce the structured requirements."""
         if self._circuit is None or self._circuit_qasm is None:
@@ -236,27 +216,22 @@ class JobSubmissionForm:
             topology_edges=self._topology.edges() if self._topology is not None else None,
         )
 
-    def submit(self) -> JobSubmission:
-        """Complete the workflow: produce the Table-1 payload split."""
+    def submit(self) -> MetaServerPayload:
+        """Complete the workflow: produce the Table-1 meta-server payload."""
         requirements = self.build_requirements()
         if requirements.strategy == "fidelity":
-            meta = MetaServerPayload(
+            return MetaServerPayload(
                 job_name=requirements.job_name,
                 strategy="fidelity",
                 fidelity_threshold=requirements.fidelity_threshold,
                 circuit_qasm=self._circuit_qasm,
             )
-        else:
-            topology_circuit = self._topology.to_topology_circuit(
-                name=f"{requirements.job_name}_topology"
-            )
-            meta = MetaServerPayload(
-                job_name=requirements.job_name,
-                strategy="topology",
-                topology_qasm=dump_qasm(topology_circuit),
-            )
-        master = MasterServerPayload(requirements=requirements, circuit_qasm=self._circuit_qasm)
-        return JobSubmission(meta=meta, master=master)
+        topology_circuit = self._topology.to_topology_circuit(name=f"{requirements.job_name}_topology")
+        return MetaServerPayload(
+            job_name=requirements.job_name,
+            strategy="topology",
+            topology_qasm=dump_qasm(topology_circuit),
+        )
 
 
 class QRIOVisualizer:

@@ -36,7 +36,7 @@ def table1_rows() -> List[TableRow]:
         .set_job_details("table1-fidelity", "qrio/table1", num_qubits=4)
         .request_fidelity(0.9)
     )
-    fidelity_payload = fidelity_form.submit().meta.as_dict()
+    fidelity_payload = fidelity_form.submit().as_dict()
     fidelity_fields = sorted(key for key, value in fidelity_payload.items() if value is not None and key != "strategy")
 
     canvas = TopologyCanvas(4).load_edges([(0, 1), (1, 2), (2, 3)])
@@ -46,7 +46,7 @@ def table1_rows() -> List[TableRow]:
         .set_job_details("table1-topology", "qrio/table1", num_qubits=4)
         .request_topology(canvas)
     )
-    topology_payload = topology_form.submit().meta.as_dict()
+    topology_payload = topology_form.submit().as_dict()
     topology_fields = sorted(key for key, value in topology_payload.items() if value is not None and key != "strategy")
 
     return [

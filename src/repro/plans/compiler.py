@@ -1,10 +1,10 @@
 """The :class:`PlanCompiler`: run every compile stage once, bundle the result.
 
 The compiler is deliberately dumb about *placement*: it does not rank
-devices.  The engines hand it the device their cold MATCHING stage chose
-(plus the :class:`~repro.transpiler.TranspileResult` their cold RUNNING stage
-already produced, so nothing is compiled twice), and it derives the rest —
-the calibration fingerprint and the precompiled execution dispatch.
+devices.  The master server hands it a cold job's circuit, the device the
+MATCHING stage chose and the job's transpile seed, and it derives the rest —
+the transpiled circuit, the calibration fingerprint and the precompiled
+execution dispatch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.core.cache import calibration_fingerprint
 from repro.plans.plan import ExecutionPlan
 from repro.simulators.noisy import precompile_execution
-from repro.transpiler.preset import TranspileResult, transpile
+from repro.transpiler.preset import transpile
 from repro.utils.rng import SeedLike
 
 __all__ = ["PlanCompiler"]
@@ -38,7 +38,6 @@ class PlanCompiler:
         circuit: QuantumCircuit,
         backend: Backend,
         *,
-        transpiled: Optional[TranspileResult] = None,
         transpile_seed: SeedLike = None,
         score: Optional[float] = None,
         num_feasible: int = 0,
@@ -46,15 +45,11 @@ class PlanCompiler:
     ) -> ExecutionPlan:
         """Compile ``circuit`` for ``backend`` into a frozen plan.
 
-        ``circuit`` is the logical circuit as submitted.  ``transpiled``
-        should be the cold path's own :class:`~repro.transpiler.TranspileResult`
-        when available — passing it avoids transpiling twice and guarantees
-        the plan replays the *identical* artifact; when omitted the compiler
-        transpiles itself under ``transpile_seed`` (appending measurements if
-        missing, exactly as the engines do).
+        ``circuit`` is the logical circuit as submitted.  The compiler
+        transpiles it under ``transpile_seed``, appending measurements if
+        missing.
         """
-        if transpiled is None:
-            transpiled = transpile(circuit.measured(), backend, seed=transpile_seed)
+        transpiled = transpile(circuit.measured(), backend, seed=transpile_seed)
         self._compiled += 1
         return ExecutionPlan(
             device=backend.name,

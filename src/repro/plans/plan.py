@@ -13,7 +13,7 @@ A plan is the frozen, picklable outcome of one cold submit's compile stages:
 * the cold placement verdict (score, per-device scores, feasible count) so
   MATCHING can be skipped wholesale on the native path.
 
-Each orchestrator or cluster engine files its plans in its own plan store
+Each cluster engine files its plans in its own plan store
 under ``(structural hash of the submitted circuit, requirements, shots)``;
 a lookup replays a plan only while its device's live calibration
 fingerprint equals the one recorded here, so a calibration-drift cycle

@@ -3,12 +3,15 @@
 Each adapter maps the engine protocol's MATCHING/RUNNING split onto one of
 the existing subsystems:
 
-* :class:`OrchestratorEngine` — the paper's full Fig. 2 cycle through the
-  :class:`~repro.core.QRIO` facade (visualizer form → meta server → master
-  server → scheduler → device);
-* :class:`ClusterEngine` — the bare k8s-style path: jobs go straight into
-  the cluster registry and through the QRIO scheduler's filter → rank →
-  bind cycle, skipping the visualizer and container machinery;
+* :class:`OrchestratorEngine` — the paper's Fig. 2 cluster.  It owns the
+  cluster registry, the meta server, the master server and the QRIO
+  scheduler.  MATCHING submits the spec's circuit object (meta-server
+  metadata, master containerize and manifest, the cluster job) and then
+  binds it from a warm plan or through one scheduling cycle (native
+  meta-server ranking or a registry policy).  RUNNING is one plan path
+  through the master server.  The :class:`~repro.core.QRIO` facade is a
+  client of this engine.  :class:`ClusterEngine` is the same engine under
+  the ``"cluster"`` selector name;
 * :class:`CloudEngine` — the discrete-event cloud simulator via its
   incremental :class:`~repro.cloud.CloudSession`: each submission becomes an
   arrival routed by a placement policy onto per-device FCFS queues;
@@ -16,11 +19,6 @@ the existing subsystems:
   occupancy around any inner engine's execution, so the concurrent runtime's
   multi-device overlap is observable in real time (the
   ``BENCH_concurrency.json`` workload).
-
-The orchestrator and cluster engines share one private base that owns the
-rest of the Fig. 2 funnel: the warm-plan lookup and publication over the
-engine's own plan store, the one scheduling cycle (native meta-server
-ranking or a registry policy), stale-plan dropping and the outage cordon.
 
 All adapters consume the same :class:`~repro.service.JobSpec` and produce the
 same :class:`~repro.service.Placement` / :class:`~repro.service.EngineResult`
@@ -31,8 +29,8 @@ Concurrency: ``match()`` is always serialized by the service (dispatcher
 thread or caller thread), so adapters may mutate shared matching state
 freely.  ``run()`` is only called concurrently when an engine sets
 ``supports_concurrent_run = True`` — :class:`CloudEngine` does (its session
-is internally locked), :class:`OrchestratorEngine` and :class:`ClusterEngine`
-do not (their execution path mutates the shared cluster registry), and
+is internally locked), :class:`OrchestratorEngine` does not (its execution
+path mutates the shared cluster registry), and
 :class:`DeviceLatencyEngine` does by construction (the inner engine's run is
 re-serialized when it needs to be, only the latency overlaps).
 """
@@ -45,9 +43,9 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.backends.backend import Backend
+from repro.circuits.circuit import QuantumCircuit
 from repro.scenarios.arrivals import JobRequest
 from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSimulationResult, CloudSimulator
-from repro.cluster.job import DeviceConstraints, JobSpec as ClusterJobSpec, ResourceRequest
 from repro.cluster.registry import ClusterState
 from repro.core.cache import (
     PLAN_STATS,
@@ -56,13 +54,14 @@ from repro.core.cache import (
     fleet_calibration_epoch,
     structural_circuit_hash,
 )
-from repro.core.meta_server import MetaServer
+from repro.core.master_server import MasterServer, SubmittedJob
+from repro.core.meta_server import JobMetadata, MetaServer
+from repro.core.requirements import UserRequirements
 from repro.core.scheduler import QRIOScheduler, device_bounds_violation
-from repro.core.visualizer import MetaServerPayload, TopologyCanvas
-from repro.plans import ExecutionPlan, PlanCompiler
+from repro.core.visualizer import TopologyCanvas
+from repro.plans import ExecutionPlan
 from repro.policies.api import PlacementContext, PlacementPolicy
 from repro.policies.registry import PolicyLike, resolve_policy
-from repro.qasm.exporter import dump_qasm
 from repro.service.api import EngineResult, ExecutionEngine, JobSpec, Placement
 from repro.utils.exceptions import ServiceError
 from repro.utils.rng import SeedLike, derive_seed
@@ -117,7 +116,6 @@ class _PlanStore(LRUCache):
     def __init__(self) -> None:
         super().__init__(512)
         self.stats = PLAN_STATS
-        self.compiler = PlanCompiler()
 
     def lookup(self, spec: JobSpec, backends: dict) -> Optional[ExecutionPlan]:
         """The warm plan for ``spec``, or ``None`` (recorded as a miss).
@@ -153,57 +151,146 @@ class _PlanStore(LRUCache):
         )
 
 
-class _ClusterEngineBase(ExecutionEngine):
-    """The Fig. 2 funnel shared by the two cluster-backed engines.
+class OrchestratorEngine(ExecutionEngine):
+    """Run jobs through the paper's Fig. 2 cluster: meta server, master server, scheduler, device.
 
-    :class:`OrchestratorEngine` and :class:`ClusterEngine` differ in two
-    things only: how a submission enters their cluster (their ``match``)
-    and their execution (``run``).  Everything around those lives here:
-    policy resolution, the MATCHING order warm plan → scheduling cycle
-    (:meth:`_route`, :meth:`_schedule`), cold-run plan publication,
-    stale-plan dropping on calibration pushes and the outage cordon.
-    Subclasses expose their ``cluster`` registry and ``scheduler`` once
-    attached.
+    The engine owns the four Fig. 2 parts — the :class:`ClusterState`, the
+    :class:`MetaServer`, the :class:`MasterServer` and the
+    :class:`QRIOScheduler` — plus its own plan store.  :meth:`match` submits
+    the spec's circuit object (:meth:`submit_job`) and then runs MATCHING:
+    a warm plan, else one scheduling cycle.  :meth:`run` is one plan path: a
+    cold job's plan is compiled once by the master server, and every job
+    executes through :meth:`MasterServer.execute_bound_job`.
     """
 
-    def __init__(self, policy: Optional[PolicyLike], seed: SeedLike) -> None:
-        self._seed = seed
+    name = "orchestrator"
+
+    def __init__(
+        self,
+        *,
+        cluster_name: str = "service-cluster",
+        canary_shots: int = 512,
+        policy: Optional[PolicyLike] = None,
+        seed: SeedLike = None,
+    ) -> None:
+        """Build the engine's cluster, servers and scheduler.
+
+        Args:
+            cluster_name: Name of the cluster registry.
+            canary_shots: Clifford-canary shots of the meta server.
+            policy: Default placement policy (registry name or
+                :class:`~repro.policies.PlacementPolicy`) applied to jobs
+                that do not set ``JobRequirements.policy``; ``None`` keeps
+                the native meta-server ranking path.
+            seed: Base seed of the meta server (``meta``), the master server
+                (``master``) and policy resolution.
+        """
         self._policies = _PolicyResolver(policy, seed=seed)
         self._policy_fidelity_cache: dict = {}
         self._plans = _PlanStore()
+        self.cluster = ClusterState(name=cluster_name)
+        self.meta_server = MetaServer(canary_shots=canary_shots, seed=derive_seed(seed, "meta"))
+        self.master_server = MasterServer(self.cluster, seed=derive_seed(seed, "master"))
+        self.scheduler = QRIOScheduler(self.cluster, self.meta_server)
+
+    def attach(self, fleet: Sequence[Backend]) -> None:
+        registered = {backend.name for backend in self.cluster.backends()}
+        for backend in fleet:
+            if backend.name not in registered:
+                self.cluster.register_backend(backend)
+                self.meta_server.register_backend(backend)
 
     def fleet(self) -> List[Backend]:
         return self.cluster.backends()
 
-    def set_device_available(self, device: str, available: bool) -> None:
-        """Outage events cordon/uncordon the device's cluster node.
+    # ------------------------------------------------------------------ #
+    # Submission
+    # ------------------------------------------------------------------ #
+    def submit_job(
+        self,
+        requirements: UserRequirements,
+        circuit: QuantumCircuit,
+        canvas: Optional[TopologyCanvas] = None,
+    ) -> SubmittedJob:
+        """Fig. 2's submission: validate, check the name, upload metadata, containerize, create the job.
 
-        Cordoned nodes drop out of ``schedulable_nodes()``, so the native
-        scheduler, the policy filter path and warm-plan replay all stop
-        placing onto the device until recovery.
+        Every check runs before the first side effect, so a rejected
+        submission leaves the meta server, the image registry and the
+        cluster as they were.  The meta server keeps the circuit as
+        ``<job>_circuit`` (the canary seeds read that name) or the canvas's
+        topology circuit as ``<job>_topology``.
         """
-        super().set_device_available(device, available)
-        cluster = self.cluster
-        node = next((n for n in cluster.nodes() if n.backend.name == device), None)
-        if node is None:
-            raise ServiceError(f"Cannot change availability: unknown device '{device}'")
-        if available:
-            node.uncordon()
-            cluster.events.record("NodeUncordoned", node.name, "scenario outage ended")
+        name = requirements.job_name
+        if requirements.strategy == "topology":
+            metadata = JobMetadata(
+                job_name=name,
+                strategy="topology",
+                topology_circuit=canvas.to_topology_circuit(name=f"{name}_topology"),
+            )
         else:
-            node.cordon()
-            cluster.events.record("NodeCordoned", node.name, "scenario outage")
+            metadata = JobMetadata(
+                job_name=name,
+                strategy="fidelity",
+                fidelity_threshold=requirements.fidelity_threshold,
+                circuit=circuit.copy(name=f"{name}_circuit"),
+            )
+        self.cluster.check_new_job(name)
+        self.meta_server.store_job_metadata(metadata)
+        return self.master_server.submit(requirements, circuit)
 
-    def apply_calibration(self, device: str, properties) -> None:
-        """Swap the properties, then drop this engine's now-stale plans of the device.
+    def match(self, spec: JobSpec, job_name: str) -> Placement:
+        requirements = spec.requirements
+        qubits = requirements.qubits_for(spec.circuit)
+        canvas = None
+        if requirements.strategy == "topology":
+            canvas = TopologyCanvas(qubits).load_edges(list(requirements.topology_edges))
+        self.submit_job(
+            UserRequirements(
+                job_name=job_name,
+                image_name=spec.image_name or f"qrio/{job_name}",
+                num_qubits=qubits,
+                cpu_millicores=requirements.cpu_millicores,
+                memory_mb=requirements.memory_mb,
+                max_avg_two_qubit_error=requirements.max_avg_two_qubit_error,
+                max_avg_readout_error=requirements.max_avg_readout_error,
+                min_avg_t1=requirements.min_avg_t1,
+                min_avg_t2=requirements.min_avg_t2,
+                fidelity_threshold=None if canvas else requirements.effective_fidelity_threshold,
+                topology_edges=canvas.edges() if canvas else None,
+                shots=spec.shots,
+            ),
+            spec.circuit,
+            canvas,
+        )
+        return self._route(spec, job_name)
 
-        Plans compiled against any other calibration of ``device`` can never
-        replay again, so they are evicted eagerly, exactly as a vendor
-        calibration push does.
-        """
-        super().apply_calibration(device, properties)
-        self._plans.drop_stale(device, calibration_fingerprint(properties))
+    # ------------------------------------------------------------------ #
+    # Execution
+    # ------------------------------------------------------------------ #
+    def run(self, placement: Placement) -> EngineResult:
+        plan: Optional[ExecutionPlan] = placement.detail.get("plan")
+        replay = plan is not None
+        if not replay:
+            plan = self.master_server.compile_plan(
+                placement.job_name,
+                placement.spec.circuit,
+                num_feasible=placement.num_feasible,
+                scores=placement.detail.get("scores"),
+            )
+        result = self.master_server.execute_bound_job(placement.job_name, plan=plan)
+        if not replay and "decision" not in placement.detail:  # policy-routed runs are never stored
+            self._plans.store(placement.spec, plan)
+        return EngineResult(
+            device=plan.device,
+            counts=dict(result.counts),
+            shots=result.shots,
+            score=self.cluster.job(placement.job_name).score,
+            detail={"swaps_inserted": plan.transpiled.swaps_inserted, "plan_replay": replay},
+        )
 
+    # ------------------------------------------------------------------ #
+    # MATCHING
+    # ------------------------------------------------------------------ #
     def _route(self, spec: JobSpec, job_name: str) -> Placement:
         """MATCHING for a job that entered the cluster: warm plan, else one scheduling cycle."""
         policy = self._policies.for_requirements(spec.requirements)
@@ -294,299 +381,47 @@ class _ClusterEngineBase(ExecutionEngine):
             fidelity_cache=self._policy_fidelity_cache,
         )
 
-    def _publish_plan(self, placement: Placement, transpiled, score: Optional[float]) -> None:
-        """Publish a cold native-path run as a reusable execution plan."""
-        if "decision" in placement.detail or transpiled is None:
-            return  # policy-routed or nothing compiled: nothing to replay
-        backend = next((b for b in self.fleet() if b.name == placement.device), None)
-        if backend is None:
-            return
-        self._plans.store(
-            placement.spec,
-            self._plans.compiler.compile(
-                placement.spec.circuit,
-                backend,
-                transpiled=transpiled,
-                score=score,
-                num_feasible=placement.num_feasible,
-                scores=dict(placement.detail.get("scores", {})),
-            ),
-        )
+    # ------------------------------------------------------------------ #
+    # Fault hooks
+    # ------------------------------------------------------------------ #
+    def set_device_available(self, device: str, available: bool) -> None:
+        """Outage events cordon/uncordon the device's cluster node.
 
-
-class OrchestratorEngine(_ClusterEngineBase):
-    """Run jobs through the full QRIO facade (the paper's one-at-a-time path)."""
-
-    def __init__(
-        self,
-        qrio=None,
-        *,
-        cluster_name: str = "service-cluster",
-        canary_shots: int = 512,
-        policy: Optional[PolicyLike] = None,
-        seed: SeedLike = None,
-    ) -> None:
-        """Wrap (or lazily build) a QRIO facade as an execution engine.
-
-        Args:
-            qrio: An existing facade to drive; ``None`` builds one on attach.
-            cluster_name: Cluster name of a lazily-built facade.
-            canary_shots: Clifford-canary shots of the meta server.
-            policy: Default placement policy (registry name or
-                :class:`~repro.policies.PlacementPolicy`) applied to jobs
-                that do not set ``JobRequirements.policy``; ``None`` keeps
-                the native meta-server ranking path.
-            seed: Base seed for the facade and policy resolution.
+        Cordoned nodes drop out of ``schedulable_nodes()``, so the native
+        scheduler, the policy filter path and warm-plan replay all stop
+        placing onto the device until recovery.
         """
-        super().__init__(policy, seed)
-        self._qrio = qrio
-        self._cluster_name = cluster_name
-        self._canary_shots = canary_shots
-
-    @property
-    def name(self) -> str:
-        return "orchestrator"
-
-    @property
-    def qrio(self):
-        """The wrapped facade (available after :meth:`attach`)."""
-        if self._qrio is None:
-            raise ServiceError("OrchestratorEngine is not attached to a fleet yet")
-        return self._qrio
-
-    @property
-    def cluster(self) -> ClusterState:
-        """The facade's cluster registry (available after :meth:`attach`)."""
-        return self.qrio.cluster
-
-    @property
-    def scheduler(self) -> QRIOScheduler:
-        """The facade's scheduler (available after :meth:`attach`)."""
-        return self.qrio.scheduler
-
-    def attach(self, fleet: Sequence[Backend]) -> None:
-        if self._qrio is None:
-            from repro.core.orchestrator import QRIO
-
-            self._qrio = QRIO(
-                cluster_name=self._cluster_name,
-                canary_shots=self._canary_shots,
-                seed=self._seed,
-            )
-        registered = {backend.name for backend in self._qrio.devices()}
-        for backend in fleet:
-            if backend.name not in registered:
-                self._qrio.register_device(backend)
-
-    def match(self, spec: JobSpec, job_name: str) -> Placement:
-        requirements = spec.requirements
-        form = (
-            self.qrio.new_submission_form()
-            .choose_circuit(spec.circuit)
-            .set_job_details(
-                job_name=job_name,
-                image_name=spec.image_name or f"qrio/{job_name}",
-                num_qubits=requirements.qubits_for(spec.circuit),
-                cpu_millicores=requirements.cpu_millicores,
-                memory_mb=requirements.memory_mb,
-                shots=spec.shots,
-            )
-            .set_device_characteristics(
-                max_avg_two_qubit_error=requirements.max_avg_two_qubit_error,
-                max_avg_readout_error=requirements.max_avg_readout_error,
-                min_avg_t1=requirements.min_avg_t1,
-                min_avg_t2=requirements.min_avg_t2,
-            )
-        )
-        if requirements.strategy == "topology":
-            canvas = TopologyCanvas(requirements.qubits_for(spec.circuit))
-            canvas.load_edges(list(requirements.topology_edges))
-            form.request_topology(canvas)
+        super().set_device_available(device, available)
+        cluster = self.cluster
+        node = next((n for n in cluster.nodes() if n.backend.name == device), None)
+        if node is None:
+            raise ServiceError(f"Cannot change availability: unknown device '{device}'")
+        if available:
+            node.uncordon()
+            cluster.events.record("NodeUncordoned", node.name, "scenario outage ended")
         else:
-            form.request_fidelity(requirements.effective_fidelity_threshold)
-        self.qrio.submit_form(form)
-        return self._route(spec, job_name)
+            node.cordon()
+            cluster.events.record("NodeCordoned", node.name, "scenario outage")
 
-    def run(self, placement: Placement) -> EngineResult:
-        from repro.core.orchestrator import JobOutcome
+    def apply_calibration(self, device: str, properties) -> None:
+        """Swap the properties, then drop this engine's now-stale plans of the device.
 
-        plan: Optional[ExecutionPlan] = placement.detail.get("plan")
-        if plan is not None:
-            # Warm path: replay the plan's transpiled circuit and precompiled
-            # execution dispatch through the master server (parse and
-            # transpile are skipped); shots are sampled fresh per job.
-            result = self.qrio.master_server.execute_bound_job(placement.job_name, plan=plan)
-            job = self.qrio.cluster.job(placement.job_name)
-            outcome = JobOutcome(
-                job=job,
-                device=plan.device,
-                score=job.score,
-                result=result,
-                scores=dict(placement.detail.get("scores", {})),
-                num_filtered=placement.num_feasible,
-            )
-        else:
-            outcome = self.qrio.run_job(placement.job_name)
-            if outcome.result is None:
-                raise ServiceError(f"Job '{placement.job_name}' produced no execution result")
-            # run_job saw an already-bound job (match() scheduled it), so its
-            # outcome carries no ranking data; graft the MATCHING stage's scores
-            # back on to keep the legacy JobOutcome shape intact.
-            outcome.scores = dict(placement.detail.get("scores", {}))
-            outcome.num_filtered = placement.num_feasible
-            self._publish_plan(placement, getattr(outcome.job, "transpile_result", None), outcome.score)
-        return EngineResult(
-            device=outcome.device,
-            counts=dict(outcome.result.counts),
-            shots=outcome.result.shots,
-            score=outcome.score,
-            detail={"outcome": outcome, "plan_replay": plan is not None},
-        )
+        Plans compiled against any other calibration of ``device`` can never
+        replay again, so they are evicted eagerly, exactly as a vendor
+        calibration push does.
+        """
+        super().apply_calibration(device, properties)
+        self._plans.drop_stale(device, calibration_fingerprint(properties))
 
 
-class ClusterEngine(_ClusterEngineBase):
-    """Run jobs straight through the k8s-style scheduling framework.
+class ClusterEngine(OrchestratorEngine):
+    """The ``"cluster"`` selector of the scenario runner, sharded engine specs and the CLI.
 
-    Compared with :class:`OrchestratorEngine` this skips the visualizer form
-    and the container/image machinery: cluster-level job specs are built
-    directly, the :class:`~repro.core.QRIOScheduler` (default QRIO filter
-    chain + meta-server ranking) binds them, and the node executes the
-    transpiled circuit.
+    The same Fig. 2 engine under its historical name: there is one cluster
+    engine, and this name stays until its selectors are retired.
     """
 
-    def __init__(
-        self,
-        *,
-        cluster_name: str = "service-cluster-engine",
-        canary_shots: int = 512,
-        policy: Optional[PolicyLike] = None,
-        seed: SeedLike = None,
-    ) -> None:
-        """Build a standalone cluster-framework engine.
-
-        Args:
-            cluster_name: Name of the cluster registry built on attach.
-            canary_shots: Clifford-canary shots of the meta server.
-            policy: Default placement policy (registry name or
-                :class:`~repro.policies.PlacementPolicy`) applied to jobs
-                that do not set ``JobRequirements.policy``; ``None`` keeps
-                the native meta-server ranking.
-            seed: Base seed for the meta server, transpilation and policy
-                resolution.
-        """
-        super().__init__(policy, seed)
-        self._cluster_name = cluster_name
-        self._canary_shots = canary_shots
-        self._cluster: Optional[ClusterState] = None
-        self._meta: Optional[MetaServer] = None
-        self._scheduler: Optional[QRIOScheduler] = None
-
-    @property
-    def name(self) -> str:
-        return "cluster"
-
-    @property
-    def cluster(self) -> ClusterState:
-        """The cluster registry (available after :meth:`attach`)."""
-        if self._cluster is None:
-            raise ServiceError("ClusterEngine is not attached to a fleet yet")
-        return self._cluster
-
-    @property
-    def scheduler(self) -> QRIOScheduler:
-        """The scheduling framework (available after :meth:`attach`)."""
-        if self._scheduler is None:
-            raise ServiceError("ClusterEngine is not attached to a fleet yet")
-        return self._scheduler
-
-    def attach(self, fleet: Sequence[Backend]) -> None:
-        self._cluster = ClusterState(name=self._cluster_name)
-        self._meta = MetaServer(canary_shots=self._canary_shots, seed=derive_seed(self._seed, "service-meta"))
-        for backend in fleet:
-            self._cluster.register_backend(backend)
-            self._meta.register_backend(backend)
-        self._scheduler = QRIOScheduler(self._cluster, self._meta)
-
-    def match(self, spec: JobSpec, job_name: str) -> Placement:
-        requirements = spec.requirements
-        circuit_qasm = dump_qasm(spec.circuit)
-        cluster_spec = ClusterJobSpec(
-            name=job_name,
-            image=spec.image_name or f"service/{job_name}",
-            circuit_qasm=circuit_qasm,
-            resources=ResourceRequest(
-                qubits=requirements.qubits_for(spec.circuit),
-                cpu_millicores=requirements.cpu_millicores,
-                memory_mb=requirements.memory_mb,
-            ),
-            constraints=DeviceConstraints(
-                max_avg_two_qubit_error=requirements.max_avg_two_qubit_error,
-                max_avg_readout_error=requirements.max_avg_readout_error,
-                min_avg_t1=requirements.min_avg_t1,
-                min_avg_t2=requirements.min_avg_t2,
-            ),
-            strategy=requirements.strategy,
-            shots=spec.shots,
-        )
-        if requirements.strategy == "topology":
-            canvas = TopologyCanvas(requirements.qubits_for(spec.circuit))
-            canvas.load_edges(list(requirements.topology_edges))
-            payload = MetaServerPayload(
-                job_name=job_name,
-                strategy="topology",
-                topology_qasm=dump_qasm(canvas.to_topology_circuit(name=f"{job_name}_topology")),
-            )
-        else:
-            payload = MetaServerPayload(
-                job_name=job_name,
-                strategy="fidelity",
-                fidelity_threshold=requirements.effective_fidelity_threshold,
-                circuit_qasm=circuit_qasm,
-            )
-        self._meta.upload_job_metadata(payload)
-        self.cluster.submit_job(cluster_spec)
-        return self._route(spec, job_name)
-
-    def run(self, placement: Placement) -> EngineResult:
-        job = self.cluster.job(placement.job_name)
-        node = self.cluster.node(job.node_name)
-        job.mark_running()
-        plan: Optional[ExecutionPlan] = placement.detail.get("plan")
-        cold = plan is None
-        try:
-            if cold:
-                # Compile the plan once (transpile + precompiled dispatch), then run it as warm replay does.
-                plan = self._plans.compiler.compile(
-                    placement.spec.circuit,
-                    node.backend,
-                    transpile_seed=derive_seed(
-                        self._seed, "service-transpile", placement.job_name, node.backend.name
-                    ),
-                    score=job.score,
-                    num_feasible=placement.num_feasible,
-                    scores=dict(placement.detail.get("scores", {})),
-                )
-            result = node.execute(
-                plan.transpiled.circuit,
-                shots=placement.spec.shots,
-                seed=derive_seed(self._seed, "service-execute", placement.job_name, node.backend.name),
-                precompiled=plan.execution,
-            )
-        except Exception as error:
-            job.mark_failed(str(error))
-            self.cluster.release(placement.job_name)
-            raise
-        job.mark_succeeded(result)
-        self.cluster.release(placement.job_name)
-        if cold and "decision" not in placement.detail:  # policy-routed runs are never stored
-            self._plans.store(placement.spec, plan)
-        return EngineResult(
-            device=node.backend.name,
-            counts=dict(result.counts),
-            shots=result.shots,
-            score=job.score,
-            detail={"swaps_inserted": plan.transpiled.swaps_inserted, "plan_replay": not cold},
-        )
+    name = "cluster"
 
 
 class CloudEngine(ExecutionEngine):

@@ -10,7 +10,9 @@ drivers share; it must reach none of its callers' layers, so the meta
 server's edge into it can never close a cycle.  ``repro.cluster`` is the
 k8s substrate: nodes, jobs and the filter stage.  The scheduling cycle that
 ranks and binds lives above it, so it imports no placement, core, plan or
-service code.  No package reaches into another's private names: an
+service code.  ``repro.service`` is a layer below the ``QRIO`` facade, which
+is a client of its cluster engine: no service module imports the facade.
+No package reaches into another's private names: an
 ``_``-prefixed name is importable only inside its own package.  The scan is
 an AST walk over every module, so imports inside functions count too.
 """
@@ -50,6 +52,10 @@ POLICIES_FORBIDDEN = (
 
 CLUSTER = Path(repro.__file__).parent / "cluster"
 CLUSTER_FORBIDDEN = ("repro.policies", "repro.core", "repro.plans", "repro.service")
+
+SERVICE = Path(repro.__file__).parent / "service"
+#: The facade module and the names ``repro.core`` re-exports from it.
+FACADE = ("repro.core.orchestrator", "repro.core.QRIO", "repro.core.JobOutcome")
 
 
 def _modules(root=SIMULATORS):
@@ -155,6 +161,21 @@ def test_cluster_imports_no_placement_layer(path):
         f"{path.name}:{line} imports {name}"
         for line, name in _imported_names(path.read_text(), _package_of(path, CLUSTER))
         if _in_layers(name, CLUSTER_FORBIDDEN)
+    ]
+    assert offending == []
+
+
+def test_scan_sees_the_service_modules():
+    names = {path.name for path in _modules(SERVICE)}
+    assert {"engines.py", "service.py", "runtime.py"} <= names
+
+
+@pytest.mark.parametrize("path", _modules(SERVICE), ids=lambda path: path.name)
+def test_service_does_not_import_the_facade(path):
+    offending = [
+        f"{path.name}:{line} imports {name}"
+        for line, name in _imported_names(path.read_text(), _package_of(path, SERVICE))
+        if _in_layers(name, FACADE)
     ]
     assert offending == []
 

@@ -7,10 +7,10 @@ from repro.circuits import bernstein_vazirani, ghz
 from repro.cluster import JobPhase
 from repro.core import QRIO, MasterServer, MetaServer
 from repro.core.requirements import UserRequirements
-from repro.core.visualizer import MasterServerPayload
 from repro.cluster import ClusterState
-from repro.qasm import dump_qasm
-from repro.utils.exceptions import MasterServerError
+from repro.qasm import dump_qasm, parse_qasm
+from repro.service import JobRequirements
+from repro.utils.exceptions import ClusterError, MasterServerError
 
 
 @pytest.fixture
@@ -34,8 +34,7 @@ class TestMasterServer:
         server = MasterServer(cluster)
         requirements = UserRequirements(job_name="ms-job", image_name="qrio/ms-job",
                                         num_qubits=3, fidelity_threshold=0.9)
-        payload = MasterServerPayload(requirements=requirements, circuit_qasm=dump_qasm(ghz(3)))
-        image = server.containerize(payload)
+        image = server.containerize(requirements, ghz(3))
         assert server.registry.exists(image.reference)
         assert image.reference == "qrio/ms-job:latest"
 
@@ -44,18 +43,19 @@ class TestMasterServer:
         server = MasterServer(cluster)
         requirements = UserRequirements(job_name="ms-job2", image_name="qrio/ms-job2",
                                         num_qubits=3, fidelity_threshold=0.9)
-        payload = MasterServerPayload(requirements=requirements, circuit_qasm=dump_qasm(ghz(3)))
-        submitted = server.submit(payload)
+        submitted = server.submit(requirements, ghz(3))
         assert submitted.job.phase == JobPhase.PENDING
         assert submitted.manifest["metadata"]["name"] == "ms-job2"
         assert cluster.job("ms-job2") is submitted.job
+        # One dump: the manifest carries the image's QASM file.
+        assert submitted.job.spec.circuit_qasm == submitted.image.file("ms-job2.qasm") == dump_qasm(ghz(3))
 
     def test_execute_unscheduled_job_rejected(self):
         cluster = ClusterState()
         server = MasterServer(cluster)
         requirements = UserRequirements(job_name="ms-job3", image_name="qrio/ms-job3",
                                         num_qubits=3, fidelity_threshold=0.9)
-        server.submit(MasterServerPayload(requirements=requirements, circuit_qasm=dump_qasm(ghz(3))))
+        server.submit(requirements, ghz(3))
         with pytest.raises(MasterServerError):
             server.execute_bound_job("ms-job3")
 
@@ -64,7 +64,7 @@ class TestMasterServer:
         server = MasterServer(cluster)
         requirements = UserRequirements(job_name="ms-job4", image_name="qrio/ms-job4",
                                         num_qubits=3, fidelity_threshold=0.9)
-        server.submit(MasterServerPayload(requirements=requirements, circuit_qasm=dump_qasm(ghz(3))))
+        server.submit(requirements, ghz(3))
         logs = server.job_logs("ms-job4")
         assert any("available once the job has finished" in line for line in logs)
 
@@ -134,3 +134,93 @@ class TestQRIOOrchestrator:
             job, orchestrator.oracle_scheduler(shots=64, seed=3), bind=False
         )
         assert oracle_decision.node_name == "node-alpha"
+
+
+def _submission_state(qrio):
+    """What a submission writes: the metadata row, the image registry and the cluster jobs."""
+    metadata = qrio.meta_server.job_metadata("dup-job")
+    registry = qrio.master_server.registry
+    return (
+        metadata.describe(),
+        metadata.circuit,
+        metadata.circuit.name,
+        {reference: registry.pull(reference).files for reference in registry.references()},
+        [(job.name, job.phase, job.spec.circuit_qasm, job.spec.image) for job in qrio.cluster.jobs()],
+    )
+
+
+class TestRejectedSubmission:
+    """A submission rejected for its name leaves the pending job's state untouched."""
+
+    @pytest.mark.parametrize("route", ["submit_form", "submit_and_run", "submit"])
+    def test_duplicate_active_name_leaves_no_trace(self, orchestrator, route):
+        orchestrator.submit_fidelity_job(ghz(2), 0.9, job_name="dup-job")
+        before = _submission_state(orchestrator)
+        if route == "submit":
+            handle = orchestrator.submit(ghz(4), JobRequirements(fidelity_threshold=0.5), name="dup-job")
+            handle.wait()
+            assert handle.failed and isinstance(handle.exception, ClusterError)
+        else:
+            form = (
+                orchestrator.new_submission_form()
+                .choose_circuit(ghz(4))
+                .set_job_details("dup-job", "qrio/dup-job", num_qubits=4)
+                .request_fidelity(0.5)
+            )
+            with pytest.raises(ClusterError):
+                getattr(orchestrator, route)(form)
+        assert _submission_state(orchestrator) == before
+        # The pending job still runs against its own circuit.
+        outcome = orchestrator.run_job("dup-job")
+        assert outcome.succeeded and outcome.job.transpiled.num_clbits == 2
+
+
+class TestFig2Trail:
+    """Cold, warm and legacy runs leave the Fig. 2 logs and events in order."""
+
+    COLD_LOGS = ("Image ", "Job manifest created", "Scheduled on node", "Container started",
+                 "Transpiled to ", "Execution finished")
+    WARM_LOGS = ("Image ", "Job manifest created", "Scheduled on node", "Container started",
+                 "Replayed cached execution plan", "Execution finished")
+    COLD_EVENTS = ["JobSubmitted", "Filtered", "Ranked", "Bound", "Pulled", "Executed", "Released"]
+    WARM_EVENTS = ["JobSubmitted", "Bound", "PlanScheduled", "Pulled", "Executed", "Released"]
+
+    @staticmethod
+    def _form(qrio, name):
+        return (
+            qrio.new_submission_form()
+            .choose_circuit(ghz(3))
+            .set_job_details(name, f"qrio/{name}", num_qubits=3, shots=64)
+            .request_fidelity(0.9)
+        )
+
+    def test_cold_warm_and_legacy_runs(self, orchestrator):
+        orchestrator.submit_and_run(self._form(orchestrator, "trail-cold"))
+        orchestrator.submit_and_run(self._form(orchestrator, "trail-warm"))
+        orchestrator.submit_form(self._form(orchestrator, "trail-legacy"))
+        orchestrator.run_job("trail-legacy")
+        for name, logs, events in (
+            ("trail-cold", self.COLD_LOGS, self.COLD_EVENTS),
+            ("trail-warm", self.WARM_LOGS, self.WARM_EVENTS),
+            ("trail-legacy", self.COLD_LOGS, self.COLD_EVENTS),
+        ):
+            lines = orchestrator.job_logs(name)
+            assert len(lines) == len(logs) and all(map(str.startswith, lines, logs)), lines
+            kinds = [event.kind for event in orchestrator.cluster.events.all() if event.subject == name]
+            assert kinds == events
+
+    def test_text_upload_is_normalised_in_the_manifest_and_image(self, orchestrator):
+        # The master server dumps the parsed circuit once; the uploaded
+        # text's comments and layout are not kept.
+        text = "// user upload\n" + dump_qasm(ghz(3)).replace(";\n", ";  // step\n", 2)
+        form = (
+            orchestrator.new_submission_form()
+            .choose_circuit(text)
+            .set_job_details("trail-text", "qrio/trail-text", num_qubits=3, shots=64)
+            .request_fidelity(0.9)
+        )
+        submitted = orchestrator.submit_form(form)
+        normalised = dump_qasm(parse_qasm(text))
+        assert normalised != text
+        assert submitted.job.spec.circuit_qasm == submitted.image.file("trail-text.qasm") == normalised
+        assert orchestrator.run_job("trail-text").succeeded

@@ -90,8 +90,7 @@ class TestJobSubmissionForm:
 
     def test_fidelity_submission_payload_matches_table1(self):
         form = self._details(JobSubmissionForm().choose_circuit(ghz(4))).request_fidelity(0.9)
-        submission = form.submit()
-        payload = submission.meta.as_dict()
+        payload = form.submit().as_dict()
         assert payload["strategy"] == "fidelity"
         assert payload["fidelity_threshold"] == 0.9
         assert "circuit_qasm" in payload and payload["circuit_qasm"]
@@ -100,7 +99,7 @@ class TestJobSubmissionForm:
     def test_topology_submission_payload_matches_table1(self):
         canvas = TopologyCanvas(4).load_edges([(0, 1), (1, 2)])
         form = self._details(JobSubmissionForm().choose_circuit(ghz(4))).request_topology(canvas)
-        payload = form.submit().meta.as_dict()
+        payload = form.submit().as_dict()
         assert payload["strategy"] == "topology"
         assert "topology_qasm" in payload
         assert "fidelity_threshold" not in payload
@@ -108,8 +107,10 @@ class TestJobSubmissionForm:
         assert topology.count_ops() == {"cx": 2}
 
     def test_qasm_string_input_accepted(self):
-        form = self._details(JobSubmissionForm().choose_circuit(dump_qasm(ghz(4)))).request_fidelity(0.5)
-        assert form.submit().master.circuit_qasm.startswith("OPENQASM")
+        qasm = dump_qasm(ghz(4))
+        form = self._details(JobSubmissionForm().choose_circuit(qasm)).request_fidelity(0.5)
+        assert form.submit().circuit_qasm == qasm
+        assert form.circuit == parse_qasm(qasm)
 
     def test_missing_circuit_rejected(self):
         form = JobSubmissionForm().set_job_details("x", "img", num_qubits=2)

@@ -70,11 +70,10 @@ class TestPlanCompiler:
         plan = PlanCompiler().compile(ghz(4, measure=False), backend)
         assert plan.transpiled.circuit.has_measurements()
 
-    def test_supplied_transpile_result_is_reused_verbatim(self, backend):
+    def test_transpile_runs_under_the_given_seed(self, backend):
         circuit = ghz(4)
-        compiled = transpile(circuit, backend, seed=9)
-        plan = PlanCompiler().compile(circuit, backend, transpiled=compiled)
-        assert plan.transpiled is compiled
+        plan = PlanCompiler().compile(circuit, backend, transpile_seed=9)
+        assert plan.transpiled.circuit == transpile(circuit, backend, seed=9).circuit
 
 
 class TestPrecompiledExecution:

@@ -9,12 +9,14 @@ plans stay bit-identical to the unfused path.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
-import repro.core.master_server as master_server_module
 import repro.plans.compiler as compiler_module
+import repro.qasm.parser as parser_module
 import repro.service.engines as engines_module
+import repro.simulators.noisy as noisy_module
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.core.cache import all_cache_stats, clear_all_caches
@@ -51,17 +53,25 @@ class _CountingTranspile:
 
 @pytest.fixture()
 def count_engine_transpile(monkeypatch):
-    # The cluster engine's cold run transpiles inside its plan compile.
+    # A cold run transpiles inside the master server's plan compile.
     counter = _CountingTranspile(compiler_module)
     monkeypatch.setattr(compiler_module, "transpile", counter)
     return counter
 
 
-@pytest.fixture()
-def count_master_transpile(monkeypatch):
-    counter = _CountingTranspile(master_server_module)
-    monkeypatch.setattr(master_server_module, "transpile", counter)
-    return counter
+def _spy_everywhere(monkeypatch, module, attr):
+    """Count calls of ``module.attr`` through every ``repro`` module that binds it."""
+    calls = []
+    original = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for bound in list(sys.modules.values()):
+        if getattr(bound, "__name__", "").startswith("repro") and getattr(bound, attr, None) is original:
+            monkeypatch.setattr(bound, attr, spy)
+    return calls
 
 
 def _plan_stats():
@@ -185,30 +195,43 @@ class TestClusterWarmPath:
 
 
 class TestOrchestratorWarmPath:
-    def test_warm_submit_skips_master_server_transpile(self, count_master_transpile, ideal_runs):
+    def test_warm_submit_skips_master_server_transpile(self, count_engine_transpile, ideal_runs):
         service = QRIOService(
             three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64)
         )
         cold = service.submit(ghz(4), 0.9, shots=128).result()
-        assert count_master_transpile.calls == 1
+        assert count_engine_transpile.calls == 1
         assert cold.detail["plan_replay"] is False
         assert len(ideal_runs) == 1
         before = _plan_stats()
         warm = service.submit(ghz(4), 0.9, shots=128).result()
         after = _plan_stats()
-        assert count_master_transpile.calls == 1
+        assert count_engine_transpile.calls == 1
         assert warm.detail["plan_replay"] is True
         assert warm.device == cold.device
         assert after["hits"] - before["hits"] == 1
         # The canary ranking never ran: no ideal distribution was simulated.
         assert len(ideal_runs) == 1
 
+    def test_submits_parse_no_qasm_and_compile_the_job_once(self, monkeypatch):
+        parses = _spy_everywhere(monkeypatch, parser_module, "parse_qasm")
+        precompiles = _spy_everywhere(monkeypatch, noisy_module, "precompile_execution")
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
+        cold = service.submit(ghz(4), 0.9, shots=128)
+        cold.result()
+        ranked = len(cold.status().detail["scores"])
+        # One canary execution per ranked device, plus the job's own plan.
+        assert (len(parses), len(precompiles)) == (0, ranked + 1)
+        warm = service.submit(ghz(4), 0.9, shots=128).result()
+        assert warm.detail["plan_replay"] is True
+        assert (len(parses), len(precompiles)) == (0, ranked + 1)
+
     def test_warm_replay_is_recorded_in_the_cluster_events(self):
         engine = OrchestratorEngine(seed=5, canary_shots=64)
         service = QRIOService(three_device_testbed(), engine)
         service.submit(ghz(3), 0.9, shots=64).result()
         service.submit(ghz(3), 0.9, shots=64).result()
-        assert engine.qrio.cluster.events.of_kind("PlanScheduled")
+        assert engine.cluster.events.of_kind("PlanScheduled")
 
 
 class TestCloudFeasibility:

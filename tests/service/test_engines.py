@@ -52,11 +52,11 @@ class TestProtocolUniformity:
         service.process()
         assert all(handle.done for handle in handles)
 
-    def test_unattached_engine_accessors_raise(self):
-        with pytest.raises(ServiceError):
-            OrchestratorEngine().qrio
-        with pytest.raises(ServiceError):
-            ClusterEngine().cluster
+    def test_unattached_engines(self):
+        # The cluster engine builds its Fig. 2 parts up front; attach only
+        # registers the fleet.  The cloud engine has no session until then.
+        assert OrchestratorEngine().fleet() == []
+        assert ClusterEngine().cluster.backends() == []
         with pytest.raises(ServiceError):
             CloudEngine().session
 
@@ -73,7 +73,7 @@ class TestOrchestratorEngine:
         service = QRIOService(three_device_testbed(), engine)
         handle = service.submit(ghz(3), 0.8, shots=32, name="visible-job")
         handle.result()
-        job = engine.qrio.cluster.job("visible-job")
+        job = engine.cluster.job("visible-job")
         assert job.phase.value == "Succeeded"
 
 

@@ -72,9 +72,8 @@ def test_scores_are_keyed_by_device_name(engine, policy):
     result = handle.result()
     scores = handle.status().detail["scores"]
     assert scores and set(scores) <= names and result.device in scores
-    outcome = result.detail.get("outcome")
-    if engine == "orchestrator":
-        assert outcome.scores == scores
+    job = instance.cluster.job(handle.name)
+    assert job.score == scores[result.device] == result.score
     plan = instance._plans.get(JobSpec(ghz(3), requirements, shots=32).dedup_key())
     if policy is None:
         assert plan.scores == scores and plan.device == result.device
