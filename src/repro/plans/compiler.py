@@ -4,7 +4,8 @@ The compiler is deliberately dumb about *placement*: it does not rank
 devices.  The master server hands it a cold job's circuit, the device the
 MATCHING stage chose and the job's transpile seed, and it derives the rest —
 the transpiled circuit, the calibration fingerprint and the precompiled
-execution dispatch.
+execution dispatch, which for a narrow circuit carries its exact outcome law
+under the device's noise model.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class PlanCompiler:
             device=backend.name,
             calibration_fingerprint=calibration_fingerprint(backend.properties),
             transpiled=transpiled,
-            execution=precompile_execution(transpiled.circuit),
+            execution=precompile_execution(transpiled.circuit, noise_model=backend.noise_model()),
             score=score,
             num_feasible=num_feasible,
             scores=dict(scores or {}),

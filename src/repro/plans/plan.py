@@ -9,6 +9,11 @@ A plan is the frozen, picklable outcome of one cold submit's compile stages:
   (:class:`~repro.simulators.noisy.PrecompiledExecution`: compacted circuit,
   noise-restriction mapping, engine choice, and — on the stabilizer path —
   the compiled tableau program), so replay skips every per-gate walk;
+* inside that dispatch, for a circuit of at most ``DENSITY_LIMIT`` active
+  qubits, its exact **outcome law** (``execution.law``, an
+  :class:`~repro.simulators.density.OutcomeLaw`) under the device's noise
+  model, with the noise rates it read, so a replay is one multinomial draw
+  under the job's seed;
 * the device and its calibration fingerprint at compile time;
 * the cold placement verdict (score, per-device scores, feasible count) so
   MATCHING can be skipped wholesale on the native path.
@@ -17,7 +22,9 @@ Each cluster engine files its plans in its own plan store
 under ``(structural hash of the submitted circuit, requirements, shots)``;
 a lookup replays a plan only while its device's live calibration
 fingerprint equals the one recorded here, so a calibration-drift cycle
-makes the stale plan miss.
+makes the stale plan miss.  Independently, a replay draws from the law only
+while the rates it recorded equal the live noise model's; otherwise the
+execution computes a fresh law.
 """
 
 from __future__ import annotations

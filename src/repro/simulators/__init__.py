@@ -1,4 +1,4 @@
-"""Simulation engines: statevector, stabilizer (CHP) and noisy Monte-Carlo."""
+"""Simulation engines: statevector, stabilizer (CHP), exact density matrix and noisy Monte-Carlo."""
 
 from repro.simulators.batched_stabilizer import (
     BatchedStabilizerSimulator,
@@ -13,6 +13,7 @@ from repro.simulators.channels import (
     depolarizing_probabilities,
     thermal_relaxation_error,
 )
+from repro.simulators.density import DENSITY_LIMIT, OutcomeLaw, outcome_law
 from repro.simulators.durations import (
     GateDurations,
     circuit_duration,
@@ -51,6 +52,7 @@ __all__ = [
     "BATCHED_STATEVECTOR_LIMIT",
     "BatchedStabilizerSimulator",
     "BatchedStabilizerState",
+    "DENSITY_LIMIT",
     "GateDurations",
     "probe_deterministic_outcome",
     "MAX_MITIGATED_BITS",
@@ -58,6 +60,7 @@ __all__ = [
     "NoiseModel",
     "NoisyStabilizerSimulator",
     "NoisyStatevectorSimulator",
+    "OutcomeLaw",
     "PAULI_LABELS",
     "PrecompiledExecution",
     "ReadoutMitigator",
@@ -77,6 +80,7 @@ __all__ = [
     "hellinger_fidelity",
     "is_stabilizer_gate",
     "marginal_counts",
+    "outcome_law",
     "precompile_execution",
     "qubit_busy_times",
     "qubit_finish_times",

@@ -10,8 +10,12 @@ The executable error channel is a Pauli (depolarizing-style) channel applied
 after each gate plus classical readout bit-flips, which is the standard
 NISQ-era abstraction and what the error-rate numbers in Table 2 parameterise.
 Thermal relaxation during readout is folded into an additional flip
-probability derived from the readout length and T1, keeping the T1/T2 columns
-of Table 2 observable in the simulation without a full density-matrix engine.
+probability derived from the readout length and T1, so the T1/T2 columns of
+Table 2 stay observable as readout flips rather than as an amplitude-damping
+channel.  Because every error is a Pauli or a classical flip, the
+density-matrix engine (:mod:`repro.simulators.density`) computes a narrow
+circuit's outcome law under this model exactly, and the Monte-Carlo and
+stabilizer engines sample the same law.
 """
 
 from __future__ import annotations

@@ -1,12 +1,19 @@
-"""Noisy execution engines: Monte-Carlo statevector and noisy stabilizer.
+"""Noisy execution engines and the dispatch that picks one per circuit.
 
-Both engines inject the same error channel — a random Pauli on the operands
-of each gate with the probability given by the device's calibration data,
-plus classical readout flips — so that a Clifford circuit produces the same
-statistics whichever engine runs it.  The stabilizer engine scales to the
-fleet's 100-qubit devices (Pauli errors are Clifford operations); the
-statevector engine handles arbitrary circuits after compaction onto their
-active qubits.
+Every engine realises the same error channel — a random Pauli on the
+operands of each gate with the probability given by the device's
+calibration data, plus classical readout flips — so a circuit's outcome
+statistics do not depend on which engine runs it:
+
+* the exact density-matrix engine (:mod:`repro.simulators.density`) computes
+  a narrow circuit's outcome law once and draws every execution's shots from
+  it in one multinomial draw;
+* the Monte-Carlo statevector engine evolves one trajectory per shot, for
+  circuits too wide for a density matrix but within a statevector batch;
+* the noisy stabilizer engine scales to the fleet's 100-qubit devices for
+  Clifford circuits (Pauli errors are Clifford operations).
+
+:func:`precompile_execution` picks the engine by active width alone.
 """
 
 from __future__ import annotations
@@ -19,6 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.simulators.density import (
+    DENSITY_LIMIT,
+    NoiseSites,
+    OutcomeLaw,
+    check_noisy_circuit,
+    format_clbit_keys,
+    noise_sites,
+    outcome_law,
+    read_rates,
+)
 from repro.simulators.noise import NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
@@ -130,7 +147,7 @@ class NoisyStatevectorSimulator:
         if shots <= 0:
             raise SimulationError("shots must be positive")
         noise_model = noise_model or NoiseModel.ideal()
-        self._validate(circuit)
+        check_noisy_circuit(circuit, MAX_STATEVECTOR_QUBITS, "Monte-Carlo statevector engine")
         num_qubits = circuit.num_qubits
         dim = 2**num_qubits
         states = np.zeros((shots, dim), dtype=complex)
@@ -151,21 +168,6 @@ class NoisyStatevectorSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _validate(self, circuit: QuantumCircuit) -> None:
-        if circuit.num_qubits > MAX_STATEVECTOR_QUBITS:
-            raise SimulationError(
-                f"Circuit has {circuit.num_qubits} qubits; compact it onto its active "
-                "qubits before Monte-Carlo statevector simulation"
-            )
-        measured: set = set()
-        for instruction in circuit:
-            if instruction.name == "reset":
-                raise SimulationError("NoisyStatevectorSimulator does not support reset")
-            if instruction.is_measurement:
-                measured.add(instruction.qubits[0])
-            elif not instruction.is_directive and measured.intersection(instruction.qubits):
-                raise SimulationError("Mid-circuit measurement is not supported")
-
     def _inject_pauli_errors(
         self,
         states: np.ndarray,
@@ -227,12 +229,8 @@ class NoisyStatevectorSimulator:
         # counts (and summing floats over them) see the same sequence.
         unique_keys, first_seen, tallies = np.unique(keys, return_index=True, return_counts=True)
         order = np.argsort(first_seen)
-        unique_keys = unique_keys[order]
-        chars = np.full((unique_keys.size, width), ord("0"), dtype=np.uint8)
-        for bit, clbit in enumerate(clbits):
-            chars[:, width - 1 - clbit] = ord("0") + ((unique_keys >> bit) & 1)
-        labels = chars.view(f"S{width}").ravel()
-        return {label.decode("ascii"): count for label, count in zip(labels, tallies[order].tolist())}
+        labels = format_clbit_keys(unique_keys[order], clbits, width)
+        return dict(zip(labels, tallies[order].tolist()))
 
 
 class NoisyStabilizerSimulator:
@@ -361,13 +359,17 @@ class PrecompiledExecution:
 
     Everything :func:`execute_with_noise` derives by walking the gate list —
     the compacted circuit, the active-qubit mapping that restricts the noise
-    model, the engine choice and (on the stabilizer path) the compiled
-    tableau program — captured once so a repeat execution skips straight to
-    the shot loop.  Built by :func:`precompile_execution` and carried inside
+    model, the engine choice, the density engine's noise sites and outcome
+    law, and the stabilizer engine's compiled tableau program — captured once
+    so a repeat execution skips straight to sampling.  Built by
+    :func:`precompile_execution` and carried inside
     :class:`~repro.plans.ExecutionPlan`.
     """
 
-    #: ``"statevector"`` or ``"stabilizer"`` — the engine the dispatch chose.
+    #: The engine the dispatch chose by active width: ``"density"`` (at most
+    #: ``DENSITY_LIMIT`` active qubits: exact law, one multinomial draw per
+    #: execution), ``"statevector"`` (Monte-Carlo trajectories, up to
+    #: ``BATCHED_STATEVECTOR_LIMIT``) or ``"stabilizer"`` (wider, Clifford).
     engine: str
     #: The circuit actually executed (compacted onto its active qubits).
     circuit: QuantumCircuit
@@ -378,15 +380,38 @@ class PrecompiledExecution:
     source_num_qubits: int
     #: Precompiled tableau program (stabilizer engine only).
     program: Optional[Tuple[TableauStep, ...]] = None
+    #: Physical gate operands and readout qubits the law reads (density only).
+    noise_sites: Optional[NoiseSites] = None
+    #: Outcome law under the noise model given at precompile time (density
+    #: only; ``None`` when none was given).
+    law: Optional[OutcomeLaw] = None
+
+    def law_for(self, noise_model: NoiseModel) -> OutcomeLaw:
+        """The density engine's outcome law under ``noise_model``.
+
+        The stored law is returned only while the rates it was computed from
+        equal the ones ``noise_model`` gives now; otherwise a fresh law is
+        computed (and not stored: the execution is frozen).
+        """
+        rates = read_rates(self.noise_sites, noise_model)
+        if self.law is not None and self.law.rates == rates:
+            return self.law
+        return outcome_law(self.circuit, rates)
 
 
-def precompile_execution(circuit: QuantumCircuit, compact: bool = True) -> PrecompiledExecution:
+def precompile_execution(
+    circuit: QuantumCircuit,
+    compact: bool = True,
+    noise_model: Optional[NoiseModel] = None,
+) -> PrecompiledExecution:
     """Run :func:`execute_with_noise`'s analysis stages once, without shots.
 
     The returned bundle replays through ``execute_with_noise(...,
     precompiled=...)`` with bit-identical results to a fresh call under the
     same seed: the compaction is deterministic and the chosen engine consumes
-    its RNG stream identically either way.
+    its RNG stream identically either way.  With ``noise_model``, a circuit
+    the density engine takes also carries its outcome law under that model,
+    so a replay under the same rates is one draw.
     """
     target_circuit = circuit
     mapping_order: Tuple[int, ...] = ()
@@ -397,6 +422,20 @@ def precompile_execution(circuit: QuantumCircuit, compact: bool = True) -> Preco
                 physical for physical, _ in sorted(mapping.items(), key=lambda kv: kv[1])
             )
             target_circuit = compacted
+    if target_circuit.num_qubits <= DENSITY_LIMIT:
+        sites = noise_sites(target_circuit, mapping_order)
+        return PrecompiledExecution(
+            engine="density",
+            circuit=target_circuit,
+            qubit_mapping=mapping_order,
+            source_num_qubits=circuit.num_qubits,
+            noise_sites=sites,
+            law=(
+                outcome_law(target_circuit, read_rates(sites, noise_model))
+                if noise_model is not None
+                else None
+            ),
+        )
     if target_circuit.num_qubits <= BATCHED_STATEVECTOR_LIMIT:
         return PrecompiledExecution(
             engine="statevector",
@@ -429,16 +468,19 @@ def execute_with_noise(
     """Execute ``circuit`` under ``noise_model`` with the best available engine.
 
     The circuit is first compacted onto its active qubits (transpiled circuits
-    are as wide as their device).  Narrow circuits then run on the batched
-    Monte-Carlo statevector engine — the fastest option because all shots are
-    evolved together — while wider circuits must be Clifford and run on the
-    noisy stabilizer engine, which scales polynomially in width.  This is the
-    execution path the cluster nodes use when a QRIO job lands on them.
+    are as wide as their device).  Circuits of at most ``DENSITY_LIMIT``
+    active qubits then take their shots in one multinomial draw from their
+    exact outcome law; wider ones up to ``BATCHED_STATEVECTOR_LIMIT`` run on
+    the batched Monte-Carlo statevector engine, and wider still must be
+    Clifford and run on the noisy stabilizer engine, which scales
+    polynomially in width.  This is the execution path the cluster nodes use
+    when a QRIO job lands on them.
 
     ``precompiled`` replays a previous :func:`precompile_execution` analysis
-    of the *same* circuit, skipping compaction, engine dispatch and (on the
-    stabilizer path) tableau compilation; the noise model and seed still
-    apply per call, so repeat executions sample fresh shots.
+    of the *same* circuit, skipping compaction, engine dispatch, tableau
+    compilation and — while the noise rates it recorded are the live ones —
+    the outcome law; the noise model and seed still apply per call, so
+    repeat executions sample fresh shots.
     """
     noise_model = noise_model or NoiseModel.ideal()
     if precompiled is None:
@@ -448,6 +490,8 @@ def execute_with_noise(
             f"Precompiled execution was built for a {precompiled.source_num_qubits}-qubit "
             f"circuit, got {circuit.num_qubits} qubits"
         )
+    if precompiled.engine == "density":
+        return precompiled.law_for(noise_model).draw(shots, seed)
     target_noise = (
         noise_model.restricted_to(list(precompiled.qubit_mapping))
         if precompiled.qubit_mapping

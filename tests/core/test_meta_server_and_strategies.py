@@ -30,27 +30,28 @@ from repro.workloads import evaluation_workload
 
 #: job -> device -> score, for ``MetaServer(canary_shots=128, seed=7)``, each
 #: job scored over the devices in name order.  Every job's canary samples its
-#: own ideal counts from its own seed, the ``@0.7`` jobs included.
+#: own ideal counts from its own seed, the ``@0.7`` jobs included.  The
+#: fidelity rows are 128-shot samples of each canary's exact outcome law.
 GOLDEN_SCORES = {
     "ghz3@1.0": {
-        "device_line": 0.14294873661400453,
-        "device_ring": 0.16533335172250296,
-        "device_tree": 0.11729828891707184,
+        "device_line": 0.19187531967290283,
+        "device_ring": 0.14866944780388403,
+        "device_tree": 0.10959249085546396,
     },
     "ghz3@0.7": {
-        "device_line": 0.04698834337505231,
-        "device_ring": 0.03345975561128367,
-        "device_tree": 0.05065251515395647,
+        "device_line": 0.05115215593757841,
+        "device_ring": 0.03592249437136122,
+        "device_tree": 0.03550039186688361,
     },
     "grover@1.0": {
-        "device_line": 0.027428299305521153,
-        "device_ring": 0.021967670979118115,
-        "device_tree": 0.019578906646604777,
+        "device_line": 0.020999068944396515,
+        "device_ring": 0.009288085415068759,
+        "device_tree": 0.03352919252634723,
     },
     "grover@0.7": {
-        "device_line": 0.06736319471909857,
-        "device_ring": 0.05974129118791538,
-        "device_tree": 0.06922231274846005,
+        "device_line": 0.0695341221597762,
+        "device_ring": 0.060748981175753614,
+        "device_tree": 0.055922849759346166,
     },
     "tree": {"device_line": 2.3000000000000007, "device_ring": 2.0, "device_tree": 0.6500000000000001},
 }

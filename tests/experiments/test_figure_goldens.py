@@ -5,6 +5,9 @@ The drivers rank through the registry placement policies
 baselines, ``RandomPlacementPolicy``).  These rows were recorded when each
 driver still ran its own filter → score → argmin loop and random draw; a
 changed score, tie-break, candidate order or RNG draw moves at least one.
+The Fig. 7 ``rep`` and ``grover`` rows were re-recorded when narrow circuits
+moved to the exact density-matrix engine, which samples each execution's
+per-shot law from a different random stream.
 Each canary estimator samples its own ideal counts, so the rows do not
 depend on what ran earlier in the process.
 """
@@ -74,11 +77,11 @@ GOLDEN_FIG7 = [
     {
         "workload": "rep",
         "label": "Rep",
-        "oracle": 0.6796875,
-        "clifford": 0.6796875,
-        "random": 0.04687499999999999,
-        "average": 0.228125,
-        "median": 0.16015625,
+        "oracle": 0.640625,
+        "clifford": 0.640625,
+        "random": 0.07031249999999999,
+        "average": 0.23125,
+        "median": 0.12109375000000001,
         "oracle_device": "sim_q20_c10",
         "clifford_device": "sim_q20_c10",
         "random_device": "sim_q95_c10",
@@ -86,13 +89,13 @@ GOLDEN_FIG7 = [
     {
         "workload": "grover",
         "label": "Grover",
-        "oracle": 0.7131129908892998,
-        "clifford": 0.5398876681450998,
-        "random": 0.5868845622407867,
-        "average": 0.5559172029669788,
-        "median": 0.5488564121741693,
+        "oracle": 0.700081444473405,
+        "clifford": 0.5640008823691165,
+        "random": 0.5463830621189786,
+        "average": 0.5780206333720475,
+        "median": 0.5718460999814461,
         "oracle_device": "sim_q60_c10",
-        "clifford_device": "sim_q20_c10",
+        "clifford_device": "sim_q95_c10",
         "random_device": "sim_q100_c10",
     },
     {

@@ -9,7 +9,8 @@ from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.core.cache import calibration_fingerprint, clear_all_caches
 from repro.plans import ExecutionPlan, PlanCompiler
-from repro.simulators import execute_with_noise, precompile_execution
+from repro.simulators import DENSITY_LIMIT, execute_with_noise, precompile_execution
+from repro.simulators.density import read_rates
 from repro.transpiler import transpile
 from repro.utils.exceptions import SimulationError
 
@@ -55,6 +56,13 @@ class TestExecutionPlanArtifact:
         )
         assert replayed.counts == original.counts
 
+    def test_plan_carries_the_law_of_its_device(self, plan, backend):
+        assert plan.execution.engine == "density"
+        law = plan.execution.law
+        assert law.rates == read_rates(plan.execution.noise_sites, backend.noise_model())
+        clone = pickle.loads(pickle.dumps(plan)).execution.law
+        assert clone.rates == law.rates
+        assert clone.labels == law.labels
 
 
 class TestPlanCompiler:
@@ -101,8 +109,17 @@ class TestPrecompiledExecution:
         assert execution.engine == "stabilizer"
         assert execution.program is not None
 
-    def test_narrow_circuits_take_the_statevector_path(self, backend):
+    def test_narrow_circuits_take_the_density_path(self, backend):
         compiled = transpile(ghz(3), backend, seed=1)
         execution = precompile_execution(compiled.circuit)
+        assert execution.engine == "density"
+        assert execution.program is None
+        assert execution.law is None
+        with_law = precompile_execution(compiled.circuit, noise_model=backend.noise_model())
+        assert with_law.law is not None
+        assert with_law.law_for(backend.noise_model()) is with_law.law
+
+    def test_mid_width_circuits_take_the_statevector_path(self):
+        execution = precompile_execution(ghz(DENSITY_LIMIT + 1), compact=False)
         assert execution.engine == "statevector"
         assert execution.program is None

@@ -21,6 +21,7 @@ from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.core.cache import all_cache_stats, clear_all_caches
 from repro.fidelity.canary import CliffordCanaryEstimator
+from repro.simulators.density import read_rates
 from repro.service import (
     CloudEngine,
     ClusterEngine,
@@ -160,6 +161,28 @@ class TestClusterWarmPath:
         warm = service.submit(ghz(4), 0.9, shots=64).result()
         assert warm.detail["plan_replay"] is True
         assert count_engine_transpile.calls == 2
+
+    def test_a_calibration_push_recompiles_the_plan_with_a_fresh_law(self):
+        fleet = three_device_testbed()
+        engine = ClusterEngine(seed=5, canary_shots=64)
+        service = QRIOService(fleet, engine)
+        cold = service.submit(ghz(4), 0.9, shots=64).result()
+        (stale,) = engine._plans._data.values()
+        placed = next(b for b in fleet if b.name == cold.device)
+        assert stale.execution.law.rates == read_rates(stale.execution.noise_sites, placed.noise_model())
+        for edge in placed.properties.two_qubit_error:
+            placed.properties.two_qubit_error[edge] *= 1.5
+        # Replaying the stale plan's execution on the pushed calibration
+        # draws from a law computed under the live rates, not the stored one.
+        pushed = placed.noise_model()
+        replay = placed.run(stale.transpiled.circuit, shots=4096, seed=9, precompiled=stale.execution)
+        assert replay.counts == stale.execution.law_for(pushed).draw(4096, seed=9).counts
+        assert replay.counts != stale.execution.law.draw(4096, seed=9).counts
+        service.submit(ghz(4), 0.9, shots=64).result()
+        (fresh,) = engine._plans._data.values()
+        assert fresh is not stale
+        assert fresh.execution.law.rates == read_rates(fresh.execution.noise_sites, placed.noise_model())
+        assert fresh.execution.law.rates != stale.execution.law.rates
 
     def test_different_shots_compile_separate_plans(self, count_engine_transpile):
         service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))

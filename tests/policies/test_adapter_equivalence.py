@@ -199,10 +199,12 @@ class TestCloudPolicyEquivalence:
 class TestMetaServerRankingGoldens:
     """Scores on ``three_device_testbed()``; no cache state can move them."""
 
+    #: Sampled 128-shot canary scores; at 400k shots the three devices tie
+    #: within 3e-4 (0.0182-0.0185), so the pick below is the sample's.
     FIDELITY_SCORES = {
-        "device_tree": 0.02524523084405339,
-        "device_ring": 0.05900615200434933,
-        "device_line": 0.01758005841182253,
+        "device_tree": 0.0023472567832000246,
+        "device_ring": 0.009429362754276971,
+        "device_line": 0.010412702383709727,
     }
     TOPOLOGY_SCORES = {
         "device_tree": 0.22999999999999998,
@@ -222,7 +224,7 @@ class TestMetaServerRankingGoldens:
             PlacementContext(fleet=three_device_testbed(), circuit=ghz(3), fidelity_threshold=0.9)
         )
         assert decision.scores == self.FIDELITY_SCORES
-        assert decision.device == "device_line"
+        assert decision.device == "device_tree"
 
     def test_topology_scores_match_the_goldens(self):
         fleet = three_device_testbed()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.simulators import (
+    DENSITY_LIMIT,
     NoiseModel,
     NoisyStabilizerSimulator,
     NoisyStatevectorSimulator,
@@ -81,8 +82,12 @@ class TestNoisyStabilizer:
 
 
 class TestExecuteWithNoise:
-    def test_dispatches_narrow_circuits_to_statevector(self):
+    def test_dispatches_narrow_circuits_to_the_density_engine(self):
         result = execute_with_noise(ghz(3), NoiseModel.ideal(), shots=64, seed=1)
+        assert result.metadata["simulator"] == "density_matrix"
+
+    def test_dispatches_mid_width_circuits_to_statevector(self):
+        result = execute_with_noise(ghz(DENSITY_LIMIT + 1), NoiseModel.ideal(), shots=64, seed=1)
         assert result.metadata["simulator"] == "noisy_statevector"
 
     def test_dispatches_wide_clifford_circuits_to_stabilizer(self):
