@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import networkx as nx
+
 from repro.backends.topologies import CouplingMap, coupling_to_graph, is_connected
 from repro.simulators.noise import NoiseModel
 from repro.utils.exceptions import BackendError
@@ -130,8 +132,21 @@ class BackendProperties:
 
     # ------------------------------------------------------------------ #
     def graph(self):
-        """The coupling map as a :class:`networkx.Graph`."""
-        return coupling_to_graph(self.num_qubits, self.coupling_map)
+        """The coupling map as a frozen :class:`networkx.Graph`, shared by every caller.
+
+        Built once per coupling map: the same object comes back until
+        ``num_qubits`` or ``coupling_map`` changes.  It is read-only.  Its
+        structure is frozen, and by contract its node, edge and graph
+        attribute dicts are not written either (the transpiler's routers
+        pass edge weights as a function instead).  A caller that needs to
+        edit it copies it first with ``nx.Graph(properties.graph())``.
+        """
+        key = (self.num_qubits, tuple(self.coupling_map))
+        memo = self.__dict__.get("_graph_memo")
+        if memo is None or memo[0] != key:
+            memo = (key, nx.freeze(coupling_to_graph(self.num_qubits, self.coupling_map)))
+            self._graph_memo = memo
+        return memo[1]
 
     def is_connected(self) -> bool:
         """``True`` when every qubit is reachable from every other qubit."""

@@ -89,7 +89,7 @@ class Instruction:
     @property
     def is_two_qubit_gate(self) -> bool:
         """``True`` for unitary gates acting on exactly two qubits."""
-        return not self.is_directive and len(self.qubits) == 2
+        return len(self.qubits) == 2 and not self.is_directive
 
     def matrix(self) -> np.ndarray:
         """Return the unitary matrix of the instruction (directives raise)."""
@@ -103,6 +103,18 @@ class Instruction:
         """
         new_qubits = tuple(int(mapping[q]) for q in self.qubits)
         return Instruction(self.name, new_qubits, self.clbits, self.params, self.label)
+
+    def relabel(self, mapping: Sequence[int]) -> "Instruction":
+        """:meth:`remap` through an injective ``mapping``, without re-validating.
+
+        A valid instruction relabelled injectively is valid (its operands
+        stay distinct), so the copy skips the checks of a new instruction.
+        The caller guarantees injectivity, as a transpiler layout does.
+        """
+        clone = object.__new__(Instruction)
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__["qubits"] = tuple(int(mapping[q]) for q in self.qubits)
+        return clone
 
     def with_qubits(self, qubits: Sequence[int]) -> "Instruction":
         """Return a copy of the instruction acting on ``qubits``."""

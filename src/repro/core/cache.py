@@ -231,14 +231,27 @@ def enumeration_key(pattern, device_graph, max_embeddings: int) -> str:
     and each node's neighbour sequence of the pattern and of the device
     graph, plus the cap: equal keys therefore yield the same embeddings in
     the same order.  Edge weights are not read by VF2 and are not covered.
+
+    Each graph's half is a digest of its own.  A frozen device graph (what
+    ``BackendProperties.graph()`` returns, one per coupling map) keeps its
+    half on the graph object, so it is computed once per graph; a copy made
+    with ``nx.Graph(...)`` is not frozen and does not inherit it.
     """
+    device = getattr(device_graph, "_repro_adjacency_digest", None)
+    if device is None:
+        device = _adjacency_digest(device_graph)
+        if getattr(device_graph, "frozen", False):
+            device_graph._repro_adjacency_digest = device
+    return _digest((f"cap:{max_embeddings}", _adjacency_digest(pattern), device))
+
+
+def _adjacency_digest(graph) -> str:
+    """Digest of a graph's type, node order and each node's neighbour order."""
 
     def parts():
-        yield f"cap:{max_embeddings}"
-        for graph in (pattern, device_graph):
-            yield type(graph).__name__
-            for node, neighbours in graph.adjacency():
-                yield repr(node) + ":" + ",".join(map(repr, neighbours))
+        yield type(graph).__name__
+        for node, neighbours in graph.adjacency():
+            yield repr(node) + ":" + ",".join(map(repr, neighbours))
 
     return _digest(parts())
 

@@ -7,8 +7,11 @@ For a user circuit and a candidate device the protocol is:
    Gottesman-Knill theorem makes this polynomial even for 100-qubit devices
    (we use the stabilizer simulator);
 3. transpile the canary to the candidate device and execute it under the
-   device's noise model (a ranking runs the transpiler's device-independent
-   virtual stage once per basis set, and only the physical stage per device);
+   device's noise model.  A ranking compiles once and places per device:
+   the transpiler's device-independent virtual stage and its post-routing
+   passes run once per basis set, and a device pays for its layout and a
+   relabel of that output onto its qubits; only a device whose layout
+   needs SWAPs is routed and optimised on its own;
 4. report the Hellinger fidelity between the noisy and ideal distributions.
 
 Because the canary shares the original circuit's structure (especially its
@@ -134,7 +137,9 @@ class CliffordCanaryEstimator:
         basis set, the only part of the device that stage reads, so a fleet
         ranking pays it once per basis set and each device's
         :func:`~repro.transpiler.preset.transpile` runs only the physical
-        stage.  The memo is read once per call: a racing caller can only
+        stage.  The virtual circuit keeps its post-routing output, so those
+        passes too run once per basis set, on the first device whose layout
+        needs no SWAP.  The memo is read once per call: a racing caller can only
         rebuild, never pair one circuit's canary with another's counts or
         virtual circuit.
         """

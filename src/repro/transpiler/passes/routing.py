@@ -13,10 +13,18 @@ Two routers are provided:
 * :class:`SabreRoutingPass` — a front-layer/heuristic router in the spirit of
   SABRE [Li, Ding, Xie 2019], which the paper cites as the state-of-the-art
   initial compilation used underneath Mapomatic.
+
+Under a layout that puts every interaction of the circuit on a coupled pair
+no gate is ever blocked, so a router inserts no SWAP and only reorders the
+program.  :meth:`swap_free_order` returns that order on the circuit's own
+qubits; :class:`RelabelPass` then places it, which is what
+:func:`repro.transpiler.preset.transpile` does instead of routing such a
+layout.
 """
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -36,12 +44,15 @@ def _distance_matrix(target: BackendProperties) -> Dict[int, Dict[int, int]]:
 
 
 def _cheapest_path(target: BackendProperties, start: int, goal: int) -> List[int]:
-    """Shortest path from ``start`` to ``goal`` weighted by edge error."""
-    graph = target.graph()
-    for a, b in graph.edges():
-        graph[a][b]["weight"] = 0.001 + target.edge_error(a, b)
+    """Shortest path from ``start`` to ``goal`` weighted by edge error.
+
+    The weights are read through a function, so the device's shared graph
+    is walked as it is and never written to.
+    """
     try:
-        return nx.shortest_path(graph, start, goal, weight="weight")
+        return nx.shortest_path(
+            target.graph(), start, goal, weight=lambda a, b, _: 0.001 + target.edge_error(a, b)
+        )
     except nx.NetworkXNoPath as exc:
         raise TranspilerError(
             f"Physical qubits {start} and {goal} are disconnected on '{target.name}'"
@@ -80,6 +91,12 @@ def _split_final_measurements(circuit: QuantumCircuit) -> Tuple[List[Instruction
     return body, measurements
 
 
+def _empty_like(circuit: QuantumCircuit, num_qubits: int) -> QuantumCircuit:
+    output = QuantumCircuit(num_qubits, circuit.num_clbits, circuit.name)
+    output.metadata = dict(circuit.metadata)
+    return output
+
+
 class _RoutingState:
     """Bookkeeping shared by both routers."""
 
@@ -91,8 +108,7 @@ class _RoutingState:
             )
         self.target = target
         self.layout = layout.copy()
-        self.output = QuantumCircuit(target.num_qubits, circuit.num_clbits, circuit.name)
-        self.output.metadata = dict(circuit.metadata)
+        self.output = _empty_like(circuit, target.num_qubits)
         self.coupled: Set[Tuple[int, int]] = {tuple(sorted(edge)) for edge in target.coupling_map}
         self.swaps_inserted = 0
 
@@ -117,13 +133,56 @@ class _RoutingState:
         self.swaps_inserted += 1
 
 
-class BasicRoutingPass(TranspilerPass):
-    """In-order router that resolves each blocked gate with path SWAPs."""
+class _UnblockedState(_RoutingState):
+    """A routing state in which no gate is blocked, on the circuit's own qubits.
+
+    A router driven by it emits what it emits under any layout that puts
+    every interaction on a coupled pair, before that layout is applied.
+    """
+
+    def __init__(self, circuit: QuantumCircuit) -> None:
+        self.layout = Layout.trivial(circuit.num_qubits)
+        self.output = _empty_like(circuit, circuit.num_qubits)
+        self.swaps_inserted = 0
+
+    def adjacent(self, virtual_a: int, virtual_b: int) -> bool:
+        return True
+
+
+class _Router(TranspilerPass):
+    """A routing pass: one routing loop, driven by a :class:`_RoutingState`."""
 
     def run(self, circuit: QuantumCircuit, context: TranspileContext) -> QuantumCircuit:
         target = context.require_target()
         layout = context.initial_layout or Layout.trivial(circuit.num_qubits)
         state = _RoutingState(circuit, target, layout)
+        self._route(circuit, state)
+        context.initial_layout = layout
+        context.final_layout = state.layout
+        context.properties["swaps_inserted"] = state.swaps_inserted
+        return state.output
+
+    def swap_free_order(self, circuit: QuantumCircuit) -> QuantumCircuit:
+        """``circuit`` as this router emits it when no gate is blocked, on its own qubits.
+
+        Under a layout that puts every interaction on a coupled pair the
+        router inserts no SWAP, and its output is this circuit relabelled
+        through the layout (:class:`RelabelPass`).  Rejects what :meth:`run`
+        rejects (mid-circuit measurement).
+        """
+        state = _UnblockedState(circuit)
+        self._route(circuit, state)
+        return state.output
+
+    @abc.abstractmethod
+    def _route(self, circuit: QuantumCircuit, state: _RoutingState) -> None:
+        """Emit ``circuit`` into ``state``, inserting SWAPs where a gate is blocked."""
+
+
+class BasicRoutingPass(_Router):
+    """In-order router that resolves each blocked gate with path SWAPs."""
+
+    def _route(self, circuit: QuantumCircuit, state: _RoutingState) -> None:
         body, measurements = _split_final_measurements(circuit)
         for instruction in body:
             if instruction.is_two_qubit_gate and not state.adjacent(*instruction.qubits):
@@ -131,10 +190,6 @@ class BasicRoutingPass(TranspilerPass):
             state.emit(instruction)
         for measurement in measurements:
             state.emit(measurement)
-        context.initial_layout = layout
-        context.final_layout = state.layout
-        context.properties["swaps_inserted"] = state.swaps_inserted
-        return state.output
 
     @staticmethod
     def _bring_together(state: _RoutingState, virtual_a: int, virtual_b: int) -> None:
@@ -146,7 +201,7 @@ class BasicRoutingPass(TranspilerPass):
             state.emit_swap(path[step], path[step + 1])
 
 
-class SabreRoutingPass(TranspilerPass):
+class SabreRoutingPass(_Router):
     """Front-layer heuristic router (SABRE-style).
 
     The circuit is viewed as a dependency DAG; gates whose predecessors have
@@ -166,10 +221,7 @@ class SabreRoutingPass(TranspilerPass):
     #: Size of the extended set considered by the look-ahead term.
     EXTENDED_SET_SIZE = 20
 
-    def run(self, circuit: QuantumCircuit, context: TranspileContext) -> QuantumCircuit:
-        target = context.require_target()
-        layout = context.initial_layout or Layout.trivial(circuit.num_qubits)
-        state = _RoutingState(circuit, target, layout)
+    def _route(self, circuit: QuantumCircuit, state: _RoutingState) -> None:
         distances: Optional[Dict[int, Dict[int, int]]] = None
 
         instructions, deferred_measurements = _split_final_measurements(circuit)
@@ -222,16 +274,12 @@ class SabreRoutingPass(TranspilerPass):
                 continue
             extended = self._extended_set(instructions, successors, in_degree, front)
             if distances is None:
-                distances = _distance_matrix(target)
+                distances = _distance_matrix(state.target)
             best_swap = self._choose_swap(state, blocked, extended, distances)
             state.emit_swap(*best_swap)
 
         for measurement in deferred_measurements:
             state.emit(measurement)
-        context.initial_layout = layout
-        context.final_layout = state.layout
-        context.properties["swaps_inserted"] = state.swaps_inserted
-        return state.output
 
     # ------------------------------------------------------------------ #
     def _extended_set(
@@ -295,17 +343,55 @@ class SabreRoutingPass(TranspilerPass):
         return min(candidates, key=score)
 
 
+def blocks_no_gate(circuit: QuantumCircuit, layout: Layout, target: BackendProperties) -> bool:
+    """``True`` when ``layout`` places every qubit of ``circuit`` and every interaction on a coupled pair.
+
+    Under such a layout neither router inserts a SWAP, whichever pass chose
+    the layout.
+    """
+    mapping = layout.mapping
+    if any(qubit not in mapping for qubit in range(circuit.num_qubits)):
+        return False
+    graph = target.graph()
+    return all(graph.has_edge(mapping[a], mapping[b]) for a, b in circuit.interaction_pairs())
+
+
+class RelabelPass(TranspilerPass):
+    """Place a circuit through ``context.initial_layout`` without routing it.
+
+    The input is a router's :meth:`~_Router.swap_free_order` output, after
+    the post-routing passes; the layout must block no gate
+    (:func:`blocks_no_gate`).  Each qubit ``v`` moves to
+    ``layout.physical(v)`` on the device's register, as
+    ``remap_qubits(layout.as_list(...))`` would; a layout is injective, so
+    the instructions are relabelled without being re-validated.  Records
+    what a router records for such a layout: no SWAP, and a final layout
+    equal to the initial one.
+    """
+
+    def run(self, circuit: QuantumCircuit, context: TranspileContext) -> QuantumCircuit:
+        target = context.require_target()
+        layout = context.initial_layout
+        mapping = layout.as_list(circuit.num_qubits)
+        output = _empty_like(circuit, target.num_qubits)
+        for instruction in circuit:
+            output.append(instruction.relabel(mapping))
+        context.final_layout = layout.copy()
+        context.properties["swaps_inserted"] = 0
+        return output
+
+
 class CheckMapPass(TranspilerPass):
     """Verify that every two-qubit gate acts on a coupled physical pair."""
 
     def run(self, circuit: QuantumCircuit, context: TranspileContext) -> QuantumCircuit:
         target = context.require_target()
-        coupled = {tuple(sorted(edge)) for edge in target.coupling_map}
+        graph = target.graph()
         for instruction in circuit:
             if not instruction.is_two_qubit_gate:
                 continue
             edge = tuple(sorted(instruction.qubits))
-            if edge not in coupled:
+            if not graph.has_edge(*edge):
                 raise TranspilerError(
                     f"Two-qubit gate '{instruction.name}' on {edge} violates the "
                     f"coupling map of '{target.name}'"

@@ -5,7 +5,7 @@ The stage order follows the paper's description of the Qiskit transpiler
 placement on physical qubits, routing on the restricted topology, translation
 to basis gates and physical circuit optimisation.
 
-The pipeline is built from two pass lists, run as two stages:
+The pipeline runs in two stages:
 
 * the *virtual* stage (inverse cancellation, 1-qubit resynthesis, 3+ qubit
   decomposition) reads nothing of the target but its basis gates, so its
@@ -13,13 +13,27 @@ The pipeline is built from two pass lists, run as two stages:
   set.  A caller compiling one circuit for many devices (the canary ranking
   of :mod:`repro.fidelity.canary`) runs :func:`virtual_stage` once per basis
   set;
-* the *physical* stage (layout, routing, basis translation, physical
-  optimisation and the final checks) runs once per device.
+* the *physical* stage runs per device, in three parts: layout; then
+  *relabel or route*; then the checks (``CheckMapPass``,
+  ``GatesInBasisPass``).  When the layout puts every interaction of the
+  virtual circuit on a coupled pair, the router would insert no SWAP and
+  only reorder the program, so :func:`transpile` does not route: it takes
+  the post-routing passes' output (basis translation and physical
+  optimisation), computed once on virtual qubits in the router's
+  swap-free order and kept on the :class:`VirtualCircuit`, and relabels it
+  through the layout onto the device.  Every post-routing pass is
+  relabel-equivariant, so this equals routing and optimising on the
+  device.  A layout that needs SWAPs runs the router and the post-routing
+  passes on the device.  The test is on the layout, not on which pass
+  found it; ``properties["pass_trace"]`` of the result names the path
+  (``RelabelPass`` or the router) that ran.
 
 :func:`transpile` runs both stages, or only the physical one when it is
-given the :class:`VirtualCircuit` that :func:`virtual_stage` returns.  No
-pass reads randomness, so the result is a pure function of the circuit, the
-target and the options.
+given the :class:`VirtualCircuit` that :func:`virtual_stage` returns.
+:func:`build_preset_pass_manager` is the same pipeline as one pass manager
+that always routes; both give the same result.  No pass reads randomness,
+so the result is a pure function of the circuit, the target and the
+options.
 """
 
 from __future__ import annotations
@@ -46,7 +60,9 @@ from repro.transpiler.passes.routing import (
     BasicRoutingPass,
     CheckMapPass,
     GatesInBasisPass,
+    RelabelPass,
     SabreRoutingPass,
+    blocks_no_gate,
 )
 from repro.utils.exceptions import TranspilerError
 from repro.utils.rng import SeedLike
@@ -83,26 +99,37 @@ def _virtual_passes(optimization_level: int) -> List[TranspilerPass]:
     return passes
 
 
-def _physical_passes(
-    optimization_level: int,
-    initial_layout: Optional[Layout],
-    routing_method: str,
-) -> List[TranspilerPass]:
+def _layout_passes(optimization_level: int, initial_layout: Optional[Layout]) -> List[TranspilerPass]:
     _require_level(optimization_level)
-    if routing_method not in ("sabre", "basic"):
-        raise TranspilerError("routing_method must be 'sabre' or 'basic'")
-    passes: List[TranspilerPass] = []
     if initial_layout is not None:
-        passes.append(SetLayoutPass(initial_layout))
-    elif optimization_level == 0:
-        passes.append(TrivialLayoutPass())
-    else:
-        if optimization_level >= 2:
-            passes.append(VF2PerfectLayoutPass())
-        passes.append(DenseLayoutPass())
+        return [SetLayoutPass(initial_layout)]
+    if optimization_level == 0:
+        return [TrivialLayoutPass()]
+    if optimization_level == 1:
+        return [DenseLayoutPass()]
+    return [VF2PerfectLayoutPass(), DenseLayoutPass()]
 
-    passes.append(SabreRoutingPass() if routing_method == "sabre" else BasicRoutingPass())
-    passes.append(BasisTranslation())
+
+def _router(routing_method: str) -> Union[SabreRoutingPass, BasicRoutingPass]:
+    if routing_method == "sabre":
+        return SabreRoutingPass()
+    if routing_method == "basic":
+        return BasicRoutingPass()
+    raise TranspilerError("routing_method must be 'sabre' or 'basic'")
+
+
+def _post_routing_passes(optimization_level: int) -> List[TranspilerPass]:
+    """Basis translation and physical optimisation: the passes between routing and the checks.
+
+    Each one is relabel-equivariant: run on a circuit whose qubits are then
+    relabelled injectively, or on the relabelled circuit, it gives the same
+    instructions.  That is what lets :func:`transpile` run them once per
+    virtual circuit and relabel the output onto each device whose layout
+    blocks no gate.  ``tests/transpiler/test_relabel_equivariance.py`` checks
+    every pass this list holds.
+    """
+    _require_level(optimization_level)
+    passes: List[TranspilerPass] = [BasisTranslation()]
     if optimization_level >= 1:
         passes.append(CancelAdjacentInverses())
     if optimization_level >= 2:
@@ -110,9 +137,11 @@ def _physical_passes(
     if optimization_level >= 3:
         passes.append(MergeAdjacentRotations())
         passes.append(RemoveDiagonalGatesBeforeMeasure())
-    passes.append(CheckMapPass())
-    passes.append(GatesInBasisPass())
     return passes
+
+
+def _check_passes() -> List[TranspilerPass]:
+    return [CheckMapPass(), GatesInBasisPass()]
 
 
 def build_preset_pass_manager(
@@ -121,19 +150,27 @@ def build_preset_pass_manager(
     initial_layout: Optional[Layout] = None,
     routing_method: str = "sabre",
 ) -> PassManager:
-    """Construct the preset pipeline for ``target``: the virtual then the physical passes.
+    """Construct the preset pipeline for ``target`` as one pass manager.
+
+    The virtual passes, then layout, routing, the post-routing passes and
+    the checks; :func:`transpile` gives the same result.
 
     Optimisation levels:
 
-    * ``0`` — trivial layout, basic routing, basis translation only;
+    * ``0`` — trivial layout, basis translation only;
     * ``1`` — adds inverse-cancellation and 1-qubit resynthesis;
     * ``2`` (default) — adds VF2 perfect-layout search before the dense
       fallback and a final physical optimisation sweep;
     * ``3`` — adds rotation merging and removal of diagonal gates before
       measurements to the physical optimisation sweep.
     """
-    physical = _physical_passes(optimization_level, initial_layout, routing_method)
-    return PassManager(_virtual_passes(optimization_level) + physical)
+    return PassManager(
+        _virtual_passes(optimization_level)
+        + _layout_passes(optimization_level, initial_layout)
+        + [_router(routing_method)]
+        + _post_routing_passes(optimization_level)
+        + _check_passes()
+    )
 
 
 def _properties_of(target) -> BackendProperties:
@@ -150,11 +187,17 @@ class VirtualCircuit:
     Returned by :func:`virtual_stage`; pass it to :func:`transpile` in place
     of a circuit to run only the physical stage.  The wrapped circuit must
     not be modified.
+
+    It also keeps, per routing method, the post-routing passes' output on
+    its own qubits (see :func:`_placeable`), filled by the first :func:`transpile`
+    whose layout blocks no gate, so every later such device costs a
+    relabel.
     """
 
     circuit: QuantumCircuit
     basis_gates: Tuple[str, ...]
     optimization_level: int
+    _post_routed: Dict[str, QuantumCircuit] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def virtual_stage(circuit: QuantumCircuit, target, optimization_level: int = 2) -> VirtualCircuit:
@@ -168,6 +211,24 @@ def virtual_stage(circuit: QuantumCircuit, target, optimization_level: int = 2) 
     manager = PassManager(_virtual_passes(optimization_level))
     virtual = manager.run(circuit, TranspileContext.for_target(properties))
     return VirtualCircuit(virtual, properties.basis_gates, optimization_level)
+
+
+def _placeable(virtual: VirtualCircuit, routing_method: str, properties: BackendProperties) -> QuantumCircuit:
+    """The post-routing passes run on the router's swap-free order of ``virtual``, on virtual qubits.
+
+    Relabelled through a layout that blocks no gate, this is the router's
+    output after those passes on that device.  Of ``properties`` the passes
+    read only the basis gates, which ``virtual`` was made for, so the
+    result is memoised on ``virtual`` per routing method.  Racing callers
+    compute equal circuits and keep either.
+    """
+    placeable = virtual._post_routed.get(routing_method)
+    if placeable is None:
+        order = _router(routing_method).swap_free_order(virtual.circuit)
+        manager = PassManager(_post_routing_passes(virtual.optimization_level))
+        placeable = manager.run(order, TranspileContext.for_target(properties))
+        virtual._post_routed[routing_method] = placeable
+    return placeable
 
 
 def transpile(
@@ -186,9 +247,18 @@ def transpile(
     stage; a :class:`VirtualCircuit` made for the target's basis set and
     ``optimization_level`` goes through the physical stage only, without
     being modified, so one can be compiled for many devices.
+
+    The physical stage runs the layout passes, then one of two paths.  When
+    the layout blocks no gate (:func:`~repro.transpiler.passes.routing.blocks_no_gate`)
+    the virtual circuit's memoised post-routing output is relabelled onto
+    the device (:class:`~repro.transpiler.passes.routing.RelabelPass`);
+    otherwise the router and the post-routing passes run on this device.
+    Both paths end with the checks and give the same result;
+    ``properties["pass_trace"]`` names the passes that ran.
     """
     properties = _properties_of(target)
-    manager = PassManager(_physical_passes(optimization_level, initial_layout, routing_method))
+    layout_passes = _layout_passes(optimization_level, initial_layout)
+    router = _router(routing_method)
     if not isinstance(circuit, VirtualCircuit):
         circuit = virtual_stage(circuit, properties, optimization_level)
     elif (circuit.basis_gates, circuit.optimization_level) != (properties.basis_gates, optimization_level):
@@ -199,7 +269,13 @@ def transpile(
         )
     virtual = circuit.circuit
     context = TranspileContext.for_target(properties, seed=seed)
-    compiled = manager.run(virtual, context)
+    PassManager(layout_passes).run(virtual, context)
+    if blocks_no_gate(virtual, context.initial_layout, properties):
+        placed = PassManager([RelabelPass()] + _check_passes())
+        compiled = placed.run(_placeable(circuit, routing_method, properties), context)
+    else:
+        routed = PassManager([router] + _post_routing_passes(optimization_level) + _check_passes())
+        compiled = routed.run(virtual, context)
     initial = context.initial_layout or Layout.trivial(virtual.num_qubits)
     final = context.final_layout or initial
     return TranspileResult(

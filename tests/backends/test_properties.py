@@ -1,5 +1,8 @@
 """Tests for backend calibration properties."""
 
+import pickle
+
+import networkx as nx
 import pytest
 
 from repro.backends import BackendProperties, line_topology
@@ -91,3 +94,32 @@ class TestSerialisation:
         model = simple_properties.to_noise_model()
         assert model.gate_error((0, 1)) == pytest.approx(0.1)
         assert model.gate_error((1,)) == pytest.approx(0.02)
+
+
+class TestSharedGraph:
+    def test_one_frozen_graph_per_coupling_map(self, simple_properties):
+        graph = simple_properties.graph()
+        assert simple_properties.graph() is graph
+        assert nx.is_frozen(graph)
+        with pytest.raises(nx.NetworkXError):
+            graph.add_edge(0, 2)
+        assert sorted(graph.edges()) == [(0, 1), (1, 2)]
+
+    def test_a_changed_coupling_map_gets_a_new_graph(self, simple_properties):
+        graph = simple_properties.graph()
+        simple_properties.coupling_map.append((0, 2))
+        rebuilt = simple_properties.graph()
+        assert rebuilt is not graph
+        assert sorted(rebuilt.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_an_editable_copy_does_not_touch_the_shared_graph(self, simple_properties):
+        copy = nx.Graph(simple_properties.graph())
+        copy.add_edge(0, 2)
+        copy[0][1]["weight"] = 1.0
+        assert sorted(simple_properties.graph().edges(data=True)) == [(0, 1, {}), (1, 2, {})]
+
+    def test_properties_with_a_graph_pickle_and_compare_equal(self, simple_properties):
+        simple_properties.graph()
+        restored = pickle.loads(pickle.dumps(simple_properties))
+        assert restored == simple_properties
+        assert sorted(restored.graph().edges()) == [(0, 1), (1, 2)]

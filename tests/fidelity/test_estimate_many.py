@@ -6,16 +6,21 @@ ideal counts and transpiler virtual stage (per basis set), so a ranking over
 a fleet builds the canary once and runs the virtual stage once per basis set
 whichever caller drives it (the meta server's fidelity ranking, a fidelity
 placement policy or ``rank_backends``) — and none of that changes a report.
+The virtual circuit in turn keeps its post-routing output, so a device whose
+layout needs no SWAP costs a layout and a relabel, not a routed transpile.
 """
 
 import dataclasses
 import sys
 import threading
 
+import networkx as nx
 import pytest
 
 from repro.backends import Backend, generate_fleet
+from repro.backends import properties as properties_module
 from repro.circuits.algorithms import hardware_efficient_ansatz
+from repro.circuits import QuantumCircuit
 from repro.circuits.random_circuits import random_clifford_circuit
 from repro.core import MetaServer
 from repro.core.cache import clear_all_caches
@@ -24,6 +29,8 @@ from repro.fidelity import CliffordCanaryEstimator
 from repro.fidelity import canary as canary_module
 from repro.policies import FidelityPlacementPolicy, PlacementContext
 from repro.qasm import dump_qasm
+from repro.transpiler import Layout, transpile
+from repro.transpiler.passes import BasisTranslation, SabreRoutingPass
 from repro.utils.exceptions import FidelityEstimationError
 
 
@@ -219,3 +226,63 @@ class TestVirtualStageMemo:
         assert not any(thread.is_alive() for thread in threads)
         for circuit in circuits:
             _assert_fresh_reports(circuit, fleet, reports[circuit.name])
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (a function or a method)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _star(leaves=4):
+    """A star of CX gates: a perfect layout needs a qubit of degree ``leaves``, which some devices lack."""
+    circuit = QuantumCircuit(leaves + 1, name=f"star_{leaves}")
+    for leaf in range(1, leaves + 1):
+        circuit.h(0).cx(0, leaf)
+    return circuit.measure_all()
+
+
+class TestPlaceDontRecompile:
+    """Per device, a ranking pays a layout and a relabel; routing only where SWAPs are needed."""
+
+    def test_post_routing_passes_run_once_per_basis_set(self, fleet16, monkeypatch):
+        fleet = _two_basis_fleet(fleet16)
+        translations = _count_calls(monkeypatch, BasisTranslation, "run")
+        routings = _count_calls(monkeypatch, SabreRoutingPass, "run")
+        reports = CliffordCanaryEstimator(shots=64, seed=4).estimate_many(_star(), fleet)
+        routed = sum(1 for report in reports if report.swaps_inserted > 0)
+        assert 0 < routed < len(fleet) // 4
+        # Once per basis set on virtual qubits, plus once per routed device.
+        assert len(translations) == 2 + routed
+        # The router runs only for layouts that need SWAPs.
+        assert len(routings) == routed
+        _assert_fresh_reports(_star(), fleet, reports)
+
+    def test_a_ranking_builds_each_device_graph_once(self, monkeypatch):
+        # Fresh properties, so no device has built its graph yet.
+        fleet = [Backend(dataclasses.replace(b.properties)) for b in generate_fleet(seed=2024, limit=16)]
+        builds = _count_calls(monkeypatch, properties_module, "coupling_to_graph")
+        estimator = CliffordCanaryEstimator(shots=64, seed=4)
+        estimator.estimate_many(_hea(), fleet)
+        estimator.estimate_many(_hea(angle=1.1), fleet)
+        assert len(builds) == len(fleet)
+
+    def test_basic_routing_leaves_the_shared_graph_unweighted(self, fleet16):
+        properties = fleet16[1].properties
+        graph = properties.graph()
+        far = next(q for q in range(properties.num_qubits) if nx.shortest_path_length(graph, 0, q) >= 3)
+        circuit = QuantumCircuit(properties.num_qubits, 2)
+        circuit.cx(0, far).measure(0, 0).measure(far, 1)
+        result = transpile(
+            circuit, properties, initial_layout=Layout.trivial(properties.num_qubits), routing_method="basic"
+        )
+        assert result.swaps_inserted > 0
+        assert properties.graph() is graph
+        assert all(not data for _, _, data in graph.edges(data=True))

@@ -131,6 +131,18 @@ class TestEnumerationOracle:
         assert enumeration_key(line, device, 16) != enumeration_key(line, device, 17)
         assert enumeration_key(line, device, 16) == enumeration_key(nx.path_graph(4), nx.cycle_graph(6), 16)
 
+    def test_a_frozen_device_graph_keeps_its_half_of_the_key(self):
+        device = nx.freeze(nx.cycle_graph(6))
+        key = enumeration_key(nx.path_graph(4), device, 16)
+        assert device._repro_adjacency_digest
+        assert key == enumeration_key(nx.path_graph(4), nx.cycle_graph(6), 16)
+        # An editable copy is not frozen: it neither inherits nor stores the digest.
+        copy = nx.Graph(device)
+        copy.add_edge(0, 3)
+        assert not hasattr(copy, "_repro_adjacency_digest")
+        assert enumeration_key(nx.path_graph(4), copy, 16) != key
+        assert not hasattr(copy, "_repro_adjacency_digest")
+
     def test_infeasible_search_is_memoized(self):
         star = topology_as_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 1)])
         device = nx.path_graph(9)

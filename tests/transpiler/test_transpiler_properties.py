@@ -1,10 +1,15 @@
 """Property-based tests for the transpiler."""
 
+import dataclasses
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import generate_device, named_topology_device
+from repro.backends import Backend, generate_device, generate_fleet, named_topology_device
 from repro.circuits import QuantumCircuit
 from repro.circuits.random_circuits import random_circuit
 from repro.simulators import StatevectorSimulator
@@ -90,10 +95,10 @@ def test_transpile_ignores_its_seed(circuit_seed, seeds, num_qubits, device_key)
     _same_result(first, second)
 
 
-def _one_pipeline(circuit, device):
+def _one_pipeline(circuit, device, routing_method="sabre"):
     """The preset pipeline run as a single pass manager over one context."""
     context = TranspileContext.for_target(device.properties)
-    compiled = build_preset_pass_manager(device.properties).run(circuit, context)
+    compiled = build_preset_pass_manager(device.properties, routing_method=routing_method).run(circuit, context)
     initial = context.initial_layout or Layout.trivial(circuit.num_qubits)
     return TranspileResult(
         circuit=compiled,
@@ -104,33 +109,137 @@ def _one_pipeline(circuit, device):
     )
 
 
-@settings(max_examples=20, deadline=None)
+_ROUTER_PASSES = {"sabre": "SabreRoutingPass", "basic": "BasicRoutingPass"}
+
+
+def _assert_trace_names_the_path(result, routing_method):
+    """A swap-free result was relabelled, any other one routed; ``pass_trace`` says which."""
+    trace = [entry["pass"] for entry in result.properties["pass_trace"]]
+    router = _ROUTER_PASSES[routing_method]
+    if result.swaps_inserted == 0:
+        assert "RelabelPass" in trace and router not in trace
+    else:
+        assert router in trace and "RelabelPass" not in trace
+    assert trace[-2:] == ["CheckMapPass", "GatesInBasisPass"]
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     circuit_seed=st.integers(min_value=0, max_value=5_000),
     num_qubits=st.integers(min_value=2, max_value=5),
     depth=st.integers(min_value=1, max_value=6),
-    device_key=st.sampled_from(sorted(_DEVICES)),
+    two_qubit_probability=st.sampled_from([0.1, 0.25, 0.4]),
+    routing_method=st.sampled_from(sorted(_ROUTER_PASSES)),
 )
-def test_stages_compose_to_the_one_pipeline(circuit_seed, num_qubits, depth, device_key):
-    """physical ∘ virtual equals the single preset pass manager and a plain transpile()."""
-    device = _DEVICES[device_key]
-    circuit = random_circuit(num_qubits, depth, seed=circuit_seed, measure=True)
-    staged = transpile(virtual_stage(circuit, device), device)
-    _same_result(staged, _one_pipeline(circuit, device))
-    _same_result(staged, transpile(circuit, device))
+def test_stages_compose_to_the_one_pipeline(circuit_seed, num_qubits, depth, two_qubit_probability, routing_method):
+    """physical ∘ virtual equals the single preset pass manager and a plain transpile().
+
+    One virtual circuit is compiled for the line, grid and random devices in
+    turn, so its memoised post-routing output is filled by the first
+    swap-free device and relabelled for the others.
+    """
+    circuit = random_circuit(
+        num_qubits, depth, seed=circuit_seed, two_qubit_probability=two_qubit_probability, measure=True
+    )
+    virtual = virtual_stage(circuit, _DEVICES["line"])
+    for device in _DEVICES.values():
+        staged = transpile(virtual, device, routing_method=routing_method)
+        _same_result(staged, _one_pipeline(circuit, device, routing_method))
+        _same_result(staged, transpile(circuit, device, routing_method=routing_method))
+        _assert_trace_names_the_path(staged, routing_method)
 
 
+@pytest.mark.parametrize("routing_method", sorted(_ROUTER_PASSES))
 @pytest.mark.parametrize("swaps", [False, True])
-def test_stages_compose_with_and_without_swaps(swaps):
+def test_stages_compose_with_and_without_swaps(swaps, routing_method):
     device = _DEVICES["line"]
     circuit = QuantumCircuit(4, 4)
     circuit.h(0).cx(0, 1).cx(1, 2).cx(2, 3)
     if swaps:
         circuit.cx(0, 2).cx(1, 3).cx(0, 3)
     circuit.measure_all()
-    staged = transpile(virtual_stage(circuit, device), device)
+    staged = transpile(virtual_stage(circuit, device), device, routing_method=routing_method)
     assert (staged.swaps_inserted > 0) is swaps
-    _same_result(staged, _one_pipeline(circuit, device))
+    _same_result(staged, _one_pipeline(circuit, device, routing_method))
+    _assert_trace_names_the_path(staged, routing_method)
+
+
+def _unitary_columns(num_qubits, columns):
+    """Stack ``columns(j)`` for every basis input ``j`` of ``num_qubits`` qubits."""
+    return np.stack([columns(j) for j in range(2**num_qubits)], axis=1)
+
+
+def _prepared(basis_input, positions, width, body):
+    """``body`` on ``width`` qubits after X gates writing ``basis_input``'s bit ``v`` at ``positions[v]``."""
+    circuit = QuantumCircuit(width, 0)
+    for virtual, position in enumerate(positions):
+        if basis_input >> virtual & 1:
+            circuit.x(position)
+    for instruction in body:
+        circuit.append(instruction)
+    return circuit
+
+
+def _compiled_unitary(result, num_virtual):
+    """The compiled circuit's action on the virtual qubits, read through its reported layouts.
+
+    Column ``j`` writes ``j`` onto the initial layout's physical qubits
+    (every other qubit starts in |0>), runs the compiled gates and reads the
+    amplitudes off the final layout's qubits.  Amplitude left anywhere else
+    (an ancilla not returned to |0>) shows up as a column norm below 1.
+    """
+    initial = [result.initial_layout.mapping[v] for v in range(num_virtual)]
+    final = [result.final_layout.mapping[v] for v in range(num_virtual)]
+    active = sorted(result.circuit.used_qubits() | set(initial) | set(final))
+    index = {physical: position for position, physical in enumerate(active)}
+    body = [
+        instruction.with_qubits([index[q] for q in instruction.qubits])
+        for instruction in result.circuit
+        if not instruction.is_directive
+    ]
+    simulator = StatevectorSimulator(seed=0)
+    outputs = [sum((k >> v & 1) << index[final[v]] for v in range(num_virtual)) for k in range(2**num_virtual)]
+
+    def column(j):
+        state = simulator.statevector(_prepared(j, [index[p] for p in initial], len(active), body))
+        return state[outputs]
+
+    return _unitary_columns(num_virtual, column)
+
+
+def _input_unitary(circuit):
+    body = list(circuit.without_measurements())
+    simulator = StatevectorSimulator(seed=0)
+    positions = list(range(circuit.num_qubits))
+    return _unitary_columns(
+        circuit.num_qubits, lambda j: simulator.statevector(_prepared(j, positions, circuit.num_qubits, body))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    circuit_seed=st.integers(min_value=0, max_value=5_000),
+    num_qubits=st.integers(min_value=1, max_value=5),
+    depth=st.integers(min_value=1, max_value=5),
+    device_key=st.sampled_from(sorted(_DEVICES)),
+    routing_method=st.sampled_from(sorted(_ROUTER_PASSES)),
+)
+def test_compiled_unitary_equals_the_input_up_to_global_phase(
+    circuit_seed, num_qubits, depth, device_key, routing_method
+):
+    """An oracle that shares no transpiler code: statevector columns through the reported layouts."""
+    device = _DEVICES[device_key]
+    circuit = random_circuit(num_qubits, depth, seed=circuit_seed, measure=True)
+    result = transpile(circuit, device, routing_method=routing_method)
+    expected = _input_unitary(circuit)
+    actual = _compiled_unitary(result, num_qubits)
+    assert np.allclose(np.linalg.norm(actual, axis=0), 1.0, atol=1e-9)
+    pivot = np.unravel_index(np.argmax(np.abs(expected)), expected.shape)
+    phase = actual[pivot] / expected[pivot]
+    assert abs(abs(phase) - 1.0) < 1e-9
+    assert np.allclose(actual, phase * expected, atol=1e-8)
+    final = result.final_layout.mapping
+    assert result.circuit.measurement_map() == {final[q]: c for q, c in circuit.measurement_map().items()}
 
 
 def test_virtual_circuit_is_compiled_only_for_its_options():
@@ -141,3 +250,36 @@ def test_virtual_circuit_is_compiled_only_for_its_options():
         transpile(virtual, u3_only)
     with pytest.raises(TranspilerError):
         transpile(virtual, _DEVICES["line"], optimization_level=1)
+
+
+def test_racing_transpiles_of_one_virtual_circuit_agree():
+    """Threads placing one virtual circuit on fresh devices race on its memo and on each graph memo."""
+    fleet = [Backend(dataclasses.replace(b.properties)) for b in generate_fleet(seed=2024, limit=8)]
+    circuit = random_circuit(4, 4, seed=3, two_qubit_probability=0.25, measure=True)
+    expected = {backend.name: _one_pipeline(circuit, backend) for backend in fleet}
+    # Fresh copies shared by every thread: no graph is built before the race.
+    shared = [Backend(dataclasses.replace(b.properties)) for b in fleet]
+    virtual = virtual_stage(circuit, fleet[0])
+    results = {}
+    racers = 6
+    start = threading.Barrier(racers)
+
+    def place(index):
+        start.wait()
+        results[index] = [transpile(virtual, backend) for backend in shared[index % 2 :] + shared[: index % 2]]
+
+    threads = [threading.Thread(target=place, args=(index,)) for index in range(racers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == racers
+    for placed in results.values():
+        for result in placed:
+            _same_result(result, expected[result.target_name])
