@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.backends.topologies import CouplingMap, coupling_to_graph, is_connected
-from repro.simulators.noise import NoiseModel
+from repro.simulators.noise import NoiseModel, gate_error_rate, measurement_error_rate
 from repro.utils.exceptions import BackendError
 from repro.utils.validation import require_name, require_positive_int, require_probability
 
@@ -161,6 +161,19 @@ class BackendProperties:
             elif b == qubit:
                 neighbours.append(a)
         return sorted(neighbours)
+
+    def gate_error(self, qubits: Sequence[int]) -> float:
+        """Pauli error probability of a gate on physical ``qubits``, as the noise model reads it.
+
+        Reads the live calibration through the formula
+        :meth:`NoiseModel.gate_error` uses, without building a noise model,
+        so a ranking sees in-place calibration drift at no copy cost.
+        """
+        return gate_error_rate(qubits, self.one_qubit_error, self.two_qubit_error)
+
+    def measurement_error(self, qubit: int) -> float:
+        """Readout flip probability of ``qubit`` (assignment error plus T1 decay), as the noise model reads it."""
+        return measurement_error_rate(qubit, self.readout_error, self.t1, self.readout_length)
 
     def to_noise_model(self) -> NoiseModel:
         """Convert calibration data into an executable :class:`NoiseModel`."""

@@ -10,8 +10,12 @@ For a user circuit and a candidate device the protocol is:
    device's noise model.  A ranking compiles once and places per device:
    the transpiler's device-independent virtual stage and its post-routing
    passes run once per basis set, and a device pays for its layout and a
-   relabel of that output onto its qubits; only a device whose layout
-   needs SWAPs is routed and optimised on its own;
+   relabel of that output onto its qubits.  It also simulates once: the
+   relabelled devices of one basis set run the same circuit, and only the
+   error rates read through each layout differ, so their exact outcome
+   laws come from one density-matrix pass with a device axis, and each
+   device draws its shots under its own seed.  Only a device whose layout
+   needs SWAPs is routed, optimised and executed on its own;
 4. report the Hellinger fidelity between the noisy and ideal distributions.
 
 Because the canary shares the original circuit's structure (especially its
@@ -29,13 +33,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.fidelity.clifford import cliffordize
+from repro.simulators.density import DENSITY_LIMIT, noise_sites, outcome_laws, read_rates
 from repro.simulators.noisy import execute_with_noise
-from repro.simulators.result import SimulationResult, hellinger_fidelity
+from repro.simulators.result import hellinger_fidelity
 from repro.simulators.stabilizer import StabilizerSimulator, circuit_is_stabilizer_compatible
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
-from repro.transpiler.preset import VirtualCircuit, transpile, virtual_stage
+from repro.transpiler.preset import TranspileResult, VirtualCircuit, transpile, virtual_stage
 from repro.utils.exceptions import FidelityEstimationError
-from repro.utils.rng import SeedLike, derive_seed, ensure_generator
+from repro.utils.rng import SeedLike, derive_seed
 
 #: Default shot budget used for canary executions.
 DEFAULT_CANARY_SHOTS = 512
@@ -93,42 +98,12 @@ class CliffordCanaryEstimator:
 
     def estimate(self, circuit: QuantumCircuit, backend: Backend) -> CanaryReport:
         """Estimate the fidelity ``circuit`` would achieve on ``backend``."""
-        if backend.num_qubits < circuit.num_qubits:
-            raise FidelityEstimationError(
-                f"Device '{backend.name}' has {backend.num_qubits} qubits; circuit "
-                f"'{circuit.name}' needs {circuit.num_qubits}"
-            )
-        canary, ideal_counts, virtual = self._canary_for(circuit, backend)
-        compiled = transpile(
-            virtual,
-            backend,
-            optimization_level=self._optimization_level,
-            seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit.name),
-        )
-        noisy = execute_with_noise(
-            compiled.circuit,
-            backend.noise_model(),
-            shots=self._shots,
-            seed=derive_seed(self._seed, "canary-execute", backend.name, circuit.name),
-        )
-        fidelity = hellinger_fidelity(noisy.counts, ideal_counts)
-        return CanaryReport(
-            device=backend.name,
-            circuit_name=circuit.name,
-            canary_fidelity=fidelity,
-            swaps_inserted=compiled.swaps_inserted,
-            two_qubit_gates=compiled.two_qubit_gate_count(),
-            shots=self._shots,
-            details={
-                "canary_gates": canary.size(),
-                "non_clifford_replaced": canary.metadata.get("non_clifford_replaced", 0),
-            },
-        )
+        return self.estimate_many(circuit, [backend])[0]
 
     def _canary_for(
-        self, circuit: QuantumCircuit, backend: Backend
-    ) -> Tuple[QuantumCircuit, Dict[str, int], VirtualCircuit]:
-        """The canary of ``circuit``, its ideal counts and its virtual-stage output for ``backend``.
+        self, circuit: QuantumCircuit, backends: Sequence[Backend]
+    ) -> Tuple[QuantumCircuit, Dict[str, int], List[VirtualCircuit]]:
+        """The canary of ``circuit``, its ideal counts and its virtual-stage output for each of ``backends``.
 
         Memoized for the last circuit, keyed by its structural hash and name
         (the name seeds the canary's transpile and execution), so a mutated
@@ -153,23 +128,28 @@ class CliffordCanaryEstimator:
             entry = (key, canary, self.ideal_distribution(canary), {})
             self._last_canary = entry
         _, canary, ideal_counts, virtual_by_basis = entry
-        basis = backend.properties.basis_gates
-        virtual = virtual_by_basis.get(basis)
-        if virtual is None:
-            virtual = virtual_stage(canary, backend, self._optimization_level)
-            virtual_by_basis[basis] = virtual
-        return canary, ideal_counts, virtual
+        virtuals = []
+        for backend in backends:
+            basis = backend.properties.basis_gates
+            virtual = virtual_by_basis.get(basis)
+            if virtual is None:
+                virtual = virtual_stage(canary, backend, self._optimization_level)
+                virtual_by_basis[basis] = virtual
+            virtuals.append(virtual)
+        return canary, ideal_counts, virtuals
 
     def estimate_many(
         self,
         circuit: QuantumCircuit,
         backends: Sequence[Backend],
     ) -> List[CanaryReport]:
-        """Estimate ``circuit``'s fidelity on every candidate device.
+        """Estimate ``circuit``'s fidelity on every candidate device, as one batched simulation.
 
-        Every device is checked for width before any canary runs, then
-        estimated with :meth:`estimate`; reports come back in ``backends``
-        order.
+        Every device is checked for width before any canary runs.  Each
+        device then gets its canary and its own :func:`transpile` (see
+        :meth:`_canary_for`), and the noisy executions run together
+        (:meth:`_execute`).  Reports come back in ``backends`` order and
+        equal one :meth:`estimate` per device.
         """
         backends = list(backends)
         for backend in backends:
@@ -178,7 +158,86 @@ class CliffordCanaryEstimator:
                     f"Device '{backend.name}' has {backend.num_qubits} qubits; circuit "
                     f"'{circuit.name}' needs {circuit.num_qubits}"
                 )
-        return [self.estimate(circuit, backend) for backend in backends]
+        if not backends:
+            return []
+        canary, ideal_counts, virtuals = self._canary_for(circuit, backends)
+        placed = [
+            (
+                virtual,
+                transpile(
+                    virtual,
+                    backend,
+                    optimization_level=self._optimization_level,
+                    seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit.name),
+                ),
+            )
+            for backend, virtual in zip(backends, virtuals)
+        ]
+        noisy = self._execute(circuit.name, backends, placed)
+        return [
+            CanaryReport(
+                device=backend.name,
+                circuit_name=circuit.name,
+                canary_fidelity=hellinger_fidelity(counts, ideal_counts),
+                swaps_inserted=compiled.swaps_inserted,
+                two_qubit_gates=compiled.two_qubit_gate_count(),
+                shots=self._shots,
+                details={
+                    "canary_gates": canary.size(),
+                    "non_clifford_replaced": canary.metadata.get("non_clifford_replaced", 0),
+                },
+            )
+            for backend, (_, compiled), counts in zip(backends, placed, noisy)
+        ]
+
+    def _execute(
+        self,
+        circuit_name: str,
+        backends: Sequence[Backend],
+        placed: Sequence[Tuple[VirtualCircuit, TranspileResult]],
+    ) -> List[Dict[str, int]]:
+        """The noisy canary counts of each device, in ``backends`` order.
+
+        The devices whose canary was relabelled from one virtual circuit run
+        one circuit up to the physical qubits it lands on.  Their outcome
+        laws are one batched density-matrix pass
+        (:func:`~repro.simulators.density.outcome_laws`) over the
+        post-routing output, compacted once on virtual wires, with one row
+        of rates per device read through its initial layout from its live
+        calibration.  Each device then draws its shots under its own seed,
+        as :func:`~repro.simulators.noisy.execute_with_noise` would.
+        Routed devices, and canaries the density engine does not take,
+        execute alone.
+        """
+        seeds = [derive_seed(self._seed, "canary-execute", backend.name, circuit_name) for backend in backends]
+        counts: List[Optional[Dict[str, int]]] = [None] * len(backends)
+        batches: Dict[int, List[int]] = {}
+        for index, (virtual, compiled) in enumerate(placed):
+            if compiled.relabelled:
+                batches.setdefault(id(virtual), []).append(index)
+        for members in batches.values():
+            batch = _density_batch(placed[members[0]][0].post_routed())
+            if batch is None:
+                continue
+            compacted, wires = batch
+            gates, readouts = noise_sites(compacted, wires)
+            rows = []
+            for index in members:
+                physical = placed[index][1].initial_layout.mapping
+                sites = (
+                    tuple(tuple(physical[q] for q in operands) for operands in gates),
+                    tuple(physical[q] for q in readouts),
+                )
+                rows.append(read_rates(sites, backends[index].properties))
+            for index, law in zip(members, outcome_laws(compacted, rows)):
+                counts[index] = law.draw(self._shots, seeds[index]).counts
+        for index, backend in enumerate(backends):
+            if counts[index] is None:
+                compiled = placed[index][1]
+                counts[index] = execute_with_noise(
+                    compiled.circuit, backend.noise_model(), shots=self._shots, seed=seeds[index]
+                ).counts
+        return counts
 
     def rank_backends(
         self,
@@ -194,6 +253,26 @@ class CliffordCanaryEstimator:
         feasible = [backend for backend in backends if backend.num_qubits >= circuit.num_qubits]
         reports = self.estimate_many(circuit, feasible)
         return sorted(reports, key=lambda report: (-report.canary_fidelity, report.device))
+
+
+def _density_batch(placeable: Optional[QuantumCircuit]) -> Optional[Tuple[QuantumCircuit, Tuple[int, ...]]]:
+    """``placeable`` compacted onto its active wires, with the wire behind each compacted qubit.
+
+    ``None`` when the density engine would not execute its placements alone
+    (more than ``DENSITY_LIMIT`` active qubits), or when which qubit a
+    classical bit reads could depend on the placement: the engines read
+    qubits in ascending physical order and the last one measured into a
+    shared classical bit wins, so only one-to-one measurement maps batch.
+    """
+    if placeable is None:
+        return None
+    compacted, mapping = compact_circuit(placeable)
+    measured = compacted.measurement_map()
+    if not mapping or compacted.num_qubits > DENSITY_LIMIT:
+        return None
+    if not measured or len(set(measured.values())) < len(measured):
+        return None
+    return compacted, tuple(sorted(mapping))
 
 
 def achieved_fidelity(

@@ -235,6 +235,14 @@ class PlacementPolicy(abc.ABC):
         """Score ``device`` for the job (lower is better)."""
         return 0.0
 
+    def score_many(self, ctx: PlacementContext, devices: Sequence[Backend]) -> List[float]:
+        """Score every feasible device of one decision, in ``devices`` order.
+
+        Default: :meth:`score` per device.  A policy whose scores are
+        cheaper computed together (one batched canary ranking) overrides it.
+        """
+        return [self.score(ctx, device) for device in devices]
+
     def select(self, ctx: PlacementContext, scored: Sequence[DeviceScore]) -> DeviceScore:
         """Pick the winner among scored devices (default: min score, then name)."""
         return min(scored, key=lambda entry: (entry.score, entry.device))
@@ -259,6 +267,9 @@ class PlacementPolicy(abc.ABC):
     ) -> PlacementDecision:
         """Run filter → score → select over ``ctx.fleet``.
 
+        Every device is filtered first; the survivors are then scored
+        together by :meth:`score_many`.
+
         Args:
             ctx: The placement context to decide over.
             rejected: Devices an *engine-level* filter already removed (e.g.
@@ -269,16 +280,17 @@ class PlacementPolicy(abc.ABC):
             The decision; ``device is None`` when filtering left nothing.
         """
         verdict_rejected: Dict[str, str] = dict(rejected or {})
-        ranked: List[DeviceScore] = []
+        feasible: List[Backend] = []
         for device in ctx.fleet:
-            feasible, reason = self.filter(ctx, device)
-            if not feasible:
+            ok, reason = self.filter(ctx, device)
+            if ok:
+                feasible.append(device)
+            else:
                 verdict_rejected[device.name] = f"{self.name}: {reason}"
-                continue
-            value = self.score(ctx, device)
-            ranked.append(
-                DeviceScore(device=device.name, score=value, detail=self.breakdown(ctx, device))
-            )
+        ranked = [
+            DeviceScore(device=device.name, score=value, detail=self.breakdown(ctx, device))
+            for device, value in zip(feasible, self.score_many(ctx, feasible))
+        ]
         if not ranked:
             return PlacementDecision(
                 policy=self.name, device=None, score=None, ranked=[], rejected=verdict_rejected

@@ -31,7 +31,7 @@ server rankings are pinned the same way, by golden scores there and in
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend
 from repro.fidelity.canary import DEFAULT_CANARY_SHOTS, CliffordCanaryEstimator
@@ -107,6 +107,11 @@ class LeastLoadedPlacementPolicy(PlacementPolicy):
         return {"predicted_wait_s": ctx.wait_for(device.name)}
 
 
+def _fidelity_key(ctx: PlacementContext, device: Backend) -> Tuple[str, str, object]:
+    """The fidelity-cache key of ``device`` for the context's job."""
+    return (ctx.workload(), device.name, ctx.calibration_epoch)
+
+
 class _FidelityEstimateMixin:
     """Shared cached fidelity estimation (ESP or Clifford canary)."""
 
@@ -116,6 +121,20 @@ class _FidelityEstimateMixin:
         self._estimator_kind = estimator
         self._esp = ESPEstimator(seed=seed)
         self._canary = CliffordCanaryEstimator(shots=canary_shots, seed=seed)
+
+    def score_many(self, ctx: PlacementContext, devices: Sequence[Backend]) -> List[float]:
+        """Fill the fidelity cache with one canary ranking of the uncached devices, then score each.
+
+        The canary estimator batches a ranking's noisy executions
+        (:meth:`~repro.fidelity.CliffordCanaryEstimator.estimate_many`); the
+        ESP estimator has nothing to batch and scores per device.
+        """
+        if self._estimator_kind == "canary" and ctx.circuit is not None:
+            missing = [device for device in devices if _fidelity_key(ctx, device) not in ctx.fidelity_cache]
+            if missing:
+                for device, report in zip(missing, self._canary.estimate_many(ctx.circuit, missing)):
+                    ctx.fidelity_cache[_fidelity_key(ctx, device)] = report.canary_fidelity
+        return super().score_many(ctx, devices)
 
     def estimated_fidelity(self, ctx: PlacementContext, device: Backend) -> float:
         """Cached fidelity estimate of the job's circuit on ``device``.
@@ -130,7 +149,7 @@ class _FidelityEstimateMixin:
             raise SchedulingError(
                 f"Job '{ctx.job_name}' carries no circuit to estimate fidelity for"
             )
-        key = (ctx.workload(), device.name, ctx.calibration_epoch)
+        key = _fidelity_key(ctx, device)
         if key in ctx.fidelity_cache:
             return ctx.fidelity_cache[key]
         if self._estimator_kind == "esp":

@@ -19,17 +19,22 @@ The law depends only on the circuit and the noise rates it read, so an
 execution plan computes it once and every replay is a single draw
 (:class:`OutcomeLaw`).  ``rho`` holds ``4**n`` amplitudes, so the dispatch
 sends only circuits of at most :data:`DENSITY_LIMIT` active qubits here.
+
+One circuit under many sets of rates (a fleet ranking's canary on every
+device it lands on without SWAPs) is one pass: :func:`outcome_laws` stacks
+the ``rho`` of every set along a leading axis, and :func:`outcome_law` is
+its one-set case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.simulators.noise import NoiseModel
+from repro.simulators.noise import ErrorRates
 from repro.simulators.result import SimulationResult
 from repro.utils.exceptions import SimulationError
 from repro.utils.rng import SeedLike, ensure_generator
@@ -42,6 +47,16 @@ from repro.utils.rng import SeedLike, ensure_generator
 #: one; at 9 qubits it costs 2.0-3.4x a 128-shot run and 1.0-1.5x a 256-shot
 #: one, so 9-qubit executions stay on trajectories.
 DENSITY_LIMIT = 8
+
+#: Most complex entries the density matrices of one :func:`outcome_laws` batch
+#: hold together (64 KB): the rate rows are cut into chunks of
+#: ``max(1, BATCH_ENTRIES // 4**n)``, so a 4-qubit canary ranks 16 devices
+#: per pass and a 6-qubit one runs alone.  Measured on perfbench's
+#: ``tenant_mix`` (2-vCPU Xeon, one BLAS thread; numbers in
+#: docs/benchmarks.md): against ``4**7`` this bound keeps the throughput
+#: and lowers the peak RSS by 0.7 MB, to within 0.3 MB of the unbatched
+#: engine's; ``4**5`` reaches that peak RSS but loses throughput.
+BATCH_ENTRIES = 4**6
 
 #: ``(gate operand sites, readout sites)``: where a circuit reads its noise.
 NoiseSites = Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
@@ -85,8 +100,13 @@ def noise_sites(circuit: QuantumCircuit, qubit_mapping: Sequence[int] = ()) -> N
     return gates, readouts
 
 
-def read_rates(sites: NoiseSites, noise_model: NoiseModel) -> Tuple[float, ...]:
-    """The gate error rates, then the readout flip rates, ``noise_model`` gives ``sites``."""
+def read_rates(sites: NoiseSites, noise_model: ErrorRates) -> Tuple[float, ...]:
+    """The gate error rates, then the readout flip rates, ``noise_model`` gives ``sites``.
+
+    ``noise_model`` is a :class:`~repro.simulators.noise.NoiseModel` or
+    anything else that reads rates through its two formulas, such as a
+    device's live calibration.
+    """
     gates, readouts = sites
     return tuple(map(noise_model.gate_error, gates)) + tuple(map(noise_model.measurement_error, readouts))
 
@@ -136,10 +156,12 @@ def check_noisy_circuit(circuit: QuantumCircuit, max_qubits: int, engine: str) -
             raise SimulationError("Mid-circuit measurement is not supported")
 
 
-def _depolarizing(rate: float, num_operands: int) -> np.ndarray:
+def _depolarizing(rate, num_operands: int) -> np.ndarray:
     """Superoperator of a uniform non-identity Pauli error of probability ``rate``.
 
-    Acts on the vectorised operand block, index ``row << k | col``.
+    Acts on the vectorised operand block, index ``row << k | col``.  An
+    array of rates shaped ``(R, 1, 1)`` gives the ``R`` superoperators
+    stacked, each computed as its scalar rate's.
     """
     dim = 2**num_operands
     twirl = rate * dim * dim / (dim * dim - 1)
@@ -154,77 +176,141 @@ def _conjugation(unitary: np.ndarray) -> np.ndarray:
 
 
 def _axis_order(qubits: Sequence[int], num_qubits: int) -> Tuple[List[int], List[int]]:
-    """Transpose bringing wires ``qubits``' row then column axes first, and its inverse.
+    """Transpose bringing wires ``qubits``' row then column axes after the row axis, and its inverse.
 
-    ``rho`` is held as a ``(2,) * 2n`` tensor: axis ``n - 1 - q`` is wire
-    ``q``'s row bit and axis ``2n - 1 - q`` its column bit.  The leading
-    axis is the row bit of ``qubits[-1]``, matching a superoperator's most
-    significant index bit.
+    ``rho`` is held as a ``(rows,) + (2,) * 2n`` tensor: axis 0 indexes the
+    rate rows, axis ``n - q`` is wire ``q``'s row bit and axis ``2n - q``
+    its column bit.  The first operand axis is the row bit of
+    ``qubits[-1]``, matching a superoperator's most significant index bit.
     """
-    rows = [num_qubits - 1 - q for q in reversed(qubits)]
+    rows = [num_qubits - q for q in reversed(qubits)]
     front = rows + [axis + num_qubits for axis in rows]
-    order = front + [axis for axis in range(2 * num_qubits) if axis not in front]
+    order = [0] + front + [axis for axis in range(1, 2 * num_qubits + 1) if axis not in front]
     inverse = [0] * len(order)
     for position, axis in enumerate(order):
         inverse[axis] = position
     return order, inverse
 
 
+def outcome_laws(circuit: QuantumCircuit, rate_rows: Sequence[Sequence[float]]) -> List[OutcomeLaw]:
+    """The outcome law of ``circuit`` under each row of ``rate_rows``, from one batched pass.
+
+    Each row is :func:`read_rates`' tuple for this circuit: one gate error
+    per gate in circuit order, then one readout flip per classical bit (a
+    fleet ranking passes one row per device).  ``rho`` carries a leading
+    row axis.  Per gate, each row's superoperator is ``channel(rate) @
+    conj(U)``, or ``conj(U)`` alone at rate 0, and one stacked matrix
+    product evolves every row; a row's arithmetic does not depend on the
+    other rows, so each law equals :func:`outcome_law` of its row bit for
+    bit.  The rows are cut into chunks whose ``rho`` holds at most
+    :data:`BATCH_ENTRIES` complex entries.
+    """
+    check_noisy_circuit(circuit, DENSITY_LIMIT, "density-matrix engine")
+    rows = [tuple(row) for row in rate_rows]
+    chunk = max(1, BATCH_ENTRIES // 4**circuit.num_qubits)
+    laws: List[OutcomeLaw] = []
+    for start in range(0, len(rows), chunk):
+        laws.extend(_evolve(circuit, rows[start:start + chunk]))
+    return laws
+
+
 def outcome_law(circuit: QuantumCircuit, rates: Sequence[float]) -> OutcomeLaw:
     """Evolve ``rho`` through ``circuit`` under ``rates`` and return its outcome law.
 
-    ``rates`` is :func:`read_rates`' tuple for this circuit: one gate error
-    per gate in circuit order, then one readout flip per classical bit.
+    The one-row case of :func:`outcome_laws`.
     """
-    check_noisy_circuit(circuit, DENSITY_LIMIT, "density-matrix engine")
+    return outcome_laws(circuit, [rates])[0]
+
+
+def _evolve(circuit: QuantumCircuit, rows: List[Tuple[float, ...]]) -> List[OutcomeLaw]:
+    """:func:`outcome_laws` of one chunk of rate rows."""
     num_qubits = circuit.num_qubits
     dim = 2**num_qubits
-    rho = np.zeros((2,) * (2 * num_qubits), dtype=complex)
-    rho[(0,) * (2 * num_qubits)] = 1.0
-    channels: Dict[Tuple[float, int], np.ndarray] = {}
+    winners = _readout_qubits(circuit)
+    num_gates = sum(1 for instruction in circuit if not instruction.is_directive)
+    rates = np.array(rows, dtype=float).reshape(len(rows), -1)
+    if rates.shape[1] != num_gates + len(winners):
+        raise SimulationError(
+            f"Circuit '{circuit.name}' reads {num_gates + len(winners)} noise rates, got {rates.shape[1]}"
+        )
+    rho = np.zeros((len(rows),) + (2,) * (2 * num_qubits), dtype=complex)
+    rho[(slice(None),) + (0,) * (2 * num_qubits)] = 1.0
     orders: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
 
-    def channel(rate: float, num_operands: int) -> np.ndarray:
-        key = (rate, num_operands)
-        if key not in channels:
-            channels[key] = _depolarizing(rate, num_operands)
-        return channels[key]
+    def per_row(column: np.ndarray, num_operands: int, gate: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each row's superoperator: ``channel(rate) @ gate``, or ``gate`` alone at rate 0.
 
-    def apply(superoperator: np.ndarray, qubits: Tuple[int, ...]) -> np.ndarray:
+        Without ``gate`` (every rate then positive) it is the channel alone.
+        """
+        channels = _depolarizing(column[:, None, None], num_operands)
+        if gate is None:
+            return channels
+        superoperators = np.matmul(channels, gate)
+        superoperators[column <= 0.0] = gate
+        return superoperators
+
+    def apply(superoperators: np.ndarray, qubits: Tuple[int, ...], hit: Optional[np.ndarray] = None) -> None:
+        """Evolve ``rho`` (only its rows ``hit``, when given) by ``superoperators`` on ``qubits``.
+
+        The whole ``rho`` is released once its moved copy exists, so a step
+        holds two copies of the batch at a time, not three.
+        """
+        nonlocal rho
         if qubits not in orders:
             orders[qubits] = _axis_order(qubits, num_qubits)
         order, inverse = orders[qubits]
-        moved = rho.transpose(order)
-        evolved = superoperator @ moved.reshape(superoperator.shape[0], -1)
-        return evolved.reshape(moved.shape).transpose(inverse)
+        moved = (rho if hit is None else rho[hit]).transpose(order)
+        shape = moved.shape
+        flat = moved.reshape(shape[0], superoperators.shape[-1], -1)
+        del moved
+        if hit is None:
+            rho = None
+        evolved = np.matmul(superoperators, flat).reshape(shape).transpose(inverse)
+        if hit is None:
+            rho = evolved
+        else:
+            rho[hit] = evolved
 
-    gate_rates = iter(rates)
-    for instruction in circuit:
-        if instruction.is_directive:
-            continue
+    gates = (instruction for instruction in circuit if not instruction.is_directive)
+    for instruction, column in zip(gates, rates.T):
         qubits = instruction.qubits
-        rate = next(gate_rates)
         superoperator = _conjugation(instruction.matrix())
-        if rate > 0.0 and len(qubits) <= 2:
-            superoperator = channel(rate, len(qubits)) @ superoperator
-        rho = apply(superoperator, qubits)
-        if rate > 0.0 and len(qubits) > 2:
-            rho = apply(channel(rate, 2), qubits[:2])
-    populations = np.clip(rho.reshape(dim, dim).diagonal().real, 0.0, None)
+        if len(qubits) <= 2:
+            apply(per_row(column, len(qubits), superoperator), qubits)
+            continue
+        # A wider gate takes its error on its first two operands, after the gate.
+        apply(superoperator, qubits)
+        hit = column > 0.0
+        if hit.all():
+            apply(per_row(column, 2), qubits[:2])
+        elif hit.any():
+            apply(per_row(column[hit], 2), qubits[:2], hit)
+    populations = np.clip(rho.reshape(len(rows), dim, dim).diagonal(axis1=1, axis2=2).real, 0.0, None)
 
     # Marginalise onto the dense clbit key (bit ``slot`` holds the slot-th
     # classical bit), then flip each bit with its readout rate.
-    winners = _readout_qubits(circuit)
     basis = np.arange(dim)
     keys = np.zeros(dim, dtype=np.int64)
     for slot, qubit in enumerate(winners.values()):
         keys |= ((basis >> qubit) & 1) << slot
-    law = np.bincount(keys, weights=populations, minlength=2 ** len(winners))
-    for slot, flip in enumerate(rates[len(rates) - len(winners):]):
-        if flip > 0.0:
-            law = (1.0 - flip) * law + flip * law[np.arange(law.size) ^ (1 << slot)]
-    support = np.nonzero(law > 0.0)[0]
-    labels = format_clbit_keys(support, list(winners), max(circuit.num_clbits, 1))
-    return OutcomeLaw(
-        labels=tuple(labels), probabilities=law[support] / law[support].sum(), rates=tuple(rates)
-    )
+    width = 2 ** len(winners)
+    offsets = width * np.arange(len(rows))[:, None]
+    law = np.bincount(
+        (keys + offsets).ravel(), weights=populations.ravel(), minlength=len(rows) * width
+    ).reshape(len(rows), width)
+    for slot, flip in enumerate(rates[:, num_gates:].T):
+        flip = flip[:, None]
+        mixed = (1.0 - flip) * law + flip * law[:, np.arange(width) ^ (1 << slot)]
+        law = np.where(flip > 0.0, mixed, law)
+    labels = format_clbit_keys(np.arange(width), list(winners), max(circuit.num_clbits, 1))
+    laws = []
+    for row, row_law in zip(rows, law):
+        support = np.nonzero(row_law > 0.0)[0]
+        laws.append(
+            OutcomeLaw(
+                labels=tuple(labels[key] for key in support.tolist()),
+                probabilities=row_law[support] / row_law[support].sum(),
+                rates=row,
+            )
+        )
+    return laws

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.utils.exceptions import SimulationError
@@ -32,6 +32,75 @@ from repro.utils.validation import require_probability
 def _normalise_edge(edge: Sequence[int]) -> Tuple[int, int]:
     a, b = int(edge[0]), int(edge[1])
     return (a, b) if a <= b else (b, a)
+
+
+class ErrorRates(Protocol):
+    """What the noisy engines read of a device: one rate per gate site and readout qubit.
+
+    :class:`NoiseModel` is one; so is
+    :class:`~repro.backends.properties.BackendProperties`, which reads its
+    live calibration through the same two formulas below.
+    """
+
+    def gate_error(self, qubits: Sequence[int]) -> float:
+        ...
+
+    def measurement_error(self, qubit: int) -> float:
+        ...
+
+
+def gate_error_rate(
+    qubits: Sequence[int],
+    one_qubit_error: Mapping[int, float],
+    two_qubit_error: Mapping[Tuple[int, int], float],
+    default_one_qubit_error: float = 0.0,
+    default_two_qubit_error: float = 0.0,
+) -> float:
+    """Error probability for a gate acting on ``qubits``.
+
+    ``two_qubit_error`` is keyed by ascending edges.  Multi-qubit gates are
+    charged the worst pairwise error among their operands; the preset
+    transpiler decomposes them before execution, so this only matters for
+    un-transpiled circuits.
+    """
+    if len(qubits) == 1:
+        return one_qubit_error.get(int(qubits[0]), default_one_qubit_error)
+    if len(qubits) == 2:
+        return two_qubit_error.get(_normalise_edge(qubits), default_two_qubit_error)
+    worst = 0.0
+    operands = [int(q) for q in qubits]
+    for i, qubit_a in enumerate(operands):
+        for qubit_b in operands[i + 1:]:
+            pair = two_qubit_error.get(_normalise_edge((qubit_a, qubit_b)), default_two_qubit_error)
+            worst = max(worst, pair)
+    return worst
+
+
+def measurement_error_rate(
+    qubit: int,
+    readout_error: Mapping[int, float],
+    t1: Mapping[int, float],
+    readout_length: Mapping[int, float],
+    default_readout_error: float = 0.0,
+) -> float:
+    """Total readout flip probability for ``qubit``.
+
+    Combines the calibrated readout assignment error with the probability
+    of T1 decay during the readout window (``1 - exp(-t_read / T1)``),
+    which is how the T1 and readout-length columns of Table 2 influence
+    execution fidelity.
+    """
+    qubit = int(qubit)
+    assignment = readout_error.get(qubit, default_readout_error)
+    relaxation = t1.get(qubit)
+    duration = readout_length.get(qubit)
+    decay = 0.0
+    if relaxation and duration and relaxation > 0:
+        decay = 1.0 - math.exp(-float(duration) / float(relaxation))
+        # Decay only corrupts the |1> outcome; average over outcomes.
+        decay *= 0.5
+    combined = assignment + decay - assignment * decay
+    return min(1.0, combined)
 
 
 @dataclass
@@ -104,40 +173,19 @@ class NoiseModel:
     # ------------------------------------------------------------------ #
     def gate_error(self, qubits: Sequence[int]) -> float:
         """Error probability for a gate acting on ``qubits``."""
-        if len(qubits) == 1:
-            return self.one_qubit_error.get(int(qubits[0]), self.default_one_qubit_error)
-        if len(qubits) == 2:
-            edge = _normalise_edge(qubits)
-            return self.two_qubit_error.get(edge, self.default_two_qubit_error)
-        # Multi-qubit gates are charged the worst pairwise error among their
-        # operands; the preset transpiler decomposes them before execution so
-        # this path only matters for un-transpiled circuits.
-        worst = 0.0
-        operands = [int(q) for q in qubits]
-        for i, qubit_a in enumerate(operands):
-            for qubit_b in operands[i + 1:]:
-                worst = max(worst, self.gate_error((qubit_a, qubit_b)))
-        return worst
+        return gate_error_rate(
+            qubits,
+            self.one_qubit_error,
+            self.two_qubit_error,
+            self.default_one_qubit_error,
+            self.default_two_qubit_error,
+        )
 
     def measurement_error(self, qubit: int) -> float:
-        """Total readout flip probability for ``qubit``.
-
-        Combines the calibrated readout assignment error with the probability
-        of T1 decay during the readout window (``1 - exp(-t_read / T1)``),
-        which is how the T1 and readout-length columns of Table 2 influence
-        execution fidelity.
-        """
-        qubit = int(qubit)
-        assignment = self.readout_error.get(qubit, self.default_readout_error)
-        t1 = self.t1.get(qubit)
-        duration = self.readout_length.get(qubit)
-        decay = 0.0
-        if t1 and duration and t1 > 0:
-            decay = 1.0 - math.exp(-float(duration) / float(t1))
-            # Decay only corrupts the |1> outcome; average over outcomes.
-            decay *= 0.5
-        combined = assignment + decay - assignment * decay
-        return min(1.0, combined)
+        """Total readout flip probability for ``qubit`` (see :func:`measurement_error_rate`)."""
+        return measurement_error_rate(
+            qubit, self.readout_error, self.t1, self.readout_length, self.default_readout_error
+        )
 
     # ------------------------------------------------------------------ #
     def restricted_to(self, qubits: Sequence[int]) -> "NoiseModel":

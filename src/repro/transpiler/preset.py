@@ -83,6 +83,11 @@ class TranspileResult:
         """Number of two-qubit gates in the compiled circuit."""
         return self.circuit.num_two_qubit_gates()
 
+    @property
+    def relabelled(self) -> bool:
+        """``True`` when the layout blocked no gate, so the circuit was placed by a relabel, not routed."""
+        return any(step["pass"] == RelabelPass.__name__ for step in self.properties.get("pass_trace", ()))
+
 
 def _require_level(optimization_level: int) -> None:
     if optimization_level not in (0, 1, 2, 3):
@@ -198,6 +203,15 @@ class VirtualCircuit:
     basis_gates: Tuple[str, ...]
     optimization_level: int
     _post_routed: Dict[str, QuantumCircuit] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def post_routed(self, routing_method: str = "sabre") -> Optional[QuantumCircuit]:
+        """The post-routing passes' output on this circuit's own qubits, or ``None`` until computed.
+
+        Every :func:`transpile` of this circuit with ``routing_method`` whose
+        layout blocks no gate returns it relabelled through that layout; the
+        first such call computes it.  It must not be modified.
+        """
+        return self._post_routed.get(routing_method)
 
 
 def virtual_stage(circuit: QuantumCircuit, target, optimization_level: int = 2) -> VirtualCircuit:

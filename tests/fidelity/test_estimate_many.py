@@ -1,13 +1,17 @@
-"""Fleet ranking through the canary estimator: one canary build per ranking.
+"""Fleet ranking through the canary estimator: one canary build and one batched simulation per ranking.
 
-``estimate_many`` validates every device's width up front and then calls
-``estimate`` per device.  ``estimate`` memoizes the last circuit's canary,
-ideal counts and transpiler virtual stage (per basis set), so a ranking over
-a fleet builds the canary once and runs the virtual stage once per basis set
-whichever caller drives it (the meta server's fidelity ranking, a fidelity
-placement policy or ``rank_backends``) — and none of that changes a report.
-The virtual circuit in turn keeps its post-routing output, so a device whose
-layout needs no SWAP costs a layout and a relabel, not a routed transpile.
+``estimate_many`` validates every device's width up front, builds the
+canary and its ideal counts once, and runs the transpiler's virtual stage
+once per basis set.  Each device then gets its own ``transpile``: a device
+whose layout needs no SWAP costs a layout and a relabel of the virtual
+circuit's post-routing output.  Those devices run one circuit up to the
+qubits it lands on, so their noisy executions are one density-matrix pass
+with a device axis (chunked to a fixed ``rho`` size), each device drawing
+its shots under its own seed; routed devices execute alone.  ``estimate``
+is ``estimate_many`` of one device, and a fidelity placement policy makes
+one ``estimate_many`` call per decision.  None of that changes a report:
+each equals the unbatched per-device path's (full transpile, then the
+device's own noisy execution), whichever caller drives the ranking.
 """
 
 import dataclasses
@@ -27,11 +31,15 @@ from repro.core.cache import clear_all_caches
 from repro.core.visualizer import MetaServerPayload
 from repro.fidelity import CliffordCanaryEstimator
 from repro.fidelity import canary as canary_module
-from repro.policies import FidelityPlacementPolicy, PlacementContext
+from repro.policies import FidelityPlacementPolicy, PlacementContext, ThresholdFidelityPolicy
+from repro.simulators import density as density_module
+from repro.simulators.noisy import execute_with_noise
+from repro.simulators.result import hellinger_fidelity
 from repro.qasm import dump_qasm
 from repro.transpiler import Layout, transpile
 from repro.transpiler.passes import BasisTranslation, SabreRoutingPass
 from repro.utils.exceptions import FidelityEstimationError
+from repro.utils.rng import derive_seed
 
 
 @pytest.fixture(autouse=True)
@@ -286,3 +294,104 @@ class TestPlaceDontRecompile:
         assert result.swaps_inserted > 0
         assert properties.graph() is graph
         assert all(not data for _, _, data in graph.edges(data=True))
+
+
+def _per_device_path(circuit, backend, shots=64, seed=4):
+    """A report's numbers on the unbatched path: a full transpile, then the device's own noisy execution."""
+    estimator = CliffordCanaryEstimator(shots=shots, seed=seed)
+    canary = estimator.build_canary(circuit)
+    compiled = transpile(canary, backend, seed=derive_seed(seed, "canary-transpile", backend.name, circuit.name))
+    noisy = execute_with_noise(
+        compiled.circuit,
+        backend.noise_model(),
+        shots=shots,
+        seed=derive_seed(seed, "canary-execute", backend.name, circuit.name),
+    )
+    fidelity = hellinger_fidelity(noisy.counts, estimator.ideal_distribution(canary))
+    return fidelity, compiled.swaps_inserted, compiled.two_qubit_gate_count()
+
+
+def _numbers(report):
+    return report.canary_fidelity, report.swaps_inserted, report.two_qubit_gates
+
+
+class TestBatchedRanking:
+    """Swap-free devices share one batched law; every report stays the per-device one."""
+
+    @pytest.mark.parametrize("make", [_hea, _star], ids=["swap-free", "with-routed"])
+    def test_reports_equal_per_device_estimates(self, fleet16, make):
+        circuit = make()
+        reports = CliffordCanaryEstimator(shots=64, seed=4).estimate_many(circuit, fleet16)
+        assert any(report.swaps_inserted for report in reports) == (make is _star)
+        solo = CliffordCanaryEstimator(shots=64, seed=4)
+        for backend, report in zip(fleet16, reports):
+            assert dataclasses.asdict(report) == dataclasses.asdict(solo.estimate(circuit, backend))
+            assert _numbers(report) == _per_device_path(circuit, backend)
+
+    def test_one_law_pass_per_basis_set_and_one_execution_per_routed_device(self, fleet16, monkeypatch):
+        fleet = _two_basis_fleet(fleet16)
+        passes = _count_calls(monkeypatch, canary_module, "outcome_laws")
+        executions = _count_calls(monkeypatch, canary_module, "execute_with_noise")
+        reports = CliffordCanaryEstimator(shots=64, seed=4).estimate_many(_star(), fleet)
+        routed = sum(1 for report in reports if report.swaps_inserted)
+        assert routed > 0
+        assert len(passes) == 2
+        assert sum(len(rows) for _, rows in passes) == len(fleet) - routed
+        assert len(executions) == routed
+
+    def test_a_batch_beyond_the_chunk_bound_splits_and_keeps_every_report(self, fleet16, monkeypatch):
+        circuit = hardware_efficient_ansatz(5, layers=1, parameters=[0.4] * 10, measure=True).copy(name="hea_5")
+        fleet = [backend for backend in fleet16 if backend.num_qubits >= circuit.num_qubits]
+        chunks = []
+        evolve = density_module._evolve
+        monkeypatch.setattr(density_module, "_evolve", lambda c, rows: chunks.append(len(rows)) or evolve(c, rows))
+        reports = CliffordCanaryEstimator(shots=64, seed=4).estimate_many(circuit, fleet)
+        bound = density_module.BATCH_ENTRIES // 4**circuit.num_qubits
+        swap_free = sum(1 for report in reports if not report.swaps_inserted)
+        assert 1 < bound < swap_free
+        assert len(chunks) > 1 and max(chunks) == bound and sum(chunks) == swap_free
+        for backend, report in zip(fleet, reports):
+            assert _numbers(report) == _per_device_path(circuit, backend)
+
+    def test_in_place_calibration_drift_reaches_the_next_ranking(self):
+        fleet = generate_fleet(seed=2024, limit=4)
+        estimator = CliffordCanaryEstimator(shots=256, seed=4)
+        before = estimator.estimate_many(_hea(), fleet)
+        for backend in fleet:
+            errors = backend.properties.two_qubit_error
+            for edge in errors:
+                errors[edge] = min(1.0, 5 * errors[edge])
+        after = estimator.estimate_many(_hea(), fleet)
+        assert [_numbers(report) for report in after] != [_numbers(report) for report in before]
+        for backend, report in zip(fleet, after):
+            assert _numbers(report) == _per_device_path(_hea(), backend, shots=256)
+
+
+class TestOneRankingPerDecision:
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            lambda: FidelityPlacementPolicy(estimator="canary", canary_shots=64, seed=4),
+            lambda: ThresholdFidelityPolicy(canary_shots=64, seed=4),
+        ],
+        ids=["fidelity", "threshold-fidelity"],
+    )
+    def test_decide_runs_one_estimate_many_per_ranking(self, fleet16, monkeypatch, make_policy):
+        calls = _count_calls(monkeypatch, CliffordCanaryEstimator, "estimate_many")
+        policy = make_policy()
+        ctx = PlacementContext(fleet=fleet16, circuit=_hea(), job_name="hea_4")
+        decision = policy.decide(ctx)
+        assert len(calls) == 1
+        assert [backend.name for backend in calls[0][2]] == [backend.name for backend in fleet16]
+        solo = CliffordCanaryEstimator(shots=64, seed=4)
+        fidelities = {entry.device: entry.detail["estimated_fidelity"] for entry in decision.ranked}
+        assert fidelities == {backend.name: solo.estimate(_hea(), backend).canary_fidelity for backend in fleet16}
+        # A repeat decision reads every score from the fidelity cache.
+        ranked = len(calls)
+        policy.decide(ctx)
+        assert len(calls) == ranked
+
+    def test_esp_policies_do_not_rank_canaries(self, fleet16, monkeypatch):
+        calls = _count_calls(monkeypatch, CliffordCanaryEstimator, "estimate_many")
+        FidelityPlacementPolicy(estimator="esp").decide(PlacementContext(fleet=fleet16, circuit=_hea()))
+        assert calls == []

@@ -1,4 +1,4 @@
-"""The exact density-matrix engine against brute force and the trajectory engine."""
+"""The exact density-matrix engine against brute force, the trajectory engine and its own one-row case."""
 
 import itertools
 import math
@@ -20,7 +20,7 @@ from repro.simulators import (
     execute_with_noise,
     precompile_execution,
 )
-from repro.simulators.density import noise_sites, outcome_law, read_rates
+from repro.simulators.density import noise_sites, outcome_law, outcome_laws, read_rates
 from repro.utils.exceptions import SimulationError
 
 _PAULI = {
@@ -163,6 +163,99 @@ class TestExactness:
 
         monkeypatch.setattr(density_module, "_depolarizing", untwirled)
         assert max_difference(exact_law(circuit, model), reference) > 1e-3
+
+
+_RATE = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.4))
+
+
+@st.composite
+def rate_batches(draw):
+    """A circuit of at most 6 qubits and 1-20 rows of the rates it reads.
+
+    Gates up to three qubits wide; qubits may share a classical bit; every
+    rate may be exactly zero.
+    """
+    n = draw(st.integers(1, 6))
+    num_clbits = draw(st.integers(1, n))
+    circuit = QuantumCircuit(n, num_clbits)
+    for _ in range(draw(st.integers(0, 10))):
+        arity = draw(st.sampled_from([1, 2, 3][: n]))
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        name = {1: draw(st.sampled_from(_ONE_QUBIT)), 2: draw(st.sampled_from(_TWO_QUBIT)), 3: "ccx"}[arity]
+        count = {"rx": 1, "ry": 1, "u": 3, "crz": 1, "rzz": 1}.get(name, 0)
+        circuit.append(Instruction(name, qubits, (), tuple(draw(_ANGLES) for _ in range(count))))
+    for qubit in range(n):
+        if draw(st.booleans()) or qubit == 0:
+            circuit.measure(qubit, draw(st.integers(0, num_clbits - 1)))
+    gates, readouts = noise_sites(circuit)
+    width = len(gates) + len(readouts)
+    row = st.lists(_RATE, min_size=width, max_size=width).map(tuple)
+    return circuit, draw(st.lists(row, min_size=1, max_size=20))
+
+
+def assert_rows_match(kernel, circuit, rows):
+    """Each law ``kernel`` batches equals the one-row :func:`outcome_law` of its row, bit for bit."""
+    batched = kernel(circuit, rows)
+    assert len(batched) == len(rows)
+    for row, law in zip(rows, batched):
+        alone = outcome_law(circuit, row)
+        assert law.labels == alone.labels
+        assert np.array_equal(law.probabilities, alone.probabilities)
+        assert law.rates == alone.rates == tuple(row)
+
+
+def _mixed_circuit():
+    """Three-qubit gate, qubits 1 and 2 measured into one classical bit."""
+    circuit = QuantumCircuit(4, 3)
+    circuit.h(0).ry(0.7, 1).cx(0, 2).ccx(0, 1, 3).rzz(0.5, 2, 3).h(3)
+    circuit.measure(0, 0).measure(1, 1).measure(2, 1).measure(3, 2)
+    return circuit
+
+
+class TestBatchedLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(rate_batches())
+    def test_each_row_equals_its_one_row_pass(self, case):
+        circuit, rows = case
+        assert_rows_match(outcome_laws, circuit, rows)
+
+    def test_zero_rates_wide_gates_and_a_shared_clbit(self):
+        circuit = _mixed_circuit()
+        gates, readouts = noise_sites(circuit)
+        width = len(gates) + len(readouts)
+        rng = np.random.default_rng(3)
+        rows = [(0.0,) * width] + [
+            tuple(float(rate) if keep else 0.0 for rate, keep in zip(rng.uniform(0, 0.3, width), rng.random(width) < 0.6))
+            for _ in range(11)
+        ]
+        assert_rows_match(outcome_laws, circuit, rows)
+
+    def test_swapped_rate_rows_fail_the_comparison(self):
+        circuit = _mixed_circuit()
+        gates, readouts = noise_sites(circuit)
+        rows = [(0.05,) * (len(gates) + len(readouts)), (0.2,) * (len(gates) + len(readouts))]
+
+        def swapped(circuit, rows):
+            return outcome_laws(circuit, [rows[1], rows[0], *rows[2:]])
+
+        with pytest.raises(AssertionError):
+            assert_rows_match(swapped, circuit, rows)
+
+    def test_rows_beyond_the_chunk_bound_are_evolved_in_chunks(self, monkeypatch):
+        circuit = _mixed_circuit()
+        gates, readouts = noise_sites(circuit)
+        rows = [(0.01 * (i + 1),) * (len(gates) + len(readouts)) for i in range(7)]
+        chunks = []
+        evolve = density_module._evolve
+        monkeypatch.setattr(density_module, "_evolve", lambda c, chunk: chunks.append(len(chunk)) or evolve(c, chunk))
+        monkeypatch.setattr(density_module, "BATCH_ENTRIES", 3 * 4**circuit.num_qubits)
+        assert_rows_match(outcome_laws, circuit, rows)
+        # The batch runs as 3 + 3 + 1 rows, then each one-row reference alone.
+        assert chunks == [3, 3, 1] + [1] * len(rows)
+
+    def test_a_row_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(SimulationError):
+            outcome_laws(_mixed_circuit(), [(0.1, 0.2)])
 
 
 class TestAgainstTheTrajectoryEngine:
