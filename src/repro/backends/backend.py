@@ -64,14 +64,18 @@ class Backend:
         :class:`~repro.simulators.noisy.PrecompiledExecution` of the same
         circuit, skipping the per-gate dispatch analysis (the execution-plan
         path); shots are still sampled fresh under ``seed``.
+
+        The execution reads its noise rates from the live calibration
+        (:attr:`properties`); a full :class:`NoiseModel` is built only for
+        circuits too wide for the exact density engine.
         """
         if circuit.num_qubits > self.num_qubits:
             raise BackendError(
                 f"Circuit '{circuit.name}' uses {circuit.num_qubits} qubits but device "
                 f"'{self.name}' only has {self.num_qubits}"
             )
-        noise_model = self.noise_model() if noisy else NoiseModel.ideal()
-        return execute_with_noise(circuit, noise_model, shots=shots, seed=seed, precompiled=precompiled)
+        rates = self.properties if noisy else NoiseModel.ideal()
+        return execute_with_noise(circuit, rates, shots=shots, seed=seed, precompiled=precompiled)
 
     # ------------------------------------------------------------------ #
     # Vendor backend.py files

@@ -42,6 +42,9 @@ class QuantumCircuit:
         self._num_qubits = num_qubits
         self._num_clbits = num_clbits
         self._data: List[Instruction] = []
+        #: Counts in-place edits (:meth:`append`), so a value derived from the
+        #: instruction stream and kept on the circuit can tell it is stale.
+        self.edits = 0
         #: Free-form metadata dictionary carried through transpilation.
         self.metadata: Dict[str, object] = {}
 
@@ -94,6 +97,7 @@ class QuantumCircuit:
         for clbit in instruction.clbits:
             require_qubit_index(clbit, self._num_clbits, name="clbit")
         self._data.append(instruction)
+        self.edits += 1
         return self
 
     def _append_gate(self, name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> "QuantumCircuit":

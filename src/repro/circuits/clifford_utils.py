@@ -59,6 +59,8 @@ def _build_library() -> List[Tuple[Tuple[str, ...], np.ndarray]]:
 
 
 _LIBRARY = _build_library()
+#: ``C†`` of every library entry, stacked in library order.
+_LIBRARY_ADJOINTS = np.array([clifford.conj().T for _, clifford in _LIBRARY])
 
 
 def single_qubit_clifford_library() -> List[Tuple[Tuple[str, ...], np.ndarray]]:
@@ -73,10 +75,15 @@ def closest_single_qubit_clifford(matrix: np.ndarray) -> Tuple[Tuple[str, ...], 
     that Clifford up to global phase).
     """
     matrix = np.asarray(matrix, dtype=complex)
+    # Every candidate's tr(C† U) from one stacked product.  The scalar abs()
+    # is libm's hypot, bit for bit what np.trace's result gives; numpy's
+    # vectorised absolute can differ in the last bit.
+    products = _LIBRARY_ADJOINTS @ matrix
+    traces = (products[:, 0, 0] + products[:, 1, 1]).tolist()
     best_sequence: Tuple[str, ...] = ("id",)
     best_overlap = -1.0
-    for sequence, clifford in _LIBRARY:
-        overlap = abs(np.trace(clifford.conj().T @ matrix)) / 2.0
+    for (sequence, _), trace in zip(_LIBRARY, traces):
+        overlap = abs(trace) / 2.0
         if overlap > best_overlap + 1e-12:
             best_overlap = overlap
             best_sequence = sequence

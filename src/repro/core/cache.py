@@ -185,7 +185,24 @@ def structural_circuit_hash(circuit) -> str:
     distribution of a canary only depends on structure — while circuits that
     share a name, length and width but differ anywhere in the stream hash
     differently.
+
+    The digest is kept on the circuit with its :attr:`~repro.circuits.circuit.QuantumCircuit.edits`
+    count, so hashing an unchanged circuit again is a lookup and an edit
+    makes the next call digest afresh.  The count is read before the
+    stream, so an edit racing the digest can only cause a miss.
     """
+    edits = getattr(circuit, "edits", None)
+    memo = getattr(circuit, "_structure_memo", None)
+    if edits is not None and memo is not None and memo[0] == edits:
+        return memo[1]
+    digest = _structure_digest(circuit)
+    if edits is not None:
+        circuit._structure_memo = (edits, digest)
+    return digest
+
+
+def _structure_digest(circuit) -> str:
+    """The uncached digest behind :func:`structural_circuit_hash`."""
 
     def parts():
         yield f"q{circuit.num_qubits}c{circuit.num_clbits}"
@@ -256,6 +273,56 @@ def _adjacency_digest(graph) -> str:
     return _digest(parts())
 
 
+#: The calibration tables a fingerprint covers, with their digest labels.
+_CALIBRATION_TABLES = (
+    ("e2", "two_qubit_error"),
+    ("e1", "one_qubit_error"),
+    ("ro", "readout_error"),
+    ("rl", "readout_length"),
+    ("t1", "t1"),
+    ("t2", "t2"),
+)
+
+
+def _calibration_fields(properties) -> tuple:
+    """The live fields a fingerprint covers, uncopied:
+    ``(name, num_qubits, basis_gates, coupling_map, *tables)``."""
+    return (
+        properties.name,
+        properties.num_qubits,
+        properties.basis_gates,
+        properties.coupling_map,
+    ) + tuple(getattr(properties, attribute) for _, attribute in _CALIBRATION_TABLES)
+
+
+def _calibration_snapshot(fields: tuple) -> tuple:
+    """A copy of :func:`_calibration_fields` that later in-place edits cannot reach."""
+    name, num_qubits, basis_gates, coupling_map, *tables = fields
+    return (
+        name,
+        num_qubits,
+        tuple(basis_gates),
+        [tuple(edge) for edge in coupling_map],
+    ) + tuple(dict(table) for table in tables)
+
+
+def _calibration_digest(snapshot: tuple) -> str:
+    """The fingerprint digest of a :func:`_calibration_snapshot`."""
+    name, num_qubits, basis_gates, coupling_map, *tables = snapshot
+
+    def parts():
+        yield f"{name}|{num_qubits}"
+        yield "basis:" + ",".join(basis_gates)
+        yield "coupling:" + ";".join(f"{a}-{b}" for a, b in coupling_map)
+        for (label, _), table in zip(_CALIBRATION_TABLES, tables):
+            entries = ";".join(
+                f"{key}:{_format_float(value)}" for key, value in sorted(table.items(), key=lambda kv: str(kv[0]))
+            )
+            yield f"{label}:{entries}"
+
+    return _digest(parts())
+
+
 def calibration_fingerprint(properties) -> str:
     """Digest of one device's calibration epoch.
 
@@ -264,26 +331,27 @@ def calibration_fingerprint(properties) -> str:
     and T1/T2 times.  A calibration-drift cycle changes the fingerprint, so
     every cache key containing it silently stops matching — stale embedding
     scores and fidelity estimates are never served across calibrations.
+
+    The digest is memoised on ``properties`` with a copied snapshot of the
+    fields it was computed from.  A call compares the live fields with the
+    snapshot (``==`` on the tables, in C) and digests afresh only when they
+    differ, so in-place drift, an appended coupling edge and a reassigned
+    table all still change the fingerprint.  The snapshot is copied before
+    it is digested: a write racing the copy can only make the next call
+    miss.  A field replaced by an equal value of another type (the key
+    ``1.0`` for ``1``) compares equal and keeps the memoised digest.
     """
-
-    def parts():
-        yield f"{properties.name}|{properties.num_qubits}"
-        yield "basis:" + ",".join(properties.basis_gates)
-        yield "coupling:" + ";".join(f"{a}-{b}" for a, b in properties.coupling_map)
-        for label, table in (
-            ("e2", properties.two_qubit_error),
-            ("e1", properties.one_qubit_error),
-            ("ro", properties.readout_error),
-            ("rl", properties.readout_length),
-            ("t1", properties.t1),
-            ("t2", properties.t2),
-        ):
-            entries = ";".join(
-                f"{key}:{_format_float(value)}" for key, value in sorted(table.items(), key=lambda kv: str(kv[0]))
-            )
-            yield f"{label}:{entries}"
-
-    return _digest(parts())
+    fields = _calibration_fields(properties)
+    memo = getattr(properties, "_fingerprint_memo", None)
+    if memo is not None and memo[0] == fields:
+        return memo[1]
+    snapshot = _calibration_snapshot(fields)
+    digest = _calibration_digest(snapshot)
+    try:
+        properties._fingerprint_memo = (snapshot, digest)
+    except AttributeError:  # an object without instance attributes is digested every call
+        pass
+    return digest
 
 
 def fleet_calibration_epoch(fleet: Iterable) -> str:

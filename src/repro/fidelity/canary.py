@@ -235,7 +235,7 @@ class CliffordCanaryEstimator:
             if counts[index] is None:
                 compiled = placed[index][1]
                 counts[index] = execute_with_noise(
-                    compiled.circuit, backend.noise_model(), shots=self._shots, seed=seeds[index]
+                    compiled.circuit, backend.properties, shots=self._shots, seed=seeds[index]
                 ).counts
         return counts
 
@@ -298,7 +298,7 @@ def achieved_fidelity(
     )
     noisy = execute_with_noise(
         compiled.circuit,
-        backend.noise_model(),
+        backend.properties,
         shots=shots,
         seed=derive_seed(seed, "oracle-execute", backend.name, circuit.name),
     )

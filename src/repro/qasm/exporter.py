@@ -49,25 +49,38 @@ _DIRECT_GATES = {
 }
 
 
+#: Denominators of the pi-fractions the exporter spells exactly, in search order.
+_PI_DENOMINATORS = (1, 2, 3, 4, 6, 8, 16)
+
+
 def _format_parameter(value: float) -> str:
-    """Render a gate angle, preferring exact multiples of pi for readability."""
+    """Render a gate angle, preferring exact multiples of pi for readability.
+
+    The angle is ``n*pi/d`` when it lies within 1e-12 of that value for a
+    denominator ``d`` in :data:`_PI_DENOMINATORS` (the first that matches)
+    and ``0 < |n| <= 16``.  Fractions of one denominator are ``pi/d``
+    apart, so the only candidate numerator is ``value*d/pi`` rounded.
+    """
     if value == 0:
         return "0"
-    for denominator in (1, 2, 3, 4, 6, 8, 16):
-        for numerator in range(-16, 17):
-            if numerator == 0:
-                continue
-            candidate = numerator * math.pi / denominator
-            if abs(candidate - value) < 1e-12:
-                sign = "-" if numerator < 0 else ""
-                numerator = abs(numerator)
-                if numerator == 1 and denominator == 1:
-                    return f"{sign}pi"
-                if denominator == 1:
-                    return f"{sign}{numerator}*pi"
-                if numerator == 1:
-                    return f"{sign}pi/{denominator}"
-                return f"{sign}{numerator}*pi/{denominator}"
+    for denominator in _PI_DENOMINATORS:
+        scaled = value * denominator / math.pi
+        # Outside this range no numerator in 1..16 is within reach; the
+        # test is also False for inf and NaN, which round() cannot take.
+        if not 0.5 <= abs(scaled) <= 16.5:
+            continue
+        numerator = round(scaled)
+        candidate = numerator * math.pi / denominator
+        if abs(candidate - value) < 1e-12:
+            sign = "-" if numerator < 0 else ""
+            numerator = abs(numerator)
+            if numerator == 1 and denominator == 1:
+                return f"{sign}pi"
+            if denominator == 1:
+                return f"{sign}{numerator}*pi"
+            if numerator == 1:
+                return f"{sign}pi/{denominator}"
+            return f"{sign}{numerator}*pi/{denominator}"
     return repr(float(value))
 
 

@@ -216,7 +216,9 @@ class JobSpec:
 
         Two submissions with the same key are interchangeable — same
         embedding search, same canary distribution, same execution — so the
-        service runs the group once and shares the result.
+        service runs the group once and shares the result.  The circuit
+        keeps its structural hash until it is next edited, so the grouping,
+        plan lookup and plan store of one submit hash it once between them.
         """
         return (structural_circuit_hash(self.circuit), self.requirements, self.shots)
 

@@ -204,6 +204,11 @@ def outcome_laws(circuit: QuantumCircuit, rate_rows: Sequence[Sequence[float]]) 
     other rows, so each law equals :func:`outcome_law` of its row bit for
     bit.  The rows are cut into chunks whose ``rho`` holds at most
     :data:`BATCH_ENTRIES` complex entries.
+
+    A rate that is not finite or lies outside ``[0, 1]`` raises
+    :class:`SimulationError` instead of evolving through a non-physical
+    channel.  (:func:`read_rates` already refuses such a calibration entry
+    before its formula combines it; this check covers rows built by hand.)
     """
     check_noisy_circuit(circuit, DENSITY_LIMIT, "density-matrix engine")
     rows = [tuple(row) for row in rate_rows]
@@ -232,6 +237,13 @@ def _evolve(circuit: QuantumCircuit, rows: List[Tuple[float, ...]]) -> List[Outc
     if rates.shape[1] != num_gates + len(winners):
         raise SimulationError(
             f"Circuit '{circuit.name}' reads {num_gates + len(winners)} noise rates, got {rates.shape[1]}"
+        )
+    invalid = ~((rates >= 0.0) & (rates <= 1.0))  # NaN fails both comparisons
+    if invalid.any():
+        row, column = np.argwhere(invalid)[0].tolist()
+        raise SimulationError(
+            f"Circuit '{circuit.name}' read noise rate {float(rates[row, column])!r} (rate {column} of its "
+            "row); an error probability must be finite and within [0, 1]"
         )
     rho = np.zeros((len(rows),) + (2,) * (2 * num_qubits), dtype=complex)
     rho[(slice(None),) + (0,) * (2 * num_qubits)] = 1.0

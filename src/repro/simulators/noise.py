@@ -39,7 +39,11 @@ class ErrorRates(Protocol):
 
     :class:`NoiseModel` is one; so is
     :class:`~repro.backends.properties.BackendProperties`, which reads its
-    live calibration through the same two formulas below.
+    live calibration through the same two formulas below.  The density
+    engine reads the rates it needs directly; the trajectory and stabilizer
+    engines run on :meth:`to_noise_model`'s copy.  So the density engine
+    refuses only a corrupt entry its circuit reads, while a
+    :class:`NoiseModel` refuses one anywhere in its tables when it is built.
     """
 
     def gate_error(self, qubits: Sequence[int]) -> float:
@@ -47,6 +51,23 @@ class ErrorRates(Protocol):
 
     def measurement_error(self, qubit: int) -> float:
         ...
+
+    def to_noise_model(self) -> "NoiseModel":
+        ...
+
+
+def _calibrated(rate: float, table: str, site: object) -> float:
+    """``rate``, read from ``table[site]``, if it is a probability; else :class:`SimulationError`.
+
+    The formulas below check each calibrated rate before combining it, so a
+    non-finite or out-of-range entry fails the execution that reads it
+    rather than being clipped or dropped into a valid-looking rate.
+    """
+    if not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+        raise SimulationError(
+            f"{table}[{site}] is noise rate {rate!r}; an error probability must be finite and within [0, 1]"
+        )
+    return rate
 
 
 def gate_error_rate(
@@ -64,15 +85,17 @@ def gate_error_rate(
     un-transpiled circuits.
     """
     if len(qubits) == 1:
-        return one_qubit_error.get(int(qubits[0]), default_one_qubit_error)
+        qubit = int(qubits[0])
+        return _calibrated(one_qubit_error.get(qubit, default_one_qubit_error), "one_qubit_error", qubit)
     if len(qubits) == 2:
-        return two_qubit_error.get(_normalise_edge(qubits), default_two_qubit_error)
+        edge = _normalise_edge(qubits)
+        return _calibrated(two_qubit_error.get(edge, default_two_qubit_error), "two_qubit_error", edge)
     worst = 0.0
     operands = [int(q) for q in qubits]
     for i, qubit_a in enumerate(operands):
         for qubit_b in operands[i + 1:]:
-            pair = two_qubit_error.get(_normalise_edge((qubit_a, qubit_b)), default_two_qubit_error)
-            worst = max(worst, pair)
+            edge = _normalise_edge((qubit_a, qubit_b))
+            worst = max(worst, _calibrated(two_qubit_error.get(edge, default_two_qubit_error), "two_qubit_error", edge))
     return worst
 
 
@@ -91,7 +114,7 @@ def measurement_error_rate(
     execution fidelity.
     """
     qubit = int(qubit)
-    assignment = readout_error.get(qubit, default_readout_error)
+    assignment = _calibrated(readout_error.get(qubit, default_readout_error), "readout_error", qubit)
     relaxation = t1.get(qubit)
     duration = readout_length.get(qubit)
     decay = 0.0
@@ -186,6 +209,10 @@ class NoiseModel:
         return measurement_error_rate(
             qubit, self.readout_error, self.t1, self.readout_length, self.default_readout_error
         )
+
+    def to_noise_model(self) -> "NoiseModel":
+        """This model itself (the :class:`ErrorRates` conversion)."""
+        return self
 
     # ------------------------------------------------------------------ #
     def restricted_to(self, qubits: Sequence[int]) -> "NoiseModel":

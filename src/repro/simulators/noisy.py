@@ -36,7 +36,7 @@ from repro.simulators.density import (
     outcome_law,
     read_rates,
 )
-from repro.simulators.noise import NoiseModel
+from repro.simulators.noise import ErrorRates, NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
     StabilizerSimulator,
@@ -386,7 +386,7 @@ class PrecompiledExecution:
     #: only; ``None`` when none was given).
     law: Optional[OutcomeLaw] = None
 
-    def law_for(self, noise_model: NoiseModel) -> OutcomeLaw:
+    def law_for(self, noise_model: ErrorRates) -> OutcomeLaw:
         """The density engine's outcome law under ``noise_model``.
 
         The stored law is returned only while the rates it was computed from
@@ -402,7 +402,7 @@ class PrecompiledExecution:
 def precompile_execution(
     circuit: QuantumCircuit,
     compact: bool = True,
-    noise_model: Optional[NoiseModel] = None,
+    noise_model: Optional[ErrorRates] = None,
 ) -> PrecompiledExecution:
     """Run :func:`execute_with_noise`'s analysis stages once, without shots.
 
@@ -459,7 +459,7 @@ def precompile_execution(
 
 def execute_with_noise(
     circuit: QuantumCircuit,
-    noise_model: Optional[NoiseModel] = None,
+    noise_model: Optional[ErrorRates] = None,
     shots: int = 1024,
     seed: SeedLike = None,
     compact: bool = True,
@@ -481,6 +481,11 @@ def execute_with_noise(
     compilation and — while the noise rates it recorded are the live ones —
     the outcome law; the noise model and seed still apply per call, so
     repeat executions sample fresh shots.
+
+    ``noise_model`` is any :class:`~repro.simulators.noise.ErrorRates`, such
+    as a device's live calibration.  The density engine reads only the
+    rates its circuit needs from it; the trajectory and stabilizer engines
+    run on its :meth:`~repro.simulators.noise.ErrorRates.to_noise_model`.
     """
     noise_model = noise_model or NoiseModel.ideal()
     if precompiled is None:
@@ -492,6 +497,7 @@ def execute_with_noise(
         )
     if precompiled.engine == "density":
         return precompiled.law_for(noise_model).draw(shots, seed)
+    noise_model = noise_model.to_noise_model()
     target_noise = (
         noise_model.restricted_to(list(precompiled.qubit_mapping))
         if precompiled.qubit_mapping

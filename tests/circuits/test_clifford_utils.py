@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.clifford_utils import (
     clifford_sequence_for,
@@ -51,6 +53,53 @@ class TestClosestClifford:
         _, overlap = closest_single_qubit_clifford(gate_matrix("t"))
         assert overlap < 1 - 1e-6
         assert overlap > 0.9
+
+
+def _closest_by_loop(matrix):
+    """The per-candidate reference: one trace per library entry, first wins within 1e-12."""
+    matrix = np.asarray(matrix, dtype=complex)
+    best_sequence, best_overlap = ("id",), -1.0
+    for sequence, clifford in single_qubit_clifford_library():
+        overlap = abs(np.trace(clifford.conj().T @ matrix)) / 2.0
+        if overlap > best_overlap + 1e-12:
+            best_overlap, best_sequence = overlap, sequence
+    return best_sequence, best_overlap
+
+
+def _tie_cases():
+    """Unitaries whose overlaps tie between library entries, exactly or within 1e-12."""
+    cases = [gate_matrix("t"), gate_matrix("tdg")]
+    cases += [
+        gate_matrix("rz", (k * math.pi / 8 + epsilon,))
+        for k in range(-16, 17)
+        for epsilon in (0.0, 1e-13, -1e-13, 1e-12, -1e-12)
+    ]
+    for _, clifford in single_qubit_clifford_library():
+        for epsilon in (1e-13, -1e-13):
+            cases.append(clifford @ gate_matrix("rz", (epsilon,)))
+            cases.append(clifford + epsilon)
+    return cases
+
+
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+class TestClosestCliffordMatchesTheLoop:
+    @pytest.mark.parametrize("matrix", _tie_cases())
+    def test_ties_pick_the_same_entry(self, matrix):
+        sequence, overlap = closest_single_qubit_clifford(matrix)
+        expected_sequence, expected_overlap = _closest_by_loop(matrix)
+        assert sequence == expected_sequence
+        assert overlap == pytest.approx(expected_overlap, rel=0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANGLES, _ANGLES, _ANGLES, _ANGLES)
+    def test_random_unitaries_pick_the_same_entry(self, theta, phi, lam, phase):
+        matrix = np.exp(1j * phase) * gate_matrix("u3", (theta, phi, lam))
+        sequence, overlap = closest_single_qubit_clifford(matrix)
+        expected_sequence, expected_overlap = _closest_by_loop(matrix)
+        assert sequence == expected_sequence
+        assert overlap == pytest.approx(expected_overlap, rel=0, abs=1e-15)
 
 
 class TestCliffordSequenceFor:

@@ -1,14 +1,18 @@
 """Tests for the fleet-wide memoization layer (repro.core.cache)."""
 
+import pickle
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.scenarios.arrivals import JobRequest
 from repro.cloud.calibration import CalibrationDriftModel
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
+from repro.core import cache as cache_module
 from repro.core.cache import (
     CacheStats,
     LRUCache,
@@ -115,6 +119,38 @@ class TestStructuralCircuitHash:
         digests = {structural_circuit_hash(x) for x in (a, b, c)}
         assert len(digests) == 3
 
+    def test_an_unedited_circuit_is_digested_once(self, monkeypatch):
+        digests = []
+        digest = cache_module._structure_digest
+        monkeypatch.setattr(cache_module, "_structure_digest", lambda c: digests.append(1) or digest(c))
+        circuit = ghz(3)
+        first = structural_circuit_hash(circuit)
+        assert structural_circuit_hash(circuit) == first
+        assert digests == [1]
+        circuit.x(0)
+        assert structural_circuit_hash(circuit) == digest(circuit) != first
+        assert digests == [1, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["h", "x", "rz", "cx"]), st.integers(0, 2)), max_size=10))
+    def test_the_memo_follows_every_append(self, gates):
+        circuit = QuantumCircuit(3)
+        assert structural_circuit_hash(circuit) == cache_module._structure_digest(circuit)
+        copy = circuit.copy()
+        for name, qubit in gates:
+            if name == "rz":
+                circuit.rz(0.1 * qubit, qubit)
+            elif name == "cx":
+                circuit.cx(qubit, (qubit + 1) % 3)
+            else:
+                getattr(circuit, name)(qubit)
+            assert structural_circuit_hash(circuit) == cache_module._structure_digest(circuit)
+        # A copy carries its own memo, so the original's edits never reach it.
+        assert structural_circuit_hash(copy) == structural_circuit_hash(QuantumCircuit(3))
+        restored = pickle.loads(pickle.dumps(circuit))
+        restored.measure_all()
+        assert structural_circuit_hash(restored) == cache_module._structure_digest(restored)
+
 
 class TestPatternAndCalibrationHashes:
     def test_pattern_hash_tracks_edges_and_weights(self):
@@ -142,6 +178,131 @@ class TestPatternAndCalibrationHashes:
         assert calibration_fingerprint(drifted) != before
         # Same calibration → same fingerprint (stable across calls).
         assert calibration_fingerprint(device.properties) == before
+
+    def test_digest_values_are_pinned(self):
+        fleet = three_device_testbed()
+        assert [calibration_fingerprint(b.properties) for b in fleet] == [
+            "96def8677d9a881582223b1aa288e0b1",
+            "c52614fe40df4acca88c8bbfef308766",
+            "ba835f9098658cbd1499245a7026a373",
+        ]
+        assert structural_circuit_hash(ghz(4)) == "cf7df93573c8c989ac62e60697a151a0"
+
+
+def _uncached_fingerprint(properties) -> str:
+    """The fingerprint digested straight from the live fields, with no memo."""
+
+    def parts():
+        yield f"{properties.name}|{properties.num_qubits}"
+        yield "basis:" + ",".join(properties.basis_gates)
+        yield "coupling:" + ";".join(f"{a}-{b}" for a, b in properties.coupling_map)
+        for label, table in (
+            ("e2", properties.two_qubit_error),
+            ("e1", properties.one_qubit_error),
+            ("ro", properties.readout_error),
+            ("rl", properties.readout_length),
+            ("t1", properties.t1),
+            ("t2", properties.t2),
+        ):
+            entries = ";".join(
+                f"{key}:{format(float(value), '.12g')}"
+                for key, value in sorted(table.items(), key=lambda kv: str(kv[0]))
+            )
+            yield f"{label}:{entries}"
+
+    return cache_module._digest(parts())
+
+
+_TABLES = ("two_qubit_error", "one_qubit_error", "readout_error", "readout_length", "t1", "t2")
+
+#: One in-place or reassigning edit of a device's calibration.
+_EDITS = st.one_of(
+    st.tuples(st.just("drift"), st.sampled_from(_TABLES), st.integers(0, 50), st.floats(0.5, 2.0)),
+    st.tuples(st.just("reassign"), st.sampled_from(_TABLES), st.integers(0, 50), st.floats(0.5, 2.0)),
+    st.tuples(st.just("delete"), st.sampled_from(_TABLES), st.integers(0, 50), st.just(1.0)),
+    st.tuples(st.just("append_edge"), st.just(""), st.integers(0, 50), st.just(1.0)),
+    st.tuples(st.just("basis"), st.just(""), st.integers(0, 50), st.just(1.0)),
+    st.tuples(st.just("name"), st.just(""), st.integers(0, 50), st.just(1.0)),
+    st.tuples(st.just("num_qubits"), st.just(""), st.integers(0, 50), st.just(1.0)),
+    st.tuples(st.just("none"), st.just(""), st.integers(0, 50), st.just(1.0)),
+)
+
+
+def _apply_edit(properties, edit) -> None:
+    kind, table_name, index, factor = edit
+    if table_name:
+        table = getattr(properties, table_name)
+        keys = sorted(table, key=str)
+        key = keys[index % len(keys)] if keys else None
+    if kind == "drift" and key is not None:
+        table[key] = table[key] * factor + 1e-9
+    elif kind == "reassign":
+        setattr(properties, table_name, {k: v * factor for k, v in table.items()})
+    elif kind == "delete" and key is not None:
+        del table[key]
+    elif kind == "append_edge":
+        a, b = index % properties.num_qubits, (index + 2) % properties.num_qubits
+        if a != b:
+            properties.coupling_map.append((min(a, b), max(a, b)))
+    elif kind == "basis":
+        properties.basis_gates = properties.basis_gates + (f"g{index}",)
+    elif kind == "name":
+        properties.name = f"{properties.name}-{index}"
+    elif kind == "num_qubits":
+        properties.num_qubits += 1
+
+
+class TestFingerprintMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2), st.lists(_EDITS, min_size=1, max_size=12))
+    def test_memoised_fingerprint_equals_an_uncached_digest_at_every_step(self, device, edits):
+        properties = three_device_testbed()[device].properties
+        assert calibration_fingerprint(properties) == _uncached_fingerprint(properties)
+        for edit in edits:
+            _apply_edit(properties, edit)
+            assert calibration_fingerprint(properties) == _uncached_fingerprint(properties)
+            # A repeat call is a memo hit with the same digest.
+            assert calibration_fingerprint(properties) == _uncached_fingerprint(properties)
+
+    def test_a_repeat_call_digests_nothing(self, monkeypatch):
+        properties = three_device_testbed()[0].properties
+        calibration_fingerprint(properties)
+        digests = []
+        digest = cache_module._calibration_digest
+        monkeypatch.setattr(cache_module, "_calibration_digest", lambda snapshot: digests.append(1) or digest(snapshot))
+        calibration_fingerprint(properties)
+        assert digests == []
+        properties.t2[0] *= 1.01
+        calibration_fingerprint(properties)
+        assert digests == [1]
+
+    def test_the_digest_reads_the_snapshot_not_the_live_tables(self, monkeypatch):
+        """A write racing the digest can only cause a miss, never a wrong hit."""
+        properties = three_device_testbed()[0].properties
+        original = properties.t2[0]
+        digest = cache_module._calibration_digest
+
+        def drifting_digest(snapshot):
+            properties.t2[0] = original * 2.0  # a write landing mid-digest
+            return digest(snapshot)
+
+        monkeypatch.setattr(cache_module, "_calibration_digest", drifting_digest)
+        calibration_fingerprint(properties)
+        monkeypatch.setattr(cache_module, "_calibration_digest", digest)
+        properties.t2[0] = original
+        assert calibration_fingerprint(properties) == _uncached_fingerprint(properties)
+        properties.t2[0] = original * 2.0
+        assert calibration_fingerprint(properties) == _uncached_fingerprint(properties)
+
+    def test_memoised_properties_pickle_and_keep_their_fingerprint(self):
+        properties = three_device_testbed()[1].properties
+        fingerprint = calibration_fingerprint(properties)
+        restored = pickle.loads(pickle.dumps(properties))
+        assert restored == properties
+        assert calibration_fingerprint(restored) == fingerprint
+        restored.readout_error[0] = 0.25
+        assert calibration_fingerprint(restored) == _uncached_fingerprint(restored) != fingerprint
+        assert calibration_fingerprint(properties) == fingerprint
 
 
 class TestEmbeddingCacheWiring:

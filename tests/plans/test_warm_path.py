@@ -9,10 +9,12 @@ plans stay bit-identical to the unfused path.
 """
 
 import dataclasses
+import math
 import sys
 
 import pytest
 
+import repro.core.cache as cache_module
 import repro.plans.compiler as compiler_module
 import repro.qasm.parser as parser_module
 import repro.service.engines as engines_module
@@ -21,15 +23,18 @@ from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
 from repro.core.cache import all_cache_stats, clear_all_caches
 from repro.fidelity.canary import CliffordCanaryEstimator
+from repro.simulators import NoiseModel
 from repro.simulators.density import read_rates
 from repro.service import (
     CloudEngine,
     ClusterEngine,
     JobRequirements,
+    JobState,
     OrchestratorEngine,
     QRIOService,
 )
 from repro.transpiler.fusion import fuse_clifford_runs
+from repro.utils.exceptions import JobFailedError, SimulationError
 
 
 @pytest.fixture(autouse=True)
@@ -250,12 +255,70 @@ class TestOrchestratorWarmPath:
         assert warm.detail["plan_replay"] is True
         assert (len(parses), len(precompiles)) == (0, 1)
 
+    def test_a_warm_submit_rederives_nothing(self, monkeypatch):
+        """No calibration digest, no noise model and one structural hash per warm submit."""
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
+        for _ in range(2):
+            service.submit(ghz(4), 0.9, shots=128).result()
+        digests = _spy_everywhere(monkeypatch, cache_module, "_calibration_digest")
+        hashes = _spy_everywhere(monkeypatch, cache_module, "_structure_digest")
+        noise_models = []
+        post_init = NoiseModel.__post_init__
+        monkeypatch.setattr(NoiseModel, "__post_init__", lambda model: noise_models.append(model) or post_init(model))
+        warm = service.submit(ghz(4), 0.9, shots=128).result()
+        assert warm.detail["plan_replay"] is True
+        assert (len(digests), len(noise_models), len(hashes)) == (0, 0, 1)
+
     def test_warm_replay_is_recorded_in_the_cluster_events(self):
         engine = OrchestratorEngine(seed=5, canary_shots=64)
         service = QRIOService(three_device_testbed(), engine)
         service.submit(ghz(3), 0.9, shots=64).result()
         service.submit(ghz(3), 0.9, shots=64).result()
         assert engine.cluster.events.of_kind("PlanScheduled")
+
+
+class TestNonPhysicalRates:
+    """Rates read live from a calibration are checked where a law is computed from them."""
+
+    RATES = [1.5, math.nan, math.inf]
+    TABLES = ["one_qubit_error", "readout_error"]
+
+    @staticmethod
+    def _break(backend, table, rate):
+        entries = getattr(backend.properties, table)
+        for site in entries:
+            entries[site] = rate
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("table", TABLES)
+    def test_an_out_of_range_rate_fails_a_cold_job(self, table, rate):
+        fleet = three_device_testbed()
+        service = QRIOService(fleet, OrchestratorEngine(seed=5, canary_shots=64))
+        for backend in fleet:
+            self._break(backend, table, rate)
+        handle = service.submit(ghz(4), 0.9, shots=64)
+        with pytest.raises(JobFailedError, match=f"noise rate {rate!r}"):
+            handle.result()
+        assert handle.state is JobState.FAILED
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("table", TABLES)
+    def test_an_out_of_range_rate_fails_a_job_that_had_a_warm_plan(self, table, rate):
+        fleet = three_device_testbed()
+        engine = OrchestratorEngine(seed=5, canary_shots=64)
+        service = QRIOService(fleet, engine)
+        cold = service.submit(ghz(4), 0.9, shots=64).result()
+        (plan,) = engine._plans._data.values()
+        placed = next(backend for backend in fleet if backend.name == cold.device)
+        self._break(placed, table, rate)
+        # The stored plan's law no longer matches the live rates: the fresh
+        # law is refused, not drawn from.
+        with pytest.raises(SimulationError, match=f"noise rate {rate!r}"):
+            placed.run(plan.transpiled.circuit, shots=64, seed=1, precompiled=plan.execution)
+        handle = service.submit(ghz(4), 0.9, shots=64)
+        with pytest.raises(JobFailedError, match=f"noise rate {rate!r}"):
+            handle.result()
+        assert handle.state is JobState.FAILED
 
 
 class TestCloudFeasibility:

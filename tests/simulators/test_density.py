@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import repro.simulators.density as density_module
 import repro.simulators.noisy as noisy_module
+from repro.backends.properties import BackendProperties
+from repro.backends.topologies import line_topology
 from repro.circuits import QuantumCircuit, ghz
 from repro.circuits.instruction import Instruction
 from repro.simulators import (
@@ -256,6 +258,52 @@ class TestBatchedLaws:
     def test_a_row_of_the_wrong_length_is_rejected(self):
         with pytest.raises(SimulationError):
             outcome_laws(_mixed_circuit(), [(0.1, 0.2)])
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", ["gate", "readout"])
+    def test_a_non_physical_rate_is_rejected(self, rate, position):
+        circuit = ghz(3)
+        valid = read_rates(noise_sites(circuit), NoiseModel.uniform(3, 0.01, 0.05, 0.02))
+        column = 0 if position == "gate" else len(valid) - 1
+        invalid = valid[:column] + (rate,) + valid[column + 1:]
+        with pytest.raises(SimulationError, match="noise rate"):
+            outcome_laws(circuit, [valid, invalid])
+        with pytest.raises(SimulationError, match="noise rate"):
+            outcome_law(circuit, invalid)
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("table", ["one_qubit_error", "two_qubit_error", "readout_error"])
+    def test_a_non_physical_calibration_entry_is_refused_where_it_is_read(self, rate, table):
+        # The readout formula clips at 1 and the multi-qubit one takes a
+        # pairwise max, so the entry is checked before either combines it.
+        properties = BackendProperties(
+            name="line3",
+            num_qubits=3,
+            coupling_map=line_topology(3),
+            two_qubit_error={(0, 1): 0.02, (1, 2): 0.03},
+            one_qubit_error={q: 0.001 for q in range(3)},
+            readout_error={q: 0.01 for q in range(3)},
+            readout_length={q: 30.0 for q in range(3)},
+            t1={q: 100e3 for q in range(3)},
+        )
+        entries = getattr(properties, table)
+        for site in entries:
+            entries[site] = rate
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0).cx(0, 1).ccx(0, 1, 2).measure(2, 2)
+        sites = noise_sites(circuit)
+        with pytest.raises(SimulationError, match=f"noise rate {rate!r}"):
+            read_rates(sites, properties)
+        if table == "two_qubit_error":
+            with pytest.raises(SimulationError, match=f"noise rate {rate!r}"):
+                properties.gate_error((0, 1, 2))
+
+    def test_the_bounds_themselves_are_physical(self):
+        circuit = ghz(2)
+        sites = noise_sites(circuit)
+        for rate in (0.0, 1.0):
+            law = outcome_law(circuit, (rate,) * (len(sites[0]) + len(sites[1])))
+            assert math.isclose(float(law.probabilities.sum()), 1.0)
 
 
 class TestAgainstTheTrajectoryEngine:
