@@ -102,7 +102,7 @@ def test_scenario_replay_floor(perf_scale):
     Guards the scenario subsystem: replay through ``ScenarioRunner`` must
     sustain >= 500 jobs/s on the pure-dispatch cloud workload, cost at most
     10x of feeding the bare discrete-event simulator, route identically to
-    it, and route one shared trace identically under all three engines.
+    it, and route one shared trace identically under both engines.
     """
     payload = bench_scenarios(perf_scale, replay_floor=500.0, replay_ceiling=10.0)
     assert payload["replay_jobs_per_second"] >= 500.0
@@ -117,16 +117,12 @@ def test_compiled_plan_replay_floor(perf_scale):
     Guards the compile-once/execute-many subsystem (``repro.plans``): a
     repeat submission must replay the cached ``ExecutionPlan`` — zero
     recompiles, proven by the plan-cache statistics — at >= 5x the cold
-    throughput, and the Clifford-fused form of a workload must route and
-    sample bit-identically to the unfused original.
+    throughput.
     """
     payload = bench_plans(perf_scale, plans_floor=5.0)
     assert payload["speedup"] >= 5.0
     assert payload["plan_replays"] == payload["jobs"]
     assert payload["plan_recompiles"] == 0
-    assert payload["fusion"]["bit_identical"] is True
-    assert payload["fusion"]["hellinger_fidelity"] == 1.0
-    assert payload["fusion"]["gates_after"] < payload["fusion"]["gates_before"]
     write_bench_json("BENCH_plans.json", {"scale": perf_scale, **payload})
 
 

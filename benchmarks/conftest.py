@@ -16,6 +16,7 @@ or ``QRIO_BENCH_SCALE=quick`` for a smoke-test run.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -36,11 +37,14 @@ def time_callable(fn: Callable[[], object], repeats: int = 3) -> Tuple[float, ob
     """Best-of-``repeats`` wall-clock seconds of ``fn`` plus its last result.
 
     Best-of is the standard perf-regression statistic: it filters scheduler
-    noise while staying cheap enough for smoke runs.
+    noise while staying cheap enough for smoke runs.  Each call starts after
+    a full garbage collection, so a collection the setup made due does not
+    land inside a millisecond-scale timing.
     """
     best = float("inf")
     result: object = None
     for _ in range(max(1, repeats)):
+        gc.collect()
         start = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - start

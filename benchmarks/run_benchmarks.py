@@ -26,10 +26,10 @@ against:
 * ``BENCH_plans.json`` — compile-once/execute-many throughput of the plan
   subsystem (``repro.plans``): warm plan replay vs cold compile on a
   repeated-job service trace, with the plan-cache statistics proving the
-  warm path performed zero recompiles, plus the fusion-equivalence check
-  (fused and unfused circuits must be bit-identical).
+  warm path performed zero recompiles.
 
-The script **fails loudly** (non-zero exit) when:
+The script runs every bench, prints every failure, and **fails loudly**
+(non-zero exit) when any of these holds:
 
 * the invariant analyzer (``repro.analysis``) preflight reports any
   non-baselined finding — a tree that violates the determinism invariants
@@ -53,14 +53,13 @@ The script **fails loudly** (non-zero exit) when:
   jobs/sec (default 500), costs more than ``--replay-ceiling`` (default 10x)
   of feeding the bare discrete-event simulator directly, routes any job
   differently from the bare simulator, or one policy routes a shared trace
-  differently across the three engines (cross-engine routing neutrality);
+  differently across the two engines (cross-engine routing neutrality);
 * a fault-augmented trace (outage + calibration jump + straggler) replays
   more than ``--fault-replay-ceiling`` (default 1.3x) slower than its
   fault-free twin, is not bit-identical across two replays of every
   engine × policy × workers cell, or produces no resilience metrics;
 * warm plan replay is less than ``--plans-floor`` (default 5x) faster than
-  the cold compile path, performs even one recompile, or the fused circuit
-  diverges from the unfused original;
+  the cold compile path, or performs even one recompile;
 * batched and scalar counts distributions disagree (Hellinger sanity check).
 
 Usage::
@@ -68,15 +67,25 @@ Usage::
     python benchmarks/run_benchmarks.py --scale smoke     # CI smoke mode
     python benchmarks/run_benchmarks.py                   # default scale
 
-``QRIO_BENCH_DIR`` overrides where the JSON artefacts land.
+``QRIO_BENCH_DIR`` overrides where the JSON artefacts land.  An artefact is
+written only when every bench it reports passed.  BLAS runs on one thread,
+as in ``perfbench/run.py``, and every timed call starts after a full
+garbage collection (``time_callable``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict, List, Tuple
+
+if __name__ == "__main__":
+    # One BLAS thread, set before numpy is first imported: a second thread
+    # only adds contention on small boxes and makes the ratios noisier.
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_variable] = "1"
 
 # Make the script runnable without an installed package or PYTHONPATH.
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -577,8 +586,8 @@ def bench_scenarios(
        different decisions.
     2. **Cross-engine routing neutrality** — one registered policy
        (``round-robin``) replaying one small trace must route identically
-       under the orchestrator, cluster and cloud engines, which is what makes
-       sweep rows comparable across engines.
+       under the orchestrator and cloud engines, which is what makes sweep
+       rows comparable across engines.
     3. **Resilience** — a fault-augmented twin of the replay trace (outage +
        calibration jump + straggler laid out over the trace's arrival span)
        must replay within ``fault_ceiling`` of the fault-free replay, must be
@@ -649,7 +658,7 @@ def bench_scenarios(
         ),
     )
     routes = {}
-    for engine in ("orchestrator", "cluster", "cloud"):
+    for engine in ("orchestrator", "cloud"):
         runner = ScenarioRunner(
             fleet,
             engine=engine,
@@ -659,7 +668,7 @@ def bench_scenarios(
             fidelity_report="none",
         )
         routes[engine] = [outcome.device for outcome in runner.replay(neutrality_trace).outcomes]
-    if not (routes["orchestrator"] == routes["cluster"] == routes["cloud"]):
+    if routes["orchestrator"] != routes["cloud"]:
         raise BenchFailure(
             f"Policy 'round-robin' routed the neutrality trace differently per engine: {routes}"
         )
@@ -710,7 +719,7 @@ def bench_scenarios(
         "bench-fault-grid", list(neutrality_trace.jobs), events=grid_events
     )
     grid_cells = 0
-    for engine in ("orchestrator", "cluster", "cloud"):
+    for engine in ("orchestrator", "cloud"):
         for policy in (None, "round-robin"):
             for workers in (0, 2):
                 signatures = []
@@ -782,13 +791,9 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
     engine's plans before each submission so all of them pay the full
     cycle; the warm measurement
     primes the plan once and times pure replays, asserting through the
-    plan-cache statistics that not one of them recompiled.  A
-    fusion-equivalence check rides along: the fused (Clifford-run-collapsed)
-    form of a workload must produce bit-identical counts to the unfused
-    original under the same job name and seed.
+    plan-cache statistics that not one of them recompiled.
     """
-    from repro.service import ClusterEngine, QRIOService
-    from repro.transpiler.fusion import fuse_clifford_runs
+    from repro.service import OrchestratorEngine, QRIOService
 
     jobs = _SCALES[scale]["plan_jobs"]
     fleet = three_device_testbed()
@@ -797,7 +802,7 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
     stats_start = all_cache_stats()["plan"]
 
     def cold_run():
-        service = QRIOService(fleet, ClusterEngine(seed=9, canary_shots=128))
+        service = QRIOService(fleet, OrchestratorEngine(seed=9, canary_shots=128))
         for _ in range(jobs):
             clear_all_caches()
             service.engine._plans.clear()  # the engine owns its plans
@@ -806,7 +811,7 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
     cold_seconds, _ = time_callable(cold_run, repeats=1)
 
     clear_all_caches()
-    warm_service = QRIOService(fleet, ClusterEngine(seed=9, canary_shots=128))
+    warm_service = QRIOService(fleet, OrchestratorEngine(seed=9, canary_shots=128))
     prime = warm_service.submit(ghz(6), 0.9, shots=256).result()  # compile once
     stats_before = all_cache_stats()["plan"]
 
@@ -829,30 +834,10 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
         raise BenchFailure(
             f"Warm-plan speedup {speedup:.1f}x is below the {plans_floor:.0f}x floor"
         )
-
-    # Fusion equivalence: collapse a redundant Clifford run and demand the
-    # canonical form routes and samples bit-identically to the original.
-    unfused = ghz(6, measure=False)
-    unfused.s(0)
-    unfused.sdg(0)
-    unfused.measure_all()
-    fused = fuse_clifford_runs(unfused)
-    results = []
-    for circuit in (unfused, fused):
-        clear_all_caches()
-        service = QRIOService(fleet, ClusterEngine(seed=9, canary_shots=128))
-        results.append(service.submit(circuit, 0.9, shots=256, name="fusion-check").result())
-    fidelity = hellinger_fidelity(results[0].counts, results[1].counts)
-    if results[0].counts != results[1].counts or results[0].device != results[1].device:
-        raise BenchFailure(
-            f"Fused circuit diverged from the unfused original (device "
-            f"{results[1].device} vs {results[0].device}, Hellinger fidelity "
-            f"{fidelity:.3f}) — fusion must be bit-identical"
-        )
     return {
         "jobs": jobs,
         "devices": len(fleet),
-        "workload": "ghz(6) fidelity jobs, 256 shots, canary_shots=128, cluster engine",
+        "workload": "ghz(6) fidelity jobs, 256 shots, canary_shots=128, orchestrator engine",
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "cold_jobs_per_second": jobs / cold_seconds,
@@ -863,13 +848,6 @@ def bench_plans(scale: str, plans_floor: float) -> Dict[str, object]:
         "plan_cache": CacheStats(
             **{key: stats[key] - stats_start[key] for key in ("hits", "misses", "evictions")}
         ).as_dict(),
-        "fusion": {
-            "gates_before": len(unfused),
-            "gates_after": len(fused),
-            "hellinger_fidelity": fidelity,
-            "bit_identical": True,
-            "device": results[0].device,
-        },
     }
 
 
@@ -908,40 +886,55 @@ def run_all(
     plans_floor: float = 5.0,
     fault_replay_ceiling: float = 1.3,
     shard_floor: float = 2.5,
-) -> Dict[str, Path]:
-    """Run every measurement and write the BENCH artefacts; returns their paths."""
-    preflight_analyze()
-    stabilizer = bench_stabilizer(scale, stabilizer_floor)
-    matching = bench_matching(scale)
-    scheduler = bench_scheduler(scale, scheduler_floor)
-    service = bench_service(scale, service_floor)
-    concurrency = bench_concurrency(scale, concurrency_floor)
-    scenarios = bench_scenarios(scale, replay_floor, replay_ceiling, fault_replay_ceiling)
-    plans = bench_plans(scale, plans_floor)
+) -> Tuple[Dict[str, Path], List[str]]:
+    """Run every measurement, then write each artefact whose benches all passed.
+
+    A failed bench does not stop the run.  Returns the written artefacts'
+    paths and one message per failed bench.
+    """
+    results: Dict[str, Dict[str, object]] = {}
+    failures: List[str] = []
+
+    def attempt(name: str, bench: Callable[..., object], *args: object) -> None:
+        try:
+            results[name] = bench(*args)
+        except BenchFailure as failure:
+            failures.append(f"{name}: {failure}")
+
+    attempt("preflight", preflight_analyze)
+    attempt("stabilizer", bench_stabilizer, scale, stabilizer_floor)
+    attempt("matching", bench_matching, scale)
+    attempt("scheduler", bench_scheduler, scale, scheduler_floor)
+    attempt("service", bench_service, scale, service_floor)
+    attempt("concurrency", bench_concurrency, scale, concurrency_floor)
+    attempt("scenarios", bench_scenarios, scale, replay_floor, replay_ceiling, fault_replay_ceiling)
+    attempt("plans", bench_plans, scale, plans_floor)
     # Last on purpose: the spawned shard processes are the heaviest thing in
     # this file, and on small CI boxes their startup/teardown perturbs the
     # micro-timed ratio benches (scenario replay) when run before them.
-    sharded = bench_shards(scale, shard_floor)
-    paths = {
-        "stabilizer": write_bench_json(
-            "BENCH_stabilizer.json", {"scale": scale, **stabilizer}
-        ),
-        "matching": write_bench_json(
+    attempt("sharded", bench_shards, scale, shard_floor)
+
+    artefacts = {
+        "stabilizer": ("BENCH_stabilizer.json", ("stabilizer",), lambda: results["stabilizer"]),
+        "matching": (
             "BENCH_matching.json",
-            {
-                "scale": scale,
-                "matching": matching,
-                "scheduler": scheduler,
-            },
+            ("matching", "scheduler"),
+            lambda: {"matching": results["matching"], "scheduler": results["scheduler"]},
         ),
-        "service": write_bench_json("BENCH_service.json", {"scale": scale, **service}),
-        "concurrency": write_bench_json(
-            "BENCH_concurrency.json", {"scale": scale, **concurrency, "sharded": sharded}
+        "service": ("BENCH_service.json", ("service",), lambda: results["service"]),
+        "concurrency": (
+            "BENCH_concurrency.json",
+            ("concurrency", "sharded"),
+            lambda: {**results["concurrency"], "sharded": results["sharded"]},
         ),
-        "scenarios": write_bench_json("BENCH_scenarios.json", {"scale": scale, **scenarios}),
-        "plans": write_bench_json("BENCH_plans.json", {"scale": scale, **plans}),
+        "scenarios": ("BENCH_scenarios.json", ("scenarios",), lambda: results["scenarios"]),
+        "plans": ("BENCH_plans.json", ("plans",), lambda: results["plans"]),
     }
-    return paths
+    paths: Dict[str, Path] = {}
+    for name, (filename, benches, payload) in artefacts.items():
+        if all(bench in results for bench in benches):
+            paths[name] = write_bench_json(filename, {"scale": scale, **payload()})
+    return paths, failures
 
 
 def main(argv=None) -> int:
@@ -963,22 +956,18 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-floor", type=float, default=2.5,
                         help="minimum 4-shard-vs-1-shard dispatch speedup on the 16-device fleet")
     args = parser.parse_args(argv)
-    try:
-        paths = run_all(
-            args.scale,
-            args.stabilizer_floor,
-            args.scheduler_floor,
-            args.service_floor,
-            args.concurrency_floor,
-            args.replay_floor,
-            args.replay_ceiling,
-            args.plans_floor,
-            args.fault_replay_ceiling,
-            args.shard_floor,
-        )
-    except BenchFailure as failure:
-        print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        return 1
+    paths, failures = run_all(
+        args.scale,
+        args.stabilizer_floor,
+        args.scheduler_floor,
+        args.service_floor,
+        args.concurrency_floor,
+        args.replay_floor,
+        args.replay_ceiling,
+        args.plans_floor,
+        args.fault_replay_ceiling,
+        args.shard_floor,
+    )
     import json
 
     for name, path in paths.items():
@@ -1010,17 +999,18 @@ def main(argv=None) -> int:
             print(
                 f"scenarios: replay {payload['replay_jobs_per_second']:.0f} jobs/s "
                 f"({payload['overhead']:.1f}x of the bare simulator, routing-neutral "
-                f"across 3 engines; fault replay {payload['resilience']['fault_overhead']:.2f}x "
+                f"across 2 engines; fault replay {payload['resilience']['fault_overhead']:.2f}x "
                 f"of fault-free, bit-identical over "
                 f"{payload['resilience']['determinism_grid_cells']} cells) -> {path}"
             )
         else:
             print(
                 f"plans: warm replay {payload['speedup']:.1f}x over cold compile "
-                f"({payload['plan_replays']} replays, 0 recompiles, fusion "
-                f"bit-identical) -> {path}"
+                f"({payload['plan_replays']} replays, 0 recompiles) -> {path}"
             )
-    return 0
+    for failure in failures:
+        print(f"PERF REGRESSION: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

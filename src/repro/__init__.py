@@ -20,7 +20,7 @@ The package is organised in layers:
   select), a string-keyed registry with parameterized lookup
   (``resolve_policy("fidelity:queue_weight=0.3")``), a :class:`Pipeline`
   composition combinator, and thin adapters so the same policy routes jobs
-  identically under the orchestrator, cluster and cloud engines;
+  identically under the orchestrator and cloud engines;
 * ``repro.service`` — the unified job service: one
   :class:`~repro.service.QRIOService` submission API with an explicit
   ``QUEUED → MATCHING → RUNNING → DONE/FAILED`` lifecycle, structural batch
@@ -46,7 +46,6 @@ from repro.policies import (
 from repro.qasm import dump_qasm, parse_qasm
 from repro.service import (
     CloudEngine,
-    ClusterEngine,
     ExecutionEngine,
     JobHandle,
     JobRequirements,
@@ -66,7 +65,6 @@ __all__ = [
     "Backend",
     "BackendProperties",
     "CloudEngine",
-    "ClusterEngine",
     "ExecutionEngine",
     "FleetSpec",
     "JobHandle",

@@ -32,7 +32,7 @@ The CLI exposes the pieces a new user typically wants without writing Python:
 * ``repro-qrio submit <circuit.qasm>`` — schedule a QASM file against a
   generated fleet with either a fidelity or a topology requirement, routed
   through the unified job service (``--engine`` picks the execution engine —
-  orchestrator, cluster framework or cloud simulator; ``--policy`` picks the
+  orchestrator or cloud simulator; ``--policy`` picks the
   placement policy by registry name, optionally parameterized, and runs
   under *any* engine; ``--explain`` prints the per-device score/filter
   breakdown; ``--fidelity-report`` controls the cloud engine's fidelity
@@ -83,7 +83,7 @@ from repro.experiments import (
 )
 from repro.policies import default_registry, resolve_policy
 from repro.qasm import load_qasm_file
-from repro.service import CloudEngine, ClusterEngine, JobRequirements, QRIOService
+from repro.service import CloudEngine, JobRequirements, QRIOService
 from repro.utils.exceptions import ReproError
 from repro.utils.rng import DEFAULT_SEED
 
@@ -174,47 +174,35 @@ def _cmd_extension(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Historical ``--policy`` values that actually select an *engine*, kept for
-#: backwards compatibility (see the ``--engine`` flag's deprecation note).
-_ENGINE_ALIASES = ("qrio", "cluster")
-
-
-def _infer_engine(policy: Optional[str]) -> str:
-    """Map a legacy ``--policy`` value onto the engine it used to select."""
-    if policy is None or policy == "qrio":
-        return "qrio"
-    if policy == "cluster":
-        return "cluster"
-    return "cloud"
+def _submit_engine(args: argparse.Namespace) -> str:
+    """The ``submit`` engine: ``--engine``, else ``qrio`` without a policy and ``cloud`` with one."""
+    if args.engine is not None:
+        return args.engine
+    return "qrio" if args.policy is None else "cloud"
 
 
 def _service_for_submit(args: argparse.Namespace):
     """Build the (service, qrio-or-None, policy-or-None) triple for submit."""
-    engine_name = args.engine if args.engine is not None else _infer_engine(args.policy)
-    policy = None if args.policy in _ENGINE_ALIASES else args.policy
+    policy = args.policy
     if policy is not None:
         # Fail fast (and with a did-you-mean) before any fleet is generated.
         resolve_policy(policy, seed=args.seed)
     fleet = generate_fleet(limit=args.devices, seed=args.seed)
-    if engine_name == "qrio":
+    if _submit_engine(args) == "qrio":
         qrio = QRIO(cluster_name="cli-submit", canary_shots=args.shots, seed=args.seed)
         qrio.register_devices(fleet)
         return qrio.service(workers=args.workers), qrio, policy
-    if engine_name == "cluster":
-        engine = ClusterEngine(canary_shots=args.shots, seed=args.seed)
-    else:
-        engine = CloudEngine(
-            policy=policy,
-            config=CloudSimulationConfig(
-                fidelity_report=args.fidelity_report,
-                execution_shots=args.shots,
-                seed=args.seed,
-            ),
-        )
-        # The cloud engine resolves the policy itself (engine-level), so the
-        # per-job requirements need not repeat it.
-        policy = None
-    return QRIOService(fleet, engine, workers=args.workers), None, policy
+    engine = CloudEngine(
+        policy=policy,
+        config=CloudSimulationConfig(
+            fidelity_report=args.fidelity_report,
+            execution_shots=args.shots,
+            seed=args.seed,
+        ),
+    )
+    # The cloud engine resolves the policy itself (engine-level), so the
+    # per-job requirements need not repeat it.
+    return QRIOService(fleet, engine, workers=args.workers), None, None
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
@@ -236,7 +224,7 @@ def _cmd_policies(args: argparse.Namespace) -> int:
         if entry.parameters:
             print(f"  {'':<20s}   parameters: {entry.signature()}")
     print(
-        "\nAny engine (--engine qrio|cluster|cloud) can run any of these; "
+        "\nAny engine (--engine qrio|cloud) can run any of these; "
         "add --explain to submit to see the per-device breakdown."
     )
     return 0
@@ -570,13 +558,12 @@ def _cmd_submit_sharded(args: argparse.Namespace, circuit) -> int:
     """The ``submit --shards N`` path: dispatch through the process shards."""
     from repro.tenancy import EngineSpec, ShardedService
 
-    engine_name = args.engine if args.engine is not None else _infer_engine(args.policy)
-    policy = None if args.policy in _ENGINE_ALIASES else args.policy
+    policy = args.policy
     if policy is not None:
         resolve_policy(policy, seed=args.seed)
-    kind = "orchestrator" if engine_name == "qrio" else engine_name
+    kind = "orchestrator" if _submit_engine(args) == "qrio" else "cloud"
     # Mirror _service_for_submit: the cloud engine resolves the policy
-    # engine-level, the other engines take it per job.
+    # engine-level, the orchestrator takes it per job.
     spec = EngineSpec(
         kind=kind,
         policy=policy if kind == "cloud" else None,
@@ -722,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--devices", type=int, default=6, help="fleet size to schedule onto")
         if single_cell:
             sub.add_argument(
-                "--engine", choices=["orchestrator", "cluster", "cloud"], default="cloud",
+                "--engine", choices=["orchestrator", "cloud"], default="cloud",
                 help="execution engine the trace replays against (default: cloud)",
             )
             sub.add_argument(
@@ -743,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="esp", dest="fidelity_report",
                          help="cloud engine's per-job fidelity mode")
         sub.add_argument("--canary-shots", type=int, default=128, dest="canary_shots",
-                         help="Clifford-canary shots of the orchestrator/cluster engines")
+                         help="Clifford-canary shots of the orchestrator engine")
         sub.add_argument("--tenant-aware", action="store_true", dest="tenant_aware",
                          help="replay trace users as tenant identities (weighted-fair "
                               "queueing, per-tenant wait columns); TenantBurst events "
@@ -779,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios_sweep.add_argument("--scenarios", default=None,
                                  help="comma-separated scenario names (default: all)")
     scenarios_sweep.add_argument("--engines", default="cloud",
-                                 help="comma-separated engines (orchestrator,cluster,cloud)")
+                                 help="comma-separated engines (orchestrator,cloud)")
     scenarios_sweep.add_argument("--policies", default="native,least-loaded,fidelity",
                                  help="comma-separated policy names; 'native' = no policy")
     scenarios_sweep.add_argument("--jobs", type=int, default=None,
@@ -835,20 +822,18 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--devices", type=int, default=20)
     submit.add_argument(
         "--engine",
-        choices=["qrio", "cluster", "cloud"],
+        choices=["qrio", "cloud"],
         default=None,
-        help="execution engine: 'qrio' (full orchestrator cycle), 'cluster' (bare "
-             "scheduling framework) or 'cloud' (discrete-event simulator).  Default: "
-             "inferred from --policy for backward compatibility ('qrio'/'cluster' "
-             "select that engine, any other policy name selects 'cloud')",
+        help="execution engine: 'qrio' (full orchestrator cycle) or 'cloud' "
+             "(discrete-event simulator).  Default: 'qrio' without --policy, "
+             "'cloud' with one",
     )
     submit.add_argument(
         "--policy",
         default=None,
         help="placement policy by registry name, optionally parameterized, e.g. "
              "'fidelity' or 'fidelity:queue_weight=0.3' (see 'repro-qrio policies'); "
-             "runs under whichever --engine is selected.  Passing 'qrio' or 'cluster' "
-             "here is DEPRECATED — those are engines, not policies; use --engine",
+             "runs under whichever --engine is selected",
     )
     submit.add_argument(
         "--explain",

@@ -23,6 +23,7 @@ class ClusterState:
     def __init__(self, name: str = "qrio-cluster") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
+        self._device_nodes: Dict[str, Node] = {}
         self._jobs: Dict[str, Job] = {}
         self.events = EventLog()
 
@@ -30,10 +31,16 @@ class ClusterState:
     # Nodes
     # ------------------------------------------------------------------ #
     def register_node(self, node: Node) -> Node:
-        """Add a worker node to the cluster."""
+        """Add a worker node to the cluster; one node hosts each device name."""
         if node.name in self._nodes:
             raise ClusterError(f"Node '{node.name}' is already registered")
+        device = node.backend.name
+        if device in self._device_nodes:
+            raise ClusterError(
+                f"Device '{device}' is already hosted by node '{self._device_nodes[device].name}'"
+            )
         self._nodes[node.name] = node
+        self._device_nodes[device] = node
         self.events.record("NodeRegistered", node.name, f"backend={node.backend.name}, qubits={node.backend.num_qubits}")
         return node
 
@@ -54,6 +61,7 @@ class ClusterState:
                 f"Node '{name}' still has bound jobs: {node.bound_jobs}; drain it first"
             )
         del self._nodes[name]
+        del self._device_nodes[node.backend.name]
         self.events.record("NodeRemoved", name, "node removed from cluster")
 
     def node(self, name: str) -> Node:
@@ -61,6 +69,10 @@ class ClusterState:
         if name not in self._nodes:
             raise ClusterError(f"Unknown node '{name}'")
         return self._nodes[name]
+
+    def node_for_device(self, name: str) -> Optional[Node]:
+        """The node hosting the device named ``name``, or ``None``."""
+        return self._device_nodes.get(name)
 
     def nodes(self) -> List[Node]:
         """All registered nodes (registration order)."""

@@ -175,10 +175,10 @@ class VendorConsole:
     # Node lifecycle
     # ------------------------------------------------------------------ #
     def _node_for_device(self, device_name: str) -> Node:
-        for node in self._qrio.cluster.nodes():
-            if node.backend.name == device_name:
-                return node
-        raise ClusterError(f"No cluster node hosts a device named '{device_name}'")
+        node = self._qrio.cluster.node_for_device(device_name)
+        if node is None:
+            raise ClusterError(f"No cluster node hosts a device named '{device_name}'")
+        return node
 
     def cordon(self, device_name: str) -> Node:
         """Stop scheduling new jobs onto ``device_name``."""

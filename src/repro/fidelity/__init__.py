@@ -1,6 +1,5 @@
-"""Fidelity estimation: Clifford canaries and the analytic ESP baselines."""
+"""Fidelity estimation: Clifford canaries and the analytic ESP baseline."""
 
-from repro.fidelity.analytic import DecoherenceAwareESPEstimator, DecoherenceAwareReport
 from repro.fidelity.canary import (
     DEFAULT_CANARY_SHOTS,
     CanaryReport,
@@ -19,8 +18,6 @@ __all__ = [
     "DEFAULT_CANARY_SHOTS",
     "CanaryReport",
     "CliffordCanaryEstimator",
-    "DecoherenceAwareESPEstimator",
-    "DecoherenceAwareReport",
     "ESPEstimator",
     "ESPReport",
     "achieved_fidelity",

@@ -1,7 +1,7 @@
 """Unified placement-policy API: one registry, one filter → score → select pipeline.
 
-This package is the single policy surface shared by all three execution
-engines (orchestrator, cluster, cloud).  A policy written once — a ≤50-line
+This package is the single policy surface shared by both execution
+engines (orchestrator, cloud).  A policy written once — a ≤50-line
 :class:`PlacementPolicy` subclass — runs under any engine through
 :class:`~repro.service.QRIOService`, composes via :class:`Pipeline`, and is
 addressable by registry name (``resolve_policy("fidelity:queue_weight=0.3")``)

@@ -2,7 +2,7 @@
 
 This module defines the one placement surface every engine routes through,
 and the only ranking code: the meta server scores through the registry
-policies too, and the orchestrator/cluster scheduling cycle ranks its
+policies too, and the orchestrator scheduling cycle ranks its
 filter survivors with :meth:`PlacementPolicy.decide` on every route:
 
 * :class:`PlacementContext` — everything a policy may consult when placing
@@ -18,8 +18,7 @@ filter survivors with :meth:`PlacementPolicy.decide` on every route:
   can print *why* a device won under any engine.
 
 Every engine (:class:`~repro.service.OrchestratorEngine`,
-:class:`~repro.service.ClusterEngine`, :class:`~repro.service.CloudEngine`)
-builds a :class:`PlacementContext` from its own state and calls
+:class:`~repro.service.CloudEngine`) builds a :class:`PlacementContext` from its own state and calls
 :meth:`PlacementPolicy.decide`.
 """
 
@@ -79,7 +78,7 @@ class PlacementContext:
     #: :func:`repro.core.cache.fleet_calibration_epoch`; any hashable works.
     calibration_epoch: Hashable = 0
     #: Queue-wait oracle: device name -> predicted wait in seconds.  ``None``
-    #: when the engine has no queueing model (orchestrator/cluster engines).
+    #: when the engine has no queueing model (the orchestrator engine).
     predicted_wait: Optional[Callable[[str], float]] = None
     #: Shared fidelity-estimate cache keyed ``(job key, device, epoch)``.
     fidelity_cache: Dict[Tuple[str, str, Hashable], float] = field(default_factory=dict)

@@ -143,7 +143,7 @@ class _FidelityEstimateMixin:
         cloud session's cache, so the simulator's ESP fidelity report reads
         the entries a policy already scored, and
         repeated submissions of the same structural circuit under the
-        orchestrator/cluster engines pay one estimate per device.
+        orchestrator engine pay one estimate per device.
         """
         if ctx.circuit is None:
             raise SchedulingError(

@@ -9,9 +9,9 @@ attaches to the :class:`~repro.service.QRIOService` it drives:
 
 * :class:`DeviceOutage` — a device leaves the fleet for a window and comes
   back.  Outages flip availability through each engine's placement filter
-  path (orchestrator/cluster cordon the node, the cloud engine's
-  per-arrival feasibility filter skips the device), so in-window jobs reroute — or
-  fail when nothing is left.
+  path (the orchestrator cordons the node, the cloud engine's per-arrival
+  feasibility filter skips the device), so in-window jobs reroute — or fail
+  when nothing is left.
 * :class:`CalibrationJump` — a mid-trace calibration epoch: the device's
   :class:`~repro.backends.BackendProperties` are re-drawn through
   :class:`~repro.cloud.CalibrationDriftModel` and the engine's stale plans

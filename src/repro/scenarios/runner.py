@@ -4,9 +4,9 @@
 (multi-job scheduling) needs: it takes a portable
 :class:`~repro.scenarios.Trace` and drives it through
 :meth:`~repro.service.QRIOService.submit`, so the *same* workload exercises
-the full orchestrator cycle, the bare cluster framework or the discrete-event
-cloud simulator — under any registered placement policy and any worker-pool
-size — and comes back as one comparable :class:`ScenarioReport`.
+the full orchestrator cycle or the discrete-event cloud simulator — under
+any registered placement policy and any worker-pool size — and comes back as
+one comparable :class:`ScenarioReport`.
 
 Determinism contract: a runner builds a **fresh, seeded engine per replay**,
 and trace jobs carry their recorded arrival times into the cloud engine's
@@ -35,7 +35,7 @@ from repro.utils.exceptions import AdmissionRejectedError, ScenarioError
 from repro.utils.rng import SeedLike, derive_seed
 
 #: Engine names the runner can build on its own.
-ENGINE_NAMES = ("orchestrator", "cluster", "cloud")
+ENGINE_NAMES = ("orchestrator", "cloud")
 
 #: Label rendered (and accepted by lookups) for "no policy — the engine's
 #: native placement path".  One constant so report rows, sweep-cell lookup
@@ -192,7 +192,7 @@ class ScenarioRunner:
 
     Args:
         fleet: Devices the replayed jobs are scheduled onto.
-        engine: ``"orchestrator"`` / ``"cluster"`` / ``"cloud"``, or a
+        engine: ``"orchestrator"`` / ``"cloud"``, or a
             zero-argument callable returning a fresh
             :class:`~repro.service.ExecutionEngine` (one per replay).
         policy: Placement policy applied to every job — a registry name
@@ -203,7 +203,7 @@ class ScenarioRunner:
         seed: Base seed; every replay derives the same engine seed from it,
             which is what makes replays bit-identical.
         fidelity_report: Cloud engine's fidelity mode (ignored elsewhere).
-        canary_shots: Clifford-canary shots of orchestrator/cluster engines.
+        canary_shots: Clifford-canary shots of the orchestrator engine.
         slo_wait_s: Wait-time SLO used by the resilience metrics of
             fault-augmented replays (seconds on the report's wait clock).
         tenant_aware: Stamp each replayed job's trace user onto
@@ -273,17 +273,13 @@ class ScenarioRunner:
     def _make_engine(self):
         """A fresh, deterministically-seeded engine for one replay."""
         from repro.cloud.simulation import CloudSimulationConfig
-        from repro.service import CloudEngine, ClusterEngine, OrchestratorEngine
+        from repro.service import CloudEngine, OrchestratorEngine
 
         if callable(self._engine):
             return self._engine()
         engine_seed = derive_seed(self._seed, "scenario-engine", self._engine)
         if self._engine == "orchestrator":
             return OrchestratorEngine(
-                canary_shots=self._canary_shots, policy=self._policy, seed=engine_seed
-            )
-        if self._engine == "cluster":
-            return ClusterEngine(
                 canary_shots=self._canary_shots, policy=self._policy, seed=engine_seed
             )
         return CloudEngine(

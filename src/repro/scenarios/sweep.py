@@ -89,7 +89,7 @@ def run_sweep(
     fleet: Sequence[Backend],
     scenarios: Sequence[Union[str, Trace]],
     *,
-    engines: Sequence[str] = ("orchestrator", "cluster", "cloud"),
+    engines: Sequence[str] = ("orchestrator", "cloud"),
     policies: Sequence[Optional[object]] = (None,),
     workers: int = 0,
     seed: SeedLike = None,
@@ -112,7 +112,7 @@ def run_sweep(
         seed: Base seed for trace freezing and engine seeding.
         num_jobs: Optional trace-length override for catalogue scenarios.
         fidelity_report: Cloud engine's fidelity mode.
-        canary_shots: Canary shots of the orchestrator/cluster engines.
+        canary_shots: Canary shots of the orchestrator engine.
         slo_wait_s: Wait-time SLO of the resilience metrics computed for
             fault-augmented scenario cells.
         tenant_aware: Replay every cell tenant-aware (trace users become

@@ -24,7 +24,7 @@ one service:
   futures-style surface: ``wait(timeout=...)``,
   ``done()``, ``add_done_callback`` and streaming ``events(follow=True)``;
 * :class:`ExecutionEngine` + :class:`OrchestratorEngine` /
-  :class:`ClusterEngine` / :class:`CloudEngine` / :class:`DeviceLatencyEngine`
+  :class:`CloudEngine` / :class:`DeviceLatencyEngine`
   — the one protocol and its adapters (the latter decorates any engine with
   wall-clock device occupancy, the workload ``BENCH_concurrency.json``
   measures);
@@ -44,7 +44,7 @@ from repro.service.api import (
     Placement,
     ServiceResult,
 )
-from repro.service.engines import CloudEngine, ClusterEngine, DeviceLatencyEngine, OrchestratorEngine
+from repro.service.engines import CloudEngine, DeviceLatencyEngine, OrchestratorEngine
 from repro.service.handle import JobHandle
 from repro.service.runtime import ServiceRuntime
 from repro.service.service import QRIOService, RequirementsLike
@@ -53,7 +53,6 @@ from repro.utils.exceptions import ServiceOverloadedError
 __all__ = [
     "ALLOWED_TRANSITIONS",
     "CloudEngine",
-    "ClusterEngine",
     "DeviceLatencyEngine",
     "EngineResult",
     "ExecutionEngine",

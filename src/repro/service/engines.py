@@ -10,8 +10,7 @@ the existing subsystems:
   binds it from a warm plan or through one scheduling cycle (native
   meta-server ranking or a registry policy).  RUNNING is one plan path
   through the master server.  The :class:`~repro.core.QRIO` facade is a
-  client of this engine.  :class:`ClusterEngine` is the same engine under
-  the ``"cluster"`` selector name;
+  client of this engine;
 * :class:`CloudEngine` — the discrete-event cloud simulator via its
   incremental :class:`~repro.cloud.CloudSession`: each submission becomes an
   arrival routed by a placement policy onto per-device FCFS queues;
@@ -40,7 +39,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
@@ -117,8 +116,13 @@ class _PlanStore(LRUCache):
         super().__init__(512)
         self.stats = PLAN_STATS
 
-    def lookup(self, spec: JobSpec, backends: dict) -> Optional[ExecutionPlan]:
+    def lookup(
+        self, spec: JobSpec, backend_of: Callable[[str], Optional[Backend]]
+    ) -> Optional[ExecutionPlan]:
         """The warm plan for ``spec``, or ``None`` (recorded as a miss).
+
+        ``backend_of`` maps a device name to the fleet's backend of that
+        name, or ``None`` when no such device is in the fleet.
 
         A plan whose device left the fleet misses but stays stored: the
         device may come back with the same calibration.  A plan compiled
@@ -129,7 +133,7 @@ class _PlanStore(LRUCache):
         key = spec.dedup_key()
         with self._lock:
             plan = self._data.get(key)
-            backend = None if plan is None else backends.get(plan.device)
+            backend = None if plan is None else backend_of(plan.device)
             fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
             if fingerprint is not None and fingerprint == plan.calibration_fingerprint:
                 self._data.move_to_end(key)
@@ -298,7 +302,7 @@ class OrchestratorEngine(ExecutionEngine):
             # Warm path: a stored plan whose device still has the calibration
             # it compiled against binds the job directly — no filter chain,
             # no canary ranking.
-            plan = self._plans.lookup(spec, {b.name: b for b in self.fleet()})
+            plan = self._plans.lookup(spec, self._backend_of)
             if plan is not None:
                 placement = self._replay_placement(spec, job_name, plan)
                 if placement is not None:
@@ -313,7 +317,7 @@ class OrchestratorEngine(ExecutionEngine):
         only this submission pays the full cycle).
         """
         cluster = self.cluster
-        node = next((n for n in cluster.nodes() if n.backend.name == plan.device), None)
+        node = cluster.node_for_device(plan.device)
         requirements = spec.requirements
         if (
             node is None
@@ -333,6 +337,11 @@ class OrchestratorEngine(ExecutionEngine):
             num_feasible=plan.num_feasible,
             detail={"scores": dict(plan.scores), "plan": plan},
         )
+
+    def _backend_of(self, device: str) -> Optional[Backend]:
+        """The fleet's backend named ``device``, or ``None``."""
+        node = self.cluster.node_for_device(device)
+        return None if node is None else node.backend
 
     def _schedule(self, spec: JobSpec, job_name: str, policy: Optional[PlacementPolicy]) -> Placement:
         """One scheduling cycle over the cluster: filters, then the ranking policy, then bind.
@@ -393,7 +402,7 @@ class OrchestratorEngine(ExecutionEngine):
         """
         super().set_device_available(device, available)
         cluster = self.cluster
-        node = next((n for n in cluster.nodes() if n.backend.name == device), None)
+        node = cluster.node_for_device(device)
         if node is None:
             raise ServiceError(f"Cannot change availability: unknown device '{device}'")
         if available:
@@ -412,16 +421,6 @@ class OrchestratorEngine(ExecutionEngine):
         """
         super().apply_calibration(device, properties)
         self._plans.drop_stale(device, calibration_fingerprint(properties))
-
-
-class ClusterEngine(OrchestratorEngine):
-    """The ``"cluster"`` selector of the scenario runner, sharded engine specs and the CLI.
-
-    The same Fig. 2 engine under its historical name: there is one cluster
-    engine, and this name stays until its selectors are retired.
-    """
-
-    name = "cluster"
 
 
 class CloudEngine(ExecutionEngine):

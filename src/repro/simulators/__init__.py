@@ -5,23 +5,8 @@ from repro.simulators.batched_stabilizer import (
     BatchedStabilizerState,
     probe_deterministic_outcome,
 )
-from repro.simulators.channels import (
-    PAULI_LABELS,
-    ThermalRelaxation,
-    amplitude_damping_probability,
-    combine_error_probabilities,
-    depolarizing_probabilities,
-    thermal_relaxation_error,
-)
 from repro.simulators.density import DENSITY_LIMIT, OutcomeLaw, outcome_law
-from repro.simulators.durations import (
-    GateDurations,
-    circuit_duration,
-    qubit_busy_times,
-    qubit_finish_times,
-    qubit_idle_times,
-)
-from repro.simulators.mitigation import MAX_MITIGATED_BITS, ReadoutMitigator
+from repro.simulators.durations import GateDurations, circuit_duration, qubit_finish_times
 from repro.simulators.noise import NoiseModel
 from repro.simulators.noisy import (
     BATCHED_STATEVECTOR_LIMIT,
@@ -55,38 +40,28 @@ __all__ = [
     "DENSITY_LIMIT",
     "GateDurations",
     "probe_deterministic_outcome",
-    "MAX_MITIGATED_BITS",
     "MAX_STATEVECTOR_QUBITS",
     "NoiseModel",
     "NoisyStabilizerSimulator",
     "NoisyStatevectorSimulator",
     "OutcomeLaw",
-    "PAULI_LABELS",
     "PrecompiledExecution",
-    "ReadoutMitigator",
     "SimulationResult",
     "StabilizerSimulator",
     "StabilizerState",
     "StatevectorSimulator",
-    "ThermalRelaxation",
-    "amplitude_damping_probability",
     "apply_matrix",
     "circuit_duration",
-    "combine_error_probabilities",
     "compact_circuit",
     "counts_to_probabilities",
-    "depolarizing_probabilities",
     "execute_with_noise",
     "hellinger_fidelity",
     "is_stabilizer_gate",
     "marginal_counts",
     "outcome_law",
     "precompile_execution",
-    "qubit_busy_times",
     "qubit_finish_times",
-    "qubit_idle_times",
     "success_probability",
-    "thermal_relaxation_error",
     "total_variation_distance",
     "uniform_counts",
 ]

@@ -1,12 +1,9 @@
-"""Gate-duration bookkeeping for decoherence-aware fidelity estimates.
+"""Gate-duration bookkeeping: how long a circuit runs on a device.
 
-The paper's Table 2 exposes T1/T2 times and a readout length for every
-simulated device, but the base noise channel only charges per-gate Pauli
-errors.  To make the T1/T2 columns quantitatively meaningful — and to give
-the analytic fidelity estimators a decoherence term — this module computes
-how long a circuit keeps each qubit busy and idle under a simple
-fixed-duration gate model (one duration per gate arity, as hardware vendors
-publish for their native gate sets).
+The cloud simulation's execution-time model charges each job the wall-clock
+duration of its circuit under a simple fixed-duration gate model (one
+duration per gate arity, as hardware vendors publish for their native gate
+sets) and as-soon-as-possible scheduling.
 """
 
 from __future__ import annotations
@@ -53,28 +50,11 @@ class GateDurations:
         return self.two_qubit_ns * (num_qubits - 1)
 
 
-def qubit_busy_times(circuit: QuantumCircuit, durations: Optional[GateDurations] = None) -> Dict[int, float]:
-    """Total time (ns) each qubit spends inside gates or readout.
-
-    Barriers are free; every other instruction charges its duration to each
-    of its operand qubits.
-    """
-    durations = durations or GateDurations()
-    busy: Dict[int, float] = {qubit: 0.0 for qubit in range(circuit.num_qubits)}
-    for instruction in circuit:
-        if instruction.name == "barrier":
-            continue
-        length = durations.duration_of(len(instruction.qubits), instruction.is_measurement)
-        for qubit in instruction.qubits:
-            busy[qubit] += length
-    return busy
-
-
 def qubit_finish_times(circuit: QuantumCircuit, durations: Optional[GateDurations] = None) -> Dict[int, float]:
     """As-soon-as-possible finish time (ns) of each qubit's last operation.
 
     Instructions are scheduled greedily: each starts when all of its operands
-    are free.  This is the schedule the decoherence estimate assumes.
+    are free.
     """
     durations = durations or GateDurations()
     finish: Dict[int, float] = {qubit: 0.0 for qubit in range(circuit.num_qubits)}
@@ -97,20 +77,3 @@ def circuit_duration(circuit: QuantumCircuit, durations: Optional[GateDurations]
     """Wall-clock duration (ns) of the circuit under as-soon-as-possible scheduling."""
     finish = qubit_finish_times(circuit, durations)
     return max(finish.values()) if finish else 0.0
-
-
-def qubit_idle_times(circuit: QuantumCircuit, durations: Optional[GateDurations] = None) -> Dict[int, float]:
-    """Idle time (ns) per qubit: total circuit duration minus the qubit's busy time.
-
-    Idle time is when a qubit decoheres without doing useful work — the
-    quantity the decoherence-aware analytic estimator multiplies against
-    ``T1``/``T2``.  Qubits the circuit never touches report zero idle time
-    (they carry no information, so their decoherence is irrelevant).
-    """
-    durations = durations or GateDurations()
-    busy = qubit_busy_times(circuit, durations)
-    total = circuit_duration(circuit, durations)
-    idle: Dict[int, float] = {}
-    for qubit, busy_time in busy.items():
-        idle[qubit] = max(0.0, total - busy_time) if busy_time > 0.0 else 0.0
-    return idle

@@ -59,7 +59,7 @@ from repro.backends.backend import Backend
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.policies import PinnedDevicePolicy, parse_policy_spec
 from repro.service.api import JobEvent, JobSpec, JobState, ServiceResult
-from repro.service.engines import CloudEngine, ClusterEngine, DeviceLatencyEngine, OrchestratorEngine
+from repro.service.engines import CloudEngine, DeviceLatencyEngine, OrchestratorEngine
 from repro.service.handle import wall_wait_from_events
 from repro.service.service import FrontDesk, QRIOService
 from repro.tenancy.admission import AdmissionController
@@ -70,7 +70,7 @@ from repro.utils.exceptions import JobFailedError, ServiceError, ShardDiedError
 #: the ring stays tiny (shards x 64 entries).
 DEFAULT_VNODES = 64
 
-_ENGINE_KINDS = ("orchestrator", "cluster", "cloud")
+_ENGINE_KINDS = ("orchestrator", "cloud")
 
 
 def _stable_hash(text: str) -> int:
@@ -93,7 +93,7 @@ class EngineSpec:
     parent sends the recipe and every shard builds — and warms — its own.
 
     Attributes:
-        kind: ``"orchestrator"``, ``"cluster"`` or ``"cloud"``.
+        kind: ``"orchestrator"`` or ``"cloud"``.
         policy: Default placement policy as a registry spec string
             (``"round-robin"``, ``"fidelity:queue_weight=0.3"``...); strings
             only, so the recipe stays picklable.  ``None`` keeps the
@@ -104,7 +104,7 @@ class EngineSpec:
             :class:`~repro.service.DeviceLatencyEngine` with this occupancy.
         fidelity_report: Cloud engine fidelity mode (ignored elsewhere).
         inter_arrival_s: Cloud engine logical arrival gap (ignored elsewhere).
-        canary_shots: Orchestrator/cluster canary budget (ignored by cloud).
+        canary_shots: Orchestrator canary budget (ignored by cloud).
     """
 
     kind: str = "orchestrator"
@@ -127,10 +127,6 @@ class EngineSpec:
         """Construct the engine this recipe describes (called per shard)."""
         if self.kind == "orchestrator":
             engine = OrchestratorEngine(
-                policy=self.policy, seed=self.seed, canary_shots=self.canary_shots
-            )
-        elif self.kind == "cluster":
-            engine = ClusterEngine(
                 policy=self.policy, seed=self.seed, canary_shots=self.canary_shots
             )
         else:

@@ -62,8 +62,12 @@ def derive_seed(base: SeedLike, *components: object) -> int:
     randomised per process, which would make experiment numbers drift from
     run to run).
     """
-    rng = ensure_generator(base)
-    base_value = int(rng.integers(0, 2**31 - 1)) if not isinstance(base, (int, np.integer)) else int(base)
+    if isinstance(base, (int, np.integer)):
+        base_value = int(base)
+        if base_value < 0:  # ensure_generator (numpy) rejects it too
+            raise ValueError(f"A seed must be a non-negative integer, got {base_value}")
+    else:
+        base_value = int(ensure_generator(base).integers(0, 2**31 - 1))
     mix = base_value & 0x7FFFFFFF
     for component in components:
         digest = zlib.crc32(str(component).encode("utf-8"))

@@ -9,7 +9,7 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.simulators import StatevectorSimulator
 from repro.utils.exceptions import CircuitError
-from repro.utils.linalg import allclose_up_to_global_phase
+from linalg_helpers import allclose_up_to_global_phase
 
 
 class TestConstruction:

@@ -14,7 +14,7 @@ from repro.circuits.clifford_utils import (
 )
 from repro.circuits.gates import gate_matrix
 from repro.circuits.instruction import Instruction
-from repro.utils.linalg import allclose_up_to_global_phase
+from linalg_helpers import allclose_up_to_global_phase
 
 
 class TestLibrary:

@@ -14,7 +14,7 @@ from repro.circuits.gates import (
     is_known_gate,
 )
 from repro.utils.exceptions import GateError
-from repro.utils.linalg import allclose_up_to_global_phase, is_unitary
+from linalg_helpers import allclose_up_to_global_phase, is_unitary
 
 
 class TestGateSpecs:

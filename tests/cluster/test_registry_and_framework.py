@@ -9,6 +9,7 @@ from repro.cluster import (
     FilterPlugin,
     JobPhase,
     JobSpec,
+    Node,
     ResourceRequest,
     run_filters,
 )
@@ -73,6 +74,20 @@ class TestClusterState:
     def test_remove_node(self, cluster):
         cluster.remove_node("node-dev4")
         assert len(cluster.nodes()) == 2
+
+    def test_node_for_device_follows_register_and_remove(self, cluster):
+        assert cluster.node_for_device("dev8") is cluster.node("node-dev8")
+        assert cluster.node_for_device("nope") is None
+        cluster.remove_node("node-dev8")
+        assert cluster.node_for_device("dev8") is None
+        node = cluster.register_node(Node(named_topology_device("line", 8, name="dev8"), name="rack-2"))
+        assert cluster.node_for_device("dev8") is node
+
+    def test_second_node_for_a_hosted_device_rejected(self, cluster):
+        with pytest.raises(ClusterError, match="already hosted"):
+            cluster.register_node(Node(named_topology_device("line", 4, name="dev4"), name="rack-2"))
+        assert len(cluster.nodes()) == 3
+        assert cluster.node_for_device("dev4") is cluster.node("node-dev4")
 
     def test_remove_node_with_bound_job_rejected(self, cluster):
         job = cluster.submit_job(make_spec())

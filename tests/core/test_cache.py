@@ -28,7 +28,7 @@ from repro.core.cache import (
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
 from repro.policies import resolve_policy
-from repro.service import ClusterEngine, JobRequirements, JobSpec, QRIOService
+from repro.service import JobRequirements, JobSpec, OrchestratorEngine, QRIOService
 from repro.service.engines import _PlanStore
 
 
@@ -428,7 +428,7 @@ def _plan(backend, fingerprint=None):
 
 
 class TestPlanCache:
-    """Each orchestrator/cluster engine owns one ``_PlanStore``."""
+    """Each orchestrator engine owns one ``_PlanStore``."""
 
     def test_key_bundles_identity_and_context(self):
         spec = JobSpec(ghz(3), shots=64)
@@ -445,10 +445,10 @@ class TestPlanCache:
         spec = JobSpec(ghz(3), shots=64)
         store = _PlanStore()
         before = PLAN_STATS.as_dict()
-        assert store.lookup(spec, {backend.name: backend}) is None
+        assert store.lookup(spec, {backend.name: backend}.get) is None
         plan = _plan(backend)
         store.store(spec, plan)
-        assert store.lookup(spec, {backend.name: backend}) is plan
+        assert store.lookup(spec, {backend.name: backend}.get) is plan
         assert PLAN_STATS.hits - before["hits"] == 1
         assert PLAN_STATS.misses - before["misses"] == 1
         assert len(store) == 1
@@ -457,15 +457,15 @@ class TestPlanCache:
         """A never-placed workload has no plan to probe; its miss still counts."""
         misses = PLAN_STATS.misses
         store = _PlanStore()
-        assert store.lookup(JobSpec(ghz(3), shots=64), {}) is None
+        assert store.lookup(JobSpec(ghz(3), shots=64), {}.get) is None
         assert PLAN_STATS.misses == misses + 1
         assert len(store) == 0
 
     def test_invalidate_device_drops_only_stale_fingerprints(self):
         fleet = three_device_testbed()
-        engine = ClusterEngine(seed=5)
+        engine = OrchestratorEngine(seed=5)
         engine.attach(fleet)
-        other = ClusterEngine(seed=5)
+        other = OrchestratorEngine(seed=5)
         other.attach(three_device_testbed())
         dev_a, dev_b = fleet[0], fleet[1]
         drifted = CalibrationDriftModel().drift_properties(dev_a.properties, seed=1)
@@ -489,10 +489,10 @@ class TestPlanCache:
         store = _PlanStore()
         store.store(spec, _plan(backend))
         misses = PLAN_STATS.misses
-        assert store.lookup(spec, {}) is None
+        assert store.lookup(spec, {}.get) is None
         assert PLAN_STATS.misses == misses + 1
         # Nothing is purged: the device may come back with the same calibration.
-        assert store.lookup(spec, {backend.name: backend}) is not None
+        assert store.lookup(spec, {backend.name: backend}.get) is not None
 
     def test_invalidate_device_without_keep_drops_everything_for_it(self):
         """A warm lookup that misses on a moved fingerprint purges the device."""
@@ -504,15 +504,15 @@ class TestPlanCache:
         store.put("bystander", _plan(bystander))
         backend.properties = CalibrationDriftModel().drift_properties(backend.properties, seed=1)
         misses = PLAN_STATS.misses
-        assert store.lookup(spec, {backend.name: backend}) is None
+        assert store.lookup(spec, {backend.name: backend}.get) is None
         assert PLAN_STATS.misses == misses + 1
         assert len(store) == 1 and "bystander" in store
 
     def test_each_engine_owns_its_plans(self):
         fleet = three_device_testbed()
-        owner = QRIOService(fleet, ClusterEngine(seed=5, canary_shots=64))
+        owner = QRIOService(fleet, OrchestratorEngine(seed=5, canary_shots=64))
         owner.submit(ghz(3), 0.9, shots=64).result()
-        bystander = ClusterEngine(seed=5, canary_shots=64)
+        bystander = OrchestratorEngine(seed=5, canary_shots=64)
         QRIOService(fleet, bystander)
         assert len(owner.engine._plans) == 1
         assert len(bystander._plans) == 0

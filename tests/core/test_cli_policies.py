@@ -1,7 +1,7 @@
 """CLI tests for the unified placement-policy surface.
 
-Covers the ``policies`` listing subcommand, the new ``--engine`` flag (and
-its backward-compatible inference from ``--policy``), registry-resolved
+Covers the ``policies`` listing subcommand, the ``--engine`` flag (and its
+default, inferred from whether ``--policy`` is given), registry-resolved
 policies under every engine, and the ``--explain`` breakdown.
 """
 
@@ -38,25 +38,17 @@ class TestEngineFlag:
         args = build_parser().parse_args(["submit", "c.qasm"])
         assert args.engine is None and args.policy is None
 
-    def test_deprecation_note_in_help(self):
-        # the top-level help doesn't show subcommand flags; format the
-        # submit subparser directly
-        import argparse
-
-        parser = build_parser()
-        subparsers = [
-            action for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ][0]
-        text = subparsers.choices["submit"].format_help()
-        assert "DEPRECATED" in text
+    def test_an_engine_name_is_not_a_policy(self, qasm_path, capsys):
+        code = main(["--seed", "7", "submit", qasm_path, "--policy", "qrio", "--devices", "4"])
+        assert code == 2
+        assert "qrio" in capsys.readouterr().err
 
     def test_explicit_engine_with_policy(self, qasm_path, capsys):
-        code = main(["--seed", "7", "submit", qasm_path, "--engine", "cluster",
+        code = main(["--seed", "7", "submit", qasm_path, "--engine", "qrio",
                      "--policy", "fidelity", "--shots", "32", "--devices", "4"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "cluster engine" in output
+        assert "orchestrator engine" in output
 
 
 class TestRegistryResolvedSubmit:
@@ -87,7 +79,7 @@ class TestRegistryResolvedSubmit:
 
 class TestExplain:
     def test_explain_prints_per_device_breakdown(self, qasm_path, capsys):
-        code = main(["--seed", "7", "submit", qasm_path, "--engine", "cluster",
+        code = main(["--seed", "7", "submit", qasm_path, "--engine", "qrio",
                      "--policy", "fidelity", "--shots", "32", "--devices", "4",
                      "--explain"])
         output = capsys.readouterr().out

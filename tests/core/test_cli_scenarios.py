@@ -61,12 +61,12 @@ class TestScenariosRunAndReplay:
     def test_run_with_policy_and_engine(self, capsys):
         code = main(
             ["--seed", "3", "scenarios", "run", "steady", "--jobs", "4", "--devices", "3",
-             "--engine", "cluster", "--policy", "least-loaded", "--canary-shots", "32",
+             "--engine", "orchestrator", "--policy", "least-loaded", "--canary-shots", "32",
              "--fidelity-report", "none"]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "cluster" in output and "least-loaded" in output
+        assert "orchestrator" in output and "least-loaded" in output
 
     def test_unknown_scenario_prints_error_and_exits_nonzero(self, capsys):
         assert main(["scenarios", "run", "nope", "--devices", "3"]) == 2

@@ -1,9 +1,11 @@
-"""Linear-algebra helpers for the circuit and simulator substrates.
+"""Linear-algebra helpers for the test suite.
 
-The helpers here are intentionally small and dependency-free (numpy only):
-unitarity checks, tensor products in the library's qubit ordering convention,
-and comparison of operators up to global phase.  They are used by the gate
-definitions, the transpiler equivalence tests and the property-based suites.
+Small and dependency-free (numpy only): unitarity checks, tensor products in
+the library's qubit ordering convention, and comparison of operators up to
+global phase.  The gate, circuit, exporter and transpiler equivalence tests
+import them; the library itself does not.  pytest's default ``prepend``
+import mode puts this directory (it holds the root ``conftest.py``) on
+``sys.path``, so a test imports them as ``linalg_helpers``.
 """
 
 from __future__ import annotations

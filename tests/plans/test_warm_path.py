@@ -27,13 +27,11 @@ from repro.simulators import NoiseModel
 from repro.simulators.density import read_rates
 from repro.service import (
     CloudEngine,
-    ClusterEngine,
     JobRequirements,
     JobState,
     OrchestratorEngine,
     QRIOService,
 )
-from repro.transpiler.fusion import fuse_clifford_runs
 from repro.utils.exceptions import JobFailedError, SimulationError
 
 
@@ -102,7 +100,7 @@ class TestClusterWarmPath:
     def test_warm_submit_skips_transpile_and_the_scheduler(
         self, monkeypatch, count_engine_transpile
     ):
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
         schedule_calls = []
         inner_schedule = engines_module.QRIOScheduler.schedule
         monkeypatch.setattr(
@@ -130,7 +128,7 @@ class TestClusterWarmPath:
 
     def test_warm_submit_touches_no_embedding_or_canary_caches(self, count_engine_transpile, ideal_runs):
         requirements = JobRequirements(topology_edges=((0, 1), (1, 2)))
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
         service.submit(ghz(3), requirements, shots=64).result()
         before = all_cache_stats()["embedding"]
         canaries = len(ideal_runs)
@@ -142,7 +140,7 @@ class TestClusterWarmPath:
 
     def test_calibration_drift_forces_a_recompile(self, count_engine_transpile):
         fleet = three_device_testbed()
-        engine = ClusterEngine(seed=5, canary_shots=64)
+        engine = OrchestratorEngine(seed=5, canary_shots=64)
         service = QRIOService(fleet, engine)
         cold = service.submit(ghz(4), 0.9, shots=64).result()
         assert count_engine_transpile.calls == 1
@@ -169,7 +167,7 @@ class TestClusterWarmPath:
 
     def test_a_calibration_push_recompiles_the_plan_with_a_fresh_law(self):
         fleet = three_device_testbed()
-        engine = ClusterEngine(seed=5, canary_shots=64)
+        engine = OrchestratorEngine(seed=5, canary_shots=64)
         service = QRIOService(fleet, engine)
         cold = service.submit(ghz(4), 0.9, shots=64).result()
         (stale,) = engine._plans._data.values()
@@ -190,7 +188,7 @@ class TestClusterWarmPath:
         assert fresh.execution.law.rates != stale.execution.law.rates
 
     def test_different_shots_compile_separate_plans(self, count_engine_transpile):
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
         service.submit(ghz(3), 0.9, shots=64).result()
         result = service.submit(ghz(3), 0.9, shots=128).result()
         # Shot budget is engine context: no replay across budgets.
@@ -198,7 +196,7 @@ class TestClusterWarmPath:
         assert count_engine_transpile.calls == 2
 
     def test_policy_routed_jobs_never_use_plans(self):
-        engine = ClusterEngine(seed=5, canary_shots=64, policy="round-robin")
+        engine = OrchestratorEngine(seed=5, canary_shots=64, policy="round-robin")
         service = QRIOService(three_device_testbed(), engine)
         stats_before = _plan_stats()
         for _ in range(3):
@@ -208,7 +206,7 @@ class TestClusterWarmPath:
         assert _plan_stats() == stats_before
 
     def test_plan_store_is_bounded(self):
-        engine = ClusterEngine(seed=5, canary_shots=64)
+        engine = OrchestratorEngine(seed=5, canary_shots=64)
         service = QRIOService(three_device_testbed()[:1], engine)
         store = engine._plans
         evictions = store.stats.evictions
@@ -360,51 +358,9 @@ class TestCloudFeasibility:
         assert _plan_stats() == before
 
 
-class TestFusionEquivalenceAcrossEngines:
-    """Fused and unfused submissions of the same workload are bit-identical:
-    tableau/statevector evolution is global-phase invariant and the seeds
-    derive from the job name, not the gate list."""
-
-    def _workload(self):
-        circuit = ghz(4, measure=False)
-        circuit.s(0)
-        circuit.sdg(0)  # redundant run: fusion has something to collapse
-        circuit.measure_all()
-        return circuit
-
-    @pytest.mark.parametrize(
-        "engine_factory",
-        [
-            lambda: ClusterEngine(seed=5, canary_shots=64),
-            lambda: OrchestratorEngine(seed=5, canary_shots=64),
-        ],
-        ids=["cluster", "orchestrator"],
-    )
-    def test_counts_are_bit_identical(self, engine_factory):
-        results = []
-        for circuit in (self._workload(), fuse_clifford_runs(self._workload())):
-            clear_all_caches()
-            service = QRIOService(three_device_testbed(), engine_factory())
-            results.append(service.submit(circuit, 0.9, shots=256, name="same-job").result())
-        unfused, fused = results
-        assert fused.counts == unfused.counts
-        assert fused.device == unfused.device
-        assert fused.score == unfused.score
-
-    def test_cloud_fidelity_and_routing_are_identical(self):
-        results = []
-        for circuit in (self._workload(), fuse_clifford_runs(self._workload())):
-            clear_all_caches()
-            service = QRIOService(three_device_testbed(), CloudEngine())
-            results.append(service.submit(circuit, shots=256, name="same-job").result())
-        unfused, fused = results
-        assert fused.device == unfused.device
-        assert fused.fidelity == unfused.fidelity
-
-
 class TestServiceKnobs:
     def test_cache_stats_surfaces_the_plan_cache(self):
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
         service.submit(ghz(3), 0.9, shots=64).result()
         service.submit(ghz(3), 0.9, shots=64).result()
         stats = service.cache_stats()
@@ -413,5 +369,5 @@ class TestServiceKnobs:
 
     def test_cache_stats_exposes_the_batch_row(self):
         # No cache backs the row; it stays for perfbench's cache.batch.* metrics.
-        stats = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64)).cache_stats()
+        stats = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64)).cache_stats()
         assert stats["batch"] == {"hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}

@@ -1,9 +1,9 @@
-"""Acceptance: one registered policy runs identically under all three engines.
+"""Acceptance: one registered policy runs identically under both engines.
 
 The unified-API contract of the redesign: a policy addressed by registry
 name (or passed as an instance) routes a job through
-:meth:`~repro.service.QRIOService.submit` under the orchestrator, cluster
-and cloud engines with consistent, explainable
+:meth:`~repro.service.QRIOService.submit` under the orchestrator and cloud
+engines with consistent, explainable
 :class:`~repro.policies.PlacementDecision`\\ s — and each engine's native
 path keeps working when no policy is named.
 """
@@ -22,7 +22,6 @@ from repro.policies import (
 )
 from repro.service import (
     CloudEngine,
-    ClusterEngine,
     JobRequirements,
     OrchestratorEngine,
     QRIOService,
@@ -33,12 +32,11 @@ from repro.utils.exceptions import JobFailedError, ServiceError
 def _engines():
     return {
         "orchestrator": OrchestratorEngine(seed=7, canary_shots=64),
-        "cluster": ClusterEngine(seed=7, canary_shots=64),
         "cloud": CloudEngine(config=CloudSimulationConfig(fidelity_report="esp", seed=7)),
     }
 
 
-class TestOnePolicyThreeEngines:
+class TestOnePolicyBothEngines:
     def test_same_policy_same_decision_under_every_engine(self):
         fleet = generate_fleet(limit=6, seed=3)
         outcomes = {}
@@ -72,8 +70,8 @@ class TestOnePolicyThreeEngines:
 
     def test_engine_level_default_policy(self):
         fleet = generate_fleet(limit=4, seed=3)
-        via_engine = QRIOService(fleet, ClusterEngine(seed=7, canary_shots=64, policy="fidelity"))
-        via_job = QRIOService(fleet, ClusterEngine(seed=7, canary_shots=64))
+        via_engine = QRIOService(fleet, OrchestratorEngine(seed=7, canary_shots=64, policy="fidelity"))
+        via_job = QRIOService(fleet, OrchestratorEngine(seed=7, canary_shots=64))
         a = via_engine.submit(ghz(3), 0.9, shots=32).result()
         b = via_job.submit(ghz(3), 0.9, shots=32, policy="fidelity").result()
         assert a.device == b.device
@@ -101,7 +99,7 @@ class TestOnePolicyThreeEngines:
                 return float(device.num_qubits)
 
         fleet = generate_fleet(limit=5, seed=3)
-        service = QRIOService(fleet, ClusterEngine(seed=7, canary_shots=64))
+        service = QRIOService(fleet, OrchestratorEngine(seed=7, canary_shots=64))
         result = service.submit(ghz(3), 0.9, shots=32, policy=SmallestFit()).result()
         feasible = [b for b in fleet if b.num_qubits >= 3]
         expected = min(feasible, key=lambda b: (b.num_qubits, b.name))
@@ -112,7 +110,7 @@ class TestFidelityCacheReuse:
     def test_repeat_submissions_share_fidelity_estimates(self):
         """The engine cache is keyed by circuit structure, not job name."""
         fleet = generate_fleet(limit=4, seed=3)
-        engine = ClusterEngine(seed=7, canary_shots=64)
+        engine = OrchestratorEngine(seed=7, canary_shots=64)
         service = QRIOService(fleet, engine)
         service.submit(ghz(3), 0.9, shots=32, policy="fidelity").result()
         entries_after_first = len(engine._policy_fidelity_cache)
@@ -130,7 +128,7 @@ class TestPolicyJobRequirements:
 
     def test_conflicting_policy_arguments_raise(self):
         fleet = generate_fleet(limit=3, seed=3)
-        service = QRIOService(fleet, ClusterEngine(seed=7, canary_shots=64))
+        service = QRIOService(fleet, OrchestratorEngine(seed=7, canary_shots=64))
         requirements = JobRequirements(fidelity_threshold=0.9, policy="fidelity")
         with pytest.raises(ServiceError, match="Conflicting"):
             service.submit(ghz(3), requirements, shots=32, policy="random")
@@ -142,7 +140,7 @@ class TestPolicyJobRequirements:
 
     def test_unknown_policy_fails_the_job_with_suggestion(self):
         fleet = generate_fleet(limit=3, seed=3)
-        service = QRIOService(fleet, ClusterEngine(seed=7, canary_shots=64))
+        service = QRIOService(fleet, OrchestratorEngine(seed=7, canary_shots=64))
         handle = service.submit(ghz(3), 0.9, shots=32, policy="fidelty")
         service.process()
         assert handle.failed

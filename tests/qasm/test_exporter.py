@@ -10,7 +10,7 @@ from repro.circuits import QuantumCircuit, bernstein_vazirani, qft
 from repro.qasm import dump_qasm, parse_qasm, write_qasm_file
 from repro.qasm.exporter import _format_parameter
 from repro.simulators import StatevectorSimulator
-from repro.utils.linalg import allclose_up_to_global_phase
+from linalg_helpers import allclose_up_to_global_phase
 
 
 class TestDump:

@@ -16,7 +16,7 @@ from repro.scenarios import (
 )
 from repro.workloads import nisq_mix_suite
 
-ENGINES = ("orchestrator", "cluster", "cloud")
+ENGINES = ("orchestrator", "cloud")
 
 
 def small_trace(events=(), num_jobs=8, seed=11):

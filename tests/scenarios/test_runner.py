@@ -15,7 +15,7 @@ from repro.service import CloudEngine
 from repro.utils.exceptions import ScenarioError
 from repro.workloads import clifford_suite, nisq_mix_suite
 
-ENGINES = ("orchestrator", "cluster", "cloud")
+ENGINES = ("orchestrator", "cloud")
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestCloudReplaySemantics:
 
 class TestReportSemantics:
     def test_wall_clock_reports_for_executing_engines(self, testbed_devices, replay_trace):
-        report = _runner(testbed_devices, "cluster").replay(replay_trace)
+        report = _runner(testbed_devices, "orchestrator").replay(replay_trace)
         assert report.wait_clock == "wall"
         assert report.device_utilisation is None
         assert report.makespan_s > 0.0
@@ -116,7 +116,7 @@ class TestReportSemantics:
             PoissonProcess(rate_per_hour=240.0), num_jobs=5, suite=nisq_mix_suite(), seed=3, shots=32
         )
         trace = Trace.from_requests("mixed", requests)
-        report = _runner(testbed_devices, "cluster").replay(trace)
+        report = _runner(testbed_devices, "orchestrator").replay(trace)
         assert report.jobs == 5
         assert report.failed == 0
 

@@ -78,7 +78,7 @@ class TestSweep:
         result = run_sweep(
             testbed_devices,
             [tiny_trace],
-            engines=("cloud", "cluster"),
+            engines=("cloud", "orchestrator"),
             policies=(None, "least-loaded"),
             seed=5,
             fidelity_report="none",
@@ -96,7 +96,7 @@ class TestSweep:
         result = run_sweep(
             testbed_devices,
             [tiny_trace],
-            engines=("cloud", "cluster"),
+            engines=("cloud", "orchestrator"),
             policies=("round-robin",),
             seed=5,
             fidelity_report="none",

@@ -16,7 +16,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.core.cache import all_cache_stats, clear_all_caches
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.service import (
-    ClusterEngine,
     JobRequirements,
     JobState,
     OrchestratorEngine,
@@ -108,7 +107,7 @@ class TestTopologyBatchDedup:
     def test_32_identical_jobs_run_one_embedding_search_per_device(self):
         fleet = three_device_testbed()
         requirements = JobRequirements(topology_edges=((0, 1), (1, 2)))
-        service = QRIOService(fleet, ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(fleet, OrchestratorEngine(seed=5, canary_shots=64))
         before = all_cache_stats()["embedding"]
         service.submit_batch(_fresh_ghz_copies(3, BATCH), requirements, shots=64)
         service.process()
@@ -126,7 +125,7 @@ class TestTopologyBatchDedup:
         # embedding cache at all.
         fleet = three_device_testbed()
         requirements = JobRequirements(topology_edges=((0, 1), (1, 2)))
-        service = QRIOService(fleet, ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(fleet, OrchestratorEngine(seed=5, canary_shots=64))
         before = all_cache_stats()["embedding"]
         before_plan = all_cache_stats()["plan"]
         for circuit in _fresh_ghz_copies(3, 4):
@@ -148,7 +147,7 @@ class TestBatchedEngineExecution:
         circuit.cx(0, 1)
         circuit.cx(1, 2)
         circuit.measure_all()
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=5, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=5, canary_shots=64))
         handles = service.submit_batch([circuit.copy() for _ in range(4)], 0.9, shots=256)
         service.process()
         assert all(handle.done for handle in handles)

@@ -9,7 +9,7 @@ depend on another service that ran earlier in the same process.
 from repro.backends import generate_fleet, three_device_testbed
 from repro.circuits import bernstein_vazirani, ghz
 from repro.core.cache import clear_all_caches
-from repro.service import ClusterEngine, JobRequirements, OrchestratorEngine, QRIOService
+from repro.service import JobRequirements, OrchestratorEngine, QRIOService
 
 
 def _workload():
@@ -44,10 +44,9 @@ def _second_fleet():
 
 
 def test_second_service_equals_itself_run_alone():
-    for engine_type in (OrchestratorEngine, ClusterEngine):
-        clear_all_caches()
-        alone = _run(_second_fleet(), engine_type(seed=2, canary_shots=64))
-        clear_all_caches()
-        _run(three_device_testbed(), engine_type(seed=1, canary_shots=64))
-        after_first = _run(_second_fleet(), engine_type(seed=2, canary_shots=64))
-        assert after_first == alone, engine_type.__name__
+    clear_all_caches()
+    alone = _run(_second_fleet(), OrchestratorEngine(seed=2, canary_shots=64))
+    clear_all_caches()
+    _run(three_device_testbed(), OrchestratorEngine(seed=1, canary_shots=64))
+    after_first = _run(_second_fleet(), OrchestratorEngine(seed=2, canary_shots=64))
+    assert after_first == alone

@@ -9,7 +9,6 @@ from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.service import (
     CloudEngine,
-    ClusterEngine,
     JobRequirements,
     JobState,
     OrchestratorEngine,
@@ -21,7 +20,6 @@ from repro.utils.exceptions import ServiceError
 def _engines():
     return [
         OrchestratorEngine(seed=13, canary_shots=64),
-        ClusterEngine(seed=13, canary_shots=64),
         CloudEngine(policy="fidelity:seed=13"),
     ]
 
@@ -53,10 +51,9 @@ class TestProtocolUniformity:
         assert all(handle.done for handle in handles)
 
     def test_unattached_engines(self):
-        # The cluster engine builds its Fig. 2 parts up front; attach only
+        # The orchestrator builds its Fig. 2 parts up front; attach only
         # registers the fleet.  The cloud engine has no session until then.
         assert OrchestratorEngine().fleet() == []
-        assert ClusterEngine().cluster.backends() == []
         with pytest.raises(ServiceError):
             CloudEngine().session
 
@@ -76,17 +73,15 @@ class TestOrchestratorEngine:
         job = engine.cluster.job("visible-job")
         assert job.phase.value == "Succeeded"
 
-
-class TestClusterEngine:
     def test_topology_requirement_reports_layout_quality_score(self):
-        service = QRIOService(three_device_testbed(num_qubits=8), ClusterEngine(seed=13, canary_shots=64))
+        service = QRIOService(three_device_testbed(num_qubits=8), OrchestratorEngine(seed=13, canary_shots=64))
         requirements = JobRequirements(topology_edges=((0, 1), (1, 2), (2, 3)))
         result = service.submit(ghz(4), requirements, shots=32).result()
         assert result.score is not None
         assert result.device is not None
 
     def test_device_constraint_filters_the_fleet(self):
-        service = QRIOService(three_device_testbed(), ClusterEngine(seed=13, canary_shots=64))
+        service = QRIOService(three_device_testbed(), OrchestratorEngine(seed=13, canary_shots=64))
         handle = service.submit(
             ghz(3), JobRequirements(fidelity_threshold=0.5, max_avg_two_qubit_error=1e-6), shots=32
         )
@@ -116,7 +111,7 @@ class TestDriftedDeviceBounds:
 
 
 def _sampling_engines():
-    return [OrchestratorEngine(seed=13, canary_shots=64), ClusterEngine(seed=13, canary_shots=64)]
+    return [OrchestratorEngine(seed=13, canary_shots=64)]
 
 
 class TestOutcomeWidth:
@@ -170,7 +165,7 @@ class TestCloudEngine:
 
     def test_requirements_are_enforced_like_the_other_engines(self):
         # The unified-API contract: a spec that is infeasible on the
-        # orchestrator/cluster engines must be infeasible here too.
+        # orchestrator engine must be infeasible here too.
         service = QRIOService(three_device_testbed(), CloudEngine())
         oversized = service.submit(ghz(3), JobRequirements(fidelity_threshold=0.5, num_qubits=1000))
         constrained = service.submit(

@@ -6,7 +6,6 @@ from repro.backends import three_device_testbed
 from repro.circuits import ghz
 from repro.service import (
     ALLOWED_TRANSITIONS,
-    ClusterEngine,
     JobRequirements,
     JobState,
     OrchestratorEngine,
@@ -112,7 +111,7 @@ class TestFailurePaths:
             handle.result()
 
     def test_oversized_circuit_fails_matching(self):
-        service = QRIOService(three_device_testbed(num_qubits=5), ClusterEngine(seed=3, canary_shots=64))
+        service = QRIOService(three_device_testbed(num_qubits=5), OrchestratorEngine(seed=3, canary_shots=64))
         handle = service.submit(ghz(9), 0.9, shots=32)
         handle.wait()
         assert handle.failed

@@ -1,6 +1,6 @@
 """One scheduling cycle places every cluster job: filters → policy.decide → bind.
 
-The orchestrator and cluster engines place a job the same way on the native
+The orchestrator engine places a job the same way on the native
 route (the meta server's per-job ranking) and on a registry-policy route, so
 both routes reject the same impossible requests, never bind a device the
 ranking policy filtered out, and key their scores by device name.
@@ -14,10 +14,8 @@ from repro.cluster import ClusterState, JobPhase, JobSpec as ClusterJobSpec, Res
 from repro.core import MetaServer, QRIOScheduler
 from repro.core.visualizer import MetaServerPayload
 from repro.qasm import dump_qasm
-from repro.service import ClusterEngine, JobRequirements, JobSpec, OrchestratorEngine, QRIOService
+from repro.service import JobRequirements, JobSpec, OrchestratorEngine, QRIOService
 from repro.utils.exceptions import ServiceError
-
-ENGINES = {"orchestrator": OrchestratorEngine, "cluster": ClusterEngine}
 
 
 def _three_qubit_lines():
@@ -27,9 +25,8 @@ def _three_qubit_lines():
 
 
 @pytest.mark.parametrize("policy", [None, "threshold-fidelity"], ids=["native", "policy"])
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_submit_rejects_a_qubit_request_below_the_circuit_width(engine, policy):
-    service = QRIOService(_three_qubit_lines(), ENGINES[engine](canary_shots=32, seed=1))
+def test_submit_rejects_a_qubit_request_below_the_circuit_width(policy):
+    service = QRIOService(_three_qubit_lines(), OrchestratorEngine(canary_shots=32, seed=1))
     requirements = JobRequirements(num_qubits=2, policy=policy)
     with pytest.raises(ServiceError, match="below the 5 qubits"):
         service.submit(ghz(5), requirements, shots=32)
@@ -61,11 +58,10 @@ def test_cycle_never_binds_a_device_its_policy_filtered_out():
 
 
 @pytest.mark.parametrize("policy", [None, "round-robin"], ids=["native", "round-robin"])
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_scores_are_keyed_by_device_name(engine, policy):
+def test_scores_are_keyed_by_device_name(policy):
     fleet = generate_fleet(limit=4, seed=3)
     names = {backend.name for backend in fleet}
-    instance = ENGINES[engine](canary_shots=32, seed=1)
+    instance = OrchestratorEngine(canary_shots=32, seed=1)
     service = QRIOService(fleet, instance)
     requirements = JobRequirements(fidelity_threshold=0.9, policy=policy)
     handle = service.submit(ghz(3), requirements, shots=32)

@@ -7,7 +7,7 @@ from repro.circuits import QuantumCircuit, ghz
 from repro.circuits.gates import gate_matrix
 from repro.simulators import MAX_STATEVECTOR_QUBITS, StatevectorSimulator, apply_matrix, compact_circuit
 from repro.utils.exceptions import SimulationError
-from repro.utils.linalg import expand_operator
+from linalg_helpers import expand_operator
 
 
 class TestApplyMatrix:

@@ -34,7 +34,7 @@ class TestEngineSpec:
         with pytest.raises(ServiceError):
             EngineSpec(latency_s=-0.1)
 
-    @pytest.mark.parametrize("kind", ["orchestrator", "cluster", "cloud"])
+    @pytest.mark.parametrize("kind", ["orchestrator", "cloud"])
     def test_build_constructs_each_engine_kind(self, kind):
         engine = EngineSpec(kind=kind, seed=3, fidelity_report="none").build()
         assert engine.name  # every engine exposes a name

@@ -12,12 +12,12 @@ from repro.circuits.instruction import Instruction
 from repro.simulators import StatevectorSimulator
 from repro.transpiler import decompose_instruction, resynthesise_single_qubit, zyz_angles
 from repro.utils.exceptions import TranspilerError
-from repro.utils.linalg import allclose_up_to_global_phase
+from linalg_helpers import allclose_up_to_global_phase
 
 
 def _instructions_to_unitary(instructions, num_qubits):
     """Multiply the matrices of instructions (little-endian) for verification."""
-    from repro.utils.linalg import expand_operator
+    from linalg_helpers import expand_operator
 
     unitary = np.eye(2**num_qubits, dtype=complex)
     for instruction in instructions:

@@ -87,7 +87,7 @@ class TestRouting:
     @pytest.mark.parametrize("router", [BasicRoutingPass(), SabreRoutingPass()])
     def test_routing_preserves_semantics(self, line5, router, statevector_simulator):
         from repro.simulators.statevector import compact_circuit
-        from repro.utils.linalg import allclose_up_to_global_phase
+        from linalg_helpers import allclose_up_to_global_phase
 
         context = TranspileContext(target=line5)
         context.initial_layout = Layout.trivial(4)

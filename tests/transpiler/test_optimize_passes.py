@@ -6,7 +6,7 @@ from repro.circuits import QuantumCircuit
 from repro.simulators import StatevectorSimulator
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.passes import CancelAdjacentInverses, Optimize1QubitGates, RemoveBarriers
-from repro.utils.linalg import allclose_up_to_global_phase
+from linalg_helpers import allclose_up_to_global_phase
 
 
 def _states_match(circuit_a, circuit_b):

@@ -1,10 +1,10 @@
-"""Tests for the linear-algebra helpers."""
+"""Tests for the test suite's linear-algebra helpers."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.gates import gate_matrix
-from repro.utils.linalg import (
+from linalg_helpers import (
     allclose_up_to_global_phase,
     basis_state,
     expand_operator,

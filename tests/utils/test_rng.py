@@ -38,6 +38,28 @@ class TestSpawnAndDerive:
     def test_derive_seed_is_stable(self):
         assert derive_seed(5, "a", 1) == derive_seed(5, "a", 1)
 
+    def test_derive_seed_pinned_values(self):
+        assert derive_seed(5, "a", 1) == 1225708947
+        assert derive_seed(np.int64(5), "a", 1) == 1225708947
+        assert derive_seed(True, "y") == 2077516886
+        assert derive_seed(2**40, "x") == 215750275
+        assert derive_seed(0) == 0
+        assert derive_seed(np.random.default_rng(7), "meta") == 854252793
+
+    def test_derive_seed_with_an_int_base_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("derive_seed built a Generator for an int base")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert derive_seed(20240726, "scenario-engine", "orchestrator") == 631010162
+        assert derive_seed(np.int32(5), "a", 1) == 1225708947
+
+    def test_derive_seed_rejects_bad_bases(self):
+        with pytest.raises(TypeError):
+            derive_seed("seed", "a")
+        with pytest.raises(ValueError):
+            derive_seed(-3, "a")
+
     def test_derive_seed_varies_with_components(self):
         assert derive_seed(5, "a", 1) != derive_seed(5, "a", 2)
 
