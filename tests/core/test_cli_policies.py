@@ -34,6 +34,16 @@ class TestEngineFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "c.qasm", "--engine", "bogus"])
 
+    def test_the_retired_cluster_engine_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "c.qasm", "--engine", "cluster"])
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
+
+    def test_the_retired_cluster_alias_is_not_a_policy(self, qasm_path, capsys):
+        code = main(["--seed", "7", "submit", qasm_path, "--policy", "cluster", "--devices", "4"])
+        assert code == 2
+        assert "Unknown placement policy 'cluster'" in capsys.readouterr().err
+
     def test_engine_defaults_to_inference(self):
         args = build_parser().parse_args(["submit", "c.qasm"])
         assert args.engine is None and args.policy is None

@@ -100,6 +100,14 @@ class TestScenariosSweep:
         output = capsys.readouterr().out
         assert "Scenario sweep" in output and "p99_wait_s" in output
 
+    def test_sweep_over_the_retired_cluster_engine_fails_with_a_message(self, capsys):
+        code = main(
+            ["--seed", "5", "scenarios", "sweep", "--scenarios", "steady", "--engines", "cluster",
+             "--policies", "native", "--jobs", "3", "--devices", "3", "--fidelity-report", "none"]
+        )
+        assert code == 2
+        assert "Unknown engine 'cluster'" in capsys.readouterr().err
+
 
 class TestParser:
     def test_scenarios_requires_a_subcommand(self):
@@ -109,3 +117,8 @@ class TestParser:
     def test_engine_choices_are_restricted(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios", "run", "steady", "--engine", "bogus"])
+
+    def test_the_retired_cluster_engine_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scenarios", "run", "steady", "--engine", "cluster"])
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err

@@ -118,6 +118,31 @@ class TestNodeLifecycle:
         with pytest.raises(ClusterError):
             console.cordon("missing_device")
 
+    @pytest.mark.parametrize(
+        "operation", ["cordon", "uncordon", "drain", "decommission", "update_calibration"]
+    )
+    def test_every_device_operation_rejects_an_unknown_device(self, operation):
+        qrio, console = self._deployment()
+        arguments = ("missing_device",)
+        if operation == "update_calibration":
+            arguments += (qrio.cluster.node_for_device("alpha_q5").backend.properties,)
+        with pytest.raises(ClusterError, match="missing_device"):
+            getattr(console, operation)(*arguments)
+        assert len(qrio.cluster.schedulable_nodes()) == 2
+
+    def test_a_decommissioned_device_is_unknown_to_the_console(self):
+        _, console = self._deployment()
+        console.decommission("beta_q5")
+        with pytest.raises(ClusterError, match="beta_q5"):
+            console.cordon("beta_q5")
+
+    def test_a_decommissioned_device_can_be_registered_again(self):
+        qrio, console = self._deployment()
+        console.decommission("beta_q5")
+        node = console.register_spec(_spec("beta_q5"))
+        assert qrio.cluster.node_for_device("beta_q5") is node
+        assert console.cordon("beta_q5") is node
+
 
 class TestCalibrationUpdates:
     def _recalibrated(self, properties: BackendProperties, factor: float) -> BackendProperties:

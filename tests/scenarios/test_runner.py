@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios import (
+    ENGINE_NAMES,
     PoissonProcess,
     ScenarioRunner,
     Trace,
@@ -132,6 +133,11 @@ class TestReportSemantics:
             ScenarioRunner(testbed_devices, engine="cloud").replay([])
         with pytest.raises(ScenarioError, match="Unknown engine"):
             ScenarioRunner(testbed_devices, engine="warp-drive")
+
+    def test_the_retired_cluster_engine_name_is_rejected(self, testbed_devices):
+        assert ENGINE_NAMES == ("orchestrator", "cloud")
+        with pytest.raises(ScenarioError, match="Unknown engine 'cluster'"):
+            ScenarioRunner(testbed_devices, engine="cluster")
 
     def test_engine_factory_is_supported(self, testbed_devices, replay_trace):
         from repro.cloud.simulation import CloudSimulationConfig

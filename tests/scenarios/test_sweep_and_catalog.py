@@ -141,3 +141,7 @@ class TestSweep:
             run_sweep(testbed_devices, [tiny_trace], engines=())
         with pytest.raises(ScenarioError):
             run_sweep(testbed_devices, [tiny_trace], policies=())
+
+    def test_the_retired_cluster_engine_is_rejected(self, testbed_devices, tiny_trace):
+        with pytest.raises(ScenarioError, match="Unknown engine 'cluster'"):
+            run_sweep(testbed_devices, [tiny_trace], engines=("cluster",), fidelity_report="none")

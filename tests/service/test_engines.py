@@ -88,6 +88,22 @@ class TestOrchestratorEngine:
         handle.wait()
         assert handle.failed
 
+    def test_availability_of_an_unknown_device_is_rejected(self):
+        engine = OrchestratorEngine(seed=13, canary_shots=64)
+        QRIOService(three_device_testbed(), engine)
+        with pytest.raises(ServiceError, match="missing_device"):
+            engine.set_device_available("missing_device", False)
+
+    def test_a_plan_whose_device_left_the_cluster_is_not_replayed(self):
+        engine = OrchestratorEngine(seed=13, canary_shots=64)
+        service = QRIOService(three_device_testbed(), engine)
+        first = service.submit(ghz(3), 0.8, shots=32, name="before-removal").result()
+        cluster = engine.cluster
+        cluster.remove_node(cluster.node_for_device(first.device).name)
+        second = service.submit(ghz(3), 0.8, shots=32, name="after-removal").result()
+        assert second.device is not None and second.device != first.device
+        assert not [event for event in cluster.events.of_kind("PlanScheduled") if event.subject == "after-removal"]
+
 
 class TestDriftedDeviceBounds:
     """A calibration jump past a job's bound removes the device on every engine."""

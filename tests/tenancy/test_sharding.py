@@ -25,6 +25,10 @@ class TestEngineSpec:
         with pytest.raises(ServiceError):
             EngineSpec(kind="warp-drive")
 
+    def test_rejects_the_retired_cluster_kind(self):
+        with pytest.raises(ServiceError, match="'cluster'"):
+            EngineSpec(kind="cluster")
+
     def test_rejects_policy_instances(self):
         # Recipes cross process boundaries: policies must stay spec strings.
         with pytest.raises(ServiceError):

@@ -1,17 +1,23 @@
 """The public API: ``repro.__all__`` and every subpackage's ``__all__``.
 
 The snapshot makes adding or dropping a public name a visible diff in this
-file, and every listed name must resolve on its package.
+file, and every listed name must resolve on its package.  Modules deleted
+because nothing in the package reached them stay deleted, and no source,
+bench, example or document names them again.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+_REPO = Path(__file__).resolve().parent.parent
 
 API = {
     "repro": (
@@ -187,3 +193,41 @@ def test_every_listed_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+#: Library modules deleted because no caller in ``src/`` reached them.
+DELETED_MODULES = (
+    "repro.fidelity.analytic",
+    "repro.simulators.channels",
+    "repro.simulators.mitigation",
+    "repro.transpiler.fusion",
+    "repro.utils.linalg",
+)
+
+_DELETED_REFERENCE = re.compile(
+    r"ClusterEngine|transpiler\.fusion|simulators\.(mitigation|channels)|fidelity\.analytic"
+    r"|utils\.linalg|fuse_clifford_runs|ReadoutMitigator"
+)
+_TEXT_SUFFIXES = {".py", ".md", ".json", ".txt", ".cfg", ".toml", ".yml", ".yaml", ".qasm"}
+
+
+@pytest.mark.parametrize("module", DELETED_MODULES)
+def test_deleted_module_stays_deleted(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("root", ["src", "benchmarks", "examples", "docs", "README.md"])
+def test_nothing_references_a_deleted_name(root):
+    path = _REPO / root
+    files = [path] if path.is_file() else sorted(
+        file for file in path.rglob("*") if file.suffix in _TEXT_SUFFIXES and "__pycache__" not in file.parts
+    )
+    assert files
+    hits = [
+        f"{file.relative_to(_REPO)}:{number}: {line.strip()}"
+        for file in files
+        for number, line in enumerate(file.read_text(encoding="utf-8").splitlines(), 1)
+        if _DELETED_REFERENCE.search(line)
+    ]
+    assert not hits
