@@ -4,18 +4,25 @@
 The published QRIO prototype schedules one request at a time; this example
 exercises the queue extension: several users enqueue jobs with different
 fidelity demands and circuit sizes, and the orchestrator drains the queue
-under two policies (FIFO vs tightest-fidelity-first), showing how ordering
-affects which job gets the scarce high-fidelity devices.
+under two orderings (FIFO vs tightest-fidelity-first), showing how ordering
+affects which job gets the scarce high-fidelity devices.  An ordering is a
+job priority: the queue dispatches higher priorities first and equal ones in
+submission order.
 
 Run with:  python examples/multi_job_queue.py
 """
 
 from repro import QRIO, generate_fleet
 from repro.circuits import bernstein_vazirani, ghz, repetition_code_encoder
-from repro.cluster import QueuePolicy
+
+#: Ordering -> priority of a job with a given fidelity threshold.
+ORDERINGS = {
+    "fifo": lambda threshold: 0,
+    "tightest_fidelity_first": lambda threshold: round(1000 * threshold),
+}
 
 
-def submit_workload(qrio: QRIO, suffix: str) -> list:
+def submit_workload(qrio: QRIO, ordering: str) -> list:
     """Enqueue three jobs with different demands; return their names."""
     jobs = []
     for circuit, threshold in (
@@ -27,25 +34,24 @@ def submit_workload(qrio: QRIO, suffix: str) -> list:
             qrio.new_submission_form()
             .choose_circuit(circuit)
             .set_job_details(
-                job_name=f"{circuit.name}-{suffix}",
-                image_name=f"qrio/{circuit.name}-{suffix}",
+                job_name=f"{circuit.name}-{ordering}",
+                image_name=f"qrio/{circuit.name}-{ordering}",
                 num_qubits=circuit.num_qubits,
                 shots=256,
             )
             .request_fidelity(threshold)
         )
-        jobs.append(qrio.enqueue_form(form))
+        jobs.append(qrio.enqueue_form(form, priority=ORDERINGS[ordering](threshold)))
     return jobs
 
 
-def run_with_policy(policy: QueuePolicy) -> None:
-    qrio = QRIO(cluster_name=f"queue-demo-{policy.value}", canary_shots=128, seed=31)
+def run_with_ordering(ordering: str) -> None:
+    qrio = QRIO(cluster_name=f"queue-demo-{ordering}", canary_shots=128, seed=31)
     qrio.register_devices(generate_fleet(limit=12, seed=5))
-    qrio.queue.policy = policy
-    submit_workload(qrio, policy.value)
-    print(f"--- policy: {policy.value} ---")
-    print(f"Queued jobs: {qrio.queue.pending_names()}")
-    outcomes = qrio.drain_queue(execute=True)
+    queued = submit_workload(qrio, ordering)
+    print(f"--- ordering: {ordering} ---")
+    print(f"Queued jobs: {sorted(queued)}")
+    outcomes = qrio.drain_queue()
     for outcome in outcomes:
         print(
             f"  {outcome.job.name:<14s} -> {outcome.device:<14s} "
@@ -55,8 +61,8 @@ def run_with_policy(policy: QueuePolicy) -> None:
 
 
 def main() -> None:
-    run_with_policy(QueuePolicy.FIFO)
-    run_with_policy(QueuePolicy.TIGHTEST_FIDELITY_FIRST)
+    run_with_ordering("fifo")
+    run_with_ordering("tightest_fidelity_first")
 
 
 if __name__ == "__main__":

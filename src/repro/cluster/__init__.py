@@ -6,7 +6,6 @@ from repro.cluster.framework import FilterPlugin, FilterReport, run_filters
 from repro.cluster.job import DeviceConstraints, Job, JobPhase, JobSpec, ResourceRequest
 from repro.cluster.labels import NodeLabels
 from repro.cluster.node import Node, NodeCapacity, NodeStatus
-from repro.cluster.queue import JobQueue, QueuePolicy
 from repro.cluster.registry import ClusterState
 
 __all__ = [
@@ -22,13 +21,11 @@ __all__ = [
     "ImageRegistry",
     "Job",
     "JobPhase",
-    "JobQueue",
     "JobSpec",
     "Node",
     "NodeCapacity",
     "NodeLabels",
     "NodeStatus",
-    "QueuePolicy",
     "ResourceRequest",
     "run_filters",
 ]

@@ -10,9 +10,9 @@ to fetch job logs once execution has finished.
 Execution has one branch: a bound job runs an
 :class:`~repro.plans.ExecutionPlan`.  A cold job's plan is compiled here once
 (:meth:`MasterServer.compile_plan`, on the submitted circuit object); a warm
-job replays a stored one.  Only a job that arrives without a plan — the
-facade's ``submit_form`` → ``run_job`` path — has its manifest's QASM parsed
-back into a circuit first.
+job replays a stored one.  No job's manifest QASM is parsed back into a
+circuit: every caller, the :class:`~repro.core.QRIO` facade included, runs
+through the engine, which hands over a plan.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
 from repro.core.requirements import UserRequirements
 from repro.plans import ExecutionPlan, PlanCompiler
-from repro.qasm.parser import parse_qasm
+# Bound only for perfbench/test_tracer.py, which checks that the tracer
+# rewraps every module's binding of parse_qasm; nothing here parses QASM.
+from repro.qasm.parser import parse_qasm  # noqa: F401
 from repro.simulators.result import SimulationResult
 from repro.utils.exceptions import MasterServerError
 from repro.utils.rng import SeedLike, derive_seed
@@ -126,7 +128,7 @@ class MasterServer:
         )
         return plan
 
-    def execute_bound_job(self, job_name: str, plan: Optional[ExecutionPlan] = None) -> SimulationResult:
+    def execute_bound_job(self, job_name: str, plan: ExecutionPlan) -> SimulationResult:
         """Run a job that the scheduler has already bound to a node.
 
         The node "reads the backend object from its backend.py file and uses
@@ -137,8 +139,7 @@ class MasterServer:
         samples fresh shots.
 
         A job whose plan :meth:`compile_plan` built logs that plan's
-        transpile summary; a job without one logs a replay.  Without a plan
-        the job's manifest QASM is parsed and compiled here.
+        transpile summary; a job replaying a stored plan logs a replay.
         """
         job, node = self._bound(job_name)
         if not self._registry.exists(job.spec.image):
@@ -148,8 +149,6 @@ class MasterServer:
         image = self._registry.pull(job.spec.image)
         job.mark_running()
         self._cluster.events.record("Pulled", job_name, f"image {image.reference} pulled on {node.name}")
-        if plan is None:
-            plan = self.compile_plan(job_name, parse_qasm(job.spec.circuit_qasm, name=job.name))
         job.transpiled = plan.transpiled.circuit
         job.log(
             job.transpile_summary

@@ -7,12 +7,14 @@ master server → scheduler → chosen quantum device → logs.
 
 The facade is a client of one :class:`~repro.service.OrchestratorEngine`: the
 engine owns the cluster, the meta server, the master server and the
-scheduler, and the facade takes those parts from it.  Form submissions go
-through the engine's one submission step; :meth:`QRIO.submit`,
-:meth:`QRIO.submit_batch` and :meth:`QRIO.submit_and_run` run on a
-:class:`~repro.service.QRIOService` over the same engine, and
-:meth:`QRIO.submit_and_run` translates the service handle back into the
-historical :class:`JobOutcome`.
+scheduler, and the facade takes those parts from it.  A form becomes a
+service :class:`~repro.service.JobSpec`; :meth:`QRIO.submit_form` enters it
+through the engine's one submission entry, and :meth:`QRIO.run_job` runs it
+on the engine's one MATCHING/RUNNING pair.  :meth:`QRIO.submit`,
+:meth:`QRIO.submit_batch`, :meth:`QRIO.submit_and_run` and the job queue
+(:meth:`QRIO.enqueue_form`, :meth:`QRIO.drain_queue`) run on the one
+:class:`~repro.service.QRIOService` over the same engine.  Every route
+reports the historical :class:`JobOutcome` through one builder.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node, NodeCapacity
-from repro.cluster.queue import JobQueue, QueuePolicy
 from repro.core.baselines import OraclePlacementPolicy
 from repro.core.master_server import SubmittedJob
-from repro.core.scheduler import SchedulingDecision
 from repro.core.visualizer import JobSubmissionForm, QRIOVisualizer, TopologyCanvas
 from repro.policies import RandomPlacementPolicy
 from repro.simulators.result import SimulationResult
-from repro.utils.exceptions import MasterServerError, ServiceError
+from repro.utils.exceptions import ClusterError, ServiceError
 from repro.utils.rng import SeedLike
 
 
@@ -72,8 +72,10 @@ class QRIO:
         self.master_server = self._engine.master_server
         self.scheduler = self._engine.scheduler
         self.visualizer = QRIOVisualizer(self.cluster)
-        self.queue = JobQueue(policy=QueuePolicy.FIFO)
         self._service = None
+        #: Service handles of the jobs :meth:`enqueue_form` queued since the
+        #: last :meth:`drain_queue`.
+        self._queued: List["JobHandle"] = []
 
     # ------------------------------------------------------------------ #
     # Vendor-side API
@@ -112,10 +114,12 @@ class QRIO:
     def submit_form(self, form: JobSubmissionForm) -> SubmittedJob:
         """Submit a completed form: uploads metadata, containerizes, creates the job.
 
-        Runs the engine's one submission step, so a rejected form (say, a
-        name that is still active) leaves no metadata, image or job behind.
+        Runs the engine's one submission entry on the form's spec, so a
+        rejected form (say, a name that is still active) leaves no metadata,
+        image or job behind; :meth:`run_job` then matches and runs the job.
         """
-        return self._engine.submit_job(form.build_requirements(), form.circuit, form.topology)
+        spec = self._spec_from_form(form)
+        return self._engine.submit(spec, spec.name)
 
     def submit_fidelity_job(
         self,
@@ -190,47 +194,73 @@ class QRIO:
     # Scheduling and execution
     # ------------------------------------------------------------------ #
     def schedule_job(self, job_name: str) -> JobOutcome:
-        """Run the scheduling cycle for one submitted job (no execution)."""
-        job = self.cluster.job(job_name)
-        return self._outcome(job, self.scheduler.schedule(job))
+        """Run the scheduling cycle for one submitted job (no execution).
+
+        A job this binds cannot be run by :meth:`run_job` afterwards.
+        """
+        decision = self.scheduler.schedule(self.cluster.job(job_name))
+        return self._outcome(
+            job_name,
+            {
+                "scores": decision.scores,
+                "num_feasible": decision.num_feasible,
+                "saturated": decision.filter_report.saturated,
+            },
+        )
 
     def run_job(self, job_name: str) -> JobOutcome:
-        """Schedule and execute one submitted job end-to-end."""
-        job = self.cluster.job(job_name)
-        if job.phase == JobPhase.PENDING:
-            outcome = self._outcome(job, self.scheduler.schedule(job))
-            if outcome.device is None:
-                return outcome
-        else:
-            outcome = JobOutcome(job=job, device=None, score=None, result=None)
-        outcome.result = self.master_server.execute_bound_job(job_name)
-        outcome.device = self._device_of(job.node_name)
-        outcome.score = job.score
-        return outcome
+        """Match and execute one job that :meth:`submit_form` entered.
 
-    def _outcome(self, job: Job, decision: SchedulingDecision) -> JobOutcome:
-        """A scheduling cycle's verdict as a (not yet executed) job outcome."""
-        return JobOutcome(
-            job=job,
-            device=decision.device,
-            score=decision.score,
-            result=None,
-            scores=decision.scores,
-            num_filtered=decision.num_feasible,
-            saturated=decision.filter_report.saturated,
-        )
+        The engine's MATCHING routes the job (a warm plan, else one scheduling
+        cycle) and, when it placed the job, RUNNING executes it.  An unplaced
+        job's outcome has no device; a saturated one can be run again once
+        capacity frees.
+
+        Raises:
+            ClusterError: The job is unknown, was never submitted with
+                :meth:`submit_form`, has already run, or was bound by
+                :meth:`schedule_job`.
+        """
+        job = self.cluster.job(job_name)
+        spec = self._engine.submitted_spec(job_name)
+        if spec is None or job.node_name is not None:
+            raise ClusterError(
+                f"Job '{job_name}' is not waiting to run: submit it with submit_form "
+                "and run it without binding it through schedule_job first"
+            )
+        placement = self._engine.match(spec, job_name)
+        if placement.device is not None:
+            self._engine.run(placement)
+        return self._outcome(job_name, placement.status_detail())
 
     def submit_and_run(self, form: JobSubmissionForm) -> JobOutcome:
         """Full user cycle in one call: submit the form, schedule, execute.
 
-        Legacy shim: the form is converted into a service
-        :class:`~repro.service.JobSpec` and processed through
-        :meth:`service`, then the handle's outcome is translated back into
-        the historical :class:`JobOutcome` shape.
+        The form's spec is processed through :meth:`service` and the job's
+        outcome is reported in the historical :class:`JobOutcome` shape.
         """
         handle = self.service().submit_specs([self._spec_from_form(form)])[0]
         handle.wait()
-        return self._outcome_from_handle(handle)
+        return self._handle_outcome(handle)
+
+    def _outcome(self, job_name: str, detail: Dict[str, object]) -> JobOutcome:
+        """A job's outcome: its cluster job plus the placement detail of its match."""
+        job = self.cluster.job(job_name)
+        return JobOutcome(
+            job=job,
+            device=self._device_of(job.node_name),
+            score=job.score,
+            result=job.result,
+            scores=dict(detail.get("scores", {})),
+            num_filtered=int(detail.get("num_feasible", 0)),
+            saturated=bool(detail.get("saturated", False)),
+        )
+
+    def _handle_outcome(self, handle) -> JobOutcome:
+        """The outcome of a finished service job; re-raises the engine error that failed it."""
+        if handle.exception is not None:
+            raise handle.exception
+        return self._outcome(handle.name, handle.status().detail)
 
     # ------------------------------------------------------------------ #
     # Unified service layer (repro.service)
@@ -280,7 +310,7 @@ class QRIO:
         """Submit many jobs through the unified service with batch dedup."""
         return self.service().submit_batch(circuits, requirements, shots=shots)
 
-    def _spec_from_form(self, form: JobSubmissionForm):
+    def _spec_from_form(self, form: JobSubmissionForm, priority: int = 0):
         """Convert a completed visualizer form into a service job spec on the form's circuit."""
         from repro.service import JobRequirements, JobSpec as ServiceJobSpec
 
@@ -299,51 +329,38 @@ class QRIO:
                 cpu_millicores=requirements.cpu_millicores,
                 memory_mb=requirements.memory_mb,
                 num_qubits=requirements.num_qubits,
+                priority=priority,
             ),
             shots=requirements.shots,
             name=requirements.job_name,
             image_name=requirements.image_name,
         )
 
-    def _outcome_from_handle(self, handle) -> JobOutcome:
-        """Build the legacy JobOutcome from a finished service handle and its cluster job."""
-        if handle.exception is not None:
-            # The legacy path let engine errors (duplicate job names,
-            # execution failures, ...) propagate — keep that contract rather
-            # than returning an outcome for a job this submission never ran.
-            raise handle.exception
-        status = handle.status()
-        job = self.cluster.job(handle.name)
-        if job.phase == JobPhase.FAILED:
-            raise MasterServerError(
-                f"Execution of job '{handle.name}' failed: {status.error or job.failure_reason}"
-            )
-        return JobOutcome(
-            job=job,
-            device=status.device,
-            score=status.score,
-            result=job.result,
-            scores=dict(status.detail.get("scores", {})),
-            num_filtered=int(status.detail.get("num_feasible", 0)),
-        )
-
     # ------------------------------------------------------------------ #
     # Multi-job extension (future work item 4)
     # ------------------------------------------------------------------ #
-    def enqueue_form(self, form: JobSubmissionForm) -> str:
-        """Queue a submission for later batch scheduling; returns the job name."""
-        submitted = self.submit_form(form)
-        self.queue.enqueue(submitted.job.spec)
-        return submitted.job.name
+    def enqueue_form(self, form: JobSubmissionForm, priority: int = 0) -> str:
+        """Submit a form now and queue its job on :meth:`service`; returns the job name.
 
-    def drain_queue(self, execute: bool = True) -> List[JobOutcome]:
-        """Schedule (and optionally execute) every queued job in policy order."""
-        outcomes: List[JobOutcome] = []
-        while len(self.queue):
-            spec = self.queue.dequeue()
-            outcome = self.run_job(spec.name) if execute else self.schedule_job(spec.name)
-            outcomes.append(outcome)
-        return outcomes
+        ``priority`` is the job's :attr:`~repro.service.JobRequirements.priority`:
+        the service dispatches higher priorities first and equal ones in
+        submission order.  A rejection by the service (say, a name it already
+        ran) leaves the job submitted, as :meth:`submit_form` does.
+        """
+        spec = self._spec_from_form(form, priority=priority)
+        self._engine.submit(spec, spec.name)
+        self._queued.append(self.service().submit_specs([spec])[0])
+        return spec.name
+
+    def drain_queue(self) -> List[JobOutcome]:
+        """Run every queued job through :meth:`service`; returns their outcomes in dispatch order.
+
+        Raises the engine error of the first job in that order that one failed.
+        """
+        queued, self._queued = self._queued, []
+        self.service().process()
+        queued.sort(key=_dispatch_time)
+        return [self._handle_outcome(handle) for handle in queued]
 
     # ------------------------------------------------------------------ #
     # Baseline rankings (for experiments)
@@ -375,3 +392,10 @@ class QRIO:
         if node_name is None:
             return None
         return self.cluster.node(node_name).backend.name
+
+
+def _dispatch_time(handle) -> float:
+    """When the service started matching ``handle``'s job: its dispatch order."""
+    from repro.service import JobState
+
+    return next(event.timestamp for event in handle.events() if event.state is JobState.MATCHING)

@@ -302,6 +302,13 @@ class Placement:
     detail: Dict[str, object] = field(default_factory=dict)
     saturated: bool = False
 
+    def status_detail(self) -> Dict[str, object]:
+        """What a job's status detail records of this placement (``saturated`` only when unplaced)."""
+        detail: Dict[str, object] = {"num_feasible": self.num_feasible, **self.detail}
+        if self.device is None:
+            detail["saturated"] = self.saturated
+        return detail
+
 
 @dataclass
 class EngineResult:

@@ -5,12 +5,16 @@ the existing subsystems:
 
 * :class:`OrchestratorEngine` — the paper's Fig. 2 cluster.  It owns the
   cluster registry, the meta server, the master server and the QRIO
-  scheduler.  MATCHING submits the spec's circuit object (meta-server
-  metadata, master containerize and manifest, the cluster job) and then
-  binds it from a warm plan or through one scheduling cycle (native
-  meta-server ranking or a registry policy).  RUNNING is one plan path
-  through the master server.  The :class:`~repro.core.QRIO` facade is a
-  client of this engine;
+  scheduler.  Its one submission entry, :meth:`OrchestratorEngine.submit`,
+  enters a spec's circuit object into the cluster (meta-server metadata,
+  master containerize and manifest, the cluster job).  MATCHING submits a
+  job that has not entered yet and then binds it from a warm plan or
+  through one scheduling cycle (native meta-server ranking or a registry
+  policy); matching a job that already entered from the same spec only
+  routes it.  RUNNING is one plan path through the master server.  The
+  :class:`~repro.core.QRIO` facade is a client of this engine: its form
+  submissions enter eagerly, and every facade job runs on this
+  MATCHING/RUNNING pair;
 * :class:`CloudEngine` — the discrete-event cloud simulator via its
   incremental :class:`~repro.cloud.CloudSession`: each submission becomes an
   arrival routed by a placement policy onto per-device FCFS queues;
@@ -39,10 +43,9 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.backends.backend import Backend
-from repro.circuits.circuit import QuantumCircuit
 from repro.scenarios.arrivals import JobRequest
 from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSimulationResult, CloudSimulator
 from repro.cluster.registry import ClusterState
@@ -160,10 +163,11 @@ class OrchestratorEngine(ExecutionEngine):
 
     The engine owns the four Fig. 2 parts — the :class:`ClusterState`, the
     :class:`MetaServer`, the :class:`MasterServer` and the
-    :class:`QRIOScheduler` — plus its own plan store.  :meth:`match` submits
-    the spec's circuit object (:meth:`submit_job`) and then runs MATCHING:
-    a warm plan, else one scheduling cycle.  :meth:`run` is one plan path: a
-    cold job's plan is compiled once by the master server, and every job
+    :class:`QRIOScheduler` — plus its own plan store.  :meth:`match` enters
+    the spec's circuit object into the cluster, unless :meth:`submit`
+    already entered the job from that spec, and then runs MATCHING: a warm
+    plan, else one scheduling cycle.  :meth:`run` is one plan path: a cold
+    job's plan is compiled once by the master server, and every job
     executes through :meth:`MasterServer.execute_bound_job`.
     """
 
@@ -192,6 +196,10 @@ class OrchestratorEngine(ExecutionEngine):
         self._policies = _PolicyResolver(policy, seed=seed)
         self._policy_fidelity_cache: dict = {}
         self._plans = _PlanStore()
+        #: Specs of jobs in the cluster whose next match only routes: eager
+        #: submissions not matched yet, and saturated jobs waiting to match
+        #: again.  A match consumes the entry.
+        self._entered: Dict[str, JobSpec] = {}
         self.cluster = ClusterState(name=cluster_name)
         self.meta_server = MetaServer(canary_shots=canary_shots, seed=derive_seed(seed, "meta"))
         self.master_server = MasterServer(self.cluster, seed=derive_seed(seed, "master"))
@@ -210,63 +218,78 @@ class OrchestratorEngine(ExecutionEngine):
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def submit_job(
-        self,
-        requirements: UserRequirements,
-        circuit: QuantumCircuit,
-        canvas: Optional[TopologyCanvas] = None,
-    ) -> SubmittedJob:
-        """Fig. 2's submission: validate, check the name, upload metadata, containerize, create the job.
+    def submit(self, spec: JobSpec, job_name: str) -> SubmittedJob:
+        """Fig. 2's submission of ``spec`` as ``job_name``; the job's next :meth:`match` only routes it.
 
         Every check runs before the first side effect, so a rejected
-        submission leaves the meta server, the image registry and the
-        cluster as they were.  The meta server keeps the circuit as
-        ``<job>_circuit`` (the canary seeds read that name) or the canvas's
-        topology circuit as ``<job>_topology``.
+        submission (an invalid name, a name that is still active) leaves the
+        meta server, the image registry and the cluster as they were.
         """
-        name = requirements.job_name
-        if requirements.strategy == "topology":
-            metadata = JobMetadata(
-                job_name=name,
-                strategy="topology",
-                topology_circuit=canvas.to_topology_circuit(name=f"{name}_topology"),
-            )
-        else:
-            metadata = JobMetadata(
-                job_name=name,
-                strategy="fidelity",
-                fidelity_threshold=requirements.fidelity_threshold,
-                circuit=circuit.copy(name=f"{name}_circuit"),
-            )
-        self.cluster.check_new_job(name)
-        self.meta_server.store_job_metadata(metadata)
-        return self.master_server.submit(requirements, circuit)
+        submitted = self._enter(spec, job_name)
+        self._entered[job_name] = spec
+        return submitted
+
+    def submitted_spec(self, job_name: str) -> Optional[JobSpec]:
+        """The spec ``job_name`` entered the cluster with, while its next match only routes it."""
+        return self._entered.get(job_name)
 
     def match(self, spec: JobSpec, job_name: str) -> Placement:
+        """MATCHING: enter the job unless it entered from ``spec``, then route it.
+
+        A saturated placement keeps the job entered, so the service's match
+        after capacity frees routes it again and submits nothing twice.
+        """
+        if self._entered.get(job_name) is spec:
+            del self._entered[job_name]
+        else:
+            self._enter(spec, job_name)
+        placement = self._route(spec, job_name)
+        if placement.saturated:
+            self._entered[job_name] = spec
+        return placement
+
+    def _enter(self, spec: JobSpec, job_name: str) -> SubmittedJob:
+        """Validate, check the name, upload metadata, containerize, create the job.
+
+        The meta server keeps the circuit as ``<job>_circuit`` (the canary
+        seeds read that name) or the requested topology's circuit as
+        ``<job>_topology``.
+        """
         requirements = spec.requirements
         qubits = requirements.qubits_for(spec.circuit)
         canvas = None
         if requirements.strategy == "topology":
             canvas = TopologyCanvas(qubits).load_edges(list(requirements.topology_edges))
-        self.submit_job(
-            UserRequirements(
-                job_name=job_name,
-                image_name=spec.image_name or f"qrio/{job_name}",
-                num_qubits=qubits,
-                cpu_millicores=requirements.cpu_millicores,
-                memory_mb=requirements.memory_mb,
-                max_avg_two_qubit_error=requirements.max_avg_two_qubit_error,
-                max_avg_readout_error=requirements.max_avg_readout_error,
-                min_avg_t1=requirements.min_avg_t1,
-                min_avg_t2=requirements.min_avg_t2,
-                fidelity_threshold=None if canvas else requirements.effective_fidelity_threshold,
-                topology_edges=canvas.edges() if canvas else None,
-                shots=spec.shots,
-            ),
-            spec.circuit,
-            canvas,
+        user = UserRequirements(
+            job_name=job_name,
+            image_name=spec.image_name or f"qrio/{job_name}",
+            num_qubits=qubits,
+            cpu_millicores=requirements.cpu_millicores,
+            memory_mb=requirements.memory_mb,
+            max_avg_two_qubit_error=requirements.max_avg_two_qubit_error,
+            max_avg_readout_error=requirements.max_avg_readout_error,
+            min_avg_t1=requirements.min_avg_t1,
+            min_avg_t2=requirements.min_avg_t2,
+            fidelity_threshold=None if canvas is not None else requirements.effective_fidelity_threshold,
+            topology_edges=None if canvas is None else canvas.edges(),
+            shots=spec.shots,
         )
-        return self._route(spec, job_name)
+        if canvas is not None:
+            metadata = JobMetadata(
+                job_name=job_name,
+                strategy="topology",
+                topology_circuit=canvas.to_topology_circuit(name=f"{job_name}_topology"),
+            )
+        else:
+            metadata = JobMetadata(
+                job_name=job_name,
+                strategy="fidelity",
+                fidelity_threshold=user.fidelity_threshold,
+                circuit=spec.circuit.copy(name=f"{job_name}_circuit"),
+            )
+        self.cluster.check_new_job(job_name)
+        self.meta_server.store_job_metadata(metadata)
+        return self.master_server.submit(user, spec.circuit)
 
     # ------------------------------------------------------------------ #
     # Execution

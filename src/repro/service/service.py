@@ -758,17 +758,15 @@ class QRIOService(FrontDesk):
         except Exception as error:
             self._fail_group(group, f"matching {_failure_verb(error)}: {error}", error)
             return None
+        placement_detail = placement.status_detail()
+        for handle in group.handles:
+            handle._set_placement(placement.device, placement.score, dict(placement_detail))
         if placement.device is None:
-            for handle in group.handles:
-                handle._set_placement(None, None, {"num_feasible": placement.num_feasible, **placement.detail})
             self._fail_group(
                 group,
                 f"no feasible device ({placement.num_feasible} of {len(self._engine.fleet())} passed filtering)",
             )
             return None
-        placement_detail = {"num_feasible": placement.num_feasible, **placement.detail}
-        for handle in group.handles:
-            handle._set_placement(placement.device, placement.score, dict(placement_detail))
         return placement
 
     def _run_group(self, group: _JobGroup, placement: Placement) -> None:

@@ -1,8 +1,8 @@
-"""Tests for job specifications, lifecycle and the job queue."""
+"""Tests for job specifications and the job lifecycle."""
 
 import pytest
 
-from repro.cluster import DeviceConstraints, Job, JobPhase, JobQueue, JobSpec, QueuePolicy, ResourceRequest
+from repro.cluster import DeviceConstraints, Job, JobPhase, JobSpec, ResourceRequest
 from repro.qasm import dump_qasm
 from repro.circuits import ghz
 from repro.simulators import SimulationResult
@@ -11,15 +11,13 @@ from repro.utils.exceptions import ClusterError
 QASM = dump_qasm(ghz(2))
 
 
-def make_spec(name="job", strategy="fidelity", qubits=2, fidelity=None):
-    metadata = {"fidelity_threshold": fidelity} if fidelity is not None else {}
+def make_spec(name="job", strategy="fidelity", qubits=2):
     return JobSpec(
         name=name,
         image=f"qrio/{name}",
         circuit_qasm=QASM,
         resources=ResourceRequest(qubits=qubits),
         strategy=strategy,
-        metadata=metadata,
     )
 
 
@@ -83,41 +81,3 @@ class TestJobLifecycle:
         description = Job(spec=make_spec()).describe()
         assert {"name", "phase", "node", "strategy"} <= set(description)
 
-
-class TestJobQueue:
-    def test_fifo_order(self):
-        queue = JobQueue(QueuePolicy.FIFO)
-        queue.enqueue(make_spec("a"))
-        queue.enqueue(make_spec("b"))
-        assert queue.dequeue().name == "a"
-        assert queue.dequeue().name == "b"
-
-    def test_smallest_first_order(self):
-        queue = JobQueue(QueuePolicy.SMALLEST_FIRST)
-        queue.enqueue(make_spec("big", qubits=10))
-        queue.enqueue(make_spec("small", qubits=2))
-        assert queue.dequeue().name == "small"
-
-    def test_tightest_fidelity_first_order(self):
-        queue = JobQueue(QueuePolicy.TIGHTEST_FIDELITY_FIRST)
-        queue.enqueue(make_spec("lax", fidelity=0.5))
-        queue.enqueue(make_spec("strict", fidelity=0.99))
-        assert queue.dequeue().name == "strict"
-
-    def test_duplicate_names_rejected(self):
-        queue = JobQueue()
-        queue.enqueue(make_spec("a"))
-        with pytest.raises(ClusterError):
-            queue.enqueue(make_spec("a"))
-
-    def test_dequeue_empty_raises(self):
-        with pytest.raises(ClusterError):
-            JobQueue().dequeue()
-
-    def test_peek_and_drain(self):
-        queue = JobQueue()
-        queue.enqueue(make_spec("a"))
-        queue.enqueue(make_spec("b"))
-        assert queue.peek().name == "a"
-        assert [spec.name for spec in queue.drain()] == ["a", "b"]
-        assert len(queue) == 0

@@ -56,8 +56,8 @@ class TestMasterServer:
         requirements = UserRequirements(job_name="ms-job3", image_name="qrio/ms-job3",
                                         num_qubits=3, fidelity_threshold=0.9)
         server.submit(requirements, ghz(3))
-        with pytest.raises(MasterServerError):
-            server.execute_bound_job("ms-job3")
+        with pytest.raises(MasterServerError, match="has not been scheduled"):
+            server.execute_bound_job("ms-job3", plan=None)  # rejected before the plan is read
 
     def test_logs_placeholder_before_completion(self):
         cluster = ClusterState()
@@ -115,7 +115,7 @@ class TestQRIOOrchestrator:
                 .request_fidelity(threshold)
             )
             orchestrator.enqueue_form(form)
-        outcomes = orchestrator.drain_queue(execute=True)
+        outcomes = orchestrator.drain_queue()
         assert len(outcomes) == 2
         assert all(outcome.succeeded for outcome in outcomes)
 
@@ -176,7 +176,7 @@ class TestRejectedSubmission:
 
 
 class TestFig2Trail:
-    """Cold, warm and legacy runs leave the Fig. 2 logs and events in order."""
+    """Cold, warm and form-submitted runs leave the Fig. 2 logs and events in order."""
 
     COLD_LOGS = ("Image ", "Job manifest created", "Scheduled on node", "Container started",
                  "Transpiled to ", "Execution finished")
@@ -199,10 +199,12 @@ class TestFig2Trail:
         orchestrator.submit_and_run(self._form(orchestrator, "trail-warm"))
         orchestrator.submit_form(self._form(orchestrator, "trail-legacy"))
         orchestrator.run_job("trail-legacy")
+        # A form-submitted job runs on the engine's MATCHING/RUNNING pair, so
+        # it replays the plan the cold job stored.
         for name, logs, events in (
             ("trail-cold", self.COLD_LOGS, self.COLD_EVENTS),
             ("trail-warm", self.WARM_LOGS, self.WARM_EVENTS),
-            ("trail-legacy", self.COLD_LOGS, self.COLD_EVENTS),
+            ("trail-legacy", self.WARM_LOGS, self.WARM_EVENTS),
         ):
             lines = orchestrator.job_logs(name)
             assert len(lines) == len(logs) and all(map(str.startswith, lines, logs)), lines

@@ -630,6 +630,13 @@ class TestCapacitySaturation:
                 assert states.count(JobState.MATCHING) == 1
             rows = service.tenants_report()["tenants"]
             assert all(row["queued"] == 0 and row["inflight"] == 0 for row in rows.values())
+        # A match after saturation only routes: each job entered the cluster
+        # once, and no finished job's spec is held for another match.
+        cluster = engine.inner.cluster
+        submitted = [event.subject for event in cluster.events.all() if event.kind == "JobSubmitted"]
+        assert sorted(submitted) == sorted(handle.name for handle in handles)
+        assert any(event.kind == "Unschedulable" for event in cluster.events.all())
+        assert all(engine.inner.submitted_spec(handle.name) is None for handle in handles)
 
     def test_job_that_can_never_fit_still_fails(self):
         engine = DeviceLatencyEngine(OrchestratorEngine(seed=17, canary_shots=64), latency_s=0.05)

@@ -9,6 +9,7 @@ bench, example or document names them again.
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.core.master_server as master_server
+from repro.core import MasterServer
 
 _REPO = Path(__file__).resolve().parent.parent
 
@@ -64,8 +67,8 @@ API = {
     "repro.cluster": (
         "CONTAINER_REQUIREMENTS", "ClusterState", "ContainerImage", "DeviceConstraints", "Event",
         "EventLog", "FilterPlugin", "FilterReport", "ImageBuilder", "ImageRegistry", "Job",
-        "JobPhase", "JobQueue", "JobSpec", "Node", "NodeCapacity", "NodeLabels", "NodeStatus",
-        "QueuePolicy", "ResourceRequest", "run_filters",
+        "JobPhase", "JobSpec", "Node", "NodeCapacity", "NodeLabels", "NodeStatus",
+        "ResourceRequest", "run_filters",
     ),
     "repro.core": (
         "CacheStats", "ClassicalResourceFilter", "DeviceCharacteristicsFilter", "DeviceSpec",
@@ -197,6 +200,7 @@ def test_every_listed_name_resolves(package):
 
 #: Library modules deleted because no caller in ``src/`` reached them.
 DELETED_MODULES = (
+    "repro.cluster.queue",
     "repro.fidelity.analytic",
     "repro.simulators.channels",
     "repro.simulators.mitigation",
@@ -206,7 +210,7 @@ DELETED_MODULES = (
 
 _DELETED_REFERENCE = re.compile(
     r"ClusterEngine|transpiler\.fusion|simulators\.(mitigation|channels)|fidelity\.analytic"
-    r"|utils\.linalg|fuse_clifford_runs|ReadoutMitigator"
+    r"|utils\.linalg|fuse_clifford_runs|ReadoutMitigator|cluster\.queue|JobQueue|QueuePolicy"
 )
 _TEXT_SUFFIXES = {".py", ".md", ".json", ".txt", ".cfg", ".toml", ".yml", ".yaml", ".qasm"}
 
@@ -231,3 +235,10 @@ def test_nothing_references_a_deleted_name(root):
         if _DELETED_REFERENCE.search(line)
     ]
     assert not hits
+
+
+def test_the_master_server_runs_only_plans():
+    # Every bound job arrives with a plan: none has its manifest QASM parsed.
+    plan = inspect.signature(MasterServer.execute_bound_job).parameters["plan"]
+    assert plan.default is inspect.Parameter.empty
+    assert "parse_qasm(" not in inspect.getsource(master_server)
