@@ -190,11 +190,6 @@ class JobSubmissionForm:
         """The chosen job circuit (``None`` before step 0)."""
         return self._circuit
 
-    @property
-    def topology(self) -> Optional[TopologyCanvas]:
-        """The requested topology canvas (``None`` for a fidelity request)."""
-        return self._topology
-
     def build_requirements(self) -> UserRequirements:
         """Validate the form and produce the structured requirements."""
         if self._circuit is None or self._circuit_qasm is None:

@@ -198,7 +198,10 @@ class OrchestratorEngine(ExecutionEngine):
         self._plans = _PlanStore()
         #: Specs of jobs in the cluster whose next match only routes: eager
         #: submissions not matched yet, and saturated jobs waiting to match
-        #: again.  A match consumes the entry.
+        #: again.  A match consumes the entry.  A saturated job the service
+        #: stops retrying (only a node bound outside the service, say by
+        #: ``QRIO.schedule_job``, makes it stop) keeps its entry until the
+        #: facade's ``run_job`` matches it.
         self._entered: Dict[str, JobSpec] = {}
         self.cluster = ClusterState(name=cluster_name)
         self.meta_server = MetaServer(canary_shots=canary_shots, seed=derive_seed(seed, "meta"))

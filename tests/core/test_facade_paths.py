@@ -54,11 +54,12 @@ def _line_testbed():
     ]
 
 
-def _form(qrio, name, circuit, threshold):
+def _form(qrio, name, circuit, threshold=0.8, cpu_millicores=500):
     return (
         qrio.new_submission_form()
         .choose_circuit(circuit)
-        .set_job_details(name, f"qrio/{name}", num_qubits=circuit.num_qubits, shots=64)
+        .set_job_details(name, f"qrio/{name}", num_qubits=circuit.num_qubits,
+                         cpu_millicores=cpu_millicores, shots=64)
         .request_fidelity(threshold)
     )
 
@@ -174,16 +175,6 @@ class TestQueueOrderings:
         assert [(outcome.job.name, outcome.device) for outcome in outcomes] == QUEUE_ORDERINGS[ordering]
 
 
-def _fidelity_form(qrio, name, circuit, threshold=0.8, cpu_millicores=500):
-    return (
-        qrio.new_submission_form()
-        .choose_circuit(circuit)
-        .set_job_details(name, f"qrio/{name}", num_qubits=circuit.num_qubits,
-                         cpu_millicores=cpu_millicores, shots=32)
-        .request_fidelity(threshold)
-    )
-
-
 class TestOneOutcome:
     """Every facade route reports a job through the same outcome builder."""
 
@@ -191,9 +182,9 @@ class TestOneOutcome:
     def test_a_full_node_reports_saturated_on_every_route(self, route):
         qrio = QRIO(cluster_name="saturated", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed()[:1])
-        qrio.submit_form(_fidelity_form(qrio, "holder", ghz(3), cpu_millicores=4000))
+        qrio.submit_form(_form(qrio, "holder", ghz(3), cpu_millicores=4000))
         assert qrio.schedule_job("holder").device == "premium"
-        form = _fidelity_form(qrio, "waiter", ghz(3), cpu_millicores=4000)
+        form = _form(qrio, "waiter", ghz(3), cpu_millicores=4000)
         if route == "submit_and_run":
             outcome = qrio.submit_and_run(form)
         else:
@@ -205,8 +196,8 @@ class TestOneOutcome:
     def test_a_saturated_job_runs_once_capacity_frees(self):
         qrio = QRIO(cluster_name="saturated-retry", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed()[:1])
-        qrio.submit_form(_fidelity_form(qrio, "first", ghz(3), cpu_millicores=4000))
-        qrio.submit_form(_fidelity_form(qrio, "second", ghz(3), cpu_millicores=4000))
+        qrio.submit_form(_form(qrio, "first", ghz(3), cpu_millicores=4000))
+        qrio.submit_form(_form(qrio, "second", ghz(3), cpu_millicores=4000))
         qrio.schedule_job("first")
         assert qrio.run_job("second").saturated
         qrio.cluster.release("first")
@@ -218,7 +209,7 @@ class TestOneOutcome:
     def test_run_job_refuses_a_job_schedule_job_bound(self):
         qrio = QRIO(cluster_name="bound", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed())
-        qrio.submit_form(_fidelity_form(qrio, "bound-job", ghz(3)))
+        qrio.submit_form(_form(qrio, "bound-job", ghz(3)))
         assert qrio.schedule_job("bound-job").device is not None
         with pytest.raises(ClusterError, match="'bound-job'"):
             qrio.run_job("bound-job")
@@ -226,7 +217,7 @@ class TestOneOutcome:
     def test_run_job_refuses_a_job_it_already_ran(self):
         qrio = QRIO(cluster_name="twice", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed())
-        qrio.submit_form(_fidelity_form(qrio, "once", ghz(3)))
+        qrio.submit_form(_form(qrio, "once", ghz(3)))
         assert qrio.run_job("once").succeeded
         with pytest.raises(ClusterError, match="'once'"):
             qrio.run_job("once")
@@ -239,7 +230,7 @@ class TestDrainQueue:
         qrio.register_devices(_line_testbed())
         fired = []
         for index, priority in enumerate((0, 5, 0, 9, 5)):
-            name = qrio.enqueue_form(_fidelity_form(qrio, f"job-{index}", ghz(2 + index % 3)), priority=priority)
+            name = qrio.enqueue_form(_form(qrio, f"job-{index}", ghz(2 + index % 3)), priority=priority)
             qrio.service().job(name).add_done_callback(lambda handle: fired.append(handle.name))
         outcomes = qrio.drain_queue()
         order = ["job-3", "job-1", "job-4", "job-0", "job-2"]
@@ -251,7 +242,7 @@ class TestDrainQueue:
         qrio = QRIO(cluster_name="drain-once", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed())
         for index in range(3):
-            qrio.enqueue_form(_fidelity_form(qrio, f"once-{index}", ghz(3)))
+            qrio.enqueue_form(_form(qrio, f"once-{index}", ghz(3)))
         assert [job.phase for job in qrio.cluster.jobs()] == [JobPhase.PENDING] * 3
         qrio.drain_queue()
         submitted = [event.subject for event in qrio.cluster.events.all() if event.kind == "JobSubmitted"]
@@ -261,10 +252,10 @@ class TestDrainQueue:
     def test_a_name_the_service_already_ran_is_refused(self):
         qrio = QRIO(cluster_name="drain-dup", canary_shots=64, seed=9)
         qrio.register_devices(_line_testbed())
-        qrio.enqueue_form(_fidelity_form(qrio, "dup", ghz(3)))
+        qrio.enqueue_form(_form(qrio, "dup", ghz(3)))
         qrio.drain_queue()
         with pytest.raises(ServiceError, match="already submitted"):
-            qrio.enqueue_form(_fidelity_form(qrio, "dup", ghz(3)))
+            qrio.enqueue_form(_form(qrio, "dup", ghz(3)))
 
 
 def test_no_facade_route_parses_qasm(monkeypatch):
@@ -276,8 +267,8 @@ def test_no_facade_route_parses_qasm(monkeypatch):
             monkeypatch.setattr(module, "parse_qasm", refuse)
     qrio = QRIO(cluster_name="no-parse", canary_shots=64, seed=9)
     qrio.register_devices(_line_testbed())
-    qrio.submit_form(_fidelity_form(qrio, "form-job", qft(3, measure=True)))
+    qrio.submit_form(_form(qrio, "form-job", qft(3, measure=True)))
     assert qrio.run_job("form-job").succeeded
-    assert qrio.submit_and_run(_fidelity_form(qrio, "service-job", ghz(4))).succeeded
-    qrio.enqueue_form(_fidelity_form(qrio, "queued-job", grover_search(3)))
+    assert qrio.submit_and_run(_form(qrio, "service-job", ghz(4))).succeeded
+    qrio.enqueue_form(_form(qrio, "queued-job", grover_search(3)))
     assert all(outcome.succeeded for outcome in qrio.drain_queue())
