@@ -2,7 +2,7 @@
 
 The paper's headline loop — rank a 100-device fleet for every arriving job —
 repeats expensive computations whose inputs barely change between jobs.  Only
-the two whose cache key covers every input they read are memoized here, once
+the three whose cache key covers every input they read are memoized here, once
 per process:
 
 * **VF2 enumeration**: depends only on the requested pattern and the
@@ -13,6 +13,13 @@ per process:
   against the device's calibration data, keyed by the pattern, the device,
   its calibration fingerprint and the search parameters (plus the seed of
   the budgeted matcher).
+* **Canary placements**: the layout the transpiler's layout passes choose
+  for a canary on a device (:func:`repro.transpiler.preset.place`), keyed by
+  the four things those passes read: the virtual circuit's width, its
+  interaction pairs in first-seen order, the device's calibration
+  fingerprint and the optimisation level.  Every fidelity ranking builds a
+  fresh estimator, so only a process-wide memo is shared between the
+  fresh-angle jobs of one sweep.
 
 Sharing such a cache cannot change a result: a hit returns exactly what a
 fresh computation would.  Seeded or stateful caches have an owner instead:
@@ -37,9 +44,10 @@ builds on:
   scores computed against the stale calibration: the new fingerprint simply
   misses.
 * :class:`LRUCache` — a thread-safe bounded mapping with hit/miss/eviction
-  statistics, the one cache type.  Two process-wide instances are reached
-  through :func:`enumeration_cache` (``repro.matching.subgraph``) and
-  :func:`embedding_cache` (``repro.matching``); every engine's plan store
+  statistics, the one cache type.  Three process-wide instances are reached
+  through :func:`enumeration_cache` (``repro.matching.subgraph``),
+  :func:`embedding_cache` (``repro.matching``) and :func:`placement_cache`
+  (``repro.fidelity.canary``); every engine's plan store
   records into the process-wide :data:`PLAN_STATS` counters.
 
 :func:`clear_all_caches` empties the shared instances (benchmarks call it
@@ -65,6 +73,8 @@ __all__ = [
     "fleet_calibration_epoch",
     "enumeration_cache",
     "embedding_cache",
+    "placement_key",
+    "placement_cache",
     "PLAN_STATS",
     "clear_all_caches",
     "all_cache_stats",
@@ -371,6 +381,7 @@ def fleet_calibration_epoch(fleet: Iterable) -> str:
 # --------------------------------------------------------------------------- #
 _ENUMERATION_CACHE = LRUCache(2048)
 _EMBEDDING_CACHE = LRUCache(2048)
+_PLACEMENT_CACHE = LRUCache(4096)
 
 #: Hit/miss/eviction counters shared by every engine's plan store, so the
 #: ``plan`` row of :func:`all_cache_stats` covers the whole process.
@@ -400,10 +411,41 @@ def embedding_cache() -> LRUCache:
     return _EMBEDDING_CACHE
 
 
+def placement_key(virtual, properties) -> tuple:
+    """Key of one canary placement in :func:`placement_cache`.
+
+    ``virtual`` is a :class:`~repro.transpiler.preset.VirtualCircuit`.  The
+    key holds everything the layout passes read: the circuit's width, its
+    :attr:`~repro.transpiler.preset.VirtualCircuit.interaction_items` (the
+    VF2 pattern is built in that order, and the costs weight by those
+    multiplicities), the device's :func:`calibration_fingerprint` (name,
+    coupling map and error rates) and the optimisation level, which picks
+    the passes.
+    """
+    return (
+        virtual.circuit.num_qubits,
+        virtual.interaction_items,
+        calibration_fingerprint(properties),
+        virtual.optimization_level,
+    )
+
+
+def placement_cache() -> LRUCache:
+    """The process-wide canary placement cache.
+
+    Keyed by :func:`placement_key`; values are the
+    :class:`~repro.transpiler.layout.Layout` that
+    :func:`~repro.transpiler.preset.place` returned, shared and never
+    modified.  A drifted calibration has a new fingerprint, so it misses.
+    """
+    return _PLACEMENT_CACHE
+
+
 def clear_all_caches() -> None:
     """Empty every shared cache (benchmarks call this between cold runs)."""
     _ENUMERATION_CACHE.clear()
     _EMBEDDING_CACHE.clear()
+    _PLACEMENT_CACHE.clear()
 
 
 def all_cache_stats() -> Dict[str, Dict[str, float]]:
@@ -411,6 +453,7 @@ def all_cache_stats() -> Dict[str, Dict[str, float]]:
     return {
         "enumeration": _ENUMERATION_CACHE.stats.as_dict(),
         "embedding": _EMBEDDING_CACHE.stats.as_dict(),
+        "placement": _PLACEMENT_CACHE.stats.as_dict(),
         "plan": PLAN_STATS.as_dict(),
         # Stub rows for perfbench/worker.py's ``cache.ideal_distribution.*`` and
         # ``cache.batch.*`` metrics; no shared cache is behind either.

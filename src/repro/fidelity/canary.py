@@ -9,13 +9,19 @@ For a user circuit and a candidate device the protocol is:
 3. transpile the canary to the candidate device and execute it under the
    device's noise model.  A ranking compiles once and places per device:
    the transpiler's device-independent virtual stage and its post-routing
-   passes run once per basis set, and a device pays for its layout and a
-   relabel of that output onto its qubits.  It also simulates once: the
-   relabelled devices of one basis set run the same circuit, and only the
-   error rates read through each layout differ, so their exact outcome
-   laws come from one density-matrix pass with a device axis, and each
-   device draws its shots under its own seed.  Only a device whose layout
-   needs SWAPs is routed, optimised and executed on its own;
+   passes run once per basis set, and a device pays for its layout
+   (:func:`~repro.transpiler.preset.place`, memoised process-wide in
+   :func:`~repro.core.cache.placement_cache`).  A device whose layout needs
+   no SWAP builds no circuit: its compiled canary would be the basis set's
+   post-routing output relabelled through the layout, so its report reads
+   the layout, no SWAP and that output's two-qubit count
+   (:func:`~repro.transpiler.preset.swap_free_placeable`).  A ranking also
+   simulates once: those devices run the same circuit, and only the error
+   rates read through each layout differ, so their exact outcome laws come
+   from one density-matrix pass with a device axis, and each device draws
+   its shots under its own seed.  Only a device whose layout needs SWAPs,
+   or whose canary that pass does not take, gets a full
+   :func:`~repro.transpiler.preset.transpile` and executes on its own;
 4. report the Hellinger fidelity between the noisy and ideal distributions.
 
 Because the canary shares the original circuit's structure (especially its
@@ -38,12 +44,29 @@ from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import hellinger_fidelity
 from repro.simulators.stabilizer import StabilizerSimulator, circuit_is_stabilizer_compatible
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
-from repro.transpiler.preset import TranspileResult, VirtualCircuit, transpile, virtual_stage
+from repro.transpiler.preset import VirtualCircuit, place, swap_free_placeable, transpile, virtual_stage
 from repro.utils.exceptions import FidelityEstimationError
 from repro.utils.rng import SeedLike, derive_seed
 
 #: Default shot budget used for canary executions.
 DEFAULT_CANARY_SHOTS = 512
+
+
+@dataclass(frozen=True)
+class _Placement:
+    """What a ranking reads of one device's compiled canary.
+
+    ``batch`` is the density batch (see :func:`_density_batch`) of a
+    swap-free device's basis set, which builds no circuit; every other
+    device carries its full :func:`~repro.transpiler.preset.transpile`
+    output in ``circuit``.
+    """
+
+    mapping: Dict[int, int]
+    swaps_inserted: int
+    two_qubit_gates: int
+    batch: Optional[Tuple[QuantumCircuit, Tuple[int, ...]]] = None
+    circuit: Optional[QuantumCircuit] = None
 
 
 @dataclass
@@ -110,13 +133,12 @@ class CliffordCanaryEstimator:
         or different circuit rebuilds.  Within that entry the output of
         :func:`~repro.transpiler.preset.virtual_stage` is kept per ordered
         basis set, the only part of the device that stage reads, so a fleet
-        ranking pays it once per basis set and each device's
-        :func:`~repro.transpiler.preset.transpile` runs only the physical
-        stage.  The virtual circuit keeps its post-routing output, so those
-        passes too run once per basis set, on the first device whose layout
-        needs no SWAP.  The memo is read once per call: a racing caller can only
-        rebuild, never pair one circuit's canary with another's counts or
-        virtual circuit.
+        ranking pays it once per basis set and each device pays only the
+        physical stage's layout (see :meth:`_place`).  The virtual circuit
+        keeps its post-routing output, so those passes too run once per basis
+        set, on the first device whose layout needs no SWAP.  The memo is
+        read once per call: a racing caller can only rebuild, never pair one
+        circuit's canary with another's counts or virtual circuit.
         """
         # Imported lazily: repro.core's package init imports this module.
         from repro.core.cache import structural_circuit_hash
@@ -145,11 +167,13 @@ class CliffordCanaryEstimator:
     ) -> List[CanaryReport]:
         """Estimate ``circuit``'s fidelity on every candidate device, as one batched simulation.
 
-        Every device is checked for width before any canary runs.  Each
-        device then gets its canary and its own :func:`transpile` (see
-        :meth:`_canary_for`), and the noisy executions run together
+        Every device is checked for width before any canary runs.  The
+        canary is built once (:meth:`_canary_for`), each device gets its
+        layout and, only where it needs SWAPs, a full :func:`transpile`
+        (:meth:`_place`), and the noisy executions run together
         (:meth:`_execute`).  Reports come back in ``backends`` order and
-        equal one :meth:`estimate` per device.
+        equal one :meth:`estimate` per device, and each equals the report of
+        a full per-device transpile and execution.
         """
         backends = list(backends)
         for backend in backends:
@@ -161,69 +185,107 @@ class CliffordCanaryEstimator:
         if not backends:
             return []
         canary, ideal_counts, virtuals = self._canary_for(circuit, backends)
-        placed = [
-            (
-                virtual,
-                transpile(
-                    virtual,
-                    backend,
-                    optimization_level=self._optimization_level,
-                    seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit.name),
-                ),
-            )
-            for backend, virtual in zip(backends, virtuals)
-        ]
-        noisy = self._execute(circuit.name, backends, placed)
+        placements = self._place(circuit.name, backends, virtuals)
+        noisy = self._execute(circuit.name, backends, placements)
         return [
             CanaryReport(
                 device=backend.name,
                 circuit_name=circuit.name,
                 canary_fidelity=hellinger_fidelity(counts, ideal_counts),
-                swaps_inserted=compiled.swaps_inserted,
-                two_qubit_gates=compiled.two_qubit_gate_count(),
+                swaps_inserted=placement.swaps_inserted,
+                two_qubit_gates=placement.two_qubit_gates,
                 shots=self._shots,
                 details={
                     "canary_gates": canary.size(),
                     "non_clifford_replaced": canary.metadata.get("non_clifford_replaced", 0),
                 },
             )
-            for backend, (_, compiled), counts in zip(backends, placed, noisy)
+            for backend, placement, counts in zip(backends, placements, noisy)
         ]
+
+    def _place(
+        self, circuit_name: str, backends: Sequence[Backend], virtuals: Sequence[VirtualCircuit]
+    ) -> List[_Placement]:
+        """Each device's layout, SWAP count and two-qubit count, in ``backends`` order.
+
+        Every device's layout comes from :func:`~repro.transpiler.preset.place`
+        through the process-wide :func:`~repro.core.cache.placement_cache`,
+        whose key covers all that choice reads, so a hit is the layout a
+        fresh call would return.  A device whose layout needs no SWAP and
+        whose basis set's canary the density batch takes builds no circuit:
+        :func:`~repro.transpiler.preset.swap_free_placeable` runs the relabel
+        path's checks on the placeable, and the report reads its two-qubit
+        count.  Every other device gets the full
+        :func:`~repro.transpiler.preset.transpile` from that layout, which
+        relabels or routes exactly as a transpile that chose it would.
+        """
+        # Imported lazily: repro.core's package init imports this module.
+        from repro.core.cache import placement_cache, placement_key
+
+        cache = placement_cache()
+        # Per virtual circuit: its placeable's density batch and two-qubit count.
+        swap_free: Dict[int, Tuple[Optional[Tuple[QuantumCircuit, Tuple[int, ...]]], int]] = {}
+        placements = []
+        for backend, virtual in zip(backends, virtuals):
+            key = placement_key(virtual, backend.properties)
+            layout = cache.get(key)
+            if layout is None:
+                layout = place(virtual, backend, self._optimization_level)
+                cache.put(key, layout)
+            placeable = swap_free_placeable(virtual, layout, backend)
+            if placeable is not None:
+                if id(virtual) not in swap_free:
+                    swap_free[id(virtual)] = (_density_batch(placeable), placeable.num_two_qubit_gates())
+                batch, two_qubit_gates = swap_free[id(virtual)]
+                if batch is not None:
+                    placements.append(_Placement(layout.mapping, 0, two_qubit_gates, batch=batch))
+                    continue
+            compiled = transpile(
+                virtual,
+                backend,
+                optimization_level=self._optimization_level,
+                initial_layout=layout,
+                seed=derive_seed(self._seed, "canary-transpile", backend.name, circuit_name),
+            )
+            placements.append(
+                _Placement(
+                    compiled.initial_layout.mapping,
+                    compiled.swaps_inserted,
+                    compiled.two_qubit_gate_count(),
+                    circuit=compiled.circuit,
+                )
+            )
+        return placements
 
     def _execute(
         self,
         circuit_name: str,
         backends: Sequence[Backend],
-        placed: Sequence[Tuple[VirtualCircuit, TranspileResult]],
+        placements: Sequence[_Placement],
     ) -> List[Dict[str, int]]:
         """The noisy canary counts of each device, in ``backends`` order.
 
-        The devices whose canary was relabelled from one virtual circuit run
-        one circuit up to the physical qubits it lands on.  Their outcome
-        laws are one batched density-matrix pass
-        (:func:`~repro.simulators.density.outcome_laws`) over the
-        post-routing output, compacted once on virtual wires, with one row
-        of rates per device read through its initial layout from its live
+        The swap-free devices of one basis set run one circuit up to the
+        physical qubits it lands on.  Their outcome laws are one batched
+        density-matrix pass (:func:`~repro.simulators.density.outcome_laws`)
+        over the post-routing output, compacted once on virtual wires, with
+        one row of rates per device read through its layout from its live
         calibration.  Each device then draws its shots under its own seed,
-        as :func:`~repro.simulators.noisy.execute_with_noise` would.
-        Routed devices, and canaries the density engine does not take,
-        execute alone.
+        as :func:`~repro.simulators.noisy.execute_with_noise` would.  Every
+        other device executes its compiled canary alone.
         """
         seeds = [derive_seed(self._seed, "canary-execute", backend.name, circuit_name) for backend in backends]
         counts: List[Optional[Dict[str, int]]] = [None] * len(backends)
         batches: Dict[int, List[int]] = {}
-        for index, (virtual, compiled) in enumerate(placed):
-            if compiled.relabelled:
-                batches.setdefault(id(virtual), []).append(index)
+        for index, placement in enumerate(placements):
+            if placement.batch is not None:
+                batches.setdefault(id(placement.batch), []).append(index)
         for members in batches.values():
-            batch = _density_batch(placed[members[0]][0].post_routed())
-            if batch is None:
-                continue
-            compacted, wires = batch
+            compacted, wires = placements[members[0]].batch
             gates, readouts = noise_sites(compacted, wires)
             rows = []
             for index in members:
-                physical = placed[index][1].initial_layout.mapping
+                physical = placements[index].mapping
                 sites = (
                     tuple(tuple(physical[q] for q in operands) for operands in gates),
                     tuple(physical[q] for q in readouts),
@@ -233,9 +295,8 @@ class CliffordCanaryEstimator:
                 counts[index] = law.draw(self._shots, seeds[index]).counts
         for index, backend in enumerate(backends):
             if counts[index] is None:
-                compiled = placed[index][1]
                 counts[index] = execute_with_noise(
-                    compiled.circuit, backend.properties, shots=self._shots, seed=seeds[index]
+                    placements[index].circuit, backend.properties, shots=self._shots, seed=seeds[index]
                 ).counts
         return counts
 
@@ -255,7 +316,7 @@ class CliffordCanaryEstimator:
         return sorted(reports, key=lambda report: (-report.canary_fidelity, report.device))
 
 
-def _density_batch(placeable: Optional[QuantumCircuit]) -> Optional[Tuple[QuantumCircuit, Tuple[int, ...]]]:
+def _density_batch(placeable: QuantumCircuit) -> Optional[Tuple[QuantumCircuit, Tuple[int, ...]]]:
     """``placeable`` compacted onto its active wires, with the wire behind each compacted qubit.
 
     ``None`` when the density engine would not execute its placements alone
@@ -264,8 +325,6 @@ def _density_batch(placeable: Optional[QuantumCircuit]) -> Optional[Tuple[Quantu
     qubits in ascending physical order and the last one measured into a
     shared classical bit wins, so only one-to-one measurement maps batch.
     """
-    if placeable is None:
-        return None
     compacted, mapping = compact_circuit(placeable)
     measured = compacted.measurement_map()
     if not mapping or compacted.num_qubits > DENSITY_LIMIT:

@@ -348,7 +348,7 @@ class ServiceRuntime:
         blocks until a lane finishes a group since the previous match, then
         returns ``True`` to match again; with no group executing (and none
         finished) nothing will free capacity, so it returns ``False`` and the
-        group fails as infeasible.
+        group fails as saturated.
         """
         with self._lock:
             seen = self._finished_runs

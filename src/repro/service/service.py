@@ -729,7 +729,8 @@ class QRIOService(FrontDesk):
         ``wait_for_capacity`` (the runtime's hook) is called when a
         placement comes back :attr:`~repro.service.Placement.saturated`; it
         blocks until capacity may have been released and returns ``True`` to
-        match again, ``False`` to fail the group as infeasible.
+        match again, ``False`` to fail the group as saturated (a node held by
+        a job bound outside the service is released by nothing it waits on).
         """
         size = len(group.handles)
         spec = group.spec
@@ -762,10 +763,14 @@ class QRIOService(FrontDesk):
         for handle in group.handles:
             handle._set_placement(placement.device, placement.score, dict(placement_detail))
         if placement.device is None:
-            self._fail_group(
-                group,
-                f"no feasible device ({placement.num_feasible} of {len(self._engine.fleet())} passed filtering)",
-            )
+            if placement.saturated:
+                reason = (
+                    "saturated: every node that fits the job is full, and no job running on this "
+                    "service will release one"
+                )
+            else:
+                reason = f"no feasible device ({placement.num_feasible} of {len(self._engine.fleet())} passed filtering)"
+            self._fail_group(group, reason)
             return None
         return placement
 

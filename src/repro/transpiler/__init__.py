@@ -8,6 +8,7 @@ from repro.transpiler.preset import (
     TranspileResult,
     VirtualCircuit,
     build_preset_pass_manager,
+    place,
     transpile,
     virtual_stage,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "VirtualCircuit",
     "build_preset_pass_manager",
     "decompose_instruction",
+    "place",
     "resynthesise_single_qubit",
     "transpile",
     "virtual_stage",

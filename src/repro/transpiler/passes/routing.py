@@ -25,7 +25,7 @@ layout.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -349,11 +349,23 @@ def blocks_no_gate(circuit: QuantumCircuit, layout: Layout, target: BackendPrope
     Under such a layout neither router inserts a SWAP, whichever pass chose
     the layout.
     """
+    return pairs_coupled(circuit.num_qubits, circuit.interaction_pairs(), layout, target)
+
+
+def pairs_coupled(
+    num_qubits: int, pairs: Iterable[Tuple[int, int]], layout: Layout, target: BackendProperties
+) -> bool:
+    """``True`` when ``layout`` places qubits ``0..num_qubits-1`` and puts every one of ``pairs`` on a coupled pair.
+
+    On a circuit's two-qubit pairs this is :func:`blocks_no_gate`; on a
+    circuit's relabel through ``layout`` it tests the edges
+    :class:`CheckMapPass` tests.
+    """
     mapping = layout.mapping
-    if any(qubit not in mapping for qubit in range(circuit.num_qubits)):
+    if any(qubit not in mapping for qubit in range(num_qubits)):
         return False
     graph = target.graph()
-    return all(graph.has_edge(mapping[a], mapping[b]) for a, b in circuit.interaction_pairs())
+    return all(graph.has_edge(mapping[a], mapping[b]) for a, b in pairs)
 
 
 class RelabelPass(TranspilerPass):

@@ -13,16 +13,16 @@ The pipeline runs in two stages:
   set.  A caller compiling one circuit for many devices (the canary ranking
   of :mod:`repro.fidelity.canary`) runs :func:`virtual_stage` once per basis
   set;
-* the *physical* stage runs per device, in three parts: layout; then
-  *relabel or route*; then the checks (``CheckMapPass``,
-  ``GatesInBasisPass``).  When the layout puts every interaction of the
-  virtual circuit on a coupled pair, the router would insert no SWAP and
-  only reorder the program, so :func:`transpile` does not route: it takes
-  the post-routing passes' output (basis translation and physical
-  optimisation), computed once on virtual qubits in the router's
-  swap-free order and kept on the :class:`VirtualCircuit`, and relabels it
-  through the layout onto the device.  Every post-routing pass is
-  relabel-equivariant, so this equals routing and optimising on the
+* the *physical* stage runs per device, in three parts: :func:`place`
+  (the layout passes); then *relabel or route*; then the checks
+  (``CheckMapPass``, ``GatesInBasisPass``).  When the layout puts every
+  interaction of the virtual circuit on a coupled pair, the router would
+  insert no SWAP and only reorder the program, so :func:`transpile` does
+  not route: it takes the post-routing passes' output (basis translation
+  and physical optimisation), computed once on virtual qubits in the
+  router's swap-free order and kept on the :class:`VirtualCircuit`, and
+  relabels it through the layout onto the device.  Every post-routing pass
+  is relabel-equivariant, so this equals routing and optimising on the
   device.  A layout that needs SWAPs runs the router and the post-routing
   passes on the device.  The test is on the layout, not on which pass
   found it; ``properties["pass_trace"]`` of the result names the path
@@ -30,6 +30,16 @@ The pipeline runs in two stages:
 
 :func:`transpile` runs both stages, or only the physical one when it is
 given the :class:`VirtualCircuit` that :func:`virtual_stage` returns.
+:func:`place` stops after the layout: its result is the
+``initial_layout`` a :func:`transpile` would report, and it reads only the
+circuit's width and interaction pairs, the target's coupling map and
+calibration, and the optimisation level, so a caller may memoise it on
+those.  For a layout that needs no SWAP, :func:`swap_free_placeable` runs
+the relabel path's two checks without relabelling (the coupling test on
+the placeable's pairs through the layout, the basis test once per
+placeable) and returns the placeable on virtual qubits: a caller that
+reads only the layout, the SWAP count and the two-qubit count, as the
+canary ranking of :mod:`repro.fidelity.canary` does, builds no circuit.
 :func:`build_preset_pass_manager` is the same pipeline as one pass manager
 that always routes; both give the same result.  No pass reads randomness,
 so the result is a pure function of the circuit, the target and the
@@ -39,6 +49,7 @@ options.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backends.backend import Backend
@@ -63,6 +74,7 @@ from repro.transpiler.passes.routing import (
     RelabelPass,
     SabreRoutingPass,
     blocks_no_gate,
+    pairs_coupled,
 )
 from repro.utils.exceptions import TranspilerError
 from repro.utils.rng import SeedLike
@@ -189,20 +201,32 @@ def _properties_of(target) -> BackendProperties:
 class VirtualCircuit:
     """A circuit after the virtual stage, with the options that stage read.
 
-    Returned by :func:`virtual_stage`; pass it to :func:`transpile` in place
-    of a circuit to run only the physical stage.  The wrapped circuit must
-    not be modified.
+    Returned by :func:`virtual_stage`; pass it to :func:`transpile` or
+    :func:`place` in place of a circuit to run only the physical stage.  The
+    wrapped circuit must not be modified.
 
     It also keeps, per routing method, the post-routing passes' output on
-    its own qubits (see :func:`_placeable`), filled by the first :func:`transpile`
-    whose layout blocks no gate, so every later such device costs a
-    relabel.
+    its own qubits (see :func:`_placeable`) with that output's interaction
+    pairs, filled on the first relabel, so every later swap-free device
+    costs a relabel or, through :func:`swap_free_placeable`, no circuit at
+    all.
     """
 
     circuit: QuantumCircuit
     basis_gates: Tuple[str, ...]
     optimization_level: int
-    _post_routed: Dict[str, QuantumCircuit] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _post_routed: Dict[str, Tuple[QuantumCircuit, Tuple[Tuple[int, int], ...]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @cached_property
+    def interaction_items(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """The circuit's ``interaction_pairs()`` items in first-seen order, computed once.
+
+        With the width, the target's calibration and the optimisation level
+        this is everything the layout passes read.
+        """
+        return tuple(self.circuit.interaction_pairs().items())
 
     def post_routed(self, routing_method: str = "sabre") -> Optional[QuantumCircuit]:
         """The post-routing passes' output on this circuit's own qubits, or ``None`` until computed.
@@ -211,7 +235,8 @@ class VirtualCircuit:
         layout blocks no gate returns it relabelled through that layout; the
         first such call computes it.  It must not be modified.
         """
-        return self._post_routed.get(routing_method)
+        entry = self._post_routed.get(routing_method)
+        return entry[0] if entry is not None else None
 
 
 def virtual_stage(circuit: QuantumCircuit, target, optimization_level: int = 2) -> VirtualCircuit:
@@ -227,21 +252,94 @@ def virtual_stage(circuit: QuantumCircuit, target, optimization_level: int = 2) 
     return VirtualCircuit(virtual, properties.basis_gates, optimization_level)
 
 
-def _placeable(virtual: VirtualCircuit, routing_method: str, properties: BackendProperties) -> QuantumCircuit:
-    """The post-routing passes run on the router's swap-free order of ``virtual``, on virtual qubits.
+def _as_virtual(
+    circuit: Union[QuantumCircuit, VirtualCircuit], properties: BackendProperties, optimization_level: int
+) -> VirtualCircuit:
+    """``circuit`` after the virtual stage; a :class:`VirtualCircuit` must have been made for this basis and level."""
+    if not isinstance(circuit, VirtualCircuit):
+        return virtual_stage(circuit, properties, optimization_level)
+    if (circuit.basis_gates, circuit.optimization_level) != (properties.basis_gates, optimization_level):
+        raise TranspilerError(
+            f"Virtual circuit was made for basis {circuit.basis_gates} at optimization level "
+            f"{circuit.optimization_level}; '{properties.name}' needs basis {properties.basis_gates} "
+            f"at level {optimization_level}"
+        )
+    return circuit
+
+
+def _place(
+    virtual: QuantumCircuit,
+    context: TranspileContext,
+    optimization_level: int,
+    initial_layout: Optional[Layout],
+) -> Layout:
+    """Run the layout passes on ``virtual`` into ``context`` and return the initial layout."""
+    PassManager(_layout_passes(optimization_level, initial_layout)).run(virtual, context)
+    return context.initial_layout or Layout.trivial(virtual.num_qubits)
+
+
+def place(
+    circuit: Union[QuantumCircuit, VirtualCircuit], target, optimization_level: int = 2
+) -> Layout:
+    """The layout :func:`transpile` would choose for ``circuit`` on ``target``, virtual to physical.
+
+    Runs the virtual stage (unless given a :class:`VirtualCircuit`) and the
+    layout passes, and nothing after them.  The choice reads only the
+    circuit's width and :attr:`VirtualCircuit.interaction_items`, the
+    target's coupling map and calibration, and the optimisation level, so a
+    caller may memoise it on those.
+    """
+    properties = _properties_of(target)
+    virtual = _as_virtual(circuit, properties, optimization_level)
+    return _place(virtual.circuit, TranspileContext.for_target(properties), optimization_level, None)
+
+
+def _placeable(
+    virtual: VirtualCircuit, routing_method: str, properties: BackendProperties
+) -> Tuple[QuantumCircuit, Tuple[Tuple[int, int], ...]]:
+    """The post-routing passes run on the router's swap-free order of ``virtual``, on virtual qubits, with its interaction pairs.
 
     Relabelled through a layout that blocks no gate, this is the router's
     output after those passes on that device.  Of ``properties`` the passes
     read only the basis gates, which ``virtual`` was made for, so the
-    result is memoised on ``virtual`` per routing method.  Racing callers
-    compute equal circuits and keep either.
+    result is memoised on ``virtual`` per routing method.
+    ``GatesInBasisPass`` runs on it once, when it is computed: a relabel
+    renames no gate, and every device of one basis set shares the
+    placeable, so a gate outside the basis raises here the error the
+    relabelled circuit's check would, and nothing is memoised.  Racing
+    callers compute equal entries and keep either.
     """
-    placeable = virtual._post_routed.get(routing_method)
-    if placeable is None:
+    entry = virtual._post_routed.get(routing_method)
+    if entry is None:
         order = _router(routing_method).swap_free_order(virtual.circuit)
-        manager = PassManager(_post_routing_passes(virtual.optimization_level))
-        placeable = manager.run(order, TranspileContext.for_target(properties))
-        virtual._post_routed[routing_method] = placeable
+        context = TranspileContext.for_target(properties)
+        manager = PassManager(_post_routing_passes(virtual.optimization_level) + [GatesInBasisPass()])
+        placeable = manager.run(order, context)
+        entry = (placeable, tuple(placeable.interaction_pairs()))
+        virtual._post_routed[routing_method] = entry
+    return entry
+
+
+def swap_free_placeable(
+    virtual: VirtualCircuit, layout: Layout, target, routing_method: str = "sabre"
+) -> Optional[QuantumCircuit]:
+    """What :func:`transpile` would relabel onto ``target`` through ``layout``, on virtual qubits, or ``None``.
+
+    ``layout`` is the one :func:`place` chose.  ``None`` when the layout
+    needs SWAPs, so :func:`transpile` would route, or when a two-qubit pair
+    of the placeable lands on an uncoupled edge, where the relabel path's
+    ``CheckMapPass`` would fail.  Otherwise the placeable has passed both of
+    that path's checks (``GatesInBasisPass`` once, on its first use), and
+    relabelled through ``layout`` it is the compiled circuit: no SWAP, and
+    the same gates, so the same two-qubit count.  No circuit is built.
+    """
+    properties = _properties_of(target)
+    width = virtual.circuit.num_qubits
+    if not pairs_coupled(width, (pair for pair, _ in virtual.interaction_items), layout, properties):
+        return None
+    placeable, pairs = _placeable(virtual, routing_method, properties)
+    if not pairs_coupled(width, pairs, layout, properties):
+        return None
     return placeable
 
 
@@ -271,26 +369,17 @@ def transpile(
     ``properties["pass_trace"]`` names the passes that ran.
     """
     properties = _properties_of(target)
-    layout_passes = _layout_passes(optimization_level, initial_layout)
     router = _router(routing_method)
-    if not isinstance(circuit, VirtualCircuit):
-        circuit = virtual_stage(circuit, properties, optimization_level)
-    elif (circuit.basis_gates, circuit.optimization_level) != (properties.basis_gates, optimization_level):
-        raise TranspilerError(
-            f"Virtual circuit was made for basis {circuit.basis_gates} at optimization level "
-            f"{circuit.optimization_level}; '{properties.name}' needs basis {properties.basis_gates} "
-            f"at level {optimization_level}"
-        )
+    circuit = _as_virtual(circuit, properties, optimization_level)
     virtual = circuit.circuit
     context = TranspileContext.for_target(properties, seed=seed)
-    PassManager(layout_passes).run(virtual, context)
-    if blocks_no_gate(virtual, context.initial_layout, properties):
+    initial = _place(virtual, context, optimization_level, initial_layout)
+    if blocks_no_gate(virtual, initial, properties):
         placed = PassManager([RelabelPass()] + _check_passes())
-        compiled = placed.run(_placeable(circuit, routing_method, properties), context)
+        compiled = placed.run(_placeable(circuit, routing_method, properties)[0], context)
     else:
         routed = PassManager([router] + _post_routing_passes(optimization_level) + _check_passes())
         compiled = routed.run(virtual, context)
-    initial = context.initial_layout or Layout.trivial(virtual.num_qubits)
     final = context.final_layout or initial
     return TranspileResult(
         circuit=compiled,

@@ -187,6 +187,8 @@ class TestOneOutcome:
         form = _form(qrio, "waiter", ghz(3), cpu_millicores=4000)
         if route == "submit_and_run":
             outcome = qrio.submit_and_run(form)
+            error = qrio.service().job("waiter").status().error
+            assert error.startswith("saturated:") and "no feasible device" not in error
         else:
             qrio.submit_form(form)
             outcome = qrio.run_job("waiter")

@@ -160,7 +160,7 @@ API = {
     ),
     "repro.transpiler": (
         "Layout", "PassManager", "TranspileContext", "TranspileResult", "TranspilerPass",
-        "VirtualCircuit", "build_preset_pass_manager", "decompose_instruction",
+        "VirtualCircuit", "build_preset_pass_manager", "decompose_instruction", "place",
         "resynthesise_single_qubit", "transpile", "virtual_stage", "zyz_angles",
     ),
     "repro.utils": (
