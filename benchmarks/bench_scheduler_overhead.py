@@ -14,8 +14,8 @@ import pytest
 
 from repro.circuits import ghz
 from repro.cluster import ClusterState, DeviceConstraints, JobSpec, ResourceRequest
+from repro.control.visualizer import MetaServerPayload
 from repro.core import MetaServer, QRIOScheduler
-from repro.core.visualizer import MetaServerPayload
 from repro.policies import PlacementContext, TopologyPlacementPolicy
 from repro.qasm import dump_qasm
 from repro.workloads import default_topology

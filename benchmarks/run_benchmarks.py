@@ -21,7 +21,7 @@ against:
   occupying its device for a fixed wall-clock latency, via
   ``DeviceLatencyEngine``) executed by ``workers=4`` per-device lanes vs the
   same runtime dispatching inline at ``workers=0``, plus a ``sharded`` row comparing the
-  multi-process dispatcher (``repro.tenancy.ShardedService``) at 4 spawned
+  multi-process dispatcher (``repro.service.ShardedService``) at 4 spawned
   shards vs 1 shard on a 16-device fleet with device-pinned jobs;
 * ``BENCH_plans.json`` — compile-once/execute-many throughput of the plan
   subsystem (``repro.plans``): warm plan replay vs cold compile on a
@@ -99,9 +99,7 @@ from conftest import time_callable, write_bench_json  # noqa: E402
 from repro.backends import three_device_testbed  # noqa: E402
 from repro.circuits import bernstein_vazirani, ghz  # noqa: E402
 from repro.circuits.random_circuits import random_clifford_circuit  # noqa: E402
-from repro.scenarios.arrivals import JobRequest  # noqa: E402
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator  # noqa: E402
-from repro.core.cache import CacheStats, all_cache_stats, clear_all_caches  # noqa: E402
 from repro.matching import interaction_graph, rank_devices_scalable  # noqa: E402
 from repro.policies import resolve_policy  # noqa: E402
 from repro.simulators import (  # noqa: E402
@@ -110,6 +108,8 @@ from repro.simulators import (  # noqa: E402
     StabilizerSimulator,
     hellinger_fidelity,
 )
+from repro.utils.cache import CacheStats, all_cache_stats, clear_all_caches  # noqa: E402
+from repro.workloads.arrivals import JobRequest  # noqa: E402
 
 #: Per-scale measurement sizes.  ``scalar_shots`` bounds the slow reference
 #: run; shots/sec extrapolates fairly because scalar cost is linear in shots.
@@ -472,8 +472,9 @@ def bench_shards(scale: str, shard_floor: float) -> Dict[str, object]:
     constructed outside the timed region; only submit + process is measured.
     """
     from repro.backends import generate_fleet
+    from repro.service import EngineSpec, ShardedService
     from repro.service import JobRequirements, QRIOService
-    from repro.tenancy import EngineSpec, ShardedService, Tenant
+    from repro.tenancy import Tenant
 
     jobs = _SCALES[scale]["shard_jobs"]
     fleet = generate_fleet(limit=_SHARD_DEVICES, seed=11)

@@ -1,6 +1,8 @@
 """repro — a reproduction of "Empowering the Quantum Cloud User with QRIO".
 
-The package is organised in layers:
+The package is organised in layers, declared lowest first as
+:data:`repro.analysis.LAYERS` (a package imports only lower layers; the
+analyzer's rule QRIO-L001 enforces it).  The main groups:
 
 * ``repro.circuits`` / ``repro.qasm`` / ``repro.simulators`` / ``repro.backends``
   / ``repro.transpiler`` — a self-contained quantum software substrate
@@ -11,10 +13,12 @@ The package is organised in layers:
   estimation);
 * ``repro.cluster`` — a Kubernetes-like cluster substrate (nodes, labels,
   jobs, scheduling framework, simulated containers);
-* ``repro.core`` — QRIO itself (visualizer, meta server, master server,
-  scheduler, baselines, the :class:`~repro.core.QRIO` facade);
-* ``repro.cloud`` — the discrete-event quantum-cloud simulator (arrival
-  traces, per-device queues, allocation policies, calibration drift);
+* ``repro.control`` — QRIO's Fig. 2 control plane (visualizer, meta server,
+  master server, scheduler);
+* ``repro.core`` — the :class:`~repro.core.QRIO` facade on top, the vendor
+  console and the baselines;
+* ``repro.cloud`` — the discrete-event quantum-cloud simulator (per-device
+  queues, allocation policies, calibration drift);
 * ``repro.policies`` — the unified placement-policy API: one
   :class:`~repro.policies.PlacementPolicy` protocol (filter → score →
   select), a string-keyed registry with parameterized lookup
@@ -27,14 +31,16 @@ The package is organised in layers:
   deduplication, one :class:`~repro.service.ExecutionEngine` protocol
   adapting the orchestrator, cloud and cluster layers, and an optional
   concurrent runtime (``workers=N``: priority scheduling, per-device lanes,
-  backpressure, futures-style handles);
+  backpressure, futures-style handles) and the process-sharded front desk;
 * ``repro.workloads`` / ``repro.experiments`` — the paper's evaluation
-  workloads and the drivers regenerating every table and figure.
+  workloads and arrival traces, and the drivers regenerating every table
+  and figure.
 """
 
 from repro.backends import Backend, BackendProperties, FleetSpec, generate_fleet, three_device_testbed
 from repro.circuits import QuantumCircuit
-from repro.core import QRIO, JobOutcome, UserRequirements
+from repro.control import UserRequirements
+from repro.core import QRIO, JobOutcome
 from repro.policies import (
     Pipeline,
     PlacementContext,

@@ -6,8 +6,10 @@ picklable shard-crossing dataclasses).  Two halves:
 
 * **Static rules** (``repro-qrio analyze``): AST passes over ``src/repro``
   — see :mod:`repro.analysis.determinism` (QRIO-D001..D003),
-  :mod:`repro.analysis.concurrency` (QRIO-C001..C002) and
-  :mod:`repro.analysis.serialization` (QRIO-S001).  Intentional violations
+  :mod:`repro.analysis.concurrency` (QRIO-C001..C002),
+  :mod:`repro.analysis.serialization` (QRIO-S001) and
+  :mod:`repro.analysis.layers` (QRIO-L001, over the declared package
+  :data:`LAYERS`).  Intentional violations
   carry inline ``# qrio: allow[RULE-ID] reason`` pragmas; historical ones
   live in the committed ``analysis-baseline.json``.
 * **Runtime sanitizer** (:mod:`repro.analysis.racetrace`): traced lock /
@@ -35,6 +37,7 @@ from repro.analysis.core import (
     load_baseline,
 )
 from repro.analysis.determinism import ProcessSaltedKeyRule, UnseededRandomRule, WallClockRule
+from repro.analysis.layers import LAYERS, LayerRule, render_layer_diagram
 from repro.analysis.racetrace import (
     LockOrderViolation,
     RaceMonitor,
@@ -52,6 +55,8 @@ __all__ = [
     "DEFAULT_PICKLE_CONTRACT",
     "Finding",
     "FrozenPicklableRule",
+    "LAYERS",
+    "LayerRule",
     "LockOrderRule",
     "LockOrderViolation",
     "ModuleInfo",
@@ -69,6 +74,7 @@ __all__ = [
     "default_rules",
     "dotted_name",
     "load_baseline",
+    "render_layer_diagram",
     "traced_threading",
 ]
 
@@ -82,6 +88,7 @@ def default_rules() -> List[Rule]:
         BareSharedWriteRule(),
         LockOrderRule(),
         FrozenPicklableRule(),
+        LayerRule(),
     ]
 
 

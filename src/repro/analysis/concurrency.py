@@ -7,7 +7,7 @@
   ``__init__``/``__post_init__``, which happen before publication) is
   flagged.
 * **QRIO-C002** — a static lock-order graph over the concurrency-bearing
-  modules (``service/runtime.py``, ``service/handle.py``, ``core/cache.py``,
+  modules (``service/runtime.py``, ``service/handle.py``, ``utils/cache.py``,
   ``cloud/simulation.py`` by default).  Each lexically nested acquisition
   ``with self._a: ... with self._b:`` adds the edge ``A -> B``; calling a
   *same-class* method while holding a lock adds edges to every lock that
@@ -193,7 +193,7 @@ class LockOrderRule:
         "service/handle.py",
         "service/service.py",
         "service/engines.py",
-        "core/cache.py",
+        "utils/cache.py",
         "cloud/simulation.py",
         "scenarios/trace.py",
     )

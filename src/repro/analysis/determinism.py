@@ -19,7 +19,7 @@ These three rules enforce the reproducibility contract documented in
   builtin ``hash()`` (salted per process via ``PYTHONHASHSEED``) or ``id()``
   (an address, unstable across processes and allocations).  PR 6 fixed a
   real scenario-replay regression caused by exactly this in
-  ``service/engines.py``; use :func:`repro.core.cache.structural_circuit_hash`
+  ``service/engines.py``; use :func:`repro.utils.cache.structural_circuit_hash`
   or a blake2/CRC digest instead.
 """
 
@@ -163,8 +163,18 @@ class WallClockRule:
         "from logical clocks (arrival_time, session clock), never the host clock"
     )
 
-    #: Packages whose behaviour must be a pure function of seeds + inputs.
-    scoped_packages = ("simulators/", "cloud/", "scenarios/", "plans/", "service/", "experiments/")
+    #: Packages (and the trace modules of ``workloads/``) whose behaviour
+    #: must be a pure function of seeds + inputs; matched as path prefixes.
+    scoped_packages = (
+        "simulators/",
+        "cloud/",
+        "scenarios/",
+        "plans/",
+        "service/",
+        "experiments/",
+        "workloads/arrivals.py",
+        "workloads/metrics.py",
+    )
     #: Dotted suffixes that read the host clock.  Matched on both calls and
     #: bare references (``field(default_factory=time.monotonic)`` counts).
     clock_names = (

@@ -29,10 +29,10 @@ __all__ = ["FrozenPicklableRule", "DEFAULT_PICKLE_CONTRACT"]
 DEFAULT_PICKLE_CONTRACT: Dict[str, Tuple[str, ...]] = {
     "plans/plan.py": ("ExecutionPlan",),
     "scenarios/trace.py": ("Trace",),
-    "scenarios/arrivals.py": ("JobRequest",),
+    "workloads/arrivals.py": ("JobRequest",),
     "service/api.py": ("JobRequirements", "JobSpec", "JobEvent", "JobStatus", "ServiceResult"),
     "tenancy/api.py": ("Tenant",),
-    "tenancy/sharding.py": ("EngineSpec", "ShardRequest", "ShardJob", "ShardOutcome"),
+    "service/sharding.py": ("EngineSpec", "ShardRequest", "ShardJob", "ShardOutcome"),
 }
 
 #: Type names that make a field unpicklable (or mutable shared state).

@@ -8,6 +8,11 @@ best-effort placement is produced instead so the scorer can still charge the
 device a penalty for the missing couplings (this is what makes the
 fully-connected topology request of Fig. 6 discriminate sharply between
 sparse and dense devices).
+
+The enumeration lives with the device models, below the transpiler, so the
+transpiler's VF2 layout pass and the matchers of :mod:`repro.matching` share
+it (and its process-wide cache) without the transpiler importing a
+placement layer.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.backends.properties import BackendProperties
+from repro.utils.cache import enumeration_cache, enumeration_key
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike, ensure_generator
 
@@ -56,7 +62,7 @@ def find_exact_embeddings(
     This is the one VF2 enumeration of the package; the matchers and the
     transpiler's perfect-layout pass all call it.  Results are memoized in
     the process-wide enumeration cache under
-    :func:`~repro.core.cache.enumeration_key`, which covers exactly what VF2
+    :func:`~repro.utils.cache.enumeration_key`, which covers exactly what VF2
     reads in the order it reads it, so a hit returns the list a fresh search
     would produce, in the same order.  Infeasible searches are memoized too.
     """
@@ -64,10 +70,6 @@ def find_exact_embeddings(
         return [Embedding(mapping={}, exact=True)]
     if pattern.number_of_nodes() > device_graph.number_of_nodes():
         return []
-    # Lazy import: repro.core's package init pulls in the meta server, whose
-    # registry policies import this module.
-    from repro.core.cache import enumeration_cache, enumeration_key
-
     key = enumeration_key(pattern, device_graph, max_embeddings)
     mappings = enumeration_cache().get(key)
     if mappings is None:

@@ -39,7 +39,7 @@ The CLI exposes the pieces a new user typically wants without writing Python:
   mode; ``--workers N`` runs the job through the concurrent service
   runtime; ``--tenant NAME`` submits under a named tenant identity and
   ``--shards N`` dispatches through the process-sharded
-  :class:`~repro.tenancy.ShardedService`, routing the job to its shard by
+  :class:`~repro.service.ShardedService`, routing the job to its shard by
   consistent tenant hash); the job's lifecycle transitions are printed as
   they are recorded.
 
@@ -54,8 +54,9 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from repro.analysis import Baseline, analyze_tree
 from repro.backends import generate_fleet
-from repro.circuits import ghz
+from repro.circuits import ghz, random_clifford_circuit
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.core import QRIO
 from repro.experiments import (
@@ -83,8 +84,25 @@ from repro.experiments import (
 )
 from repro.policies import default_registry, resolve_policy
 from repro.qasm import load_qasm_file
-from repro.service import CloudEngine, JobRequirements, QRIOService
-from repro.utils.exceptions import ReproError
+from repro.scenarios import (
+    NATIVE_POLICY,
+    RESILIENCE_COLUMNS,
+    SWEEP_COLUMNS,
+    TENANT_COLUMNS,
+    ScenarioRunner,
+    available_scenarios,
+    build_scenario_trace,
+    load_trace,
+    record,
+    render_metric_table,
+    render_sweep,
+    run_sweep,
+    scenario,
+)
+from repro.service import CloudEngine, EngineSpec, JobRequirements, QRIOService, ShardedService
+from repro.tenancy import AdmissionController, Tenant
+from repro.utils.cache import clear_all_caches
+from repro.utils.exceptions import AdmissionRejectedError, ReproError
 from repro.utils.rng import DEFAULT_SEED
 
 
@@ -234,13 +252,6 @@ def _cmd_policies(args: argparse.Namespace) -> int:
 # Scenario subcommands
 # --------------------------------------------------------------------------- #
 def _print_scenario_report(report, as_json: bool) -> None:
-    from repro.scenarios import (
-        RESILIENCE_COLUMNS,
-        SWEEP_COLUMNS,
-        TENANT_COLUMNS,
-        render_metric_table,
-    )
-
     if as_json:
         print(report.to_json())
         return
@@ -280,8 +291,6 @@ def _print_scenario_report(report, as_json: bool) -> None:
 
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
-    from repro.scenarios import available_scenarios, scenario
-
     rows = [scenario(name).describe() for name in available_scenarios()]
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -302,8 +311,6 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 
 def _scenario_runner(args: argparse.Namespace, fleet):
-    from repro.scenarios import ScenarioRunner
-
     return ScenarioRunner(
         fleet,
         engine=args.engine,
@@ -330,8 +337,6 @@ def _scenario_errors(handler):
 
 @_scenario_errors
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import build_scenario_trace, record
-
     trace = build_scenario_trace(args.name, seed=args.seed, num_jobs=args.jobs)
     if args.no_faults:
         trace = trace.without_events()
@@ -346,8 +351,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 @_scenario_errors
 def _cmd_scenarios_replay(args: argparse.Namespace) -> int:
-    from repro.scenarios import load_trace
-
     trace = load_trace(args.trace)
     if args.no_faults:
         trace = trace.without_events()
@@ -359,8 +362,6 @@ def _cmd_scenarios_replay(args: argparse.Namespace) -> int:
 
 @_scenario_errors
 def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
-    from repro.scenarios import NATIVE_POLICY, available_scenarios, render_sweep, run_sweep
-
     scenarios = args.scenarios.split(",") if args.scenarios else available_scenarios()
     engines = args.engines.split(",")
     policies: List[Optional[str]] = [
@@ -391,8 +392,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     """Run the invariant analyzer; exit 1 on non-baselined findings."""
     from pathlib import Path
 
-    from repro.analysis import Baseline, analyze_tree
-
     root = Path(args.root) if args.root else None
     baseline_path = Path(args.baseline) if args.baseline else None
     report = analyze_tree(root, baseline_path=baseline_path)
@@ -418,9 +417,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     """Run a small warm/cold workload and print the process-wide cache counters."""
-    from repro.circuits import random_clifford_circuit
-    from repro.core.cache import clear_all_caches
-
     clear_all_caches()
     fleet = [b for b in generate_fleet(limit=12, seed=args.seed) if b.num_qubits >= 20][:3]
     circuits = [
@@ -448,9 +444,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
     """Run a small multi-tenant demo and list per-tenant quotas + admission state."""
-    from repro.tenancy import AdmissionController, Tenant
-    from repro.utils.exceptions import AdmissionRejectedError
-
     tenants = (
         Tenant(id="alpha", weight=3.0),
         Tenant(id="bravo", weight=1.0),
@@ -532,8 +525,6 @@ def _submit_requirements(args: argparse.Namespace, policy) -> JobRequirements:
     """Build the per-job requirements for ``submit`` (tenant included)."""
     tenant = None
     if args.tenant:
-        from repro.tenancy import Tenant
-
         tenant = Tenant(id=args.tenant, weight=args.tenant_weight)
     if args.topology:
         edges = []
@@ -556,8 +547,6 @@ def _submit_requirements(args: argparse.Namespace, policy) -> JobRequirements:
 
 def _cmd_submit_sharded(args: argparse.Namespace, circuit) -> int:
     """The ``submit --shards N`` path: dispatch through the process shards."""
-    from repro.tenancy import EngineSpec, ShardedService
-
     policy = args.policy
     if policy is not None:
         resolve_policy(policy, seed=args.seed)

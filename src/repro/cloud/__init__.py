@@ -12,15 +12,13 @@ direction can be evaluated end to end:
 * :mod:`repro.cloud.simulation` — the discrete-event simulator tying the
   pieces together.
 
-Arrival traces come from :mod:`repro.scenarios.arrivals`, wait/fairness
-metrics from :mod:`repro.scenarios.metrics`, and every routing decision from
+Arrival traces come from :mod:`repro.workloads.arrivals`, wait/fairness
+metrics from :mod:`repro.workloads.metrics`, and every routing decision from
 a :class:`~repro.policies.PlacementPolicy` (random through queue-aware
 fidelity scheduling, by registry name via :func:`~repro.policies.resolve_policy`).
 """
 
 from repro.cloud.calibration import CalibrationDriftModel, drift_fleet, drift_history
-from repro.scenarios.arrivals import ArrivalSpec, JobRequest, generate_trace, trace_summary
-from repro.scenarios.metrics import jain_fairness_index, summarise_waits, wait_fairness
 from repro.cloud.queueing import DeviceQueue, ExecutionTimeModel, QueueSlot, build_queues
 from repro.cloud.simulation import (
     CloudSession,
@@ -31,6 +29,8 @@ from repro.cloud.simulation import (
     compare_policies,
     render_policy_comparison,
 )
+from repro.workloads.arrivals import ArrivalSpec, JobRequest, generate_trace, trace_summary
+from repro.workloads.metrics import jain_fairness_index, summarise_waits, wait_fairness
 
 __all__ = [
     "ArrivalSpec",

@@ -16,15 +16,15 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend
-from repro.scenarios.arrivals import JobRequest
-from repro.scenarios.metrics import render_metric_table, summarise_waits, wait_fairness
 from repro.cloud.queueing import DeviceQueue, ExecutionTimeModel, QueueSlot, build_queues
-from repro.core.cache import calibration_fingerprint, structural_circuit_hash
 from repro.fidelity.canary import achieved_fidelity
 from repro.fidelity.estimator import ESPEstimator
 from repro.policies.api import PlacementContext, PlacementDecision, PlacementPolicy
+from repro.utils.cache import calibration_fingerprint, structural_circuit_hash
 from repro.utils.exceptions import CloudError, SchedulingError
 from repro.utils.rng import SeedLike, derive_seed
+from repro.workloads.arrivals import JobRequest
+from repro.workloads.metrics import render_metric_table, summarise_waits, wait_fairness
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 This mirrors the Kubernetes scheduler-framework structure the paper builds
 on: a scheduling cycle first runs every *filter* plugin to shortlist the
 feasible nodes.  Ranking the survivors and binding the winner sit above this
-substrate, in :class:`repro.core.QRIOScheduler`, which hands the shortlist to
+substrate, in :class:`repro.control.QRIOScheduler`, which hands the shortlist to
 a placement policy.  QRIO's concrete filter plugins (qubit count, classical
-resources, device characteristics) live in :mod:`repro.core.scheduler`.
+resources, device characteristics) live in :mod:`repro.control.scheduler`.
 """
 
 from __future__ import annotations

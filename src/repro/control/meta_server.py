@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.visualizer import MetaServerPayload
+from repro.control.visualizer import MetaServerPayload
 from repro.policies import (
     INFEASIBLE_SCORE,
     PlacementContext,

@@ -12,7 +12,7 @@ filter plugins here shortlist the schedulable nodes, one
 :class:`~repro.policies.PlacementPolicy` decides among the survivors
 (:meth:`~repro.policies.PlacementPolicy.decide`), and the winner is bound.
 By default the policy is the meta server's per-job ranking
-(:meth:`MetaServer.ranking <repro.core.meta_server.MetaServer.ranking>`); the
+(:meth:`MetaServer.ranking <repro.control.meta_server.MetaServer.ranking>`); the
 service engines' registry-policy route and the baselines supply their own.
 
 :func:`device_bounds_violation` is the one device-characteristics check: the
@@ -31,7 +31,7 @@ from repro.cluster.framework import FilterPlugin, FilterReport, run_filters
 from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node
 from repro.cluster.registry import ClusterState
-from repro.core.meta_server import MetaServer
+from repro.control.meta_server import MetaServer
 from repro.policies import PlacementContext, PlacementDecision, PlacementPolicy
 from repro.utils.exceptions import SchedulingError
 

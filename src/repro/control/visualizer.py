@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.registry import ClusterState
-from repro.core.requirements import UserRequirements
+from repro.control.requirements import UserRequirements
 from repro.qasm.exporter import dump_qasm
 from repro.qasm.parser import parse_qasm
 from repro.utils.exceptions import VisualizerError

@@ -1,11 +1,34 @@
-"""QRIO core: the orchestrator, its servers, scheduler and baselines.
+"""QRIO core: the :class:`QRIO` facade, the vendor console and baselines.
 
-The meta server ranks devices through the registry placement policies of
-:mod:`repro.policies`; this package holds no ranking code of its own.
+This package sits on top of the stack.  The control plane it drives (the
+visualizer, meta server, master server and scheduler) lives in
+:mod:`repro.control` and the shared caches in :mod:`repro.utils.cache`; both
+are re-exported here, so ``repro.core``'s names are unchanged.  The meta
+server ranks devices through the registry placement policies of
+:mod:`repro.policies`; no ranking code lives here.
 """
 
+from repro.control import (
+    ClassicalResourceFilter,
+    DeviceCharacteristicsFilter,
+    JobMetadata,
+    JobSubmissionForm,
+    MasterServer,
+    MetaServer,
+    MetaServerPayload,
+    QRIOScheduler,
+    QRIOVisualizer,
+    QubitCountFilter,
+    SchedulingDecision,
+    SubmittedJob,
+    TopologyCanvas,
+    UserRequirements,
+    default_filter_plugins,
+)
 from repro.core.baselines import OraclePlacementPolicy
-from repro.core.cache import (
+from repro.core.orchestrator import QRIO, JobOutcome
+from repro.core.vendor import DeviceSpec, VendorConsole
+from repro.utils.cache import (
     CacheStats,
     LRUCache,
     all_cache_stats,
@@ -15,25 +38,6 @@ from repro.core.cache import (
     fleet_calibration_epoch,
     pattern_hash,
     structural_circuit_hash,
-)
-from repro.core.master_server import MasterServer, SubmittedJob
-from repro.core.meta_server import JobMetadata, MetaServer
-from repro.core.orchestrator import QRIO, JobOutcome
-from repro.core.requirements import UserRequirements
-from repro.core.scheduler import (
-    ClassicalResourceFilter,
-    DeviceCharacteristicsFilter,
-    QRIOScheduler,
-    QubitCountFilter,
-    SchedulingDecision,
-    default_filter_plugins,
-)
-from repro.core.vendor import DeviceSpec, VendorConsole
-from repro.core.visualizer import (
-    JobSubmissionForm,
-    MetaServerPayload,
-    QRIOVisualizer,
-    TopologyCanvas,
 )
 
 __all__ = [

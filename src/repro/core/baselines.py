@@ -10,7 +10,7 @@
 
 Both are placement policies, so they run through the same scheduling cycle
 and the same filtering stage as the real QRIO ranking
-(:meth:`repro.core.QRIOScheduler.schedule`).
+(:meth:`repro.control.QRIOScheduler.schedule`).
 """
 
 from __future__ import annotations

@@ -26,10 +26,13 @@ from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.job import Job, JobPhase
 from repro.cluster.node import Node, NodeCapacity
+from repro.control.master_server import SubmittedJob
+from repro.control.visualizer import JobSubmissionForm, QRIOVisualizer, TopologyCanvas
 from repro.core.baselines import OraclePlacementPolicy
-from repro.core.master_server import SubmittedJob
-from repro.core.visualizer import JobSubmissionForm, QRIOVisualizer, TopologyCanvas
+from repro.core.vendor import VendorConsole
 from repro.policies import RandomPlacementPolicy
+from repro.service import JobHandle, JobRequirements, JobState, OrchestratorEngine, QRIOService
+from repro.service import JobSpec as ServiceJobSpec
 from repro.simulators.result import SimulationResult
 from repro.utils.exceptions import ClusterError, ServiceError
 from repro.utils.rng import SeedLike
@@ -64,8 +67,6 @@ class QRIO:
         canary_shots: int = 512,
         seed: SeedLike = None,
     ) -> None:
-        from repro.service.engines import OrchestratorEngine
-
         self._engine = OrchestratorEngine(cluster_name=cluster_name, canary_shots=canary_shots, seed=seed)
         self.cluster = self._engine.cluster
         self.meta_server = self._engine.meta_server
@@ -75,7 +76,7 @@ class QRIO:
         self._service = None
         #: Service handles of the jobs :meth:`enqueue_form` queued since the
         #: last :meth:`drain_queue`.
-        self._queued: List["JobHandle"] = []
+        self._queued: List[JobHandle] = []
 
     # ------------------------------------------------------------------ #
     # Vendor-side API
@@ -94,10 +95,8 @@ class QRIO:
         """The registered quantum devices."""
         return self.cluster.backends()
 
-    def vendor_console(self) -> "VendorConsole":
+    def vendor_console(self) -> VendorConsole:
         """The vendor-side dashboard for this deployment (future-work items 1-2)."""
-        from repro.core.vendor import VendorConsole
-
         return VendorConsole(self)
 
     # ------------------------------------------------------------------ #
@@ -265,7 +264,7 @@ class QRIO:
     # ------------------------------------------------------------------ #
     # Unified service layer (repro.service)
     # ------------------------------------------------------------------ #
-    def service(self, *, workers: int = 0, max_pending: Optional[int] = None) -> "QRIOService":
+    def service(self, *, workers: int = 0, max_pending: Optional[int] = None) -> QRIOService:
         """The unified job service over this orchestrator's engine.
 
         Created lazily on first use (so the fleet can be registered first)
@@ -291,8 +290,6 @@ class QRIO:
             ServiceError: A later call requested a different non-zero
                 ``workers`` than the service was created with.
         """
-        from repro.service import QRIOService
-
         if self._service is None:
             self._service = QRIOService(self.devices(), self._engine, workers=workers, max_pending=max_pending)
         elif workers and self._service.workers != workers:
@@ -312,8 +309,6 @@ class QRIO:
 
     def _spec_from_form(self, form: JobSubmissionForm, priority: int = 0):
         """Convert a completed visualizer form into a service job spec on the form's circuit."""
-        from repro.service import JobRequirements, JobSpec as ServiceJobSpec
-
         requirements = form.build_requirements()
         return ServiceJobSpec(
             circuit=form.circuit.copy(name=requirements.job_name),
@@ -396,6 +391,4 @@ class QRIO:
 
 def _dispatch_time(handle) -> float:
     """When the service started matching ``handle``'s job: its dispatch order."""
-    from repro.service import JobState
-
     return next(event.timestamp for event in handle.events() if event.state is JobState.MATCHING)

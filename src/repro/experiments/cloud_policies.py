@@ -21,12 +21,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.backends.backend import Backend
 from repro.backends.fleet import generate_device
-from repro.scenarios.arrivals import ArrivalSpec, JobRequest, generate_trace
-from repro.scenarios.metrics import render_metric_table
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulationResult, compare_policies
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.policies.registry import resolve_policy
 from repro.utils.rng import derive_seed
+from repro.workloads.arrivals import ArrivalSpec, JobRequest, generate_trace
+from repro.workloads.metrics import render_metric_table
 from repro.workloads.suites import nisq_mix_suite
 
 #: The compared roster, as registry specs: the paper's random baseline, two

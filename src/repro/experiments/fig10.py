@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.cluster.job import DeviceConstraints, Job, JobSpec, ResourceRequest
 from repro.cluster.node import Node
-from repro.core.scheduler import DeviceCharacteristicsFilter, QubitCountFilter
+from repro.control.scheduler import DeviceCharacteristicsFilter, QubitCountFilter
 from repro.experiments.config import ExperimentConfig, default_config
 
 #: The ten thresholds swept in the paper's Fig. 10.

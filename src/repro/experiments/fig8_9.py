@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.backends.backend import Backend
 from repro.backends.fleet import three_device_testbed
-from repro.core.visualizer import TopologyCanvas
+from repro.control.visualizer import TopologyCanvas
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.policies import PlacementContext, TopologyPlacementPolicy
 from repro.utils.rng import derive_seed

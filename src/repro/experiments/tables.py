@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from repro.backends.fleet import FleetSpec
 from repro.circuits.library import ghz
-from repro.core.visualizer import JobSubmissionForm, TopologyCanvas
+from repro.control.visualizer import JobSubmissionForm, TopologyCanvas
 
 
 @dataclass

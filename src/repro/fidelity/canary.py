@@ -11,7 +11,7 @@ For a user circuit and a candidate device the protocol is:
    the transpiler's device-independent virtual stage and its post-routing
    passes run once per basis set, and a device pays for its layout
    (:func:`~repro.transpiler.preset.place`, memoised process-wide in
-   :func:`~repro.core.cache.placement_cache`).  A device whose layout needs
+   :func:`~repro.utils.cache.placement_cache`).  A device whose layout needs
    no SWAP builds no circuit: its compiled canary would be the basis set's
    post-routing output relabelled through the layout, so its report reads
    the layout, no SWAP and that output's two-qubit count
@@ -45,6 +45,7 @@ from repro.simulators.result import hellinger_fidelity
 from repro.simulators.stabilizer import StabilizerSimulator, circuit_is_stabilizer_compatible
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
 from repro.transpiler.preset import VirtualCircuit, place, swap_free_placeable, transpile, virtual_stage
+from repro.utils.cache import placement_cache, placement_key, structural_circuit_hash
 from repro.utils.exceptions import FidelityEstimationError
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -140,9 +141,6 @@ class CliffordCanaryEstimator:
         read once per call: a racing caller can only rebuild, never pair one
         circuit's canary with another's counts or virtual circuit.
         """
-        # Imported lazily: repro.core's package init imports this module.
-        from repro.core.cache import structural_circuit_hash
-
         key = (structural_circuit_hash(circuit), circuit.name)
         entry = self._last_canary
         if entry is None or entry[0] != key:
@@ -209,7 +207,7 @@ class CliffordCanaryEstimator:
         """Each device's layout, SWAP count and two-qubit count, in ``backends`` order.
 
         Every device's layout comes from :func:`~repro.transpiler.preset.place`
-        through the process-wide :func:`~repro.core.cache.placement_cache`,
+        through the process-wide :func:`~repro.utils.cache.placement_cache`,
         whose key covers all that choice reads, so a hit is the layout a
         fresh call would return.  A device whose layout needs no SWAP and
         whose basis set's canary the density batch takes builds no circuit:
@@ -219,9 +217,6 @@ class CliffordCanaryEstimator:
         :func:`~repro.transpiler.preset.transpile` from that layout, which
         relabels or routes exactly as a transpile that chose it would.
         """
-        # Imported lazily: repro.core's package init imports this module.
-        from repro.core.cache import placement_cache, placement_key
-
         cache = placement_cache()
         # Per virtual circuit: its placeable's density batch and two-qubit count.
         swap_free: Dict[int, Tuple[Optional[Tuple[QuantumCircuit, Tuple[int, ...]]], int]] = {}

@@ -1,5 +1,13 @@
 """Subgraph-isomorphism based topology matching (Mapomatic-style)."""
 
+from repro.backends.subgraph import (
+    DEFAULT_MAX_EMBEDDINGS,
+    Embedding,
+    find_embeddings,
+    find_exact_embeddings,
+    greedy_embedding,
+    has_exact_embedding,
+)
 from repro.matching.interaction import (
     graph_summary,
     interaction_edge_list,
@@ -15,14 +23,6 @@ from repro.matching.scalable import (
     scalable_match_device,
 )
 from repro.matching.scoring import ScoredEmbedding, best_embedding, embedding_cost, evaluate_embeddings
-from repro.matching.subgraph import (
-    DEFAULT_MAX_EMBEDDINGS,
-    Embedding,
-    find_embeddings,
-    find_exact_embeddings,
-    greedy_embedding,
-    has_exact_embedding,
-)
 
 __all__ = [
     "DEFAULT_MAX_EMBEDDINGS",

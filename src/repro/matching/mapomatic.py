@@ -16,10 +16,10 @@ import networkx as nx
 
 from repro.backends.backend import Backend
 from repro.backends.properties import BackendProperties
+from repro.backends.subgraph import DEFAULT_MAX_EMBEDDINGS
 from repro.circuits.circuit import QuantumCircuit
 from repro.matching.interaction import interaction_graph
 from repro.matching.scoring import ScoredEmbedding, best_embedding
-from repro.matching.subgraph import DEFAULT_MAX_EMBEDDINGS
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike
 

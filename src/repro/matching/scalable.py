@@ -32,9 +32,10 @@ import networkx as nx
 import numpy as np
 
 from repro.backends.properties import BackendProperties
+from repro.backends.subgraph import Embedding, find_exact_embeddings, greedy_embedding
 from repro.matching.mapomatic import DeviceMatch, PatternLike, TargetLike, _as_pattern, _as_properties
 from repro.matching.scoring import _cache_key_for, embedding_cost
-from repro.matching.subgraph import Embedding, find_exact_embeddings, greedy_embedding
+from repro.utils.cache import embedding_cache
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike, ensure_generator
 
@@ -208,8 +209,6 @@ def scalable_match_device(
         else None
     )
     if key is not None:
-        from repro.core.cache import embedding_cache
-
         hit = embedding_cache().get(key)
         if hit is not None:
             # Fresh layout dict so a caller mutating it cannot poison the cache.
@@ -255,8 +254,6 @@ def scalable_match_device(
         layout=dict(best_embedding.mapping),
     )
     if key is not None:
-        from repro.core.cache import embedding_cache
-
         embedding_cache().put(key, match)
     return match
 

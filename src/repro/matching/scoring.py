@@ -28,12 +28,13 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.backends.properties import BackendProperties
-from repro.matching.subgraph import (
+from repro.backends.subgraph import (
     DEFAULT_MAX_EMBEDDINGS,
     Embedding,
     find_exact_embeddings,
     greedy_embedding,
 )
+from repro.utils.cache import calibration_fingerprint, embedding_cache, pattern_hash
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike
 
@@ -48,12 +49,8 @@ def _cache_key_for(
     ``(pattern_hash, device name, calibration fingerprint, *extra)``, where
     ``extra`` holds the matcher's search parameters.  No seed is included:
     :func:`evaluate_embeddings` stores only all-exact results, which no seed
-    can change, and the budgeted matcher appends its own integer seed.  The
-    cache module is imported lazily because ``repro.core``'s package init
-    pulls in the meta server, whose registry policies import this module.
+    can change, and the budgeted matcher appends its own integer seed.
     """
-    from repro.core.cache import calibration_fingerprint, pattern_hash
-
     return (pattern_hash(pattern), properties.name, calibration_fingerprint(properties), *extra)
 
 
@@ -135,10 +132,8 @@ def evaluate_embeddings(
     until the device recalibrates, whatever their seed.  A greedy result
     depends on the seed and is recomputed per call; the enumeration that
     proved no exact embedding exists is memoized by
-    :func:`~repro.matching.subgraph.find_exact_embeddings`.
+    :func:`~repro.backends.subgraph.find_exact_embeddings`.
     """
-    from repro.core.cache import embedding_cache
-
     key = _cache_key_for(pattern, properties, "scored", max_embeddings, include_readout)
     hit = embedding_cache().get(key)
     if hit is not None:

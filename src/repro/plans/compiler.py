@@ -14,10 +14,10 @@ from typing import Dict, Optional
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import calibration_fingerprint
 from repro.plans.plan import ExecutionPlan
 from repro.simulators.noisy import precompile_execution
 from repro.transpiler.preset import transpile
+from repro.utils.cache import calibration_fingerprint
 from repro.utils.rng import SeedLike
 
 __all__ = ["PlanCompiler"]

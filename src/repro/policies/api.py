@@ -75,7 +75,7 @@ class PlacementContext:
     #: Calibration epoch — part of every fidelity-estimate cache key, so
     #: recalibration invalidates stale scores without explicit hooks.  The
     #: engines pass the stable fleet digest from
-    #: :func:`repro.core.cache.fleet_calibration_epoch`; any hashable works.
+    #: :func:`repro.utils.cache.fleet_calibration_epoch`; any hashable works.
     calibration_epoch: Hashable = 0
     #: Queue-wait oracle: device name -> predicted wait in seconds.  ``None``
     #: when the engine has no queueing model (the orchestrator engine).

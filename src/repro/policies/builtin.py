@@ -296,7 +296,7 @@ class PinnedDevicePolicy(PlacementPolicy):
     The device-affinity escape hatch: every other device is filtered out, so
     the job lands on the pinned device when it passes the engine's normal
     feasibility checks, and fails with *no feasible device* otherwise.  The
-    sharded dispatcher (:class:`~repro.tenancy.ShardedService`) routes
+    sharded dispatcher (:class:`~repro.service.ShardedService`) routes
     pinned jobs to the shard owning the device instead of hashing the
     tenant, and the concurrency benchmarks use pinning to hold routing
     constant while varying the execution topology.

@@ -1,12 +1,9 @@
-"""Engine-neutral scenarios: arrival processes, portable traces, sweeps.
+"""Engine-neutral scenarios: portable traces, replays, faults and sweeps.
 
 The source paper is a workload-characterisation study, yet until this
 subsystem existed the repo's workload machinery was trapped inside the cloud
 simulator.  ``repro.scenarios`` is the missing layer:
 
-* :mod:`repro.scenarios.arrivals` — the pluggable :class:`ArrivalProcess`
-  protocol (Poisson/diurnal, MMPP bursts, Pareto heavy tails, flash crowds,
-  closed client loops) feeding :func:`generate_requests`;
 * :mod:`repro.scenarios.trace` — the versioned JSONL :class:`Trace` format
   (``save``/:func:`load_trace`), plus :class:`TraceRecorder` for capturing
   live :class:`~repro.service.QRIOService` runs;
@@ -22,26 +19,17 @@ simulator.  ``repro.scenarios`` is the missing layer:
   replays (p99 wait during outages, recovery time, SLO violations);
 * :mod:`repro.scenarios.catalog` — named, reproducible scenario specs,
   including fault-augmented hostile-world entries;
-* :mod:`repro.scenarios.sweep` — the policy × engine sweep harness;
-* :mod:`repro.scenarios.metrics` — the shared metric vocabulary (wait
-  percentiles, makespan, Jain fairness).
+* :mod:`repro.scenarios.sweep` — the policy × engine sweep harness.
 
-The cloud simulator consumes this layer's arrivals and metrics.
+The arrival processes and the metric vocabulary live lower, in
+:mod:`repro.workloads.arrivals` (the pluggable :class:`ArrivalProcess`
+protocol — Poisson/diurnal, MMPP bursts, Pareto heavy tails, flash crowds,
+closed client loops — feeding :func:`generate_requests`) and
+:mod:`repro.workloads.metrics` (wait percentiles, makespan, Jain fairness),
+where the cloud simulator and the service read them; this package
+re-exports them.
 """
 
-from repro.scenarios.arrivals import (
-    ArrivalProcess,
-    ArrivalSpec,
-    ClosedLoopProcess,
-    FlashCrowdProcess,
-    JobRequest,
-    MMPPProcess,
-    ParetoProcess,
-    PoissonProcess,
-    generate_requests,
-    generate_trace,
-    trace_summary,
-)
 from repro.scenarios.catalog import (
     ScenarioSpec,
     available_scenarios,
@@ -70,15 +58,6 @@ from repro.scenarios.resilience import (
     outage_windows,
     resilience_summary,
 )
-from repro.scenarios.metrics import (
-    WAIT_PERCENTILES,
-    jain_fairness_index,
-    makespan,
-    per_user_mean_waits,
-    render_metric_table,
-    summarise_waits,
-    wait_fairness,
-)
 from repro.scenarios.runner import (
     ENGINE_NAMES,
     NATIVE_POLICY,
@@ -106,6 +85,28 @@ from repro.scenarios.trace import (
     record,
 )
 from repro.utils.exceptions import ScenarioError
+from repro.workloads.arrivals import (
+    ArrivalProcess,
+    ArrivalSpec,
+    ClosedLoopProcess,
+    FlashCrowdProcess,
+    JobRequest,
+    MMPPProcess,
+    ParetoProcess,
+    PoissonProcess,
+    generate_requests,
+    generate_trace,
+    trace_summary,
+)
+from repro.workloads.metrics import (
+    WAIT_PERCENTILES,
+    jain_fairness_index,
+    makespan,
+    per_user_mean_waits,
+    render_metric_table,
+    summarise_waits,
+    wait_fairness,
+)
 
 __all__ = [
     "ArrivalProcess",

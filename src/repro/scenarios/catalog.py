@@ -17,15 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.scenarios.arrivals import (
-    ArrivalProcess,
-    ClosedLoopProcess,
-    FlashCrowdProcess,
-    MMPPProcess,
-    ParetoProcess,
-    PoissonProcess,
-    generate_requests,
-)
 from repro.scenarios.events import (
     CalibrationJump,
     DeviceOutage,
@@ -38,6 +29,15 @@ from repro.scenarios.events import (
 from repro.scenarios.trace import Trace
 from repro.utils.exceptions import ScenarioError
 from repro.utils.rng import SeedLike, derive_seed
+from repro.workloads.arrivals import (
+    ArrivalProcess,
+    ClosedLoopProcess,
+    FlashCrowdProcess,
+    MMPPProcess,
+    ParetoProcess,
+    PoissonProcess,
+    generate_requests,
+)
 from repro.workloads.suites import WorkloadSuite, grid_random_suite, nisq_mix_suite
 
 

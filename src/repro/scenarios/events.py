@@ -47,9 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.scenarios.arrivals import JobRequest
+from repro.cloud.calibration import CalibrationDriftModel
+from repro.tenancy.api import Tenant
 from repro.utils.exceptions import ScenarioError
 from repro.utils.rng import SeedLike, derive_seed, ensure_generator
+from repro.workloads.arrivals import JobRequest
 
 #: Schema version of the serialised event payloads (bump on field changes;
 #: ``parse_event`` rejects versions it does not know how to read).
@@ -341,8 +343,6 @@ def tenants_from_events(events: Sequence) -> Dict[str, "object"]:
     must agree on weight/quota (a trace contradiction is an error, not a
     silent last-wins).
     """
-    from repro.tenancy.api import Tenant
-
     tenants: Dict[str, Tenant] = {}
     for event in events:
         if not isinstance(event, TenantBurst):
@@ -543,8 +543,6 @@ class FaultInjector:
             self._quiesce()
 
     def _drift_properties(self, device: str, event: CalibrationJump, position: int):
-        from repro.cloud.calibration import CalibrationDriftModel
-
         backend = next(b for b in self._engine.fleet() if b.name == device)
         model = CalibrationDriftModel(
             two_qubit_spread=event.two_qubit_spread,

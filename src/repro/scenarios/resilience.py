@@ -18,7 +18,7 @@ report.  The vocabulary (pinned by hand-computed fixtures in
   many failed outright vs were served by the remaining devices.
 
 Percentiles use :func:`numpy.percentile` with its default linear
-interpolation, matching :func:`repro.scenarios.metrics.summarise_waits`.
+interpolation, matching :func:`repro.workloads.metrics.summarise_waits`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ per-job results bit-for-bit — the property the scenario test-suite and
 ``BENCH_scenarios.json`` pin.
 
 Imports of the service layer are deliberately function-local: the service's
-engines import :mod:`repro.scenarios.arrivals`, so a module-level import here
+engines import :mod:`repro.workloads.arrivals`, so a module-level import here
 would create a cycle during package initialisation.
 """
 
@@ -28,11 +28,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.backends.backend import Backend
-from repro.scenarios.arrivals import JobRequest
-from repro.scenarios.metrics import summarise_waits, wait_fairness
+from repro.cloud.simulation import CloudSimulationConfig
+from repro.scenarios.events import FaultInjector, tenants_from_events
+from repro.scenarios.resilience import RESILIENCE_ROW_KEYS, resilience_summary
 from repro.scenarios.trace import Trace
+from repro.service import CloudEngine, JobRequirements, OrchestratorEngine, QRIOService
+from repro.tenancy.api import Tenant
 from repro.utils.exceptions import AdmissionRejectedError, ScenarioError
 from repro.utils.rng import SeedLike, derive_seed
+from repro.workloads.arrivals import JobRequest
+from repro.workloads.metrics import summarise_waits, wait_fairness
 
 #: Engine names the runner can build on its own.
 ENGINE_NAMES = ("orchestrator", "cloud")
@@ -147,8 +152,6 @@ class ScenarioReport:
             "wait_clock": self.wait_clock,
         }
         if self.resilience is not None:
-            from repro.scenarios.resilience import RESILIENCE_ROW_KEYS
-
             for key in RESILIENCE_ROW_KEYS:
                 row[key] = self.resilience[key]
         if self.tenant_waits is not None:
@@ -272,9 +275,6 @@ class ScenarioRunner:
 
     def _make_engine(self):
         """A fresh, deterministically-seeded engine for one replay."""
-        from repro.cloud.simulation import CloudSimulationConfig
-        from repro.service import CloudEngine, OrchestratorEngine
-
         if callable(self._engine):
             return self._engine()
         engine_seed = derive_seed(self._seed, "scenario-engine", self._engine)
@@ -288,8 +288,6 @@ class ScenarioRunner:
         )
 
     def _requirements_for(self, request: JobRequest, arrival: bool, tenant=None):
-        from repro.service import JobRequirements
-
         arrival_time = request.arrival_time if arrival else None
         if request.strategy == "topology":
             edges = _topology_edges(request.circuit)
@@ -324,8 +322,6 @@ class ScenarioRunner:
         Raises:
             ScenarioError: The trace is empty.
         """
-        from repro.service import CloudEngine, QRIOService
-
         jobs = list(trace.jobs) if isinstance(trace, Trace) else list(trace)
         events = tuple(trace.events) if isinstance(trace, Trace) else ()
         if not jobs:
@@ -341,17 +337,12 @@ class ScenarioRunner:
         )
         tenant_map: Dict[str, object] = {}
         if self._tenant_aware:
-            from repro.scenarios.events import tenants_from_events
-            from repro.tenancy.api import Tenant
-
             tenant_map = tenants_from_events(events)
             tenant_map.update(self._tenants)
         admission = self._admission_factory() if self._admission_factory is not None else None
         service = QRIOService(fleet, engine, workers=self._workers, admission=admission)
         injector = None
         if has_faults:
-            from repro.scenarios.events import FaultInjector
-
             # Engine-independent seed: the injected drift must be the same
             # across engines for the cross-engine signature contract.
             injector = FaultInjector(events, seed=derive_seed(self._seed, "scenario-faults"))
@@ -469,8 +460,6 @@ class ScenarioRunner:
         succeeded = sum(1 for outcome in outcomes if outcome.succeeded)
         resilience: Optional[Dict[str, object]] = None
         if events:
-            from repro.scenarios.resilience import resilience_summary
-
             resilience = resilience_summary(outcomes, events, slo_wait_s=self._slo_wait_s)
         tenant_waits: Optional[Dict[str, Dict[str, float]]] = None
         if self._tenant_aware:

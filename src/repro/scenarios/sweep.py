@@ -16,12 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.backend import Backend
 from repro.scenarios.catalog import build_scenario_trace
-from repro.scenarios.metrics import render_metric_table
 from repro.scenarios.resilience import RESILIENCE_ROW_KEYS
-from repro.scenarios.runner import TENANT_ROW_KEYS, ScenarioReport, ScenarioRunner, policy_label
+from repro.scenarios.runner import TENANT_ROW_KEYS, ScenarioReport, ScenarioRunner, _json_safe_row, policy_label
 from repro.scenarios.trace import Trace
 from repro.utils.exceptions import ScenarioError
 from repro.utils.rng import SeedLike
+from repro.workloads.metrics import render_metric_table
 
 #: Columns of the sweep comparison table, in display order.
 SWEEP_COLUMNS = [
@@ -80,8 +80,6 @@ class SweepResult:
 
     def to_json(self) -> str:
         """All rows as one strict-JSON array (CLI ``scenarios sweep --json``)."""
-        from repro.scenarios.runner import _json_safe_row
-
         return json.dumps([_json_safe_row(row) for row in self.rows()], sort_keys=True)
 
 

@@ -37,9 +37,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.qasm.exporter import dump_qasm
 from repro.qasm.parser import parse_qasm
-from repro.scenarios.arrivals import JobRequest, trace_summary
 from repro.scenarios.events import event_to_payload, normalise_events, parse_event
 from repro.utils.exceptions import ScenarioError
+from repro.workloads.arrivals import JobRequest, trace_summary
 
 #: Magic string on the header line of every trace file.
 TRACE_FORMAT = "qrio-trace"

@@ -3,7 +3,7 @@
 The historical codebase had three disjoint front doors — the synchronous
 :class:`~repro.core.QRIO` facade, the trace-driven
 :class:`~repro.cloud.CloudSimulator` and the k8s-style cluster scheduler
-(:class:`~repro.core.QRIOScheduler`).  This package consolidates them behind
+(:class:`~repro.control.QRIOScheduler`).  This package consolidates them behind
 one service:
 
 * :class:`QRIOService` — owns a fleet plus a pluggable execution engine,
@@ -29,7 +29,12 @@ one service:
   wall-clock device occupancy, the workload ``BENCH_concurrency.json``
   measures);
 * the shared request/response dataclasses (:class:`JobSpec`,
-  :class:`JobRequirements`, :class:`JobStatus`, :class:`ServiceResult`, ...).
+  :class:`JobRequirements`, :class:`JobStatus`, :class:`ServiceResult`, ...);
+* :class:`ShardedService` — the process-sharded front desk: the fleet
+  partitioned across N spawn-safe worker processes, each running a whole
+  :class:`QRIOService`, tenants routed by consistent hash (device pins
+  override), results and wait statistics merged back into the one
+  service-shaped API.
 """
 
 from repro.service.api import (
@@ -48,6 +53,15 @@ from repro.service.engines import CloudEngine, DeviceLatencyEngine, Orchestrator
 from repro.service.handle import JobHandle
 from repro.service.runtime import ServiceRuntime
 from repro.service.service import QRIOService, RequirementsLike
+from repro.service.sharding import (
+    EngineSpec,
+    ShardedService,
+    ShardHandle,
+    ShardJob,
+    ShardOutcome,
+    ShardRequest,
+    pinned_device_of,
+)
 from repro.utils.exceptions import ServiceOverloadedError
 
 __all__ = [
@@ -55,6 +69,7 @@ __all__ = [
     "CloudEngine",
     "DeviceLatencyEngine",
     "EngineResult",
+    "EngineSpec",
     "ExecutionEngine",
     "JobEvent",
     "JobHandle",
@@ -69,4 +84,10 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceResult",
     "ServiceRuntime",
+    "ShardHandle",
+    "ShardJob",
+    "ShardOutcome",
+    "ShardRequest",
+    "ShardedService",
+    "pinned_device_of",
 ]

@@ -15,7 +15,7 @@ vocabulary:
   implement.
 
 ``JobRequirements`` is frozen and hashable on purpose: together with
-:func:`repro.core.cache.structural_circuit_hash` and the shot budget it forms
+:func:`repro.utils.cache.structural_circuit_hash` and the shot budget it forms
 the batch-deduplication key, so a batch of N structurally-identical requests
 collapses onto one embedding search, one canary distribution and one
 execution.
@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import structural_circuit_hash
 from repro.policies.api import PlacementPolicy
 from repro.tenancy.api import DEFAULT_TENANT, DEFAULT_TENANT_ID, Tenant
+from repro.utils.cache import structural_circuit_hash
 from repro.utils.exceptions import ServiceError
 from repro.utils.validation import require_positive_int, require_probability
 

@@ -46,27 +46,27 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.backends.backend import Backend
-from repro.scenarios.arrivals import JobRequest
 from repro.cloud.simulation import CloudSession, CloudSimulationConfig, CloudSimulationResult, CloudSimulator
 from repro.cluster.registry import ClusterState
-from repro.core.cache import (
+from repro.control.master_server import MasterServer, SubmittedJob
+from repro.control.meta_server import JobMetadata, MetaServer
+from repro.control.requirements import UserRequirements
+from repro.control.scheduler import QRIOScheduler, device_bounds_violation
+from repro.control.visualizer import TopologyCanvas
+from repro.plans import ExecutionPlan
+from repro.policies.api import PlacementContext, PlacementPolicy
+from repro.policies.registry import PolicyLike, resolve_policy
+from repro.service.api import EngineResult, ExecutionEngine, JobSpec, Placement
+from repro.utils.cache import (
     PLAN_STATS,
     LRUCache,
     calibration_fingerprint,
     fleet_calibration_epoch,
     structural_circuit_hash,
 )
-from repro.core.master_server import MasterServer, SubmittedJob
-from repro.core.meta_server import JobMetadata, MetaServer
-from repro.core.requirements import UserRequirements
-from repro.core.scheduler import QRIOScheduler, device_bounds_violation
-from repro.core.visualizer import TopologyCanvas
-from repro.plans import ExecutionPlan
-from repro.policies.api import PlacementContext, PlacementPolicy
-from repro.policies.registry import PolicyLike, resolve_policy
-from repro.service.api import EngineResult, ExecutionEngine, JobSpec, Placement
 from repro.utils.exceptions import ServiceError
 from repro.utils.rng import SeedLike, derive_seed
+from repro.workloads.arrivals import JobRequest
 
 
 class _PolicyResolver:
@@ -107,7 +107,7 @@ class _PlanStore(LRUCache):
     it; the device is an output of MATCHING and lives in the plan.  A
     lookup replays a plan only while its device is in the fleet with the
     calibration the plan was compiled against.  Every engine's store
-    records into the process-wide :data:`~repro.core.cache.PLAN_STATS`.
+    records into the process-wide :data:`~repro.utils.cache.PLAN_STATS`.
 
     Plans only serve the engines' *native* scheduling paths.  Registry
     policies are load- and state-dependent by design (round-robin cursors,
@@ -400,7 +400,7 @@ class OrchestratorEngine(ExecutionEngine):
         # cache, keyed by circuit *structure* plus a fleet-calibration epoch, so
         # repeat submissions pay one estimate per device while recalibration
         # silently invalidates every stale entry.  The epoch is the stable digest
-        # from core.cache — the builtin hash() is salted per process, which would
+        # from utils.cache — the builtin hash() is salted per process, which would
         # break any key that outlives a restart.
         return PlacementContext(
             fleet=fleet,

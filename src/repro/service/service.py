@@ -9,7 +9,7 @@ simulator's trace runner and the cluster scheduling framework) lacked:
   :class:`~repro.service.JobHandle` with an explicit lifecycle
   (``QUEUED → MATCHING → RUNNING → DONE/FAILED``);
 * ``submit_batch(...)`` groups structurally-identical submissions (via
-  :func:`repro.core.cache.structural_circuit_hash`) so a batch of N repeats
+  :func:`repro.utils.cache.structural_circuit_hash`) so a batch of N repeats
   pays **one** embedding search, **one** canary distribution and **one**
   batched-engine execution, sharing the result across all N handles;
 * ``process()`` drains the queue through the engine; ``JobHandle.result()``
@@ -18,7 +18,7 @@ simulator's trace runner and the cluster scheduling framework) lacked:
 Front desk
 ----------
 :class:`FrontDesk` is the submission half, shared with the process-sharded
-:class:`~repro.tenancy.ShardedService`: ``submit`` / ``submit_batch`` /
+:class:`~repro.service.ShardedService`: ``submit`` / ``submit_batch`` /
 ``submit_specs``, job naming, per-tenant admission, the queued/inflight
 tenant ledger, the submitted/succeeded/failed counters, ``job`` / ``jobs`` /
 ``wait_report`` / ``tenants_report``.  A batch is named, admitted and
@@ -56,14 +56,15 @@ from repro.service.api import (
     Placement,
     ServiceResult,
 )
-from repro.core.cache import all_cache_stats
 from repro.service.engines import OrchestratorEngine
 from repro.service.handle import JobHandle, wall_wait_from_events
 from repro.service.runtime import ServiceRuntime
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.api import Tenant
+from repro.utils.cache import all_cache_stats
 from repro.utils.exceptions import ReproError, ServiceError
 from repro.utils.rng import SeedLike
+from repro.workloads.metrics import wall_wait_report
 
 #: What ``submit``'s ``requirements`` argument accepts: the typed dataclass,
 #: a bare fidelity threshold, or ``None`` (= fidelity 1.0).
@@ -126,7 +127,7 @@ class FrontDesk:
 
     One set of rules names, admits and counts each tenant's jobs, whether
     the back end is the in-process runtime (:class:`QRIOService`) or a set
-    of shard processes (:class:`~repro.tenancy.ShardedService`).
+    of shard processes (:class:`~repro.service.ShardedService`).
     :meth:`submit_specs` runs four steps in order: it validates and claims
     every name, runs admission, charges the tenants' queued slots, and only
     then hands the batch to the back end.  A rejection at any step leaves
@@ -429,13 +430,11 @@ class FrontDesk:
         sample.  The *makespan* spans the first submission to the last
         terminal transition.  Waits are summarised with the same
         p50/p95/p99 percentile vocabulary the cloud simulator reports
-        (:func:`repro.scenarios.metrics.summarise_waits`), so a concurrent
+        (:func:`repro.workloads.metrics.summarise_waits`), so a concurrent
         runtime drain and a discrete-event simulation produce comparable
         rows — the cloud simulator on its logical clock, this report on the
         wall clock.
         """
-        from repro.scenarios.metrics import wall_wait_report
-
         return wall_wait_report(
             ((handle.spec.requirements.tenant_id, handle.events()) for handle in self.jobs()),
             wall_wait_from_events,

@@ -1,6 +1,6 @@
 """Process-sharded dispatch: one fleet, N single-process QRIO services.
 
-:class:`ShardedService` is the meta-dispatcher of the tenancy layer.  It
+:class:`ShardedService` is the service layer's multi-process front desk.  It
 partitions a device fleet across ``N`` worker *processes* (spawn context, so
 the topology is identical on every platform and nothing leaks through fork),
 rebuilds the execution engine inside each shard from a picklable
@@ -752,9 +752,7 @@ def _ensure_child_importable() -> None:
     *not* inherit.  Prepending the package's source root to ``PYTHONPATH``
     in our own environment closes that gap for every child we spawn.
     """
-    import repro
-
-    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    source_root = str(Path(__file__).resolve().parents[2])
     existing = os.environ.get("PYTHONPATH", "")
     parts = existing.split(os.pathsep) if existing else []
     if source_root not in parts:

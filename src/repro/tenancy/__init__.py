@@ -1,6 +1,6 @@
-"""Multi-tenant dispatch: tenants, fair queueing, admission, process shards.
+"""Multi-tenant dispatch: tenants, fair queueing and admission.
 
-This package is the tenancy layer over the unified job service:
+This package is the tenancy layer of the unified job service:
 
 * :class:`Tenant` — the frozen identity + share + quota record every
   submission may carry via ``JobRequirements.tenant`` (absent = the
@@ -12,16 +12,11 @@ This package is the tenancy layer over the unified job service:
 * :class:`AdmissionController` — per-tenant quota enforcement plus the
   SLO-pressure ``accept → defer → shed`` state machine, raising the typed
   :class:`~repro.utils.exceptions.AdmissionRejectedError` before the hard
-  ``max_pending`` backstop ever fires;
-* :class:`ShardedService` — the process-sharded meta-dispatcher: the fleet
-  partitioned across N spawn-safe worker processes, tenants routed by
-  consistent hash (device pins override), results and wait statistics
-  merged back into the one service-shaped API.
+  ``max_pending`` backstop ever fires.
 
-Import layering: ``tenancy.api``/``wfq``/``admission`` sit *below*
-:mod:`repro.service` (the service imports them), while ``tenancy.sharding``
-sits *above* it (it drives whole services in worker processes) — hence the
-lazy ``__getattr__`` exports for the sharding names.
+The package sits below :mod:`repro.service`, which imports it.  The
+process-sharded dispatcher that routes tenants across worker processes is
+:class:`~repro.service.ShardedService`, a front desk of the service layer.
 """
 
 from repro.tenancy.admission import AdmissionController, AdmissionState
@@ -33,34 +28,7 @@ __all__ = [
     "AdmissionState",
     "DEFAULT_TENANT",
     "DEFAULT_TENANT_ID",
-    "EngineSpec",
-    "ShardHandle",
-    "ShardJob",
-    "ShardOutcome",
-    "ShardRequest",
-    "ShardedService",
     "Tenant",
     "WeightedFairQueue",
     "coerce_tenant",
-    "pinned_device_of",
 ]
-
-_SHARDING_EXPORTS = (
-    "EngineSpec",
-    "ShardHandle",
-    "ShardJob",
-    "ShardOutcome",
-    "ShardRequest",
-    "ShardedService",
-    "pinned_device_of",
-)
-
-
-def __getattr__(name: str):
-    # Lazy: repro.tenancy.sharding imports repro.service, which imports the
-    # eager modules above — resolving shard names on demand breaks the cycle.
-    if name in _SHARDING_EXPORTS:
-        from repro.tenancy import sharding
-
-        return getattr(sharding, name)
-    raise AttributeError(f"module 'repro.tenancy' has no attribute '{name}'")

@@ -21,7 +21,7 @@ plus the two knobs multi-tenant schedulers need:
 ``JobSpec.dedup_key()`` (two tenants never share one deduplicated execution
 — quotas and fairness accounting would be unattributable otherwise) and in
 the QRIO-S001 frozen-picklable contract (tenants cross process boundaries
-inside :class:`~repro.tenancy.ShardJob` payloads).
+inside :class:`~repro.service.ShardJob` payloads).
 
 The module is dependency-light on purpose — it must be importable from
 ``repro.service.api`` without creating a cycle.

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.backends.subgraph import find_exact_embeddings
 from repro.circuits.circuit import QuantumCircuit
-from repro.matching.subgraph import find_exact_embeddings
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.base import TranspilerPass
@@ -74,7 +74,7 @@ class VF2PerfectLayoutPass(TranspilerPass):
     """Search for a placement where every interaction sits on a coupled pair.
 
     Enumerates VF2 subgraph monomorphisms through
-    :func:`repro.matching.subgraph.find_exact_embeddings`, the matchers' own
+    :func:`repro.backends.subgraph.find_exact_embeddings`, the matchers' own
     memoized enumeration, so repeated transpiles of one interaction pattern
     onto one coupling graph search once.  Among the embeddings found (capped
     for tractability) the first with the lowest summed two-qubit error over

@@ -20,7 +20,7 @@ from repro.backends.topologies import (
     ring_topology,
 )
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.visualizer import TopologyCanvas
+from repro.control.visualizer import TopologyCanvas
 
 
 @dataclass(frozen=True)

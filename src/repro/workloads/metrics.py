@@ -1,7 +1,8 @@
 """Engine-neutral wait-time, fairness and utilisation metrics.
 
 These once lived inside the cloud package and could only describe the
-discrete-event cloud simulator.  The scenario subsystem holds them so the
+discrete-event cloud simulator.  The workloads package holds them, below the
+cloud simulator, the service and the scenarios that all read them, so the
 same summary vocabulary — wait percentiles, makespan, Jain
 fairness, per-device load shares — describes a run of *any* engine: the
 cloud simulator's logical-clock records, the concurrent service runtime's

@@ -6,7 +6,7 @@ a realistic mix of circuit families.  A :class:`WorkloadSuite` describes such
 a mix: each entry is a circuit factory plus a relative arrival weight, the
 ranking strategy the submitting user would pick (fidelity or topology) and a
 default fidelity requirement.  The scenario layer's arrival processes
-(:mod:`repro.scenarios.arrivals`) sample from these suites.
+(:mod:`repro.workloads.arrivals`) sample from these suites.
 """
 
 from __future__ import annotations

@@ -1,73 +1,75 @@
-"""Pinned edges of the layer map: the simulators and the transpiler sit low.
+"""The layer map: one declared order, enforced by QRIO-L001 over every import.
 
-``repro.simulators`` is substrate.  It must import neither the plan layer,
-the orchestration core nor the service, and it must keep no thread-local
-state to hand results past its own call signatures.  ``repro.transpiler``
-compiles circuits for devices and must not reach up into the layers that
-decide placement, estimate fidelity or serve jobs.  ``repro.policies`` is
-the one ranking implementation the meta server, the engines and the figure
-drivers share; it must reach none of its callers' layers, so the meta
-server's edge into it can never close a cycle.  ``repro.cluster`` is the
-k8s substrate: nodes, jobs and the filter stage.  The scheduling cycle that
-ranks and binds lives above it, so it imports no placement, core, plan or
-service code.  ``repro.service`` is a layer below the ``QRIO`` facade, which
-is a client of its cluster engine: no service module imports the facade.
-No package reaches into another's private names: an
-``_``-prefixed name is importable only inside its own package.  The scan is
-an AST walk over every module, so imports inside functions count too.
+:data:`repro.analysis.LAYERS` stacks the packages of ``src/repro``; a package
+may import only packages of strictly lower layers.  These tests pin that the
+declaration covers every package, that the live tree keeps it (module-level
+and function-level imports alike), that the package import graph has no
+cycle, and that every edge the hand-kept per-package forbidden lists pinned
+before the declaration is still rejected.  ``repro.simulators`` also keeps no
+thread-local state, and no package reaches into another's private names: an
+``_``-prefixed name is importable only inside its own package.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import repro
+from repro.analysis import LAYERS, Analyzer, LayerRule, analyze_tree, render_layer_diagram
 
-SIMULATORS = Path(repro.__file__).parent / "simulators"
-FORBIDDEN = ("repro.plans", "repro.core", "repro.service")
+SOURCE = Path(repro.__file__).parent
+SIMULATORS = SOURCE / "simulators"
+ARCHITECTURE = SOURCE.parent.parent / "docs" / "architecture.md"
 
-TRANSPILER = Path(repro.__file__).parent / "transpiler"
-TRANSPILER_FORBIDDEN = ("repro.core", "repro.plans", "repro.service", "repro.fidelity", "repro.matching")
-#: The one upward edge left, allowed by module and name: the VF2 layout pass
-#: shares the matchers' memoized embedding enumeration.  Whether that
-#: enumeration moves below the transpiler is ROADMAP item 8's call.
-TRANSPILER_ALLOWED = {
-    ("layout_selection.py", "repro.matching.subgraph"),
-    ("layout_selection.py", "repro.matching.subgraph.find_exact_embeddings"),
-}
-
-
-POLICIES = Path(repro.__file__).parent / "policies"
-POLICIES_FORBIDDEN = (
-    "repro.core",
-    "repro.plans",
-    "repro.service",
-    "repro.cloud",
-    "repro.scenarios",
-    "repro.tenancy",
-    "repro.experiments",
+#: Every ``(package, forbidden import)`` pair of the five per-package lists
+#: this file kept before the layers were declared, verbatim.
+OLD_FORBIDDEN_PAIRS = (
+    # The simulators are substrate.
+    ("simulators", "repro.plans"),
+    ("simulators", "repro.core"),
+    ("simulators", "repro.service"),
+    # The transpiler reaches none of placement, fidelity, plans or serving.
+    ("transpiler", "repro.core"),
+    ("transpiler", "repro.plans"),
+    ("transpiler", "repro.service"),
+    ("transpiler", "repro.fidelity"),
+    ("transpiler", "repro.matching"),
+    # The one ranking implementation reaches none of its callers.
+    ("policies", "repro.core"),
+    ("policies", "repro.plans"),
+    ("policies", "repro.service"),
+    ("policies", "repro.cloud"),
+    ("policies", "repro.scenarios"),
+    ("policies", "repro.tenancy"),
+    ("policies", "repro.experiments"),
+    # The k8s substrate imports no placement, core, plan or service code.
+    ("cluster", "repro.policies"),
+    ("cluster", "repro.core"),
+    ("cluster", "repro.plans"),
+    ("cluster", "repro.service"),
+    # The service is a layer below the QRIO facade.
+    ("service", "repro.core.orchestrator"),
+    ("service", "repro.core.QRIO"),
+    ("service", "repro.core.JobOutcome"),
 )
 
+#: Where the code an old forbidden name covered lives now: ``repro.core``'s
+#: control plane moved to ``repro.control`` and the scenario trace types to
+#: ``repro.workloads``.
+MOVED_TARGETS = {
+    "repro.core": ("repro.core", "repro.control"),
+    "repro.scenarios": ("repro.scenarios", "repro.workloads.arrivals", "repro.workloads.metrics"),
+}
 
-CLUSTER = Path(repro.__file__).parent / "cluster"
-CLUSTER_FORBIDDEN = ("repro.policies", "repro.core", "repro.plans", "repro.service")
-
-SERVICE = Path(repro.__file__).parent / "service"
-#: The facade module and the names ``repro.core`` re-exports from it.
-FACADE = ("repro.core.orchestrator", "repro.core.QRIO", "repro.core.JobOutcome")
-
-
-def _modules(root=SIMULATORS):
-    return sorted(root.rglob("*.py"))
-
-
-def _package_of(path, root=SIMULATORS):
-    return ["repro", root.name] + list(path.relative_to(root).parent.parts)
+#: At most this many function-level ``repro`` imports, each with a reason.
+MAX_FUNCTION_LEVEL_IMPORTS = 10
 
 
-def _in_layers(name, layers):
-    return any(name == layer or name.startswith(layer + ".") for layer in layers)
+def _modules(root=SOURCE):
+    return sorted(path for path in root.rglob("*.py") if "__pycache__" not in path.parts)
 
 
 def _imported_names(source, package):
@@ -84,6 +86,10 @@ def _imported_names(source, package):
                 yield node.lineno, f"{module}.{alias.name}"
 
 
+def _layer_findings(source, relpath):
+    return Analyzer([LayerRule()]).run_source(textwrap.dedent(source), relpath)
+
+
 def _thread_locals(path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if (
@@ -98,89 +104,145 @@ def _thread_locals(path):
                 yield node.lineno
 
 
+# --------------------------------------------------------------------------- #
+# The declaration and the live tree
+# --------------------------------------------------------------------------- #
+def test_every_package_is_declared_in_exactly_one_layer():
+    declared = [package for layer in LAYERS for package in layer]
+    packages = {path.name for path in SOURCE.iterdir() if (path / "__init__.py").exists()}
+    top_level = {path.stem for path in SOURCE.glob("*.py") if path.stem != "__init__"}
+    assert len(declared) == len(set(declared))
+    assert set(declared) == packages | top_level | {"repro"}
+
+
+def test_the_live_tree_keeps_the_layer_order():
+    report = analyze_tree(rules=[LayerRule()])
+    assert report["new"] == [] and report["baselined"] == []
+
+
+def test_the_package_import_graph_has_no_cycle():
+    # An independent check of what L001 implies: edges between subpackages,
+    # from every import at any depth, form a graph without a cycle.
+    graph = nx.DiGraph()
+    for path in _modules():
+        relative = path.relative_to(SOURCE)
+        own = relative.parts[0].removesuffix(".py")
+        for _, name in _imported_names(path.read_text(), ["repro"] + list(relative.parent.parts)):
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1 and parts[1] != own and (SOURCE / parts[1]).is_dir():
+                graph.add_edge(own, parts[1])
+    assert graph.number_of_edges() > 50
+    assert max(len(component) for component in nx.strongly_connected_components(graph)) == 1
+
+
+def test_function_level_imports_are_few_and_each_gives_its_reason():
+    # A reason is a comment on the import's line or alone on the line above.
+    found, unexplained = set(), []
+    for path in _modules():
+        source = path.read_text()
+        lines = source.splitlines()
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                relative_or_repro = isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "repro"
+                )
+                absolute = isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "repro" for alias in node.names
+                )
+                if (relative_or_repro or absolute) and (path, node.lineno) not in found:
+                    found.add((path, node.lineno))
+                    if "#" not in lines[node.lineno - 1] and not lines[node.lineno - 2].lstrip().startswith("#"):
+                        unexplained.append(f"{path.relative_to(SOURCE)}:{node.lineno}")
+    assert len(found) <= MAX_FUNCTION_LEVEL_IMPORTS, sorted(found)
+    assert unexplained == []
+
+
+def test_the_architecture_diagram_is_generated_from_the_layers():
+    text = ARCHITECTURE.read_text(encoding="utf-8")
+    begin, end = "<!-- layers:begin -->\n```\n", "```\n<!-- layers:end -->"
+    assert begin in text and end in text
+    block = text[text.index(begin) + len(begin): text.index(end)]
+    assert block == render_layer_diagram(), (
+        "docs/architecture.md's layer diagram differs from repro.analysis.LAYERS; "
+        "paste the output of `python -m repro.analysis.layers` between the markers"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# QRIO-L001 rejects every edge the old per-package lists forbade
+# --------------------------------------------------------------------------- #
+def _expanded_pairs():
+    for package, forbidden in OLD_FORBIDDEN_PAIRS:
+        for target in MOVED_TARGETS.get(forbidden, (forbidden,)):
+            yield package, target
+
+
+@pytest.mark.parametrize("package, target", list(_expanded_pairs()), ids=lambda value: value)
+def test_the_layers_reject_every_old_forbidden_edge(package, target):
+    parent, _, last = target.rpartition(".")
+    sources = (f"import {target}\n", f"from {parent} import {last}\n", f"def run():\n    import {target}\n")
+    for source in sources:
+        findings = _layer_findings(source, f"{package}/probe.py")
+        assert [finding.rule_id for finding in findings] == ["QRIO-L001"], source
+
+
+def test_a_planted_upward_import_is_reported(tmp_path):
+    root = tmp_path / "repro"
+    (root / "utils").mkdir(parents=True)
+    (root / "simulators").mkdir()
+    (root / "utils" / "leak.py").write_text("def run():\n    from repro.service import QRIOService\n")
+    (root / "simulators" / "relative.py").write_text("from ..plans import plan\n")
+    (root / "simulators" / "fine.py").write_text("from repro.utils.rng import derive_seed\n")
+    report = analyze_tree(root, baseline_path=tmp_path / "baseline.json", rules=[LayerRule()])
+    assert [(f.rule_id, f.path, f.line) for f in report["new"]] == [
+        ("QRIO-L001", "simulators/relative.py", 1),
+        ("QRIO-L001", "utils/leak.py", 2),
+    ]
+    assert "'utils' (layer 0) imports 'repro.service'" in report["new"][1].message
+
+
+def test_a_same_layer_import_is_reported():
+    findings = _layer_findings("from repro.matching import rank_devices\n", "fidelity/probe.py")
+    assert [f.rule_id for f in findings] == ["QRIO-L001"]
+    assert "from the same layer" in findings[0].message
+
+
+def test_downward_and_own_package_imports_pass():
+    source = """
+        from repro.utils.cache import embedding_cache
+        from repro.backends import subgraph
+        from . import interaction
+        from repro.matching.scoring import embedding_cost
+    """
+    assert _layer_findings(source, "matching/probe.py") == []
+
+
+def test_importing_the_root_package_is_upward():
+    assert [f.rule_id for f in _layer_findings("import repro\n", "service/probe.py")] == ["QRIO-L001"]
+    assert [f.rule_id for f in _layer_findings("from repro import QRIO\n", "core/probe.py")] == ["QRIO-L001"]
+    assert _layer_findings("from repro import utils\n", "core/probe.py") == []
+
+
+def test_a_pragma_allows_one_edge():
+    source = "from repro.service import QRIOService  # qrio: allow[QRIO-L001] demo\n"
+    assert _layer_findings(source, "utils/probe.py") == []
+
+
+def test_an_undeclared_package_is_not_checked():
+    assert _layer_findings("from repro.service import QRIOService\n", "newpkg/probe.py") == []
+
+
+# --------------------------------------------------------------------------- #
+# Conventions the layer order does not express
+# --------------------------------------------------------------------------- #
 def test_scan_sees_the_simulator_modules():
-    names = {path.name for path in _modules()}
+    names = {path.name for path in _modules(SIMULATORS)}
     assert {"noisy.py", "batched_stabilizer.py", "statevector.py"} <= names
 
 
-@pytest.mark.parametrize("path", _modules(), ids=lambda path: path.name)
-def test_simulators_import_no_higher_layer(path):
-    offending = [
-        f"{path.name}:{line} imports {name}"
-        for line, name in _imported_names(path.read_text(), _package_of(path))
-        if _in_layers(name, FORBIDDEN)
-    ]
-    assert offending == []
-
-
-def test_scan_sees_the_transpiler_modules():
-    names = {path.name for path in _modules(TRANSPILER)}
-    assert {"preset.py", "routing.py", "layout_selection.py"} <= names
-
-
-@pytest.mark.parametrize("path", _modules(TRANSPILER), ids=lambda path: str(path.relative_to(TRANSPILER)))
-def test_transpiler_imports_no_higher_layer(path):
-    offending = [
-        f"{path.name}:{line} imports {name}"
-        for line, name in _imported_names(path.read_text(), _package_of(path, TRANSPILER))
-        if _in_layers(name, TRANSPILER_FORBIDDEN) and (path.name, name) not in TRANSPILER_ALLOWED
-    ]
-    assert offending == []
-
-
-def test_transpiler_allowance_names_a_live_edge():
-    """The allowance is spent: drop it once the layout pass stops importing the matcher."""
-    path = TRANSPILER / "passes" / "layout_selection.py"
-    names = {name for _, name in _imported_names(path.read_text(), _package_of(path, TRANSPILER))}
-    assert {name for _, name in TRANSPILER_ALLOWED} <= names
-
-
-def test_scan_sees_the_policy_modules():
-    names = {path.name for path in _modules(POLICIES)}
-    assert {"api.py", "builtin.py", "registry.py"} <= names
-
-
-@pytest.mark.parametrize("path", _modules(POLICIES), ids=lambda path: path.name)
-def test_policies_import_none_of_their_callers(path):
-    offending = [
-        f"{path.name}:{line} imports {name}"
-        for line, name in _imported_names(path.read_text(), _package_of(path, POLICIES))
-        if _in_layers(name, POLICIES_FORBIDDEN)
-    ]
-    assert offending == []
-
-
-def test_scan_sees_the_cluster_modules():
-    names = {path.name for path in _modules(CLUSTER)}
-    assert {"framework.py", "registry.py", "node.py", "job.py"} <= names
-
-
-@pytest.mark.parametrize("path", _modules(CLUSTER), ids=lambda path: path.name)
-def test_cluster_imports_no_placement_layer(path):
-    offending = [
-        f"{path.name}:{line} imports {name}"
-        for line, name in _imported_names(path.read_text(), _package_of(path, CLUSTER))
-        if _in_layers(name, CLUSTER_FORBIDDEN)
-    ]
-    assert offending == []
-
-
-def test_scan_sees_the_service_modules():
-    names = {path.name for path in _modules(SERVICE)}
-    assert {"engines.py", "service.py", "runtime.py"} <= names
-
-
-@pytest.mark.parametrize("path", _modules(SERVICE), ids=lambda path: path.name)
-def test_service_does_not_import_the_facade(path):
-    offending = [
-        f"{path.name}:{line} imports {name}"
-        for line, name in _imported_names(path.read_text(), _package_of(path, SERVICE))
-        if _in_layers(name, FACADE)
-    ]
-    assert offending == []
-
-
-@pytest.mark.parametrize("path", _modules(), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", _modules(SIMULATORS), ids=lambda path: path.name)
 def test_simulators_keep_no_thread_local_state(path):
     assert list(_thread_locals(path)) == []
 
@@ -189,10 +251,6 @@ def test_function_level_and_relative_imports_are_seen():
     source = "def run():\n    from ..core import cache\n    import repro.plans.schedule\n"
     names = {name for _, name in _imported_names(source, ["repro", "simulators"])}
     assert {"repro.core", "repro.core.cache", "repro.plans.schedule"} <= names
-
-
-
-SOURCE = Path(repro.__file__).parent
 
 
 def _private_imports(source, relative):
@@ -216,7 +274,7 @@ def test_private_import_scan_sees_function_level_and_relative_imports():
         "    from ..tenancy.api import _own\n"
         "    from ..service import _relative\n"
     )
-    found = [name for _, name in _private_imports(source, Path("tenancy/sharding.py"))]
+    found = [name for _, name in _private_imports(source, Path("tenancy/admission.py"))]
     assert found == ["repro.service.service._helper", "repro.service._relative"]
 
 

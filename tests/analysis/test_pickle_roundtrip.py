@@ -20,8 +20,9 @@ from repro.backends import three_device_testbed
 from repro.circuits import ghz
 from repro.plans import ExecutionPlan, PlanCompiler
 from repro.scenarios import PoissonProcess, Trace, generate_requests
+from repro.service import EngineSpec, ShardJob, ShardRequest
 from repro.service import JobRequirements, JobSpec
-from repro.tenancy import EngineSpec, ShardJob, ShardRequest, Tenant
+from repro.tenancy import Tenant
 from repro.workloads import clifford_suite
 
 _REPO_SRC = Path(__file__).resolve().parent.parent.parent / "src"
@@ -102,7 +103,7 @@ class TestTraceRoundTrip:
 
 
 class TestShardDispatchPayloadRoundTrip:
-    """The exact payloads :class:`~repro.tenancy.ShardedService` ships to its
+    """The exact payloads :class:`~repro.service.ShardedService` ships to its
     spawned worker processes survive the hop intact — tenant included."""
 
     def test_shard_request_survives_spawned_process(self):

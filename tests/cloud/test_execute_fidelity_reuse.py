@@ -15,9 +15,9 @@ import pytest
 from repro.backends import three_device_testbed
 from repro.circuits import bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.core.cache import calibration_fingerprint, clear_all_caches, structural_circuit_hash
 from repro.policies import resolve_policy
-from repro.scenarios.arrivals import JobRequest
+from repro.utils.cache import calibration_fingerprint, clear_all_caches, structural_circuit_hash
+from repro.workloads.arrivals import JobRequest
 
 SHOTS = 128
 

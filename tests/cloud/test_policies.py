@@ -9,9 +9,9 @@ from repro.circuits import ghz
 from repro.cloud import CloudSimulationConfig, CloudSimulator
 from repro.experiments.cloud_policies import CLOUD_POLICY_SPECS
 from repro.policies import FidelityPlacementPolicy, resolve_policy
-from repro.scenarios.arrivals import ArrivalSpec, JobRequest, generate_trace
 from repro.utils.exceptions import SchedulingError
 from repro.workloads import clifford_suite
+from repro.workloads.arrivals import ArrivalSpec, JobRequest, generate_trace
 
 
 def _session(fleet, policy):

@@ -16,9 +16,9 @@ from repro.cloud import (
     wait_fairness,
 )
 from repro.policies import resolve_policy
-from repro.scenarios.arrivals import ArrivalSpec, generate_trace
 from repro.utils.exceptions import ClusterError
 from repro.workloads import clifford_suite
+from repro.workloads.arrivals import ArrivalSpec, generate_trace
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""Tests for the fleet-wide memoization layer (repro.core.cache)."""
+"""Tests for the fleet-wide memoization layer (repro.utils.cache)."""
 
 import pickle
 from types import SimpleNamespace
@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.scenarios.arrivals import JobRequest
 from repro.cloud.calibration import CalibrationDriftModel
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.core import cache as cache_module
-from repro.core.cache import (
+from repro.fidelity.canary import CliffordCanaryEstimator
+from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
+from repro.policies import resolve_policy
+from repro.service import JobRequirements, JobSpec, OrchestratorEngine, QRIOService
+from repro.service.engines import _PlanStore
+from repro.utils import cache as cache_module
+from repro.utils.cache import (
     CacheStats,
     LRUCache,
     PLAN_STATS,
@@ -25,11 +29,7 @@ from repro.core.cache import (
     pattern_hash,
     structural_circuit_hash,
 )
-from repro.fidelity.canary import CliffordCanaryEstimator
-from repro.matching import interaction_graph, rank_devices_scalable, scalable_match_device
-from repro.policies import resolve_policy
-from repro.service import JobRequirements, JobSpec, OrchestratorEngine, QRIOService
-from repro.service.engines import _PlanStore
+from repro.workloads.arrivals import JobRequest
 
 
 @pytest.fixture(autouse=True)

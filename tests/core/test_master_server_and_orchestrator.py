@@ -4,10 +4,10 @@ import pytest
 
 from repro.backends import generate_fleet, line_topology, three_device_testbed, uniform_error_device
 from repro.circuits import bernstein_vazirani, ghz
-from repro.cluster import JobPhase
-from repro.core import QRIO, MasterServer, MetaServer
-from repro.core.requirements import UserRequirements
 from repro.cluster import ClusterState
+from repro.cluster import JobPhase
+from repro.control.requirements import UserRequirements
+from repro.core import QRIO, MasterServer, MetaServer
 from repro.qasm import dump_qasm, parse_qasm
 from repro.service import JobRequirements
 from repro.utils.exceptions import ClusterError, MasterServerError

@@ -13,9 +13,8 @@ import pytest
 
 from repro.backends import line_topology, three_device_testbed, uniform_error_device
 from repro.circuits import QuantumCircuit, ghz
+from repro.control.visualizer import MetaServerPayload, TopologyCanvas
 from repro.core import MetaServer
-from repro.core.cache import clear_all_caches
-from repro.core.visualizer import MetaServerPayload, TopologyCanvas
 from repro.experiments import quick_config, run_fig7
 from repro.experiments.fig8_9 import USER_TREE_EDGES, user_topology_canvas
 from repro.policies import (
@@ -25,6 +24,7 @@ from repro.policies import (
     TopologyPlacementPolicy,
 )
 from repro.qasm import dump_qasm
+from repro.utils.cache import clear_all_caches
 from repro.utils.exceptions import MetaServerError
 from repro.workloads import evaluation_workload
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.circuits import ghz
 from repro.cluster import ClusterState
+from repro.control.visualizer import JobSubmissionForm
 from repro.core import QRIOVisualizer, TopologyCanvas, UserRequirements
-from repro.core.visualizer import JobSubmissionForm
 from repro.qasm import dump_qasm, parse_qasm
 from repro.utils.exceptions import RequirementsError, VisualizerError
 

@@ -5,6 +5,10 @@ import pytest
 from repro.backends import line_topology, uniform_error_device
 from repro.circuits import ghz
 from repro.cluster import ClusterState, DeviceConstraints, JobSpec, ResourceRequest
+from repro.cluster import Node
+from repro.cluster.job import Job
+from repro.control.scheduler import ClassicalResourceFilter
+from repro.control.visualizer import MetaServerPayload
 from repro.core import (
     DeviceCharacteristicsFilter,
     MetaServer,
@@ -12,10 +16,6 @@ from repro.core import (
     QRIOScheduler,
     QubitCountFilter,
 )
-from repro.core.scheduler import ClassicalResourceFilter
-from repro.core.visualizer import MetaServerPayload
-from repro.cluster import Node
-from repro.cluster.job import Job
 from repro.policies import RandomPlacementPolicy
 from repro.qasm import dump_qasm
 

@@ -23,21 +23,21 @@ import pytest
 
 from repro.backends import Backend, generate_fleet
 from repro.backends import properties as properties_module
-from repro.circuits.algorithms import hardware_efficient_ansatz
 from repro.circuits import QuantumCircuit
+from repro.circuits.algorithms import hardware_efficient_ansatz
 from repro.circuits.random_circuits import random_clifford_circuit
+from repro.control.visualizer import MetaServerPayload
 from repro.core import MetaServer
-from repro.core.cache import clear_all_caches
-from repro.core.visualizer import MetaServerPayload
 from repro.fidelity import CliffordCanaryEstimator
 from repro.fidelity import canary as canary_module
 from repro.policies import FidelityPlacementPolicy, PlacementContext, ThresholdFidelityPolicy
+from repro.qasm import dump_qasm
 from repro.simulators import density as density_module
 from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import hellinger_fidelity
-from repro.qasm import dump_qasm
 from repro.transpiler import Layout, transpile
 from repro.transpiler.passes import BasisTranslation, SabreRoutingPass
+from repro.utils.cache import clear_all_caches
 from repro.utils.exceptions import FidelityEstimationError
 from repro.utils.rng import derive_seed
 

@@ -20,13 +20,13 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.algorithms import hardware_efficient_ansatz, qaoa_maxcut
 from repro.circuits.library import ghz
 from repro.circuits.random_circuits import grid_random_circuit
-from repro.core.cache import all_cache_stats, clear_all_caches, placement_cache
 from repro.fidelity import CanaryReport, CliffordCanaryEstimator
 from repro.fidelity import canary as canary_module
 from repro.simulators.density import DENSITY_LIMIT
 from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import hellinger_fidelity
 from repro.transpiler import place, transpile, virtual_stage
+from repro.utils.cache import all_cache_stats, clear_all_caches, placement_cache
 from repro.utils.rng import derive_seed
 from repro.workloads import nisq_mix_suite
 

@@ -17,14 +17,6 @@ from repro.circuits import ghz
 from repro.circuits.algorithms import hardware_efficient_ansatz, qaoa_maxcut
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.random_circuits import grid_random_circuit, random_circuit
-from repro.core.cache import (
-    all_cache_stats,
-    clear_all_caches,
-    embedding_cache,
-    enumeration_cache,
-    enumeration_key,
-    pattern_hash,
-)
 from repro.matching import (
     embedding_cost,
     evaluate_embeddings,
@@ -36,6 +28,14 @@ from repro.service import JobRequirements, OrchestratorEngine, QRIOService
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.passes import VF2PerfectLayoutPass
 from repro.transpiler.passes.layout_selection import _complete_layout, _interaction_graph, _placement_error_cost
+from repro.utils.cache import (
+    all_cache_stats,
+    clear_all_caches,
+    embedding_cache,
+    enumeration_cache,
+    enumeration_key,
+    pattern_hash,
+)
 
 RING5 = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 

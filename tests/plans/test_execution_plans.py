@@ -7,11 +7,11 @@ import pytest
 
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.core.cache import calibration_fingerprint, clear_all_caches
 from repro.plans import ExecutionPlan, PlanCompiler
 from repro.simulators import DENSITY_LIMIT, execute_with_noise, precompile_execution
 from repro.simulators.density import read_rates
 from repro.transpiler import transpile
+from repro.utils.cache import calibration_fingerprint, clear_all_caches
 from repro.utils.exceptions import SimulationError
 
 

@@ -14,17 +14,14 @@ import sys
 
 import pytest
 
-import repro.core.cache as cache_module
 import repro.plans.compiler as compiler_module
 import repro.qasm.parser as parser_module
 import repro.service.engines as engines_module
 import repro.simulators.noisy as noisy_module
+import repro.utils.cache as cache_module
 from repro.backends import three_device_testbed
 from repro.circuits import QuantumCircuit, ghz
-from repro.core.cache import all_cache_stats, clear_all_caches
 from repro.fidelity.canary import CliffordCanaryEstimator
-from repro.simulators import NoiseModel
-from repro.simulators.density import read_rates
 from repro.service import (
     CloudEngine,
     JobRequirements,
@@ -32,6 +29,9 @@ from repro.service import (
     OrchestratorEngine,
     QRIOService,
 )
+from repro.simulators import NoiseModel
+from repro.simulators.density import read_rates
+from repro.utils.cache import all_cache_stats, clear_all_caches
 from repro.utils.exceptions import JobFailedError, SimulationError
 
 

@@ -16,11 +16,11 @@ from repro.backends import generate_fleet, three_device_testbed
 from repro.backends.fleet import generate_device
 from repro.circuits import bernstein_vazirani, ghz
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
-from repro.core.visualizer import TopologyCanvas
+from repro.control.visualizer import TopologyCanvas
 from repro.experiments.cloud_policies import run_cloud_policy_comparison
 from repro.policies import PlacementContext, resolve_policy
 from repro.policies.builtin import ThresholdFidelityPolicy, TopologyPlacementPolicy
-from repro.scenarios.arrivals import JobRequest
+from repro.workloads.arrivals import JobRequest
 
 
 def twenty_job_trace():

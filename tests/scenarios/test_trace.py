@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.circuits import ghz
-from repro.core.cache import structural_circuit_hash
 from repro.scenarios import (
     PoissonProcess,
     Trace,
@@ -19,6 +18,7 @@ from repro.scenarios import (
     record,
 )
 from repro.service import JobRequirements, OrchestratorEngine, QRIOService
+from repro.utils.cache import structural_circuit_hash
 from repro.utils.exceptions import ScenarioError
 from repro.workloads import clifford_suite
 

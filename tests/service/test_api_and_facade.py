@@ -5,11 +5,11 @@ import pytest
 from repro import QRIO, JobRequirements, JobSpec, QRIOService
 from repro.backends import three_device_testbed
 from repro.circuits import ghz
-from repro.scenarios.arrivals import JobRequest
 from repro.cloud.simulation import CloudSimulationConfig, CloudSimulator
 from repro.policies import resolve_policy
 from repro.service import JobState
 from repro.utils.exceptions import CloudError, ClusterError, ServiceError
+from repro.workloads.arrivals import JobRequest
 
 
 class TestRequirementsValidation:

@@ -13,7 +13,6 @@ import pytest
 from repro.backends import three_device_testbed
 from repro.circuits import ghz
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import all_cache_stats, clear_all_caches
 from repro.fidelity.canary import CliffordCanaryEstimator
 from repro.service import (
     JobRequirements,
@@ -21,6 +20,7 @@ from repro.service import (
     OrchestratorEngine,
     QRIOService,
 )
+from repro.utils.cache import all_cache_stats, clear_all_caches
 
 BATCH = 32
 

@@ -8,8 +8,8 @@ depend on another service that ran earlier in the same process.
 
 from repro.backends import generate_fleet, three_device_testbed
 from repro.circuits import bernstein_vazirani, ghz
-from repro.core.cache import clear_all_caches
 from repro.service import JobRequirements, OrchestratorEngine, QRIOService
+from repro.utils.cache import clear_all_caches
 
 
 def _workload():

@@ -11,8 +11,8 @@ import pytest
 from repro.backends import generate_fleet, line_topology, uniform_error_device
 from repro.circuits import ghz
 from repro.cluster import ClusterState, JobPhase, JobSpec as ClusterJobSpec, ResourceRequest
+from repro.control.visualizer import MetaServerPayload
 from repro.core import MetaServer, QRIOScheduler
-from repro.core.visualizer import MetaServerPayload
 from repro.qasm import dump_qasm
 from repro.service import JobRequirements, JobSpec, OrchestratorEngine, QRIOService
 from repro.utils.exceptions import ServiceError

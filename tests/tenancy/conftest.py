@@ -30,7 +30,7 @@ def racetrace_sanitizer(monkeypatch):
     import repro.service.handle as handle_module
     import repro.service.runtime as runtime_module
     import repro.service.service as service_module
-    import repro.tenancy.sharding as sharding_module
+    import repro.service.sharding as sharding_module
     from repro.analysis import RaceMonitor, traced_threading
 
     monitor = RaceMonitor()

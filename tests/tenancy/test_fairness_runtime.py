@@ -24,7 +24,6 @@ import pytest
 
 from repro.backends import generate_fleet
 from repro.circuits import ghz
-from repro.scenarios.metrics import jain_fairness_index
 from repro.service import (
     DeviceLatencyEngine,
     JobRequirements,
@@ -34,6 +33,7 @@ from repro.service import (
 )
 from repro.service.handle import wall_wait_from_events
 from repro.tenancy import AdmissionController, Tenant
+from repro.workloads.metrics import jain_fairness_index
 
 BURST_JOBS = 20
 VICTIM_JOBS = 2  # 10:1 offered load

@@ -19,8 +19,8 @@ import pytest
 
 from repro.backends import generate_fleet
 from repro.circuits import ghz
-from repro.service import JobRequirements, JobSpec, QRIOService
-from repro.tenancy import AdmissionController, EngineSpec, ShardedService, Tenant
+from repro.service import EngineSpec, JobRequirements, JobSpec, QRIOService, ShardedService
+from repro.tenancy import AdmissionController, Tenant
 from repro.utils.exceptions import AdmissionRejectedError, ServiceError
 
 ENGINE = EngineSpec(kind="cloud", seed=11, fidelity_report="none")

@@ -9,14 +9,8 @@ import pytest
 from repro.backends import generate_fleet
 from repro.circuits import ghz
 from repro.policies import PinnedDevicePolicy
-from repro.service import JobRequirements
-from repro.tenancy import (
-    AdmissionController,
-    EngineSpec,
-    ShardedService,
-    Tenant,
-    pinned_device_of,
-)
+from repro.service import EngineSpec, JobRequirements, ShardedService, pinned_device_of
+from repro.tenancy import AdmissionController, Tenant
 from repro.utils.exceptions import AdmissionRejectedError, ServiceError, ShardDiedError
 
 

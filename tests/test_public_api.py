@@ -8,6 +8,7 @@ bench, example or document names them again.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -17,7 +18,11 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.core.master_server as master_server
+import repro.control.master_server as master_server
+import repro.core.cache
+import repro.core.master_server
+import repro.qasm.parser
+import repro.utils.cache
 from repro.core import MasterServer
 
 _REPO = Path(__file__).resolve().parent.parent
@@ -34,11 +39,11 @@ API = {
     ),
     "repro.analysis": (
         "Analyzer", "BareSharedWriteRule", "Baseline", "DEFAULT_PICKLE_CONTRACT", "Finding",
-        "FrozenPicklableRule", "LockOrderRule", "LockOrderViolation", "ModuleInfo",
-        "ProcessSaltedKeyRule", "RaceMonitor", "RaceTraceError", "Rule", "TracedCondition",
-        "TracedLock", "UnseededRandomRule", "WallClockRule", "analysis_root", "analyze_tree",
-        "default_baseline_path", "default_rules", "dotted_name", "load_baseline",
-        "traced_threading",
+        "FrozenPicklableRule", "LAYERS", "LayerRule", "LockOrderRule", "LockOrderViolation",
+        "ModuleInfo", "ProcessSaltedKeyRule", "RaceMonitor", "RaceTraceError", "Rule",
+        "TracedCondition", "TracedLock", "UnseededRandomRule", "WallClockRule", "analysis_root",
+        "analyze_tree", "default_baseline_path", "default_rules", "dotted_name", "load_baseline",
+        "render_layer_diagram", "traced_threading",
     ),
     "repro.backends": (
         "Backend", "BackendProperties", "DEFAULT_BASIS_GATES", "DEFAULT_SHOTS", "FleetSpec",
@@ -69,6 +74,12 @@ API = {
         "EventLog", "FilterPlugin", "FilterReport", "ImageBuilder", "ImageRegistry", "Job",
         "JobPhase", "JobSpec", "Node", "NodeCapacity", "NodeLabels", "NodeStatus",
         "ResourceRequest", "run_filters",
+    ),
+    "repro.control": (
+        "ClassicalResourceFilter", "DeviceCharacteristicsFilter", "JobMetadata",
+        "JobSubmissionForm", "MasterServer", "MetaServer", "MetaServerPayload", "QRIOScheduler",
+        "QRIOVisualizer", "QubitCountFilter", "SchedulingDecision", "SubmittedJob",
+        "TopologyCanvas", "UserRequirements", "default_filter_plugins",
     ),
     "repro.core": (
         "CacheStats", "ClassicalResourceFilter", "DeviceCharacteristicsFilter", "DeviceSpec",
@@ -137,10 +148,11 @@ API = {
         "unregister_scenario", "wait_fairness",
     ),
     "repro.service": (
-        "ALLOWED_TRANSITIONS", "CloudEngine", "DeviceLatencyEngine", "EngineResult",
+        "ALLOWED_TRANSITIONS", "CloudEngine", "DeviceLatencyEngine", "EngineResult", "EngineSpec",
         "ExecutionEngine", "JobEvent", "JobHandle", "JobRequirements", "JobSpec", "JobState",
         "JobStatus", "OrchestratorEngine", "Placement", "QRIOService", "RequirementsLike",
-        "ServiceOverloadedError", "ServiceResult", "ServiceRuntime",
+        "ServiceOverloadedError", "ServiceResult", "ServiceRuntime", "ShardHandle", "ShardJob",
+        "ShardOutcome", "ShardRequest", "ShardedService", "pinned_device_of",
     ),
     "repro.simulators": (
         "BATCHED_STATEVECTOR_LIMIT", "BatchedStabilizerSimulator", "BatchedStabilizerState",
@@ -154,9 +166,8 @@ API = {
         "total_variation_distance", "uniform_counts",
     ),
     "repro.tenancy": (
-        "AdmissionController", "AdmissionState", "DEFAULT_TENANT", "DEFAULT_TENANT_ID",
-        "EngineSpec", "ShardHandle", "ShardJob", "ShardOutcome", "ShardRequest", "ShardedService",
-        "Tenant", "WeightedFairQueue", "coerce_tenant", "pinned_device_of",
+        "AdmissionController", "AdmissionState", "DEFAULT_TENANT", "DEFAULT_TENANT_ID", "Tenant",
+        "WeightedFairQueue", "coerce_tenant",
     ),
     "repro.transpiler": (
         "Layout", "PassManager", "TranspileContext", "TranspileResult", "TranspilerPass",
@@ -198,7 +209,8 @@ def test_every_listed_name_resolves(package):
     assert not missing
 
 
-#: Library modules deleted because no caller in ``src/`` reached them.
+#: Library modules deleted because no caller in ``src/`` reached them, and
+#: the old paths of modules moved to break the package import cycle.
 DELETED_MODULES = (
     "repro.cluster.queue",
     "repro.fidelity.analytic",
@@ -206,11 +218,21 @@ DELETED_MODULES = (
     "repro.simulators.mitigation",
     "repro.transpiler.fusion",
     "repro.utils.linalg",
+    "repro.core.requirements",
+    "repro.core.visualizer",
+    "repro.core.meta_server",
+    "repro.core.scheduler",
+    "repro.matching.subgraph",
+    "repro.scenarios.arrivals",
+    "repro.scenarios.metrics",
+    "repro.tenancy.sharding",
 )
 
 _DELETED_REFERENCE = re.compile(
     r"ClusterEngine|transpiler\.fusion|simulators\.(mitigation|channels)|fidelity\.analytic"
     r"|utils\.linalg|fuse_clifford_runs|ReadoutMitigator|cluster\.queue|JobQueue|QueuePolicy"
+    r"|core[./](requirements|visualizer|meta_server|scheduler)\b|matching[./]subgraph\b"
+    r"|scenarios[./](arrivals|metrics)\b|tenancy[./]sharding\b"
 )
 _TEXT_SUFFIXES = {".py", ".md", ".json", ".txt", ".cfg", ".toml", ".yml", ".yaml", ".qasm"}
 
@@ -242,3 +264,47 @@ def test_the_master_server_runs_only_plans():
     plan = inspect.signature(MasterServer.execute_bound_job).parameters["plan"]
     assert plan.default is inspect.Parameter.empty
     assert "parse_qasm(" not in inspect.getsource(master_server)
+
+
+#: The pre-move module paths the frozen ``perfbench/`` harness still imports.
+REEXPORTS = (
+    ("repro.core.cache", "repro.utils.cache"),
+    ("repro.core.master_server", "repro.control.master_server"),
+)
+
+
+@pytest.mark.parametrize("old, new", REEXPORTS)
+def test_a_kept_old_path_defines_nothing_of_its_own(old, new):
+    module = importlib.import_module(old)
+    tree = ast.parse(inspect.getsource(module))
+    assert all(isinstance(node, (ast.Expr, ast.ImportFrom)) for node in tree.body)
+    public = [name for name in vars(module) if not name.startswith("_")]
+    assert public
+    for name in public:
+        assert getattr(module, name).__module__ in (new, "repro.qasm.parser"), name
+
+
+def test_the_old_cache_path_binds_the_librarys_own_caches():
+    # perfbench empties the caches through repro.core.cache between cold
+    # runs; a copy there would leave the caches the jobs use full.
+    old, new = repro.core.cache, repro.utils.cache
+    assert old.clear_all_caches is new.clear_all_caches
+    assert old.PLAN_STATS is new.PLAN_STATS
+    for name in new.__all__:
+        assert getattr(old, name) is getattr(new, name), name
+    for cache in ("enumeration_cache", "embedding_cache", "placement_cache"):
+        assert getattr(old, cache)() is getattr(new, cache)()
+    new.embedding_cache().put("reexport-probe", 1)
+    old.clear_all_caches()
+    assert new.embedding_cache().get("reexport-probe") is None
+
+
+def test_the_old_master_server_path_binds_the_librarys_class():
+    # perfbench's tracer wraps execute_bound_job on the class it finds there.
+    assert repro.core.master_server.MasterServer is master_server.MasterServer is MasterServer
+    assert repro.core.master_server.SubmittedJob is master_server.SubmittedJob
+
+
+def test_only_the_old_master_server_path_binds_parse_qasm():
+    assert repro.core.master_server.parse_qasm is repro.qasm.parser.parse_qasm
+    assert not hasattr(master_server, "parse_qasm")
