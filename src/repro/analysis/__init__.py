@@ -7,9 +7,9 @@ picklable shard-crossing dataclasses).  Two halves:
 * **Static rules** (``repro-qrio analyze``): AST passes over ``src/repro``
   — see :mod:`repro.analysis.determinism` (QRIO-D001..D003),
   :mod:`repro.analysis.concurrency` (QRIO-C001..C002),
-  :mod:`repro.analysis.serialization` (QRIO-S001) and
+  :mod:`repro.analysis.serialization` (QRIO-S001),
   :mod:`repro.analysis.layers` (QRIO-L001, over the declared package
-  :data:`LAYERS`).  Intentional violations
+  :data:`LAYERS`) and :mod:`repro.analysis.imports` (QRIO-I001).  Intentional violations
   carry inline ``# qrio: allow[RULE-ID] reason`` pragmas; historical ones
   live in the committed ``analysis-baseline.json``.
 * **Runtime sanitizer** (:mod:`repro.analysis.racetrace`): traced lock /
@@ -37,6 +37,7 @@ from repro.analysis.core import (
     load_baseline,
 )
 from repro.analysis.determinism import ProcessSaltedKeyRule, UnseededRandomRule, WallClockRule
+from repro.analysis.imports import UnusedImportRule
 from repro.analysis.layers import LAYERS, LayerRule, render_layer_diagram
 from repro.analysis.racetrace import (
     LockOrderViolation,
@@ -89,6 +90,7 @@ def default_rules() -> List[Rule]:
         LockOrderRule(),
         FrozenPicklableRule(),
         LayerRule(),
+        UnusedImportRule(),
     ]
 
 

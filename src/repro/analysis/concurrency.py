@@ -24,7 +24,7 @@ import ast
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.core import Finding, ModuleInfo, Rule, dotted_name
+from repro.analysis.core import Finding, ModuleInfo, dotted_name
 
 __all__ = ["BareSharedWriteRule", "LockOrderRule"]
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import Finding, ModuleInfo, Rule, dotted_name
+from repro.analysis.core import Finding, ModuleInfo, dotted_name
 
 __all__ = ["UnseededRandomRule", "WallClockRule", "ProcessSaltedKeyRule"]
 

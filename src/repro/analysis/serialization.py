@@ -19,9 +19,9 @@ subprocess pickle round-trip test in ``tests/analysis/``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.core import Finding, ModuleInfo, Rule, dotted_name
+from repro.analysis.core import Finding, ModuleInfo, dotted_name
 
 __all__ = ["FrozenPicklableRule", "DEFAULT_PICKLE_CONTRACT"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.backends.properties import BackendProperties
 from repro.circuits.circuit import QuantumCircuit

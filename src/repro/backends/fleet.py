@@ -16,7 +16,7 @@ per-edge draws would concentrate every device average near the midpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.backend import Backend

@@ -10,9 +10,8 @@ the simulators.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.circuits.gates import gate_spec
 from repro.circuits.instruction import Instruction
 from repro.utils.exceptions import CircuitError
 from repro.utils.validation import require_name, require_non_negative_int, require_qubit_index

@@ -192,21 +192,29 @@ def _cmd_extension(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_engine(args: argparse.Namespace) -> str:
-    """The ``submit`` engine: ``--engine``, else ``qrio`` without a policy and ``cloud`` with one."""
-    if args.engine is not None:
-        return args.engine
-    return "qrio" if args.policy is None else "cloud"
-
-
 def _service_for_submit(args: argparse.Namespace):
-    """Build the (service, qrio-or-None, policy-or-None) triple for submit."""
+    """Build the (front desk, qrio-or-None, per-job policy-or-None) triple for submit.
+
+    The cloud engine resolves the policy itself; the orchestrator takes it per job.
+    """
     policy = args.policy
     if policy is not None:
         # Fail fast (and with a did-you-mean) before any fleet is generated.
         resolve_policy(policy, seed=args.seed)
     fleet = generate_fleet(limit=args.devices, seed=args.seed)
-    if _submit_engine(args) == "qrio":
+    # --engine, else qrio without a policy and cloud with one.
+    engine_kind = args.engine or ("qrio" if policy is None else "cloud")
+    if args.shards:
+        spec = EngineSpec(
+            kind="orchestrator" if engine_kind == "qrio" else "cloud",
+            policy=policy if engine_kind == "cloud" else None,
+            seed=args.seed,
+            fidelity_report=args.fidelity_report,
+            canary_shots=args.shots,
+        )
+        sharded = ShardedService(fleet, shards=args.shards, engine=spec, workers=args.workers)
+        return sharded, None, policy if engine_kind == "qrio" else None
+    if engine_kind == "qrio":
         qrio = QRIO(cluster_name="cli-submit", canary_shots=args.shots, seed=args.seed)
         qrio.register_devices(fleet)
         return qrio.service(workers=args.workers), qrio, policy
@@ -218,8 +226,6 @@ def _service_for_submit(args: argparse.Namespace):
             seed=args.seed,
         ),
     )
-    # The cloud engine resolves the policy itself (engine-level), so the
-    # per-job requirements need not repeat it.
     return QRIOService(fleet, engine, workers=args.workers), None, None
 
 
@@ -523,97 +529,38 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
 
 def _submit_requirements(args: argparse.Namespace, policy) -> JobRequirements:
     """Build the per-job requirements for ``submit`` (tenant included)."""
-    tenant = None
-    if args.tenant:
-        tenant = Tenant(id=args.tenant, weight=args.tenant_weight)
+    edges = None
     if args.topology:
-        edges = []
-        for chunk in args.topology.split(","):
-            a, b = chunk.split("-")
-            edges.append((int(a), int(b)))
-        return JobRequirements(
-            topology_edges=tuple(edges),
-            max_avg_two_qubit_error=args.max_two_qubit_error,
-            policy=policy,
-            tenant=tenant,
-        )
+        pairs = (chunk.split("-") for chunk in args.topology.split(","))
+        edges = tuple((int(a), int(b)) for a, b in pairs)
     return JobRequirements(
-        fidelity_threshold=args.fidelity,
+        fidelity_threshold=None if edges else args.fidelity,
+        topology_edges=edges,
         max_avg_two_qubit_error=args.max_two_qubit_error,
         policy=policy,
-        tenant=tenant,
+        tenant=Tenant(id=args.tenant, weight=args.tenant_weight) if args.tenant else None,
     )
-
-
-def _cmd_submit_sharded(args: argparse.Namespace, circuit) -> int:
-    """The ``submit --shards N`` path: dispatch through the process shards."""
-    policy = args.policy
-    if policy is not None:
-        resolve_policy(policy, seed=args.seed)
-    kind = "orchestrator" if _submit_engine(args) == "qrio" else "cloud"
-    # Mirror _service_for_submit: the cloud engine resolves the policy
-    # engine-level, the orchestrator takes it per job.
-    spec = EngineSpec(
-        kind=kind,
-        policy=policy if kind == "cloud" else None,
-        seed=args.seed,
-        fidelity_report=args.fidelity_report,
-        canary_shots=args.shots,
-    )
-    job_policy = None if kind == "cloud" else policy
-    fleet = generate_fleet(limit=args.devices, seed=args.seed)
-    requirements = _submit_requirements(args, job_policy)
-    with ShardedService(fleet, shards=args.shards, engine=spec, workers=args.workers) as service:
-        handle = service.submit(circuit, requirements, shots=args.shots, name="cli-submitted-job")
-        print(
-            f"Sharded dispatch ({kind} engine, {service.num_shards} shard processes over "
-            f"{len(fleet)} devices): tenant '{handle.tenant_id}' routed to shard "
-            f"{handle.shard_index}"
-        )
-        service.process(handle)
-        print("Job lifecycle (as recorded inside the shard):")
-        for event in handle.events():
-            print(f"  {event.state.value:<9s} {event.message}")
-        print()
-        if args.explain:
-            print("(--explain is unavailable with --shards: placement decisions stay "
-                  "inside the worker process)\n")
-        if handle.error() is not None:
-            print("The job could not be scheduled with the given requirements.")
-            return 1
-        result = handle.result()
-        summary = f"Device: {result.device}"
-        if result.score is not None:
-            summary += f"  score {result.score:.4f}"
-        if result.fidelity is not None:
-            summary += f"  reported fidelity {result.fidelity:.4f}"
-        summary += f"  ({result.num_feasible} devices passed filtering)"
-        print(summary)
-    return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     circuit = load_qasm_file(args.circuit)
-    if args.shards:
-        try:
-            return _cmd_submit_sharded(args, circuit)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     try:
         service, qrio, policy = _service_for_submit(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     requirements = _submit_requirements(args, policy)
-    handle = service.submit(circuit, requirements, shots=args.shots, name="cli-submitted-job")
-    mode = f"{service.workers} workers" if service.is_concurrent else "inline dispatch"
-    print(f"Job lifecycle ({service.engine.name} engine, {mode}):")
-    # follow=True streams transitions as the runtime records them; at
-    # workers=0 it dispatches the job inline first.
-    for event in handle.events(follow=True):
-        print(f"  {event.state.value:<9s} {event.message}")
-    service.close()
+    with service:
+        handle = service.submit(circuit, requirements, shots=args.shots, name="cli-submitted-job")
+        status = handle.status()
+        mode = f"{args.workers} workers" if args.workers else "inline dispatch"
+        if args.shards:
+            mode = f"tenant '{requirements.tenant_id}' routed to shard {status.detail['shard']} of {args.shards}"
+        print(f"Job lifecycle ({status.engine} engine, {mode}):")
+        # follow=True streams transitions as they are recorded; at workers=0
+        # it dispatches the job inline first.  A shard's history arrives whole.
+        for event in handle.events(follow=True):
+            print(f"  {event.state.value:<9s} {event.message}")
     print()
     if qrio is not None:
         print(qrio.render_job("cli-submitted-job"))
@@ -623,6 +570,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print("Placement decision:")
             print(decision.explain())
             print()
+        elif args.shards:
+            print("(--explain is unavailable with --shards: placement decisions stay "
+                  "inside the worker process)\n")
         else:
             print("(no per-device breakdown: pass --policy to run a registry policy)\n")
     if handle.failed:
@@ -636,12 +586,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         summary += f"  reported fidelity {result.fidelity:.4f}"
     summary += f"  ({result.num_feasible} devices passed filtering)"
     print(summary)
-    plan_stats = service.cache_stats().get("plan", {})
-    print(
-        f"Plan cache: {int(plan_stats.get('hits', 0))} hits / "
-        f"{int(plan_stats.get('misses', 0))} misses "
-        f"(hit rate {plan_stats.get('hit_rate', 0.0):.0%})"
-    )
+    if not args.shards:
+        plan_stats = service.cache_stats().get("plan", {})
+        print(
+            f"Plan cache: {int(plan_stats.get('hits', 0))} hits / "
+            f"{int(plan_stats.get('misses', 0))} misses "
+            f"(hit rate {plan_stats.get('hit_rate', 0.0):.0%})"
+        )
     return 0
 
 

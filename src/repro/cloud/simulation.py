@@ -22,7 +22,7 @@ from repro.fidelity.estimator import ESPEstimator
 from repro.policies.api import PlacementContext, PlacementDecision, PlacementPolicy
 from repro.utils.cache import calibration_fingerprint, structural_circuit_hash
 from repro.utils.exceptions import CloudError, SchedulingError
-from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.rng import derive_seed
 from repro.workloads.arrivals import JobRequest
 from repro.workloads.metrics import render_metric_table, summarise_waits, wait_fairness
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 _EVENT_SEQUENCE = itertools.count(1)
 

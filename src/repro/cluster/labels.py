@@ -10,7 +10,7 @@ CPU and Memory capacity of the node."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.backends.backend import Backend
 from repro.utils.validation import require_finite_float, require_non_negative_int

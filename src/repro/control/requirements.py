@@ -10,8 +10,8 @@ the meta-server payload of Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.job import DeviceConstraints, JobSpec, ResourceRequest
 from repro.utils.exceptions import RequirementsError

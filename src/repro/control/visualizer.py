@@ -11,7 +11,7 @@ plain text instead of HTML.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import QuantumCircuit

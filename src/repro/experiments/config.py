@@ -10,7 +10,7 @@ EXPERIMENTS.md records which configuration produced the committed numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.backends.backend import Backend

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.experiments.fig6 import Fig6Result
 from repro.experiments.fig7 import Fig7Result

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.backends.fleet import FleetSpec
 from repro.circuits.library import ghz

@@ -11,13 +11,11 @@ circuit degrades on a given device.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_utils import closest_single_qubit_clifford
-from repro.circuits.gates import CLIFFORD_GATE_NAMES, gate_matrix
+from repro.circuits.gates import CLIFFORD_GATE_NAMES
 from repro.circuits.instruction import Instruction
 from repro.transpiler.decompositions import DECOMPOSITION_RULES
 from repro.utils.exceptions import FidelityEstimationError

@@ -13,12 +13,11 @@ the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.transpiler.preset import transpile
-from repro.utils.exceptions import FidelityEstimationError
 from repro.utils.rng import SeedLike, derive_seed
 
 

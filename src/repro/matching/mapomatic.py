@@ -10,7 +10,7 @@ embedding has the lowest error cost (Section 3.4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import networkx as nx
 
@@ -19,7 +19,7 @@ from repro.backends.properties import BackendProperties
 from repro.backends.subgraph import DEFAULT_MAX_EMBEDDINGS
 from repro.circuits.circuit import QuantumCircuit
 from repro.matching.interaction import interaction_graph
-from repro.matching.scoring import ScoredEmbedding, best_embedding
+from repro.matching.scoring import best_embedding
 from repro.utils.exceptions import MatchingError
 from repro.utils.rng import SeedLike
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_spec, is_known_gate
 from repro.circuits.instruction import Instruction
-from repro.qasm.tokenizer import Token, TokenStream, tokenize
+from repro.qasm.tokenizer import TokenStream, tokenize
 from repro.utils.exceptions import QASMError
 
 #: Gate spellings that appear in qelib1.inc but map onto this library's names.

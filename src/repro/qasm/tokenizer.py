@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.utils.exceptions import QASMError
 

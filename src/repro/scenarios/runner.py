@@ -15,9 +15,8 @@ trace twice under the same seed therefore reproduces routing decisions and
 per-job results bit-for-bit — the property the scenario test-suite and
 ``BENCH_scenarios.json`` pin.
 
-Imports of the service layer are deliberately function-local: the service's
-engines import :mod:`repro.workloads.arrivals`, so a module-level import here
-would create a cycle during package initialisation.
+The service layer sits below this module in the declared package layers
+(:data:`repro.analysis.LAYERS`), so it is imported at module level.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Unified job service: one submission API over orchestrator, cloud and cluster.
+"""Unified job service: one submission API over the orchestrator and cloud engines.
 
-The historical codebase had three disjoint front doors — the synchronous
-:class:`~repro.core.QRIO` facade, the trace-driven
-:class:`~repro.cloud.CloudSimulator` and the k8s-style cluster scheduler
-(:class:`~repro.control.QRIOScheduler`).  This package consolidates them behind
+The historical codebase had disjoint front doors — the synchronous
+:class:`~repro.core.QRIO` facade and the trace-driven
+:class:`~repro.cloud.CloudSimulator`.  This package consolidates them behind
 one service:
 
 * :class:`QRIOService` — owns a fleet plus a pluggable execution engine,
@@ -19,7 +18,8 @@ one service:
   bounded ``ThreadPoolExecutor`` so submission and execution decouple, with
   ``max_pending`` backpressure surfacing as
   :class:`~repro.utils.exceptions.ServiceOverloadedError`;
-* :class:`JobHandle` — ``status()`` / ``result()`` / ``events()`` over the
+* :class:`JobHandle` — the one handle both front desks return:
+  ``status()`` / ``result()`` / ``events()`` over the
   ``QUEUED → MATCHING → RUNNING → DONE/FAILED`` state machine, plus the
   futures-style surface: ``wait(timeout=...)``,
   ``done()``, ``add_done_callback`` and streaming ``events(follow=True)``;
@@ -34,7 +34,7 @@ one service:
   partitioned across N spawn-safe worker processes, each running a whole
   :class:`QRIOService`, tenants routed by consistent hash (device pins
   override), results and wait statistics merged back into the one
-  service-shaped API.
+  service-shaped API and the same :class:`JobHandle`.
 """
 
 from repro.service.api import (
@@ -56,7 +56,6 @@ from repro.service.service import QRIOService, RequirementsLike
 from repro.service.sharding import (
     EngineSpec,
     ShardedService,
-    ShardHandle,
     ShardJob,
     ShardOutcome,
     ShardRequest,
@@ -84,7 +83,6 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceResult",
     "ServiceRuntime",
-    "ShardHandle",
     "ShardJob",
     "ShardOutcome",
     "ShardRequest",

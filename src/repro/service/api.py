@@ -1,8 +1,7 @@
 """Typed request/response model of the unified QRIO job service.
 
-Every execution engine — the synchronous orchestrator, the discrete-event
-cloud simulator and the k8s-style cluster framework — speaks this one
-vocabulary:
+Both execution engines — the synchronous orchestrator and the discrete-event
+cloud simulator — speak this one vocabulary:
 
 * :class:`JobRequirements` + :class:`JobSpec` — what a user submits;
 * :class:`JobState` / :class:`JobStatus` / :class:`JobEvent` — the explicit
@@ -11,8 +10,7 @@ vocabulary:
   from its two lifecycle stages (device selection, then execution);
 * :class:`ServiceResult` — what a finished :class:`~repro.service.JobHandle`
   hands to the user;
-* :class:`ExecutionEngine` — the protocol the three engine adapters
-  implement.
+* :class:`ExecutionEngine` — the protocol the engine adapters implement.
 
 ``JobRequirements`` is frozen and hashable on purpose: together with
 :func:`repro.utils.cache.structural_circuit_hash` and the shot budget it forms

@@ -1,10 +1,10 @@
 """The user's view of one submitted service job.
 
-A :class:`JobHandle` is returned immediately by
-:meth:`~repro.service.QRIOService.submit`; the job itself executes when the
-service's :class:`~repro.service.ServiceRuntime` dispatches it — inline on
-the thread that waits for it on a ``workers=0`` service, or on the runtime's
-threads when ``workers > 0``.
+A :class:`JobHandle` is returned immediately by ``submit`` on either front
+desk; the job itself executes when the service's
+:class:`~repro.service.ServiceRuntime` dispatches it — inline on the thread
+that waits for it on a ``workers=0`` service, on the runtime's threads when
+``workers > 0``, or in a :class:`~repro.service.ShardedService` shard.
 
 The handle exposes the explicit lifecycle
 (``QUEUED → MATCHING → RUNNING → DONE/FAILED``) through :meth:`status` and
@@ -27,7 +27,7 @@ poll, wait on and stream from any thread while another thread drives the job.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.service.api import (
     ALLOWED_TRANSITIONS,
@@ -83,12 +83,12 @@ def wall_wait_from_events(events: List[JobEvent]) -> Optional[float]:
 
 
 class JobHandle:
-    """Handle to one service job; created by the service, never directly."""
+    """Handle to one service job; created by the front desk, never directly."""
 
-    def __init__(self, name: str, spec: JobSpec, service: "QRIOService") -> None:
+    def __init__(self, name: str, spec: JobSpec, desk: "FrontDesk") -> None:
         self._name = name
         self._spec = spec
-        self._service = service
+        self._desk = desk
         self._state = JobState.QUEUED
         self._events: List[JobEvent] = []
         self._device: Optional[str] = None
@@ -136,8 +136,9 @@ class JobHandle:
 
     @property
     def exception(self) -> Optional[BaseException]:
-        """The engine exception behind a failure (``None`` for clean failures
-        such as "no feasible device")."""
+        """The exception behind a failure: the engine's, or the
+        :class:`~repro.utils.exceptions.ShardDiedError` of a dead shard
+        (``None`` for clean failures such as "no feasible device")."""
         return self._exception
 
     # ------------------------------------------------------------------ #
@@ -154,7 +155,7 @@ class JobHandle:
             return JobStatus(
                 name=self._name,
                 state=self._state,
-                engine=self._service.engine.name,
+                engine=self._desk._engine_name,
                 device=self._device,
                 score=self._score,
                 message=self._events[-1].message if self._events else "",
@@ -191,10 +192,9 @@ class JobHandle:
         if not follow:
             with self._cv:
                 return list(self._events)
-        if not self._state.terminal and not self._service.is_concurrent:
-            # workers=0: no runtime thread feeds the stream, so dispatch the
-            # job inline before yielding.
-            self._service.process(self)
+        if not self._state.terminal:
+            # A desk without threads of its own runs the job here first.
+            self._desk._drive(self, None, follow=True)
         return self._follow_events(timeout)
 
     def _follow_events(self, timeout: Optional[float]) -> Iterator[JobEvent]:
@@ -247,7 +247,8 @@ class JobHandle:
                 or ``timeout`` expired before it finished.
             JobFailedError: The job reached FAILED (including "no feasible
                 device" rejections), chained from :attr:`exception` when an
-                engine raised.
+                engine raised; a sharded job whose shard died raises its
+                :class:`~repro.utils.exceptions.ShardDiedError`.
         """
         if not self.finished:
             if not wait:
@@ -255,13 +256,15 @@ class JobHandle:
                     f"Job '{self._name}' is still {self._state.value}; "
                     "pass wait=True (or call QRIOService.process) to drive it to completion"
                 )
-            self._service.runtime.wait_handle(self, timeout)
+            self._desk._drive(self, timeout)
             if not self.finished:
                 raise JobNotCompletedError(
                     f"Job '{self._name}' did not finish within {timeout}s "
                     f"(still {self._state.value})"
                 )
         if self.failed:
+            if isinstance(self._exception, JobFailedError):
+                raise self._exception  # already the job's failure (a dead shard)
             raise JobFailedError(f"Job '{self._name}' failed: {self._error}") from self._exception
         if self._result is None:
             raise ServiceError(f"Job '{self._name}' is {self._state.value} but has no result recorded")
@@ -281,7 +284,7 @@ class JobHandle:
             The job's :class:`~repro.service.JobStatus` after waiting.
         """
         if not self.finished:
-            self._service.runtime.wait_handle(self, timeout)
+            self._desk._drive(self, timeout)
         return self.status()
 
     def add_done_callback(self, fn: Callable[["JobHandle"], None]) -> None:
@@ -355,6 +358,30 @@ class JobHandle:
         self._error = reason
         self._exception = exception
         self._transition(JobState.FAILED, reason)
+
+    def _adopt(
+        self,
+        events: Sequence[JobEvent],
+        result: Optional[ServiceResult],
+        error: Optional[str],
+        exception: Optional[BaseException] = None,
+    ) -> None:
+        """Finish the job from a terminal report made in another process.
+
+        A non-empty ``events`` (the history recorded there, timestamps
+        included) replaces this handle's own; without one the job fails here.
+        """
+        if not events:
+            self._fail(error, exception)
+            return
+        # Like _complete/_fail: the outcome is set first, published by the state change.
+        self._result, self._error, self._exception = result, error, exception
+        with self._cv:
+            self._events = list(events)
+            self._state = events[-1].state
+            if result is not None:
+                self._device, self._score = result.device, result.score
+            self._cv.notify_all()
 
     def _drain_callbacks(self) -> None:
         """Run deferred done-callbacks.  Invoked by the service/runtime only

@@ -2,8 +2,8 @@
 
 :class:`QRIOService` owns a device fleet plus one pluggable
 :class:`~repro.service.ExecutionEngine` and exposes the production-shaped
-front door the three historical entry points (the ``QRIO`` facade, the cloud
-simulator's trace runner and the cluster scheduling framework) lacked:
+front door the historical entry points (the ``QRIO`` facade and the cloud
+simulator's trace runner) lacked:
 
 * ``submit(circuit, requirements, shots=...)`` returns a
   :class:`~repro.service.JobHandle` with an explicit lifecycle
@@ -19,11 +19,12 @@ Front desk
 ----------
 :class:`FrontDesk` is the submission half, shared with the process-sharded
 :class:`~repro.service.ShardedService`: ``submit`` / ``submit_batch`` /
-``submit_specs``, job naming, per-tenant admission, the queued/inflight
-tenant ledger, the submitted/succeeded/failed counters, ``job`` / ``jobs`` /
-``wait_report`` / ``tenants_report``.  A batch is named, admitted and
-charged before its back end (this runtime's queue, or the shard inboxes)
-sees it, and a rejection at any step leaves no trace.
+``submit_specs``, job naming, the :class:`~repro.service.JobHandle` of
+every job, per-tenant admission, the queued/inflight tenant ledger, the
+submitted/succeeded/failed counters, ``job`` / ``jobs`` / ``wait_report`` /
+``tenants_report``.  A batch is named, admitted and charged before its back
+end (this runtime's queue, or the shard inboxes) sees it, and a rejection at
+any step leaves no trace.
 
 Execution model
 ---------------
@@ -134,15 +135,19 @@ class FrontDesk:
     names, tenant slots and counters exactly as they were.
 
     The tenant ledger counts each tenant's jobs as *queued* (admitted, not
-    yet matched) or *inflight* (matched, not yet terminal).  A subclass
-    builds its handles in :meth:`_prepare_locked`, hands them over in
-    :meth:`_dispatch`, and settles finished jobs with :meth:`_settle_locked`.
+    yet matched) or *inflight* (matched, not yet terminal).  The desk builds
+    every :class:`~repro.service.JobHandle`; a subclass turns them into work
+    in :meth:`_prepare_locked`, hands it over in :meth:`_dispatch`, settles
+    finished jobs with :meth:`_settle_locked`, and serves waiters in :meth:`_drive`.
     """
 
     #: Prefix of auto-generated job names (``svc-0001``, ...).
     NAME_PREFIX = "svc-"
     #: The counters ``stats()`` reports.
     _COUNTERS: Tuple[str, ...] = ("submitted", "jobs_succeeded", "jobs_failed")
+
+    #: The engine name every handle's ``status()`` reports (set by the subclass).
+    _engine_name: str
 
     def __init__(self, admission: Optional[AdmissionController]) -> None:
         #: Guards names, handles, counters and the ledger; submissions and
@@ -151,7 +156,7 @@ class FrontDesk:
         #: Optional per-tenant admission gate; every call runs under the
         #: state lock, which keeps the ledger atomic with the decision.
         self._admission = admission
-        self._handles: Dict[str, object] = {}
+        self._handles: Dict[str, JobHandle] = {}
         #: Names claimed by batches not yet handed to the back end (reserved
         #: so concurrent submitters cannot reuse them, but not yet published:
         #: observers never see a job the back end may still reject).
@@ -181,7 +186,7 @@ class FrontDesk:
         name: Optional[str] = None,
         policy: Optional[object] = None,
         block: bool = True,
-    ):
+    ) -> JobHandle:
         """Queue one job; returns its handle immediately (state QUEUED).
 
         Args:
@@ -225,7 +230,7 @@ class FrontDesk:
         shots: int = 1024,
         policy: Optional[object] = None,
         block: bool = True,
-    ) -> list:
+    ) -> List[JobHandle]:
         """Queue many jobs at once; admission sees them as one batch.
 
         Args:
@@ -248,7 +253,7 @@ class FrontDesk:
         specs = [JobSpec(circuit=circuit, requirements=coerced, shots=shots) for circuit in circuits]
         return self.submit_specs(specs, block=block)
 
-    def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> list:
+    def submit_specs(self, specs: Sequence[JobSpec], *, block: bool = True) -> List[JobHandle]:
         """Queue pre-built specs (the core submission path).
 
         Atomic: names are claimed, admission passed and tenant slots charged
@@ -273,7 +278,8 @@ class FrontDesk:
             names = self._claim_names_locked(specs)
             counter = (mark, self._next_name)  # rewound if this batch is rejected
             try:
-                handles, work = self._prepare_locked(specs, names)
+                handles = [JobHandle(name, spec, self) for name, spec in zip(names, specs)]
+                work = self._prepare_locked(handles)
                 self._admit_locked(specs)
             except BaseException:
                 self._release_names_locked(names, counter)
@@ -292,13 +298,20 @@ class FrontDesk:
             self._reserved_names.difference_update(names)
         return handles
 
-    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
-        """The batch's handles and back-end work item (lock held; must change no state)."""
+    def _prepare_locked(self, handles: List[JobHandle]) -> object:
+        """The batch's back-end work item (lock held; must change no desk state)."""
         raise NotImplementedError
 
     def _dispatch(self, work: object, *, block: bool) -> None:
         """Hand an admitted batch to the back end; raising rejects it."""
         raise NotImplementedError
+
+    def _drive(self, handle: JobHandle, timeout: Optional[float], follow: bool = False) -> None:
+        """Move ``handle``'s job along for a caller waiting up to ``timeout`` (or
+        about to stream its events: ``follow``).  This default serves a desk
+        whose jobs run elsewhere: it only waits, and not for a follower."""
+        if not follow:
+            handle._await_terminal(timeout)
 
     def _claim_names_locked(self, specs: Sequence[JobSpec]) -> List[str]:
         """Validate and reserve one unique name per spec (lock held).
@@ -402,7 +415,7 @@ class FrontDesk:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def job(self, name: str):
+    def job(self, name: str) -> JobHandle:
         """Look up a handle by job name.
 
         Raises:
@@ -413,7 +426,7 @@ class FrontDesk:
                 raise ServiceError(f"Unknown service job '{name}'")
             return self._handles[name]
 
-    def jobs(self, state: Optional[JobState] = None) -> list:
+    def jobs(self, state: Optional[JobState] = None) -> List[JobHandle]:
         """Every handle in submission order, optionally filtered by lifecycle state."""
         with self._state_lock:
             handles = list(self._handles.values())
@@ -528,6 +541,7 @@ class QRIOService(FrontDesk):
             )
         super().__init__(admission)
         self._engine = engine if engine is not None else OrchestratorEngine(seed=seed)
+        self._engine_name = self._engine.name
         self._engine.attach(list(fleet))
         #: Observers of admitted submissions (``fn(job_name, spec)``), called
         #: in submission order after a batch is registered — the hook
@@ -597,16 +611,21 @@ class QRIOService(FrontDesk):
         self._notify_submission(handles)
         return handles
 
-    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
-        handles: List[JobHandle] = []
+    def _prepare_locked(self, handles: List[JobHandle]) -> object:
         groups: Dict[Tuple, _JobGroup] = {}
-        for name, spec in zip(names, specs):
-            handles.append(JobHandle(name=name, spec=spec, service=self))
-            groups.setdefault(spec.dedup_key(), _JobGroup(spec=spec)).handles.append(handles[-1])
-        return handles, list(groups.values())
+        for handle in handles:
+            spec = handle.spec
+            groups.setdefault(spec.dedup_key(), _JobGroup(spec=spec)).handles.append(handle)
+        return list(groups.values())
 
     def _dispatch(self, work: object, *, block: bool) -> None:
         self._runtime.enqueue(work, block=block)
+
+    def _drive(self, handle: JobHandle, timeout: Optional[float], follow: bool = False) -> None:
+        # Runtime threads feed a follower's stream; at workers=0 the caller's
+        # thread dispatches the job itself.
+        if not (follow and self._runtime.workers):
+            self._runtime.wait_handle(handle, None if follow else timeout)
 
     def _notify_submission(self, handles: Sequence[JobHandle]) -> None:
         """Tell every submission listener about an admitted batch, in order."""
@@ -689,11 +708,6 @@ class QRIOService(FrontDesk):
             if self._handles.get(handle.name) is not handle:
                 raise ServiceError(f"Job '{handle.name}' does not belong to this service")
         self._runtime.wait_handle(handle, timeout=None)
-
-    def process_all(self) -> List[JobHandle]:
-        """Process everything pending; returns all handles for convenience."""
-        self.process()
-        return self.jobs()
 
     # ------------------------------------------------------------------ #
     # Shutdown

@@ -35,11 +35,16 @@ The parent's submission surface is not its own: ``submit`` /
 ``job`` / ``jobs`` / ``wait_report`` / ``tenants_report`` come from the
 :class:`~repro.service.service.FrontDesk` that :class:`~repro.service.QRIOService`
 also uses, so both fronts name, admit and count jobs by one set of rules and
-a rejected batch leaves no trace on either.  This module keeps what is
+a rejected batch leaves no trace on either.  Both return the same
+:class:`~repro.service.JobHandle`: it stays QUEUED in the parent until the
+job's :class:`ShardOutcome` arrives, whose event history and result or error
+the parent then copies into it (a dead shard's jobs fail with a
+:class:`~repro.utils.exceptions.ShardDiedError` as their ``exception``); its
+shard index is ``status().detail["shard"]``.  This module keeps what is
 sharded: the hash ring and pinned-device routing, the shard processes and
 their pipes, the collector thread (which feeds shipped-back waits to the
-admission controller), dead-shard handling, :class:`ShardHandle`, and the
-shard columns of ``stats()``.
+admission controller), dead-shard handling, and the shard columns of
+``stats()``.
 """
 
 from __future__ import annotations
@@ -58,12 +63,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.cloud.simulation import CloudSimulationConfig
 from repro.policies import PinnedDevicePolicy, parse_policy_spec
-from repro.service.api import JobEvent, JobSpec, JobState, ServiceResult
+from repro.service.api import JobEvent, JobSpec, ServiceResult
 from repro.service.engines import CloudEngine, DeviceLatencyEngine, OrchestratorEngine
-from repro.service.handle import wall_wait_from_events
+from repro.service.handle import JobHandle, wall_wait_from_events
 from repro.service.service import FrontDesk, QRIOService
 from repro.tenancy.admission import AdmissionController
-from repro.utils.exceptions import JobFailedError, ServiceError, ShardDiedError
+from repro.utils.exceptions import ServiceError, ShardDiedError
 
 #: Virtual nodes per shard on the consistent-hash ring.  64 points per shard
 #: keeps the tenant->shard assignment within a few percent of uniform while
@@ -202,26 +207,17 @@ def _sanitized_result(result: ServiceResult) -> ServiceResult:
     return replace(result, detail=safe)
 
 
-def _outcome_of(handle, job_id: int, shard_index: int) -> ShardOutcome:
+def _outcome_of(handle: JobHandle, job_id: int, shard_index: int) -> ShardOutcome:
     """Terminal handle -> wire outcome (events ride along for wait merging)."""
-    events = tuple(handle.events())
-    if handle.state is JobState.DONE:
-        return ShardOutcome(
-            job_id=job_id,
-            job_name=handle.name,
-            shard_index=shard_index,
-            succeeded=True,
-            result=_sanitized_result(handle.result(wait=False)),
-            events=events,
-        )
-    status = handle.status()
+    done = bool(handle.done)
     return ShardOutcome(
         job_id=job_id,
         job_name=handle.name,
         shard_index=shard_index,
-        succeeded=False,
-        error=status.message,
-        events=events,
+        succeeded=done,
+        result=_sanitized_result(handle.result(wait=False)) if done else None,
+        error=None if done else handle.status().error,
+        events=tuple(handle.events()),
     )
 
 
@@ -276,96 +272,6 @@ def _shard_main(request: ShardRequest, inbox, outbox) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Parent-side handles
-# --------------------------------------------------------------------------- #
-class ShardHandle:
-    """Future-shaped view of one job dispatched to a shard process.
-
-    A deliberately small sibling of :class:`~repro.service.JobHandle`: the
-    lifecycle detail lives in the shard; the parent sees QUEUED until the
-    terminal outcome (with the full event history) ships back.
-    """
-
-    def __init__(self, name: str, spec: JobSpec, shard_index: int) -> None:
-        self._name = name
-        self._spec = spec
-        self._shard_index = shard_index
-        self._done = threading.Event()
-        self._outcome: Optional[ShardOutcome] = None
-        self._failure: type = JobFailedError
-
-    @property
-    def name(self) -> str:
-        """Parent-assigned unique job name."""
-        return self._name
-
-    @property
-    def spec(self) -> JobSpec:
-        """The submitted spec (tenant rides on its requirements)."""
-        return self._spec
-
-    @property
-    def shard_index(self) -> int:
-        """The shard this job was routed to."""
-        return self._shard_index
-
-    @property
-    def tenant_id(self) -> str:
-        """The owning tenant's id."""
-        return self._spec.requirements.tenant_id
-
-    @property
-    def state(self) -> JobState:
-        """QUEUED until the shard reports, then DONE or FAILED."""
-        outcome = self._outcome
-        if outcome is None:
-            return JobState.QUEUED
-        return JobState.DONE if outcome.succeeded else JobState.FAILED
-
-    def done(self) -> bool:
-        """``True`` once the shard's terminal outcome arrived."""
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the outcome arrives; ``False`` on timeout."""
-        return self._done.wait(timeout)
-
-    def events(self) -> Tuple[JobEvent, ...]:
-        """The job's shard-side event history (empty until done)."""
-        outcome = self._outcome
-        return outcome.events if outcome is not None else ()
-
-    def error(self) -> Optional[str]:
-        """The failure message, or ``None`` (also while still pending)."""
-        outcome = self._outcome
-        return outcome.error if outcome is not None else None
-
-    def result(self, timeout: Optional[float] = None) -> ServiceResult:
-        """Block for and return the job's result.
-
-        Raises:
-            ServiceError: Timed out waiting for the shard.
-            ShardDiedError: The job's shard process died before reporting.
-            JobFailedError: The job failed shard-side.
-        """
-        if not self._done.wait(timeout):
-            raise ServiceError(f"Timed out waiting for sharded job '{self._name}'")
-        outcome = self._outcome
-        assert outcome is not None
-        if not outcome.succeeded or outcome.result is None:
-            raise self._failure(f"Sharded job '{self._name}' failed: {outcome.error}")
-        return outcome.result
-
-    def _resolve(self, outcome: ShardOutcome, failure: type = JobFailedError) -> None:
-        self._outcome = outcome
-        self._failure = failure
-        self._done.set()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardHandle({self._name!r}, shard={self._shard_index}, state={self.state.value})"
-
-
-# --------------------------------------------------------------------------- #
 # The meta-dispatcher
 # --------------------------------------------------------------------------- #
 class ShardedService(FrontDesk):
@@ -393,11 +299,11 @@ class ShardedService(FrontDesk):
     a ``pinned:device=...`` policy, in which case they go to the shard that
     owns the pinned device — the device-affinity override.
 
-    Submission, naming, admission and the tenant ledger are the shared
-    :class:`~repro.service.service.FrontDesk`'s.  The parent never sees a
-    shard-side job start, so every outstanding job counts as *queued* and
-    ``inflight`` stays 0.  ``block`` has no effect: shard inboxes are
-    unbounded.
+    Submission, naming, handles, admission and the tenant ledger are the
+    shared :class:`~repro.service.service.FrontDesk`'s.  The parent never
+    sees a shard-side job start, so every outstanding job counts as *queued*
+    (its handle stays QUEUED) and ``inflight`` stays 0.  ``block`` has no
+    effect: shard inboxes are unbounded.
     """
 
     NAME_PREFIX = "shard-"
@@ -440,10 +346,11 @@ class ShardedService(FrontDesk):
             for vnode in range(vnodes)
         )
         super().__init__(admission)
-        self._engine_spec = engine
+        self._engine_name = engine.build().name  # what every shard's engine reports
         #: Drain wake-up: the tenant ledger emptied.
         self._drained = threading.Condition(self._state_lock)
-        self._by_job_id: Dict[int, ShardHandle] = {}
+        #: Dispatched, unresolved jobs: wire id -> (handle, shard index).
+        self._by_job_id: Dict[int, Tuple[JobHandle, int]] = {}
         self._next_job_id = 1
         self._shard_jobs: Dict[int, int] = {index: 0 for index in range(shards)}
         self._dead_shards: Dict[int, str] = {}
@@ -548,10 +455,7 @@ class ShardedService(FrontDesk):
             process.join(timeout=10.0)
         self._terminate_all()
         # Anything still unresolved after shutdown fails loudly.
-        with self._state_lock:
-            for handle in self._by_job_id.values():
-                if not handle.done():
-                    self._fail_locked(handle, "sharded service closed before the job completed")
+        self._fail_unresolved(None, "sharded service closed before the job completed")
 
     def __enter__(self) -> "ShardedService":
         return self
@@ -575,44 +479,46 @@ class ShardedService(FrontDesk):
                     continue
                 if kind == "fatal":
                     del live[reader]
-                    self._shard_died(index, message[2])
+                    with self._state_lock:
+                        self._dead_shards[index] = message[2]
+                    self._fail_unresolved(index, f"shard died: {message[2]}")
                     continue
                 outcome: ShardOutcome = message[1]
                 with self._state_lock:
-                    handle = self._by_job_id.get(outcome.job_id)
-                    if handle is None:
+                    entry = self._by_job_id.pop(outcome.job_id, None)
+                    if entry is None:
                         continue
-                    self._resolve_locked(handle, outcome)
+                    self._resolve_locked(entry[0], outcome.events, outcome.result, outcome.error)
+                entry[0]._drain_callbacks()
 
-    def _shard_died(self, shard_index: int, detail: str) -> None:
-        """Record a dead shard and fail every unresolved handle it owned."""
+    def _fail_unresolved(self, shard_index: Optional[int], error: str) -> None:
+        """Fail the unresolved jobs of one shard (``None``: of every shard)."""
         with self._state_lock:
-            self._dead_shards[shard_index] = detail
-            for handle in list(self._by_job_id.values()):
-                if handle.shard_index == shard_index and not handle.done():
-                    self._fail_locked(handle, f"shard died: {detail}", ShardDiedError)
+            failed = [job_id for job_id, (_, shard) in self._by_job_id.items() if shard_index in (None, shard)]
+            handles = [self._by_job_id.pop(job_id)[0] for job_id in failed]
+            for handle in handles:
+                self._fail_locked(handle, error, died=shard_index is not None)
+        for handle in handles:
+            handle._drain_callbacks()
 
-    def _fail_locked(self, handle: ShardHandle, error: str, failure: type = JobFailedError) -> None:
-        """Resolve ``handle`` as failed with ``error`` (caller holds the lock)."""
-        self._resolve_locked(
-            handle,
-            ShardOutcome(
-                job_id=-1,
-                job_name=handle.name,
-                shard_index=handle.shard_index,
-                succeeded=False,
-                error=error,
-            ),
-            failure,
-        )
+    def _fail_locked(self, handle: JobHandle, error: str, *, died: bool) -> None:
+        """Fail ``handle`` (lock held); a dead shard's job records a :class:`ShardDiedError`."""
+        exception = ShardDiedError(f"Job '{handle.name}' failed: {error}") if died else None
+        self._resolve_locked(handle, (), None, error, exception)
 
     def _resolve_locked(
-        self, handle: ShardHandle, outcome: ShardOutcome, failure: type = JobFailedError
+        self,
+        handle: JobHandle,
+        events: Sequence[JobEvent],
+        result: Optional[ServiceResult],
+        error: Optional[str],
+        exception: Optional[BaseException] = None,
     ) -> None:
-        handle._resolve(outcome, failure)
-        self._settle_locked(self._tenant_queued, handle.tenant_id, 1, outcome.succeeded)
+        """Copy a terminal report into ``handle`` and settle the ledger (lock held)."""
+        handle._adopt(events, result, error, exception)
+        self._settle_locked(self._tenant_queued, handle.spec.requirements.tenant_id, 1, bool(handle.done))
         if self._admission is not None:
-            wait = wall_wait_from_events(list(outcome.events))
+            wait = wall_wait_from_events(list(events))
             if wait is not None:
                 self._admission.observe_wait(wait)
         if not self._tenant_queued:
@@ -654,13 +560,12 @@ class ShardedService(FrontDesk):
     # ------------------------------------------------------------------ #
     # The shared desk's back end: routing and the shard inboxes
     # ------------------------------------------------------------------ #
-    def _prepare_locked(self, specs: Sequence[JobSpec], names: List[str]) -> Tuple[list, object]:
+    def _prepare_locked(self, handles: List[JobHandle]) -> object:
         # Routing validates pinned devices before admission sees the batch.
-        handles = [
-            ShardHandle(name, spec if spec.name == name else replace(spec, name=name), self._route(spec))
-            for spec, name in zip(specs, names)
-        ]
-        return handles, handles
+        routed = [(handle, self._route(handle.spec)) for handle in handles]
+        for handle, shard_index in routed:
+            handle._set_placement(None, None, {"shard": shard_index})
+        return routed
 
     def _dispatch(self, work: object, *, block: bool) -> None:
         dispatch: List[Tuple[int, ShardJob]] = []
@@ -669,30 +574,29 @@ class ShardedService(FrontDesk):
             # register after close() swept the unresolved ones.
             if self._closed:
                 raise ServiceError("ShardedService is closed")
-            for handle in work:
-                shard_index = handle.shard_index
+            for handle, shard_index in work:
                 self._shard_jobs[shard_index] += 1
                 if shard_index in self._dead_shards:
-                    self._fail_locked(handle, f"shard died: {self._dead_shards[shard_index]}", ShardDiedError)
+                    self._fail_locked(handle, f"shard died: {self._dead_shards[shard_index]}", died=True)
                     continue
                 job_id = self._next_job_id
                 self._next_job_id += 1
-                self._by_job_id[job_id] = handle
-                dispatch.append((shard_index, ShardJob(job_id=job_id, spec=handle.spec)))
+                self._by_job_id[job_id] = (handle, shard_index)
+                dispatch.append((shard_index, ShardJob(job_id=job_id, spec=replace(handle.spec, name=handle.name))))
         for shard_index, job in dispatch:
             self._inboxes[shard_index].put(job)
 
     # ------------------------------------------------------------------ #
     # Introspection / draining
     # ------------------------------------------------------------------ #
-    def process(self, handle: Optional[ShardHandle] = None, timeout: Optional[float] = None) -> None:
+    def process(self, handle: Optional[JobHandle] = None, timeout: Optional[float] = None) -> None:
         """Drain barrier: block until ``handle`` (or everything) completes.
 
         Raises:
             ServiceError: Timed out.
         """
         if handle is not None:
-            if not handle.wait(timeout):
+            if not handle.wait(timeout).finished:
                 raise ServiceError(f"Timed out waiting for sharded job '{handle.name}'")
             return
         with self._drained:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Mapping, Protocol, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.utils.exceptions import SimulationError

@@ -39,12 +39,10 @@ from repro.simulators.density import (
 from repro.simulators.noise import ErrorRates, NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
-    StabilizerSimulator,
     StabilizerState,
     TableauStep,
     circuit_is_stabilizer_compatible,
     compile_tableau_program,
-    is_stabilizer_gate,
 )
 from repro.simulators.statevector import MAX_STATEVECTOR_QUBITS, apply_matrix, compact_circuit
 from repro.utils.exceptions import SimulationError, StabilizerError

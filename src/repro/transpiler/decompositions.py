@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.gates import gate_matrix
 from repro.circuits.instruction import Instruction
 from repro.utils.exceptions import TranspilerError
 

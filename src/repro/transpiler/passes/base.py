@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.transpiler.context import TranspileContext

@@ -7,7 +7,7 @@ from typing import Sequence
 from repro.backends.properties import DEFAULT_BASIS_GATES
 from repro.circuits.circuit import QuantumCircuit
 from repro.transpiler.context import TranspileContext
-from repro.transpiler.decompositions import DECOMPOSITION_RULES, decompose_instruction
+from repro.transpiler.decompositions import decompose_instruction
 from repro.transpiler.passes.base import TranspilerPass
 
 

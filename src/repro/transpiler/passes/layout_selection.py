@@ -26,7 +26,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.transpiler.context import TranspileContext
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.base import TranspilerPass
-from repro.utils.exceptions import LayoutError, TranspilerError
+from repro.utils.exceptions import LayoutError
 
 
 class SetLayoutPass(TranspilerPass):

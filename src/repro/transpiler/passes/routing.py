@@ -25,7 +25,7 @@ layout.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 

@@ -10,7 +10,7 @@ experiments reproducible and lets tests pin seeds without monkeypatching.
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

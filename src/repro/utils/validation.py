@@ -7,7 +7,7 @@ requirement models) report problems consistently.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 def require_positive_int(value: int, name: str) -> int:

@@ -10,7 +10,7 @@ the topology circuit derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.backends.topologies import (
     fully_connected_topology,

@@ -22,10 +22,58 @@ from repro.analysis import (
     WallClockRule,
     analysis_root,
 )
+from repro.analysis.imports import UnusedImportRule
 
 
 def run_rule(rule, source, relpath="module.py"):
     return Analyzer([rule]).run_source(textwrap.dedent(source), relpath)
+
+
+# --------------------------------------------------------------------------- #
+# QRIO-I001: module-level imports nothing reads
+# --------------------------------------------------------------------------- #
+class TestUnusedImport:
+    FIXTURE = """
+        import json
+        from typing import Dict, List
+
+        def dump(rows: Dict[str, int]) -> str:
+            return json.dumps(rows)
+        """
+
+    def test_the_unused_name_fires_and_the_used_ones_stay_silent(self):
+        findings = run_rule(UnusedImportRule(), self.FIXTURE, "utils/rows.py")
+        assert [(f.rule_id, f.line, f.message) for f in findings] == [
+            ("QRIO-I001", 3, "'List' is imported but never read")
+        ]
+
+    def test_a_dotted_import_binds_its_first_part(self):
+        source = "import os.path\nimport xml.dom\nHOME = os.path.expanduser('~')\n"
+        assert [f.message for f in run_rule(UnusedImportRule(), source)] == [
+            "'xml' is imported but never read"
+        ]
+
+    def test_package_inits_all_names_and_noqa_reexports_are_exempt(self):
+        assert run_rule(UnusedImportRule(), self.FIXTURE, "utils/__init__.py") == []
+        exported = "from typing import List\n__all__ = ['List']\n"
+        assert run_rule(UnusedImportRule(), exported) == []
+        marked = "from typing import (  # noqa: F401\n    List,\n)\nfrom json import dumps  # noqa: F401\n"
+        assert run_rule(UnusedImportRule(), marked) == []
+
+    def test_string_annotations_and_function_level_imports(self):
+        source = """
+            from typing import Optional
+
+            def lookup(key: "Optional[str]"):
+                import json
+                return key
+            """
+        # Only module-level imports are checked; the string annotation reads Optional.
+        assert run_rule(UnusedImportRule(), source) == []
+
+    def test_pragma_suppresses(self):
+        source = "import json  # qrio: allow[QRIO-I001] loaded for its side effect\n"
+        assert run_rule(UnusedImportRule(), source) == []
 
 
 # --------------------------------------------------------------------------- #

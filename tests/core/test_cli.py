@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,6 +63,18 @@ class TestCommands:
                      "--shots", "32", "--devices", "6"])
         assert code == 1
         assert "could not be scheduled" in capsys.readouterr().out
+
+    def test_submit_through_process_shards(self, tmp_path, capsys):
+        path = tmp_path / "ghz.qasm"
+        write_qasm_file(ghz(3), path)
+        code = main(["--seed", "7", "submit", str(path), "--shards", "2", "--tenant", "acme",
+                     "--shots", "32", "--devices", "4"])
+        output = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"orchestrator engine, tenant 'acme' routed to shard [01] of 2", output)
+        assert "Done      finished on" in output and "Device: " in output
+        # The front desk is closed on the way out: no shard process outlives main().
+        assert not [child for child in multiprocessing.active_children() if child.name.startswith("qrio-shard")]
 
     def test_submit_topology_job(self, tmp_path, capsys):
         path = tmp_path / "ghz.qasm"

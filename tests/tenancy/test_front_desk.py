@@ -6,9 +6,10 @@ admitted and charged to its tenants before the back end sees it, and a
 rejection at any of those steps leaves names, tenant slots and counters
 exactly as they were.
 
-Only the sharded front runs its jobs here (in its shard); the in-process
-front runs with ``workers=0`` and is never driven, so its jobs stay queued
-and its ledger stays put between the checks.
+Only the sharded front runs its jobs on its own (in its shard); the
+in-process front runs with ``workers=0``, so its jobs stay queued and its
+ledger stays put between the checks until a test waits on a handle.
+Both fronts return the same :class:`~repro.service.JobHandle`.
 """
 
 import itertools
@@ -19,9 +20,17 @@ import pytest
 
 from repro.backends import generate_fleet
 from repro.circuits import ghz
-from repro.service import EngineSpec, JobRequirements, JobSpec, QRIOService, ShardedService
+from repro.service import (
+    EngineSpec,
+    JobHandle,
+    JobRequirements,
+    JobSpec,
+    JobState,
+    QRIOService,
+    ShardedService,
+)
 from repro.tenancy import AdmissionController, Tenant
-from repro.utils.exceptions import AdmissionRejectedError, ServiceError
+from repro.utils.exceptions import AdmissionRejectedError, JobFailedError, ServiceError
 
 ENGINE = EngineSpec(kind="cloud", seed=11, fidelity_report="none")
 _prefixes = (f"t{index}" for index in itertools.count())
@@ -131,6 +140,31 @@ def test_a_rejected_auto_named_batch_draws_no_names(front, prefix):
         front.submit_specs([_spec(capped), _spec(capped)])
     after = front.submit_specs([_spec(Tenant(id=f"{prefix}-free"))])[0].name
     assert int(after[len(front.NAME_PREFIX):]) == int(before[len(front.NAME_PREFIX):]) + 1
+    _settle(front)
+
+
+def test_one_handle_agrees_with_itself_on_both_fronts(front, prefix):
+    """finished / done / failed / result() / exception tell one story, whichever front ran the job."""
+    tenant = Tenant(id=f"{prefix}-tenant")
+    too_wide = JobSpec(  # wider than every device in the fleet
+        circuit=ghz(64), requirements=JobRequirements(tenant=tenant), shots=16, name=f"{prefix}-bad"
+    )
+    good, bad = front.submit_specs([_spec(tenant, f"{prefix}-good"), too_wide])
+    assert type(good) is JobHandle and type(bad) is JobHandle
+
+    assert good.wait(60).state is JobState.DONE
+    assert good.status().engine == good.result().engine == ENGINE.build().name
+    assert (bool(good.finished), bool(good.done), bool(good.failed)) == (True, True, False)
+    assert good.exception is None
+    assert good.result(timeout=0).shots == 16
+    assert good.status().error is None
+
+    status = bad.wait(60)
+    assert status.state is JobState.FAILED and status.error.startswith("no feasible device")
+    assert (bool(bad.finished), bool(bad.done), bool(bad.failed)) == (True, False, True)
+    assert bad.exception is None
+    with pytest.raises(JobFailedError, match="no feasible device"):
+        bad.result(timeout=0)
     _settle(front)
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.backends import generate_fleet
 from repro.circuits import ghz
 from repro.policies import PinnedDevicePolicy
-from repro.service import EngineSpec, JobRequirements, ShardedService, pinned_device_of
+from repro.service import EngineSpec, JobRequirements, JobState, ShardedService, pinned_device_of
 from repro.tenancy import AdmissionController, Tenant
 from repro.utils.exceptions import AdmissionRejectedError, ServiceError, ShardDiedError
 
@@ -104,8 +104,8 @@ def test_sharded_dispatch_end_to_end():
                 shots=64 + index,
                 name=f"job-{tenant.id}-{index}",
             )
-            assert handle.shard_index == service.shard_of_tenant(tenant.id)
-            assert handle.tenant_id == tenant.id
+            assert handle.status().detail["shard"] == service.shard_of_tenant(tenant.id)
+            assert handle.spec.requirements.tenant_id == tenant.id
             handles.append(handle)
 
         # Device affinity overrides the tenant hash.
@@ -116,8 +116,9 @@ def test_sharded_dispatch_end_to_end():
             shots=32,
             name="pinned-job",
         )
-        assert pinned.shard_index == service.shard_of_device(pinned_device)
-        assert pinned.shard_index != service.shard_of_tenant("alpha")
+        pinned_shard = pinned.status().detail["shard"]
+        assert pinned_shard == service.shard_of_device(pinned_device)
+        assert pinned_shard != service.shard_of_tenant("alpha")
 
         # Parent-side quota enforcement rejects before routing.
         capped = Tenant(id="capped", max_pending=1)
@@ -134,7 +135,7 @@ def test_sharded_dispatch_end_to_end():
 
         service.process()
         for handle in handles + [pinned]:
-            assert handle.done() and handle.error() is None
+            assert handle.done() and handle.status().error is None
             result = handle.result()
             assert result.device in {name for shard in fleets for name in shard}
         assert pinned.result().device == pinned_device
@@ -168,7 +169,8 @@ def test_sharded_dispatch_end_to_end():
 def test_killed_shard_fails_its_jobs_and_close_returns():
     """SIGKILL one of two shards mid-trace: its pipe reads as EOF, so the
     collector fails the dead shard's handles with its exit code, the other
-    shard's jobs succeed, and close() does not wait out the collector join."""
+    shard's jobs succeed, the failed jobs still count in the wait report, and
+    close() does not wait out the collector join."""
     fleet = generate_fleet(limit=4, seed=11)
     spec = EngineSpec(kind="cloud", seed=11, fidelity_report="none", latency_s=0.3)
     service = ShardedService(fleet, shards=2, engine=spec)
@@ -187,24 +189,31 @@ def test_killed_shard_fails_its_jobs_and_close_returns():
         ]
         # Mid-trace: the victim shard has reported its first job and is
         # executing the next ones.
-        assert doomed[0].wait(60)
-        assert not doomed[-1].done()
+        assert doomed[0].wait(60).state is JobState.DONE
+        assert not doomed[-1].finished()
         os.kill(service._processes[0].pid, signal.SIGKILL)
 
         deadline = time.monotonic() + 5.0
         for handle in doomed[1:]:
-            assert handle.wait(max(0.0, deadline - time.monotonic())), "dead shard's job never resolved"
-            assert handle.error().startswith("shard died: exit code")
+            status = handle.wait(max(0.0, deadline - time.monotonic()))
+            assert status.state is JobState.FAILED, "dead shard's job never resolved"
+            assert status.error.startswith("shard died: exit code")
+            assert isinstance(handle.exception, ShardDiedError)
             with pytest.raises(ShardDiedError):
                 handle.result(timeout=0)
+            # The parent records the failure: QUEUED, then FAILED.
+            assert [event.state for event in handle.events()] == [JobState.QUEUED, JobState.FAILED]
         assert service.stats()["dead_shards"] == {0: f"exit code {-signal.SIGKILL}"}
         for handle in spared:
             assert handle.result(timeout=60).shots == handle.spec.shots
         # A job routed to the dead shard afterwards fails at once.
         late = service.submit(ghz(3), JobRequirements(tenant=victim), shots=16, name="late")
-        assert late.done() and late.error().startswith("shard died")
+        assert late.failed() and late.status().error.startswith("shard died")
         with pytest.raises(ShardDiedError):
             late.result(timeout=0)
+        # Every job is terminal, the dead shard's failures included.
+        report = service.wait_report()
+        assert report["jobs"] == report["finished"] == 9
     finally:
         started = time.monotonic()
         service.close()

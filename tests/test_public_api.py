@@ -151,7 +151,7 @@ API = {
         "ALLOWED_TRANSITIONS", "CloudEngine", "DeviceLatencyEngine", "EngineResult", "EngineSpec",
         "ExecutionEngine", "JobEvent", "JobHandle", "JobRequirements", "JobSpec", "JobState",
         "JobStatus", "OrchestratorEngine", "Placement", "QRIOService", "RequirementsLike",
-        "ServiceOverloadedError", "ServiceResult", "ServiceRuntime", "ShardHandle", "ShardJob",
+        "ServiceOverloadedError", "ServiceResult", "ServiceRuntime", "ShardJob",
         "ShardOutcome", "ShardRequest", "ShardedService", "pinned_device_of",
     ),
     "repro.simulators": (
