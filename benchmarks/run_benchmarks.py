@@ -5,8 +5,9 @@ Runs the three hot-path measurements the batching/memoization subsystem is
 accountable for and writes the trajectory artefacts future PRs compare
 against:
 
-* ``BENCH_stabilizer.json`` — shots/sec of the batched stabilizer engine vs
-  the per-shot scalar reference on a 20-qubit, 1024-shot Clifford canary
+* ``BENCH_stabilizer.json`` — shots/sec of the shot-batched Clifford sampler
+  (``StabilizerSimulator``) vs the per-shot reference
+  (``reference_stabilizer_counts``) on a 20-qubit, 1024-shot Clifford canary
   (ideal and noisy), plus the achieved speedup;
 * ``BENCH_matching.json`` — cold vs warm matching throughput of the budgeted
   matcher over a device testbed (the embedding cache at work), and cold vs
@@ -34,9 +35,9 @@ The script runs every bench, prints every failure, and **fails loudly**
 * the invariant analyzer (``repro.analysis``) preflight reports any
   non-baselined finding — a tree that violates the determinism invariants
   benchmarks noise, not code;
-* the batched engine unexpectedly reports the scalar execution path;
-* the batched engine is less than ``--stabilizer-floor`` (default 10x)
-  faster than the scalar reference;
+* the sampler reports a path other than ``batched`` or ``deterministic``;
+* the sampler is less than ``--stabilizer-floor`` (default 10x) faster
+  than the per-shot reference;
 * the cached scheduler path is less than ``--scheduler-floor`` (default 2x)
   faster than the uncached one;
 * batch submission through the service is less than ``--service-floor``
@@ -60,7 +61,8 @@ The script runs every bench, prints every failure, and **fails loudly**
   engine × policy × workers cell, or produces no resilience metrics;
 * warm plan replay is less than ``--plans-floor`` (default 5x) faster than
   the cold compile path, or performs even one recompile;
-* batched and scalar counts distributions disagree (Hellinger sanity check).
+* the sampler's and the reference's counts distributions disagree (Hellinger
+  sanity check).
 
 Usage::
 
@@ -104,9 +106,9 @@ from repro.matching import interaction_graph, rank_devices_scalable  # noqa: E40
 from repro.policies import resolve_policy  # noqa: E402
 from repro.simulators import (  # noqa: E402
     NoiseModel,
-    NoisyStabilizerSimulator,
     StabilizerSimulator,
     hellinger_fidelity,
+    reference_stabilizer_counts,
 )
 from repro.utils.cache import CacheStats, all_cache_stats, clear_all_caches  # noqa: E402
 from repro.workloads.arrivals import JobRequest  # noqa: E402
@@ -146,14 +148,14 @@ class BenchFailure(RuntimeError):
 # Stabilizer engine
 # --------------------------------------------------------------------------- #
 def bench_stabilizer(scale: str, stabilizer_floor: float) -> Dict[str, object]:
-    """Batched vs scalar stabilizer shots/sec on the canary workload."""
+    """Shot-batched sampler vs the per-shot reference, shots/sec on the canary workload."""
     sizes = _SCALES[scale]
     circuit = random_clifford_circuit(_CANARY_QUBITS, _CANARY_DEPTH, seed=7, measure=True)
 
     scalar_shots = sizes["scalar_shots"]
     batched_shots = sizes["batched_shots"]
-    scalar_seconds, scalar_result = time_callable(
-        lambda: StabilizerSimulator(seed=11, method="scalar").run(circuit, shots=scalar_shots),
+    scalar_seconds, scalar_counts = time_callable(
+        lambda: reference_stabilizer_counts(circuit, scalar_shots, seed=11),
         repeats=sizes["repeats"],
     )
     batched_seconds, batched_result = time_callable(
@@ -163,30 +165,30 @@ def bench_stabilizer(scale: str, stabilizer_floor: float) -> Dict[str, object]:
     method = batched_result.metadata.get("method")
     if method not in ("batched", "deterministic"):
         raise BenchFailure(
-            f"Batched stabilizer engine unexpectedly reported method={method!r} "
-            "(fell back to the scalar path?)"
+            f"Stabilizer sampler unexpectedly reported method={method!r} "
+            "(expected 'batched' or 'deterministic')"
         )
-    del scalar_result  # 20q empirical distributions are too sparse to compare
+    del scalar_counts  # 20q empirical distributions are too sparse to compare
     # Equivalence sanity check on a small circuit whose support both engines
     # can sample densely (the rigorous property tests live in tests/).
     small = random_clifford_circuit(6, 8, seed=5, measure=True)
-    scalar_small = StabilizerSimulator(seed=17, method="scalar").run(small, shots=2000)
+    scalar_small = reference_stabilizer_counts(small, 2000, seed=17)
     batched_small = StabilizerSimulator(seed=17).run(small, shots=2000)
-    fidelity = hellinger_fidelity(scalar_small.counts, batched_small.counts)
+    fidelity = hellinger_fidelity(scalar_small, batched_small.counts)
     if fidelity < 0.95:
         raise BenchFailure(
-            f"Batched and scalar stabilizer distributions diverge (Hellinger fidelity {fidelity:.3f})"
+            f"Sampler and reference stabilizer distributions diverge (Hellinger fidelity {fidelity:.3f})"
         )
 
     noise = NoiseModel(
         default_two_qubit_error=0.02, default_one_qubit_error=0.005, default_readout_error=0.01
     )
     noisy_scalar_seconds, _ = time_callable(
-        lambda: NoisyStabilizerSimulator(seed=13, method="scalar").run(circuit, noise, shots=scalar_shots),
+        lambda: reference_stabilizer_counts(circuit, scalar_shots, noise, seed=13),
         repeats=sizes["repeats"],
     )
     noisy_batched_seconds, noisy_batched_result = time_callable(
-        lambda: NoisyStabilizerSimulator(seed=13).run(circuit, noise, shots=batched_shots),
+        lambda: StabilizerSimulator(seed=13).run(circuit, shots=batched_shots, noise_model=noise),
         repeats=sizes["repeats"],
     )
 
@@ -976,7 +978,8 @@ def main(argv=None) -> int:
         if name == "stabilizer":
             print(
                 f"stabilizer: {payload['batched']['shots_per_second']:.0f} shots/s batched "
-                f"({payload['speedup']:.1f}x over scalar, method={payload['batched']['method']}) -> {path}"
+                f"({payload['speedup']:.1f}x over the per-shot reference, "
+                f"method={payload['batched']['method']}) -> {path}"
             )
         elif name == "matching":
             print(

@@ -100,7 +100,7 @@ def concurrent_runtime(fleet) -> None:
           f"first is {handles[0].state.value!r}")
     service.process()  # drain barrier
     elapsed = time.perf_counter() - start
-    print(f"  all done = {all(handle.done() for handle in handles)}, "
+    print(f"  all done = {all(handle.done for handle in handles)}, "
           f"callback saw {finished}")
     print(f"  {len(handles)} x 30ms device occupancy finished in {elapsed*1000:.0f}ms "
           f"(serial floor would be {len(handles) * 30}ms)")

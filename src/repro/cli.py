@@ -210,7 +210,7 @@ def _service_for_submit(args: argparse.Namespace):
             policy=policy if engine_kind == "cloud" else None,
             seed=args.seed,
             fidelity_report=args.fidelity_report,
-            canary_shots=args.shots,
+            shots=args.shots,
         )
         sharded = ShardedService(fleet, shards=args.shards, engine=spec, workers=args.workers)
         return sharded, None, policy if engine_kind == "qrio" else None

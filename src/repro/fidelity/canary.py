@@ -39,10 +39,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.backend import Backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.fidelity.clifford import cliffordize
+from repro.simulators.batched_stabilizer import StabilizerSimulator
 from repro.simulators.density import DENSITY_LIMIT, noise_sites, outcome_laws, read_rates
 from repro.simulators.noisy import execute_with_noise
 from repro.simulators.result import hellinger_fidelity
-from repro.simulators.stabilizer import StabilizerSimulator, circuit_is_stabilizer_compatible
+from repro.simulators.stabilizer import circuit_is_stabilizer_compatible
 from repro.simulators.statevector import StatevectorSimulator, compact_circuit
 from repro.transpiler.preset import VirtualCircuit, place, swap_free_placeable, transpile, virtual_stage
 from repro.utils.cache import placement_cache, placement_key, structural_circuit_hash

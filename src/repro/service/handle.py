@@ -13,8 +13,8 @@ surface the runtime needs:
 
 * :meth:`wait` accepts a ``timeout`` and returns the (possibly still
   non-terminal) status instead of raising on expiry;
-* :attr:`done` / :attr:`failed` / :attr:`finished` answer both as legacy
-  properties (``handle.done``) and as futures-style calls (``handle.done()``);
+* :attr:`done` / :attr:`failed` / :attr:`finished` are plain ``bool``
+  properties (``handle.done``, not ``handle.done()``);
 * :meth:`add_done_callback` registers completion callbacks that fire on the
   thread that finishes the job (immediately when already terminal);
 * ``events(follow=True)`` streams lifecycle transitions as the runtime
@@ -38,32 +38,6 @@ from repro.service.api import (
     ServiceResult,
 )
 from repro.utils.exceptions import JobFailedError, JobNotCompletedError, ServiceError
-
-
-class _StateFlag(int):
-    """A boolean that can also be *called* like a :class:`concurrent.futures.Future` method.
-
-    PR 2 shipped ``handle.done`` / ``handle.failed`` / ``handle.finished`` as
-    plain properties; the concurrent runtime adopts the futures convention of
-    ``handle.done()``.  This int subclass keeps both spellings working:
-    ``if handle.done:`` (truthiness) and ``if handle.done():`` (call) are
-    equivalent, and ``str()`` renders ``True``/``False``.
-
-    Caveat of the bridge: the value is *not* a ``bool`` instance, so use
-    truthiness, never identity (``handle.done is True`` is always ``False``),
-    and call ``bool(...)`` before serializing it.
-    """
-
-    __slots__ = ()
-
-    def __call__(self) -> bool:
-        return bool(self)
-
-    def __repr__(self) -> str:
-        return repr(bool(self))
-
-    # int would render '1'/'0'; these flags must print like the bools they were.
-    __str__ = __repr__
 
 
 def wall_wait_from_events(events: List[JobEvent]) -> Optional[float]:
@@ -120,19 +94,19 @@ class JobHandle:
         return self._state
 
     @property
-    def done(self) -> _StateFlag:
-        """Truthy when the job completed successfully (usable as ``done`` or ``done()``)."""
-        return _StateFlag(self._state == JobState.DONE)
+    def done(self) -> bool:
+        """``True`` when the job completed successfully."""
+        return self._state == JobState.DONE
 
     @property
-    def failed(self) -> _StateFlag:
-        """Truthy when the job failed, including "no feasible device" (``failed`` or ``failed()``)."""
-        return _StateFlag(self._state == JobState.FAILED)
+    def failed(self) -> bool:
+        """``True`` when the job failed, including "no feasible device"."""
+        return self._state == JobState.FAILED
 
     @property
-    def finished(self) -> _StateFlag:
-        """Truthy once the job reached a terminal state (``finished`` or ``finished()``)."""
-        return _StateFlag(self._state.terminal)
+    def finished(self) -> bool:
+        """``True`` once the job reached a terminal state."""
+        return self._state.terminal
 
     @property
     def exception(self) -> Optional[BaseException]:

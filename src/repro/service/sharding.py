@@ -109,7 +109,9 @@ class EngineSpec:
             :class:`~repro.service.DeviceLatencyEngine` with this occupancy.
         fidelity_report: Cloud engine fidelity mode (ignored elsewhere).
         inter_arrival_s: Cloud engine logical arrival gap (ignored elsewhere).
-        canary_shots: Orchestrator canary budget (ignored by cloud).
+        shots: Shot count: the orchestrator's canary shots, the cloud
+            engine's execution shots.  ``None`` keeps each engine's
+            default (512 canary shots, 256 execution shots).
     """
 
     kind: str = "orchestrator"
@@ -118,7 +120,7 @@ class EngineSpec:
     latency_s: float = 0.0
     fidelity_report: str = "esp"
     inter_arrival_s: float = 1.0
-    canary_shots: int = 512
+    shots: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _ENGINE_KINDS:
@@ -131,13 +133,15 @@ class EngineSpec:
     def build(self):
         """Construct the engine this recipe describes (called per shard)."""
         if self.kind == "orchestrator":
-            engine = OrchestratorEngine(
-                policy=self.policy, seed=self.seed, canary_shots=self.canary_shots
-            )
+            shots = {} if self.shots is None else {"canary_shots": self.shots}
+            engine = OrchestratorEngine(policy=self.policy, seed=self.seed, **shots)
         else:
+            shots = {} if self.shots is None else {"execution_shots": self.shots}
             engine = CloudEngine(
                 self.policy,
-                config=CloudSimulationConfig(fidelity_report=self.fidelity_report, seed=self.seed),
+                config=CloudSimulationConfig(
+                    fidelity_report=self.fidelity_report, seed=self.seed, **shots
+                ),
                 inter_arrival_s=self.inter_arrival_s,
             )
         if self.latency_s > 0:

@@ -1,8 +1,8 @@
 """Simulation engines: statevector, stabilizer (CHP), exact density matrix and noisy Monte-Carlo."""
 
 from repro.simulators.batched_stabilizer import (
-    BatchedStabilizerSimulator,
     BatchedStabilizerState,
+    StabilizerSimulator,
     probe_deterministic_outcome,
 )
 from repro.simulators.density import DENSITY_LIMIT, OutcomeLaw, outcome_law
@@ -10,7 +10,6 @@ from repro.simulators.durations import GateDurations, circuit_duration, qubit_fi
 from repro.simulators.noise import NoiseModel
 from repro.simulators.noisy import (
     BATCHED_STATEVECTOR_LIMIT,
-    NoisyStabilizerSimulator,
     NoisyStatevectorSimulator,
     PrecompiledExecution,
     execute_with_noise,
@@ -25,7 +24,11 @@ from repro.simulators.result import (
     total_variation_distance,
     uniform_counts,
 )
-from repro.simulators.stabilizer import StabilizerSimulator, StabilizerState, is_stabilizer_gate
+from repro.simulators.stabilizer import (
+    StabilizerState,
+    is_stabilizer_gate,
+    reference_stabilizer_counts,
+)
 from repro.simulators.statevector import (
     MAX_STATEVECTOR_QUBITS,
     StatevectorSimulator,
@@ -35,14 +38,12 @@ from repro.simulators.statevector import (
 
 __all__ = [
     "BATCHED_STATEVECTOR_LIMIT",
-    "BatchedStabilizerSimulator",
     "BatchedStabilizerState",
     "DENSITY_LIMIT",
     "GateDurations",
     "probe_deterministic_outcome",
     "MAX_STATEVECTOR_QUBITS",
     "NoiseModel",
-    "NoisyStabilizerSimulator",
     "NoisyStatevectorSimulator",
     "OutcomeLaw",
     "PrecompiledExecution",
@@ -60,6 +61,7 @@ __all__ = [
     "marginal_counts",
     "outcome_law",
     "precompile_execution",
+    "reference_stabilizer_counts",
     "qubit_finish_times",
     "success_probability",
     "total_variation_distance",

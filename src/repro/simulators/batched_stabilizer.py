@@ -1,7 +1,8 @@
-"""Batched stabilizer simulation: all shots as one array program.
+"""The Clifford sampler: all shots of a tableau program as one array program.
 
-The scalar :class:`~repro.simulators.stabilizer.StabilizerSimulator` replays
-the compiled tableau program once per shot — 1024 independent pure-Python
+The per-shot reference,
+:func:`~repro.simulators.stabilizer.reference_stabilizer_counts`, replays the
+compiled tableau program once per shot — 1024 independent pure-Python
 trajectories for a single canary execution.  This module removes the per-shot
 loop by exploiting a structural property of the Aaronson-Gottesman tableau:
 
@@ -21,17 +22,17 @@ with NumPy boolean algebra: gates cost one vectorised sign update, random
 measurements draw all shot outcomes at once, and per-shot Pauli noise becomes
 a table lookup of sign-flip masks.
 
-Two execution paths are exposed through :class:`BatchedStabilizerSimulator`:
+:class:`StabilizerSimulator` runs one of two paths:
 
-* ``deterministic`` — a one-trajectory probe discovers that every measurement
-  (and reset) is deterministic, so the tableau is evolved exactly once and
-  the counts dictionary is written in O(1) in the shot count;
+* ``deterministic`` — without a noise model, a one-trajectory probe first
+  checks whether every measurement (and reset) is deterministic; if so the
+  tableau is evolved exactly once and the counts dictionary is written in
+  O(1) in the shot count;
 * ``batched`` — the general path described above, used whenever a random
   measurement outcome or a noise model makes shots differ.
 
-The scalar engine remains in ``repro.simulators.stabilizer`` as the reference
-implementation; ``tests/simulators/test_batched_stabilizer.py`` asserts the
-two agree on random Clifford circuits.
+``tests/simulators/test_batched_stabilizer.py`` asserts that the sampler and
+the per-shot reference agree on random Clifford circuits.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.simulators.noise import NoiseModel
-# The error-channel tables are shared with the scalar noisy engine so the two
-# can never sample different Pauli channels.
-from repro.simulators.noisy import _PAULI_LABELS, _TWO_QUBIT_PAULIS
+from repro.simulators.noise import _PAULI_LABELS, _TWO_QUBIT_PAULIS, NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
     _CLIFFORD_DECOMPOSITIONS,
@@ -306,16 +304,15 @@ def probe_deterministic_outcome(
 # --------------------------------------------------------------------------- #
 # Simulator front end
 # --------------------------------------------------------------------------- #
-class BatchedStabilizerSimulator:
-    """Shot-batched simulator for Clifford circuits, with optional Pauli noise.
+class StabilizerSimulator:
+    """Shot-batched sampler for Clifford circuits, with optional Pauli noise.
 
-    Statistically equivalent to the scalar
-    :class:`~repro.simulators.stabilizer.StabilizerSimulator` (and, when a
-    noise model is given, to
-    :class:`~repro.simulators.noisy.NoisyStabilizerSimulator`): the same
-    Pauli-error channel and readout flips are sampled, just for all shots at
-    once.  The RNG consumption order differs from the scalar engines, so
-    seeded runs agree in distribution rather than shot-for-shot.
+    Statistically equivalent to
+    :func:`~repro.simulators.stabilizer.reference_stabilizer_counts`: the
+    same Pauli-error channel and readout flips are sampled, just for all
+    shots at once.  The RNG consumption order differs from the per-shot
+    reference, so seeded runs agree in distribution rather than shot for
+    shot.
     """
 
     def __init__(self, seed: SeedLike = None) -> None:
@@ -330,48 +327,38 @@ class BatchedStabilizerSimulator:
     ) -> SimulationResult:
         """Execute ``circuit`` for ``shots`` trajectories as one array program.
 
-        ``program`` may carry the circuit's precompiled tableau program (from
+        Without ``noise_model`` the run is ideal and tries the deterministic
+        probe first; with one (even :meth:`NoiseModel.ideal`) every shot is
+        sampled on the batched path.  ``program`` may carry the circuit's
+        precompiled tableau program (from
         :func:`~repro.simulators.stabilizer.compile_tableau_program`), in
         which case the per-gate circuit walk is skipped entirely — the
         compile-once/execute-many path used by execution plans.  The caller
         is responsible for the program actually matching the circuit.
         """
-        if program is None:
-            program = compile_tableau_program(circuit)
-        return self.run_program(
-            program,
-            circuit.num_qubits,
-            circuit.num_clbits,
-            shots=shots,
-            noise_model=noise_model,
-        )
-
-    def run_program(
-        self,
-        program: Sequence[TableauStep],
-        num_qubits: int,
-        num_clbits: int,
-        shots: int = 1024,
-        noise_model: Optional[NoiseModel] = None,
-    ) -> SimulationResult:
-        """Execute a precompiled tableau program without touching a circuit."""
         if shots <= 0:
             raise StabilizerError("shots must be positive")
-        width = max(num_clbits, 1)
+        if program is None:
+            program = compile_tableau_program(circuit)
+        width = max(circuit.num_clbits, 1)
         ideal = noise_model is None
         if ideal:
-            deterministic = probe_deterministic_outcome(program, num_qubits, width)
+            deterministic = probe_deterministic_outcome(program, circuit.num_qubits, width)
             if deterministic is not None:
                 return SimulationResult(
-                    counts=dict(Counter({deterministic: shots})),
+                    counts={deterministic: shots},
                     shots=shots,
                     metadata={"simulator": "stabilizer", "ideal": True, "method": "deterministic"},
                 )
-        counts = self._run_batched(program, num_qubits, width, shots, noise_model)
+        counts = self._run_batched(program, circuit.num_qubits, width, shots, noise_model)
         return SimulationResult(
             counts=counts,
             shots=shots,
-            metadata={"simulator": "stabilizer", "ideal": ideal, "method": "batched"},
+            metadata={
+                "simulator": "stabilizer" if ideal else "noisy_stabilizer",
+                "ideal": ideal,
+                "method": "batched",
+            },
         )
 
     # ------------------------------------------------------------------ #

@@ -22,11 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Protocol, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.utils.exceptions import SimulationError
 from repro.utils.validation import require_probability
+
+#: The gate-error channel's Pauli labels, in the order every sampling engine
+#: draws them (a one-qubit error picks one of three uniformly).
+_PAULI_LABELS = ("x", "y", "z")
+#: The 15 non-identity two-qubit Pauli labels (first acts on operand 0).
+_TWO_QUBIT_PAULIS: Tuple[Tuple[Optional[str], Optional[str]], ...] = tuple(
+    (a, b)
+    for a in (None, "x", "y", "z")
+    for b in (None, "x", "y", "z")
+    if not (a is None and b is None)
+)
 
 
 def _normalise_edge(edge: Sequence[int]) -> Tuple[int, int]:

@@ -10,7 +10,9 @@ statistics do not depend on which engine runs it:
   it in one multinomial draw;
 * the Monte-Carlo statevector engine evolves one trajectory per shot, for
   circuits too wide for a density matrix but within a statevector batch;
-* the noisy stabilizer engine scales to the fleet's 100-qubit devices for
+* the stabilizer engine
+  (:class:`~repro.simulators.batched_stabilizer.StabilizerSimulator`, run
+  with the noise model) scales to the fleet's 100-qubit devices for
   Clifford circuits (Pauli errors are Clifford operations).
 
 :func:`precompile_execution` picks the engine by active width alone.
@@ -19,9 +21,8 @@ statistics do not depend on which engine runs it:
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,26 +37,18 @@ from repro.simulators.density import (
     outcome_law,
     read_rates,
 )
-from repro.simulators.noise import ErrorRates, NoiseModel
+from repro.simulators.batched_stabilizer import StabilizerSimulator
+from repro.simulators.noise import _PAULI_LABELS, _TWO_QUBIT_PAULIS, ErrorRates, NoiseModel
 from repro.simulators.result import SimulationResult
 from repro.simulators.stabilizer import (
-    StabilizerState,
     TableauStep,
     circuit_is_stabilizer_compatible,
     compile_tableau_program,
 )
 from repro.simulators.statevector import MAX_STATEVECTOR_QUBITS, apply_matrix, compact_circuit
-from repro.utils.exceptions import SimulationError, StabilizerError
+from repro.utils.exceptions import SimulationError
 from repro.utils.rng import SeedLike, ensure_generator
 
-_PAULI_LABELS = ("x", "y", "z")
-#: The 15 non-identity two-qubit Pauli labels (first acts on operand 0).
-_TWO_QUBIT_PAULIS: Tuple[Tuple[Optional[str], Optional[str]], ...] = tuple(
-    (a, b)
-    for a in (None, "x", "y", "z")
-    for b in (None, "x", "y", "z")
-    if not (a is None and b is None)
-)
 #: (x bit, z bit) of each single-qubit Pauli factor, with Y = i X Z.
 _PAULI_XZ = {None: (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
 
@@ -231,121 +224,6 @@ class NoisyStatevectorSimulator:
         return dict(zip(labels, tallies[order].tolist()))
 
 
-class NoisyStabilizerSimulator:
-    """Tableau simulator with Pauli gate errors and readout flips.
-
-    Only accepts Clifford circuits.  Pauli errors commute through the tableau
-    update rules, so noisy execution of the Clifford canary circuits scales
-    polynomially in qubit count — the property the paper's fidelity-ranking
-    strategy is built on.
-
-    ``method`` mirrors :class:`~repro.simulators.stabilizer.StabilizerSimulator`:
-    ``"auto"``/``"batched"`` evolve all shots at once on the batched engine
-    (Pauli errors only flip per-shot signs, so noisy batches keep the shared
-    tableau structure); ``"scalar"`` is the reference per-shot loop.
-    """
-
-    def __init__(self, seed: SeedLike = None, method: str = "auto") -> None:
-        if method not in ("auto", "batched", "scalar"):
-            raise StabilizerError("method must be 'auto', 'batched' or 'scalar'")
-        self._rng = ensure_generator(seed)
-        self._method = method
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        noise_model: Optional[NoiseModel] = None,
-        shots: int = 1024,
-        program: Optional[Sequence[TableauStep]] = None,
-    ) -> SimulationResult:
-        """Execute the Clifford ``circuit`` under ``noise_model``.
-
-        ``program`` may carry the circuit's precompiled tableau program so
-        the batched path skips its per-gate circuit walk (the execution-plan
-        replay path); the scalar reference path recompiles regardless.
-        """
-        if shots <= 0:
-            raise StabilizerError("shots must be positive")
-        noise_model = noise_model or NoiseModel.ideal()
-        if self._method in ("auto", "batched"):
-            # Imported lazily: batched_stabilizer imports this module's peers.
-            from repro.simulators.batched_stabilizer import BatchedStabilizerSimulator
-
-            result = BatchedStabilizerSimulator(seed=self._rng).run(
-                circuit, shots=shots, noise_model=noise_model, program=program
-            )
-            result.metadata["simulator"] = "noisy_stabilizer"
-            result.metadata["ideal"] = False
-            return result
-        program = compile_tableau_program(circuit)
-        # Pre-resolve the per-step error probabilities so the shot loop only
-        # touches plain floats.
-        gate_errors = [
-            noise_model.gate_error(step.qubits) if step.kind == "gate" else 0.0 for step in program
-        ]
-        measure_errors = [
-            noise_model.measurement_error(step.qubits[0]) if step.kind == "measure" else 0.0
-            for step in program
-        ]
-        width = max(circuit.num_clbits, 1)
-        # Classical-bit string positions, resolved once per program rather
-        # than once per shot.
-        positions = {
-            index: width - 1 - step.clbit
-            for index, step in enumerate(program)
-            if step.kind == "measure"
-        }
-        counts: Counter = Counter(
-            self._single_shot(program, positions, gate_errors, measure_errors, circuit.num_qubits, width)
-            for _ in range(shots)
-        )
-        return SimulationResult(
-            counts=dict(counts),
-            shots=shots,
-            metadata={"simulator": "noisy_stabilizer", "ideal": False, "method": "scalar"},
-        )
-
-    def _single_shot(
-        self,
-        program: List[TableauStep],
-        positions: Dict[int, int],
-        gate_errors: List[float],
-        measure_errors: List[float],
-        num_qubits: int,
-        width: int,
-    ) -> str:
-        state = StabilizerState(num_qubits)
-        clbits = ["0"] * width
-        for index, step in enumerate(program):
-            if step.kind == "measure":
-                outcome = state.measure(step.qubits[0], self._rng)
-                flip_probability = measure_errors[index]
-                if flip_probability > 0.0 and self._rng.random() < flip_probability:
-                    outcome ^= 1
-                clbits[positions[index]] = str(outcome)
-                continue
-            if step.kind == "reset":
-                state.reset(step.qubits[0], self._rng)
-                continue
-            for name in step.primitives:
-                state.apply_gate(name, step.qubits)
-            error_rate = gate_errors[index]
-            if error_rate > 0.0 and self._rng.random() < error_rate:
-                self._apply_random_pauli(state, step.qubits)
-        return "".join(clbits)
-
-    def _apply_random_pauli(self, state: StabilizerState, qubits: Sequence[int]) -> None:
-        if len(qubits) == 1:
-            label = _PAULI_LABELS[int(self._rng.integers(0, 3))]
-            state.apply_pauli(label, qubits[0])
-            return
-        pauli_a, pauli_b = _TWO_QUBIT_PAULIS[int(self._rng.integers(0, len(_TWO_QUBIT_PAULIS)))]
-        if pauli_a is not None:
-            state.apply_pauli(pauli_a, qubits[0])
-        if pauli_b is not None:
-            state.apply_pauli(pauli_b, qubits[1])
-
-
 #: Widest circuit the batched Monte-Carlo statevector engine will accept when
 #: dispatching automatically (keeps the shot batch within ~100 MB).
 BATCHED_STATEVECTOR_LIMIT = 13
@@ -470,7 +348,7 @@ def execute_with_noise(
     active qubits then take their shots in one multinomial draw from their
     exact outcome law; wider ones up to ``BATCHED_STATEVECTOR_LIMIT`` run on
     the batched Monte-Carlo statevector engine, and wider still must be
-    Clifford and run on the noisy stabilizer engine, which scales
+    Clifford and run on the stabilizer engine, which scales
     polynomially in width.  This is the execution path the cluster nodes use
     when a QRIO job lands on them.
 
@@ -503,8 +381,8 @@ def execute_with_noise(
     )
     if precompiled.engine == "statevector":
         return NoisyStatevectorSimulator(seed=seed).run(precompiled.circuit, target_noise, shots=shots)
-    return NoisyStabilizerSimulator(seed=seed).run(
-        precompiled.circuit, target_noise, shots=shots, program=precompiled.program
+    return StabilizerSimulator(seed=seed).run(
+        precompiled.circuit, shots=shots, noise_model=target_noise, program=precompiled.program
     )
 
 

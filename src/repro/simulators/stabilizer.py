@@ -4,8 +4,11 @@ The Gottesman-Knill theorem — cited directly by the paper — states that
 circuits composed solely of Clifford operations can be simulated in
 polynomial time.  QRIO's fidelity ranking exploits this by scoring devices
 with *Clifford canary* versions of the user's circuit; this module provides
-the polynomial-time simulator that makes the canary's ideal reference
-distribution computable even for the fleet's 100-qubit devices.
+the tableau, the compiler from circuits to tableau programs and
+:func:`reference_stabilizer_counts`, the per-shot reference sampler.  The
+sampler the library runs, which makes the canary's ideal reference
+distribution computable even for the fleet's 100-qubit devices, is the
+shot-batched :class:`~repro.simulators.batched_stabilizer.StabilizerSimulator`.
 
 The tableau follows Aaronson & Gottesman, "Improved simulation of stabilizer
 circuits" (2004): ``2n`` generator rows (destabilizers then stabilizers),
@@ -23,7 +26,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_utils import clifford_sequence_for
 from repro.circuits.instruction import Instruction
-from repro.simulators.result import SimulationResult
+from repro.simulators.noise import _PAULI_LABELS, _TWO_QUBIT_PAULIS, NoiseModel
 from repro.utils.exceptions import StabilizerError
 from repro.utils.rng import SeedLike, ensure_generator
 
@@ -102,8 +105,8 @@ def compile_tableau_program(circuit: QuantumCircuit) -> List[TableauStep]:
     """Pre-compile ``circuit`` into primitive tableau steps.
 
     Raises :class:`StabilizerError` when the circuit contains a non-Clifford
-    gate.  Both the ideal and the noisy stabilizer simulators run this once
-    per circuit and then replay the compiled program for every shot.
+    gate.  The samplers run this once per circuit and then replay the
+    compiled program for every shot.
     """
     program: List[TableauStep] = []
     for instruction in circuit:
@@ -186,8 +189,8 @@ class StabilizerState:
     def apply_pauli(self, pauli: str, qubit: int) -> None:
         """Apply a Pauli error (``"x"``, ``"y"`` or ``"z"``) to ``qubit``.
 
-        Pauli operators only toggle generator signs; this is the hook the
-        noisy stabilizer simulator uses to inject sampled gate errors.
+        Pauli operators only toggle generator signs; this is the hook
+        :func:`reference_stabilizer_counts` uses to inject sampled gate errors.
         """
         if pauli == "x":
             self._r ^= self._z[:, qubit]
@@ -345,101 +348,61 @@ class StabilizerState:
         return strings
 
 
-class StabilizerSimulator:
-    """Shot-based simulator for Clifford circuits.
+def reference_stabilizer_counts(
+    circuit: QuantumCircuit,
+    shots: int,
+    noise_model: Optional[NoiseModel] = None,
+    seed: SeedLike = None,
+) -> Dict[str, int]:
+    """Per-shot reference sampler: one scalar tableau trajectory per shot.
 
-    ``method`` selects the execution engine:
-
-    * ``"auto"`` (default) / ``"batched"`` — the batched engine of
-      :mod:`repro.simulators.batched_stabilizer`, which evolves all shots as
-      one stacked-sign tableau (with a deterministic-circuit fast path) and
-      is typically orders of magnitude faster than per-shot replay;
-    * ``"scalar"`` — the original per-shot tableau loop, kept as the
-      reference implementation the batched engine is tested against.
+    Every shot replays the compiled program on a fresh
+    :class:`StabilizerState`, charging each gate a random Pauli with the
+    noise model's gate error and each readout a flip with its measurement
+    error (no noise model: an ideal run).  This is the slow, obviously
+    correct baseline the shot-batched
+    :class:`~repro.simulators.batched_stabilizer.StabilizerSimulator` is
+    tested and benchmarked against; seeded runs of the two agree in
+    distribution, not shot for shot.
     """
-
-    def __init__(self, seed: SeedLike = None, method: str = "auto") -> None:
-        if method not in ("auto", "batched", "scalar"):
-            raise StabilizerError("method must be 'auto', 'batched' or 'scalar'")
-        self._rng = ensure_generator(seed)
-        self._method = method
-
-    def validate(self, circuit: QuantumCircuit) -> None:
-        """Raise :class:`StabilizerError` if the circuit has non-Clifford gates."""
-        for instruction in circuit:
-            if instruction.name in ("measure", "reset", "barrier"):
-                continue
-            if stabilizer_sequence(instruction) is None:
-                raise StabilizerError(
-                    f"Gate '{instruction.name}{tuple(instruction.params)}' is not Clifford; "
-                    "cliffordize the circuit first (repro.fidelity.cliffordize)"
-                )
-
-    def run(self, circuit: QuantumCircuit, shots: int = 1024) -> SimulationResult:
-        """Execute ``circuit`` for ``shots`` independent tableau trajectories."""
-        if shots <= 0:
-            raise StabilizerError("shots must be positive")
-        if self._method in ("auto", "batched"):
-            # Imported lazily: batched_stabilizer imports this module.
-            from repro.simulators.batched_stabilizer import BatchedStabilizerSimulator
-
-            return BatchedStabilizerSimulator(seed=self._rng).run(circuit, shots=shots)
-        program = compile_tableau_program(circuit)
-        width = max(circuit.num_clbits, 1)
-        # Classical-bit string positions, resolved once per program rather
-        # than once per shot.
-        positions = {
-            index: width - 1 - step.clbit
-            for index, step in enumerate(program)
-            if step.kind == "measure"
-        }
-        counts: Counter = Counter(
-            self._single_shot(program, positions, circuit.num_qubits, width)
-            for _ in range(shots)
-        )
-        return SimulationResult(
-            counts=dict(counts),
-            shots=shots,
-            metadata={"simulator": "stabilizer", "ideal": True, "method": "scalar"},
-        )
-
-    def _single_shot(
-        self,
-        program: List[TableauStep],
-        positions: Dict[int, int],
-        num_qubits: int,
-        width: int,
-    ) -> str:
-        state = StabilizerState(num_qubits)
+    if shots <= 0:
+        raise StabilizerError("shots must be positive")
+    rng = ensure_generator(seed)
+    noise_model = noise_model or NoiseModel.ideal()
+    program = compile_tableau_program(circuit)
+    # Pre-resolve the per-step error probabilities so the shot loop only
+    # touches plain floats.
+    gate_errors = [
+        noise_model.gate_error(step.qubits) if step.kind == "gate" else 0.0 for step in program
+    ]
+    measure_errors = [
+        noise_model.measurement_error(step.qubits[0]) if step.kind == "measure" else 0.0
+        for step in program
+    ]
+    width = max(circuit.num_clbits, 1)
+    counts: Counter = Counter()
+    for _ in range(shots):
+        state = StabilizerState(circuit.num_qubits)
         clbits = ["0"] * width
         for index, step in enumerate(program):
             if step.kind == "measure":
-                outcome = state.measure(step.qubits[0], self._rng)
-                clbits[positions[index]] = str(outcome)
-            elif step.kind == "reset":
-                state.reset(step.qubits[0], self._rng)
-            else:
-                for name in step.primitives:
-                    state.apply_gate(name, step.qubits)
-        return "".join(clbits)
-
-
-def apply_instruction_to_tableau(state: StabilizerState, instruction: Instruction) -> None:
-    """Apply a (Clifford) gate instruction to ``state``.
-
-    Named tableau gates are applied directly; parameterised gates that are
-    Clifford for their specific angles (``u2(0, pi)`` is a Hadamard, ...) are
-    applied via their equivalent native sequence.
-    """
-    if instruction.name in _CLIFFORD_DECOMPOSITIONS and not instruction.params:
-        state.apply_gate(instruction.name, instruction.qubits)
-        return
-    sequence = stabilizer_sequence(instruction)
-    if sequence is None:
-        raise StabilizerError(
-            f"Gate '{instruction.name}{tuple(instruction.params)}' is not a Clifford operation"
-        )
-    for name in sequence:
-        if name == "id":
-            continue
-        state.apply_gate(name, instruction.qubits)
+                outcome = state.measure(step.qubits[0], rng)
+                if measure_errors[index] > 0.0 and rng.random() < measure_errors[index]:
+                    outcome ^= 1
+                clbits[width - 1 - step.clbit] = str(outcome)
+                continue
+            if step.kind == "reset":
+                state.reset(step.qubits[0], rng)
+                continue
+            for name in step.primitives:
+                state.apply_gate(name, step.qubits)
+            if gate_errors[index] > 0.0 and rng.random() < gate_errors[index]:
+                if len(step.qubits) == 1:
+                    paulis = (_PAULI_LABELS[int(rng.integers(0, 3))],)
+                else:
+                    paulis = _TWO_QUBIT_PAULIS[int(rng.integers(0, len(_TWO_QUBIT_PAULIS)))]
+                for pauli, qubit in zip(paulis, step.qubits):
+                    if pauli is not None:
+                        state.apply_pauli(pauli, qubit)
+        counts["".join(clbits)] += 1
+    return dict(counts)

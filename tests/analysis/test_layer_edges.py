@@ -5,8 +5,11 @@ may import only packages of strictly lower layers.  These tests pin that the
 declaration covers every package, that the live tree keeps it (module-level
 and function-level imports alike), that the package import graph has no
 cycle, and that every edge the hand-kept per-package forbidden lists pinned
-before the declaration is still rejected.  ``repro.simulators`` also keeps no
-thread-local state, and no package reaches into another's private names: an
+before the declaration is still rejected.  No function imports ``repro``
+code: a lazy import is how a module cycle hides from QRIO-L001, which only
+sees edges between packages, so the module graph inside ``repro.simulators``
+is checked for cycles too.  ``repro.simulators`` also keeps no thread-local
+state, and no package reaches into another's private names: an
 ``_``-prefixed name is importable only inside its own package.
 """
 
@@ -63,10 +66,6 @@ MOVED_TARGETS = {
     "repro.core": ("repro.core", "repro.control"),
     "repro.scenarios": ("repro.scenarios", "repro.workloads.arrivals", "repro.workloads.metrics"),
 }
-
-#: At most this many function-level ``repro`` imports, each with a reason.
-MAX_FUNCTION_LEVEL_IMPORTS = 10
-
 
 def _modules(root=SOURCE):
     return sorted(path for path in root.rglob("*.py") if "__pycache__" not in path.parts)
@@ -135,28 +134,83 @@ def test_the_package_import_graph_has_no_cycle():
     assert max(len(component) for component in nx.strongly_connected_components(graph)) == 1
 
 
-def test_function_level_imports_are_few_and_each_gives_its_reason():
-    # A reason is a comment on the import's line or alone on the line above.
-    found, unexplained = set(), []
-    for path in _modules():
-        source = path.read_text()
-        lines = source.splitlines()
-        for function in ast.walk(ast.parse(source)):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+def _function_level_imports(source):
+    """Lines of every ``repro`` or relative import inside a function of ``source``."""
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            relative_or_repro = isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "repro"
+            )
+            absolute = isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "repro" for alias in node.names
+            )
+            if relative_or_repro or absolute:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_function_imports_repro_code():
+    found = [
+        f"{path.relative_to(SOURCE)}:{line}"
+        for path in _modules()
+        for line in _function_level_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def test_the_function_level_import_scan_sees_every_spelling():
+    source = (
+        "import numpy\n"
+        "from repro.utils import rng\n"
+        "def run():\n"
+        "    import numpy.linalg\n"
+        "    from repro.simulators.noisy import execute_with_noise\n"
+        "    class Inner:\n"
+        "        def method(self):\n"
+        "            from . import batched_stabilizer\n"
+        "            import repro.plans\n"
+    )
+    assert _function_level_imports(source) == [5, 8, 9]
+
+
+def _module_graph(package_dir, package):
+    """Import edges between the modules of one package, from imports at any depth.
+
+    A module is named by its stem; importing the package itself (or a name it
+    re-exports) is an edge to ``__init__``.
+    """
+    stems = {path.stem for path in package_dir.glob("*.py")}
+    graph = nx.DiGraph()
+    for path in sorted(package_dir.glob("*.py")):
+        graph.add_node(path.stem)
+        for _, name in _imported_names(path.read_text(), package.split(".")):
+            parts = name.split(".")
+            if parts[: len(package.split("."))] != package.split("."):
                 continue
-            for node in ast.walk(function):
-                relative_or_repro = isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "repro"
-                )
-                absolute = isinstance(node, ast.Import) and any(
-                    alias.name.split(".")[0] == "repro" for alias in node.names
-                )
-                if (relative_or_repro or absolute) and (path, node.lineno) not in found:
-                    found.add((path, node.lineno))
-                    if "#" not in lines[node.lineno - 1] and not lines[node.lineno - 2].lstrip().startswith("#"):
-                        unexplained.append(f"{path.relative_to(SOURCE)}:{node.lineno}")
-    assert len(found) <= MAX_FUNCTION_LEVEL_IMPORTS, sorted(found)
-    assert unexplained == []
+            rest = parts[len(package.split(".")):]
+            target = rest[0] if rest and rest[0] in stems else "__init__"
+            if target != path.stem:
+                graph.add_edge(path.stem, target)
+    return graph
+
+
+def test_the_simulators_module_graph_has_no_cycle():
+    graph = _module_graph(SIMULATORS, "repro.simulators")
+    assert graph.has_edge("batched_stabilizer", "stabilizer")
+    assert graph.has_edge("noisy", "batched_stabilizer")
+    assert nx.is_directed_acyclic_graph(graph), list(nx.simple_cycles(graph))
+
+
+def test_the_module_graph_sees_a_lazy_cycle(tmp_path):
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "eager.py").write_text("from repro.sims.lazy import helper\n")
+    (tmp_path / "lazy.py").write_text("def helper():\n    from .eager import run\n")
+    graph = _module_graph(tmp_path, "repro.sims")
+    assert sorted(graph.edges) == [("eager", "lazy"), ("lazy", "eager")]
+    assert not nx.is_directed_acyclic_graph(graph)
 
 
 def test_the_architecture_diagram_is_generated_from_the_layers():

@@ -76,6 +76,20 @@ class TestCommands:
         # The front desk is closed on the way out: no shard process outlives main().
         assert not [child for child in multiprocessing.active_children() if child.name.startswith("qrio-shard")]
 
+    def test_sharded_cloud_submit_executes_the_requested_shots(self, tmp_path, capsys):
+        # Both front desks run the job with --shots 32, so the fidelity
+        # measured from its execution is the same in process and in a shard.
+        path = tmp_path / "ghz.qasm"
+        write_qasm_file(ghz(3), path)
+        argv = ["--seed", "7", "submit", str(path), "--policy", "round-robin", "--devices", "4",
+                "--engine", "cloud", "--fidelity-report", "execute", "--shots", "32"]
+        fidelities = []
+        for extra in ([], ["--shards", "2"]):
+            assert main(argv + extra) == 0
+            match = re.search(r"Device: (\S+) .* reported fidelity ([0-9.]+)", capsys.readouterr().out)
+            fidelities.append(match.groups())
+        assert fidelities[0] == fidelities[1]
+
     def test_submit_topology_job(self, tmp_path, capsys):
         path = tmp_path / "ghz.qasm"
         write_qasm_file(ghz(4), path)

@@ -105,11 +105,11 @@ class TestConstruction:
         handles = [service.submit(ghz(3), 0.9, shots=8 + index) for index in range(3)]
         assert threading.active_count() == threads
         service.process()
-        assert all(handle.done() for handle in handles)
+        assert all(handle.done for handle in handles)
         assert threading.active_count() == threads
         queued = service.submit(ghz(3), 0.9, shots=64)
         service.close()
-        assert queued.done()  # close = drain, not abort
+        assert queued.done  # close = drain, not abort
         assert threading.active_count() == threads
         with pytest.raises(ServiceError, match="closed"):
             service.submit(ghz(3), 0.9, shots=99)
@@ -139,7 +139,7 @@ class TestFutureSemantics:
             handle = service.submit(ghz(3), 0.9, shots=8)
             status = handle.wait(timeout=0.05)
             assert not status.finished  # expiry returns the live, non-terminal state
-            assert not handle.done()
+            assert not handle.done
             engine.run_gate.set()
             assert handle.wait().state == JobState.DONE
 
@@ -185,15 +185,15 @@ class TestFutureSemantics:
             # The worker survived the callback crash and serves the next job.
             assert service.submit(ghz(3), 0.9, shots=9).wait().state == JobState.DONE
 
-    def test_done_flags_answer_as_property_and_as_call(self):
+    def test_done_flags_are_plain_bools(self):
         with QRIOService(three_device_testbed(), StubEngine(), workers=1) as service:
             handle = service.submit(ghz(3), 0.9, shots=8)
             handle.wait()
-            assert handle.done and handle.done()
-            assert not handle.failed and not handle.failed()
-            assert handle.finished and handle.finished()
-            # Flags must render like the bools they replaced, not as ints.
-            assert str(handle.done) == "True" and f"{handle.failed}" == "False"
+            assert handle.done is True
+            assert handle.failed is False
+            assert handle.finished is True
+            with pytest.raises(TypeError):
+                handle.done()  # the futures-style call spelling is gone
 
     def test_callback_may_drain_or_close_the_service(self):
         # Callbacks fire after the runtime accounts the group as finished,
@@ -272,7 +272,7 @@ class TestInlineDispatch:
                 thread.join(30)
             assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert all(handle.done() for handle in handles)
+        assert all(handle.done for handle in handles)
         assert engine.match_calls == 8
         assert engine.max_matching == 1
 
@@ -287,7 +287,7 @@ class TestInlineDispatch:
             first.add_done_callback(lambda handle: seen.append(second.result().shots))
             first.result()
             assert seen == [9]
-            assert second.done()
+            assert second.done
 
 
 class TestBackpressure:
@@ -342,7 +342,7 @@ class TestBackpressure:
         thread.join(timeout=5)
         assert not thread.is_alive()
         service.process()
-        assert admitted[0].done()
+        assert admitted[0].done
         service.close()
 
 
@@ -483,7 +483,7 @@ class TestFailuresAndShutdown:
         with QRIOService(three_device_testbed(), engine, workers=1) as service:
             handle = service.submit(ghz(3), 0.9, shots=8)
             status = handle.wait()
-            assert handle.failed()
+            assert handle.failed
             assert "crashed" in status.error
             assert isinstance(handle.exception, KeyError)
 
@@ -496,7 +496,7 @@ class TestFailuresAndShutdown:
         with QRIOService(three_device_testbed(), engine, workers=2) as service:
             handle = service.submit(ghz(3), 0.9, shots=8)
             handle.wait()
-            assert handle.failed()
+            assert handle.failed
             assert engine.run_calls == 0
 
     def test_close_drains_then_rejects_new_submissions(self):
@@ -504,7 +504,7 @@ class TestFailuresAndShutdown:
         service = QRIOService(three_device_testbed(), engine, workers=2)
         handles = [service.submit(ghz(3), 0.9, shots=8 + index) for index in range(4)]
         service.close()
-        assert all(handle.done() for handle in handles)  # close = drain, not abort
+        assert all(handle.done for handle in handles)  # close = drain, not abort
         with pytest.raises(ServiceError, match="closed"):
             service.submit(ghz(3), 0.9, shots=99)
         service.close()  # idempotent
@@ -542,7 +542,7 @@ class TestRealEngines:
         with QRIOService(three_device_testbed(), engine, workers=3) as service:
             handles = [service.submit(ghz(3), 0.5, shots=8 + index) for index in range(9)]
             service.process()
-            assert all(handle.done() for handle in handles)
+            assert all(handle.done for handle in handles)
         records = engine.inner.simulation_result().records
         assert len(records) == 9
         # Round-robin spread every device's lane with work.

@@ -1,7 +1,7 @@
-"""Equivalence tests: batched stabilizer engine vs the scalar reference.
+"""Equivalence tests: the shot-batched Clifford sampler vs the per-shot reference.
 
-The batched engine must be statistically indistinguishable from per-shot
-replay (same outcome distribution, different RNG consumption order), and
+The sampler must be statistically indistinguishable from per-shot replay
+(same outcome distribution, different RNG consumption order), and
 bit-for-bit identical on measurement-deterministic circuits.
 """
 
@@ -11,13 +11,12 @@ import pytest
 from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.circuits.random_circuits import random_clifford_circuit
 from repro.simulators import (
-    BatchedStabilizerSimulator,
     BatchedStabilizerState,
-    NoisyStabilizerSimulator,
     StabilizerSimulator,
     StabilizerState,
     hellinger_fidelity,
     probe_deterministic_outcome,
+    reference_stabilizer_counts,
 )
 from repro.simulators.noise import NoiseModel
 from repro.simulators.stabilizer import compile_tableau_program
@@ -137,12 +136,12 @@ class TestDeterministicFastPath:
         assert probe_deterministic_outcome(program, 3, 3) is None
 
     def test_deterministic_circuit_reports_fast_path_metadata(self):
-        result = BatchedStabilizerSimulator(seed=1).run(bernstein_vazirani("1011"), shots=777)
+        result = StabilizerSimulator(seed=1).run(bernstein_vazirani("1011"), shots=777)
         assert result.metadata["method"] == "deterministic"
         assert result.counts == {"1011": 777}
 
     def test_random_circuit_reports_batched_metadata(self):
-        result = BatchedStabilizerSimulator(seed=1).run(ghz(3), shots=64)
+        result = StabilizerSimulator(seed=1).run(ghz(3), shots=64)
         assert result.metadata["method"] == "batched"
         assert sum(result.counts.values()) == 64
 
@@ -153,19 +152,17 @@ class TestBatchedScalarEquivalence:
         """Property-style check over seeded random Clifford circuits."""
         circuit = random_clifford_circuit(5, 7, seed=seed, measure=True)
         shots = 3000
-        scalar = StabilizerSimulator(seed=seed + 100, method="scalar").run(circuit, shots=shots)
+        scalar = reference_stabilizer_counts(circuit, shots, seed=seed + 100)
         batched = StabilizerSimulator(seed=seed + 200).run(circuit, shots=shots)
         assert sum(batched.counts.values()) == shots
-        assert set(batched.counts) <= set(scalar.counts) | set(batched.counts)
-        assert hellinger_fidelity(scalar.counts, batched.counts) > 0.97
+        assert set(batched.counts) <= set(scalar) | set(batched.counts)
+        assert hellinger_fidelity(scalar, batched.counts) > 0.97
 
     def test_mid_circuit_measure_and_reset_agree(self):
-        circuit = QuantumCircuit(3, 3)
-        circuit.h(0).cx(0, 1).measure(0, 0).reset(1).h(1).cx(1, 2).measure(1, 1).measure(2, 2)
         shots = 4000
-        scalar = StabilizerSimulator(seed=9, method="scalar").run(circuit, shots=shots)
-        batched = StabilizerSimulator(seed=10).run(circuit, shots=shots)
-        assert hellinger_fidelity(scalar.counts, batched.counts) > 0.97
+        scalar = reference_stabilizer_counts(_mid_circuit_reset(), shots, seed=9)
+        batched = StabilizerSimulator(seed=10).run(_mid_circuit_reset(), shots=shots)
+        assert hellinger_fidelity(scalar, batched.counts) > 0.97
 
     def test_wide_circuit_support_is_identical(self):
         counts = StabilizerSimulator(seed=3).run(ghz(40), shots=64).counts
@@ -179,25 +176,78 @@ class TestBatchedScalarEquivalence:
             default_readout_error=0.02,
         )
         shots = 4000
-        scalar = NoisyStabilizerSimulator(seed=21, method="scalar").run(circuit, noise, shots=shots)
-        batched = NoisyStabilizerSimulator(seed=22).run(circuit, noise, shots=shots)
-        assert scalar.metadata["method"] == "scalar"
+        scalar = reference_stabilizer_counts(circuit, shots, noise, seed=21)
+        batched = StabilizerSimulator(seed=22).run(circuit, shots=shots, noise_model=noise)
         assert batched.metadata["method"] == "batched"
         assert batched.metadata["simulator"] == "noisy_stabilizer"
-        assert hellinger_fidelity(scalar.counts, batched.counts) > 0.97
+        assert hellinger_fidelity(scalar, batched.counts) > 0.97
+
+    def test_an_ideal_noise_model_skips_the_deterministic_probe(self):
+        # execute_with_noise always passes a noise model: its draws come
+        # from the batched path even when every rate is zero.
+        circuit = bernstein_vazirani("1011")
+        result = StabilizerSimulator(seed=1).run(circuit, shots=64, noise_model=NoiseModel.ideal())
+        assert result.metadata == {"simulator": "noisy_stabilizer", "ideal": False, "method": "batched"}
+        assert result.counts == {"1011": 64}
 
     def test_shots_must_be_positive(self):
         with pytest.raises(StabilizerError):
-            BatchedStabilizerSimulator().run(ghz(2), shots=0)
+            StabilizerSimulator().run(ghz(2), shots=0)
 
     def test_non_clifford_rejected(self):
         circuit = QuantumCircuit(1)
         circuit.t(0)
         with pytest.raises(StabilizerError):
-            BatchedStabilizerSimulator().run(circuit, shots=8)
+            StabilizerSimulator().run(circuit, shots=8)
+        with pytest.raises(StabilizerError):
+            reference_stabilizer_counts(circuit, 8)
 
-    def test_simulator_method_validation(self):
+    def test_reference_shots_must_be_positive(self):
         with pytest.raises(StabilizerError):
-            StabilizerSimulator(method="vectorised")
-        with pytest.raises(StabilizerError):
-            NoisyStabilizerSimulator(method="vectorised")
+            reference_stabilizer_counts(ghz(2), 0)
+
+
+def _mid_circuit_reset() -> QuantumCircuit:
+    circuit = QuantumCircuit(3, 3)
+    circuit.h(0).cx(0, 1).measure(0, 0).reset(1).h(1).cx(1, 2).measure(1, 1).measure(2, 2)
+    return circuit
+
+
+_GOLDEN_NOISE = NoiseModel(
+    default_two_qubit_error=0.05, default_one_qubit_error=0.01, default_readout_error=0.02
+)
+
+
+class TestReferenceGoldens:
+    """The reference loop reproduces the per-shot loops it replaced, shot for shot.
+
+    Captured from the ideal and the noisy ``method="scalar"`` loops before
+    they were folded into :func:`reference_stabilizer_counts`; the ideal
+    loop's counts equal the noisy loop's under no noise at the same seed.
+    The dictionaries are compared in order: first-seen key order is part of
+    the contract.
+    """
+
+    @pytest.mark.parametrize(
+        "noise, expected",
+        [
+            (None, [("110", 19), ("001", 19), ("111", 18), ("000", 8)]),
+            (_GOLDEN_NOISE, [("110", 16), ("001", 16), ("111", 14), ("000", 17), ("010", 1)]),
+        ],
+    )
+    def test_mid_circuit_reset(self, noise, expected):
+        counts = reference_stabilizer_counts(_mid_circuit_reset(), 64, noise, seed=9)
+        assert list(counts.items()) == expected
+
+    def test_noisy_ghz(self):
+        noise = NoiseModel(
+            default_two_qubit_error=0.1, default_one_qubit_error=0.05, default_readout_error=0.05
+        )
+        counts = reference_stabilizer_counts(ghz(3), 64, noise, seed=21)
+        assert list(counts.items()) == [
+            ("000", 26), ("111", 17), ("001", 6), ("110", 4), ("101", 4), ("010", 4), ("100", 3),
+        ]
+
+    def test_ideal_ghz(self):
+        counts = reference_stabilizer_counts(ghz(3), 64, seed=21)
+        assert list(counts.items()) == [("000", 30), ("111", 34)]

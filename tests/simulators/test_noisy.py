@@ -6,8 +6,8 @@ from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.simulators import (
     DENSITY_LIMIT,
     NoiseModel,
-    NoisyStabilizerSimulator,
     NoisyStatevectorSimulator,
+    StabilizerSimulator,
     execute_with_noise,
     hellinger_fidelity,
     success_probability,
@@ -62,7 +62,7 @@ class TestNoisyStabilizer:
     def test_agrees_with_noisy_statevector_on_clifford_circuit(self):
         circuit = ghz(4)
         model = NoiseModel.uniform(4, one_qubit_error=0.01, two_qubit_error=0.08, readout_error=0.03)
-        stab = NoisyStabilizerSimulator(seed=11).run(circuit, model, shots=1500)
+        stab = StabilizerSimulator(seed=11).run(circuit, shots=1500, noise_model=model)
         statevec = NoisyStatevectorSimulator(seed=13).run(circuit, model, shots=1500)
         assert hellinger_fidelity(stab.counts, statevec.counts) > 0.95
 
@@ -70,12 +70,12 @@ class TestNoisyStabilizer:
         circuit = QuantumCircuit(1, 1)
         circuit.t(0).measure(0, 0)
         with pytest.raises(StabilizerError):
-            NoisyStabilizerSimulator().run(circuit, shots=10)
+            StabilizerSimulator().run(circuit, shots=10, noise_model=NoiseModel.ideal())
 
     def test_noise_degrades_ghz(self):
         circuit = ghz(5)
-        noisy = NoisyStabilizerSimulator(seed=4).run(
-            circuit, NoiseModel.uniform(5, 0.02, 0.2, 0.05), shots=500
+        noisy = StabilizerSimulator(seed=4).run(
+            circuit, shots=500, noise_model=NoiseModel.uniform(5, 0.02, 0.2, 0.05)
         )
         ideal_mass = noisy.counts.get("00000", 0) + noisy.counts.get("11111", 0)
         assert ideal_mass < 450

@@ -17,7 +17,8 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_matrix
 from repro.simulators import NoiseModel, NoisyStatevectorSimulator
-from repro.simulators.noisy import _PAULI_LABELS, _TWO_QUBIT_PAULIS, _apply_paulis
+from repro.simulators.noise import _PAULI_LABELS, _TWO_QUBIT_PAULIS
+from repro.simulators.noisy import _apply_paulis
 from repro.simulators.statevector import apply_matrix
 
 _PAULI_MATRICES = {label: gate_matrix(label) for label in _PAULI_LABELS}

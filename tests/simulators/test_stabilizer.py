@@ -9,7 +9,6 @@ from repro.circuits import QuantumCircuit, bernstein_vazirani, ghz
 from repro.circuits.instruction import Instruction
 from repro.simulators import StabilizerSimulator, StabilizerState, hellinger_fidelity
 from repro.simulators.stabilizer import (
-    apply_instruction_to_tableau,
     circuit_is_stabilizer_compatible,
     compile_tableau_program,
     is_stabilizer_gate,
@@ -154,7 +153,3 @@ class TestProgramCompilation:
     def test_stabilizer_sequence_for_named_gate(self):
         assert stabilizer_sequence(Instruction("swap", (0, 1))) == ("swap",)
 
-    def test_apply_instruction_to_tableau_rejects_non_clifford(self):
-        state = StabilizerState(1)
-        with pytest.raises(StabilizerError):
-            apply_instruction_to_tableau(state, Instruction("t", (0,)))

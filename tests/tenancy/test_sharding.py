@@ -135,7 +135,7 @@ def test_sharded_dispatch_end_to_end():
 
         service.process()
         for handle in handles + [pinned]:
-            assert handle.done() and handle.status().error is None
+            assert handle.done and handle.status().error is None
             result = handle.result()
             assert result.device in {name for shard in fleets for name in shard}
         assert pinned.result().device == pinned_device
@@ -190,7 +190,7 @@ def test_killed_shard_fails_its_jobs_and_close_returns():
         # Mid-trace: the victim shard has reported its first job and is
         # executing the next ones.
         assert doomed[0].wait(60).state is JobState.DONE
-        assert not doomed[-1].finished()
+        assert not doomed[-1].finished
         os.kill(service._processes[0].pid, signal.SIGKILL)
 
         deadline = time.monotonic() + 5.0
@@ -208,7 +208,7 @@ def test_killed_shard_fails_its_jobs_and_close_returns():
             assert handle.result(timeout=60).shots == handle.spec.shots
         # A job routed to the dead shard afterwards fails at once.
         late = service.submit(ghz(3), JobRequirements(tenant=victim), shots=16, name="late")
-        assert late.failed() and late.status().error.startswith("shard died")
+        assert late.failed and late.status().error.startswith("shard died")
         with pytest.raises(ShardDiedError):
             late.result(timeout=0)
         # Every job is terminal, the dead shard's failures included.

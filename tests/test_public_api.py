@@ -1,9 +1,9 @@
 """The public API: ``repro.__all__`` and every subpackage's ``__all__``.
 
 The snapshot makes adding or dropping a public name a visible diff in this
-file, and every listed name must resolve on its package.  Modules deleted
-because nothing in the package reached them stay deleted, and no source,
-bench, example or document names them again.
+file, and every listed name must resolve on its package.  Modules and
+classes deleted because nothing in the package needed them stay deleted,
+and no source, bench, example or document names them again.
 """
 
 from __future__ import annotations
@@ -155,15 +155,14 @@ API = {
         "ShardOutcome", "ShardRequest", "ShardedService", "pinned_device_of",
     ),
     "repro.simulators": (
-        "BATCHED_STATEVECTOR_LIMIT", "BatchedStabilizerSimulator", "BatchedStabilizerState",
-        "DENSITY_LIMIT", "GateDurations", "MAX_STATEVECTOR_QUBITS", "NoiseModel",
-        "NoisyStabilizerSimulator", "NoisyStatevectorSimulator", "OutcomeLaw",
+        "BATCHED_STATEVECTOR_LIMIT", "BatchedStabilizerState", "DENSITY_LIMIT", "GateDurations",
+        "MAX_STATEVECTOR_QUBITS", "NoiseModel", "NoisyStatevectorSimulator", "OutcomeLaw",
         "PrecompiledExecution", "SimulationResult", "StabilizerSimulator", "StabilizerState",
         "StatevectorSimulator", "apply_matrix", "circuit_duration", "compact_circuit",
         "counts_to_probabilities", "execute_with_noise", "hellinger_fidelity",
         "is_stabilizer_gate", "marginal_counts", "outcome_law", "precompile_execution",
-        "probe_deterministic_outcome", "qubit_finish_times", "success_probability",
-        "total_variation_distance", "uniform_counts",
+        "probe_deterministic_outcome", "qubit_finish_times", "reference_stabilizer_counts",
+        "success_probability", "total_variation_distance", "uniform_counts",
     ),
     "repro.tenancy": (
         "AdmissionController", "AdmissionState", "DEFAULT_TENANT", "DEFAULT_TENANT_ID", "Tenant",
@@ -233,6 +232,7 @@ _DELETED_REFERENCE = re.compile(
     r"|utils\.linalg|fuse_clifford_runs|ReadoutMitigator|cluster\.queue|JobQueue|QueuePolicy"
     r"|core[./](requirements|visualizer|meta_server|scheduler)\b|matching[./]subgraph\b"
     r"|scenarios[./](arrivals|metrics)\b|tenancy[./]sharding\b"
+    r"|NoisyStabilizerSimulator|BatchedStabilizerSimulator|apply_instruction_to_tableau|_StateFlag"
 )
 _TEXT_SUFFIXES = {".py", ".md", ".json", ".txt", ".cfg", ".toml", ".yml", ".yaml", ".qasm"}
 
