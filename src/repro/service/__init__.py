@@ -17,12 +17,17 @@ one service:
   the dispatch step inline; ``workers=N`` adds a dispatcher thread and a
   bounded ``ThreadPoolExecutor`` so submission and execution decouple, with
   ``max_pending`` backpressure surfacing as
-  :class:`~repro.utils.exceptions.ServiceOverloadedError`;
+  :class:`~repro.utils.exceptions.ServiceOverloadedError`.  At
+  ``workers=N`` a warm group also skips the queue: the submitting thread
+  replays its plan (``ExecutionEngine.replay``) and hands it to its lane,
+  but only while (a) no group is queued, (b) no fault injector is attached
+  and (c) the plan's node keeps room for the group in MATCHING, so routing
+  stays that of the serialized order;
 * :class:`JobHandle` — the one handle both front desks return:
   ``status()`` / ``result()`` / ``events()`` over the
   ``QUEUED → MATCHING → RUNNING → DONE/FAILED`` state machine, plus the
   futures-style surface: ``wait(timeout=...)``,
-  ``done()``, ``add_done_callback`` and streaming ``events(follow=True)``;
+  ``done``, ``add_done_callback`` and streaming ``events(follow=True)``;
 * :class:`ExecutionEngine` + :class:`OrchestratorEngine` /
   :class:`CloudEngine` / :class:`DeviceLatencyEngine`
   — the one protocol and its adapters (the latter decorates any engine with

@@ -329,9 +329,11 @@ class ExecutionEngine(abc.ABC):
 
     Concurrency contract (used by :class:`~repro.service.ServiceRuntime`):
     :meth:`match` is always called by exactly one thread at a time (the
-    runtime's dispatcher serializes it), so engines may mutate shared
-    matching state freely.  :meth:`run`, however, is called from worker
-    threads — concurrently for jobs placed on *different* devices — whenever
+    runtime's dispatcher serializes it).  :meth:`replay` may run on a
+    submitting thread while that one :meth:`match` is in progress, so an
+    engine that overrides it guards the state both share.  :meth:`run`,
+    however, is called from worker threads — concurrently for jobs placed
+    on *different* devices — whenever
     :attr:`supports_concurrent_run` is ``True``.  Engines that cannot execute
     concurrently keep the default ``False`` and the runtime serializes their
     ``run`` calls under a global lock (jobs still overlap in queueing and
@@ -359,6 +361,17 @@ class ExecutionEngine(abc.ABC):
     @abc.abstractmethod
     def match(self, spec: JobSpec, job_name: str) -> Placement:
         """Select a device for ``spec`` (filtering + ranking)."""
+
+    def replay(
+        self, spec: JobSpec, job_name: str, *, alongside: Optional[JobSpec] = None
+    ) -> Optional[Placement]:
+        """Bind a warm job without MATCHING, or return ``None`` and change nothing.
+
+        ``alongside`` is the spec of the group in MATCHING, if any: a replay
+        binds only where that group's classical request still fits
+        afterwards.  The base engine keeps no plans, so every job matches.
+        """
+        return None
 
     @abc.abstractmethod
     def run(self, placement: Placement) -> EngineResult:

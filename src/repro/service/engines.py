@@ -29,9 +29,16 @@ pair, which is what lets :class:`~repro.service.QRIOService` treat them
 interchangeably.
 
 Concurrency: ``match()`` is always serialized by the service (dispatcher
-thread or caller thread), so adapters may mutate shared matching state
-freely.  ``run()`` is only called concurrently when an engine sets
-``supports_concurrent_run = True`` — :class:`CloudEngine` does (its session
+thread or caller thread), but it is not the only binder.  At ``workers >= 1``
+the runtime offers a warm group to ``replay()`` on the submitting thread,
+while another group may be in MATCHING, but only when no group is queued
+and no fault injector is attached; the replay binds only where the group
+in MATCHING still fits, so routing equals the serialized order.
+:class:`OrchestratorEngine` enters, checks room and binds under one engine
+lock, which its canary ranking does not hold; the other adapters keep the
+base ``replay()``, which binds nothing.  ``run()`` is only called
+concurrently when an engine sets ``supports_concurrent_run = True`` —
+:class:`CloudEngine` does (its session
 is internally locked), :class:`OrchestratorEngine` does not (its execution
 path mutates the shared cluster registry), and
 :class:`DeviceLatencyEngine` does by construction (the inner engine's run is
@@ -85,6 +92,10 @@ class _PolicyResolver:
         self._seed = seed
         self._resolved: dict = {}
 
+    def is_native(self, requirements) -> bool:
+        """Whether the job takes the native path; resolves nothing."""
+        return requirements.policy is None and self._default is None
+
     def for_requirements(self, requirements) -> Optional[PlacementPolicy]:
         """The effective policy for one job, or ``None`` for the native path."""
         spec = requirements.policy if requirements.policy is not None else self._default
@@ -120,7 +131,7 @@ class _PlanStore(LRUCache):
         self.stats = PLAN_STATS
 
     def lookup(
-        self, spec: JobSpec, backend_of: Callable[[str], Optional[Backend]]
+        self, spec: JobSpec, backend_of: Callable[[str], Optional[Backend]], *, record: bool = True
     ) -> Optional[ExecutionPlan]:
         """The warm plan for ``spec``, or ``None`` (recorded as a miss).
 
@@ -131,7 +142,9 @@ class _PlanStore(LRUCache):
         device may come back with the same calibration.  A plan compiled
         against another calibration of its device misses, and this engine's
         stale plans for that device are dropped before the cold path
-        recompiles.
+        recompiles.  With ``record=False`` the lookup only reads: it counts
+        nothing and drops nothing, and the caller counts a replay with
+        :meth:`count_hit`.
         """
         key = spec.dedup_key()
         with self._lock:
@@ -140,12 +153,20 @@ class _PlanStore(LRUCache):
             fingerprint = None if backend is None else calibration_fingerprint(backend.properties)
             if fingerprint is not None and fingerprint == plan.calibration_fingerprint:
                 self._data.move_to_end(key)
-                self.stats.hits += 1
+                if record:
+                    self.stats.hits += 1
                 return plan
+            if not record:
+                return None
             self.stats.misses += 1
         if fingerprint is not None:
             self.drop_stale(plan.device, fingerprint)
         return None
+
+    def count_hit(self) -> None:
+        """Count a replay whose plan a ``record=False`` lookup returned."""
+        with self._lock:
+            self.stats.hits += 1
 
     def store(self, spec: JobSpec, plan: ExecutionPlan) -> None:
         """Publish a cold submit's plan."""
@@ -163,12 +184,13 @@ class OrchestratorEngine(ExecutionEngine):
 
     The engine owns the four Fig. 2 parts — the :class:`ClusterState`, the
     :class:`MetaServer`, the :class:`MasterServer` and the
-    :class:`QRIOScheduler` — plus its own plan store.  :meth:`match` enters
+    :class:`QRIOScheduler` — plus its own plan store.  :meth:`match` runs
+    MATCHING: a warm plan, else one scheduling cycle.  Either way it enters
     the spec's circuit object into the cluster, unless :meth:`submit`
-    already entered the job from that spec, and then runs MATCHING: a warm
-    plan, else one scheduling cycle.  :meth:`run` is one plan path: a cold
-    job's plan is compiled once by the master server, and every job
-    executes through :meth:`MasterServer.execute_bound_job`.
+    already entered the job from that spec.  :meth:`replay` is the warm half
+    alone, for a job the runtime routes around the funnel.  :meth:`run` is
+    one plan path: a cold job's plan is compiled once by the master server,
+    and every job executes through :meth:`MasterServer.execute_bound_job`.
     """
 
     name = "orchestrator"
@@ -203,6 +225,10 @@ class OrchestratorEngine(ExecutionEngine):
         #: ``QRIO.schedule_job``, makes it stop) keeps its entry until the
         #: facade's ``run_job`` matches it.
         self._entered: Dict[str, JobSpec] = {}
+        #: Held by every enter, room check and bind (never by the ranking), so
+        #: a replay on a submitting thread and a match on the dispatcher
+        #: never interleave their cluster writes.
+        self._bind_lock = threading.Lock()
         self.cluster = ClusterState(name=cluster_name)
         self.meta_server = MetaServer(canary_shots=canary_shots, seed=derive_seed(seed, "meta"))
         self.master_server = MasterServer(self.cluster, seed=derive_seed(seed, "master"))
@@ -228,8 +254,9 @@ class OrchestratorEngine(ExecutionEngine):
         submission (an invalid name, a name that is still active) leaves the
         meta server, the image registry and the cluster as they were.
         """
-        submitted = self._enter(spec, job_name)
-        self._entered[job_name] = spec
+        with self._bind_lock:
+            submitted = self._enter(spec, job_name)
+            self._entered[job_name] = spec
         return submitted
 
     def submitted_spec(self, job_name: str) -> Optional[JobSpec]:
@@ -237,19 +264,51 @@ class OrchestratorEngine(ExecutionEngine):
         return self._entered.get(job_name)
 
     def match(self, spec: JobSpec, job_name: str) -> Placement:
-        """MATCHING: enter the job unless it entered from ``spec``, then route it.
+        """MATCHING: a warm plan, else one scheduling cycle; enters the job once.
+
+        Warm path: a stored plan whose device still has the calibration it
+        compiled against binds the job directly — no filter chain, no canary
+        ranking.  Policy-routed jobs always take the scheduling cycle.
 
         A saturated placement keeps the job entered, so the service's match
         after capacity frees routes it again and submits nothing twice.
         """
+        policy = self._policies.for_requirements(spec.requirements)
+        if policy is None:
+            plan = self._plans.lookup(spec, self._backend_of)
+            placement = None if plan is None else self._replay_placement(spec, job_name, plan)
+            if placement is not None:
+                return placement
+        with self._bind_lock:
+            self._enter_once(spec, job_name)
+        placement = self._schedule(spec, job_name, policy)
+        if placement.saturated:
+            with self._bind_lock:
+                self._entered[job_name] = spec
+        return placement
+
+    def replay(
+        self, spec: JobSpec, job_name: str, *, alongside: Optional[JobSpec] = None
+    ) -> Optional[Placement]:
+        """:meth:`match`'s warm path alone; ``None`` sends the job to MATCHING.
+
+        The plan is counted only when it replays, so a job that falls back
+        to MATCHING still counts one plan hit or miss there.
+        """
+        if not self._policies.is_native(spec.requirements):
+            return None
+        plan = self._plans.lookup(spec, self._backend_of, record=False)
+        placement = None if plan is None else self._replay_placement(spec, job_name, plan, alongside)
+        if placement is not None:
+            self._plans.count_hit()
+        return placement
+
+    def _enter_once(self, spec: JobSpec, job_name: str) -> None:
+        """Enter the job unless :meth:`submit` entered it from ``spec`` (bind lock held)."""
         if self._entered.get(job_name) is spec:
             del self._entered[job_name]
         else:
             self._enter(spec, job_name)
-        placement = self._route(spec, job_name)
-        if placement.saturated:
-            self._entered[job_name] = spec
-        return placement
 
     def _enter(self, spec: JobSpec, job_name: str) -> SubmittedJob:
         """Validate, check the name, upload metadata, containerize, create the job.
@@ -321,40 +380,30 @@ class OrchestratorEngine(ExecutionEngine):
     # ------------------------------------------------------------------ #
     # MATCHING
     # ------------------------------------------------------------------ #
-    def _route(self, spec: JobSpec, job_name: str) -> Placement:
-        """MATCHING for a job that entered the cluster: warm plan, else one scheduling cycle."""
-        policy = self._policies.for_requirements(spec.requirements)
-        if policy is None:
-            # Warm path: a stored plan whose device still has the calibration
-            # it compiled against binds the job directly — no filter chain,
-            # no canary ranking.
-            plan = self._plans.lookup(spec, self._backend_of)
-            if plan is not None:
-                placement = self._replay_placement(spec, job_name, plan)
-                if placement is not None:
-                    return placement
-        return self._schedule(spec, job_name, policy)
+    def _replay_placement(
+        self, spec: JobSpec, job_name: str, plan: ExecutionPlan, alongside: Optional[JobSpec] = None
+    ) -> Optional[Placement]:
+        """Enter ``job_name`` and bind it straight from a warm plan, skipping the scheduler.
 
-    def _replay_placement(self, spec: JobSpec, job_name: str, plan: ExecutionPlan) -> Optional[Placement]:
-        """Bind ``job_name`` straight from a warm plan, skipping the scheduler.
-
-        Returns ``None`` when the plan's device is gone, cordoned or full — the
-        caller then falls back to the native path (the plan stays cached;
-        only this submission pays the full cycle).
+        Returns ``None``, having entered nothing, when the plan's device is
+        gone, cordoned or full — or would be too full for ``alongside`` once
+        this job binds.  The caller then falls back to the native path (the
+        plan stays cached; only this submission pays the full cycle).
         """
         cluster = self.cluster
-        node = cluster.node_for_device(plan.device)
-        requirements = spec.requirements
-        if (
-            node is None
-            or not node.is_schedulable()
-            or not node.can_host(requirements.cpu_millicores, requirements.memory_mb)
-        ):
-            return None
-        cluster.bind(job_name, node.name, score=plan.score)
-        cluster.events.record(
-            "PlanScheduled", job_name, f"replayed cached execution plan on {plan.device}"
-        )
+        cpu, memory = spec.requirements.cpu_millicores, spec.requirements.memory_mb
+        if alongside is not None:
+            cpu += alongside.requirements.cpu_millicores
+            memory += alongside.requirements.memory_mb
+        with self._bind_lock:
+            node = cluster.node_for_device(plan.device)
+            if node is None or not node.is_schedulable() or not node.can_host(cpu, memory):
+                return None
+            self._enter_once(spec, job_name)
+            cluster.bind(job_name, node.name, score=plan.score)
+            cluster.events.record(
+                "PlanScheduled", job_name, f"replayed cached execution plan on {plan.device}"
+            )
         return Placement(
             job_name=job_name,
             spec=spec,
@@ -379,7 +428,10 @@ class OrchestratorEngine(ExecutionEngine):
         registry policy over the engine's own context.
         """
         context = None if policy is None else functools.partial(self._policy_context, spec, job_name)
-        decision = self.scheduler.schedule(self.cluster.job(job_name), policy, context=context)
+        decision = self.scheduler.schedule(self.cluster.job(job_name), policy, context=context, bind=False)
+        if decision.scheduled:
+            with self._bind_lock:
+                self.cluster.bind(job_name, decision.node_name, score=decision.score)
         detail = {"scores": decision.scores}
         if policy is not None:
             detail["decision"] = decision.placement  # marks the job policy-routed: never stored

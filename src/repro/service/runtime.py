@@ -37,6 +37,20 @@ The runtime owns three pieces:
   finishes them), the step waits for a lane to finish a group and matches
   again instead of failing the job.
 
+* **Warm bypass** (``workers >= 1``) — :meth:`ServiceRuntime.enqueue`
+  first offers each group to the engine's
+  :meth:`~repro.service.ExecutionEngine.replay` on the submitting thread.
+  A group whose stored plan replays goes straight to its device lane, so a
+  warm job runs while another job is still being ranked.  The offer is
+  made under the runtime lock, atomically with ``enqueue`` and ``close``,
+  and only when (a) no group is queued, so the bypass never reorders the
+  queue and priority, EDF and WFQ order hold; (b) no fault injector is
+  attached, so fault events keep their one apply point in MATCHING; and
+  (c) the plan's node can still host the group in MATCHING, if there is
+  one, after the replay binds.  Together the rules keep every routing
+  decision equal to the serialized order.  Anything else — ``workers=0``,
+  a cold or policy-routed job, a full node — queues as before.
+
 * **Per-device shard lanes** — a matched group is appended to the lane of
   its placed device.  Each lane is a FIFO served by at most one worker at a
   time, so jobs placed on the *same* device serialize (a physical QPU runs
@@ -63,7 +77,7 @@ the dispatcher thread does.
 
 Handles stay the observable surface: whichever thread finishes a job feeds
 its :class:`~repro.service.JobHandle`'s condition variable, which powers
-``wait(timeout=...)``, ``done()``, ``add_done_callback`` and the streaming
+``wait(timeout=...)``, ``done``, ``add_done_callback`` and the streaming
 ``events(follow=True)`` iterator.
 """
 
@@ -119,6 +133,9 @@ class ServiceRuntime:
         #: resources).  The dispatcher waits on it when every node is full.
         self._ran = threading.Condition(self._lock)
         self._finished_runs = 0
+        #: The group the dispatch step is matching (``None`` between groups):
+        #: a warm bypass binds only where it still fits (rule (c)).
+        self._matching = None
         self._lanes: Dict[str, Deque[Tuple[object, object]]] = {}
         self._active_lanes: Set[str] = set()
         self._closed = False
@@ -166,7 +183,8 @@ class ServiceRuntime:
         """Admit freshly submitted job groups into the priority queue.
 
         Atomic with respect to backpressure: either every group of the batch
-        is admitted or none is.
+        is admitted or none is.  Once the batch fits, each group is offered
+        to the warm bypass (see the module docstring) before it queues.
 
         Args:
             groups: ``_JobGroup`` objects from ``QRIOService.submit_specs``.
@@ -199,7 +217,15 @@ class ServiceRuntime:
             # submission time, which only the host clock knows.
             # qrio: allow[QRIO-D002] wall-clock deadline arithmetic of the live runtime
             now = time.monotonic()
+            idle_lanes = []
             for group in groups:
+                placement = self._bypass_locked(group)
+                if placement is not None:
+                    self._inflight_groups += 1
+                    self._executing_groups += 1
+                    if self._to_lane_locked(group, placement):
+                        idle_lanes.append(placement.device)
+                    continue
                 requirements = group.spec.requirements
                 tenant = requirements.effective_tenant
                 deadline = requirements.deadline_s
@@ -216,6 +242,17 @@ class ServiceRuntime:
                 self._queued_jobs += len(group.handles)
                 self._inflight_groups += 1
             self._work.notify_all()
+        for device in idle_lanes:
+            self._executor.submit(self._lane_worker, device)
+
+    def _bypass_locked(self, group) -> Optional[object]:
+        """The warm bypass (lock held): the group's replayed placement, or ``None`` to queue it.
+
+        Rules (a) and (b) are checked here; the engine checks rule (c).
+        """
+        if self._dispatcher is None or self._queue or self._service.fault_injector is not None:
+            return None
+        return self._service._replay_group(group, self._matching)
 
     # ------------------------------------------------------------------ #
     # Draining / shutdown
@@ -315,21 +352,21 @@ class ServiceRuntime:
         with self._lock:
             if not self._queue:
                 return False
-            group = self._queue.pop()
+            group = self._matching = self._queue.pop()
             self._queued_jobs -= len(group.handles)
             self._not_full.notify_all()
         placement = self._service._match_group(group, self._capacity_waiter())
+        with self._lock:
+            self._matching = None
+            if placement is not None:
+                self._executing_groups += 1
+                start = self._to_lane_locked(group, placement)
         if placement is None:
             # Accounting first, callbacks second: a callback may call
             # close()/process(), which must see this group as finished.
             self._finish_group()
             group.drain_callbacks()
             return True
-        with self._lock:
-            self._executing_groups += 1
-            self._lanes.setdefault(placement.device, deque()).append((group, placement))
-            start = placement.device not in self._active_lanes
-            self._active_lanes.add(placement.device)
         if self._dispatcher is None:
             # workers=0: serve the lane on this thread.  Not gated on
             # ``start``: a done-callback that drives the service dispatches
@@ -339,6 +376,13 @@ class ServiceRuntime:
         elif start:
             self._executor.submit(self._lane_worker, placement.device)
         return True
+
+    def _to_lane_locked(self, group, placement) -> bool:
+        """Append a matched group to its device's lane; ``True`` when the lane needs a worker."""
+        self._lanes.setdefault(placement.device, deque()).append((group, placement))
+        start = placement.device not in self._active_lanes
+        self._active_lanes.add(placement.device)
+        return start
 
     def _capacity_waiter(self) -> Callable[[], bool]:
         """The ``wait_for_capacity`` hook for one group's MATCHING stage.

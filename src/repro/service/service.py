@@ -34,7 +34,9 @@ per-device lanes); ``workers`` only picks the threads.  With the default
 ``workers=0`` no thread starts: ``process()``, ``result()`` and ``wait()``
 dispatch inline on the caller's thread.  With ``workers=N`` a dispatcher
 thread and N lane workers run the jobs in the background, and
-``max_pending`` may bound the queue.  Engine crashes are recorded on the
+``max_pending`` may bound the queue; a warm group submitted while nothing
+is queued may replay its plan on the submitting thread and go straight to
+its lane (the runtime's warm bypass).  Engine crashes are recorded on the
 handles (``result()`` raises :class:`~repro.utils.exceptions.JobFailedError`
 chained from them), never raised out of ``process()``.  :meth:`close`
 drains the queue and rejects later submissions.
@@ -591,7 +593,8 @@ class QRIOService(FrontDesk):
         fault effects (calibration jumps, straggler windows) apply at a
         deterministic point regardless of worker count.
         Every job matched afterwards first advances the injector to the
-        job's arrival time.  Pass ``None`` to detach.
+        job's arrival time, and while it is attached no warm job skips
+        MATCHING (the runtime's warm bypass is off).  Pass ``None`` to detach.
         """
         self._fault_injector = injector
         self._engine.set_fault_injector(injector)
@@ -745,21 +748,9 @@ class QRIOService(FrontDesk):
         match again, ``False`` to fail the group as saturated (a node held by
         a job bound outside the service is released by nothing it waits on).
         """
-        size = len(group.handles)
         spec = group.spec
         leader = group.leader
-        with self._state_lock:
-            # Tenant accounting: the group leaves the queue and is now
-            # inflight, whatever happens next (failures decrement inflight).
-            tenant_id = spec.requirements.tenant_id
-            self._shift_tenant_locked(self._tenant_queued, tenant_id, -size)
-            self._shift_tenant_locked(self._tenant_inflight, tenant_id, size)
-        dedup_note = f" (group of {size} structurally-identical jobs)" if size > 1 else ""
-        for handle in group.handles:
-            handle._transition(
-                JobState.MATCHING,
-                f"matching via '{self._engine.name}' engine{dedup_note}",
-            )
+        self._start_matching(group, f"matching via '{self._engine.name}' engine")
         try:
             if self._fault_injector is not None:
                 # Scenario fault events due at this job's arrival apply before
@@ -772,9 +763,7 @@ class QRIOService(FrontDesk):
         except Exception as error:
             self._fail_group(group, f"matching {_failure_verb(error)}: {error}", error)
             return None
-        placement_detail = placement.status_detail()
-        for handle in group.handles:
-            handle._set_placement(placement.device, placement.score, dict(placement_detail))
+        self._place(group, placement)
         if placement.device is None:
             if placement.saturated:
                 reason = (
@@ -786,6 +775,44 @@ class QRIOService(FrontDesk):
             self._fail_group(group, reason)
             return None
         return placement
+
+    def _replay_group(self, group: _JobGroup, alongside: Optional[_JobGroup]) -> Optional[Placement]:
+        """The runtime's warm bypass: bind a group from its plan, outside the funnel.
+
+        ``alongside`` is the group in MATCHING, if any.  ``None`` (nothing
+        changed) queues the group, and its match raises again whatever the
+        replay raised.  A replayed group's handles pass through MATCHING at
+        once, so their events still read QUEUED → MATCHING → RUNNING.
+        """
+        try:
+            placement = self._engine.replay(
+                group.spec, group.leader.name, alongside=None if alongside is None else alongside.spec
+            )
+        except Exception:  # noqa: BLE001 - the funnel records the error on the handles
+            return None
+        if placement is not None:
+            self._start_matching(group, f"replayed a warm plan via '{self._engine.name}' engine on submission")
+            self._place(group, placement)
+        return placement
+
+    def _start_matching(self, group: _JobGroup, message: str) -> None:
+        """Move a group out of the queue: tenant ledger, then the MATCHING transitions."""
+        size = len(group.handles)
+        with self._state_lock:
+            # Tenant accounting: the group leaves the queue and is now
+            # inflight, whatever happens next (failures decrement inflight).
+            tenant_id = group.spec.requirements.tenant_id
+            self._shift_tenant_locked(self._tenant_queued, tenant_id, -size)
+            self._shift_tenant_locked(self._tenant_inflight, tenant_id, size)
+        dedup_note = f" (group of {size} structurally-identical jobs)" if size > 1 else ""
+        for handle in group.handles:
+            handle._transition(JobState.MATCHING, message + dedup_note)
+
+    @staticmethod
+    def _place(group: _JobGroup, placement: Placement) -> None:
+        detail = placement.status_detail()
+        for handle in group.handles:
+            handle._set_placement(placement.device, placement.score, dict(detail))
 
     def _run_group(self, group: _JobGroup, placement: Placement) -> None:
         """Run the engine's RUNNING stage for one matched group.
