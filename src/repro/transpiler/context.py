@@ -26,9 +26,8 @@ class TranspileContext:
     final_layout:
         Layout after routing; records where each virtual qubit ended up once
         all inserted SWAPs are accounted for.
-    rng:
-        Random generator for stochastic passes.  No preset pass reads it, so
-        the preset pipeline's output does not depend on the seed.
+    seed:
+        Seed of :attr:`rng` (``None``, an ``int`` or a generator).
     properties:
         Free-form scratch space for passes to communicate (e.g. the routing
         pass records how many SWAPs it inserted).
@@ -37,13 +36,25 @@ class TranspileContext:
     target: Optional[BackendProperties] = None
     initial_layout: Optional[Layout] = None
     final_layout: Optional[Layout] = None
-    rng: np.random.Generator = field(default_factory=lambda: ensure_generator(None))
+    seed: SeedLike = None
     properties: Dict[str, object] = field(default_factory=dict)
+    _rng: Optional[np.random.Generator] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """Random generator for stochastic passes, built from :attr:`seed` on first read.
+
+        No preset pass reads it, so the preset pipeline builds no generator
+        and its output does not depend on the seed.
+        """
+        if self._rng is None:
+            self._rng = ensure_generator(self.seed)
+        return self._rng
 
     @classmethod
     def for_target(cls, target: Optional[BackendProperties], seed: SeedLike = None) -> "TranspileContext":
         """Build a context for compiling towards ``target``."""
-        return cls(target=target, rng=ensure_generator(seed))
+        return cls(target=target, seed=seed)
 
     def require_target(self) -> BackendProperties:
         """Return the target properties, raising if the pipeline has none."""

@@ -5,7 +5,7 @@ repeats expensive computations whose inputs barely change between jobs.  Only
 the three whose cache key covers every input they read are memoized here, once
 per process:
 
-* **VF2 enumeration**: depends only on the requested pattern and the
+* **Embedding enumeration** (the VF2 search): depends only on the requested pattern and the
   device's coupling graph (Mapomatic's first step), so it is shared by every
   job, every calibration epoch, the matchers and the transpiler's
   perfect-layout pass.
@@ -35,9 +35,9 @@ builds on:
   count hash differently.
 * :func:`pattern_hash` — the analogous digest for interaction-graph /
   topology patterns (nodes plus weighted edges).
-* :func:`enumeration_key` — the order-sensitive digest of what VF2 reads
-  (node and adjacency order of both graphs, plus the cap), which keys the
-  enumeration cache.
+* :func:`enumeration_key` — the order-sensitive digest of what the
+  embedding search reads (node and adjacency order of both graphs, plus the
+  cap), which keys the enumeration cache.
 * :func:`calibration_fingerprint` — a digest of a device's calibration data.
   Because the fingerprint is part of every embedding key (and of every
   execution plan), a calibration-drift cycle *implicitly* invalidates all
@@ -249,15 +249,17 @@ def pattern_hash(graph) -> str:
 
 
 def enumeration_key(pattern, device_graph, max_embeddings: int) -> str:
-    """Digest of one VF2 enumeration's inputs, in the order VF2 reads them.
+    """Digest of one embedding search's inputs, in the order the search reads them.
 
-    networkx's VF2 matcher walks both graphs in node order and grows its
-    candidate frontier in adjacency order, so those orders, and not only the
-    edge sets, decide which embeddings come out first.  Unlike
+    The search (``repro.backends.subgraph``) returns networkx's VF2
+    mappings in networkx's order: it walks both graphs in node order and
+    grows its candidate frontier in adjacency order, so those orders, and
+    not only the edge sets, decide which embeddings come out first.  Unlike
     :func:`pattern_hash`, which sorts, this digest covers the node sequence
     and each node's neighbour sequence of the pattern and of the device
     graph, plus the cap: equal keys therefore yield the same embeddings in
-    the same order.  Edge weights are not read by VF2 and are not covered.
+    the same order.  Edge weights are not read by the search and are not
+    covered.
 
     Each graph's half is a digest of its own.  A frozen device graph (what
     ``BackendProperties.graph()`` returns, one per coupling map) keeps its
@@ -389,10 +391,10 @@ PLAN_STATS = CacheStats()
 
 
 def enumeration_cache() -> LRUCache:
-    """The process-wide VF2 enumeration cache.
+    """The process-wide embedding enumeration cache.
 
-    Keyed by :func:`enumeration_key` (pattern and device graph in VF2's read
-    order, plus the cap); values are the enumerated mappings, each a flat
+    Keyed by :func:`enumeration_key` (pattern and device graph in the
+    search's read order, plus the cap); values are the enumerated mappings, each a flat
     ``(pattern node, device node, ...)`` tuple.  No calibration is in the key:
     enumeration never reads it, so entries survive calibration drift.
     """
